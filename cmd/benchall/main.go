@@ -44,7 +44,7 @@ func main() {
 		return
 	}
 
-	sc, err := parseScale(*scale)
+	sc, err := bots.ParseScale(*scale)
 	if err != nil {
 		fatal(err)
 	}
@@ -81,20 +81,6 @@ func main() {
 		}
 		fmt.Printf("-- %s done in %v\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
-}
-
-func parseScale(s string) (bots.Scale, error) {
-	switch s {
-	case "test":
-		return bots.ScaleTest, nil
-	case "small":
-		return bots.ScaleSmall, nil
-	case "medium":
-		return bots.ScaleMedium, nil
-	case "large":
-		return bots.ScaleLarge, nil
-	}
-	return 0, fmt.Errorf("unknown scale %q", s)
 }
 
 func fatal(err error) {

@@ -34,7 +34,7 @@ func main() {
 	)
 	flag.Parse()
 
-	sc, err := parseScale(*scale)
+	sc, err := bots.ParseScale(*scale)
 	if err != nil {
 		fatal(err)
 	}
@@ -92,20 +92,6 @@ func main() {
 		}
 		fmt.Println("profile written to", *profOut)
 	}
-}
-
-func parseScale(s string) (bots.Scale, error) {
-	switch s {
-	case "test":
-		return bots.ScaleTest, nil
-	case "small":
-		return bots.ScaleSmall, nil
-	case "medium":
-		return bots.ScaleMedium, nil
-	case "large":
-		return bots.ScaleLarge, nil
-	}
-	return 0, fmt.Errorf("unknown scale %q", s)
 }
 
 func fatal(err error) {

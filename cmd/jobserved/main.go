@@ -7,12 +7,12 @@
 // coalesced writes. Admission refusals (backlog-full, shed, expired)
 // travel as per-job status codes, not connection errors.
 //
-// The pool flags mirror loadgen's: preset, workers, shards, backlog,
-// admission policy, balancing policy, and the elastic capacity
-// controller. -window bounds each connection's admitted-but-unreported
-// jobs (its backpressure knob); -report prints the wire traffic
-// counters at that period. The server runs until SIGINT/SIGTERM, then
-// prints a final traffic and per-shard report.
+// The pool flags (preset, workers, shards, backlog, admission policy,
+// balancing policy, elastic capacity controller, BOTS scale) come from
+// internal/poolflags. -window bounds each connection's
+// admitted-but-unreported jobs (its backpressure knob); -report prints
+// the wire traffic counters at that period. The server runs until
+// SIGINT/SIGTERM, then prints a final traffic and per-shard report.
 //
 // Usage:
 //
@@ -30,66 +30,26 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/bots"
 	"repro/internal/jobserve"
+	"repro/internal/poolflags"
 	"repro/xomp"
 )
 
 func main() {
 	var (
-		addr      = flag.String("addr", "127.0.0.1:7077", "listen address")
-		preset    = flag.String("runtime", "xgomptb", "runtime preset: "+strings.Join(xomp.PresetNames(), "|"))
-		workers   = flag.Int("workers", 4, "total workers across shards")
-		shards    = flag.Int("shards", 1, "NUMA shards (each one serving team)")
-		backlog   = flag.Int("backlog", 0, "admission queue capacity per class (0 = 4x workers)")
-		admitName = flag.String("admit", "block", "admission policy: block|reject|shed|wfq")
-		policy    = flag.String("policy", "static", "balancing policy: "+strings.Join(xomp.PolicyNames(), "|"))
-		elastic   = flag.Bool("elastic", false, "enable the elastic capacity controller (needs -shards > 1)")
-		budget    = flag.Int("budget", 0, "total active workers with -elastic (0 = half of -workers)")
-		scaleName = flag.String("scale", "test", "BOTS input scale for named-app jobs: test|small|medium|large")
-		window    = flag.Int("window", 0, "per-connection in-flight job bound (0 = default)")
-		report    = flag.Duration("report", 0, "print wire counters every period (0 = only at exit)")
+		addr   = flag.String("addr", "127.0.0.1:7077", "listen address")
+		pf     = poolflags.Register(flag.CommandLine, 1)
+		window = flag.Int("window", 0, "per-connection in-flight job bound (0 = default)")
+		report = flag.Duration("report", 0, "print wire counters every period (0 = only at exit)")
 	)
 	flag.Parse()
 
-	if *shards < 1 || *workers < 1 || *workers%*shards != 0 {
-		fatal(fmt.Errorf("-shards %d must be >= 1 and divide -workers %d", *shards, *workers))
-	}
-	if *elastic && *shards < 2 {
-		fatal(fmt.Errorf("-elastic needs -shards > 1 (no shard to move quota between)"))
-	}
-	if *budget != 0 && !*elastic {
-		fatal(fmt.Errorf("-budget only applies with -elastic"))
-	}
-	admit, err := parseAdmit(*admitName)
+	scfg, scale, err := pf.Config()
 	if err != nil {
 		fatal(err)
-	}
-	if !xomp.ValidPolicyName(*policy) {
-		fatal(fmt.Errorf("-policy %q is not a policy (%s)", *policy, strings.Join(xomp.PolicyNames(), ", ")))
-	}
-	scale, err := parseScale(*scaleName)
-	if err != nil {
-		fatal(err)
-	}
-
-	team := xomp.Preset(*preset, *workers / *shards)
-	team.Backlog = *backlog
-	team.Admit = admit
-	if *policy != "static" {
-		team.Policy.Name = *policy
-	}
-	scfg := xomp.ShardConfig{Shards: *shards, Team: team}
-	if *elastic {
-		b := *budget
-		if b == 0 {
-			b = *workers / 2
-		}
-		scfg.Elastic = xomp.ElasticConfig{Enabled: true, TotalBudget: b}
 	}
 	pool, err := xomp.NewShardedPool(scfg)
 	if err != nil {
@@ -105,7 +65,7 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("jobserved: serving on %s (%s, %d shards x %d workers, policy %s, admit %s)\n",
-		srv.Addr(), *preset, *shards, *workers / *shards, *policy, *admitName)
+		srv.Addr(), pf.Runtime, scfg.Shards, scfg.Team.Workers, pf.Policy, pf.Admit)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -145,35 +105,6 @@ func printWire(srv *jobserve.Server) {
 	fmt.Printf("wire: conns %d open / %d closed, frames %d in / %d out, bytes %d in / %d out, jobs %d in, results %d out (%d refused)\n",
 		ws.ConnsOpened, ws.ConnsClosed, ws.FramesIn, ws.FramesOut,
 		ws.BytesIn, ws.BytesOut, ws.JobsIn, ws.ResultsOut, ws.Refused)
-}
-
-// parseAdmit maps the -admit flag to an admission policy (nil = block).
-func parseAdmit(name string) (xomp.AdmitPolicy, error) {
-	switch name {
-	case "block":
-		return nil, nil
-	case "reject":
-		return xomp.RejectWhenFull{}, nil
-	case "shed":
-		return xomp.DeadlineShed{}, nil
-	case "wfq":
-		return &xomp.WFQAdmit{}, nil
-	}
-	return nil, fmt.Errorf("-admit %q: want block, reject, shed, or wfq", name)
-}
-
-func parseScale(s string) (bots.Scale, error) {
-	switch s {
-	case "test":
-		return bots.ScaleTest, nil
-	case "small":
-		return bots.ScaleSmall, nil
-	case "medium":
-		return bots.ScaleMedium, nil
-	case "large":
-		return bots.ScaleLarge, nil
-	}
-	return 0, fmt.Errorf("unknown scale %q (test|small|medium|large)", s)
 }
 
 func fatal(err error) {

@@ -1,12 +1,10 @@
 package main
 
 // The fleet modes: loadgen grows from an in-process driver into a
-// distributed harness. -mode server hosts the pool behind the wire
-// protocol (a jobserved embedded in loadgen, so one binary can play
-// both sides); -mode client drives a remote server over TCP with
-// closed-loop batched submitters, open-loop Poisson arrivals, or a
-// replayed trace; -mode agent merges the per-client reports of a whole
-// fleet into one latency distribution, so N client processes on M
+// distributed harness. -mode client drives a remote cmd/jobserved over
+// TCP with closed-loop batched submitters, open-loop Poisson arrivals,
+// or a replayed trace; -mode agent merges the per-client reports of a
+// whole fleet into one latency distribution, so N client processes on M
 // machines report a single p50/p99.
 //
 // Cross-client percentiles cannot be merged from per-client
@@ -21,11 +19,8 @@ import (
 	"math"
 	"net"
 	"os"
-	"os/signal"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"repro/internal/alloc"
@@ -40,12 +35,11 @@ import (
 // Fleet-mode flags, registered alongside main's; only consulted when
 // -mode is not "local".
 var (
-	modeFlag   = flag.String("mode", "local", "local (in-process pool) | server (host the pool over TCP) | client (drive a server) | agent (merge fleet reports)")
-	addrFlag   = flag.String("addr", "127.0.0.1:7077", "server listen address (-mode server) or target address (-mode client)")
+	modeFlag   = flag.String("mode", "local", "local (in-process pool) | client (drive a jobserved) | agent (merge fleet reports)")
+	addrFlag   = flag.String("addr", "127.0.0.1:7077", "jobserved address to drive (-mode client)")
 	listenFlag = flag.String("listen", "127.0.0.1:7078", "report listen address (-mode agent)")
 	rateFlag   = flag.Float64("rate", 0, "open-loop Poisson arrival rate per connection in jobs/sec (-mode client; 0 = closed loop)")
 	sizeFlag   = flag.Int("size", 0, "synthetic spin units per client job (-mode client; 0 = no-op body)")
-	windowFlag = flag.Int("window", 0, "per-connection in-flight job bound (-mode server; 0 = default)")
 	fleetFlag  = flag.String("fleet", "", "agent address to send this client's merged report to (-mode client)")
 	fleetN     = flag.Int("fleet-size", 1, "client reports to wait for before printing the fleet summary (-mode agent)")
 )
@@ -65,31 +59,19 @@ type fleetReport struct {
 // handful of local flags the fleet modes share.
 func runFleetMode(mode string, sh sharedFlags) {
 	switch mode {
-	case "server":
-		runServerMode(sh)
 	case "client":
 		runClientMode(sh)
 	case "agent":
 		runAgentMode(*listenFlag, *fleetN)
 	default:
-		fatal(fmt.Errorf("-mode %q: want local, server, client, or agent", mode))
+		fatal(fmt.Errorf("-mode %q: want local, client, or agent", mode))
 	}
 }
 
-// sharedFlags carries the local-mode flags the fleet modes reuse, so
-// one flag vocabulary describes the pool and the traffic on both sides
-// of the wire.
+// sharedFlags carries the local-mode traffic flags the client mode
+// reuses, so one flag vocabulary describes the traffic in process and
+// over the wire.
 type sharedFlags struct {
-	preset    string
-	workers   int
-	shards    int
-	backlog   int
-	admitName string
-	policy    string
-	elastic   bool
-	budget    int
-	scaleName string
-
 	submitters int
 	jobs       int
 	batch      int
@@ -103,80 +85,6 @@ type sharedFlags struct {
 	seed         uint64
 	speed        float64
 	verbose      bool
-}
-
-// runServerMode hosts the sharded pool behind the wire protocol until
-// SIGINT/SIGTERM — the same serving edge as cmd/jobserved, embedded so
-// a fleet needs only the loadgen binary.
-func runServerMode(sh sharedFlags) {
-	shards := sh.shards
-	if shards == 0 {
-		shards = 1
-	}
-	if sh.workers < 1 || sh.workers%shards != 0 {
-		fatal(fmt.Errorf("-shards %d must divide -workers %d", shards, sh.workers))
-	}
-	if sh.elastic && shards < 2 {
-		fatal(fmt.Errorf("-elastic needs -shards > 1 (no shard to move quota between)"))
-	}
-	admit, err := parseAdmit(sh.admitName)
-	if err != nil {
-		fatal(err)
-	}
-	if !xomp.ValidPolicyName(sh.policy) {
-		fatal(fmt.Errorf("-policy %q is not a policy (%s)", sh.policy, strings.Join(xomp.PolicyNames(), ", ")))
-	}
-	scale, err := parseScale(sh.scaleName)
-	if err != nil {
-		fatal(err)
-	}
-
-	team := xomp.Preset(sh.preset, sh.workers/shards)
-	team.Backlog = sh.backlog
-	team.Admit = admit
-	if sh.policy != "static" {
-		team.Policy.Name = sh.policy
-	}
-	scfg := xomp.ShardConfig{Shards: shards, Team: team}
-	if sh.elastic {
-		b := sh.budget
-		if b == 0 {
-			b = sh.workers / 2
-		}
-		scfg.Elastic = xomp.ElasticConfig{Enabled: true, TotalBudget: b}
-	}
-	pool, err := xomp.NewShardedPool(scfg)
-	if err != nil {
-		fatal(err)
-	}
-	ln, err := net.Listen("tcp", *addrFlag)
-	if err != nil {
-		fatal(err)
-	}
-	srv, err := jobserve.Serve(ln, jobserve.Config{Pool: pool, Scale: scale, Window: *windowFlag})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("loadgen server: serving on %s (%s, %d shards x %d workers, policy %s, admit %s)\n",
-		srv.Addr(), sh.preset, shards, sh.workers/shards, sh.policy, sh.admitName)
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	<-stop
-
-	if err := srv.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen server: close:", err)
-	}
-	ws := srv.Wire()
-	fmt.Printf("\nwire: conns %d, frames %d in / %d out, bytes %d in / %d out, jobs %d in, results %d out (%d refused)\n",
-		ws.ConnsOpened, ws.FramesIn, ws.FramesOut, ws.BytesIn, ws.BytesOut, ws.JobsIn, ws.ResultsOut, ws.Refused)
-	for _, st := range pool.Stats() {
-		fmt.Printf("  shard %d: %d/%d workers active, %d jobs completed, migrated in %d / out %d\n",
-			st.Shard, st.ActiveWorkers, st.Workers, st.JobsCompleted, st.MigratedIn, st.MigratedOut)
-	}
-	if err := pool.Close(); err != nil {
-		fatal(err)
-	}
 }
 
 // connPlan is one connection's pre-built submission schedule. arrivals

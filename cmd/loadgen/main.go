@@ -8,13 +8,15 @@
 // reference. The report covers throughput (jobs/sec), per-application
 // counts, and queue-delay/run-time statistics from the per-job profile.
 //
-// With -shards the same total worker count is split into a NUMA-sharded
-// pool (xomp.ShardedPool): jobs are placed by the power-of-two-choices
-// dispatcher and a second-level balancer migrates queued jobs off
-// overloaded shards. -skew pins a leading fraction of every submitter's
-// jobs to shard 0 — the hot-shard scenario that only cross-shard migration
-// can drain — and the report adds per-shard completion and NJOBS_MIGRATED
-// counts.
+// The pool flags are internal/poolflags', shared with cmd/jobserved;
+// -shards 0, the default here, is one shared team over -zones synthetic
+// NUMA zones. With -shards the same total worker count is split into a
+// NUMA-sharded pool (xomp.ShardedPool): jobs are placed by the
+// power-of-two-choices dispatcher and a second-level balancer migrates
+// queued jobs off overloaded shards. -skew pins a leading fraction of
+// every submitter's jobs to shard 0 — the hot-shard scenario that only
+// cross-shard migration can drain — and the report adds per-shard
+// completion and NJOBS_MIGRATED counts.
 //
 // With -elastic the sharded pool additionally runs the elastic capacity
 // controller: each shard keeps its full worker capacity but only -budget
@@ -72,11 +74,11 @@
 // golden corpus under testdata/scenarios/ is (re)generated.
 //
 // Beyond the in-process pool, -mode turns loadgen into a distributed
-// fleet over the wire protocol (internal/wire, the jobserved edge).
-// "-mode server" hosts the same pool flags behind TCP; "-mode client"
-// drives a server with -submitters connections — closed-loop batched
-// submitters by default, open-loop Poisson arrivals with -rate, or a
-// -scenario/-trace replay paced over the network — recording
+// fleet over the wire protocol (internal/wire) against a running
+// cmd/jobserved, which takes the same pool flags (internal/poolflags).
+// "-mode client" drives it with -submitters connections — closed-loop
+// batched submitters by default, open-loop Poisson arrivals with -rate,
+// or a -scenario/-trace replay paced over the network — recording
 // completion latency into a mergeable log-linear histogram; "-mode
 // agent" collects -fleet-size client reports (sparse histogram buckets
 // over JSON) and merges them bucket-wise into the fleet-wide p50/p99 —
@@ -100,7 +102,6 @@
 //	loadgen -scenario tenant-storm -workers 2 -admit wfq
 //	loadgen -scenario zipf -seed 42 -emit testdata/scenarios/zipf.jsonl
 //	loadgen -jobs 20 -record run.jsonl && loadgen -trace run.jsonl -admit reject
-//	loadgen -mode server -workers 8 -shards 2 -addr 127.0.0.1:7077
 //	loadgen -mode client -addr 127.0.0.1:7077 -submitters 4 -jobs 200 -batch 32
 //	loadgen -mode client -addr 127.0.0.1:7077 -rate 500 -jobs 1000
 //	loadgen -mode client -addr 127.0.0.1:7077 -scenario flash-crowd -speed 4
@@ -123,6 +124,7 @@ import (
 
 	"repro/internal/bots"
 	"repro/internal/numa"
+	"repro/internal/poolflags"
 	"repro/internal/replay"
 	"repro/internal/scenario"
 	"repro/internal/stats"
@@ -131,23 +133,15 @@ import (
 
 func main() {
 	var (
-		preset     = flag.String("runtime", "xgomptb", "runtime preset: "+strings.Join(xomp.PresetNames(), "|"))
-		workers    = flag.Int("workers", 4, "team size")
-		zones      = flag.Int("zones", 2, "synthetic NUMA zones")
+		pf         = poolflags.Register(flag.CommandLine, 0) // -shards 0: one shared team
+		zones      = flag.Int("zones", 2, "synthetic NUMA zones of the shared team (without -shards)")
 		submitters = flag.Int("submitters", 4, "concurrent submitter goroutines")
 		jobs       = flag.Int("jobs", 8, "jobs per submitter")
 		mix        = flag.String("mix", "fib,sort,nqueens", "comma-separated BOTS apps to cycle through")
-		scale      = flag.String("scale", "test", "input scale: test|small|medium|large")
-		backlog    = flag.Int("backlog", 0, "admission queue capacity (0 = 4x workers)")
-		shards     = flag.Int("shards", 0, "split -workers into this many per-domain teams (0 = one shared team)")
 		skew       = flag.Float64("skew", 0, "fraction of each submitter's jobs pinned to shard 0 (hot-shard scenario; needs -shards > 1)")
-		elastic    = flag.Bool("elastic", false, "enable the elastic capacity controller (needs -shards > 1): shards keep full capacity but only -budget workers stay active, quota follows load")
-		budget     = flag.Int("budget", 0, "total active workers with -elastic (0 = half of -workers)")
-		policy     = flag.String("policy", "static", "balancing policy: "+strings.Join(xomp.PolicyNames(), "|"))
 		phase      = flag.Duration("phase", 0, "flip the workload mix between fine- and coarse-grained presets every period (makes -policy adaptive observable); overrides -mix")
 		prioMix    = flag.String("priority-mix", "0:1:0", "interactive:batch:background integer weights for each submitter's jobs")
 		deadline   = flag.Duration("deadline", 0, "per-job completion deadline from submission (0 = none)")
-		admitName  = flag.String("admit", "block", "admission policy: block|reject|shed|wfq")
 		batchN     = flag.Int("batch", 1, "submit jobs in batches of N through SubmitBatchCtx (amortized admission); applies to closed-loop submitters and to -scenario/-trace replays")
 		tenants    = flag.Int("tenants", 1, "spread closed-loop submitters over this many tenant ids (submitter s is tenant s mod N)")
 		tenantWts  = flag.String("tenant-weights", "", "comma-separated id=weight fair-share assignments, e.g. 0=2,9=1 (closed-loop tenants, replays, and -record)")
@@ -166,13 +160,10 @@ func main() {
 	if *scenarioName != "" && *tracePath != "" {
 		fatal(fmt.Errorf("-scenario and -trace are mutually exclusive"))
 	}
-	// Fleet modes (-mode server|client|agent) leave for the network path
-	// here; everything below is the in-process local mode.
+	// Fleet modes (-mode client|agent) leave for the network path here;
+	// everything below is the in-process local mode.
 	if *modeFlag != "local" {
 		runFleetMode(*modeFlag, sharedFlags{
-			preset: *preset, workers: *workers, shards: *shards, backlog: *backlog,
-			admitName: *admitName, policy: *policy, elastic: *elastic, budget: *budget,
-			scaleName:  *scale,
 			submitters: *submitters, jobs: *jobs, batch: *batchN,
 			prioMix: *prioMix, deadline: *deadline, tenants: *tenants, tenantWts: *tenantWts,
 			scenarioName: *scenarioName, tracePath: *tracePath,
@@ -189,7 +180,7 @@ func main() {
 	if *speed <= 0 {
 		fatal(fmt.Errorf("-speed %v must be > 0", *speed))
 	}
-	if *pinTenants && *shards < 2 {
+	if *pinTenants && pf.Shards < 2 {
 		fatal(fmt.Errorf("-pin-tenants needs -shards > 1 (no shard to pin to)"))
 	}
 	if *batchN < 1 {
@@ -205,10 +196,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	admit, err := parseAdmit(*admitName)
-	if err != nil {
-		fatal(err)
-	}
 	if *tenants < 1 {
 		fatal(fmt.Errorf("-tenants %d must be >= 1", *tenants))
 	}
@@ -219,28 +206,16 @@ func main() {
 	if *deadline < 0 {
 		fatal(fmt.Errorf("-deadline %v must be >= 0", *deadline))
 	}
-	if !xomp.ValidPolicyName(*policy) {
-		fatal(fmt.Errorf("-policy %q is not a policy (%s)", *policy, strings.Join(xomp.PolicyNames(), ", ")))
-	}
 	if *phase < 0 {
 		fatal(fmt.Errorf("-phase %v must be >= 0", *phase))
-	}
-	if *shards < 0 || (*shards > 0 && *workers%*shards != 0) {
-		fatal(fmt.Errorf("-shards %d must be positive and divide -workers %d", *shards, *workers))
 	}
 	if *skew < 0 || *skew > 1 {
 		fatal(fmt.Errorf("-skew %v must be in [0,1]", *skew))
 	}
-	if *skew > 0 && *shards < 2 {
+	if *skew > 0 && pf.Shards < 2 {
 		fatal(fmt.Errorf("-skew needs -shards > 1 (nothing to skew against)"))
 	}
-	if *elastic && *shards < 2 {
-		fatal(fmt.Errorf("-elastic needs -shards > 1 (no shard to move quota between)"))
-	}
-	if *budget != 0 && !*elastic {
-		fatal(fmt.Errorf("-budget only applies with -elastic"))
-	}
-	if *shards > 0 {
+	if pf.Shards > 0 {
 		// Sharded pools pin each team to its own single-zone domain, so a
 		// -zones request cannot be honoured; reject it rather than ignore it.
 		flag.CommandLine.Visit(func(f *flag.Flag) {
@@ -250,16 +225,10 @@ func main() {
 		})
 	}
 
-	sc, err := parseScale(*scale)
+	// scfg.Team is sized per shard with -shards, for all -workers without.
+	scfg, sc, err := pf.Config()
 	if err != nil {
 		fatal(err)
-	}
-
-	cfg := xomp.Preset(*preset, *workers)
-	cfg.Backlog = *backlog
-	cfg.Admit = admit
-	if *policy != "static" {
-		cfg.Policy.Name = *policy
 	}
 
 	// Trace-replay mode: -scenario/-trace swap the closed-loop submitters
@@ -277,20 +246,10 @@ func main() {
 				tr.Name, len(tr.Jobs), tr.Span().Round(time.Millisecond), tr.Seed, *emitPath)
 			return
 		}
-		opts := replay.Options{Team: cfg, Speed: *speed, PinTenants: *pinTenants, Scale: sc, TenantWeights: weights, Batch: *batchN}
-		if *shards > 0 {
-			opts.Shards = *shards
-			opts.Team.Workers = *workers / *shards
-			if *elastic {
-				b := *budget
-				if b == 0 {
-					b = *workers / 2
-				}
-				opts.Elastic = xomp.ElasticConfig{Enabled: true, TotalBudget: b}
-			}
-		}
+		opts := replay.Options{Team: scfg.Team, Shards: scfg.Shards, Elastic: scfg.Elastic,
+			Speed: *speed, PinTenants: *pinTenants, Scale: sc, TenantWeights: weights, Batch: *batchN}
 		fmt.Printf("loadgen: replaying %s (%d jobs over %v) at %gx on %s (%d workers, %d shards, policy %s, admit %s)\n",
-			tr.Name, len(tr.Jobs), tr.Span().Round(time.Millisecond), *speed, *preset, *workers, *shards, *policy, *admitName)
+			tr.Name, len(tr.Jobs), tr.Span().Round(time.Millisecond), *speed, pf.Runtime, pf.Workers, pf.Shards, pf.Policy, pf.Admit)
 		res, err := replay.ReplayJobs(tr, opts)
 		if err != nil {
 			fatal(err)
@@ -348,16 +307,7 @@ func main() {
 		pool        *xomp.Pool
 	)
 	ctx := context.Background()
-	if *shards > 0 {
-		scfg := xomp.ShardConfig{Shards: *shards, Team: cfg}
-		scfg.Team.Workers = *workers / *shards
-		if *elastic {
-			b := *budget
-			if b == 0 {
-				b = *workers / 2
-			}
-			scfg.Elastic = xomp.ElasticConfig{Enabled: true, TotalBudget: b}
-		}
+	if pf.Shards > 0 {
 		sp, err := xomp.NewShardedPool(scfg)
 		if err != nil {
 			fatal(err)
@@ -374,13 +324,14 @@ func main() {
 		}
 		closePool = sp.Close
 		elasticNote := ""
-		if *elastic {
+		if pf.Elastic {
 			elasticNote = fmt.Sprintf(", elastic budget %d", sp.ActiveWorkers())
 		}
 		fmt.Printf("loadgen: %d submitters x %d jobs, mix [%s] at scale %s, on %s (%d shards x %d workers, skew %.0f%%%s, policy %s, admit %s)\n",
-			*submitters, *jobs, strings.Join(names, " "), sc, *preset, *shards, *workers / *shards, *skew*100, elasticNote, *policy, *admitName)
+			*submitters, *jobs, strings.Join(names, " "), sc, pf.Runtime, pf.Shards, scfg.Team.Workers, *skew*100, elasticNote, pf.Policy, pf.Admit)
 	} else {
-		cfg.Topology = numa.Synthetic(*workers, *zones)
+		cfg := scfg.Team
+		cfg.Topology = numa.Synthetic(pf.Workers, *zones)
 		p, err := xomp.NewPool(cfg)
 		if err != nil {
 			fatal(err)
@@ -394,7 +345,7 @@ func main() {
 		}
 		closePool = p.Close
 		fmt.Printf("loadgen: %d submitters x %d jobs, mix [%s] at scale %s, on %s (%d workers, %d zones, policy %s, admit %s)\n",
-			*submitters, *jobs, strings.Join(names, " "), sc, *preset, *workers, *zones, *policy, *admitName)
+			*submitters, *jobs, strings.Join(names, " "), sc, pf.Runtime, pf.Workers, *zones, pf.Policy, pf.Admit)
 	}
 
 	var (
@@ -637,21 +588,21 @@ func main() {
 				st.Shard, st.ActiveWorkers, st.Workers, st.JobsCompleted, st.MigratedIn, st.MigratedOut)
 			recs = append(recs, sharded.Team(st.Shard).Profile().Jobs()...)
 		}
-		if *elastic {
+		if pf.Elastic {
 			fmt.Printf("quota: %d moves by the elastic controller\n", sharded.QuotaMoves())
 			for _, mv := range sharded.QuotaTrace() {
 				fmt.Printf("  %10v  shard %d -> shard %d  (now %d and %d active)\n",
 					mv.At.Round(time.Microsecond), mv.From, mv.To, mv.FromActive, mv.ToActive)
 			}
 		}
-		if *policy == "adaptive" {
+		if pf.Policy == "adaptive" {
 			for s := 0; s < sharded.Shards(); s++ {
 				printPolicyTrace(fmt.Sprintf("shard %d", s), sharded.Team(s).PolicyTrace())
 			}
 		}
 	} else {
 		recs = pool.Team().Profile().Jobs()
-		if *policy == "adaptive" {
+		if pf.Policy == "adaptive" {
 			printPolicyTrace("pool", pool.PolicyTrace())
 		}
 	}
@@ -825,22 +776,6 @@ func parsePriorityMix(s string) ([]xomp.Class, error) {
 	return pattern, nil
 }
 
-// parseAdmit maps the -admit flag to an admission policy (nil = block,
-// the default).
-func parseAdmit(name string) (xomp.AdmitPolicy, error) {
-	switch name {
-	case "block":
-		return nil, nil
-	case "reject":
-		return xomp.RejectWhenFull{}, nil
-	case "shed":
-		return xomp.DeadlineShed{}, nil
-	case "wfq":
-		return &xomp.WFQAdmit{}, nil
-	}
-	return nil, fmt.Errorf("-admit %q: want block, reject, shed, or wfq", name)
-}
-
 // parseTenantWeights parses "id=weight,id=weight" into the fair-share
 // weight map; an empty flag yields nil (every tenant at weight 1).
 func parseTenantWeights(s string) (map[int]float64, error) {
@@ -864,20 +799,6 @@ func parseTenantWeights(s string) (map[int]float64, error) {
 		weights[tid] = wv
 	}
 	return weights, nil
-}
-
-func parseScale(s string) (bots.Scale, error) {
-	switch s {
-	case "test":
-		return bots.ScaleTest, nil
-	case "small":
-		return bots.ScaleSmall, nil
-	case "medium":
-		return bots.ScaleMedium, nil
-	case "large":
-		return bots.ScaleLarge, nil
-	}
-	return 0, fmt.Errorf("unknown scale %q (test|small|medium|large)", s)
 }
 
 func fatal(err error) {

@@ -48,6 +48,17 @@ func (s Scale) String() string {
 	return fmt.Sprintf("scale(%d)", int(s))
 }
 
+// ParseScale is the inverse of Scale.String: it maps a scale name, as the
+// command-line tools spell it, to its Scale.
+func ParseScale(name string) (Scale, error) {
+	for s := ScaleTest; s <= ScaleLarge; s++ {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scale %q (test|small|medium|large)", name)
+}
+
 // Benchmark is one BOTS application instance. RunParallel may be invoked
 // repeatedly (each call resets per-run state); Verify must be called after
 // at least one RunParallel.

@@ -292,3 +292,17 @@ func TestStrassenMatchesNaiveTiny(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// ParseScale must invert Scale.String for every scale and refuse
+// anything else.
+func TestParseScaleRoundTrip(t *testing.T) {
+	for s := ScaleTest; s <= ScaleLarge; s++ {
+		got, err := ParseScale(s.String())
+		if err != nil || got != s {
+			t.Errorf("ParseScale(%q) = (%v, %v), want %v", s.String(), got, err, s)
+		}
+	}
+	if _, err := ParseScale("huge"); err == nil {
+		t.Error(`ParseScale("huge") succeeded`)
+	}
+}

@@ -10,18 +10,6 @@ import (
 	"repro/internal/prof"
 )
 
-// Admission: the policy-driven entry edge of the job dataflow.
-//
-// Submit used to end in a bare blocking channel send — once the backlog
-// filled, every submitter hung indefinitely with no cancellation,
-// timeout, or rejection path. SubmitCtx replaces that edge with a
-// first-class admission level: per-priority-class bounded queues (workers
-// adopt strictly in class order, so background floods cannot
-// head-of-line-block interactive jobs), context- and deadline-aware
-// waiting with typed errors, and a pluggable load.AdmitPolicy deciding
-// whether a submission waits, is rejected, or is shed. Plain Submit
-// remains the blocking-compatibility wrapper.
-
 // The profile's per-class admission state is sized by its own constant so
 // prof stays a leaf package; this assignment fails to compile if the two
 // class counts ever drift apart.
@@ -81,6 +69,22 @@ type SubmitOpts struct {
 	Tenant load.Tenant
 }
 
+// BatchItem describes one submission in a batch: the job's root task
+// body plus the same per-submission options SubmitCtx takes.
+type BatchItem struct {
+	Fn   TaskFunc
+	Opts SubmitOpts
+}
+
+// BatchResult is one batch item's outcome. Exactly one field is set:
+// Job when the item was admitted, Err (the SubmitCtx error vocabulary —
+// ctx.Err(), ErrDeadlineExceeded, ErrBacklogFull, ErrShed, ErrClosed, or
+// a validation error) when it was not.
+type BatchResult struct {
+	Job *Job
+	Err error
+}
+
 // Submit enqueues fn as a new job's root task and returns the job handle
 // — the compatibility wrapper over SubmitCtx with the batch class, no
 // deadline, and no cancellation. Under the default admission policy it
@@ -107,125 +111,305 @@ func (tm *Team) Submit(fn TaskFunc) (*Job, error) {
 // before Serve, and errors wrapping ErrInvalid for a malformed
 // submission (nil fn, class out of range, negative tenant weight). Like
 // Submit it must be called from outside the team's task bodies.
+//
+// It is the batch of one: the same admission pass as SubmitBatchCtx over
+// stack-resident slices, so a single submission allocates nothing.
 func (tm *Team) SubmitCtx(ctx context.Context, fn TaskFunc, opts SubmitOpts) (*Job, error) {
+	items := [1]BatchItem{{Fn: fn, Opts: opts}}
+	var res [1]BatchResult
+	if err := tm.SubmitBatchInto(ctx, items[:], res[:]); err != nil {
+		return nil, err
+	}
+	return res[0].Job, res[0].Err
+}
+
+// SubmitBatch admits every fn as a new job of the neutral batch class —
+// the compatibility wrapper over SubmitBatchCtx, mirroring Submit.
+func (tm *Team) SubmitBatch(fns []TaskFunc) ([]BatchResult, error) {
+	items := make([]BatchItem, len(fns))
+	for i, fn := range fns {
+		items[i] = BatchItem{Fn: fn, Opts: SubmitOpts{Priority: load.ClassBatch}}
+	}
+	return tm.SubmitBatchCtx(context.Background(), items)
+}
+
+// SubmitBatchCtx admits a batch of jobs in one amortized admission pass
+// (see admitBatch) and returns one BatchResult per item, index-aligned
+// with items. The batch-level error reports only conditions that fail
+// the batch as a whole (a team that is not serving); per-item failures —
+// validation, shedding, rejection, expiry, cancellation — land in the
+// item's BatchResult, so partial admission is the normal outcome under
+// backpressure, not an error. Items whose policy verdict allows waiting
+// block (in item order) on their class's space gate when their ring is
+// full, honouring ctx and each item's own deadline. Like SubmitCtx it
+// must be called from outside the team's task bodies.
+func (tm *Team) SubmitBatchCtx(ctx context.Context, items []BatchItem) ([]BatchResult, error) {
+	res := make([]BatchResult, len(items))
+	if err := tm.SubmitBatchInto(ctx, items, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// SubmitBatchInto is SubmitBatchCtx writing the per-item outcomes into
+// the caller's res (len(res) >= len(items); previous contents are
+// overwritten), so a caller splitting one batch across teams fills
+// sub-slices of one result slice.
+func (tm *Team) SubmitBatchInto(ctx context.Context, items []BatchItem, res []BatchResult) error {
 	svc := tm.svc.Load()
 	if svc == nil {
-		return nil, ErrNotServing
-	}
-	if fn == nil {
-		return nil, ErrNilFunc
-	}
-	class := opts.Priority
-	if class < 0 || class >= load.NumClasses {
-		return nil, fmt.Errorf("%w: priority class %d outside [0, %d)", ErrInvalid, class, load.NumClasses)
-	}
-	if opts.Tenant.Weight < 0 {
-		return nil, fmt.Errorf("%w: negative tenant weight %g", ErrInvalid, opts.Tenant.Weight)
+		return ErrNotServing
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := ctx.Err(); err != nil {
-		tm.admitFailed(int(class), opts.Tenant, prof.AdmitCancelled)
-		return nil, err
-	}
-	var remaining time.Duration
-	if !opts.Deadline.IsZero() {
-		remaining = time.Until(opts.Deadline)
-		if remaining <= 0 {
-			tm.admitFailed(int(class), opts.Tenant, prof.AdmitExpired)
-			return nil, ErrDeadlineExceeded
-		}
+	tm.admitBatch(ctx, svc, items, res[:len(items)])
+	return nil
+}
+
+// admitStack is the batch size up to which admitBatch's per-item scratch
+// lives on its stack: it covers single submissions and a sharded pool's
+// dispatch chunks, so those admit without allocating.
+const admitStack = 16
+
+// admitBatch is the admission state machine — the one implementation
+// behind every Submit variant, a single submission being the batch of
+// one. It runs five phases over the batch and pays the admission toll
+// once per batch rather than once per job: one svc.mu section reserves
+// the whole batch's active count and id range, the gauges move once per
+// batch (per class and per tenant run), each class group enters its
+// intake ring with a single reserving CAS, and the bell rings once. The
+// admission *contract* stays per job: every item carries its own class,
+// deadline, and tenant, the policy rules on each item (against one
+// load-signal snapshot for the batch), and each item's outcome lands in
+// res[i] with the typed errors SubmitCtx documents.
+func (tm *Team) admitBatch(ctx context.Context, svc *service, items []BatchItem, res []BatchResult) {
+	clear(res)
+	var (
+		waitBuf [admitStack]bool
+		rootBuf [admitStack]*Task
+	)
+	wait, roots := waitBuf[:], rootBuf[:0]
+	if len(items) > admitStack {
+		wait, roots = make([]bool, len(items)), make([]*Task, 0, len(items))
 	}
 
-	// The admission policy decides the enqueue *mode* (wait / no-wait /
-	// shed) before any accounting, from the same signal plane the other
-	// balancing levels read. Both built-in non-shedding policies skip
-	// the signal aggregation entirely — they never consult it — so plain
-	// backpressure and fail-fast admission cost no plane scan; only
-	// shedding-capable policies pay for signals.
-	decision := load.AdmitWait
-	switch tm.admit.(type) {
-	case load.BlockWhenFull:
-	case load.RejectWhenFull:
-		decision = load.AdmitReject
-	default:
-		ring := svc.submit[class]
-		sig := tm.Signals()
-		decision = tm.admit.Admit(load.AdmitRequest{
-			Class:    class,
-			Deadline: remaining,
-			Queued:   ring.Len(),
-			Capacity: ring.Cap(),
-			Tenant:   opts.Tenant,
-			// The tenant gauge is raised before the enqueue below, so it
-			// covers this tenant's submitters currently blocked at the
-			// edge as well as its queued jobs — the footprint a
-			// weighted-fair policy bounds.
-			TenantQueued: int(tm.profile.TenantQueued(opts.Tenant.ID)),
-			Saturated:    tm.saturated(sig),
-		}, sig)
-	}
-	if decision == load.AdmitShed {
-		// A closing team reports ErrClosed, not ErrShed: the reject and
-		// wait paths pass the authoritative closed check under svc.mu
-		// below, and this early return must not mask a Close already
-		// begun (a caller backs off and retries on ErrShed; it stops on
-		// ErrClosed).
-		svc.mu.Lock()
-		closed := svc.closed
-		svc.mu.Unlock()
-		if closed {
-			return nil, ErrClosed
+	// Phase 1: validate every item and take the policy's per-item verdict
+	// — the enqueue *mode* (wait / no-wait / shed) — before any
+	// accounting, from the same signal plane the other balancing levels
+	// read. wait[i] records whether a full ring means waiting or rejection
+	// for item i; admissible counts the items that survive this phase.
+	// Both built-in non-shedding policies never consult the signals, so
+	// plain backpressure and fail-fast admission cost no plane scan.
+	ctxErr := ctx.Err()
+	var (
+		sig     load.Signals
+		haveSig bool
+	)
+	_, blockPol := tm.admit.(load.BlockWhenFull)
+	_, rejectPol := tm.admit.(load.RejectWhenFull)
+	admissible, shed := 0, 0
+	for i := range items {
+		it := &items[i]
+		class := it.Opts.Priority
+		if it.Fn == nil {
+			res[i].Err = ErrNilFunc
+			continue
 		}
-		tm.admitFailed(int(class), opts.Tenant, prof.AdmitShed)
-		return nil, ErrShed
+		if class < 0 || class >= load.NumClasses {
+			res[i].Err = fmt.Errorf("%w: priority class %d outside [0, %d)", ErrInvalid, class, load.NumClasses)
+			continue
+		}
+		if it.Opts.Tenant.Weight < 0 {
+			res[i].Err = fmt.Errorf("%w: negative tenant weight %g", ErrInvalid, it.Opts.Tenant.Weight)
+			continue
+		}
+		if ctxErr != nil {
+			tm.admitFailed(int(class), it.Opts.Tenant, prof.AdmitCancelled)
+			res[i].Err = ctxErr
+			continue
+		}
+		var remaining time.Duration
+		if !it.Opts.Deadline.IsZero() {
+			remaining = time.Until(it.Opts.Deadline)
+			if remaining <= 0 {
+				tm.admitFailed(int(class), it.Opts.Tenant, prof.AdmitExpired)
+				res[i].Err = ErrDeadlineExceeded
+				continue
+			}
+		}
+		wait[i] = !rejectPol
+		if !blockPol && !rejectPol {
+			if !haveSig {
+				sig, haveSig = tm.Signals(), true
+			}
+			ring := svc.submit[class]
+			switch tm.admit.Admit(load.AdmitRequest{
+				Class:    class,
+				Deadline: remaining,
+				Queued:   ring.Len(),
+				Capacity: ring.Cap(),
+				Tenant:   it.Opts.Tenant,
+				// The tenant gauge is raised before the enqueue (phase 3),
+				// so it covers this tenant's submitters currently blocked at
+				// the edge as well as its queued jobs — the footprint a
+				// weighted-fair policy bounds.
+				TenantQueued: int(tm.profile.TenantQueued(it.Opts.Tenant.ID)),
+				Saturated:    tm.saturated(sig),
+			}, sig) {
+			case load.AdmitShed:
+				// Provisional: a closing team reports ErrClosed, not ErrShed
+				// (a caller backs off and retries on ErrShed; it stops on
+				// ErrClosed), so the shed is only final, and only counted,
+				// once the closed check below has passed.
+				res[i].Err = ErrShed
+				shed++
+				continue
+			case load.AdmitReject:
+				wait[i] = false
+			}
+		}
+		admissible++
+	}
+	if admissible == 0 && shed == 0 {
+		return
 	}
 
+	// Phase 2: one mutex section makes the authoritative closed check and
+	// reserves the whole batch — the active count and a contiguous id
+	// range.
 	svc.mu.Lock()
 	if svc.closed {
 		svc.mu.Unlock()
-		return nil, ErrClosed
+		for i := range res {
+			if res[i].Err == nil || res[i].Err == ErrShed {
+				res[i].Err = ErrClosed
+			}
+		}
+		return
 	}
-	svc.active++
-	id := tm.jobSeq.Add(1)
+	svc.active += int64(admissible)
+	seq := tm.jobSeq.Add(int64(admissible)) - int64(admissible)
 	svc.mu.Unlock()
+	if shed > 0 {
+		for i := range items {
+			if res[i].Err == ErrShed {
+				tm.admitFailed(int(items[i].Opts.Priority), items[i].Opts.Tenant, prof.AdmitShed)
+			}
+		}
+	}
 
-	j := tm.acquireJob(id, fn, class, opts.Tenant)
+	// Phase 3: draw the frames and raise the gauges, grouped — one add on
+	// the total queue depth, one per class with traffic, one per
+	// consecutive same-tenant run. The gauges rise before the enqueue so a
+	// blocked submitter still counts as demand against this team (the
+	// signal a sharded dispatcher compares); adoption, migration, and
+	// rollbackSubmit decrement them.
 	admitStart := tm.profile.Now()
-	j.submitNS.Store(admitStart)
-	// Raise the queue-depth gauges before the enqueue so a blocked
-	// submitter still counts as demand against this team (the signal a
-	// sharded dispatcher compares); adoption, migration, and the rollback
-	// below decrement them.
-	tm.profile.AddQueueDepth(1)
-	tm.profile.AddClassQueued(int(class), 1)
-	tm.profile.AddTenantQueued(opts.Tenant.ID, 1)
-	tm.profile.ObserveTenantWeight(opts.Tenant.ID, opts.Tenant.Weight)
+	var classTotal [load.NumClasses]int
+	for i := range items {
+		if res[i].Err != nil {
+			continue // failed validation, shed, expired, or pre-cancelled
+		}
+		seq++
+		j := tm.acquireJob(seq, items[i].Fn, items[i].Opts.Priority, items[i].Opts.Tenant)
+		j.submitNS.Store(admitStart)
+		res[i].Job = j
+		classTotal[j.class]++
+	}
+	tm.profile.AddQueueDepth(int64(admissible))
+	for c, n := range classTotal {
+		if n > 0 {
+			tm.profile.AddClassQueued(c, int64(n))
+		}
+	}
+	forEachTenantRun(res, classTotal, func(t load.Tenant, n int) {
+		tm.profile.AddTenantQueued(t.ID, int64(n))
+		tm.profile.ObserveTenantWeight(t.ID, t.Weight)
+	})
 
-	if svc.enqueue(class, &j.root) {
-		tm.admitted(j, admitStart)
-		return j, nil
+	// Phase 4: each class group enters its ring with one reserving CAS;
+	// the bell rings once for however many jobs landed. EnqueueBatch
+	// admits a prefix of the group, so the first enq[c] class-c items (in
+	// batch order) are queued and the rest fall through to phase 5.
+	var enq [load.NumClasses]int
+	total := 0
+	for _, c := range load.ByPriority {
+		if classTotal[c] == 0 {
+			continue
+		}
+		roots = roots[:0]
+		for i := range items {
+			if j := res[i].Job; j != nil && j.class == c {
+				roots = append(roots, &j.root)
+			}
+		}
+		enq[c] = svc.submit[c].EnqueueBatch(roots)
+		total += enq[c]
 	}
-	if decision == load.AdmitReject {
-		tm.rollbackSubmit(svc, j, prof.AdmitRejected)
-		tm.releaseJob(j)
-		return nil, ErrBacklogFull
+	svc.bell.RingMany(total)
+	lat := tm.profile.Now() - admitStart
+	for c, n := range enq {
+		if n > 0 {
+			tm.profile.CountAdmitN(c, prof.AdmitAdmitted, n)
+			tm.profile.RecordAdmitLatency(c, lat)
+		}
 	}
-	// Blocked wait, cancellable. Exactly-once still holds without a
-	// channel select's one-arm commitment: only this goroutine can publish
-	// j's root into the ring, so either an enqueue below succeeds (the
-	// ring owns the job from then on — no rollback follows) or no enqueue
-	// ever happened and the rollback undoes the accounting above. There is
-	// no state in which a worker can adopt a job whose submission also
-	// rolled back.
+	forEachTenantRun(res, enq, func(t load.Tenant, n int) {
+		tm.profile.CountTenantAdmitN(t.ID, prof.AdmitAdmitted, n)
+		tm.profile.RecordTenantAdmitLatency(t.ID, lat)
+	})
+	if total == admissible {
+		return
+	}
+
+	// Phase 5: leftovers — items whose class ring was full. Reject-mode
+	// items roll back immediately; wait-mode items block in item order on
+	// their class's space gate, each honouring ctx and its own deadline.
+	var seen [load.NumClasses]int
+	for i := range items {
+		j := res[i].Job
+		if j == nil {
+			continue
+		}
+		seen[j.class]++
+		if seen[j.class] <= enq[j.class] {
+			continue // queued in phase 4
+		}
+		if !wait[i] {
+			tm.rollbackSubmit(svc, j, prof.AdmitRejected)
+			res[i] = BatchResult{Err: ErrBacklogFull}
+		} else if err := tm.blockEnqueue(ctx, svc, j, items[i].Opts.Deadline, admitStart); err != nil {
+			res[i] = BatchResult{Err: err}
+		}
+	}
+}
+
+// blockEnqueue publishes an already-accounted job into its class ring,
+// waiting on the class's space gate until it fits, ctx is cancelled, or
+// deadline passes; on failure the admission accounting is rolled back
+// and the frame recycled. It fails fast on an already-cancelled ctx, so
+// once a cancellation lands the rest of a batch's wait-items roll back
+// without blocking.
+//
+// Exactly-once holds without a channel select's one-arm commitment: only
+// this goroutine can publish j's root into the ring, so either an
+// enqueue below succeeds (the ring owns the job from then on — no
+// rollback follows) or no enqueue ever happened and the rollback undoes
+// the accounting. There is no state in which a worker can adopt a job
+// whose submission also rolled back.
+func (tm *Team) blockEnqueue(ctx context.Context, svc *service, j *Job, deadline time.Time, admitStart int64) error {
+	if err := ctx.Err(); err != nil {
+		tm.rollbackSubmit(svc, j, prof.AdmitCancelled)
+		return err
+	}
 	var timeout <-chan time.Time
-	if !opts.Deadline.IsZero() {
-		timer := time.NewTimer(time.Until(opts.Deadline))
+	if !deadline.IsZero() {
+		timer := time.NewTimer(time.Until(deadline))
 		defer timer.Stop()
 		timeout = timer.C
 	}
-	g := svc.space[class]
+	g := svc.space[j.class]
 	g.Add()
 	defer g.Done()
 	for {
@@ -233,37 +417,62 @@ func (tm *Team) SubmitCtx(ctx context.Context, fn TaskFunc, opts SubmitOpts) (*J
 		// frees its slot before ringing the gate, so either the retry sees
 		// the space or the wake closes exactly this channel.
 		ch := g.Chan()
-		if svc.enqueue(class, &j.root) {
-			tm.admitted(j, admitStart)
-			return j, nil
+		if svc.enqueue(j.class, &j.root) {
+			class, lat := int(j.class), tm.profile.Now()-admitStart
+			tm.profile.CountAdmit(class, prof.AdmitAdmitted)
+			tm.profile.RecordAdmitLatency(class, lat)
+			tm.profile.CountTenantAdmit(j.tenant.ID, prof.AdmitAdmitted)
+			tm.profile.RecordTenantAdmitLatency(j.tenant.ID, lat)
+			return nil
 		}
 		select {
 		case <-ch:
 		case <-ctx.Done():
 			tm.rollbackSubmit(svc, j, prof.AdmitCancelled)
-			tm.releaseJob(j)
-			return nil, ctx.Err()
+			return ctx.Err()
 		case <-timeout:
 			tm.rollbackSubmit(svc, j, prof.AdmitExpired)
-			tm.releaseJob(j)
-			return nil, ErrDeadlineExceeded
+			return ErrDeadlineExceeded
 		}
 	}
 }
 
-// admitted records one successful admission: the per-class and
-// per-tenant counters and the admission latency (time the submitter
-// spent at the edge before the enqueue).
-func (tm *Team) admitted(j *Job, admitStart int64) {
-	class, lat := int(j.class), tm.profile.Now()-admitStart
-	tm.profile.CountAdmit(class, prof.AdmitAdmitted)
-	tm.profile.RecordAdmitLatency(class, lat)
-	tm.profile.CountTenantAdmit(j.tenant.ID, prof.AdmitAdmitted)
-	tm.profile.RecordTenantAdmitLatency(j.tenant.ID, lat)
+// forEachTenantRun calls fn once per run of consecutive same-tenant
+// items, with the run's length, over the items that hold a job frame and
+// are among the first limit[c] such items of their class c (in batch
+// order) — every framed item when limit is the per-class frame count,
+// the ones that entered the ring when it is phase 4's enqueue count.
+// Callers batching per tenant get O(1) tenant traffic; mixed batches
+// degrade to per-item.
+func forEachTenantRun(res []BatchResult, limit [load.NumClasses]int, fn func(t load.Tenant, n int)) {
+	var seen [load.NumClasses]int
+	var run load.Tenant
+	runN := 0
+	for i := range res {
+		j := res[i].Job
+		if j == nil {
+			continue
+		}
+		seen[j.class]++
+		if seen[j.class] > limit[j.class] {
+			continue
+		}
+		if runN > 0 && j.tenant.ID != run.ID {
+			fn(run, runN)
+			runN = 0
+		}
+		if runN == 0 {
+			run = j.tenant
+		}
+		runN++
+	}
+	if runN > 0 {
+		fn(run, runN)
+	}
 }
 
-// admitFailed records a submission that never reached the accounting
-// stage (shed, pre-expired deadline, pre-cancelled context).
+// admitFailed records a submission that did not enter a ring (shed,
+// expired, cancelled, or rejected).
 func (tm *Team) admitFailed(class int, t load.Tenant, o prof.AdmitOutcome) {
 	tm.profile.CountAdmit(class, o)
 	tm.profile.CountTenantAdmit(t.ID, o)
@@ -271,27 +480,24 @@ func (tm *Team) admitFailed(class int, t load.Tenant, o prof.AdmitOutcome) {
 }
 
 // rollbackSubmit undoes the admission accounting of a job whose enqueue
-// did not happen (rejected, cancelled, or expired while waiting): the
-// queue-depth gauges and the service's active count, exactly once — the
-// caller's select guarantees the send arm did not fire, so no worker can
-// have adopted the job. If this was the last active job and a Close is
-// waiting for quiescence, the broadcast releases it.
+// did not happen (rejected, cancelled, or expired while waiting) — the
+// queue-depth gauges and the service's active count, exactly once: the
+// caller is the only goroutine that could have published the job, so no
+// worker can have adopted it — and recycles its frame. If this was the
+// last active job and a Close is waiting for quiescence, the broadcast
+// releases it.
 func (tm *Team) rollbackSubmit(svc *service, j *Job, o prof.AdmitOutcome) {
 	tm.profile.AddQueueDepth(-1)
 	tm.profile.AddClassQueued(int(j.class), -1)
 	tm.profile.AddTenantQueued(j.tenant.ID, -1)
-	svc.mu.Lock()
-	svc.active--
-	if svc.active == 0 {
-		svc.cond.Broadcast()
-	}
-	svc.mu.Unlock()
+	svc.jobDone()
 	tm.admitFailed(int(j.class), j.tenant, o)
 	// A tenant-tracking policy granted this submission at Admit time;
 	// tell it the work left without running (serviceNS 0).
 	if ob, ok := tm.admit.(load.TenantObserver); ok {
 		ob.ObserveComplete(j.tenant, 0)
 	}
+	tm.releaseJob(j)
 }
 
 // saturated is the runtime's saturation verdict for the admission edge:

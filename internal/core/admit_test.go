@@ -45,79 +45,30 @@ func occupy(t *testing.T, tm *Team, workers, backlog int, gate chan struct{}) {
 	}
 }
 
-// The acceptance test of the admission layer: a submitter facing a full
-// backlog used to block on a bare channel send with no way out — this
-// test would hang forever against that code. With SubmitCtx, cancelling
-// the context returns promptly with the context's error, and the
-// half-made submission is rolled back so Close is not stranded waiting
-// for a job that never existed.
-func TestSubmitCtxCancelUnblocksFullBacklog(t *testing.T) {
-	const workers, backlog = 2, 1
-	tm := admitTeam(t, workers, backlog, nil)
-	gate := make(chan struct{})
-	occupy(t, tm, workers, backlog, gate)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		_, err := tm.SubmitCtx(ctx, func(*Worker) {}, SubmitOpts{Priority: load.ClassBatch})
-		errc <- err
-	}()
-	// Prove the submitter is genuinely blocked before cancelling.
-	select {
-	case err := <-errc:
-		t.Fatalf("SubmitCtx returned %v without blocking on a full backlog", err)
-	case <-time.After(100 * time.Millisecond):
-	}
-	cancel()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled SubmitCtx returned %v, want context.Canceled", err)
+// saturateForShed drives a one-worker DeadlineShed team into the state
+// where a tight-deadline submission is shed: an established job-time
+// estimate (~20ms), the worker wedged on gate, and a job queued ahead.
+func saturateForShed(t *testing.T, tm *Team, gate chan struct{}) {
+	t.Helper()
+	for i := 0; i < 3; i++ {
+		j, err := tm.Submit(func(*Worker) { time.Sleep(20 * time.Millisecond) })
+		if err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled SubmitCtx did not unblock")
+		if err := j.Wait(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	close(gate)
-	if err := tm.Close(); err != nil {
+	if tm.Signals().JobNS <= 0 {
+		t.Fatal("no JobNS estimate after completed jobs")
+	}
+	var started atomic.Int64
+	if _, err := tm.Submit(func(*Worker) { started.Add(1); <-gate }); err != nil {
 		t.Fatal(err)
 	}
-	if d := tm.Profile().QueueDepth(); d != 0 {
-		t.Fatalf("NJOBS_QUEUED = %d after rollback and drain, want 0", d)
-	}
-}
-
-// A deadline already expired at submit returns ErrDeadlineExceeded
-// without touching the queue; a deadline that expires while blocked on a
-// full backlog unblocks the wait with the same error.
-func TestSubmitCtxDeadline(t *testing.T) {
-	const workers, backlog = 1, 1
-	tm := admitTeam(t, workers, backlog, nil)
-	gate := make(chan struct{})
-	occupy(t, tm, workers, backlog, gate)
-
-	_, err := tm.SubmitCtx(context.Background(), func(*Worker) {},
-		SubmitOpts{Priority: load.ClassBatch, Deadline: time.Now().Add(-time.Millisecond)})
-	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("expired-at-submit deadline: %v, want ErrDeadlineExceeded", err)
-	}
-
-	start := time.Now()
-	_, err = tm.SubmitCtx(context.Background(), func(*Worker) {},
-		SubmitOpts{Priority: load.ClassBatch, Deadline: time.Now().Add(50 * time.Millisecond)})
-	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("deadline during blocked wait: %v, want ErrDeadlineExceeded", err)
-	}
-	if waited := time.Since(start); waited > 5*time.Second {
-		t.Fatalf("deadline wait took %v", waited)
-	}
-	close(gate)
-	if err := tm.Close(); err != nil {
+	waitFor(t, func() bool { return started.Load() == 1 })
+	if _, err := tm.Submit(func(*Worker) {}); err != nil {
 		t.Fatal(err)
-	}
-	counts := tm.Profile().AdmitCounts()
-	if got := counts[load.ClassBatch][prof.AdmitExpired]; got != 2 {
-		t.Fatalf("EXPIRE count = %d, want 2", got)
 	}
 }
 
@@ -409,25 +360,9 @@ func TestAdaptiveGatesShedding(t *testing.T) {
 	defer tm.Close()
 
 	// Establish the job-time estimate, then saturate the single worker.
-	for i := 0; i < 2; i++ {
-		j, err := tm.Submit(func(*Worker) { time.Sleep(20 * time.Millisecond) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := j.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	gate := make(chan struct{})
 	defer close(gate)
-	var started atomic.Int64
-	if _, err := tm.Submit(func(*Worker) { started.Add(1); <-gate }); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return started.Load() == 1 })
-	if _, err := tm.Submit(func(*Worker) {}); err != nil {
-		t.Fatal(err)
-	}
+	saturateForShed(t, tm, gate)
 
 	tight := func() error {
 		_, err := tm.SubmitCtx(context.Background(), func(*Worker) {},
@@ -553,31 +488,6 @@ func TestAdmitClassNamesAligned(t *testing.T) {
 		if got := prof.AdmitClassName(int(c)); got != c.String() {
 			t.Fatalf("prof.AdmitClassName(%d) = %q, load says %q", c, got, c.String())
 		}
-	}
-}
-
-// SubmitCtx argument validation: bad class, nil fn, nil ctx.
-func TestSubmitCtxValidation(t *testing.T) {
-	tm := admitTeam(t, 1, 1, nil)
-	defer tm.Close()
-	if _, err := tm.SubmitCtx(context.Background(), func(*Worker) {},
-		SubmitOpts{Priority: load.NumClasses}); err == nil {
-		t.Fatal("out-of-range class accepted")
-	}
-	if _, err := tm.SubmitCtx(context.Background(), nil, SubmitOpts{}); err == nil {
-		t.Fatal("nil fn accepted")
-	}
-	j, err := tm.SubmitCtx(nil, func(*Worker) {}, SubmitOpts{}) //nolint:staticcheck // nil ctx tolerated by contract
-	if err != nil {
-		t.Fatalf("nil ctx: %v", err)
-	}
-	if err := j.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := tm.SubmitCtx(ctx, func(*Worker) {}, SubmitOpts{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled ctx: %v, want context.Canceled", err)
 	}
 }
 

@@ -174,6 +174,14 @@ func (j *Job) Release() {
 	if j.released.Swap(true) {
 		return
 	}
+	// finish stores jobDone before it deposits the wake token, so a caller
+	// that saw jobDone on Wait's fast path can get here while finish is
+	// still inside its critical section. Passing through doneMu orders the
+	// recycle after that whole section; otherwise the late token lands in
+	// the frame's next generation and that generation's finish blocks on
+	// the full channel forever.
+	j.doneMu.Lock()
+	j.doneMu.Unlock()
 	if j.home != nil {
 		j.home.releaseJob(j)
 	}

@@ -202,3 +202,60 @@ func TestSubscribeRecycleGenerations(t *testing.T) {
 		k.Release()
 	}
 }
+
+// TestWaitRecycleGenerations is TestSubscribeRecycleGenerations for the
+// Wait/Release path. finish publishes jobDone before it deposits the
+// wake token, so a waiter sweeping a batch can take Wait's fast path on
+// a job whose finish is still mid-section; if Release recycled the frame
+// right then, the late token would land in the frame's next generation —
+// whose Wait then returns on an in-flight job, and whose own finish
+// blocks forever on the full one-slot channel. Hammer submit → Wait →
+// Release → resubmit on a small pool so frames recycle immediately:
+// every generation's Wait must return only once the job is done and its
+// body ran, and Close must return.
+func TestWaitRecycleGenerations(t *testing.T) {
+	tm := admitTeam(t, 2, 64, nil)
+	const (
+		rounds = 2000
+		batch  = 16
+	)
+	var ran [batch]atomic.Int64
+	fns := make([]TaskFunc, batch)
+	for i := range fns {
+		fns[i] = func(*Worker) { ran[i].Add(1) }
+	}
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		for r := 1; r <= rounds; r++ {
+			res, err := tm.SubmitBatch(fns)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i, br := range res {
+				if br.Err != nil {
+					t.Errorf("round %d item %d: %v", r, i, br.Err)
+					return
+				}
+				if err := br.Job.Wait(); err != nil {
+					t.Error(err)
+					return
+				}
+				if br.Job.state.Load() != jobDone || ran[i].Load() != int64(r) {
+					t.Errorf("round %d item %d: Wait returned on an in-flight job (stale wake token)", r, i)
+					return
+				}
+				br.Job.Release()
+			}
+		}
+		if err := tm.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	select {
+	case <-finished:
+	case <-time.After(60 * time.Second):
+		t.Fatal("submit/Wait/Release loop or Close hung: a finish is blocked on a recycled frame's full wake channel")
+	}
+}

@@ -65,12 +65,15 @@ type Ring[T any] struct {
 }
 
 // New returns a ring holding at most bound items. The slot array is the
-// next power of two, but the enqueue bound is exactly bound.
+// next power of two, but the enqueue bound is exactly bound. The array
+// never has fewer than two slots: with one, "occupied at p" (p+1) and
+// "free for p+1" (p+1) are the same sequence number, so a producer could
+// claim the slot while its consumer is still reading it.
 func New[T any](bound int) *Ring[T] {
 	if bound < 1 {
 		panic("intake: ring bound must be >= 1")
 	}
-	capn := 1
+	capn := 2
 	for capn < bound {
 		capn <<= 1
 	}

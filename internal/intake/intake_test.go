@@ -292,3 +292,69 @@ func TestBellCancelRemovesSleeper(t *testing.T) {
 		t.Fatal("ring after cancel missed the remaining sleeper")
 	}
 }
+
+// TestRingBoundOneHammer drives a bound-1 ring — the Backlog: 1 shape —
+// with two producers and two consumers. A one-slot array cannot tell
+// "occupied at p" from "free for p+1", so a producer could overwrite the
+// slot under a consumer still reading it: a value is lost or duplicated
+// and the slot's sequence rewinds, after which every enqueue spins
+// forever. Every value must come out exactly once and the ring must
+// still take work afterwards.
+func TestRingBoundOneHammer(t *testing.T) {
+	const (
+		producers = 2
+		consumers = 2
+		perProd   = 50000
+	)
+	r := New[int](1)
+	var got [producers * perProd]atomic.Int32
+	var taken atomic.Int64
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				for i := 0; i < perProd; {
+					if r.TryEnqueue(p*perProd + i) {
+						i++
+					} else {
+						runtime.Gosched()
+					}
+				}
+			}(p)
+		}
+		for c := 0; c < consumers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for taken.Load() < producers*perProd {
+					if v, ok := r.TryDequeue(); ok {
+						got[v].Add(1)
+						taken.Add(1)
+					} else {
+						runtime.Gosched()
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if !r.TryEnqueue(-1) {
+			t.Error("drained ring refuses an enqueue")
+		} else if v, ok := r.TryDequeue(); !ok || v != -1 {
+			t.Errorf("drained ring dequeue = (%d, %v), want (-1, true)", v, ok)
+		}
+	}()
+	select {
+	case <-finished:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("ring wedged after %d of %d dequeues (slot sequence corrupted)", taken.Load(), producers*perProd)
+	}
+	for i := range got {
+		if n := got[i].Load(); n != 1 {
+			t.Fatalf("value %d dequeued %d times", i, n)
+		}
+	}
+}

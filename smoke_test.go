@@ -27,7 +27,7 @@ var cmdMains = []string{
 // "-name" flag in the usage text.
 var cmdRequiredFlags = map[string][]string{
 	"loadgen": {"scenario", "trace", "record", "emit", "seed", "speed", "admit", "priority-mix", "elastic", "shards",
-		"mode", "addr", "listen", "rate", "size", "fleet", "fleet-size", "window"},
+		"mode", "addr", "listen", "rate", "size", "fleet", "fleet-size"},
 	"jobserved": {"addr", "workers", "shards", "backlog", "admit", "policy", "elastic", "budget", "scale", "window", "report"},
 	"whatif":    {"in", "scenario", "seed", "shards", "speed", "reps"},
 	"botsrun":   {"app", "profile"},

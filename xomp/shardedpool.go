@@ -553,8 +553,9 @@ func (p *ShardedPool) SubmitBatch(fns []TaskFunc) ([]BatchResult, error) {
 // runs of batchChunk items share one dispatch decision (keyed by the
 // run's first item, so callers submitting per-class or per-tenant
 // batches get coherent placement) and enter the chosen shard through
-// Team.SubmitBatchCtx — per-shard admission accounting, gauges, and
-// rollback all happen on the team that actually received each chunk.
+// Team.SubmitBatchInto, each chunk filling its own stretch of the one
+// result slice — per-shard admission accounting, gauges, and rollback
+// all happen on the team that actually received each chunk.
 // Partial admission surfaces per item, exactly as on Pool.SubmitBatchCtx.
 func (p *ShardedPool) SubmitBatchCtx(ctx context.Context, items []BatchItem) ([]BatchResult, error) {
 	if p.closed.Load() {
@@ -563,24 +564,17 @@ func (p *ShardedPool) SubmitBatchCtx(ctx context.Context, items []BatchItem) ([]
 	if len(items) == 0 {
 		return nil, nil
 	}
-	res := make([]BatchResult, 0, len(items))
-	for off := 0; off < len(items); {
-		end := off + batchChunk
-		if end > len(items) {
-			end = len(items)
-		}
+	res := make([]BatchResult, len(items))
+	for off := 0; off < len(items); off += batchChunk {
+		end := min(off+batchChunk, len(items))
 		s := p.pick(items[off].Opts.Priority, items[off].Opts.Tenant)
-		part, err := p.shards[s].SubmitBatchCtx(ctx, items[off:end])
-		if err != nil {
+		if err := p.shards[s].SubmitBatchInto(ctx, items[off:end], res[off:end]); err != nil {
 			// A shard-level failure (not serving) fails its chunk's items,
 			// not the whole batch — later chunks may land elsewhere.
-			for range items[off:end] {
-				res = append(res, BatchResult{Err: err})
+			for i := off; i < end; i++ {
+				res[i].Err = err
 			}
-		} else {
-			res = append(res, part...)
 		}
-		off = end
 	}
 	return res, nil
 }
