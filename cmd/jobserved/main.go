@@ -11,8 +11,11 @@
 // balancing policy, elastic capacity controller, BOTS scale) come from
 // internal/poolflags. -window bounds each connection's
 // admitted-but-unreported jobs (its backpressure knob); -report prints
-// the wire traffic counters at that period. The server runs until
-// SIGINT/SIGTERM, then prints a final traffic and per-shard report.
+// the wire traffic counters and the server-side stage clock at that
+// period. The server runs until SIGINT/SIGTERM, then prints a final
+// traffic and per-shard report, followed — once the pool has closed and
+// the workers' own counters may be read — by the stage clock and the
+// idle-policy counters (polls, parks, bell and sweep wakes).
 //
 // Usage:
 //
@@ -35,6 +38,7 @@ import (
 
 	"repro/internal/jobserve"
 	"repro/internal/poolflags"
+	"repro/internal/prof"
 	"repro/xomp"
 )
 
@@ -77,6 +81,7 @@ func main() {
 			select {
 			case <-tick.C:
 				printWire(srv)
+				printStages(srv)
 			case <-stop:
 				break loop
 			}
@@ -97,6 +102,10 @@ func main() {
 	if err := pool.Close(); err != nil {
 		fatal(err)
 	}
+	// New lines go after everything svcbench's regexps read. The idle
+	// counters are per-thread and owner-written, so they wait for Close.
+	printStages(srv)
+	printIdle(pool)
 }
 
 // printWire renders one traffic-counter snapshot.
@@ -105,6 +114,34 @@ func printWire(srv *jobserve.Server) {
 	fmt.Printf("wire: conns %d open / %d closed, frames %d in / %d out, bytes %d in / %d out, jobs %d in, results %d out (%d refused)\n",
 		ws.ConnsOpened, ws.ConnsClosed, ws.FramesIn, ws.FramesOut,
 		ws.BytesIn, ws.BytesOut, ws.JobsIn, ws.ResultsOut, ws.Refused)
+}
+
+// printStages renders the server-side stage clock: where a frame's time
+// went between the reader's decode and the writer's flush.
+func printStages(srv *jobserve.Server) {
+	st := srv.Stages()
+	sep := "stages:"
+	for i := range st {
+		h := &st[i]
+		fmt.Printf("%s %s p50 %.1f / p99 %.1f us (%d)", sep, prof.WireStage(i),
+			float64(h.Percentile(50))/1e3, float64(h.Percentile(99))/1e3, h.Count())
+		sep = ","
+	}
+	fmt.Println()
+}
+
+// printIdle renders the idle-policy counters summed over every shard's
+// workers. Call it only after the pool has closed.
+func printIdle(pool *xomp.ShardedPool) {
+	sum := func(c prof.Counter) (n uint64) {
+		for s := 0; s < pool.Shards(); s++ {
+			n += pool.Team(s).Profile().Sum(c)
+		}
+		return n
+	}
+	fmt.Printf("idle: %d polls, %d parks, %d bell wakes, %d sweep wakes (%d found work)\n",
+		sum(prof.CntIdlePolls), sum(prof.CntIdleParks), sum(prof.CntBellWakes),
+		sum(prof.CntSweepWakes), sum(prof.CntSweepFoundWork))
 }
 
 func fatal(err error) {

@@ -23,6 +23,7 @@ func TestContendedRecycles(t *testing.T) {
 	if s.FreshAllocs != 1 || s.GlobalHits != 1 {
 		t.Fatalf("stats = %+v, want 1 fresh + 1 global hit", s)
 	}
+	a.Put(0, y)
 }
 
 func TestContendedConcurrent(t *testing.T) {
@@ -35,6 +36,7 @@ func TestContendedConcurrent(t *testing.T) {
 			defer wg.Done()
 			held := make([]*task, 0, 16)
 			for i := 0; i < rounds; i++ {
+				//repolint:ok pooledescape — held keeps it; every held descriptor is Put below, 16 at a time and at the end
 				x := a.Get(w)
 				x.id = w
 				held = append(held, x)
@@ -72,6 +74,7 @@ func TestMultiLevelLocalFastPath(t *testing.T) {
 	if s.RemoteAcquires != 0 {
 		t.Fatalf("unexpected remote acquire: %+v", s)
 	}
+	a.Put(0, y)
 }
 
 func TestMultiLevelRemoteAcquire(t *testing.T) {
@@ -100,6 +103,7 @@ func TestMultiLevelRemoteAcquire(t *testing.T) {
 	if after.FreshAllocs != before.FreshAllocs {
 		t.Fatalf("fresh alloc used instead of remote chunk: %+v", after)
 	}
+	a.Put(1, got)
 }
 
 func TestMultiLevelFreshFallback(t *testing.T) {
@@ -123,11 +127,12 @@ func TestMultiLevelConcurrentNoSharing(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				x := a.Get(w)
 				x.id = w*rounds + i
-				if x.id != w*rounds+i {
+				lost := x.id != w*rounds+i
+				a.Put(w, x)
+				if lost {
 					t.Error("lost write")
 					return
 				}
-				a.Put(w, x)
 			}
 		}(w)
 	}

@@ -2,13 +2,17 @@
 // packages. Two loading modes share the same core:
 //
 //   - standalone (golist.go): `repolint ./...` shells out to
-//     `go list -export -json -deps`, parses the target packages from
-//     source, and type-checks them against the export data the build
-//     cache already holds — no module dependencies, no network;
+//     `go list -export -json -deps -test`, parses the target packages
+//     from source, and type-checks them against the export data the
+//     build cache already holds — no module dependencies, no network;
 //   - vettool (unitchecker.go): `go vet -vettool=repolint` drives the
 //     binary through cmd/go's unitchecker protocol, one package per
 //     invocation, with the import map and export files handed over in
 //     a JSON config.
+//
+// Both modes analyze the same units — each package once, together with
+// its in-package _test.go files when it has any, plus its external test
+// package (vetUnit) — so the local command and CI give one answer.
 //
 // Both modes honour //repolint:ok suppressions and report how many
 // findings were suppressed, so blanket suppressions stay visible.

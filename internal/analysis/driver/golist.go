@@ -14,20 +14,23 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/analysis"
 )
 
 // listPkg is the subset of `go list -json` output the loader needs.
 type listPkg struct {
-	ImportPath string
-	Dir        string
-	Export     string
-	GoFiles    []string
-	DepOnly    bool
-	Standard   bool
-	ImportMap  map[string]string
-	Module     *struct {
+	ImportPath  string
+	Dir         string
+	Export      string
+	GoFiles     []string
+	TestGoFiles []string
+	ForTest     string
+	DepOnly     bool
+	Standard    bool
+	ImportMap   map[string]string
+	Module      *struct {
 		Path      string
 		GoVersion string
 	}
@@ -38,9 +41,16 @@ type listPkg struct {
 
 // listExport shells out to `go list -export -json -deps patterns...`
 // and decodes the package stream. -export compiles into the build
-// cache, so export data is available offline.
-func listExport(patterns []string) ([]*listPkg, error) {
-	args := append([]string{"list", "-e", "-export", "-json", "-deps"}, patterns...)
+// cache, so export data is available offline. With tests set, -test adds
+// each package's test variants ("p [p.test]" with the _test.go files
+// compiled in, "p_test [p.test]" for external tests) — the units `go
+// vet` hands a vettool.
+func listExport(patterns []string, tests bool) ([]*listPkg, error) {
+	args := []string{"list", "-e", "-export", "-json", "-deps"}
+	if tests {
+		args = append(args, "-test")
+	}
+	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -78,11 +88,23 @@ func exportLookup(exports map[string]string, importMap map[string]string) func(s
 	}
 }
 
+// vetUnit reports whether `go vet` would analyze listed package p as a
+// unit of its own, so both drivers see one file set: a package with
+// in-package tests is analyzed once, as its test variant (which
+// recompiles the plain files with the _test.go files), never also
+// plain; the generated "p.test" main is not source at all.
+func vetUnit(p *listPkg) bool {
+	if strings.HasSuffix(p.ImportPath, ".test") {
+		return false
+	}
+	return p.ForTest != "" || len(p.TestGoFiles) == 0
+}
+
 // LoadAndRun loads the pattern-matched packages standalone-style, runs
 // analyzers over each, prints findings to out, and returns (findings,
 // suppressed).
 func LoadAndRun(patterns []string, analyzers []*analysis.Analyzer, out io.Writer) (int, int, error) {
-	pkgs, err := listExport(patterns)
+	pkgs, err := listExport(patterns, true)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -96,7 +118,7 @@ func LoadAndRun(patterns []string, analyzers []*analysis.Analyzer, out io.Writer
 	total, totalSup := 0, 0
 	sizes := types.SizesFor("gc", build.Default.GOARCH)
 	for _, p := range pkgs {
-		if p.DepOnly || p.Standard || len(p.GoFiles) == 0 {
+		if p.DepOnly || p.Standard || len(p.GoFiles) == 0 || !vetUnit(p) {
 			continue
 		}
 		if p.Error != nil {
@@ -120,7 +142,10 @@ func LoadAndRun(patterns []string, analyzers []*analysis.Analyzer, out io.Writer
 			conf.GoVersion = "go" + p.Module.GoVersion
 		}
 		info := NewInfo()
-		tpkg, err := conf.Check(p.ImportPath, fset, files, info)
+		// A test variant type-checks under its plain path, as under vet:
+		// the analyzers select packages by import-path suffix.
+		path, _, _ := strings.Cut(p.ImportPath, " [")
+		tpkg, err := conf.Check(path, fset, files, info)
 		if err != nil {
 			return total, totalSup, fmt.Errorf("%s: typecheck: %v", p.ImportPath, err)
 		}
@@ -139,7 +164,7 @@ func LoadAndRun(patterns []string, analyzers []*analysis.Analyzer, out io.Writer
 // data for patterns (used by the analysistest harness to typecheck
 // fixtures that import the standard library).
 func ExportImporter(fset *token.FileSet, patterns ...string) (types.Importer, error) {
-	pkgs, err := listExport(patterns)
+	pkgs, err := listExport(patterns, false)
 	if err != nil {
 		return nil, err
 	}

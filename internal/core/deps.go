@@ -153,7 +153,7 @@ func (tm *Team) completeDeps(w *Worker, t *Task) {
 // enqueueReady places a dependence-released task through the normal
 // placement path (static balancer; immediate execution on overflow).
 func (tm *Team) enqueueReady(w *Worker, t *Task) {
-	if _, ok := tm.sched.push(w.id, t); ok {
+	if w.push(t) {
 		w.prof.Inc(prof.CntStaticPush)
 		return
 	}
@@ -200,7 +200,7 @@ func (w *Worker) SpawnDeps(fn TaskFunc, deps ...Dep) {
 			placed = w.tryRedirect(t)
 		}
 		if !placed {
-			if _, ok := tm.sched.push(w.id, t); ok {
+			if w.push(t) {
 				th.Inc(prof.CntStaticPush)
 				placed = true
 			}

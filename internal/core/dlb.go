@@ -148,10 +148,10 @@ func (tm *Team) doWorkSteal(w *Worker, thief int, cfg *DLBConfig) {
 			}
 			break
 		}
-		if !tm.sched.pushTo(w.id, thief, t) {
+		if !w.pushTo(thief, t) {
 			w.prof.Inc(prof.CntReqTargetFull)
 			// The task is ours again; requeue locally or run it now.
-			if !tm.sched.pushTo(w.id, w.id, t) {
+			if !w.pushTo(w.id, t) {
 				w.prof.Inc(prof.CntImmExec)
 				tm.execute(w, t)
 			}
@@ -180,7 +180,7 @@ func (w *Worker) tryRedirect(t *Task) bool {
 		w.finishRedirect()
 		return false
 	}
-	if tm.sched.targetFull(w.id, thief) || !tm.sched.pushTo(w.id, thief, t) {
+	if tm.sched.targetFull(w.id, thief) || !w.pushTo(thief, t) {
 		w.prof.Inc(prof.CntReqTargetFull)
 		w.finishRedirect()
 		return false

@@ -1,0 +1,187 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/prof"
+)
+
+// stretchIdleSweep switches the serve loop's safety-net timer off (an
+// hour is never) for teams served during the test, so work that no
+// producer announced stays unfound instead of being rescued 2 ms later.
+func stretchIdleSweep(t *testing.T) {
+	t.Helper()
+	old := idleSweep
+	idleSweep = time.Hour
+	t.Cleanup(func() { idleSweep = old })
+}
+
+// TestServeIdleWakeHammer is the proof that no announcement is missing:
+// with the sweep off, a 2-worker team is fed single jobs at gaps that
+// straddle the idleSpin budget (so workers are asleep, falling asleep or
+// spinning when each arrives), and every job fans children out through
+// the push sites — static placement onto the possibly sleeping peer, the
+// dependence-release path, NA-WS steal responses, NA-RP redirects, and
+// the shared-queue substrates whose pushes ring instead of naming a
+// target. A producer that publishes without announcing leaves a task in
+// a sleeper's queue for good: the job never quiesces and the watchdog
+// dumps the goroutines. (Delete the announce in Worker.push and the
+// xgomptb row wedges within seconds.)
+func TestServeIdleWakeHammer(t *testing.T) {
+	stretchIdleSweep(t)
+	// The feeder yields through its gaps on-CPU, and `go test ./...` runs
+	// this package beside others on as few as two CPUs, where several
+	// timing-sensitive tests (here and in xomp) fail under contention at
+	// any commit. So the full-length feed runs only with the race
+	// detector on — every CI race step, and the race-stress matrix where
+	// this test's proof obligation lives — and a plain run keeps a feed
+	// that still wedges on a missing announcement with margin: the push
+	// mutation wedges on job 1, the elastic one by job 256.
+	jobs := 1000
+	if raceEnabled && !testing.Short() {
+		jobs = 20000
+	}
+	// The elastic row resizes the active set under the feed: a worker
+	// blocked on the bell when SetActive shrinks past it must be rung out
+	// to park, or it keeps absorbing rings meant for the workers that
+	// still serve.
+	for _, row := range []string{"xgomptb", "xgomptb+naws", "xgomptb+narp", "lomp", "gomp", "xgomptb/elastic"} {
+		t.Run(row, func(t *testing.T) {
+			preset, elastic := strings.CutSuffix(row, "/elastic")
+			tm := serviceTeam(t, preset, 2)
+			var ran, progress atomic.Int64
+			leaf := func(*Worker) { ran.Add(1) }
+			body := func(i int) TaskFunc {
+				return func(w *Worker) {
+					if i%4 == 3 {
+						// Dependence chain: the reader is released and
+						// pushed by whichever worker completes the writer.
+						var cell int
+						w.SpawnDeps(leaf, Out(&cell))
+						w.SpawnDeps(leaf, In(&cell))
+						w.Spawn(leaf)
+						w.Spawn(leaf)
+					} else {
+						for c := 0; c < 4; c++ {
+							w.Spawn(leaf)
+						}
+					}
+					if i%2 == 0 {
+						w.TaskWait() // the root's worker stays up; the peer may not
+					}
+				}
+			}
+			done := make(chan error, 1)
+			go func() {
+				rng := rand.New(rand.NewSource(16))
+				for i := 0; i < jobs; i++ {
+					if elastic && i%32 == 0 {
+						if err := tm.SetActive(1 + i/32%2); err != nil {
+							done <- fmt.Errorf("SetActive at job %d: %v", i, err)
+							return
+						}
+					}
+					j, err := tm.Submit(body(i))
+					if err != nil {
+						done <- fmt.Errorf("submit %d: %v", i, err)
+						return
+					}
+					if err := j.Wait(); err != nil {
+						done <- fmt.Errorf("job %d: %v", i, err)
+						return
+					}
+					j.Release()
+					progress.Add(1)
+					// Yield through the gap rather than sleep: a timer wait
+					// under a millisecond is rounded up to one by the
+					// netpoller whenever the workers are asleep too.
+					gap := time.Duration(rng.Intn(200)) * time.Microsecond
+					for t0 := time.Now(); time.Since(t0) < gap; {
+						runtime.Gosched()
+					}
+				}
+				done <- tm.Close()
+			}()
+			watchProgress(t, &progress, done)
+			if got, want := ran.Load(), int64(4*jobs); got != want {
+				t.Fatalf("ran %d leaf tasks, want %d", got, want)
+			}
+			p := tm.Profile()
+			if p.Sum(prof.CntSweepWakes) != 0 {
+				t.Fatalf("%d sweep wakes with the sweep switched off", p.Sum(prof.CntSweepWakes))
+			}
+			t.Logf("parks %d, bell wakes %d, idle polls %d",
+				p.Sum(prof.CntIdleParks), p.Sum(prof.CntBellWakes), p.Sum(prof.CntIdlePolls))
+		})
+	}
+}
+
+// watchProgress waits for done, failing with a goroutine dump when
+// progress stops advancing for 30 s — a lost wakeup, not a slow run.
+func watchProgress(t *testing.T, progress *atomic.Int64, done <-chan error) {
+	t.Helper()
+	tick := time.NewTicker(time.Second)
+	defer tick.Stop()
+	last, stale := int64(-1), 0
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		case <-tick.C:
+			if now := progress.Load(); now != last {
+				last, stale = now, 0
+			} else if stale++; stale >= 30 {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("no job completed for 30s after %d: a push went unannounced\n%s",
+					last, buf[:runtime.Stack(buf, true)])
+			}
+		}
+	}
+}
+
+// TestServeIdleBurnsNoPolls: an idle pool sleeps. Two idle spells of the
+// same team — 50 ms, then 250 ms — each pay one idleSpin budget on the
+// way down; the extra 200 ms may only add the sweep's one poll per
+// parkSweep per worker (a small multiple of it, for timer slop), where a
+// spinning pool would add millions. The per-thread counters are
+// owner-written, so each spell is read after its Close.
+func TestServeIdleBurnsNoPolls(t *testing.T) {
+	const workers = 2
+	tm := MustTeam(Preset("xgomptb+naws", workers))
+	spell := func(d time.Duration) (polls, parks, sweeps uint64) {
+		t.Helper()
+		p := tm.Profile()
+		polls0, parks0, sweeps0 := p.Sum(prof.CntIdlePolls), p.Sum(prof.CntIdleParks), p.Sum(prof.CntSweepWakes)
+		if err := tm.Serve(); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(d)
+		if err := tm.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return p.Sum(prof.CntIdlePolls) - polls0, p.Sum(prof.CntIdleParks) - parks0, p.Sum(prof.CntSweepWakes) - sweeps0
+	}
+	short, _, _ := spell(50 * time.Millisecond)
+	long, parks, sweeps := spell(250 * time.Millisecond)
+	t.Logf("idle polls: %d in 50ms, %d in 250ms (%d parks, %d sweep wakes)", short, long, parks, sweeps)
+	if parks < workers {
+		t.Fatalf("%d parks in a 250ms idle spell of %d workers: the pool never slept", parks, workers)
+	}
+	extra := uint64(4 * workers * int(200*time.Millisecond/parkSweep))
+	if long > 2*short+extra {
+		t.Fatalf("idle polls grew %d → %d over an extra 200ms idle; want at most 2×%d+%d (one poll per sweep)",
+			short, long, short, extra)
+	}
+	if sweeps > extra {
+		t.Fatalf("%d sweep wakes in 250ms; the sweep period is %v", sweeps, parkSweep)
+	}
+}

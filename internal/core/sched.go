@@ -5,13 +5,15 @@ package core
 // single-consumer discipline the lock-less substrates rely on.
 type scheduler interface {
 	// push places t using the substrate's static balancer on behalf of
-	// worker w. It returns the worker the task was routed to and whether
-	// the enqueue succeeded; on ok == false the caller must execute t
-	// immediately (XQueue's overflow rule).
+	// worker w. It returns the worker whose queues now hold the task —
+	// negative when any worker can take it (GOMP's shared queue, LOMP's
+	// stealable deques) — and whether the enqueue succeeded; on ok ==
+	// false the caller must execute t immediately (XQueue's overflow
+	// rule). Call it through Worker.push, which announces the task.
 	push(w int, t *Task) (target int, ok bool)
 	// pushTo places t directly into worker to's queue on behalf of worker
 	// from (used by the DLB strategies). Substrates without directed
-	// placement fall back to push.
+	// placement fall back to push. Call it through Worker.pushTo.
 	pushTo(from, to int, t *Task) bool
 	// pop returns the next task for worker w, or nil. Substrates with
 	// built-in stealing (LOMP) may take work from other workers here.

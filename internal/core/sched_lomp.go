@@ -27,8 +27,10 @@ func newLompSched(workers, capacity int, seed int64) *lompSched {
 	return s
 }
 
+// push reports target -1: the task sits in w's deque, but any worker's
+// pop may steal it, so the announcement goes to whoever sleeps.
 func (s *lompSched) push(w int, t *Task) (int, bool) {
-	return w, s.deques[w].pushBottom(t)
+	return -1, s.deques[w].pushBottom(t)
 }
 
 // pushTo ignores the directed target: a Chase–Lev deque only admits pushes

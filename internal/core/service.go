@@ -26,27 +26,36 @@ import (
 var ErrClosed = errors.New("core: task service closed")
 
 const (
-	// parkSpins is how many consecutive empty polls a serving worker makes
-	// before it starts sleeping between polls, so long-idle services stay
-	// off the CPU instead of spinning indefinitely like a region barrier.
-	parkSpins = 1 << 12
-	// parkSleepMin/Max bound the poll period of an idle (but still active)
-	// worker: the sleep starts at Min and doubles toward Max while
-	// idleness continues, so a long-idle pool converges to ~Max-period
-	// wakeups per worker while the first job after an idle spell still
-	// starts within ~Max. Polling (not a blocking receive) is required
-	// because DLB victims push tasks directly into a sleeping thief's
-	// queues, which only the owner polls.
-	parkSleepMin = 50 * time.Microsecond
-	parkSleepMax = 2 * time.Millisecond
-	// parkSweep is the stray-sweep period of a *parked* worker (one
-	// outside the active set, see Team.SetActive). A parked worker blocks
-	// on the service's wakeup channel, but producers that raced the park —
-	// a static push or DLB migration that read the old active bound —
-	// may still land a task in its queues; the periodic sweep re-drains
-	// them so parking can never strand a task.
+	// idleSpin is the whole idle policy of a serving worker: it polls for
+	// at most this much wall time after it last found work (the clock is
+	// read once per stallSpins polls, at the Gosched cadence), then
+	// registers on the service bell and blocks. Spinning longer than one
+	// park/unpark costs is never competitive, and a worker that spins by
+	// yielding is re-queued ahead of the netpoller on a saturated P set,
+	// so the connection reader that would hand it the next job is not
+	// scheduled until every worker has stopped spinning: the spin is a
+	// floor under the edge's round trip, not a way to shorten it. 50 µs
+	// is the optimum of ISSUE 16's sizing sweep on the reference host
+	// (3 µs to 184 µs; ARCHITECTURE.md, "Idle policy"): shorter spins pay
+	// an extra kernel sleep per request and lengthen the open-loop
+	// generator's lag, longer ones are paid in full by every round trip.
+	idleSpin = 50 * time.Microsecond
+	// parkSweep is the period of the safety-net timer behind both kinds
+	// of blocked worker. Every producer announces what it publishes —
+	// intake enqueues ring the bell, queue pushes go through Worker.push
+	// and Worker.pushTo, SetActive and Close wake everyone — so the sweep
+	// is not how work is found: a sweep that does find work is counted
+	// (prof.CntSweepFoundWork), and TestServeIdleWakeHammer runs with it
+	// switched off. For a *parked* worker (outside the active set, see
+	// Team.SetActive) it also re-drains strays from producers that raced
+	// the park and read the old active bound.
 	parkSweep = 2 * time.Millisecond
 )
+
+// idleSweep is the sweep period of a bell-blocked serving worker, read
+// once per serve loop. It is a variable only so the wake hammer can
+// stretch it to an hour and turn a missing announcement into a hang.
+var idleSweep = parkSweep
 
 // service is the per-Serve state of a team in task-service mode.
 type service struct {
@@ -68,13 +77,12 @@ type service struct {
 	// consumer that frees a slot rings it (a single atomic load while
 	// nobody is blocked).
 	space [load.NumClasses]*intake.Gate
-	// bell wakes idle workers sleeping between polls: a producer that
-	// enqueued a job rings it (again one atomic load while nobody
-	// sleeps), so the first job after an idle spell is adopted in
-	// microseconds instead of waiting out a poll-backoff sleep. Only
-	// intake-ring producers ring; tasks pushed directly into a sleeping
-	// worker's queues (DLB redirects, park handoffs) still rely on the
-	// timer fallback, as the sleep-poll design always did.
+	// bell is what idle workers block on once their idleSpin budget is
+	// spent. Every producer announces on it after publishing: an intake
+	// enqueue rings it (any sleeper may adopt the job), a task push wakes
+	// the worker whose queues took the task (Worker.announce), and
+	// SetActive/Close ring everyone. Each is one atomic load while nobody
+	// sleeps.
 	bell *intake.Bell
 
 	// mu guards the admission/drain state below.
@@ -216,6 +224,11 @@ func (tm *Team) SetActive(n int) error {
 	}
 	tm.setActiveLocked(n)
 	svc.wakeParked()
+	// A worker blocked on the bell that just left the active set must go
+	// park (and stop absorbing rings meant for active workers); it
+	// re-checks the bound after registering, so store-then-ring here
+	// cannot miss it.
+	svc.bell.RingAll()
 	return nil
 }
 
@@ -364,9 +377,9 @@ func (svc *service) jobDone() {
 
 // serve is one worker's service loop — the persistent analogue of the
 // region barrier-wait loop: execute queued tasks, adopt newly submitted
-// jobs when idle, run the thief protocol, sleep after a long idle spell,
-// and park fully whenever SetActive leaves this worker outside the active
-// set.
+// jobs when idle, run the thief protocol, block on the bell once the
+// idleSpin budget is spent, and park fully whenever SetActive leaves this
+// worker outside the active set.
 func (tm *Team) serve(svc *service, w *Worker) {
 	defer svc.wg.Done()
 	if tm.cfg.Pin {
@@ -374,13 +387,16 @@ func (tm *Team) serve(svc *service, w *Worker) {
 		defer runtime.UnlockOSThread()
 	}
 	w.beginRegion()
+	w.bell = svc.bell
+	defer func() { w.bell = nil }()
 	th := w.prof
-	spins, idle := 0, 0
-	sleep := parkSleepMin
+	// polls counts empty polls since the last clock read; idleSince is
+	// the first clock reading of the current idle spell (zero while the
+	// worker is finding work).
+	polls := 0
+	var idleSince time.Time
 	stalling := false
-	// timer backs the idle sleep: the worker normally wakes early via the
-	// service bell when a job is submitted, and the timer is the fallback
-	// for work the bell does not announce (DLB pushes, park handoffs).
+	sweep := idleSweep
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
 		<-timer.C
@@ -393,7 +409,7 @@ func (tm *Team) serve(svc *service, w *Worker) {
 				stalling = false
 			}
 			tm.park(svc, w)
-			spins, idle, sleep = 0, 0, parkSleepMin
+			polls, idleSince = 0, time.Time{}
 			continue
 		}
 		if t := tm.sched.pop(w.id); t != nil {
@@ -402,7 +418,7 @@ func (tm *Team) serve(svc *service, w *Worker) {
 				stalling = false
 			}
 			tm.execute(w, t)
-			spins, idle, sleep = 0, 0, parkSleepMin
+			polls, idleSince = 0, time.Time{}
 			continue
 		}
 		if t := svc.tryRecv(); t != nil {
@@ -411,7 +427,7 @@ func (tm *Team) serve(svc *service, w *Worker) {
 				stalling = false
 			}
 			tm.adopt(w, t)
-			spins, idle, sleep = 0, 0, parkSleepMin
+			polls, idleSince = 0, time.Time{}
 			continue
 		}
 		if svc.stop.Load() {
@@ -428,41 +444,71 @@ func (tm *Team) serve(svc *service, w *Worker) {
 			th.Begin(prof.EvStall)
 			stalling = true
 		}
-		spins++
-		idle++
-		if idle > parkSpins {
-			// Sleep until a producer rings the bell (a submission or
-			// migration landed in an intake ring) or the backoff timer
-			// fires. Register first, then re-check: the registration is
-			// sequenced before the re-check and a producer's enqueue
-			// before its ring, so either the re-check sees the job or
-			// the ring sees this sleeper — a submission cannot slip
-			// through unannounced while the worker goes to sleep.
-			svc.bell.Sleep(w.id)
-			if svc.stop.Load() || svc.pending() {
-				svc.bell.Cancel(w.id)
-				continue
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			timer.Reset(sleep)
-			select {
-			case <-svc.bell.Chan(w.id):
-			case <-timer.C:
-			}
-			svc.bell.Cancel(w.id)
-			if sleep < parkSleepMax {
-				sleep *= 2
-			}
-		} else if spins > stallSpins {
+		th.Inc(prof.CntIdlePolls)
+		polls++
+		if polls <= stallSpins {
+			continue
+		}
+		polls = 0
+		now := time.Now()
+		if idleSince.IsZero() {
+			idleSince = now
+		}
+		if now.Sub(idleSince) < idleSpin {
 			runtime.Gosched()
-			spins = 0
+			continue
+		}
+		if tm.idleWait(svc, w, timer, sweep) {
+			idleSince = time.Time{} // announced work: a fresh budget
+		} else {
+			polls = stallSpins // a sweep: one poll, then back to sleep
 		}
 	}
+}
+
+// idleWait blocks worker w on the service bell until a producer announces
+// work or the safety-net sweep fires, and reports which: true for an
+// announcement (or a re-check that already saw the reason to stay up),
+// false for a sweep.
+//
+// It is the consumer half of the Dekker pairing with every producer:
+// register on the bell, then re-check each thing a producer could have
+// changed — the stop flag, the active bound, the intake rings, w's own
+// queues. A producer publishes first and announces second (enqueue then
+// Ring; push then Wake; store then RingAll), so either the re-check sees
+// the change or the announcement sees this sleeper; nothing slips through
+// while the worker goes to sleep. The worker's load signals are flushed
+// first so dispatch and migration read a sleeping shard as idle rather
+// than as whatever it was when it last published.
+func (tm *Team) idleWait(svc *service, w *Worker, timer *time.Timer, sweep time.Duration) bool {
+	th := w.prof
+	w.sig.Flush()
+	svc.bell.Sleep(w.id)
+	if svc.stop.Load() || int32(w.id) >= tm.active.Load() || svc.pending() || !tm.sched.empty(w.id) {
+		svc.bell.Cancel(w.id)
+		return true
+	}
+	th.Inc(prof.CntIdleParks)
+	if !timer.Stop() {
+		select {
+		case <-timer.C:
+		default:
+		}
+	}
+	timer.Reset(sweep)
+	select {
+	case <-svc.bell.Chan(w.id):
+		svc.bell.Cancel(w.id)
+		th.Inc(prof.CntBellWakes)
+		return true
+	case <-timer.C:
+	}
+	svc.bell.Cancel(w.id)
+	th.Inc(prof.CntSweepWakes)
+	if svc.pending() || !tm.sched.empty(w.id) {
+		th.Inc(prof.CntSweepFoundWork)
+	}
+	return false
 }
 
 // park takes worker w out of the serving rotation until SetActive grows
@@ -534,7 +580,7 @@ func (tm *Team) handOff(w *Worker, t *Task) bool {
 		if target == w.id {
 			continue
 		}
-		if tm.sched.pushTo(w.id, target, t) {
+		if w.pushTo(target, t) {
 			w.parkCur = target + 1
 			return true
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"sync/atomic"
 
+	"repro/internal/intake"
 	"repro/internal/load"
 	"repro/internal/prof"
 	"repro/internal/rng"
@@ -43,6 +44,10 @@ type Worker struct {
 	// parkCur rotates the hand-off target over the active set while this
 	// worker drains its queues to park (owner-only).
 	parkCur int
+	// bell is the service bell while this worker runs a serve loop, nil
+	// otherwise (regions never sleep). Owner-only: it is how a task body
+	// on this worker announces a push without touching shared team state.
+	bell *intake.Bell
 
 	// sig samples this worker's load signals (service time, task rate,
 	// idle ratio, steal rate) into its cell of the team's signal plane
@@ -108,7 +113,7 @@ func (w *Worker) spawn(fn TaskFunc, priority int32) {
 		placed = w.tryRedirect(t)
 	}
 	if !placed {
-		if _, ok := tm.sched.push(w.id, t); ok {
+		if w.push(t) {
 			th.Inc(prof.CntStaticPush)
 			placed = true
 		}
@@ -117,6 +122,51 @@ func (w *Worker) spawn(fn TaskFunc, priority int32) {
 	if !placed {
 		th.Inc(prof.CntImmExec)
 		tm.execute(w, t)
+	}
+}
+
+// push places t with the substrate's static balancer on behalf of w and,
+// on success, announces it. push and pushTo are the only callers of the
+// scheduler's push methods, so no push site can forget the announcement a
+// possibly sleeping consumer depends on (see announce).
+func (w *Worker) push(t *Task) bool {
+	target, ok := w.team.sched.push(w.id, t)
+	if ok {
+		w.announce(target)
+	}
+	return ok
+}
+
+// pushTo places t directly into worker to's queues on behalf of w (DLB
+// migration, NA-RP redirect, park hand-off) and announces it to that
+// worker on success.
+func (w *Worker) pushTo(to int, t *Task) bool {
+	if !w.team.sched.pushTo(w.id, to, t) {
+		return false
+	}
+	w.announce(to)
+	return true
+}
+
+// announce tells a possibly sleeping serve-loop worker that a task this
+// worker just pushed is waiting: target is the worker whose queues hold
+// it, or negative when any worker can take it. An idle worker sleeps on
+// the service bell after idleSpin (service.go), and only the owner polls
+// an XQueue row, so a push the owner never hears of would sit until the
+// safety-net sweep. The order is publish, then announce — the producer
+// half of the Dekker pairing whose consumer half (register, then re-check
+// rings and own queues) is in Team.idleWait. While nobody sleeps this is
+// an owner-only field read plus one atomic load of a read-mostly padded
+// line; a push into w's own queues needs no announcement, w is awake.
+func (w *Worker) announce(target int) {
+	b := w.bell
+	if b == nil {
+		return // region mode: workers spin at the barrier, nobody sleeps
+	}
+	if target < 0 {
+		b.Ring()
+	} else if target != w.id {
+		b.Wake(target)
 	}
 }
 

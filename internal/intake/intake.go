@@ -22,8 +22,10 @@
 //
 // The queue itself never blocks; waiting is layered on top. Gate is a
 // broadcast wakeup for producers blocked on a full ring (the admission
-// backpressure path), Bell a wake-one registry for consumers sleeping on
-// an empty ring (the worker idle path). Both are written so the fast
+// backpressure path), Bell a registry for consumers sleeping on an empty
+// ring (the worker idle path): Bell.Ring wakes any one sleeper for work
+// every consumer can take, Bell.Wake(id) wakes exactly consumer id for
+// work pushed into queues only it polls. All are written so the fast
 // path — nobody waiting — is a single atomic load.
 package intake
 
@@ -241,25 +243,39 @@ func (g *Gate) Wake() {
 
 // Bell is the wake-one registry idle consumers sleep on: a worker that
 // has found every queue empty registers, re-checks for work (the Dekker
-// step that pairs with a producer's enqueue-then-Ring order), and blocks
-// on its token channel; a producer that enqueued work rings the bell,
-// which pops one sleeper and hands it a token. While nobody sleeps —
-// the loaded steady state — Ring is one atomic load and no lock.
+// step that pairs with a producer's publish-then-announce order), and
+// blocks on its token channel. Producers announce in one of two ways: a
+// producer that enqueued work any consumer can take rings the bell
+// (Ring/RingMany), which pops one sleeper and hands it a token; a
+// producer that placed work only consumer id can reach wakes exactly
+// that consumer (Wake). While nobody sleeps — the loaded steady state —
+// Ring is one atomic load and no lock, and so is Wake while id is awake.
 //
 // Bell is move-only (repolint:nocopy). sleepers is padded for the same
 // reason as Gate.waiters: it is loaded on every producer Ring call and
-// must not share a line with the registry the sleepers mutate.
+// must not share a line with the registry the sleepers mutate; each
+// consumer's asleep flag, loaded on every directed Wake, has a line of
+// its own for the same reason.
 type Bell struct {
 	sleepers atomic.Int32
 	_        [CacheLine - 4]byte
 	mu       sync.Mutex
 	ids      []int
 	tokens   []chan struct{}
+	slots    []bellSlot
+}
+
+// bellSlot is one consumer's asleep flag: set by Sleep, cleared by
+// whoever deregisters the consumer (Cancel, a Ring that pops it, Wake),
+// always under Bell.mu, and read lock-free by Wake's fast path.
+type bellSlot struct {
+	asleep atomic.Bool
+	_      [CacheLine - 4]byte
 }
 
 // NewBell returns a bell for consumer ids [0, n).
 func NewBell(n int) *Bell {
-	b := &Bell{ids: make([]int, 0, n), tokens: make([]chan struct{}, n)}
+	b := &Bell{ids: make([]int, 0, n), tokens: make([]chan struct{}, n), slots: make([]bellSlot, n)}
 	for i := range b.tokens {
 		b.tokens[i] = make(chan struct{}, 1)
 	}
@@ -272,12 +288,13 @@ func (b *Bell) Chan(id int) <-chan struct{} { return b.tokens[id] }
 // Sleep registers consumer id as sleeping. The caller must re-check its
 // work sources after Sleep returns and before blocking on Chan(id):
 // Sleep's registration is sequenced before the re-check, and a
-// producer's enqueue before its Ring, so either the re-check sees the
-// work or the Ring sees the sleeper.
+// producer's publish before its Ring or Wake, so either the re-check
+// sees the work or the announcement sees the sleeper.
 func (b *Bell) Sleep(id int) {
 	b.mu.Lock()
 	b.ids = append(b.ids, id)
 	b.sleepers.Store(int32(len(b.ids)))
+	b.slots[id].asleep.Store(true)
 	b.mu.Unlock()
 }
 
@@ -285,18 +302,26 @@ func (b *Bell) Sleep(id int) {
 // re-check that found work) and drains a token that may have raced in.
 func (b *Bell) Cancel(id int) {
 	b.mu.Lock()
-	for i, v := range b.ids {
-		if v == id {
-			b.ids = append(b.ids[:i], b.ids[i+1:]...)
-			break
-		}
-	}
-	b.sleepers.Store(int32(len(b.ids)))
+	b.removeLocked(id)
 	b.mu.Unlock()
 	select {
 	case <-b.tokens[id]:
 	default:
 	}
+}
+
+// removeLocked deregisters id if it is registered, reporting whether it
+// was. Callers hold mu.
+func (b *Bell) removeLocked(id int) bool {
+	for i, v := range b.ids {
+		if v == id {
+			b.ids = append(b.ids[:i], b.ids[i+1:]...)
+			b.sleepers.Store(int32(len(b.ids)))
+			b.slots[id].asleep.Store(false)
+			return true
+		}
+	}
+	return false
 }
 
 // Ring wakes one sleeping consumer, if any.
@@ -323,23 +348,45 @@ func (b *Bell) RingAll() {
 	b.ringLocked(len(b.tokens))
 }
 
+// Wake wakes consumer id if it is sleeping — the announcement of a
+// producer whose work only id can reach (a push into id's own queues).
+// It is a no-op, one atomic load of id's own line, while id is awake;
+// an awake id is never handed a token, so nothing leaks into its next
+// Sleep.
+func (b *Bell) Wake(id int) {
+	if !b.slots[id].asleep.Load() {
+		return
+	}
+	b.mu.Lock()
+	if b.removeLocked(id) {
+		b.token(id)
+	}
+	b.mu.Unlock()
+}
+
+// token hands consumer id its wake token (at most one is ever pending).
+// Callers hold mu.
+func (b *Bell) token(id int) {
+	select {
+	case b.tokens[id] <- struct{}{}:
+	default:
+	}
+}
+
 func (b *Bell) ringLocked(n int) {
 	b.mu.Lock()
-	var wake []int
 	if k := len(b.ids); k > 0 {
 		if n > k {
 			n = k
 		}
 		// Pop the most recent sleepers: they are the most likely to
 		// still have a warm cache, and the slice op is allocation-free.
-		wake = b.ids[len(b.ids)-n:]
-		b.ids = b.ids[:len(b.ids)-n]
+		wake := b.ids[k-n:]
+		b.ids = b.ids[:k-n]
 		b.sleepers.Store(int32(len(b.ids)))
-	}
-	for _, id := range wake {
-		select {
-		case b.tokens[id] <- struct{}{}:
-		default:
+		for _, id := range wake {
+			b.slots[id].asleep.Store(false)
+			b.token(id)
 		}
 	}
 	b.mu.Unlock()

@@ -293,6 +293,95 @@ func TestBellCancelRemovesSleeper(t *testing.T) {
 	}
 }
 
+// TestBellWake: the directed wake reaches exactly the named sleeper, is
+// a no-op for an id that is awake, and never leaves a token behind for
+// that id's next Sleep. The concurrent half pairs Wake with the
+// register-then-recheck protocol: every published item is either seen by
+// the sleeper's re-check or announced by a token.
+func TestBellWake(t *testing.T) {
+	b := NewBell(3)
+	b.Sleep(0)
+	b.Sleep(1)
+	b.Wake(0)
+	select {
+	case <-b.Chan(0):
+	case <-time.After(time.Second):
+		t.Fatal("Wake(0) did not wake sleeper 0")
+	}
+	select {
+	case <-b.Chan(1):
+		t.Fatal("Wake(0) woke sleeper 1")
+	default:
+	}
+	b.Cancel(0)
+	// A ring after the directed wake must find sleeper 1, not the
+	// deregistered 0.
+	b.Ring()
+	select {
+	case <-b.Chan(1):
+	case <-time.After(time.Second):
+		t.Fatal("Ring after Wake(0) missed sleeper 1")
+	}
+	b.Cancel(1)
+
+	// Awake ids: no token now, none in the next Sleep.
+	b.Wake(0)
+	b.Wake(2)
+	for _, id := range []int{0, 2} {
+		b.Sleep(id)
+		select {
+		case <-b.Chan(id):
+			t.Fatalf("Wake of awake id %d leaked a token into its next Sleep", id)
+		case <-time.After(5 * time.Millisecond):
+		}
+		b.Cancel(id)
+	}
+
+	// A wake that raced the sleeper's own Cancel is drained by it.
+	b.Sleep(2)
+	b.Wake(2)
+	b.Cancel(2)
+	b.Sleep(2)
+	select {
+	case <-b.Chan(2):
+		t.Fatal("token survived Cancel into the next Sleep")
+	case <-time.After(5 * time.Millisecond):
+	}
+	b.Cancel(2)
+
+	// Publish-then-Wake against Sleep-then-recheck, no timer: a lost
+	// wakeup parks the consumer forever and trips the watchdog.
+	const items = 20000
+	var box atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for got := int64(0); got < items; {
+			if n := box.Swap(0); n > 0 {
+				got += n
+				continue
+			}
+			b.Sleep(1)
+			if box.Load() == 0 {
+				<-b.Chan(1)
+			}
+			b.Cancel(1)
+		}
+	}()
+	for i := 0; i < items; i++ {
+		box.Add(1)
+		b.Wake(1)
+		if i%64 == 0 {
+			runtime.Gosched()
+		}
+	}
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("consumer wedged with %d items unannounced", box.Load())
+	}
+}
+
 // TestRingBoundOneHammer drives a bound-1 ring — the Backlog: 1 shape —
 // with two producers and two consumers. A one-slot array cannot tell
 // "occupied at p" from "free for p+1", so a producer could overwrite the

@@ -166,6 +166,19 @@ func TestServeAccountingMatchesLocal(t *testing.T) {
 	if ws.ConnsOpened != conns || ws.ConnsClosed != conns {
 		t.Fatalf("conn counters: %+v", ws)
 	}
+	// The stage clock ticks per frame and per flush, never per job: one
+	// admit sample per submit frame, one flush sample per result write,
+	// and at most one first-done sample per admitted frame.
+	st := srv.Stages()
+	if got := st[prof.StageAdmit].Count(); got != ws.FramesIn {
+		t.Fatalf("admit stage has %d samples for %d frames in", got, ws.FramesIn)
+	}
+	if got := st[prof.StageFlush].Count(); got != ws.FramesOut {
+		t.Fatalf("flush stage has %d samples for %d flushes", got, ws.FramesOut)
+	}
+	if got := st[prof.StageFirstDone].Count(); got == 0 || got > ws.FramesIn {
+		t.Fatalf("first-done stage has %d samples for %d frames in", got, ws.FramesIn)
+	}
 
 	// Local half: identical records through SubmitBatchCtx directly.
 	localPool := testPool(t, nil, 256)
@@ -364,6 +377,15 @@ func TestServerCloseWithInflightConns(t *testing.T) {
 		if err := cl.Flush(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// Dial returns when the kernel completes the handshake, not when the
+	// accept goroutine has run: closing now could sever the listener with
+	// connections still in its backlog, which the server never opened.
+	for deadline := time.Now().Add(5 * time.Second); srv.Wire().ConnsOpened != conns; {
+		if time.Now().After(deadline) {
+			t.Fatalf("server accepted %d of %d connections in 5s", srv.Wire().ConnsOpened, conns)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	closed := make(chan error, 1)
 	go func() { closed <- srv.Close() }()

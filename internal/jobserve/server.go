@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/alloc"
@@ -24,6 +25,7 @@ import (
 	"repro/internal/load"
 	"repro/internal/prof"
 	"repro/internal/simnuma"
+	"repro/internal/stats"
 	"repro/internal/wire"
 	"repro/xomp"
 )
@@ -54,6 +56,7 @@ type Server struct {
 	ln     net.Listener
 	bufs   *alloc.BufPool
 	wire   prof.Wire
+	epoch  time.Time // base of the stage clock's stamps
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -79,6 +82,7 @@ func Serve(ln net.Listener, cfg Config) (*Server, error) {
 		cfg:   cfg,
 		ln:    ln,
 		bufs:  alloc.NewBufPool(),
+		epoch: time.Now(),
 		conns: make(map[net.Conn]struct{}),
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
@@ -92,6 +96,9 @@ func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
 // Wire snapshots the server's per-connection traffic counters.
 func (s *Server) Wire() prof.WireSnapshot { return s.wire.Snapshot() }
+
+// Stages snapshots the server-side stage clock (see prof.WireStage).
+func (s *Server) Stages() [prof.NumWireStages]stats.Histogram { return s.wire.Stages() }
 
 // Close stops accepting, severs every live connection (in-flight jobs
 // finish on the pool but their results are no longer deliverable), and
@@ -172,14 +179,19 @@ func (s *Server) handle(c net.Conn) {
 	done := make(chan *xomp.Job, window)
 	refusals := make(chan []wire.ResultRecord, 8)
 	slots := make(chan struct{}, window)
+	// admitted is the stage clock's hand-off between the two halves: the
+	// reader arms it with the admission stamp of the oldest frame no
+	// completion has answered yet, the writer's next wake-up with a
+	// completed job disarms it (0 = unarmed).
+	var admitted atomic.Int64
 
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
 	go func() {
 		defer writerWG.Done()
-		s.writeResults(ctx, cancel, c, done, refusals, slots)
+		s.writeResults(ctx, cancel, c, done, refusals, slots, &admitted)
 	}()
-	s.readSubmits(ctx, cancel, c, done, refusals, slots)
+	s.readSubmits(ctx, cancel, c, done, refusals, slots, &admitted)
 	writerWG.Wait()
 }
 
@@ -187,7 +199,7 @@ func (s *Server) handle(c net.Conn) {
 // one batch, subscribe the admitted jobs to the writer's channel, and
 // forward immediate refusals. Sequence numbers are implicit per
 // connection, assigned in decode order.
-func (s *Server) readSubmits(ctx context.Context, cancel context.CancelFunc, c net.Conn, done chan *xomp.Job, refusals chan []wire.ResultRecord, slots chan struct{}) {
+func (s *Server) readSubmits(ctx context.Context, cancel context.CancelFunc, c net.Conn, done chan *xomp.Job, refusals chan []wire.ResultRecord, slots chan struct{}, admitted *atomic.Int64) {
 	defer cancel() // reader gone → writer must not wait forever
 	dec := wire.NewDecoder(c, s.bufs)
 	defer dec.Close()
@@ -207,7 +219,8 @@ func (s *Server) readSubmits(ctx context.Context, cancel context.CancelFunc, c n
 		s.wire.FrameIn(len(recs), dec.FrameBytes())
 
 		// One decoded frame becomes one admission batch. Deadlines are
-		// relative on the wire and rebased onto the server clock here.
+		// relative on the wire and rebased onto the server clock here;
+		// the same reading starts the frame's stage clock.
 		now := time.Now()
 		items = items[:0]
 		for i := range recs {
@@ -250,6 +263,12 @@ func (s *Server) readSubmits(ctx context.Context, cancel context.CancelFunc, c n
 				sendRefusals(ctx, refusals, out)
 				return
 			}
+			// The verdict is in: one clock read closes the admit stage
+			// and, armed below before the first Subscribe can deliver,
+			// opens the first-done stage.
+			verdict := time.Now()
+			s.wire.RecordStage(prof.StageAdmit, int64(verdict.Sub(now)))
+			armed := false
 			var refused []wire.ResultRecord
 			for i := range res {
 				if res[i].Err != nil {
@@ -259,6 +278,10 @@ func (s *Server) readSubmits(ctx context.Context, cancel context.CancelFunc, c n
 					})
 					<-slots // never became a job; free its window slot
 					continue
+				}
+				if !armed {
+					admitted.CompareAndSwap(0, int64(verdict.Sub(s.epoch))|1)
+					armed = true
 				}
 				j := res[i].Job
 				j.SetTag(seq + uint64(at+i))
@@ -288,7 +311,7 @@ func sendRefusals(ctx context.Context, refusals chan []wire.ResultRecord, out []
 // records, encode them as result frames, and flush coalesced — after
 // one blocking receive it drains everything already pending, so a burst
 // of completions costs one syscall.
-func (s *Server) writeResults(ctx context.Context, cancel context.CancelFunc, c net.Conn, done chan *xomp.Job, refusals chan []wire.ResultRecord, slots chan struct{}) {
+func (s *Server) writeResults(ctx context.Context, cancel context.CancelFunc, c net.Conn, done chan *xomp.Job, refusals chan []wire.ResultRecord, slots chan struct{}, admitted *atomic.Int64) {
 	defer cancel() // writer gone → reader must stop admitting
 	enc := wire.NewEncoder(c, s.bufs)
 	defer enc.Close()
@@ -306,6 +329,9 @@ func (s *Server) writeResults(ctx context.Context, cancel context.CancelFunc, c 
 		case <-ctx.Done():
 			return
 		}
+		// One clock read per wake-up: it stops the first-done stage a
+		// reader armed and starts this flush's.
+		woke := time.Now()
 	coalesce:
 		for len(out) < wire.MaxBatch {
 			select {
@@ -317,6 +343,11 @@ func (s *Server) writeResults(ctx context.Context, cancel context.CancelFunc, c 
 				refused += len(recs)
 			default:
 				break coalesce
+			}
+		}
+		if len(out) > refused { // a completed job, not only refusals
+			if at := admitted.Swap(0); at != 0 {
+				s.wire.RecordStage(prof.StageFirstDone, int64(woke.Sub(s.epoch))-at)
 			}
 		}
 		// Encode in frame-safe chunks before the single flush: the
@@ -339,6 +370,7 @@ func (s *Server) writeResults(ctx context.Context, cancel context.CancelFunc, c 
 		if err != nil {
 			return // peer gone; reader will notice via cancel
 		}
+		s.wire.RecordStage(prof.StageFlush, int64(time.Since(woke)))
 		s.wire.FlushOut(n)
 		s.wire.ResultOut(len(out), refused)
 	}

@@ -105,6 +105,24 @@ const (
 	// CntTasksCancelled counts job tasks whose bodies were skipped because
 	// their job had already failed (task-service mode).
 	CntTasksCancelled
+	// CntIdlePolls counts empty scheduling-point visits of this thread's
+	// serve loop (task-service mode): a spinning pool runs this up by
+	// millions a second, a sleeping one by a few hundred.
+	CntIdlePolls
+	// CntIdleParks counts the times this thread spent its idle-spin
+	// budget and blocked on the service bell.
+	CntIdleParks
+	// CntBellWakes counts blocked spells ended by a producer's
+	// announcement (Bell.Ring or Bell.Wake).
+	CntBellWakes
+	// CntSweepWakes counts blocked spells ended by the safety-net timer.
+	CntSweepWakes
+	// CntSweepFoundWork counts sweep wakes that found work in the intake
+	// rings or this thread's queues — work no announcement woke this
+	// thread for. A producer's publish and its announce are two steps, so
+	// a sweep that lands between them counts legitimately; a count that
+	// grows with load points at a push site that does not announce.
+	CntSweepFoundWork
 	// NumCounters is the number of counters.
 	NumCounters
 )
@@ -117,6 +135,8 @@ var counterNames = [NumCounters]string{
 	"NTASKS_STOLEN", "NSTOLEN_LOCAL", "NSTOLEN_REMOTE",
 	"NTASKS_CREATED", "NTASKS_EXECUTED",
 	"NJOBS_ADOPTED", "NTASKS_CANCELLED",
+	"NIDLE_POLLS", "NIDLE_PARKS", "NBELL_WAKES",
+	"NSWEEP_WAKES", "NSWEEP_FOUND_WORK",
 }
 
 // String returns the paper's name for the counter.

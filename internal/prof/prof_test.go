@@ -251,4 +251,14 @@ func TestNames(t *testing.T) {
 	if Event(200).String() == "" || Counter(200).String() == "" {
 		t.Error("out-of-range names must render")
 	}
+	// The name table is positional: a counter added without its name
+	// would shift or blank the ones after it.
+	if CntIdlePolls.String() != "NIDLE_POLLS" || CntSweepFoundWork.String() != "NSWEEP_FOUND_WORK" {
+		t.Errorf("idle counter names: %s … %s", CntIdlePolls, CntSweepFoundWork)
+	}
+	for c := Counter(0); c < NumCounters; c++ {
+		if c.String() == "" {
+			t.Errorf("counter %d has no name", int(c))
+		}
+	}
 }

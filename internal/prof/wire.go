@@ -1,6 +1,11 @@
 package prof
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/stats"
+)
 
 // Wire counters for the network serving edge: one Wire per listener,
 // shared by every connection's reader/writer goroutine pair. All fields
@@ -8,6 +13,12 @@ import "sync/atomic"
 // worth of jobs) bumps them per frame, not per job, so plain atomic adds
 // are cheap enough and keep the struct snapshot-safe while connections
 // are live (unlike the Profile counters, which require quiescence).
+//
+// The stage clock is the server's own view of where a frame's time goes,
+// the part of a round trip a client-side trace cannot see into: three
+// histograms fed one sample per frame or per flush (never per job), so a
+// live jobserved can say whether the edge's latency sits in admission, in
+// the pool, or in the writer.
 type Wire struct {
 	connsOpened atomic.Uint64
 	connsClosed atomic.Uint64
@@ -18,6 +29,43 @@ type Wire struct {
 	jobsIn      atomic.Uint64
 	resultsOut  atomic.Uint64
 	refused     atomic.Uint64
+
+	// stageMu guards stages: stats.Histogram is single-writer and every
+	// connection's reader and writer record into the same three.
+	stageMu sync.Mutex
+	stages  [NumWireStages]stats.Histogram
+}
+
+// WireStage names one segment of the server-side stage clock.
+type WireStage int
+
+const (
+	// StageAdmit runs from the reader's decoder returning a submit frame
+	// to the pool's admission verdict on it (body construction,
+	// deadline rebasing, window slots, SubmitBatchCtx).
+	StageAdmit WireStage = iota
+	// StageFirstDone runs from that verdict to the connection's writer
+	// waking with a completed job: queueing, adoption, the run and the
+	// delivery wake-up. With several frames in flight on a connection
+	// the clock is armed by the oldest unanswered frame and stopped by
+	// the next completion, so it reads as "how long the writer had
+	// nothing to do", which for one frame in flight is the job itself.
+	StageFirstDone
+	// StageFlush runs from the writer's wake-up to its Flush returning:
+	// coalescing, encoding and the socket write.
+	StageFlush
+	// NumWireStages is the number of stages.
+	NumWireStages
+)
+
+var wireStageNames = [NumWireStages]string{"admit", "first-done", "flush"}
+
+// String returns the stage's report name.
+func (s WireStage) String() string {
+	if s >= 0 && s < NumWireStages {
+		return wireStageNames[s]
+	}
+	return "stage(?)"
 }
 
 // WireSnapshot is one consistent-enough read of a Wire's counters
@@ -84,4 +132,19 @@ func (w *Wire) Snapshot() WireSnapshot {
 		ResultsOut:  w.resultsOut.Load(),
 		Refused:     w.refused.Load(),
 	}
+}
+
+// RecordStage adds one stage sample of ns nanoseconds.
+func (w *Wire) RecordStage(s WireStage, ns int64) {
+	w.stageMu.Lock()
+	w.stages[s].Record(ns)
+	w.stageMu.Unlock()
+}
+
+// Stages returns a copy of the stage histograms, safe to read while
+// connections are live.
+func (w *Wire) Stages() [NumWireStages]stats.Histogram {
+	w.stageMu.Lock()
+	defer w.stageMu.Unlock()
+	return w.stages
 }
