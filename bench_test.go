@@ -15,7 +15,6 @@ import (
 	"io"
 	"math"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,20 +37,6 @@ import (
 )
 
 const benchWorkers = 4
-
-// applyBenchPolicy applies the REPRO_BENCH_POLICY environment variable to
-// a pool benchmark's team configuration ("" keeps the preset's static
-// settings; "adaptive" runs the adaptive policy controller).
-// scripts/benchdiff.sh runs the pool benchmarks once per value and prints
-// a jobs/sec comparison, so the adaptive path cannot rot silently.
-// Policies need the XQueue substrate, so GOMP/LOMP presets stay static.
-func applyBenchPolicy(cfg *xomp.Config) {
-	name := os.Getenv("REPRO_BENCH_POLICY")
-	if name == "" || cfg.Sched != xomp.SchedXQueue {
-		return
-	}
-	cfg.Policy.Name = name
-}
 
 func benchTeam(b *testing.B, preset string) *xomp.Team {
 	b.Helper()
@@ -392,9 +377,8 @@ func BenchmarkTable4(b *testing.B) {
 // the whole Submit/Wait path rather than a single region. The cheap rows
 // submit empty job bodies, so per-job cost is pure submission-path
 // overhead (admission edge, intake queue, adoption, completion, Wait):
-// the hot path the fast-path submission work optimizes, and the rows the
-// BENCH_N.json trajectory tracks for it. All rows report allocs/op and
-// B/op (submitter-side) so the allocation story is pinned per snapshot.
+// the hot path the fast-path submission work optimizes. All rows report
+// allocs/op and B/op (submitter-side); the cheap rows must stay at 0.
 func BenchmarkPoolThroughput(b *testing.B) {
 	mix := []string{"fib", "sort", "nqueens"}
 	for _, preset := range []string{"gomp", "lomp", "xgomptb", "xgomptb+naws"} {
@@ -402,7 +386,6 @@ func BenchmarkPoolThroughput(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/sub%d", preset, submitters), func(b *testing.B) {
 				cfg := xomp.Preset(preset, benchWorkers)
 				cfg.Topology = numa.Synthetic(benchWorkers, 2)
-				applyBenchPolicy(&cfg)
 				pool := xomp.MustPool(cfg)
 				// One app instance per submitter and mix entry, built before
 				// the clock starts: a submitter has at most one job in
@@ -564,7 +547,6 @@ func cheapPool(b *testing.B, preset string) *xomp.Pool {
 	cfg := xomp.Preset(preset, benchWorkers)
 	cfg.Topology = numa.Synthetic(benchWorkers, 2)
 	cfg.Backlog = 256
-	applyBenchPolicy(&cfg)
 	return xomp.MustPool(cfg)
 }
 
@@ -659,11 +641,10 @@ func BenchmarkShardedPoolThroughput(b *testing.B) {
 // the quota level at any -benchtime, including CI's 1x. Each op is a
 // block of jobs with controller ticks interleaved while the skewed
 // backlog is queued; hysteresis 1 lets a single sustained sighting move
-// quota, so quota-moves/op is nonzero under skew even at b.N=1 (the
-// BENCH_8 snapshots recorded 0 because the old shape ticked a 100µs
-// background loop against a b.N=1 → one-job run that was over before
-// the controller ever saw a gap). Elastic under skew should match or
-// beat fixed; uniform traffic should show no churn.
+// quota, so quota-moves/op is nonzero under skew even at b.N=1 (a 100µs
+// background loop never sees a gap in a b.N=1 → one-job run). Elastic
+// under skew should match or beat fixed; uniform traffic should show no
+// churn.
 func BenchmarkElasticShardedPool(b *testing.B) {
 	mix := []string{"fib", "sort", "nqueens"}
 	const (
@@ -693,7 +674,6 @@ func BenchmarkElasticShardedPool(b *testing.B) {
 				} else {
 					cfg.Team = xomp.Preset("xgomptb+naws", budget/shards)
 				}
-				applyBenchPolicy(&cfg.Team)
 				pool := xomp.MustShardedPool(cfg)
 				// One instance per block slot: up to `block` jobs in flight.
 				apps := make([]bots.Benchmark, block)
@@ -757,9 +737,9 @@ func BenchmarkElasticShardedPool(b *testing.B) {
 // controller off (Interval -1, the policy_test harness shape) and gets a
 // manual PolicyTick at each boundary, where the load-signal plane has
 // just accumulated one phase's worth of evidence — so the switches
-// metric is nonzero from b.N=1 (the BENCH_8 snapshot recorded 0 because
-// a 1ms background tick never fired inside a one-job 1x run). Compare
-// the jobs/sec metric across the three variants.
+// metric is nonzero from b.N=1 (a 1ms background tick never fires inside
+// a one-job 1x run). Compare the jobs/sec metric across the three
+// variants.
 func BenchmarkPolicyPhase(b *testing.B) {
 	const phaseBlock = 32 // jobs per phase before the workload flips
 	for _, pol := range []string{"ws-fine", "rp-coarse", "adaptive"} {
@@ -842,8 +822,6 @@ func BenchmarkPolicyPhase(b *testing.B) {
 // policy must keep bounded while the background flood is shed; the
 // reported metrics are completed jobs/sec, the interactive-class p99
 // admission latency in milliseconds, and the background shed fraction.
-// scripts/benchdiff.sh runs the block-vs-shed comparison and emits the
-// BENCH_5.json perf-trajectory snapshot from it.
 func BenchmarkAdmissionSaturation(b *testing.B) {
 	const (
 		submitters = 8
@@ -959,8 +937,7 @@ func BenchmarkAdmissionSaturation(b *testing.B) {
 // (rejected + shed + expired). Unlike the closed-loop pool benchmarks,
 // the offered load here is the trace's, not the pool's own drain rate,
 // so policy changes shift the refusal/latency split rather than the
-// iteration count — the same-traffic comparison scripts/benchdiff.sh
-// snapshots into BENCH_6.json.
+// iteration count.
 func BenchmarkScenarioReplay(b *testing.B) {
 	cases := []struct {
 		scenario string
@@ -986,7 +963,6 @@ func BenchmarkScenarioReplay(b *testing.B) {
 				if mode == "shed" {
 					cfg.Admit = xomp.DeadlineShed{}
 				}
-				applyBenchPolicy(&cfg)
 				var (
 					completed, refused uint64
 					wall               time.Duration
@@ -1020,8 +996,8 @@ func BenchmarkScenarioReplay(b *testing.B) {
 // the spread of per-victim completion fractions (max-min completed/
 // submitted, the fairness gap), the worst victim p99 admission latency,
 // and the WFQ engagement count per op. A wfq run whose fairness bounds never
-// engaged is a broken benchmark, not a fast one, and fails loudly —
-// the bench-smoke assertion behind the BENCH_7.json fairness row.
+// engaged is a broken benchmark, not a fast one, and fails loudly (CI's
+// bench-smoke 1x pass runs it).
 func BenchmarkTenantFairness(b *testing.B) {
 	tr, err := scenario.Generate("tenant-storm", scenario.GoldenSeed)
 	if err != nil {

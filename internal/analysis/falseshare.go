@@ -11,8 +11,8 @@ import (
 // the admission gauges are the write-hottest words of the submit path;
 // an atomic field that shares a cache line with another mutable field
 // turns every store into cross-core invalidation traffic for unrelated
-// readers (the false-sharing effect BENCH_8's fast-path work paid to
-// remove). The invariant: in the hot packages, an atomic field of a
+// readers (the false-sharing effect the fast-path submission work paid
+// to remove). The invariant: in the hot packages, an atomic field of a
 // flagged struct must not share a 64-byte line with any other field —
 // the intake.Ring cursor idiom (a blank [N]uint64 pad before and after)
 // or the prof.paddedGauge idiom (gauge alone on its line).

@@ -13,8 +13,9 @@ import (
 // job frames and codec buffers recycle through internal/alloc
 // (MultiLevel.GetShared, BufPool.Get). A leaked pooled value is
 // invisible to every test — the GC collects it and correctness holds —
-// but it silently degrades the 0 allocs/op contract BENCH_8/9 pin:
-// each leak turns a recycled frame back into a fresh heap allocation.
+// but it silently degrades the 0 allocs/op contract of the cheap
+// BenchmarkPoolThroughput rows: each leak turns a recycled frame back
+// into a fresh heap allocation.
 //
 // The check is a per-function lifetime walk (a lightweight stand-in
 // for an SSA leak analysis, with ownership-transfer edges treated as

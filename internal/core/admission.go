@@ -497,7 +497,7 @@ func (tm *Team) rollbackSubmit(svc *service, j *Job, o prof.AdmitOutcome) {
 	if ob, ok := tm.admit.(load.TenantObserver); ok {
 		ob.ObserveComplete(j.tenant, 0)
 	}
-	tm.releaseJob(j)
+	j.recycle(jobInFlight)
 }
 
 // saturated is the runtime's saturation verdict for the admission edge:

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,16 +32,16 @@ type Job struct {
 	id   int64
 	root Task
 
-	// Completion state. state flips once, inFlight → done; wake is a
-	// one-token channel allocated once per frame lifetime: finishJob
-	// deposits the token, each Wait takes it and puts it back (so any
-	// number of waiters drain through), and reset reclaims it. doneCh
-	// backs the public Done() channel and is allocated lazily — jobs
-	// whose callers only Wait (the common case) never pay for it.
-	state  atomic.Uint32
-	wake   chan struct{}
-	doneMu sync.Mutex
-	doneCh chan struct{}
+	// word is the whole completion protocol: generation<<phaseBits | phase,
+	// every transition one CAS or Swap (see the phase constants). wake is a
+	// one-token channel allocated once per frame lifetime and used only in
+	// phase waiting: finish deposits the token, each Wait takes it and puts
+	// it back (so any number of waiters drain through), and reset reclaims
+	// it. sink is Subscribe's delivery channel, a plain field published by
+	// the CAS to phase subscribed.
+	word atomic.Uint64
+	wake chan struct{}
+	sink chan *Job
 
 	// class is the job's admission priority class (SubmitOpts.Priority),
 	// fixed at submission: it selects the admission queue, survives
@@ -56,13 +55,11 @@ type Job struct {
 	// completion) and is recorded on the JobRecord.
 	tenant load.Tenant
 
-	// failed is raised by the first panicking task; later tasks of this
-	// job skip their bodies (cancellation) but keep completion accounting,
-	// so the job still quiesces.
-	failed     atomic.Bool
-	panicMu    sync.Mutex
-	panicVal   any
-	panicStack []byte
+	// fail is the outcome: nil until the first panicking task publishes
+	// its PanicError (first CAS wins). Later tasks of a failed job skip
+	// their bodies (cancellation) but keep completion accounting, so the
+	// job still quiesces.
+	fail atomic.Pointer[PanicError]
 
 	// migrated is set when a second-level balancer moved this job, while
 	// still queued, from the team it was submitted to onto another team
@@ -71,18 +68,13 @@ type Job struct {
 
 	// tag is an opaque caller-set value carried through the job's
 	// lifetime (the network edge stores the connection-relative wire
-	// sequence number here); notify/notified implement Subscribe's
-	// exactly-once completion hand-off.
-	tag      atomic.Uint64
-	notify   atomic.Value // chan *Job
-	notified atomic.Bool
+	// sequence number here).
+	tag atomic.Uint64
 
-	// released guards double-Release; home/lane identify the frame pool
-	// (the submitting team's, even after a migration) and the pool lane
-	// the frame came from.
-	released atomic.Bool
-	home     *Team
-	lane     int
+	// home/lane identify the frame pool (the submitting team's, even
+	// after a migration) and the pool lane the frame came from.
+	home *Team
+	lane int
 
 	// Profiling fields: the adopting worker and nanosecond timestamps on
 	// the executing team profile's clock. worker/startNS are written by
@@ -97,11 +89,26 @@ type Job struct {
 	endNS    atomic.Int64
 }
 
-// Job completion states.
+// Phases of Job.word: pooled → inFlight → {waiting | subscribed} → done →
+// pooled. pooled is the zero value, so fresh and recycled frames look the
+// same to resetForSubmit; waiting and subscribed are inFlight with a party
+// registered for completion, which pins the frame past finish's Swap
+// (ARCHITECTURE.md has the who-may-touch-what table).
 const (
-	jobInFlight uint32 = iota
+	jobPooled uint64 = iota
+	jobInFlight
+	jobWaiting
+	jobSubscribed
 	jobDone
+
+	phaseBits = 3
+	phaseMask = 1<<phaseBits - 1
 )
+
+// closedChan is what Done returns for a job that has already finished.
+var closedChan = make(chan struct{})
+
+func init() { close(closedChan) }
 
 // PanicError is the error Job.Wait returns when one of the job's task
 // bodies panicked; Value is the recovered panic value of the first panic
@@ -119,27 +126,58 @@ func (e *PanicError) Error() string { return fmt.Sprintf("core: job task panicke
 // ID returns the job's submission sequence number on its team (1-based).
 func (j *Job) ID() int64 { return j.id }
 
-// Done returns a channel closed when the job's task subtree has quiesced.
-// The channel is created on first call; callers that only Wait never
-// allocate it.
-func (j *Job) Done() <-chan struct{} {
-	j.doneMu.Lock()
-	defer j.doneMu.Unlock()
-	if j.doneCh == nil {
-		j.doneCh = make(chan struct{})
-		if j.state.Load() == jobDone {
-			close(j.doneCh)
+// done reports whether this generation of the job has finished.
+func (j *Job) done() bool { return j.word.Load()&phaseMask == jobDone }
+
+// enterWait registers the caller as a waiter (inFlight → waiting, or
+// joining waiters already registered) and reports whether it must park;
+// false means the job is already done.
+func (j *Job) enterWait() bool {
+	for {
+		w := j.word.Load()
+		switch w & phaseMask {
+		case jobDone:
+			return false
+		case jobWaiting:
+			return true
+		case jobInFlight:
+			if j.word.CompareAndSwap(w, w&^phaseMask|jobWaiting) {
+				return true
+			}
+		default:
+			panic("core: Wait or Done on a released or subscribed job")
 		}
 	}
-	return j.doneCh
+}
+
+// park blocks a registered waiter until finish deposits the wake token,
+// then passes the token to the next waiter.
+func (j *Job) park() {
+	<-j.wake
+	j.wake <- struct{}{}
+}
+
+// Done returns a channel closed when the job's task subtree has quiesced.
+// A finished job returns a shared closed channel; an unfinished one
+// registers the caller as a waiter and parks a goroutine that closes a
+// fresh channel, so a Done channel not yet closed is a concurrent Wait.
+func (j *Job) Done() <-chan struct{} {
+	if !j.enterWait() {
+		return closedChan
+	}
+	ch := make(chan struct{})
+	go func() {
+		j.park()
+		close(ch)
+	}()
+	return ch
 }
 
 // Wait blocks until every task of the job has completed. It returns nil on
 // success and a *PanicError when any of the job's task bodies panicked.
 func (j *Job) Wait() error {
-	if j.state.Load() != jobDone {
-		<-j.wake
-		j.wake <- struct{}{} // pass the completion token to the next waiter
+	if j.enterWait() {
+		j.park()
 	}
 	return j.Err()
 }
@@ -147,14 +185,11 @@ func (j *Job) Wait() error {
 // Err returns the job's failure, or nil if the job succeeded or is still
 // in flight.
 func (j *Job) Err() error {
-	if j.state.Load() != jobDone {
+	if !j.done() {
 		return nil
 	}
-	j.panicMu.Lock()
-	r, stack := j.panicVal, j.panicStack
-	j.panicMu.Unlock()
-	if r != nil {
-		return &PanicError{Value: r, Stack: stack}
+	if p := j.fail.Load(); p != nil {
+		return p
 	}
 	return nil
 }
@@ -168,67 +203,46 @@ func (j *Job) Err() error {
 // caller. Releasing is optional; an unreleased handle is simply garbage
 // collected.
 func (j *Job) Release() {
-	if j == nil || j.state.Load() != jobDone {
-		return
-	}
-	if j.released.Swap(true) {
-		return
-	}
-	// finish stores jobDone before it deposits the wake token, so a caller
-	// that saw jobDone on Wait's fast path can get here while finish is
-	// still inside its critical section. Passing through doneMu orders the
-	// recycle after that whole section; otherwise the late token lands in
-	// the frame's next generation and that generation's finish blocks on
-	// the full channel forever.
-	j.doneMu.Lock()
-	j.doneMu.Unlock()
-	if j.home != nil {
-		j.home.releaseJob(j)
+	if j != nil {
+		j.recycle(jobDone)
 	}
 }
 
-// finish publishes completion: records state, closes a Done channel if
-// one was materialized, deposits the wake token (unless a subscriber
-// claimed delivery), and delivers the Subscribe notification. The caller
-// must not touch the job afterwards — a released frame may be reused the
-// moment the token lands (or, for a subscribed job, the moment the
-// receiver takes the handle).
-//
-// Completion publication and the hand-off resolution are one atomic step
-// under doneMu: the moment another goroutine can observe jobDone it can
-// reach Release — a waiter through the wake token, a subscriber through
-// Subscribe's inline-delivery path — and the frame may be recycled for
-// an unrelated submission, so every touch finish makes on the frame must
-// be ordered before that observation. Subscribe runs entirely under the
-// same lock, which forces its inline delivery to wait until finish has
-// released it, by which point finish's only remaining touch is the
-// delivery send it claimed for itself (and a finish that claimed
-// delivery skips the wake token, so no waiter can race the send either —
-// a subscribed job's receiver owns completion, see Subscribe).
+// recycle is the only way into phase pooled and so into the frame pool:
+// one CAS from → pooled, which the loser of two Releases fails. Reference
+// fields are cleared so a pooled frame pins neither the task body, a
+// captured panic, nor a subscriber's channel.
+func (j *Job) recycle(from uint64) {
+	w := j.word.Load()
+	if w&phaseMask != from || !j.word.CompareAndSwap(w, w&^phaseMask|jobPooled) {
+		return
+	}
+	j.root.fn, j.root.job, j.sink = nil, nil, nil
+	j.fail.Store(nil)
+	j.home.jobPool.PutShared(j.lane, j)
+}
+
+// finish publishes completion with one Swap (only finish leaves a live
+// phase, so the generation it loaded cannot move). The Swap is its last
+// touch on the frame unless the phase it displaced names a party that pins
+// the frame — a waiter still inside Wait, a receiver not yet handed the
+// job; anyone else who observes done may Release at once.
 func (j *Job) finish() {
-	j.doneMu.Lock()
-	j.state.Store(jobDone)
-	if j.doneCh != nil {
-		close(j.doneCh)
-	}
-	ch, _ := j.notify.Load().(chan *Job)
-	deliver := ch != nil && j.notified.CompareAndSwap(false, true)
-	if !deliver {
-		j.wake <- struct{}{} // no subscriber claimed: wake the Wait-ers
-	}
-	j.doneMu.Unlock()
-	if deliver {
-		ch <- j
+	gen := j.word.Load() &^ phaseMask
+	switch j.word.Swap(gen|jobDone) & phaseMask {
+	case jobWaiting:
+		j.wake <- struct{}{}
+	case jobSubscribed:
+		j.sink <- j
 	}
 }
 
 // Subscribe registers ch to receive the job's handle exactly once when
 // it completes — the channel-driven alternative to Wait for callers
 // multiplexing many jobs onto one receiver (the network edge's writer
-// goroutine). It may be called before or after completion: a job that is
-// already done is delivered from Subscribe itself, otherwise the
-// completing worker delivers it, and the CAS between the two sides makes
-// the hand-off exactly-once under any interleaving.
+// goroutine). It may be called before or after completion: the CAS
+// inFlight → subscribed hands delivery to the completing worker, and a
+// Subscribe that loses it to finish delivers the job itself.
 //
 // Contract: the receiver owns completion for a subscribed job. No other
 // goroutine may Wait, Err, or Release the handle, and ch must have
@@ -237,28 +251,17 @@ func (j *Job) finish() {
 // One channel may serve any number of jobs; at most one Subscribe per
 // job generation.
 func (j *Job) Subscribe(ch chan *Job) {
-	// The whole registration runs under doneMu, the same lock finish
-	// publishes completion under, so the two sides serialize cleanly:
-	// either this critical section completes first — finish then sees
-	// the stored channel, claims delivery, and sends after Subscribe has
-	// no touches left — or finish's completes first, in which case it
-	// saw no subscriber, deposited the wake token, and is done with the
-	// frame entirely before the inline claim below can hand it to the
-	// receiver. Without the lock, either side could still be touching
-	// the frame (finish: the wake deposit; Subscribe: these loads) after
-	// the other delivered it, and the receiver's Release would let the
-	// frame recycle under those touches, corrupting the next generation.
-	j.doneMu.Lock()
-	if j.state.Load() != jobDone {
-		j.notify.Store(ch) // in flight: finish delivers
-		j.doneMu.Unlock()
-		return
+	w := j.word.Load()
+	if w&phaseMask == jobInFlight {
+		j.sink = ch // published by the CAS; finish reads it only in phase subscribed
+		if j.word.CompareAndSwap(w, w&^phaseMask|jobSubscribed) {
+			return
+		}
 	}
-	deliver := j.notified.CompareAndSwap(false, true)
-	j.doneMu.Unlock()
-	if deliver {
-		ch <- j
+	if !j.done() {
+		panic("core: Subscribe on a released, waited-on or already subscribed job")
 	}
+	ch <- j
 }
 
 // SetTag attaches an opaque caller value to the job for the rest of its
@@ -271,8 +274,14 @@ func (j *Job) Tag() uint64 { return j.tag.Load() }
 
 // resetForSubmit re-initializes a (possibly recycled) frame for one
 // submission. The frame pool hands frames to one submitter at a time, so
-// no other goroutine can observe the reset.
+// no other goroutine can observe the reset; the generation bump that makes
+// the frame live is its last store. A frame not in phase pooled here was
+// put in the pool twice or used after Release.
 func (j *Job) resetForSubmit(tm *Team, lane int, id int64, fn TaskFunc, class load.Class, tenant load.Tenant) {
+	w := j.word.Load()
+	if w&phaseMask != jobPooled {
+		panic("core: job frame acquired while live")
+	}
 	if j.wake == nil {
 		j.wake = make(chan struct{}, 1)
 	}
@@ -283,19 +292,8 @@ func (j *Job) resetForSubmit(tm *Team, lane int, id int64, fn TaskFunc, class lo
 	j.id = id
 	j.class = class
 	j.tenant = tenant
-	j.state.Store(jobInFlight)
-	j.released.Store(false)
-	j.doneMu.Lock()
-	j.doneCh = nil
-	j.doneMu.Unlock()
-	j.failed.Store(false)
-	j.panicMu.Lock()
-	j.panicVal, j.panicStack = nil, nil
-	j.panicMu.Unlock()
 	j.migrated.Store(false)
 	j.tag.Store(0)
-	j.notified.Store(false)
-	j.notify.Store((chan *Job)(nil))
 	j.home = tm
 	j.lane = lane
 	j.worker.Store(-1)
@@ -305,6 +303,7 @@ func (j *Job) resetForSubmit(tm *Team, lane int, id int64, fn TaskFunc, class lo
 	j.root.reset(fn, nil, 0, 0)
 	j.root.noRecycle = true // the root outlives the region; never task-pool it
 	j.root.job = j
+	j.word.Store(w + 1<<phaseBits + jobInFlight)
 }
 
 // Worker returns the worker that adopted the job's root task, or -1 while
@@ -334,14 +333,11 @@ func (j *Job) RunTime() time.Duration {
 	return time.Duration(j.endNS.Load() - j.startNS.Load())
 }
 
-// recordPanic captures the first panic value and its stack and fails the
-// job, cancelling its remaining task bodies.
+// failed reports whether a task of this job has panicked.
+func (j *Job) failed() bool { return j.fail.Load() != nil }
+
+// recordPanic fails the job with the first panic value and the stack of
+// its recovery point, cancelling the job's remaining task bodies.
 func (j *Job) recordPanic(r any, stack []byte) {
-	j.panicMu.Lock()
-	if j.panicVal == nil {
-		j.panicVal = r
-		j.panicStack = stack
-	}
-	j.panicMu.Unlock()
-	j.failed.Store(true)
+	j.fail.CompareAndSwap(nil, &PanicError{Value: r, Stack: stack})
 }

@@ -620,7 +620,7 @@ func (tm *Team) finishJob(j *Job) {
 		End:      j.endNS.Load(),
 		Class:    int(j.class),
 		Tenant:   j.tenant.ID,
-		Panicked: j.failed.Load(),
+		Panicked: j.failed(),
 		Migrated: j.migrated.Load(),
 	})
 	tm.profile.CountTenantCompleted(j.tenant.ID)
@@ -645,7 +645,7 @@ func (tm *Team) finishJob(j *Job) {
 // failed job are skipped; completion accounting still runs in execute, so
 // the job quiesces and Wait returns.
 func (tm *Team) runJobTask(w *Worker, t *Task, j *Job) {
-	if j.failed.Load() {
+	if j.failed() {
 		w.prof.Inc(prof.CntTasksCancelled)
 		return
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,7 +36,7 @@ func TestSubscribeDeliversEachJobOnce(t *testing.T) {
 				t.Fatalf("tag %d delivered twice", tag)
 			}
 			seen[tag] = true
-			if j.state.Load() != jobDone {
+			if !j.done() {
 				t.Fatal("delivered job not done")
 			}
 			j.Release()
@@ -175,7 +176,7 @@ func TestSubscribeRecycleGenerations(t *testing.T) {
 			j.Subscribe(ch) // races finish: inline or worker-side delivery
 		}()
 		got := <-ch
-		if got.state.Load() != jobDone {
+		if !got.done() {
 			t.Fatalf("round %d: delivered job still in flight", r)
 		}
 		wg.Wait()
@@ -191,7 +192,7 @@ func TestSubscribeRecycleGenerations(t *testing.T) {
 		if err := k.Wait(); err != nil {
 			t.Fatal(err)
 		}
-		if k.state.Load() != jobDone || !ran.Load() {
+		if !k.done() || !ran.Load() {
 			t.Fatalf("round %d: Wait returned on an in-flight job (stale wake token)", r)
 		}
 		select {
@@ -242,7 +243,7 @@ func TestWaitRecycleGenerations(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if br.Job.state.Load() != jobDone || ran[i].Load() != int64(r) {
+				if !br.Job.done() || ran[i].Load() != int64(r) {
 					t.Errorf("round %d item %d: Wait returned on an in-flight job (stale wake token)", r, i)
 					return
 				}
@@ -257,5 +258,46 @@ func TestWaitRecycleGenerations(t *testing.T) {
 	case <-finished:
 	case <-time.After(60 * time.Second):
 		t.Fatal("submit/Wait/Release loop or Close hung: a finish is blocked on a recycled frame's full wake channel")
+	}
+}
+
+// TestPollRecycleGenerations is the same hammer for a party finish cannot
+// see: a poller that never registers (it spins on done/Err only), Releases
+// the instant it observes done and resubmits. finish displaced inFlight, so
+// its Swap must have been its last touch on the frame — under -race any
+// later one collides with recycle's and resetForSubmit's plain writes.
+func TestPollRecycleGenerations(t *testing.T) {
+	tm := admitTeam(t, 2, 64, nil)
+	defer tm.Close()
+	const (
+		rounds = 2000
+		batch  = 16
+	)
+	var ran [batch]atomic.Int64
+	fns := make([]TaskFunc, batch)
+	for i := range fns {
+		fns[i] = func(*Worker) { ran[i].Add(1) }
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for r := 1; r <= rounds; r++ {
+		res, err := tm.SubmitBatch(fns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, br := range res {
+			if br.Err != nil {
+				t.Fatalf("round %d item %d: %v", r, i, br.Err)
+			}
+			for !br.Job.done() {
+				if br.Job.Err() != nil || time.Now().After(deadline) {
+					t.Fatalf("round %d item %d: Err on an in-flight job, or it never finished", r, i)
+				}
+				runtime.Gosched()
+			}
+			if ran[i].Load() != int64(r) {
+				t.Fatalf("round %d item %d: done before its body ran", r, i)
+			}
+			br.Job.Release()
+		}
 	}
 }

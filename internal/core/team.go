@@ -289,18 +289,6 @@ func (tm *Team) acquireJob(id int64, fn TaskFunc, class load.Class, tenant load.
 	return j
 }
 
-// releaseJob returns a job frame to the pool (the tail of Job.Release and
-// of the submit-rollback paths). Reference fields are cleared so a pooled
-// frame pins neither the task body nor a captured panic.
-func (tm *Team) releaseJob(j *Job) {
-	j.root.fn = nil
-	j.root.job = nil
-	j.panicMu.Lock()
-	j.panicVal, j.panicStack = nil, nil
-	j.panicMu.Unlock()
-	tm.jobPool.PutShared(j.lane, j)
-}
-
 // Run opens a parallel region in which worker 0 executes f while all other
 // workers proceed straight to task execution and the team barrier — the
 // OpenMP "parallel + single" idiom every BOTS benchmark uses. Run returns

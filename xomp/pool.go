@@ -14,7 +14,11 @@ import (
 
 // Job is the handle returned by Pool.Submit: Wait blocks until the job's
 // whole task subtree has completed and reports a *PanicError if any of the
-// job's task bodies panicked. See core.Job for the full API (Done, Err,
+// job's task bodies panicked. Completion is one atomic word on the job's
+// frame: register for it with Wait or Done (any number of waiters) or with
+// Subscribe (one receiver, which then owns the handle), never both, and
+// Release the frame only once every Wait has returned and every Done
+// channel has been seen closed. See core.Job for the full API (Err,
 // QueueDelay, RunTime, ...).
 type Job = core.Job
 

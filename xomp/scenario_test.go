@@ -142,9 +142,9 @@ func zipfAttempt(t *testing.T) bool {
 	return res.QuotaMoves > 0
 }
 
-// TestScenarioZipfQuotaMoves attacks the quota-moves/op: 0 result in
-// BENCH_5.json: a zipf-skewed tenant trace pinned to shards must make
-// the elastic controller move worker quota toward the hot shard.
+// TestScenarioZipfQuotaMoves: a zipf-skewed tenant trace pinned to
+// shards must make the elastic controller move worker quota toward the
+// hot shard.
 func TestScenarioZipfQuotaMoves(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays ~150ms traces repeatedly")
