@@ -11,11 +11,13 @@
 // balancing policy, elastic capacity controller, BOTS scale) come from
 // internal/poolflags. -window bounds each connection's
 // admitted-but-unreported jobs (its backpressure knob); -report prints
-// the wire traffic counters and the server-side stage clock at that
-// period. The server runs until SIGINT/SIGTERM, then prints a final
-// traffic and per-shard report, followed — once the pool has closed and
-// the workers' own counters may be read — by the stage clock and the
-// idle-policy counters (polls, parks, bell and sweep wakes).
+// the wire traffic counters, the server-side stage clock and the edge
+// poller's counters at that period. The server runs until
+// SIGINT/SIGTERM, then prints a final traffic and per-shard report,
+// followed — once the pool has closed and the workers' own counters may
+// be read — by the stage clock, the edge poller's counters (polls, hits,
+// kicks, parks, heat) and the idle-policy counters (polls, parks, bell
+// and sweep wakes).
 //
 // Usage:
 //
@@ -82,6 +84,7 @@ func main() {
 			case <-tick.C:
 				printWire(srv)
 				printStages(srv)
+				printEdge(srv)
 			case <-stop:
 				break loop
 			}
@@ -105,6 +108,7 @@ func main() {
 	// New lines go after everything svcbench's regexps read. The idle
 	// counters are per-thread and owner-written, so they wait for Close.
 	printStages(srv)
+	printEdge(srv)
 	printIdle(pool)
 }
 
@@ -128,6 +132,14 @@ func printStages(srv *jobserve.Server) {
 		sep = ","
 	}
 	fmt.Println()
+}
+
+// printEdge renders the edge poller's counters and the heat signal that
+// gates it (all zero where the server has no poller).
+func printEdge(srv *jobserve.Server) {
+	ws := srv.Wire()
+	fmt.Printf("edge: %d polls (%d hits), %d kicks, %d parks, heat %.1f us\n",
+		ws.EdgePolls, ws.EdgePollHits, ws.EdgeKicks, ws.EdgeParks, float64(ws.EdgeHeatNS)/1e3)
 }
 
 // printIdle renders the idle-policy counters summed over every shard's

@@ -42,11 +42,12 @@ func TestSubmitBatchBasic(t *testing.T) {
 	if got := ran.Load(); got != n {
 		t.Fatalf("ran %d of %d bodies", got, n)
 	}
-	// The completing worker retires the job from the active count after
-	// it publishes done, so the last Wait can return a moment earlier.
-	waitFor(t, func() bool { return tm.QueueDepth() == 0 && tm.ActiveJobs() == 0 })
+	waitFor(t, func() bool { return tm.QueueDepth() == 0 })
 	if q := tm.Profile().ClassQueued(int(load.ClassBatch)); q != 0 {
 		t.Fatalf("class gauge %d after drain, want 0", q)
+	}
+	if a := tm.ActiveJobs(); a != 0 {
+		t.Fatalf("ActiveJobs = %d after drain, want 0", a)
 	}
 }
 

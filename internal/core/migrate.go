@@ -82,6 +82,10 @@ func MigrateQueuedJob(src, dst *Team) bool {
 	}
 	dsvc.active++
 	dsvc.mu.Unlock()
+	// Uncount from src now, not after the enqueue below: once the job is
+	// in dst's ring it can complete, and a returned Wait must find it in
+	// neither count (the same rule finishJob keeps).
+	ssvc.jobDone()
 
 	j.migrated.Store(true)
 	// Rebase the submission timestamp onto dst's profile clock (each
@@ -111,12 +115,5 @@ func MigrateQueuedJob(src, dst *Team) bool {
 	// above, now on dst: the job is in dst's active count, so dst's
 	// workers cannot stop before draining it.
 	dsvc.enqueueBlocking(j.class, t)
-
-	ssvc.mu.Lock()
-	ssvc.active--
-	if ssvc.active == 0 {
-		ssvc.cond.Broadcast()
-	}
-	ssvc.mu.Unlock()
 	return true
 }

@@ -629,13 +629,16 @@ func (tm *Team) finishJob(j *Job) {
 	if ob, ok := tm.admit.(load.TenantObserver); ok {
 		ob.ObserveComplete(j.tenant, float64(j.endNS.Load()-j.startNS.Load()))
 	}
+	// Retire before publishing: a waiter that finish releases must already
+	// find the job gone from ActiveJobs. Close joins the workers after the
+	// count reaches zero, so finish still completes before Close returns.
+	if svc := tm.svc.Load(); svc != nil {
+		svc.jobDone()
+	}
 	// finish must be the last access to j on this path: it releases the
 	// waiter, and a released waiter may Release() the frame — from that
 	// point the frame can be recycled and belong to an unrelated job.
 	j.finish()
-	if svc := tm.svc.Load(); svc != nil {
-		svc.jobDone()
-	}
 }
 
 // runJobTask executes a job task's body with per-job panic isolation: a

@@ -29,14 +29,25 @@ func testPool(t *testing.T, admit load.AdmitPolicy, backlog int) *xomp.ShardedPo
 	return pool
 }
 
+// startFunc is jobserve.Serve or its poller-less twin.
+type startFunc func(net.Listener, jobserve.Config) (*jobserve.Server, error)
+
+// readerPaths runs body against both reader paths: with the edge poller
+// (Serve) and without it (ServePlain — which is also all Serve is off
+// Linux).
+func readerPaths(t *testing.T, body func(*testing.T, startFunc)) {
+	t.Run("poller", func(t *testing.T) { body(t, jobserve.Serve) })
+	t.Run("plain", func(t *testing.T) { body(t, jobserve.ServePlain) })
+}
+
 // serve starts a Server for pool on a loopback listener.
-func serve(t *testing.T, pool *xomp.ShardedPool, window int) *jobserve.Server {
+func serve(t *testing.T, start startFunc, pool *xomp.ShardedPool, window int) *jobserve.Server {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := jobserve.Serve(ln, jobserve.Config{Pool: pool, Window: window})
+	srv, err := start(ln, jobserve.Config{Pool: pool, Window: window})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +92,9 @@ func admitTotals(pool *xomp.ShardedPool) (class [load.NumClasses]uint64, tenant 
 // concurrent connections must leave exactly the per-class and per-tenant
 // admission accounting that direct SubmitBatchCtx calls leave on an
 // identical pool.
-func TestServeAccountingMatchesLocal(t *testing.T) {
+func TestServeAccountingMatchesLocal(t *testing.T) { readerPaths(t, testServeAccountingMatchesLocal) }
+
+func testServeAccountingMatchesLocal(t *testing.T, start startFunc) {
 	const (
 		total   = 400
 		conns   = 4
@@ -93,7 +106,7 @@ func TestServeAccountingMatchesLocal(t *testing.T) {
 	// Wire half: four concurrent client connections, each submitting its
 	// quarter in frames of `batch` records and draining all results.
 	wirePool := testPool(t, nil, 256)
-	srv := serve(t, wirePool, 64)
+	srv := serve(t, start, wirePool, 64)
 	var wg sync.WaitGroup
 	okCount := make([]int, conns)
 	for ci := 0; ci < conns; ci++ {
@@ -227,9 +240,11 @@ func TestServeAccountingMatchesLocal(t *testing.T) {
 // TestServeRefusalStatuses: admission refusals must come back as typed
 // per-job statuses, and the client-side status tally must equal the
 // pool's own admission counters record-for-record.
-func TestServeRefusalStatuses(t *testing.T) {
+func TestServeRefusalStatuses(t *testing.T) { readerPaths(t, testServeRefusalStatuses) }
+
+func testServeRefusalStatuses(t *testing.T, start startFunc) {
 	pool := testPool(t, load.RejectWhenFull{}, 8)
-	srv := serve(t, pool, 0)
+	srv := serve(t, start, pool, 0)
 	defer srv.Close()
 	cl, err := jobserve.Dial(srv.Addr().String(), nil)
 	if err != nil {
@@ -295,9 +310,11 @@ func TestServeRefusalStatuses(t *testing.T) {
 // TestServeClientVanishesMidStream: a client that dies with results in
 // flight must not wedge the server — its connection context cancels,
 // the goroutine pair drains, and the server serves the next client.
-func TestServeClientVanishesMidStream(t *testing.T) {
+func TestServeClientVanishesMidStream(t *testing.T) { readerPaths(t, testServeClientVanishesMidStream) }
+
+func testServeClientVanishesMidStream(t *testing.T, start startFunc) {
 	pool := testPool(t, nil, 256)
-	srv := serve(t, pool, 32)
+	srv := serve(t, start, pool, 32)
 	defer srv.Close()
 
 	cl, err := jobserve.Dial(srv.Addr().String(), nil)
@@ -356,9 +373,11 @@ func TestServeClientVanishesMidStream(t *testing.T) {
 // TestServerCloseWithInflightConns: Close while connections hold jobs in
 // flight must sever them, drain both goroutine halves, and return — the
 // pool (still open) finishes the work on its own time.
-func TestServerCloseWithInflightConns(t *testing.T) {
+func TestServerCloseWithInflightConns(t *testing.T) { readerPaths(t, testServerCloseWithInflightConns) }
+
+func testServerCloseWithInflightConns(t *testing.T, start startFunc) {
 	pool := testPool(t, nil, 256)
-	srv := serve(t, pool, 64)
+	srv := serve(t, start, pool, 64)
 	const conns = 3
 	clients := make([]*jobserve.Client, conns)
 	for i := range clients {

@@ -1,0 +1,143 @@
+package jobserve
+
+import (
+	"errors"
+	"net"
+	"os"
+	"runtime"
+	"sync/atomic"
+	"syscall"
+	"time"
+
+	"repro/internal/prof"
+)
+
+// The edge polls itself. A reader that parks in Go's netpoller is woken
+// only when a P runs dry, so beside yield-spinning workers a frame that
+// is already in the socket waits out their whole spin. While the edge is
+// hot the reader therefore goes looking for its next frame: a
+// non-blocking read of its own socket, then one sweep of the server's
+// epoll set on behalf of every reader that did park, then a yield — for
+// at most pollWindow after its last frame, and then the blocking read it
+// always did. The poller only ever wakes earlier what netpoll would wake
+// later; nothing depends on it for correctness.
+
+// pollWindow is the edge poller's one constant: a reader polls for at
+// most this long after a frame, and only while the server-wide EWMA of
+// frame inter-arrival time (prof.Wire.FrameGap) is below it — a reader
+// polls when the next frame is likelier than not to land inside the
+// window. Sized by sweep (CHANGES.md, PR 18).
+const pollWindow = 200 * time.Microsecond
+
+// kickTime is the read deadline a kick sets: any instant in the past.
+var kickTime = time.Unix(1, 0)
+
+// errEdgeEmpty is readNonblock's "nothing in the socket yet".
+var errEdgeEmpty = errors.New("jobserve: socket empty")
+
+// edgeConn is the read side of one connection registered with the
+// poller: the io.Reader under the reader's wire.Decoder. Everything but
+// parked is the reader goroutine's own.
+type edgeConn struct {
+	c    net.Conn
+	rc   syscall.RawConn
+	p    *poller
+	wire *prof.Wire
+	id   uint64 // the poller's key for this connection, never reused
+
+	// parked is true while the reader is inside the blocking read: the
+	// only state in which a sweep that finds this connection ready has
+	// anybody to wake.
+	parked atomic.Bool
+
+	// pollUntil is the end of the current poll window (zero: park at
+	// once). frame opens it; Read closes it when it runs out.
+	pollUntil time.Time
+	// idleDeadline is the connection's real read deadline. Nothing sets
+	// one yet (ROADMAP 3b); a cleared kick restores it.
+	idleDeadline time.Time
+
+	// readNonblock's hand-off to its RawConn.Read callback, kept here so
+	// a poll allocates nothing.
+	rawFn  func(fd uintptr) bool
+	rawBuf []byte
+	rawN   int
+	rawErr error
+}
+
+// frame tells the connection its reader has just decoded a frame at now
+// (nowNS on the server's stage clock): it feeds the heat signal and, on
+// a hot edge, opens the poll window for the reads that follow. A nil
+// connection (no poller) ignores it.
+func (e *edgeConn) frame(now time.Time, nowNS int64) {
+	if e == nil {
+		return
+	}
+	e.pollUntil = time.Time{}
+	if e.wire.FrameGap(nowNS) < int64(pollWindow) {
+		e.pollUntil = now.Add(pollWindow)
+	}
+}
+
+// Read is the reader's one loop: poll while the window is open, then
+// block exactly as a plain net.Conn read does.
+func (e *edgeConn) Read(b []byte) (int, error) {
+	polls := 0
+	for !e.pollUntil.IsZero() {
+		n, err := e.readNonblock(b)
+		if err != errEdgeEmpty {
+			if e.clearKick(err) {
+				continue
+			}
+			e.wire.EdgeSpell(polls, n > 0)
+			return n, err
+		}
+		if time.Now().After(e.pollUntil) {
+			e.pollUntil = time.Time{}
+			break
+		}
+		polls++
+		e.p.sweep(e)
+		runtime.Gosched()
+	}
+	e.wire.EdgeSpell(polls, false)
+	for {
+		e.wire.EdgePark()
+		e.parked.Store(true)
+		n, err := e.c.Read(b)
+		e.parked.Store(false)
+		if e.clearKick(err) {
+			continue
+		}
+		return n, err
+	}
+}
+
+// setReadDeadline is the only writer of the connection's read deadline:
+// a kick expires it, anything else restores the real one.
+func (e *edgeConn) setReadDeadline(kick bool) {
+	t := kickTime
+	if !kick {
+		t = e.idleDeadline // the reader's own field: only it restores
+	}
+	// The one failure is a connection already closed, which the reader
+	// learns from its next read.
+	_ = e.c.SetReadDeadline(t)
+}
+
+// clearKick reports whether err is a kick's expired deadline rather than
+// a real one, and if so restores the real deadline: the caller re-reads.
+// A kick can land on a reader that was never parked, or after the kick
+// before it was cleared; either way the next read fails fast, lands here
+// and retries, so a kick costs a reader at most one failed read and
+// never reaches readSubmits.
+func (e *edgeConn) clearKick(err error) bool {
+	if err == nil || !errors.Is(err, os.ErrDeadlineExceeded) {
+		return false
+	}
+	if !e.idleDeadline.IsZero() && !time.Now().Before(e.idleDeadline) {
+		return false // the real deadline has passed as well
+	}
+	e.setReadDeadline(false)
+	return true
+}

@@ -5,7 +5,9 @@
 // coalesced writes, plus the matching client. Each connection runs one
 // reader/writer goroutine pair; completed jobs hop from the completing
 // worker to the writer through Job.Subscribe, so no goroutine ever
-// blocks per job. Typed admission errors travel as wire status codes,
+// blocks per job, and while frames arrive faster than pollWindow apart
+// the reader polls for the next one instead of parking (edge.go: "the
+// edge polls itself"). Typed admission errors travel as wire status codes,
 // buffers recycle through internal/alloc, and per-connection traffic
 // lands on prof.Wire — the whole edge holds the fast path's
 // zero-allocation line for synthetic (spin) jobs.
@@ -15,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -56,6 +59,7 @@ type Server struct {
 	ln     net.Listener
 	bufs   *alloc.BufPool
 	wire   prof.Wire
+	poller *poller   // the edge poller (edge.go); nil = every reader just blocks
 	epoch  time.Time // base of the stage clock's stamps
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -68,7 +72,11 @@ type Server struct {
 
 // Serve starts serving connections from ln until Close. The returned
 // Server owns ln.
-func Serve(ln net.Listener, cfg Config) (*Server, error) {
+func Serve(ln net.Listener, cfg Config) (*Server, error) { return serve(ln, cfg, true) }
+
+// serve is Serve with the edge poller optional, so the tests can run
+// both reader paths on one host.
+func serve(ln net.Listener, cfg Config, poll bool) (*Server, error) {
 	if cfg.Pool == nil {
 		return nil, errors.New("jobserve: Config.Pool is required")
 	}
@@ -84,6 +92,9 @@ func Serve(ln net.Listener, cfg Config) (*Server, error) {
 		bufs:  alloc.NewBufPool(),
 		epoch: time.Now(),
 		conns: make(map[net.Conn]struct{}),
+	}
+	if poll {
+		s.poller = newPoller()
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.wg.Add(1)
@@ -122,6 +133,7 @@ func (s *Server) Close() error {
 		c.Close()
 	}
 	s.wg.Wait()
+	s.poller.close()
 	return err
 }
 
@@ -162,10 +174,12 @@ func (s *Server) handle(c net.Conn) {
 	defer s.wg.Done()
 	s.wire.ConnOpened()
 	defer s.wire.ConnClosed()
+	ec := s.poller.open(c, &s.wire)
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, c)
 		s.mu.Unlock()
+		ec.close() // leave the epoll set while the descriptor is still ours
 		c.Close()
 	}()
 	ctx, cancel := context.WithCancel(s.ctx)
@@ -191,17 +205,22 @@ func (s *Server) handle(c net.Conn) {
 		defer writerWG.Done()
 		s.writeResults(ctx, cancel, c, done, refusals, slots, &admitted)
 	}()
-	s.readSubmits(ctx, cancel, c, done, refusals, slots, &admitted)
+	s.readSubmits(ctx, cancel, c, ec, done, refusals, slots, &admitted)
 	writerWG.Wait()
 }
 
 // readSubmits is the reader half: decode one submit frame, admit it as
 // one batch, subscribe the admitted jobs to the writer's channel, and
 // forward immediate refusals. Sequence numbers are implicit per
-// connection, assigned in decode order.
-func (s *Server) readSubmits(ctx context.Context, cancel context.CancelFunc, c net.Conn, done chan *xomp.Job, refusals chan []wire.ResultRecord, slots chan struct{}, admitted *atomic.Int64) {
+// connection, assigned in decode order. ec is the connection's polling
+// read side, nil when it has none: the reader then decodes from c itself.
+func (s *Server) readSubmits(ctx context.Context, cancel context.CancelFunc, c net.Conn, ec *edgeConn, done chan *xomp.Job, refusals chan []wire.ResultRecord, slots chan struct{}, admitted *atomic.Int64) {
 	defer cancel() // reader gone → writer must not wait forever
-	dec := wire.NewDecoder(c, s.bufs)
+	var src io.Reader = c
+	if ec != nil {
+		src = ec
+	}
+	dec := wire.NewDecoder(src, s.bufs)
 	defer dec.Close()
 	var (
 		seq   uint64
@@ -222,6 +241,7 @@ func (s *Server) readSubmits(ctx context.Context, cancel context.CancelFunc, c n
 		// relative on the wire and rebased onto the server clock here;
 		// the same reading starts the frame's stage clock.
 		now := time.Now()
+		ec.frame(now, int64(now.Sub(s.epoch)))
 		items = items[:0]
 		for i := range recs {
 			r := &recs[i]

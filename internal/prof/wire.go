@@ -30,6 +30,16 @@ type Wire struct {
 	resultsOut  atomic.Uint64
 	refused     atomic.Uint64
 
+	// The edge poller's counters (see jobserve's "the edge polls itself")
+	// and the one signal that gates it. Readers publish them per poll
+	// spell or per frame, never per poll.
+	edgePolls    atomic.Uint64
+	edgePollHits atomic.Uint64
+	edgeKicks    atomic.Uint64
+	edgeParks    atomic.Uint64
+	lastFrameNS  atomic.Int64 // clock reading of the latest FrameGap call
+	edgeHeatNS   atomic.Int64 // EWMA of the gaps between those readings
+
 	// stageMu guards stages: stats.Histogram is single-writer and every
 	// connection's reader and writer record into the same three.
 	stageMu sync.Mutex
@@ -89,6 +99,20 @@ type WireSnapshot struct {
 	JobsIn     uint64
 	ResultsOut uint64
 	Refused    uint64
+	// EdgePolls counts the polling readers' empty polls (a non-blocking
+	// read of their own socket that found nothing, followed by one sweep
+	// of the server's epoll set); EdgePollHits the poll spells that ended
+	// with the reader's own bytes arriving — a netpoll park avoided;
+	// EdgeKicks the parked readers a sweep woke; EdgeParks the blocking
+	// reads issued (every read of a cold edge, and a hot one's fallback
+	// once its poll window closed). All zero on a server with no poller.
+	EdgePolls    uint64
+	EdgePollHits uint64
+	EdgeKicks    uint64
+	EdgeParks    uint64
+	// EdgeHeatNS is the server-wide EWMA of submit-frame inter-arrival
+	// time, the signal the poller is gated on.
+	EdgeHeatNS int64
 }
 
 // ConnOpened records one accepted connection.
@@ -119,18 +143,58 @@ func (w *Wire) ResultOut(n, refused int) {
 	}
 }
 
+// FrameGap feeds the edge's heat signal one frame arrival at clock
+// reading nowNS and returns the updated EWMA (α = ¼) of the gaps between
+// arrivals; the first gap is measured from the clock's base. Concurrent
+// readers may lose each other's update — the signal is a rate estimate,
+// not a count.
+func (w *Wire) FrameGap(nowNS int64) int64 {
+	gap := nowNS - w.lastFrameNS.Swap(nowNS)
+	if gap < 0 {
+		gap = 0 // two readers' clock reads landed out of order
+	}
+	heat := w.edgeHeatNS.Load()
+	heat += (gap - heat) / 4
+	w.edgeHeatNS.Store(heat)
+	return heat
+}
+
+// EdgeSpell records one finished poll spell: polls empty polls, ending
+// with the reader's own bytes (hit) or not. A read that found its bytes
+// at once polled nothing and records nothing.
+func (w *Wire) EdgeSpell(polls int, hit bool) {
+	if polls == 0 {
+		return
+	}
+	w.edgePolls.Add(uint64(polls))
+	if hit {
+		w.edgePollHits.Add(1)
+	}
+}
+
+// EdgeKick records n parked readers woken by one sweep.
+func (w *Wire) EdgeKick(n int) { w.edgeKicks.Add(uint64(n)) }
+
+// EdgePark records one blocking read issued.
+func (w *Wire) EdgePark() { w.edgeParks.Add(1) }
+
 // Snapshot reads every counter.
 func (w *Wire) Snapshot() WireSnapshot {
 	return WireSnapshot{
-		ConnsOpened: w.connsOpened.Load(),
-		ConnsClosed: w.connsClosed.Load(),
-		FramesIn:    w.framesIn.Load(),
-		FramesOut:   w.framesOut.Load(),
-		BytesIn:     w.bytesIn.Load(),
-		BytesOut:    w.bytesOut.Load(),
-		JobsIn:      w.jobsIn.Load(),
-		ResultsOut:  w.resultsOut.Load(),
-		Refused:     w.refused.Load(),
+		ConnsOpened:  w.connsOpened.Load(),
+		ConnsClosed:  w.connsClosed.Load(),
+		FramesIn:     w.framesIn.Load(),
+		FramesOut:    w.framesOut.Load(),
+		BytesIn:      w.bytesIn.Load(),
+		BytesOut:     w.bytesOut.Load(),
+		JobsIn:       w.jobsIn.Load(),
+		ResultsOut:   w.resultsOut.Load(),
+		Refused:      w.refused.Load(),
+		EdgePolls:    w.edgePolls.Load(),
+		EdgePollHits: w.edgePollHits.Load(),
+		EdgeKicks:    w.edgeKicks.Load(),
+		EdgeParks:    w.edgeParks.Load(),
+		EdgeHeatNS:   w.edgeHeatNS.Load(),
 	}
 }
 
