@@ -15,7 +15,11 @@ import (
 // to remove). The invariant: in the hot packages, an atomic field of a
 // flagged struct must not share a 64-byte line with any other field —
 // the intake.Ring cursor idiom (a blank [N]uint64 pad before and after)
-// or the prof.paddedGauge idiom (gauge alone on its line).
+// or the prof.paddedGauge idiom (gauge alone on its line). A field whose
+// type is one of prof's padded cells (PaddedCells) is as hot as the
+// atomic inside it: a struct that embeds one next to colder state
+// (prof.admitSlot) is checked the same way, so the cell's line stays its
+// own when the struct is laid out in an array.
 //
 // Two escape hatches keep the rule honest rather than noisy:
 //
@@ -29,10 +33,11 @@ import (
 //   - //repolint:ok falseshare suppresses with justification.
 //
 // Checked structs are the named hot set (Ring, Gate, Bell, Cell,
-// paddedGauge) plus any struct in a hot package that already uses the
-// padding idiom (a blank pad of at least 48 bytes next to an atomic
-// field): partial padding — head padded, tail forgotten — is precisely
-// the regression this analyzer exists to catch.
+// paddedGauge, paddedFloat, admitSlot, Profile) plus any struct in a
+// hot package that already uses the padding idiom (a blank pad of at
+// least 48 bytes next to an atomic field): partial padding — head
+// padded, tail forgotten — is precisely the regression this analyzer
+// exists to catch.
 var FalseShare = &Analyzer{
 	Name: "falseshare",
 	Doc:  "hot atomic fields must be cache-line padded (intake, load, prof)",
@@ -50,7 +55,14 @@ var FalseShareTypes = map[string]bool{
 	"Bell":        true,
 	"Cell":        true,
 	"paddedGauge": true,
+	"paddedFloat": true,
+	"admitSlot":   true,
+	"Profile":     true,
 }
+
+// PaddedCells are the hot packages' own one-line cell types; a field of
+// one of them counts as a hot atomic field of the struct that holds it.
+var PaddedCells = map[string]bool{"paddedGauge": true, "paddedFloat": true}
 
 // minIdiomPad is the smallest blank pad that marks a struct as opting
 // into the padding idiom (CacheLine minus the largest atomic, so both
@@ -127,7 +139,7 @@ func checkFalseShareStruct(pass *Pass, ts *ast.TypeSpec, st *ast.StructType) {
 			if f.size >= minIdiomPad {
 				hasIdiomPad = true
 			}
-		case isAtomicType(f.v.Type()):
+		case isHotField(pass, f.v.Type()):
 			hasAtomic = true
 		default:
 			allAtomic = false
@@ -155,7 +167,7 @@ func checkFalseShareStruct(pass *Pass, ts *ast.TypeSpec, st *ast.StructType) {
 	// Pairwise: every atomic field must have its 64-byte line(s) to
 	// itself.
 	for i, f := range layout {
-		if isBlank(f.v) || !isAtomicType(f.v.Type()) || f.size == 0 {
+		if isBlank(f.v) || !isHotField(pass, f.v.Type()) || f.size == 0 {
 			continue
 		}
 		for j, g := range layout {
@@ -177,6 +189,16 @@ func checkFalseShareStruct(pass *Pass, ts *ast.TypeSpec, st *ast.StructType) {
 			"%s contains hot atomic fields and is used as an array/slice element but its size %d B is not a multiple of the %d B cache line",
 			ts.Name.Name, total, CacheLine)
 	}
+}
+
+// isHotField reports whether t is a sync/atomic value or one of this
+// package's padded cells.
+func isHotField(pass *Pass, t types.Type) bool {
+	if isAtomicType(t) {
+		return true
+	}
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Pkg() == pass.Pkg && PaddedCells[n.Obj().Name()]
 }
 
 // linesOverlap reports whether two fields can occupy the same 64-byte

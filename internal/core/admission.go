@@ -10,11 +10,6 @@ import (
 	"repro/internal/prof"
 )
 
-// The profile's per-class admission state is sized by its own constant so
-// prof stays a leaf package; this assignment fails to compile if the two
-// class counts ever drift apart.
-var _ [prof.AdmitClasses]struct{} = [load.NumClasses]struct{}{}
-
 var (
 	// ErrBacklogFull is returned by SubmitCtx when the submission's class
 	// queue is full and the admission policy does not allow waiting.
@@ -177,7 +172,7 @@ const admitStack = 16
 // one. It runs five phases over the batch and pays the admission toll
 // once per batch rather than once per job: one svc.mu section reserves
 // the whole batch's active count and id range, the gauges move once per
-// batch (per class and per tenant run), each class group enters its
+// run of same-class, same-tenant items, each class group enters its
 // intake ring with a single reserving CAS, and the bell rings once. The
 // admission *contract* stays per job: every item carries its own class,
 // deadline, and tenant, the policy rules on each item (against one
@@ -225,7 +220,7 @@ func (tm *Team) admitBatch(ctx context.Context, svc *service, items []BatchItem,
 			continue
 		}
 		if ctxErr != nil {
-			tm.admitFailed(int(class), it.Opts.Tenant, prof.AdmitCancelled)
+			tm.profile.Refused(class, it.Opts.Tenant, prof.AdmitCancelled, false)
 			res[i].Err = ctxErr
 			continue
 		}
@@ -233,7 +228,7 @@ func (tm *Team) admitBatch(ctx context.Context, svc *service, items []BatchItem,
 		if !it.Opts.Deadline.IsZero() {
 			remaining = time.Until(it.Opts.Deadline)
 			if remaining <= 0 {
-				tm.admitFailed(int(class), it.Opts.Tenant, prof.AdmitExpired)
+				tm.profile.Refused(class, it.Opts.Tenant, prof.AdmitExpired, false)
 				res[i].Err = ErrDeadlineExceeded
 				continue
 			}
@@ -294,17 +289,17 @@ func (tm *Team) admitBatch(ctx context.Context, svc *service, items []BatchItem,
 	if shed > 0 {
 		for i := range items {
 			if res[i].Err == ErrShed {
-				tm.admitFailed(int(items[i].Opts.Priority), items[i].Opts.Tenant, prof.AdmitShed)
+				tm.profile.Refused(items[i].Opts.Priority, items[i].Opts.Tenant, prof.AdmitShed, false)
 			}
 		}
 	}
 
-	// Phase 3: draw the frames and raise the gauges, grouped — one add on
-	// the total queue depth, one per class with traffic, one per
-	// consecutive same-tenant run. The gauges rise before the enqueue so a
-	// blocked submitter still counts as demand against this team (the
-	// signal a sharded dispatcher compares); adoption, migration, and
-	// rollbackSubmit decrement them.
+	// Phase 3: draw the frames and raise the gauges, grouped — one Queued
+	// event per run of consecutive same-class, same-tenant items (one for
+	// the whole batch when it is uniform). The gauges rise before the
+	// enqueue so a blocked submitter still counts as demand against this
+	// team (the signal a sharded dispatcher compares); adoption, migration,
+	// and rollbackSubmit decrement them.
 	admitStart := tm.profile.Now()
 	var classTotal [load.NumClasses]int
 	for i := range items {
@@ -317,15 +312,8 @@ func (tm *Team) admitBatch(ctx context.Context, svc *service, items []BatchItem,
 		res[i].Job = j
 		classTotal[j.class]++
 	}
-	tm.profile.AddQueueDepth(int64(admissible))
-	for c, n := range classTotal {
-		if n > 0 {
-			tm.profile.AddClassQueued(c, int64(n))
-		}
-	}
-	forEachTenantRun(res, classTotal, func(t load.Tenant, n int) {
-		tm.profile.AddTenantQueued(t.ID, int64(n))
-		tm.profile.ObserveTenantWeight(t.ID, t.Weight)
+	forEachRun(res, classTotal, func(c load.Class, t load.Tenant, n int) {
+		tm.profile.Queued(c, t, int64(n))
 	})
 
 	// Phase 4: each class group enters its ring with one reserving CAS;
@@ -349,15 +337,8 @@ func (tm *Team) admitBatch(ctx context.Context, svc *service, items []BatchItem,
 	}
 	svc.bell.RingMany(total)
 	lat := tm.profile.Now() - admitStart
-	for c, n := range enq {
-		if n > 0 {
-			tm.profile.CountAdmitN(c, prof.AdmitAdmitted, n)
-			tm.profile.RecordAdmitLatency(c, lat)
-		}
-	}
-	forEachTenantRun(res, enq, func(t load.Tenant, n int) {
-		tm.profile.CountTenantAdmitN(t.ID, prof.AdmitAdmitted, n)
-		tm.profile.RecordTenantAdmitLatency(t.ID, lat)
+	forEachRun(res, enq, func(c load.Class, t load.Tenant, n int) {
+		tm.profile.Admitted(c, t, n, lat)
 	})
 	if total == admissible {
 		return
@@ -418,11 +399,7 @@ func (tm *Team) blockEnqueue(ctx context.Context, svc *service, j *Job, deadline
 		// the space or the wake closes exactly this channel.
 		ch := g.Chan()
 		if svc.enqueue(j.class, &j.root) {
-			class, lat := int(j.class), tm.profile.Now()-admitStart
-			tm.profile.CountAdmit(class, prof.AdmitAdmitted)
-			tm.profile.RecordAdmitLatency(class, lat)
-			tm.profile.CountTenantAdmit(j.tenant.ID, prof.AdmitAdmitted)
-			tm.profile.RecordTenantAdmitLatency(j.tenant.ID, lat)
+			tm.profile.Admitted(j.class, j.tenant, 1, tm.profile.Now()-admitStart)
 			return nil
 		}
 		select {
@@ -437,16 +414,19 @@ func (tm *Team) blockEnqueue(ctx context.Context, svc *service, j *Job, deadline
 	}
 }
 
-// forEachTenantRun calls fn once per run of consecutive same-tenant
+// forEachRun calls fn once per run of consecutive same-class, same-tenant
 // items, with the run's length, over the items that hold a job frame and
 // are among the first limit[c] such items of their class c (in batch
 // order) — every framed item when limit is the per-class frame count,
 // the ones that entered the ring when it is phase 4's enqueue count.
-// Callers batching per tenant get O(1) tenant traffic; mixed batches
-// degrade to per-item.
-func forEachTenantRun(res []BatchResult, limit [load.NumClasses]int, fn func(t load.Tenant, n int)) {
+// Callers batching per class and tenant get O(1) profile traffic; mixed
+// batches degrade to per-item.
+func forEachRun(res []BatchResult, limit [load.NumClasses]int, fn func(c load.Class, t load.Tenant, n int)) {
 	var seen [load.NumClasses]int
-	var run load.Tenant
+	var (
+		class load.Class
+		run   load.Tenant
+	)
 	runN := 0
 	for i := range res {
 		j := res[i].Job
@@ -457,26 +437,18 @@ func forEachTenantRun(res []BatchResult, limit [load.NumClasses]int, fn func(t l
 		if seen[j.class] > limit[j.class] {
 			continue
 		}
-		if runN > 0 && j.tenant.ID != run.ID {
-			fn(run, runN)
+		if runN > 0 && (j.class != class || j.tenant.ID != run.ID) {
+			fn(class, run, runN)
 			runN = 0
 		}
 		if runN == 0 {
-			run = j.tenant
+			class, run = j.class, j.tenant
 		}
 		runN++
 	}
 	if runN > 0 {
-		fn(run, runN)
+		fn(class, run, runN)
 	}
-}
-
-// admitFailed records a submission that did not enter a ring (shed,
-// expired, cancelled, or rejected).
-func (tm *Team) admitFailed(class int, t load.Tenant, o prof.AdmitOutcome) {
-	tm.profile.CountAdmit(class, o)
-	tm.profile.CountTenantAdmit(t.ID, o)
-	tm.profile.RecordAdmitEvent(prof.AdmitEvent{At: tm.profile.Now(), Class: class, Outcome: o})
 }
 
 // rollbackSubmit undoes the admission accounting of a job whose enqueue
@@ -487,11 +459,8 @@ func (tm *Team) admitFailed(class int, t load.Tenant, o prof.AdmitOutcome) {
 // last active job and a Close is waiting for quiescence, the broadcast
 // releases it.
 func (tm *Team) rollbackSubmit(svc *service, j *Job, o prof.AdmitOutcome) {
-	tm.profile.AddQueueDepth(-1)
-	tm.profile.AddClassQueued(int(j.class), -1)
-	tm.profile.AddTenantQueued(j.tenant.ID, -1)
+	tm.profile.Refused(j.class, j.tenant, o, true)
 	svc.jobDone()
-	tm.admitFailed(int(j.class), j.tenant, o)
 	// A tenant-tracking policy granted this submission at Admit time;
 	// tell it the work left without running (serviceNS 0).
 	if ob, ok := tm.admit.(load.TenantObserver); ok {

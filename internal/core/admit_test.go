@@ -479,18 +479,6 @@ func TestMigratePreservesClass(t *testing.T) {
 	}
 }
 
-// prof's class-name table must stay aligned with load.Class by value,
-// not just by count (the compile-time assert in admission.go only
-// guards the count): a reorder or rename in either package would
-// otherwise silently mislabel every admission report.
-func TestAdmitClassNamesAligned(t *testing.T) {
-	for c := load.Class(0); c < load.NumClasses; c++ {
-		if got := prof.AdmitClassName(int(c)); got != c.String() {
-			t.Fatalf("prof.AdmitClassName(%d) = %q, load says %q", c, got, c.String())
-		}
-	}
-}
-
 // Job IDs and admission accounting stay coherent across classes under
 // concurrent mixed-class load (order is a side effect; this is the
 // everything-still-works smoke for the per-class queue split).
@@ -544,7 +532,7 @@ func TestMixedClassConcurrentSubmitters(t *testing.T) {
 	}
 	for c := 0; c < int(load.NumClasses); c++ {
 		if perClass[c] != submitters*jobsPer/int(load.NumClasses) {
-			t.Fatalf("class %s job records: %v", prof.AdmitClassName(c), perClass)
+			t.Fatalf("class %s job records: %v", load.Class(c), perClass)
 		}
 	}
 }

@@ -60,10 +60,6 @@ func MigrateQueuedJob(src, dst *Team) bool {
 		return false
 	}
 	j := t.job
-	class := int(j.class)
-	src.profile.AddQueueDepth(-1)
-	src.profile.AddClassQueued(class, -1)
-	src.profile.AddTenantQueued(j.tenant.ID, -1)
 
 	// Count the job into dst before uncounting it from src. A dst that
 	// has begun closing is refused: its Close may already be past the
@@ -73,10 +69,9 @@ func MigrateQueuedJob(src, dst *Team) bool {
 		dsvc.mu.Unlock()
 		// Put the job back. The blocking enqueue cannot hang: the job is
 		// still in src's active count, so src's workers keep serving (and
-		// draining this ring) until it is adopted and completed.
-		src.profile.AddQueueDepth(1)
-		src.profile.AddClassQueued(class, 1)
-		src.profile.AddTenantQueued(j.tenant.ID, 1)
+		// draining this ring) until it is adopted and completed. src's
+		// queued gauges never dropped it — between the dequeue and here it
+		// read as a submitter blocked at the edge does.
 		ssvc.enqueueBlocking(j.class, t)
 		return false
 	}
@@ -85,6 +80,7 @@ func MigrateQueuedJob(src, dst *Team) bool {
 	// Uncount from src now, not after the enqueue below: once the job is
 	// in dst's ring it can complete, and a returned Wait must find it in
 	// neither count (the same rule finishJob keeps).
+	src.profile.Migrated(j.class, j.tenant, -1)
 	ssvc.jobDone()
 
 	j.migrated.Store(true)
@@ -93,12 +89,7 @@ func MigrateQueuedJob(src, dst *Team) bool {
 	// and the JobRecord recorded on dst stay on one time base. Sampling
 	// the two clocks back-to-back bounds the rebase error to nanoseconds.
 	j.submitNS.Add(dst.profile.Now() - src.profile.Now())
-	src.profile.IncMigratedOut()
-	dst.profile.IncMigratedIn()
-	dst.profile.AddQueueDepth(1)
-	dst.profile.AddClassQueued(class, 1)
-	dst.profile.AddTenantQueued(j.tenant.ID, 1)
-	dst.profile.ObserveTenantWeight(j.tenant.ID, j.tenant.Weight)
+	dst.profile.Migrated(j.class, j.tenant, 1)
 	// The job leaves src's tenant plane with it: a tenant-tracking
 	// admission policy on src granted this work and would otherwise
 	// count it in flight forever. When both teams share one policy

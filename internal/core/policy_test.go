@@ -277,7 +277,7 @@ func TestAdaptiveBackgroundController(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(30 * time.Second)
-	for tm.profile.PolicySwitchTotal() == 0 {
+	for len(tm.profile.PolicySwitches()) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("background controller never retuned")
 		}

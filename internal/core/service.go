@@ -100,35 +100,14 @@ type service struct {
 	done atomic.Bool
 	wg   sync.WaitGroup
 
-	// parkMu guards parkCh, the broadcast channel parked workers block
-	// on: SetActive and Close close it (and install a fresh one) to wake
-	// every parked worker at once.
-	parkMu sync.Mutex
-	parkCh chan struct{}
+	// parked is the gate parked workers block on: SetActive and Close
+	// wake every one of them at once.
+	parked *intake.Gate
 
 	// ctlStop stops the adaptive policy controller's background loop
 	// (nil when the policy is static or its loop is disabled); the
 	// controller goroutine is counted in wg like the workers.
 	ctlStop chan struct{}
-}
-
-// wakeChan returns the current park-wakeup channel. A parking worker must
-// load it *before* re-checking its park condition so a concurrent wake
-// (which closes exactly this channel) cannot be lost.
-func (svc *service) wakeChan() <-chan struct{} {
-	svc.parkMu.Lock()
-	ch := svc.parkCh
-	svc.parkMu.Unlock()
-	return ch
-}
-
-// wakeParked wakes every parked worker (close broadcasts) and arms a
-// fresh channel for the next park.
-func (svc *service) wakeParked() {
-	svc.parkMu.Lock()
-	close(svc.parkCh)
-	svc.parkCh = make(chan struct{})
-	svc.parkMu.Unlock()
 }
 
 // Serve switches the team into task-service mode: all workers start and
@@ -148,7 +127,7 @@ func (tm *Team) Serve() error {
 		return errors.New("core: team is already serving")
 	}
 	svc := &service{
-		parkCh: make(chan struct{}),
+		parked: intake.NewGate(),
 		bell:   intake.NewBell(tm.n),
 	}
 	for c := range svc.submit {
@@ -223,7 +202,7 @@ func (tm *Team) SetActive(n int) error {
 		return ErrClosed
 	}
 	tm.setActiveLocked(n)
-	svc.wakeParked()
+	svc.parked.Wake()
 	// A worker blocked on the bell that just left the active set must go
 	// park (and stop absorbing rings meant for active workers); it
 	// re-checks the bound after registering, so store-then-ring here
@@ -344,7 +323,7 @@ func (tm *Team) Close() error {
 		return nil // another Close finished the teardown
 	}
 	svc.stop.Store(true)
-	svc.wakeParked()   // parked workers must observe stop and exit
+	svc.parked.Wake()  // parked workers must observe stop and exit
 	svc.bell.RingAll() // idle sleepers too, without waiting out their timers
 	if svc.ctlStop != nil {
 		// The teardown section runs exactly once (the done guard above),
@@ -526,11 +505,13 @@ func (tm *Team) park(svc *service, w *Worker) {
 	tm.drainOnPark(w)
 	timer := time.NewTimer(parkSweep)
 	defer timer.Stop()
+	svc.parked.Add()
+	defer svc.parked.Done()
 	for {
 		// Load the wakeup channel before re-checking the condition: a
 		// concurrent SetActive/Close stores its state first and then
 		// closes exactly this channel, so the wake cannot be lost.
-		ch := svc.wakeChan()
+		ch := svc.parked.Chan()
 		if svc.stop.Load() || int32(w.id) < tm.active.Load() {
 			break
 		}
@@ -594,9 +575,7 @@ func (tm *Team) handOff(w *Worker, t *Task) bool {
 // children are then distributed by the normal static balancer and DLB.
 func (tm *Team) adopt(w *Worker, t *Task) {
 	j := t.job
-	tm.profile.AddQueueDepth(-1)
-	tm.profile.AddClassQueued(int(j.class), -1)
-	tm.profile.AddTenantQueued(j.tenant.ID, -1)
+	tm.profile.Queued(j.class, j.tenant, -1)
 	t.creator = int32(w.id)
 	j.worker.Store(int32(w.id))
 	j.startNS.Store(tm.profile.Now())
@@ -612,7 +591,7 @@ func (tm *Team) adopt(w *Worker, t *Task) {
 // the root task's reference count to zero (see cascade).
 func (tm *Team) finishJob(j *Job) {
 	j.endNS.Store(tm.profile.Now())
-	tm.profile.RecordJob(prof.JobRecord{
+	tm.profile.JobDone(prof.JobRecord{
 		ID:       j.id,
 		Worker:   int(j.worker.Load()),
 		Submit:   j.submitNS.Load(),
@@ -623,7 +602,6 @@ func (tm *Team) finishJob(j *Job) {
 		Panicked: j.failed(),
 		Migrated: j.migrated.Load(),
 	})
-	tm.profile.CountTenantCompleted(j.tenant.ID)
 	// Close the loop to a tenant-tracking admission policy: the measured
 	// run time feeds the tenant's service-time EWMA on the WFQ plane.
 	if ob, ok := tm.admit.(load.TenantObserver); ok {

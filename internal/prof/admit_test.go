@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/load"
 )
 
 // The admission-edge state: class gauges, outcome counters, latency
@@ -11,28 +13,26 @@ import (
 // through a Dump/Load round trip and the Chrome-trace export.
 func TestAdmissionState(t *testing.T) {
 	p := New(2, false)
-	p.AddClassQueued(0, 2)
-	p.AddClassQueued(0, -1)
-	p.AddClassQueued(2, 5)
+	var tn load.Tenant
+	p.Queued(load.ClassBatch, tn, 2)
+	p.Queued(load.ClassBatch, tn, -1)
+	p.Queued(load.ClassBackground, tn, 5)
 	if got := p.ClassQueued(0); got != 1 {
 		t.Fatalf("class 0 gauge %d, want 1", got)
 	}
-	p.CountAdmit(0, AdmitAdmitted)
-	p.CountAdmit(0, AdmitAdmitted)
-	p.CountAdmit(1, AdmitRejected)
-	p.CountAdmit(2, AdmitShed)
+	p.Admitted(load.ClassBatch, tn, 1, 1000)
+	p.Admitted(load.ClassBatch, tn, 1, 3000)
+	p.Refused(load.ClassInteractive, tn, AdmitRejected, false)
+	p.Refused(load.ClassBackground, tn, AdmitShed, false)
 	if got := p.AdmitCount(0, AdmitAdmitted); got != 2 {
 		t.Fatalf("ADMIT count %d, want 2", got)
 	}
-	p.RecordAdmitLatency(0, 1000)
-	p.RecordAdmitLatency(0, 3000)
-	p.RecordAdmitEvent(AdmitEvent{At: 42, Class: 2, Outcome: AdmitShed})
 
-	p.RecordJob(JobRecord{ID: 1, Start: 0, End: 1_000_000, Class: 1})
+	p.JobDone(JobRecord{ID: 1, Start: 0, End: 1_000_000, Class: 1})
 	if got := p.JobTimeNS(); got != 1_000_000 {
 		t.Fatalf("JobTimeNS after first job %v, want 1e6", got)
 	}
-	p.RecordJob(JobRecord{ID: 2, Start: 0, End: 2_000_000, Class: 1})
+	p.JobDone(JobRecord{ID: 2, Start: 0, End: 2_000_000, Class: 1})
 	got := p.JobTimeNS()
 	if got <= 1_000_000 || got >= 2_000_000 {
 		t.Fatalf("JobTimeNS EWMA %v outside (1e6, 2e6)", got)
@@ -48,7 +48,7 @@ func TestAdmissionState(t *testing.T) {
 	if len(snap.AdmitLatencies[0]) != 2 {
 		t.Fatalf("snapshot latencies %v", snap.AdmitLatencies)
 	}
-	if len(snap.AdmitEvents) != 1 || snap.AdmitEvents[0].Outcome != AdmitShed {
+	if len(snap.AdmitEvents) != 2 || snap.AdmitEvents[1].Outcome != AdmitShed || snap.AdmitEvents[1].Class != 2 {
 		t.Fatalf("snapshot admit events %v", snap.AdmitEvents)
 	}
 	if snap.SigJobNS != got {
@@ -98,9 +98,6 @@ func TestAdmissionState(t *testing.T) {
 }
 
 func TestAdmitNames(t *testing.T) {
-	if AdmitClassName(0) != "batch" || AdmitClassName(7) != "class(7)" {
-		t.Fatal("class names")
-	}
 	if AdmitShed.String() != "SHED" || AdmitOutcome(99).String() == "" {
 		t.Fatal("outcome names")
 	}
@@ -110,7 +107,7 @@ func TestAdmitNames(t *testing.T) {
 func TestAdmitLatencyRingBounded(t *testing.T) {
 	p := New(1, false)
 	for i := 0; i < MaxAdmitLatencies+100; i++ {
-		p.RecordAdmitLatency(1, int64(i))
+		p.Admitted(load.ClassInteractive, load.Tenant{}, 1, int64(i))
 	}
 	lat := p.AdmitLatencies(1)
 	if len(lat) != MaxAdmitLatencies {

@@ -7,7 +7,7 @@ func TestJobRecordBasics(t *testing.T) {
 	if p.Now() < 0 {
 		t.Fatal("Now went backwards")
 	}
-	p.RecordJob(JobRecord{ID: 1, Worker: 0, Submit: 10, Start: 30, End: 90})
+	p.JobDone(JobRecord{ID: 1, Worker: 0, Submit: 10, Start: 30, End: 90})
 	jobs := p.Jobs()
 	if len(jobs) != 1 || p.JobsTotal() != 1 {
 		t.Fatalf("jobs=%d total=%d", len(jobs), p.JobsTotal())
@@ -30,7 +30,7 @@ func TestJobRecordRingEviction(t *testing.T) {
 	p := New(1, false)
 	const extra = 100
 	for i := 0; i < MaxJobRecords+extra; i++ {
-		p.RecordJob(JobRecord{ID: int64(i)})
+		p.JobDone(JobRecord{ID: int64(i)})
 	}
 	jobs := p.Jobs()
 	if len(jobs) != MaxJobRecords {

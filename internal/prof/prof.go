@@ -1,15 +1,27 @@
-// Package prof implements the per-thread software profiling tools from
-// Section V of the paper: a timeline of runtime events (TASK, GOMP_TASK,
-// TASKWAIT, BARRIER, STALL) and a set of per-thread statistical counters
-// (task locality, static pushes, immediate executions, and the dynamic
-// load-balancing request/steal counters).
+// Package prof is the runtime's one metrics surface. Two kinds of state
+// live here.
 //
-// The paper timestamps events with the rdtscp cycle counter; this package
-// uses Go's monotonic clock (time.Since against a per-profile base), which
-// has the same monotonicity contract at nanosecond resolution. Counters are
+// Per-thread state is the software profiling of Section V of the paper: a
+// timeline of runtime events (TASK, GOMP_TASK, TASKWAIT, BARRIER, STALL,
+// plus PARK) and a set of statistical counters (task locality, static
+// pushes, immediate executions, the dynamic load-balancing request/steal
+// counters, and the service mode's adoption and idle-policy counters). The
+// paper timestamps events with the rdtscp cycle counter; this package uses
+// Go's monotonic clock (time.Since against a per-profile base), which has
+// the same monotonicity contract at nanosecond resolution. Counters are
 // thread-local and always on — they are single writer and cost one
 // uncontended add. The event timeline allocates memory per event and is
 // therefore opt-in, exactly like the paper's perf_record instrumentation.
+//
+// Shared state is everything a goroutine other than the owning worker
+// writes — submitters, the migration balancer, the capacity and policy
+// controllers, a server's connection goroutines. It is built from three
+// cells (cells.go: a padded gauge, a counter, a locked bounded Ring) and
+// one admission ledger slot instantiated per priority class and per
+// tenant (admit.go), and the task service moves it through five event
+// calls: Queued, Migrated, Admitted, Refused, JobDone. Wire (wire.go) is
+// the serving edge's set of the same cells. Snapshot/Dump/Load serialize a
+// Profile (the paper's xomp_perflog_dump role).
 package prof
 
 import (
@@ -17,13 +29,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/load"
 	"repro/internal/stats"
 )
 
@@ -191,7 +202,7 @@ type JobRecord struct {
 	Submit int64 `json:"submit"`
 	Start  int64 `json:"start"`
 	End    int64 `json:"end"`
-	// Class is the job's admission priority class (see AdmitClassName).
+	// Class is the job's admission priority class (a load.Class value).
 	Class int `json:"class,omitempty"`
 	// Tenant is the submitting tenant's id (0 for single-tenant callers).
 	Tenant   int  `json:"tenant,omitempty"`
@@ -213,192 +224,6 @@ func (r JobRecord) RunTime() time.Duration { return time.Duration(r.End - r.Star
 // bound.
 const MaxJobRecords = 4096
 
-// ring is the bounded log all of the profile's event-like state shares
-// (job records, policy switches, admission latencies and events): append
-// until the bound, then overwrite the oldest. Not synchronized — each
-// user brings its own lock.
-type ring[T any] struct {
-	bound int
-	buf   []T
-	head  int
-}
-
-func newRing[T any](bound int) ring[T] { return ring[T]{bound: bound} }
-
-// add appends v, evicting the oldest entry once the ring holds bound
-// entries.
-func (r *ring[T]) add(v T) {
-	if len(r.buf) < r.bound {
-		r.buf = append(r.buf, v)
-		return
-	}
-	r.buf[r.head] = v
-	r.head++
-	if r.head == len(r.buf) {
-		r.head = 0
-	}
-}
-
-// snapshot returns a copy of the retained entries in insertion order
-// (oldest first across the ring seam).
-func (r *ring[T]) snapshot() []T {
-	out := make([]T, 0, len(r.buf))
-	out = append(out, r.buf[r.head:]...)
-	out = append(out, r.buf[:r.head]...)
-	return out
-}
-
-// jobAlpha is the smoothing factor of the job run-time EWMA (JobTimeNS),
-// matching the load-signal plane's per-worker smoothing (load.DefaultAlpha;
-// prof cannot reference it without depending on the load package).
-const jobAlpha = 0.3
-
-// AdmitClasses is the number of admission priority classes the profile
-// keeps per-class state for. It must match load.NumClasses (core asserts
-// this at compile time); prof keeps its own constant so the leaf
-// profiling package does not depend on the load package.
-const AdmitClasses = 3
-
-// admitClassNames are the class names, index-aligned with load.Class
-// values (batch is the zero class there).
-var admitClassNames = [AdmitClasses]string{"batch", "interactive", "background"}
-
-// AdmitClassName returns the admission class name for reports ("class(c)"
-// for out-of-range indices).
-func AdmitClassName(c int) string {
-	if c >= 0 && c < AdmitClasses {
-		return admitClassNames[c]
-	}
-	return fmt.Sprintf("class(%d)", c)
-}
-
-// AdmitOutcome classifies how one submission left the admission edge.
-type AdmitOutcome int
-
-const (
-	// AdmitAdmitted: the job entered its class queue.
-	AdmitAdmitted AdmitOutcome = iota
-	// AdmitRejected: the class queue was full under a non-blocking policy
-	// (ErrBacklogFull).
-	AdmitRejected
-	// AdmitShed: the admission policy dropped the job (ErrShed).
-	AdmitShed
-	// AdmitCancelled: the submitter's context cancelled the wait.
-	AdmitCancelled
-	// AdmitExpired: the submission's deadline expired before admission
-	// (ErrDeadlineExceeded), at submit or during the wait.
-	AdmitExpired
-	// NumAdmitOutcomes is the number of admission outcomes.
-	NumAdmitOutcomes
-)
-
-var admitOutcomeNames = [NumAdmitOutcomes]string{"ADMIT", "REJECT", "SHED", "CANCEL", "EXPIRE"}
-
-// String returns the outcome's counter name.
-func (o AdmitOutcome) String() string {
-	if o >= 0 && int(o) < len(admitOutcomeNames) {
-		return admitOutcomeNames[o]
-	}
-	return fmt.Sprintf("OUTCOME(%d)", int(o))
-}
-
-// AdmitEvent records one non-admission at the admission edge (reject,
-// shed, cancel, expire) for the Chrome-trace export: saturation episodes
-// appear as bursts of these instants on the admission row. Admissions are
-// not recorded as events (they are the common case and would swamp the
-// ring); their counts and latencies live in the per-class counters.
-type AdmitEvent struct {
-	At      int64        `json:"at"` // ns since profile base
-	Class   int          `json:"class"`
-	Outcome AdmitOutcome `json:"outcome"`
-}
-
-// MaxAdmitEvents bounds the retained admission-event ring.
-const MaxAdmitEvents = 4096
-
-// MaxAdmitLatencies bounds the per-class admission-latency ring.
-const MaxAdmitLatencies = 4096
-
-// Profile owns one Thread per worker, plus the shared per-job record log.
-type Profile struct {
-	base     time.Time
-	timeline bool
-	threads  []*Thread
-
-	// Job records are appended by whichever worker completes a job; jobs
-	// are coarse-grained, so a mutex (one lock per job, not per task) stays
-	// off the paper's lock-less fast paths. The log is a ring of the most
-	// recent MaxJobRecords completions in completion order. jobNS smooths
-	// the completed jobs' run times (jobAlpha) and is mirrored into
-	// sigJobNS for lock-free readers — the job-granular service-time
-	// signal deadline-aware admission predicts with.
-	jobMu    sync.Mutex
-	jobs     ring[JobRecord]
-	jobTotal uint64
-	jobNS    stats.EWMA
-
-	// Admission-edge state: per-class queue-depth gauges (classQueued[c]
-	// sums to the queueDepth gauge), per-class × per-outcome counters,
-	// and two kinds of bounded ring — admission latencies of admitted
-	// jobs (how long Submit waited before the enqueue) and non-admission
-	// events for the trace export. Writers are submitter goroutines, not
-	// workers, so it is all atomics or mutex-guarded like the job log —
-	// but the latency rings are locked *per class* so the admit fast
-	// path of concurrent submitters in different classes shares no
-	// coordination point, and the event mutex is only taken on the
-	// rejection/shed paths.
-	classQueued [AdmitClasses]paddedGauge
-	admitCounts [AdmitClasses][NumAdmitOutcomes]atomic.Uint64
-	admitLatMu  [AdmitClasses]sync.Mutex
-	admitLat    [AdmitClasses]ring[int64]
-	admitEvMu   sync.Mutex
-	admitEvents ring[AdmitEvent]
-	sigJobNS    atomic.Uint64
-
-	// Per-tenant admission accounting (the multi-tenant fairness level).
-	// Tenant ids are open-ended, so unlike the fixed per-class arrays
-	// this is a bounded map under its own RWMutex; the per-tenant slots
-	// themselves are atomics, so the read lock is the only coordination
-	// on the hot paths. See tenant.go.
-	tenantMu sync.RWMutex
-	tenants  map[int]*tenantProf
-
-	// Shard-level load metrics for two-level balancing. queueDepth is the
-	// NJOBS_QUEUED gauge: jobs submitted to this team's admission queue but
-	// not yet adopted by a worker — the load signal a sharded pool's
-	// dispatcher compares across teams. migratedIn/migratedOut are the
-	// NJOBS_MIGRATED counters: whole queued jobs a second-level balancer
-	// moved into or out of this team. They are Profile-level atomics rather
-	// than per-thread counters because the writers (submitters and the
-	// pool's balancer goroutine) are not team workers.
-	queueDepth  paddedGauge
-	migratedIn  atomic.Uint64
-	migratedOut atomic.Uint64
-
-	// workersActive is the NWORKERS_ACTIVE gauge: how many of the team's
-	// workers are currently in the active set (unparked). It starts at the
-	// worker count and is adjusted by Team.SetActive; an elastic capacity
-	// controller moving quota between shards is visible as steps in this
-	// gauge (and as PARK timeline segments on the parked threads).
-	workersActive atomic.Int64
-
-	// Load-signal gauges: the most recent aggregation of the team's
-	// load-signal plane (internal/load) — EWMA mean task service time in
-	// ns, task completion rate and steal-request rate per second, and the
-	// idle ratio. Written whenever Team.Signals refreshes its aggregate;
-	// float bits in atomics so any goroutine can read them live.
-	sigServiceNS atomic.Uint64
-	sigTaskRate  atomic.Uint64
-	sigStealRate atomic.Uint64
-	sigIdleRatio atomic.Uint64
-
-	// Policy switches: the adaptive controller's retune trace (the
-	// POLICY_SWITCH timeline), a bounded ring like the job record log.
-	polMu       sync.Mutex
-	polSwitches ring[PolicySwitch]
-	polTotal    uint64
-}
-
 // PolicySwitch records one adaptive-policy retune: at time At (ns since
 // the profile base) the controller replaced configuration From with To
 // (human-readable descriptions; To is prefixed with the granularity class
@@ -412,31 +237,86 @@ type PolicySwitch struct {
 // MaxPolicySwitches bounds the retained policy-switch trace.
 const MaxPolicySwitches = 1024
 
+// Profile owns one Thread per worker plus the team's shared state, all of
+// it built from the cells in cells.go so any goroutine may write it and
+// any goroutine may read it live.
+type Profile struct {
+	// The padded cells come first so each starts a cache line of the
+	// allocation (falseshare checks the layout).
+	//
+	// queueDepth is the NJOBS_QUEUED gauge: jobs submitted to this team's
+	// admission queue but not yet adopted by a worker — the load signal a
+	// sharded pool's dispatcher compares across teams on every submit,
+	// which is why it has a line to itself. classes (and tenants, below)
+	// split it by priority class and by tenant (see admit.go).
+	queueDepth paddedGauge
+	classes    [load.NumClasses]admitSlot
+
+	// workersActive is the NWORKERS_ACTIVE gauge: how many of the team's
+	// workers are currently in the active set (unparked). It starts at the
+	// worker count and is adjusted by Team.SetActive; an elastic capacity
+	// controller moving quota between shards is visible as steps in this
+	// gauge (and as PARK timeline segments on the parked threads).
+	workersActive paddedGauge
+
+	// Load-signal gauges: the most recent aggregation of the team's
+	// load-signal plane (internal/load) — EWMA mean task service time in
+	// ns, task completion rate and steal-request rate per second, and the
+	// idle ratio, written whenever Team.Signals refreshes its aggregate —
+	// and sigJobNS, the job-granular service-time signal deadline-aware
+	// admission predicts with: jobNS smooths the completed jobs' run
+	// times under the job log's lock and JobDone mirrors it here.
+	sigServiceNS paddedFloat
+	sigTaskRate  paddedFloat
+	sigStealRate paddedFloat
+	sigIdleRatio paddedFloat
+	sigJobNS     paddedFloat
+	jobNS        stats.EWMA
+
+	base     time.Time
+	timeline bool
+	threads  []*Thread
+
+	tenantMu sync.RWMutex
+	tenants  map[int]*tenantSlot
+	overflow *tenantSlot
+
+	// The event logs: completed jobs in completion order, non-admissions
+	// for the trace export, and the adaptive controller's retune trace
+	// (the POLICY_SWITCH timeline).
+	jobs        Ring[JobRecord]
+	admitEvents Ring[AdmitEvent]
+	polSwitches Ring[PolicySwitch]
+
+	// migratedIn/migratedOut are the NJOBS_MIGRATED counters: whole queued
+	// jobs a second-level balancer moved into or out of this team.
+	migratedIn  counter
+	migratedOut counter
+}
+
 // New returns a Profile for workers threads. When timeline is false the
 // event-recording methods become cheap no-ops and only counters are kept.
 func New(workers int, timeline bool) *Profile {
 	p := &Profile{
 		base:        time.Now(),
 		timeline:    timeline,
-		jobNS:       stats.NewEWMA(jobAlpha),
-		jobs:        newRing[JobRecord](MaxJobRecords),
-		polSwitches: newRing[PolicySwitch](MaxPolicySwitches),
-		admitEvents: newRing[AdmitEvent](MaxAdmitEvents),
-		tenants:     make(map[int]*tenantProf),
+		jobNS:       stats.NewEWMA(load.DefaultAlpha),
+		jobs:        NewRing[JobRecord](MaxJobRecords),
+		polSwitches: NewRing[PolicySwitch](MaxPolicySwitches),
+		admitEvents: NewRing[AdmitEvent](MaxAdmitEvents),
+		tenants:     make(map[int]*tenantSlot),
+		overflow:    newTenantSlot(),
 	}
-	for c := range p.admitLat {
-		p.admitLat[c] = newRing[int64](MaxAdmitLatencies)
+	for c := range p.classes {
+		p.classes[c].lat = NewRing[int64](MaxAdmitLatencies)
 	}
 	p.threads = make([]*Thread, workers)
 	for i := range p.threads {
 		p.threads[i] = &Thread{id: i, timeline: timeline, base: p.base}
 	}
-	p.workersActive.Store(int64(workers))
+	p.workersActive.set(int64(workers))
 	return p
 }
-
-// Timeline reports whether event recording is enabled.
-func (p *Profile) Timeline() bool { return p.timeline }
 
 // Thread returns the profiling state of worker w.
 func (p *Profile) Thread(w int) *Thread { return p.threads[w] }
@@ -448,202 +328,49 @@ func (p *Profile) Workers() int { return len(p.threads) }
 // clock JobRecord timestamps are expressed in.
 func (p *Profile) Now() int64 { return int64(time.Since(p.base)) }
 
-// RecordJob appends one per-job record, evicting the oldest once the ring
-// holds MaxJobRecords. Unlike the thread-local counters it may be called
-// from any goroutine.
-func (p *Profile) RecordJob(r JobRecord) {
-	p.jobMu.Lock()
-	p.jobs.add(r)
-	p.jobTotal++
-	if run := float64(r.End - r.Start); run > 0 {
-		p.sigJobNS.Store(math.Float64bits(p.jobNS.Update(run)))
-	}
-	p.jobMu.Unlock()
-}
-
 // JobTimeNS returns the EWMA-smoothed mean job run time in nanoseconds (0
 // before the first job completes). Safe for any goroutine.
-func (p *Profile) JobTimeNS() float64 {
-	return math.Float64frombits(p.sigJobNS.Load())
-}
+func (p *Profile) JobTimeNS() float64 { return p.sigJobNS.load() }
 
 // Jobs returns a copy of the retained per-job records in completion order
 // (the most recent MaxJobRecords; see JobsTotal for the lifetime count).
-func (p *Profile) Jobs() []JobRecord {
-	p.jobMu.Lock()
-	out := p.jobs.snapshot()
-	p.jobMu.Unlock()
-	return out
-}
+func (p *Profile) Jobs() []JobRecord { return p.jobs.Snapshot() }
 
 // JobsTotal returns how many job completions have been recorded over the
 // profile's lifetime, including records the ring has since evicted.
-func (p *Profile) JobsTotal() uint64 {
-	p.jobMu.Lock()
-	n := p.jobTotal
-	p.jobMu.Unlock()
-	return n
-}
-
-// paddedGauge is an atomic gauge alone on its cache line. The admission
-// gauges are the write-hottest words of the submit fast path, hit by
-// every submitter and every adopting worker; padding keeps a store to
-// one class's gauge (or to the total) from invalidating the line under
-// its neighbours.
-type paddedGauge struct {
-	v atomic.Int64
-	_ [7]uint64
-}
-
-// AddQueueDepth adjusts the NJOBS_QUEUED gauge by d. The task service
-// increments it per submitted job and decrements it when a worker adopts
-// the job (or a balancer migrates it away), so the gauge reads the team's
-// instantaneous admission backlog. Safe for any goroutine.
-func (p *Profile) AddQueueDepth(d int64) { p.queueDepth.v.Add(d) }
-
-// QueueDepth returns the NJOBS_QUEUED gauge: jobs submitted but not yet
-// adopted. It is the per-shard load signal of a two-level balancer.
-func (p *Profile) QueueDepth() int64 { return p.queueDepth.v.Load() }
-
-// AddClassQueued adjusts class c's admission queue-depth gauge by d. The
-// task service keeps it in step with the total NJOBS_QUEUED gauge
-// (classQueued sums to queueDepth), so strict-priority consumers can read
-// the backlog a given class actually experiences. Safe for any goroutine.
-func (p *Profile) AddClassQueued(c int, d int64) { p.classQueued[c].v.Add(d) }
-
-// ClassQueued returns class c's admission queue-depth gauge.
-func (p *Profile) ClassQueued(c int) int64 { return p.classQueued[c].v.Load() }
-
-// CountAdmit counts one admission outcome for class c. Safe for any
-// goroutine.
-func (p *Profile) CountAdmit(c int, o AdmitOutcome) { p.admitCounts[c][o].Add(1) }
-
-// CountAdmitN counts n same-outcome admissions for class c at once — the
-// batch-submission entry, one atomic add for a whole class group.
-func (p *Profile) CountAdmitN(c int, o AdmitOutcome, n int) {
-	if n > 0 {
-		p.admitCounts[c][o].Add(uint64(n))
-	}
-}
-
-// AdmitCount returns the lifetime count of outcome o for class c.
-func (p *Profile) AdmitCount(c int, o AdmitOutcome) uint64 { return p.admitCounts[c][o].Load() }
-
-// AdmitCounts returns the full per-class × per-outcome admission counter
-// matrix.
-func (p *Profile) AdmitCounts() [AdmitClasses][NumAdmitOutcomes]uint64 {
-	var out [AdmitClasses][NumAdmitOutcomes]uint64
-	for c := range out {
-		for o := range out[c] {
-			out[c][o] = p.admitCounts[c][o].Load()
-		}
-	}
-	return out
-}
-
-// RecordAdmitLatency records how long one admitted class-c submission
-// waited at the admission edge before entering its queue (ns), in a
-// bounded per-class ring. Safe for any goroutine.
-func (p *Profile) RecordAdmitLatency(c int, ns int64) {
-	p.admitLatMu[c].Lock()
-	p.admitLat[c].add(ns)
-	p.admitLatMu[c].Unlock()
-}
-
-// AdmitLatencies returns a copy of class c's retained admission latencies
-// (ns, the most recent MaxAdmitLatencies, in admission order).
-func (p *Profile) AdmitLatencies(c int) []int64 {
-	p.admitLatMu[c].Lock()
-	out := p.admitLat[c].snapshot()
-	p.admitLatMu[c].Unlock()
-	return out
-}
-
-// RecordAdmitEvent records one non-admission (reject/shed/cancel/expire)
-// in the bounded admission-event ring. Safe for any goroutine.
-func (p *Profile) RecordAdmitEvent(e AdmitEvent) {
-	p.admitEvMu.Lock()
-	p.admitEvents.add(e)
-	p.admitEvMu.Unlock()
-}
-
-// AdmitEvents returns a copy of the retained admission events in event
-// order (the most recent MaxAdmitEvents).
-func (p *Profile) AdmitEvents() []AdmitEvent {
-	p.admitEvMu.Lock()
-	out := p.admitEvents.snapshot()
-	p.admitEvMu.Unlock()
-	return out
-}
-
-// IncMigratedIn counts one job migrated into this team's admission queue
-// by a second-level balancer.
-func (p *Profile) IncMigratedIn() { p.migratedIn.Add(1) }
-
-// IncMigratedOut counts one job migrated out of this team's admission
-// queue by a second-level balancer.
-func (p *Profile) IncMigratedOut() { p.migratedOut.Add(1) }
-
-// JobsMigrated returns the NJOBS_MIGRATED counters: how many queued jobs a
-// second-level balancer moved into and out of this team.
-func (p *Profile) JobsMigrated() (in, out uint64) {
-	return p.migratedIn.Load(), p.migratedOut.Load()
-}
+func (p *Profile) JobsTotal() uint64 { return p.jobs.Total() }
 
 // SetLoadSignals updates the load-signal gauges: the EWMA mean task
 // service time (ns), task and steal-request rates (per second), and idle
 // ratio of the team's signal plane. Safe for any goroutine.
 func (p *Profile) SetLoadSignals(serviceNS, taskRate, stealRate, idleRatio float64) {
-	p.sigServiceNS.Store(math.Float64bits(serviceNS))
-	p.sigTaskRate.Store(math.Float64bits(taskRate))
-	p.sigStealRate.Store(math.Float64bits(stealRate))
-	p.sigIdleRatio.Store(math.Float64bits(idleRatio))
+	p.sigServiceNS.set(serviceNS)
+	p.sigTaskRate.set(taskRate)
+	p.sigStealRate.set(stealRate)
+	p.sigIdleRatio.set(idleRatio)
 }
 
 // LoadSignals returns the load-signal gauges last set by SetLoadSignals.
 func (p *Profile) LoadSignals() (serviceNS, taskRate, stealRate, idleRatio float64) {
-	return math.Float64frombits(p.sigServiceNS.Load()),
-		math.Float64frombits(p.sigTaskRate.Load()),
-		math.Float64frombits(p.sigStealRate.Load()),
-		math.Float64frombits(p.sigIdleRatio.Load())
+	return p.sigServiceNS.load(), p.sigTaskRate.load(), p.sigStealRate.load(), p.sigIdleRatio.load()
 }
 
 // RecordPolicySwitch appends one adaptive-policy retune to the bounded
 // policy-switch trace. Safe for any goroutine.
-func (p *Profile) RecordPolicySwitch(s PolicySwitch) {
-	p.polMu.Lock()
-	p.polSwitches.add(s)
-	p.polTotal++
-	p.polMu.Unlock()
-}
+func (p *Profile) RecordPolicySwitch(s PolicySwitch) { p.polSwitches.Add(s) }
 
 // PolicySwitches returns a copy of the retained policy-switch trace in
-// switch order (the most recent MaxPolicySwitches; PolicySwitchTotal
-// counts all).
-func (p *Profile) PolicySwitches() []PolicySwitch {
-	p.polMu.Lock()
-	out := p.polSwitches.snapshot()
-	p.polMu.Unlock()
-	return out
-}
-
-// PolicySwitchTotal returns how many policy switches have been recorded
-// over the profile's lifetime, including evicted ones.
-func (p *Profile) PolicySwitchTotal() uint64 {
-	p.polMu.Lock()
-	n := p.polTotal
-	p.polMu.Unlock()
-	return n
-}
+// switch order (the most recent MaxPolicySwitches).
+func (p *Profile) PolicySwitches() []PolicySwitch { return p.polSwitches.Snapshot() }
 
 // SetWorkersActive sets the NWORKERS_ACTIVE gauge. The team writes it on
 // every SetActive transition; safe for any goroutine.
-func (p *Profile) SetWorkersActive(n int64) { p.workersActive.Store(n) }
+func (p *Profile) SetWorkersActive(n int64) { p.workersActive.set(n) }
 
 // WorkersActive returns the NWORKERS_ACTIVE gauge: the number of workers
 // currently in the team's active set. It equals Workers() unless a
 // capacity controller has parked part of the team.
-func (p *Profile) WorkersActive() int64 { return p.workersActive.Load() }
+func (p *Profile) WorkersActive() int64 { return p.workersActive.load() }
 
 // now returns nanoseconds since the profile base.
 func (t *Thread) now() int64 { return int64(time.Since(t.base)) }
@@ -766,10 +493,10 @@ type Snapshot struct {
 	// gauges, the per-class × per-outcome counter matrix (outcome order:
 	// admitted, rejected, shed, cancelled, expired), retained admission
 	// latencies (ns) of admitted jobs, and the non-admission event ring.
-	ClassQueued    [AdmitClasses]int64                    `json:"class_queued,omitempty"`
-	AdmitCounts    [AdmitClasses][NumAdmitOutcomes]uint64 `json:"admit_counts,omitempty"`
-	AdmitLatencies [AdmitClasses][]int64                  `json:"admit_latencies,omitempty"`
-	AdmitEvents    []AdmitEvent                           `json:"admit_events,omitempty"`
+	ClassQueued    [load.NumClasses]int64                    `json:"class_queued,omitempty"`
+	AdmitCounts    [load.NumClasses][NumAdmitOutcomes]uint64 `json:"admit_counts,omitempty"`
+	AdmitLatencies [load.NumClasses][]int64                  `json:"admit_latencies,omitempty"`
+	AdmitEvents    []AdmitEvent                              `json:"admit_events,omitempty"`
 	// Tenants is the per-tenant admission picture at snapshot time,
 	// keyed by tenant id (absent when no submission named a tenant).
 	Tenants map[int]TenantCounters `json:"tenants,omitempty"`
@@ -794,13 +521,11 @@ func (p *Profile) Snapshot() Snapshot {
 	s.SigServiceNS, s.SigTaskRate, s.SigStealRate, s.SigIdleRatio = p.LoadSignals()
 	s.SigJobNS = p.JobTimeNS()
 	s.PolicySwitches = p.PolicySwitches()
-	for c := 0; c < AdmitClasses; c++ {
-		s.ClassQueued[c] = p.ClassQueued(c)
-		s.AdmitLatencies[c] = p.AdmitLatencies(c)
+	for c := range p.classes {
+		s.ClassQueued[c], s.AdmitCounts[c], s.AdmitLatencies[c] = p.classes[c].read()
 	}
-	s.AdmitCounts = p.AdmitCounts()
-	s.AdmitEvents = p.AdmitEvents()
-	s.Tenants = p.TenantCounters()
+	s.AdmitEvents = p.admitEvents.Snapshot()
+	s.Tenants = p.tenantCounters()
 	return s
 }
 
@@ -824,6 +549,21 @@ func Load(r io.Reader) (Snapshot, error) {
 	}
 	if len(s.Counters) != s.Workers {
 		return Snapshot{}, fmt.Errorf("prof: load: %d counter rows for %d workers", len(s.Counters), s.Workers)
+	}
+	// The renderers index Events per worker and a [NumEvents] array per
+	// record; a counters-only dump carries no events array at all.
+	if s.Events == nil {
+		s.Events = make([][]Record, s.Workers)
+	}
+	if len(s.Events) != s.Workers {
+		return Snapshot{}, fmt.Errorf("prof: load: %d event rows for %d workers", len(s.Events), s.Workers)
+	}
+	for w, row := range s.Events {
+		for _, r := range row {
+			if r.Ev >= NumEvents {
+				return Snapshot{}, fmt.Errorf("prof: load: worker %d carries event class %d, want < %d", w, r.Ev, NumEvents)
+			}
+		}
 	}
 	return s, nil
 }
@@ -922,36 +662,29 @@ func (s Snapshot) TaskCountSummary(w io.Writer, width int) error {
 // traffic are omitted; with no admission traffic at all nothing is
 // written (region-mode dumps stay unchanged).
 func (s Snapshot) AdmissionSummary(w io.Writer) error {
-	any := false
-	for c := 0; c < AdmitClasses; c++ {
-		for o := 0; o < int(NumAdmitOutcomes); o++ {
-			if s.AdmitCounts[c][o] > 0 {
-				any = true
-			}
+	var total [load.NumClasses]uint64
+	var all uint64
+	for c, row := range s.AdmitCounts {
+		for _, n := range row {
+			total[c] += n
 		}
+		all += total[c]
 	}
-	if !any {
+	if all == 0 {
 		return nil
 	}
 	if _, err := fmt.Fprintf(w, "Admission Summary (per class)\n%-12s %9s %9s %9s %9s %9s %8s %12s %12s\n",
 		"class", "admitted", "rejected", "shed", "cancel", "expired", "queued", "p50-admit", "p99-admit"); err != nil {
 		return err
 	}
-	for c := 0; c < AdmitClasses; c++ {
-		var total uint64
-		for o := 0; o < int(NumAdmitOutcomes); o++ {
-			total += s.AdmitCounts[c][o]
-		}
-		if total == 0 {
+	for c, row := range s.AdmitCounts {
+		if total[c] == 0 {
 			continue
 		}
 		p50, p99 := latencyPercentiles(s.AdmitLatencies[c])
 		if _, err := fmt.Fprintf(w, "%-12s %9d %9d %9d %9d %9d %8d %12s %12s\n",
-			AdmitClassName(c),
-			s.AdmitCounts[c][AdmitAdmitted], s.AdmitCounts[c][AdmitRejected],
-			s.AdmitCounts[c][AdmitShed], s.AdmitCounts[c][AdmitCancelled],
-			s.AdmitCounts[c][AdmitExpired], s.ClassQueued[c],
-			p50, p99); err != nil {
+			load.Class(c), row[AdmitAdmitted], row[AdmitRejected], row[AdmitShed],
+			row[AdmitCancelled], row[AdmitExpired], s.ClassQueued[c], p50, p99); err != nil {
 			return err
 		}
 	}

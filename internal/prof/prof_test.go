@@ -262,3 +262,47 @@ func TestNames(t *testing.T) {
 		}
 	}
 }
+
+// A malformed dump is a bad file, not a crash: Load rejects it, or what it
+// accepts renders cleanly through every renderer profview and whatif call.
+func TestLoadMalformedDumps(t *testing.T) {
+	row := "[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]"
+	for _, tc := range []struct {
+		name, dump string
+		wantErr    bool
+	}{
+		{"counters only", `{"workers":2,"counters":[` + row + `,` + row + `]}`, false},
+		{"null events", `{"workers":1,"counters":[` + row + `],"events":null}`, false},
+		{"events per worker", `{"workers":1,"timeline":true,"counters":[` + row + `],"events":[[{"ev":5,"start":1,"end":9,"span":1}]]}`, false},
+		{"short events", `{"workers":2,"counters":[` + row + `,` + row + `],"events":[[]]}`, true},
+		{"long events", `{"workers":1,"counters":[` + row + `],"events":[[],[]]}`, true},
+		{"event class 200", `{"workers":1,"counters":[` + row + `],"events":[[{"ev":200,"start":1,"end":2,"span":1}]]}`, true},
+		{"short counters", `{"workers":2,"counters":[` + row + `]}`, true},
+		{"truncated", `{"workers":2,"counters":[` + row, true},
+		{"empty", ``, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Load(strings.NewReader(tc.dump))
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("Load error %v, want error %v", err, tc.wantErr)
+			}
+			if err != nil {
+				return
+			}
+			var out bytes.Buffer
+			for _, render := range []func() error{
+				func() error { return s.TimelineSummary(&out, 40) },
+				func() error { return s.TaskCountSummary(&out, 40) },
+				func() error { return s.AdmissionSummary(&out) },
+				func() error { return s.TenantSummary(&out) },
+				func() error { return s.ExportTraceEvents(&out) },
+			} {
+				if err := render(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.UtilizationRatio()
+			s.ImbalanceRatio()
+		})
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"repro/internal/load"
 )
 
 // ExportTraceEvents writes the snapshot's timeline in the Chrome
@@ -84,7 +86,7 @@ func (s Snapshot) ExportTraceEvents(w io.Writer) error {
 			PID:  1,
 			TID:  s.Workers + 1, // the admission edge's own row
 			S:    "t",           // thread-scoped tick on the admission row
-			Args: map[string]any{"class": AdmitClassName(ae.Class)},
+			Args: map[string]any{"class": load.Class(ae.Class).String()},
 		}); err != nil {
 			return err
 		}

@@ -9,10 +9,11 @@ import (
 
 // Wire counters for the network serving edge: one Wire per listener,
 // shared by every connection's reader/writer goroutine pair. All fields
-// are independent atomics — the wire hot path (one frame per syscall's
-// worth of jobs) bumps them per frame, not per job, so plain atomic adds
-// are cheap enough and keep the struct snapshot-safe while connections
-// are live (unlike the Profile counters, which require quiescence).
+// are the package's counter cells — the wire hot path (one frame per
+// syscall's worth of jobs) bumps them per frame, not per job, so plain
+// atomic adds are cheap enough and keep the struct snapshot-safe while
+// connections are live (unlike the per-thread counters, which require
+// quiescence).
 //
 // The stage clock is the server's own view of where a frame's time goes,
 // the part of a round trip a client-side trace cannot see into: three
@@ -20,23 +21,23 @@ import (
 // live jobserved can say whether the edge's latency sits in admission, in
 // the pool, or in the writer.
 type Wire struct {
-	connsOpened atomic.Uint64
-	connsClosed atomic.Uint64
-	framesIn    atomic.Uint64
-	framesOut   atomic.Uint64
-	bytesIn     atomic.Uint64
-	bytesOut    atomic.Uint64
-	jobsIn      atomic.Uint64
-	resultsOut  atomic.Uint64
-	refused     atomic.Uint64
+	connsOpened counter
+	connsClosed counter
+	framesIn    counter
+	framesOut   counter
+	bytesIn     counter
+	bytesOut    counter
+	jobsIn      counter
+	resultsOut  counter
+	refused     counter
 
 	// The edge poller's counters (see jobserve's "the edge polls itself")
 	// and the one signal that gates it. Readers publish them per poll
 	// spell or per frame, never per poll.
-	edgePolls    atomic.Uint64
-	edgePollHits atomic.Uint64
-	edgeKicks    atomic.Uint64
-	edgeParks    atomic.Uint64
+	edgePolls    counter
+	edgePollHits counter
+	edgeKicks    counter
+	edgeParks    counter
 	lastFrameNS  atomic.Int64 // clock reading of the latest FrameGap call
 	edgeHeatNS   atomic.Int64 // EWMA of the gaps between those readings
 
@@ -116,31 +117,29 @@ type WireSnapshot struct {
 }
 
 // ConnOpened records one accepted connection.
-func (w *Wire) ConnOpened() { w.connsOpened.Add(1) }
+func (w *Wire) ConnOpened() { w.connsOpened.add(1) }
 
 // ConnClosed records one finished connection.
-func (w *Wire) ConnClosed() { w.connsClosed.Add(1) }
+func (w *Wire) ConnClosed() { w.connsClosed.add(1) }
 
 // FrameIn records one decoded submit frame carrying jobs records.
 func (w *Wire) FrameIn(jobs, bytes int) {
-	w.framesIn.Add(1)
-	w.jobsIn.Add(uint64(jobs))
-	w.bytesIn.Add(uint64(bytes))
+	w.framesIn.add(1)
+	w.jobsIn.add(jobs)
+	w.bytesIn.add(bytes)
 }
 
 // FlushOut records one coalesced result write of bytes wire bytes.
 func (w *Wire) FlushOut(bytes int) {
-	w.framesOut.Add(1)
-	w.bytesOut.Add(uint64(bytes))
+	w.framesOut.add(1)
+	w.bytesOut.add(bytes)
 }
 
 // ResultOut records result records streamed back, refused of which
 // carried a non-OK status.
 func (w *Wire) ResultOut(n, refused int) {
-	w.resultsOut.Add(uint64(n))
-	if refused > 0 {
-		w.refused.Add(uint64(refused))
-	}
+	w.resultsOut.add(n)
+	w.refused.add(refused)
 }
 
 // FrameGap feeds the edge's heat signal one frame arrival at clock
@@ -166,34 +165,34 @@ func (w *Wire) EdgeSpell(polls int, hit bool) {
 	if polls == 0 {
 		return
 	}
-	w.edgePolls.Add(uint64(polls))
+	w.edgePolls.add(polls)
 	if hit {
-		w.edgePollHits.Add(1)
+		w.edgePollHits.add(1)
 	}
 }
 
 // EdgeKick records n parked readers woken by one sweep.
-func (w *Wire) EdgeKick(n int) { w.edgeKicks.Add(uint64(n)) }
+func (w *Wire) EdgeKick(n int) { w.edgeKicks.add(n) }
 
 // EdgePark records one blocking read issued.
-func (w *Wire) EdgePark() { w.edgeParks.Add(1) }
+func (w *Wire) EdgePark() { w.edgeParks.add(1) }
 
 // Snapshot reads every counter.
 func (w *Wire) Snapshot() WireSnapshot {
 	return WireSnapshot{
-		ConnsOpened:  w.connsOpened.Load(),
-		ConnsClosed:  w.connsClosed.Load(),
-		FramesIn:     w.framesIn.Load(),
-		FramesOut:    w.framesOut.Load(),
-		BytesIn:      w.bytesIn.Load(),
-		BytesOut:     w.bytesOut.Load(),
-		JobsIn:       w.jobsIn.Load(),
-		ResultsOut:   w.resultsOut.Load(),
-		Refused:      w.refused.Load(),
-		EdgePolls:    w.edgePolls.Load(),
-		EdgePollHits: w.edgePollHits.Load(),
-		EdgeKicks:    w.edgeKicks.Load(),
-		EdgeParks:    w.edgeParks.Load(),
+		ConnsOpened:  w.connsOpened.load(),
+		ConnsClosed:  w.connsClosed.load(),
+		FramesIn:     w.framesIn.load(),
+		FramesOut:    w.framesOut.load(),
+		BytesIn:      w.bytesIn.load(),
+		BytesOut:     w.bytesOut.load(),
+		JobsIn:       w.jobsIn.load(),
+		ResultsOut:   w.resultsOut.load(),
+		Refused:      w.refused.load(),
+		EdgePolls:    w.edgePolls.load(),
+		EdgePollHits: w.edgePollHits.load(),
+		EdgeKicks:    w.edgeKicks.load(),
+		EdgeParks:    w.edgeParks.load(),
 		EdgeHeatNS:   w.edgeHeatNS.Load(),
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/load"
 	"repro/internal/numa"
+	"repro/internal/prof"
 )
 
 // ElasticConfig configures the third balancing level: an elastic capacity
@@ -205,16 +206,14 @@ type ShardedPool struct {
 	// el is the elastic capacity controller's state (third balancing
 	// level). mu serializes controller ticks (background loop and manual
 	// RebalanceQuota calls) and guards the quota policy's hysteresis
-	// state and the trace.
+	// state; trace is the bounded quota-move log and its lifetime count.
 	el struct {
-		enabled   bool
-		policy    load.QuotaPolicy
-		minEff    []int // per-shard active floor
-		maxEff    []int // per-shard active cap (≤ capacity)
-		mu        sync.Mutex
-		moves     uint64
-		trace     []QuotaMove
-		traceHead int
+		enabled bool
+		policy  load.QuotaPolicy
+		minEff  []int // per-shard active floor
+		maxEff  []int // per-shard active cap (≤ capacity)
+		mu      sync.Mutex
+		trace   prof.Ring[QuotaMove]
 	}
 }
 
@@ -350,6 +349,7 @@ func (p *ShardedPool) initElastic(e ElasticConfig, quota load.QuotaPolicy, shard
 		return nil, fmt.Errorf("xomp: Elastic.Hysteresis must be >= 0, got %d", e.Hysteresis)
 	}
 	p.el.enabled = true
+	p.el.trace = prof.NewRing[QuotaMove](maxQuotaTrace)
 	p.el.policy = quota
 	hysteresis := e.Hysteresis
 	if hysteresis == 0 {
@@ -456,41 +456,23 @@ func (p *ShardedPool) RebalanceQuota() bool {
 		p.shards[cold].SetActive(coldAct) // return the donated quota
 		return false
 	}
-	p.el.moves++
-	mv := QuotaMove{
+	p.el.trace.Add(QuotaMove{
 		At:         time.Since(p.start),
 		From:       cold,
 		To:         hot,
 		FromActive: coldAct - 1,
 		ToActive:   hotAct + 1,
-	}
-	if len(p.el.trace) < maxQuotaTrace {
-		p.el.trace = append(p.el.trace, mv)
-	} else {
-		p.el.trace[p.el.traceHead] = mv
-		p.el.traceHead = (p.el.traceHead + 1) % len(p.el.trace)
-	}
+	})
 	return true
 }
 
 // QuotaMoves returns how many elastic quota reassignments the controller
 // has made over the pool's lifetime.
-func (p *ShardedPool) QuotaMoves() uint64 {
-	p.el.mu.Lock()
-	defer p.el.mu.Unlock()
-	return p.el.moves
-}
+func (p *ShardedPool) QuotaMoves() uint64 { return p.el.trace.Total() }
 
 // QuotaTrace returns a copy of the retained quota-move history in move
 // order (the most recent maxQuotaTrace moves; QuotaMoves counts all).
-func (p *ShardedPool) QuotaTrace() []QuotaMove {
-	p.el.mu.Lock()
-	defer p.el.mu.Unlock()
-	out := make([]QuotaMove, 0, len(p.el.trace))
-	out = append(out, p.el.trace[p.el.traceHead:]...)
-	out = append(out, p.el.trace[:p.el.traceHead]...)
-	return out
-}
+func (p *ShardedPool) QuotaTrace() []QuotaMove { return p.el.trace.Snapshot() }
 
 // MustShardedPool is NewShardedPool, panicking on configuration errors.
 func MustShardedPool(cfg ShardConfig) *ShardedPool {
