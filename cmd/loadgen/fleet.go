@@ -20,7 +20,6 @@ import (
 	"net"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/alloc"
@@ -287,18 +286,16 @@ func driveConn(addr string, bufs *alloc.BufPool, plan connPlan, batch int, out *
 	}
 	defer cl.Close()
 
-	// submitted holds each record's UnixNano at flush, indexed by seq.
-	// Atomic elements: in open-loop mode the submitter goroutine stores
-	// while the receiver goroutine loads, and the round trip through the
-	// server is not a happens-before edge — atomics make the cross-
-	// goroutine reads well-defined while keeping the path allocation-free.
-	submitted := make([]atomic.Int64, len(plan.recs))
+	// origin holds the UnixNano each record's latency counts from, indexed
+	// by seq (a fresh connection numbers records in plan order): closed
+	// loop, the flush that carried it; open loop, the time it was due.
+	origin := make([]int64, len(plan.recs))
 	record := func(recs []wire.ResultRecord, now int64) {
 		for _, r := range recs {
 			out.jobs++
 			out.statuses[r.Status]++
-			if r.Status == wire.StatusOK && r.Seq < uint64(len(submitted)) {
-				out.hist.Record(now - submitted[r.Seq].Load())
+			if r.Status == wire.StatusOK && r.Seq < uint64(len(origin)) {
+				out.hist.Record(now - origin[r.Seq])
 			}
 		}
 	}
@@ -320,7 +317,7 @@ func driveConn(addr string, bufs *alloc.BufPool, plan connPlan, batch int, out *
 			}
 			now := time.Now().UnixNano()
 			for i := 0; i < n; i++ {
-				submitted[seq+uint64(i)].Store(now)
+				origin[seq+uint64(i)] = now
 			}
 			for got := 0; got < n; {
 				recs, err := cl.Recv()
@@ -336,11 +333,14 @@ func driveConn(addr string, bufs *alloc.BufPool, plan connPlan, batch int, out *
 		return
 	}
 
-	// Open loop: pipelined. The receiver owns out; submitted is shared
-	// between the two goroutines, hence its atomic elements — each
-	// timestamp is stored before the matching flush hits the wire, so by
-	// the time the server echoes the seq back the receiver's load
-	// observes the store.
+	// Open loop: pipelined, and timed from the schedule, not from the
+	// send: a record the generator puts on the wire late — behind a stalled
+	// server or its own lag — has been waiting since it was due. The
+	// origins are all written before the receiver, which owns out, starts.
+	start := time.Now()
+	for i, at := range plan.arrivals {
+		origin[i] = start.Add(at).UnixNano()
+	}
 	done := make(chan error, 1)
 	go func() {
 		var got uint64
@@ -355,7 +355,6 @@ func driveConn(addr string, bufs *alloc.BufPool, plan connPlan, batch int, out *
 		}
 		done <- nil
 	}()
-	start := time.Now()
 	for at := 0; at < len(plan.recs); {
 		if d := plan.arrivals[at] - time.Since(start); d > 0 {
 			time.Sleep(d)
@@ -365,12 +364,8 @@ func driveConn(addr string, bufs *alloc.BufPool, plan connPlan, batch int, out *
 		for at+n < len(plan.recs) && n < batch && plan.arrivals[at+n] <= time.Since(start) {
 			n++
 		}
-		seq, err := cl.Submit(plan.recs[at : at+n])
+		_, err := cl.Submit(plan.recs[at : at+n])
 		if err == nil {
-			now := time.Now().UnixNano()
-			for i := 0; i < n; i++ {
-				submitted[seq+uint64(i)].Store(now)
-			}
 			err = cl.Flush()
 		}
 		if err != nil {

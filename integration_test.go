@@ -1,6 +1,6 @@
 // End-to-end integration tests across the public API and tooling layers:
-// configure from the environment, execute a verified workload, capture a
-// profile, replay it for offline tuning, and apply the tuned settings.
+// execute a verified workload, capture a profile, replay it for offline
+// tuning, and apply the tuned settings.
 package repro_test
 
 import (
@@ -64,23 +64,6 @@ func TestProfileReplayRetuneLoop(t *testing.T) {
 	app.RunParallel(team2)
 	if err := app.Verify(); err != nil {
 		t.Fatalf("tuned rerun: %v", err)
-	}
-}
-
-// Environment-driven configuration must compose with the whole stack.
-func TestEnvConfiguredEndToEnd(t *testing.T) {
-	t.Setenv("XOMP_RUNTIME", "xgomptb+naws")
-	t.Setenv("XOMP_WORKERS", "3")
-	t.Setenv("XOMP_ZONES", "3")
-	t.Setenv("XOMP_NSTEAL", "4")
-	team, err := xomp.TeamFromEnv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	app := bots.MustNew("sort", bots.ScaleTest)
-	app.RunParallel(team)
-	if err := app.Verify(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -33,14 +33,14 @@ import (
 //   - //repolint:ok falseshare suppresses with justification.
 //
 // Checked structs are the named hot set (Ring, Gate, Bell, Cell,
-// paddedGauge, paddedFloat, admitSlot, Profile) plus any struct in a
-// hot package that already uses the padding idiom (a blank pad of at
-// least 48 bytes next to an atomic field): partial padding — head
-// padded, tail forgotten — is precisely the regression this analyzer
-// exists to catch.
+// paddedGauge, paddedFloat, admitSlot, Profile; core's service) plus any
+// struct in a hot package that already uses the padding idiom (a blank
+// pad of at least 48 bytes next to an atomic field): partial padding —
+// head padded, tail forgotten — is precisely the regression this
+// analyzer exists to catch.
 var FalseShare = &Analyzer{
 	Name: "falseshare",
-	Doc:  "hot atomic fields must be cache-line padded (intake, load, prof)",
+	Doc:  "hot atomic fields must be cache-line padded (intake, load, prof, core.service)",
 	Run:  runFalseShare,
 }
 
@@ -60,6 +60,11 @@ var FalseShareTypes = map[string]bool{
 	"Profile":     true,
 }
 
+// Outside those packages falseshare inspects one struct, core's service
+// (its lifecycle word is touched by every submitter, finishing worker and
+// idle poller); core's per-worker layouts pad by other rules.
+const hotCorePackage, hotCoreStruct = "internal/core", "service"
+
 // PaddedCells are the hot packages' own one-line cell types; a field of
 // one of them counts as a hot atomic field of the struct that holds it.
 var PaddedCells = map[string]bool{"paddedGauge": true, "paddedFloat": true}
@@ -70,13 +75,17 @@ var PaddedCells = map[string]bool{"paddedGauge": true, "paddedFloat": true}
 const minIdiomPad = CacheLine - 16
 
 func runFalseShare(pass *Pass) error {
+	only := ""
 	if !pathIn(pass.Pkg.Path(), FalseSharePackages) {
-		return nil
+		if !pathIn(pass.Pkg.Path(), []string{hotCorePackage}) {
+			return nil
+		}
+		only = hotCoreStruct
 	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
-			if !ok {
+			if !ok || only != "" && ts.Name.Name != only {
 				return true
 			}
 			st, ok := ts.Type.(*ast.StructType)

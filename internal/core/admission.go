@@ -169,15 +169,12 @@ const admitStack = 16
 
 // admitBatch is the admission state machine — the one implementation
 // behind every Submit variant, a single submission being the batch of
-// one. It runs five phases over the batch and pays the admission toll
-// once per batch rather than once per job: one svc.mu section reserves
-// the whole batch's active count and id range, the gauges move once per
-// run of same-class, same-tenant items, each class group enters its
-// intake ring with a single reserving CAS, and the bell rings once. The
-// admission *contract* stays per job: every item carries its own class,
-// deadline, and tenant, the policy rules on each item (against one
-// load-signal snapshot for the batch), and each item's outcome lands in
-// res[i] with the typed errors SubmitCtx documents.
+// one. Its five phases pay the admission toll once per batch: one reserve
+// on the service word, gauges moved once per run of same-class,
+// same-tenant items, one reserving CAS per class ring, one bell ring
+// (ARCHITECTURE.md, "The admission path"). The *contract* stays per job:
+// the policy rules on each item, against one load-signal snapshot, and
+// each outcome lands in res[i] with the typed errors SubmitCtx documents.
 func (tm *Team) admitBatch(ctx context.Context, svc *service, items []BatchItem, res []BatchResult) {
 	clear(res)
 	var (
@@ -270,12 +267,9 @@ func (tm *Team) admitBatch(ctx context.Context, svc *service, items []BatchItem,
 		return
 	}
 
-	// Phase 2: one mutex section makes the authoritative closed check and
-	// reserves the whole batch — the active count and a contiguous id
-	// range.
-	svc.mu.Lock()
-	if svc.closed {
-		svc.mu.Unlock()
+	// Phase 2: reserve the whole batch on the service word — the
+	// authoritative closed check — and draw a contiguous id range.
+	if !svc.reserve(admissible) {
 		for i := range res {
 			if res[i].Err == nil || res[i].Err == ErrShed {
 				res[i].Err = ErrClosed
@@ -283,9 +277,7 @@ func (tm *Team) admitBatch(ctx context.Context, svc *service, items []BatchItem,
 		}
 		return
 	}
-	svc.active += int64(admissible)
 	seq := tm.jobSeq.Add(int64(admissible)) - int64(admissible)
-	svc.mu.Unlock()
 	if shed > 0 {
 		for i := range items {
 			if res[i].Err == ErrShed {
@@ -366,19 +358,15 @@ func (tm *Team) admitBatch(ctx context.Context, svc *service, items []BatchItem,
 	}
 }
 
-// blockEnqueue publishes an already-accounted job into its class ring,
+// blockEnqueue publishes an already-reserved job into its class ring,
 // waiting on the class's space gate until it fits, ctx is cancelled, or
 // deadline passes; on failure the admission accounting is rolled back
 // and the frame recycled. It fails fast on an already-cancelled ctx, so
 // once a cancellation lands the rest of a batch's wait-items roll back
-// without blocking.
-//
-// Exactly-once holds without a channel select's one-arm commitment: only
-// this goroutine can publish j's root into the ring, so either an
-// enqueue below succeeds (the ring owns the job from then on — no
-// rollback follows) or no enqueue ever happened and the rollback undoes
-// the accounting. There is no state in which a worker can adopt a job
-// whose submission also rolled back.
+// without blocking. Only this goroutine can publish j's root, so the job
+// either enqueues (and never rolls back) or rolls back (and was never
+// visible to a worker): exactly-once without a select's one-arm
+// commitment.
 func (tm *Team) blockEnqueue(ctx context.Context, svc *service, j *Job, deadline time.Time, admitStart int64) error {
 	if err := ctx.Err(); err != nil {
 		tm.rollbackSubmit(svc, j, prof.AdmitCancelled)
@@ -453,11 +441,8 @@ func forEachRun(res []BatchResult, limit [load.NumClasses]int, fn func(c load.Cl
 
 // rollbackSubmit undoes the admission accounting of a job whose enqueue
 // did not happen (rejected, cancelled, or expired while waiting) — the
-// queue-depth gauges and the service's active count, exactly once: the
-// caller is the only goroutine that could have published the job, so no
-// worker can have adopted it — and recycles its frame. If this was the
-// last active job and a Close is waiting for quiescence, the broadcast
-// releases it.
+// queue-depth gauges and the service's reservation, exactly once (see
+// blockEnqueue) — and recycles its frame.
 func (tm *Team) rollbackSubmit(svc *service, j *Job, o prof.AdmitOutcome) {
 	tm.profile.Refused(j.class, j.tenant, o, true)
 	svc.jobDone()

@@ -69,7 +69,7 @@ func TestAdmitSingleBatchParity(t *testing.T) {
 				saturateForShed(t, tm, gate)
 				go tm.Close() // cuts admission at once, then waits for the gated job
 				svc := tm.svc.Load()
-				waitFor(t, func() bool { svc.mu.Lock(); defer svc.mu.Unlock(); return svc.closed })
+				waitFor(t, func() bool { return svc.phase() == svcClosing })
 			},
 			opts: func() SubmitOpts { return SubmitOpts{Deadline: tight()} },
 			want: ErrClosed, outcome: -1},

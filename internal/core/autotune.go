@@ -38,7 +38,7 @@ func (tm *Team) Retune(d DLBConfig) error {
 	if tm.running.Load() {
 		return fmt.Errorf("core: Retune during a parallel region")
 	}
-	if svc := tm.svc.Load(); svc != nil && !svc.done.Load() {
+	if tm.Serving() {
 		return fmt.Errorf("core: Retune on a serving team (use RetuneLive, or Close the service first)")
 	}
 	if err := d.validate(tm.cfg.Sched); err != nil {

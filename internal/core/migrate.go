@@ -4,82 +4,56 @@ import "repro/internal/load"
 
 // Second-level load balancing: whole-job migration between serving teams.
 //
-// The DLB strategies in dlb.go balance tasks *within* one team; they never
-// cross team boundaries, because tasks of a running job share the team's
-// queueing substrate and counters. A sharded pool (one serving team per
-// NUMA domain) therefore needs a coarser balancing level above the thread
-// scheduler: jobs that are still whole — submitted but not yet adopted by
-// any worker — can move between teams freely, since a queued root task has
-// touched nothing of its team's substrate yet. MigrateQueuedJob is that
-// move; it mirrors the paper's NA-WS semantics one layer up (the idle
-// shard is the thief, the overloaded shard's admission queue the victim).
+// The DLB strategies in dlb.go balance tasks *within* one team; tasks of a
+// running job share the team's queueing substrate and counters and never
+// cross teams. A job that is still whole — submitted but not yet adopted —
+// has touched nothing of its team's substrate and can move freely, which
+// is the paper's NA-WS one layer up: the idle shard is the thief, the
+// overloaded shard's admission queue the victim.
 
 // MigrateQueuedJob moves one submitted-but-unadopted job from src's
 // admission queue onto dst, preserving the job's handle, quiescence
 // detection, and panic isolation. It returns true when a job moved, and
 // false when src has no queued job, either team is not serving, or dst has
-// already begun closing (admission accounting may not be added to a team
-// whose Close could be past its active-jobs wait).
+// begun closing: a migrate-in is a reserve like any admission, taken on
+// dst before the job leaves src's ring and retired on src before it
+// enters dst's, so no Close on either team sees the job unaccounted and a
+// returned Wait finds it in neither count (ARCHITECTURE.md, "Service
+// lifecycle").
 //
-// The job's completion accounting transfers with it: dst counts the job
-// active before src uncounts it, so no Close on either team can observe
-// the job unaccounted. The job keeps the ID issued by src — and its
-// admission priority class: it re-enters dst's queue for the same class,
-// so migration can never promote background work past interactive jobs
-// (or demote interactive work behind them). Candidates are drawn from
-// src's lowest-priority non-empty class queue first: under strict
-// class-order adoption the hot shard serves its interactive backlog
-// soonest anyway, so the jobs that gain the most from moving to an idle
-// shard are the ones furthest back in the adoption order. Its JobRecord
-// lands on dst's profile with Migrated set.
+// The job keeps the ID issued by src and its admission priority class: it
+// re-enters dst's queue for the same class, so migration can never
+// promote background work past interactive jobs (or demote interactive
+// work behind them). Candidates are drawn from src's lowest-priority
+// non-empty class queue first: under strict class-order adoption the hot
+// shard serves its interactive backlog soonest anyway, so the jobs that
+// gain the most from moving are the ones furthest back in the adoption
+// order. Its JobRecord lands on dst's profile with Migrated set.
 func MigrateQueuedJob(src, dst *Team) bool {
 	if src == dst {
 		return false
 	}
-	ssvc := src.svc.Load()
-	dsvc := dst.svc.Load()
-	if ssvc == nil || dsvc == nil || ssvc.done.Load() || dsvc.done.Load() {
+	ssvc, dsvc := src.svc.Load(), dst.svc.Load()
+	if ssvc == nil || dsvc == nil || ssvc.phase() == svcStopped || !dsvc.reserve(1) {
 		return false
 	}
 	// A task still in the admission ring is by definition unadopted;
 	// dequeuing it makes this goroutine its exclusive owner (the ring is
 	// MPMC precisely so the balancer can consume alongside the workers).
-	// Candidates come from the lowest-priority non-empty queue first
-	// (ByPriority reversed). The freed slot rings src's space gate like
-	// any other dequeue, releasing a submitter blocked on the full ring.
+	// The freed slot rings src's space gate like any other dequeue.
 	var t *Task
-	for i := len(load.ByPriority) - 1; i >= 0; i-- {
+	for i := len(load.ByPriority) - 1; i >= 0 && t == nil; i-- {
 		c := load.ByPriority[i]
 		if v, ok := ssvc.submit[c].TryDequeue(); ok {
 			ssvc.space[c].Wake()
 			t = v
-			break
 		}
 	}
 	if t == nil {
+		dsvc.jobDone() // nothing to move: hand the reservation back
 		return false
 	}
 	j := t.job
-
-	// Count the job into dst before uncounting it from src. A dst that
-	// has begun closing is refused: its Close may already be past the
-	// point where it waits for active jobs.
-	dsvc.mu.Lock()
-	if dsvc.closed {
-		dsvc.mu.Unlock()
-		// Put the job back. The blocking enqueue cannot hang: the job is
-		// still in src's active count, so src's workers keep serving (and
-		// draining this ring) until it is adopted and completed. src's
-		// queued gauges never dropped it — between the dequeue and here it
-		// read as a submitter blocked at the edge does.
-		ssvc.enqueueBlocking(j.class, t)
-		return false
-	}
-	dsvc.active++
-	dsvc.mu.Unlock()
-	// Uncount from src now, not after the enqueue below: once the job is
-	// in dst's ring it can complete, and a returned Wait must find it in
-	// neither count (the same rule finishJob keeps).
 	src.profile.Migrated(j.class, j.tenant, -1)
 	ssvc.jobDone()
 
@@ -102,9 +76,8 @@ func MigrateQueuedJob(src, dst *Team) bool {
 			ob.ObserveComplete(j.tenant, 0)
 		}
 	}
-	// The blocking enqueue is safe for the same reason as the rollback
-	// above, now on dst: the job is in dst's active count, so dst's
-	// workers cannot stop before draining it.
+	// The blocking enqueue cannot hang: the job is in dst's count, so
+	// dst's workers keep serving (and draining this ring) until it runs.
 	dsvc.enqueueBlocking(j.class, t)
 	return true
 }

@@ -52,8 +52,7 @@ func PolicyNames() []string {
 }
 
 // ValidPolicyName reports whether name is a selectable policy name — the
-// one membership check every name-accepting surface (flags, environment)
-// shares.
+// one membership check every name-accepting surface shares.
 func ValidPolicyName(name string) bool {
 	for _, p := range PolicyNames() {
 		if p == name {

@@ -29,26 +29,16 @@ const (
 	// idleSpin is the whole idle policy of a serving worker: it polls for
 	// at most this much wall time after it last found work (the clock is
 	// read once per stallSpins polls, at the Gosched cadence), then
-	// registers on the service bell and blocks. Spinning longer than one
-	// park/unpark costs is never competitive, and a worker that spins by
-	// yielding is re-queued ahead of the netpoller on a saturated P set,
-	// so the connection reader that would hand it the next job is not
-	// scheduled until every worker has stopped spinning: the spin is a
-	// floor under the edge's round trip, not a way to shorten it. 50 µs
-	// is the optimum of ISSUE 16's sizing sweep on the reference host
-	// (3 µs to 184 µs; ARCHITECTURE.md, "Idle policy"): shorter spins pay
-	// an extra kernel sleep per request and lengthen the open-loop
-	// generator's lag, longer ones are paid in full by every round trip.
+	// registers on the service bell and blocks. ARCHITECTURE.md, "Idle
+	// policy", has why it must be short, why not zero, and the sizing
+	// sweep 50 µs is the optimum of.
 	idleSpin = 50 * time.Microsecond
 	// parkSweep is the period of the safety-net timer behind both kinds
-	// of blocked worker. Every producer announces what it publishes —
-	// intake enqueues ring the bell, queue pushes go through Worker.push
-	// and Worker.pushTo, SetActive and Close wake everyone — so the sweep
-	// is not how work is found: a sweep that does find work is counted
-	// (prof.CntSweepFoundWork), and TestServeIdleWakeHammer runs with it
-	// switched off. For a *parked* worker (outside the active set, see
-	// Team.SetActive) it also re-drains strays from producers that raced
-	// the park and read the old active bound.
+	// of blocked worker. Every producer announces what it publishes, so
+	// the sweep is not how work is found: one that does find work is
+	// counted (prof.CntSweepFoundWork), and TestServeIdleWakeHammer runs
+	// with it switched off. For a *parked* worker it also re-drains strays
+	// from producers that raced the park and read the old active bound.
 	parkSweep = 2 * time.Millisecond
 )
 
@@ -59,55 +49,70 @@ var idleSweep = parkSweep
 
 // service is the per-Serve state of a team in task-service mode.
 type service struct {
-	// submit is the bounded admission queue, one lock-free intake ring
-	// per priority class (each Config.Backlog deep) so a flood in one
-	// class can never head-of-line-block another: workers adopt strictly
-	// in class order (tryRecv), but a full background queue leaves the
-	// interactive queue's space untouched. Any worker may dequeue, which
-	// keeps the SPSC discipline of the queueing substrates: a root task
-	// enters a worker's domain only on that worker's goroutine. The ring
-	// replaces a buffered channel: enqueue and dequeue are CAS-claimed
-	// slots instead of a channel lock, a batched submission reserves its
-	// whole group with one CAS (intake.Ring.EnqueueBatch), and the
-	// waiting that channels bundled in is layered back on explicitly —
-	// space (per-class producer gates, the backpressure path) and bell
-	// (the consumer-side wake, see below).
+	// submit is the bounded admission queue, one lock-free intake ring per
+	// priority class (each Config.Backlog deep) so a flood in one class
+	// never head-of-line-blocks another; workers adopt in class order
+	// (tryRecv). space[c] wakes submitters blocked on class c's full ring.
+	// ARCHITECTURE.md, "The submission fast path", has the design.
 	submit [load.NumClasses]*intake.Ring[*Task]
-	// space[c] wakes submitters blocked on class c's full ring; a
-	// consumer that frees a slot rings it (a single atomic load while
-	// nobody is blocked).
-	space [load.NumClasses]*intake.Gate
+	space  [load.NumClasses]*intake.Gate
 	// bell is what idle workers block on once their idleSpin budget is
-	// spent. Every producer announces on it after publishing: an intake
-	// enqueue rings it (any sleeper may adopt the job), a task push wakes
-	// the worker whose queues took the task (Worker.announce), and
-	// SetActive/Close ring everyone. Each is one atomic load while nobody
-	// sleeps.
+	// spent; every producer announces on it after publishing (an intake
+	// enqueue, Worker.announce, SetActive, Close).
 	bell *intake.Bell
-
-	// mu guards the admission/drain state below.
-	mu     sync.Mutex
-	cond   *sync.Cond // signalled when active drops to zero
-	active int64      // jobs submitted but not yet quiesced
-	closed bool       // Submit rejects once set
-
-	// stop tells workers to exit; set only after every job quiesced, so
-	// queues are empty when workers observe it. done is raised once all
-	// workers have actually exited — only then may a new Serve or a
-	// parallel region reuse the substrate (SPSC discipline: never two
-	// goroutines behind one worker id).
-	stop atomic.Bool
-	done atomic.Bool
-	wg   sync.WaitGroup
-
-	// parked is the gate parked workers block on: SetActive and Close
-	// wake every one of them at once.
-	parked *intake.Gate
-
-	// ctlStop stops the adaptive policy controller's background loop
-	// (nil when the policy is static or its loop is disabled); the
-	// controller goroutine is counted in wg like the workers.
+	// gate wakes the lifecycle's two blocked waits: parked workers
+	// (SetActive, Close) and a Close draining a closing service (jobDone).
+	gate *intake.Gate
+	// wg counts the serve loops and the policy controller, which ctlStop
+	// stops (nil when the policy is static or its loop is disabled).
+	wg      sync.WaitGroup
 	ctlStop chan struct{}
+
+	// state is the whole lifecycle, active<<svcPhaseBits | phase: raised
+	// only by reserve, lowered only by jobDone, walked only by Close, and
+	// alone on its cache line — submitters, finishing workers and idle
+	// pollers all touch it. ARCHITECTURE.md, "Service lifecycle", has the
+	// phase × operation table.
+	_     [8]uint64
+	state atomic.Int64
+	_     [7]uint64
+}
+
+// Phases of service.state, in the only order Close walks them.
+const (
+	svcServing  int64 = iota // jobs are counted in
+	svcClosing               // reserve refuses; Close waits for active == 0
+	svcStopping              // workers exit: their queues are empty by now
+	svcStopped               // workers joined; the team may Serve again or open a region
+
+	svcPhaseBits = 2
+	svcPhaseMask = 1<<svcPhaseBits - 1
+)
+
+// phase returns the lifecycle phase.
+func (svc *service) phase() int64 { return svc.state.Load() & svcPhaseMask }
+
+// reserve counts n jobs in unless Close has begun. The CAS only ever
+// starts from a serving observation, so a refused reservation is never
+// visible in ActiveJobs.
+func (svc *service) reserve(n int) bool {
+	for {
+		s := svc.state.Load()
+		if s&svcPhaseMask != svcServing {
+			return false
+		}
+		if svc.state.CompareAndSwap(s, s+int64(n)<<svcPhaseBits) {
+			return true
+		}
+	}
+}
+
+// jobDone retires one reserved job; the last one out of a closing service
+// wakes the Close waiting on it.
+func (svc *service) jobDone() {
+	if svc.state.Add(-1<<svcPhaseBits) == svcClosing {
+		svc.gate.Wake()
+	}
 }
 
 // Serve switches the team into task-service mode: all workers start and
@@ -123,23 +128,20 @@ func (tm *Team) Serve() error {
 	if tm.poisoned {
 		return errors.New("core: team unusable after a region panic; build a new team")
 	}
-	if old := tm.svc.Load(); old != nil && !old.done.Load() {
+	if tm.Serving() {
 		return errors.New("core: team is already serving")
 	}
 	svc := &service{
-		parked: intake.NewGate(),
-		bell:   intake.NewBell(tm.n),
+		gate: intake.NewGate(),
+		bell: intake.NewBell(tm.n),
 	}
 	for c := range svc.submit {
 		svc.submit[c] = intake.New[*Task](tm.cfg.Backlog)
 		svc.space[c] = intake.NewGate()
 	}
-	svc.cond = sync.NewCond(&svc.mu)
-	// Each Serve generation starts at full capacity (Close restored the
-	// mask; see SetActive for shrinking it while serving) and
-	// re-establishes the admission saturation verdict from scratch (auto
-	// until a controller has observed enough), published before the
-	// service so no submission can read a stale verdict.
+	// Each Serve generation starts at full capacity and with the admission
+	// saturation verdict back at auto, both published before the service
+	// so no submission can read a stale one.
 	tm.setActiveLocked(tm.n)
 	tm.satState.Store(satAuto)
 	tm.svc.Store(svc)
@@ -192,17 +194,11 @@ func (tm *Team) SetActive(n int) error {
 	if svc == nil {
 		return errors.New("core: SetActive on a team that is not serving; call Serve first")
 	}
-	if svc.done.Load() {
-		return ErrClosed
-	}
-	svc.mu.Lock()
-	closed := svc.closed
-	svc.mu.Unlock()
-	if closed {
+	if svc.phase() != svcServing {
 		return ErrClosed
 	}
 	tm.setActiveLocked(n)
-	svc.parked.Wake()
+	svc.gate.Wake()
 	// A worker blocked on the bell that just left the active set must go
 	// park (and stop absorbing rings meant for active workers); it
 	// re-checks the bound after registering, so store-then-ring here
@@ -288,10 +284,7 @@ func (tm *Team) ActiveJobs() int64 {
 	if svc == nil {
 		return 0
 	}
-	svc.mu.Lock()
-	n := svc.active
-	svc.mu.Unlock()
-	return n
+	return svc.state.Load() >> svcPhaseBits
 }
 
 // Close stops admission, waits for every submitted job to quiesce, then
@@ -304,34 +297,42 @@ func (tm *Team) ActiveJobs() int64 {
 // it waits for every active job, so a task calling Close waits for its
 // own job and deadlocks.
 func (tm *Team) Close() error {
-	// Admission is cut before taking lifeMu so a Close racing a stream of
-	// submitters cannot chase an ever-growing backlog, then the lifecycle
-	// lock serializes the actual teardown with Serve and regions.
 	svc := tm.svc.Load()
 	if svc == nil {
 		return errors.New("core: team is not serving")
 	}
-	svc.mu.Lock()
-	svc.closed = true
-	for svc.active > 0 {
-		svc.cond.Wait()
+	// serving → closing before taking lifeMu, so a Close racing a stream
+	// of submitters cannot chase an ever-growing backlog.
+	for {
+		s := svc.state.Load()
+		if s&svcPhaseMask != svcServing || svc.state.CompareAndSwap(s, s|svcClosing) {
+			break
+		}
 	}
-	svc.mu.Unlock()
+	svc.gate.Add()
+	for {
+		ch := svc.gate.Chan() // loaded before the re-check: the last jobDone's wake closes it
+		if svc.state.Load()>>svcPhaseBits == 0 {
+			break
+		}
+		<-ch
+	}
+	svc.gate.Done()
+	// The count is zero for good; under lifeMu this Close alone writes the
+	// word from here on.
 	tm.lifeMu.Lock()
 	defer tm.lifeMu.Unlock()
-	if svc.done.Load() {
+	if svc.phase() == svcStopped {
 		return nil // another Close finished the teardown
 	}
-	svc.stop.Store(true)
-	svc.parked.Wake()  // parked workers must observe stop and exit
+	svc.state.Store(svcStopping)
+	svc.gate.Wake()    // parked workers must observe stopping and exit
 	svc.bell.RingAll() // idle sleepers too, without waiting out their timers
 	if svc.ctlStop != nil {
-		// The teardown section runs exactly once (the done guard above),
-		// so this close cannot double-fire.
 		close(svc.ctlStop)
 	}
 	svc.wg.Wait()
-	svc.done.Store(true)
+	svc.state.Store(svcStopped)
 	// Restore the full-capacity invariant regions (and the next Serve)
 	// rely on: outside service mode, active == Workers().
 	tm.setActiveLocked(tm.n)
@@ -341,17 +342,7 @@ func (tm *Team) Close() error {
 // Serving reports whether the team is currently in task-service mode.
 func (tm *Team) Serving() bool {
 	svc := tm.svc.Load()
-	return svc != nil && !svc.done.Load()
-}
-
-// jobDone retires one job from the admission accounting.
-func (svc *service) jobDone() {
-	svc.mu.Lock()
-	svc.active--
-	if svc.active == 0 {
-		svc.cond.Broadcast()
-	}
-	svc.mu.Unlock()
+	return svc != nil && svc.phase() != svcStopped
 }
 
 // serve is one worker's service loop — the persistent analogue of the
@@ -368,13 +359,6 @@ func (tm *Team) serve(svc *service, w *Worker) {
 	w.beginRegion()
 	w.bell = svc.bell
 	defer func() { w.bell = nil }()
-	th := w.prof
-	// polls counts empty polls since the last clock read; idleSince is
-	// the first clock reading of the current idle spell (zero while the
-	// worker is finding work).
-	polls := 0
-	var idleSince time.Time
-	stalling := false
 	sweep := idleSweep
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
@@ -382,65 +366,43 @@ func (tm *Team) serve(svc *service, w *Worker) {
 	}
 	defer timer.Stop()
 	for {
-		if int32(w.id) >= tm.active.Load() && !svc.stop.Load() {
-			if stalling {
-				th.End(prof.EvStall)
-				stalling = false
-			}
+		if int32(w.id) >= tm.active.Load() && svc.phase() < svcStopping {
+			w.found()
 			tm.park(svc, w)
-			polls, idleSince = 0, time.Time{}
 			continue
 		}
 		if t := tm.sched.pop(w.id); t != nil {
-			if stalling {
-				th.End(prof.EvStall)
-				stalling = false
-			}
+			w.found()
 			tm.execute(w, t)
-			polls, idleSince = 0, time.Time{}
 			continue
 		}
 		if t := svc.tryRecv(); t != nil {
-			if stalling {
-				th.End(prof.EvStall)
-				stalling = false
-			}
+			w.found()
 			tm.adopt(w, t)
-			polls, idleSince = 0, time.Time{}
 			continue
 		}
-		if svc.stop.Load() {
-			if stalling {
-				th.End(prof.EvStall)
-			}
+		if svc.phase() >= svcStopping {
+			w.found()
 			return
 		}
-		w.sig.Idle()
-		if d := tm.dlb.Load(); d.Strategy != DLBNone {
-			tm.thiefStep(w, d)
-		}
-		if !stalling {
-			th.Begin(prof.EvStall)
-			stalling = true
-		}
-		th.Inc(prof.CntIdlePolls)
-		polls++
-		if polls <= stallSpins {
+		w.prof.Inc(prof.CntIdlePolls)
+		if !w.idle() {
 			continue
 		}
-		polls = 0
+		// One clock read per stallSpins polls: idleSince is the first
+		// reading of the current idle spell.
 		now := time.Now()
-		if idleSince.IsZero() {
-			idleSince = now
+		if w.idleSince.IsZero() {
+			w.idleSince = now
 		}
-		if now.Sub(idleSince) < idleSpin {
+		if now.Sub(w.idleSince) < idleSpin {
 			runtime.Gosched()
 			continue
 		}
 		if tm.idleWait(svc, w, timer, sweep) {
-			idleSince = time.Time{} // announced work: a fresh budget
+			w.idleSince = time.Time{} // announced work: a fresh budget
 		} else {
-			polls = stallSpins // a sweep: one poll, then back to sleep
+			w.polls = stallSpins // a sweep: one poll, then back to sleep
 		}
 	}
 }
@@ -448,33 +410,22 @@ func (tm *Team) serve(svc *service, w *Worker) {
 // idleWait blocks worker w on the service bell until a producer announces
 // work or the safety-net sweep fires, and reports which: true for an
 // announcement (or a re-check that already saw the reason to stay up),
-// false for a sweep.
-//
-// It is the consumer half of the Dekker pairing with every producer:
-// register on the bell, then re-check each thing a producer could have
-// changed — the stop flag, the active bound, the intake rings, w's own
-// queues. A producer publishes first and announces second (enqueue then
-// Ring; push then Wake; store then RingAll), so either the re-check sees
-// the change or the announcement sees this sleeper; nothing slips through
-// while the worker goes to sleep. The worker's load signals are flushed
-// first so dispatch and migration read a sleeping shard as idle rather
-// than as whatever it was when it last published.
+// false for a sweep. It is the consumer half of the pairing ARCHITECTURE.md
+// tabulates under "Idle policy": producers publish, then announce; the
+// worker registers, then re-checks everything a producer could have
+// changed — the phase, the active bound, the intake rings, its own
+// queues. Its load signals are flushed first so dispatch and migration
+// read a sleeping shard as idle, not as whatever it last published.
 func (tm *Team) idleWait(svc *service, w *Worker, timer *time.Timer, sweep time.Duration) bool {
 	th := w.prof
 	w.sig.Flush()
 	svc.bell.Sleep(w.id)
-	if svc.stop.Load() || int32(w.id) >= tm.active.Load() || svc.pending() || !tm.sched.empty(w.id) {
+	if svc.phase() >= svcStopping || int32(w.id) >= tm.active.Load() || svc.pending() || !tm.sched.empty(w.id) {
 		svc.bell.Cancel(w.id)
 		return true
 	}
 	th.Inc(prof.CntIdleParks)
-	if !timer.Stop() {
-		select {
-		case <-timer.C:
-		default:
-		}
-	}
-	timer.Reset(sweep)
+	rearm(timer, sweep)
 	select {
 	case <-svc.bell.Chan(w.id):
 		svc.bell.Cancel(w.id)
@@ -490,38 +441,42 @@ func (tm *Team) idleWait(svc *service, w *Worker, timer *time.Timer, sweep time.
 	return false
 }
 
+// rearm resets t, whose channel may still hold a tick nobody took.
+func rearm(t *time.Timer, d time.Duration) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	t.Reset(d)
+}
+
 // park takes worker w out of the serving rotation until SetActive grows
-// the active set past it again (or Close stops the service). The park is
-// preceded by a queue drain — every task already routed to w is handed
-// off to an active worker or executed here — and the blocked wait is
-// punctuated by a slow stray sweep, because a producer that raced the
-// park (static push, DLB steal/redirect, both read the active bound
-// lock-free) may still land a task in w's queues after the drain. The
-// combination guarantees parking never strands a task. Parked time is
-// recorded as an EvPark timeline segment on w's thread.
+// the active set past it again (or Close stops the service). It drains
+// first — every task already routed to w is handed off to an active
+// worker or executed here — and sweeps for strays while blocked, because a
+// producer that raced the park (static push, DLB steal/redirect, both read
+// the active bound lock-free) may still land a task in w's queues after
+// the drain: parking never strands a task. Parked time is an EvPark
+// timeline segment on w's thread.
 func (tm *Team) park(svc *service, w *Worker) {
 	th := w.prof
 	th.Begin(prof.EvPark)
 	tm.drainOnPark(w)
 	timer := time.NewTimer(parkSweep)
 	defer timer.Stop()
-	svc.parked.Add()
-	defer svc.parked.Done()
+	svc.gate.Add()
+	defer svc.gate.Done()
 	for {
 		// Load the wakeup channel before re-checking the condition: a
 		// concurrent SetActive/Close stores its state first and then
 		// closes exactly this channel, so the wake cannot be lost.
-		ch := svc.parked.Chan()
-		if svc.stop.Load() || int32(w.id) < tm.active.Load() {
+		ch := svc.gate.Chan()
+		if svc.phase() >= svcStopping || int32(w.id) < tm.active.Load() {
 			break
 		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(parkSweep)
+		rearm(timer, parkSweep)
 		select {
 		case <-ch:
 		case <-timer.C:
@@ -608,11 +563,9 @@ func (tm *Team) finishJob(j *Job) {
 		ob.ObserveComplete(j.tenant, float64(j.endNS.Load()-j.startNS.Load()))
 	}
 	// Retire before publishing: a waiter that finish releases must already
-	// find the job gone from ActiveJobs. Close joins the workers after the
-	// count reaches zero, so finish still completes before Close returns.
-	if svc := tm.svc.Load(); svc != nil {
-		svc.jobDone()
-	}
+	// find the job gone from ActiveJobs (Close joins the workers after the
+	// count reaches zero, so finish still completes before it returns).
+	tm.svc.Load().jobDone()
 	// finish must be the last access to j on this path: it releases the
 	// waiter, and a released waiter may Release() the frame — from that
 	// point the frame can be recycled and belong to an unrelated job.

@@ -258,11 +258,7 @@ func (tm *Team) Signals() load.Signals {
 			agg.ClassQueueDepth[c] = float64(tm.profile.ClassQueued(c))
 		}
 		agg.JobNS = tm.profile.JobTimeNS()
-		running := float64(tm.ActiveJobs()) - agg.QueueDepth
-		if running < 0 {
-			running = 0
-		}
-		agg.Running = running
+		agg.Running = max(0, float64(tm.ActiveJobs())-agg.QueueDepth)
 	}
 	agg.Capacity = float64(tm.ActiveWorkers())
 	return agg
@@ -301,7 +297,7 @@ func (tm *Team) Parallel(f TaskFunc) { tm.region(f, true) }
 
 func (tm *Team) region(f TaskFunc, spmd bool) {
 	tm.lifeMu.Lock()
-	if svc := tm.svc.Load(); svc != nil && !svc.done.Load() {
+	if tm.Serving() {
 		tm.lifeMu.Unlock()
 		panic("core: parallel region on a serving team (Close the service first)")
 	}
@@ -450,41 +446,23 @@ func (tm *Team) barrierWait(w *Worker) {
 	th := w.prof
 	th.Begin(prof.EvBarrier)
 	tm.bar.enter(w.id)
-	spins := 0
-	stalling := false
 	for {
 		if tm.aborted.Load() {
 			break // a task panicked; the region is unwinding
 		}
 		if t := tm.sched.pop(w.id); t != nil {
-			if stalling {
-				th.End(prof.EvStall)
-				stalling = false
-			}
+			w.found()
 			tm.bar.active(w.id)
 			tm.execute(w, t)
-			spins = 0
 			continue
 		}
 		if tm.bar.done(w.id) {
 			break
 		}
-		w.sig.Idle()
-		if d := tm.dlb.Load(); d.Strategy != DLBNone {
-			tm.thiefStep(w, d)
-		}
-		if !stalling {
-			th.Begin(prof.EvStall)
-			stalling = true
-		}
-		spins++
-		if spins > stallSpins {
+		if w.idle() {
 			runtime.Gosched()
-			spins = 0
 		}
 	}
-	if stalling {
-		th.End(prof.EvStall)
-	}
+	w.found()
 	th.End(prof.EvBarrier)
 }

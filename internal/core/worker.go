@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync/atomic"
+	"time"
 
 	"repro/internal/intake"
 	"repro/internal/load"
@@ -44,6 +45,12 @@ type Worker struct {
 	// parkCur rotates the hand-off target over the active set while this
 	// worker drains its queues to park (owner-only).
 	parkCur int
+	// Stall bookkeeping of the worker's scheduling loop (owner-only; see
+	// found and idle): an EvStall span is open, empty polls since the last
+	// yield point, and (serve loop) the idle spell's first clock reading.
+	stalling  bool
+	polls     int
+	idleSince time.Time
 	// bell is the service bell while this worker runs a serve loop, nil
 	// otherwise (regions never sleep). Owner-only: it is how a task body
 	// on this worker announces a push without touching shared team state.
@@ -78,6 +85,37 @@ func (w *Worker) beginRegion() {
 	w.redirectedAny = false
 	w.handlingReq = false
 	w.parkCur = 0
+}
+
+// found ends the worker's idle spell — it found work, or its scheduling
+// loop is over: the open EvStall span closes and the spin budget resets.
+func (w *Worker) found() {
+	if w.stalling {
+		w.prof.End(prof.EvStall)
+		w.stalling = false
+	}
+	w.polls, w.idleSince = 0, time.Time{}
+}
+
+// idle is one empty poll of a scheduling loop: the worker samples itself
+// idle, takes a thief step, and opens the EvStall span on the first poll
+// of a spell. It reports true once per stallSpins polls — the loop's cue
+// to yield the OS thread.
+func (w *Worker) idle() bool {
+	w.sig.Idle()
+	if d := w.team.dlb.Load(); d.Strategy != DLBNone {
+		w.team.thiefStep(w, d)
+	}
+	if !w.stalling {
+		w.prof.Begin(prof.EvStall)
+		w.stalling = true
+	}
+	w.polls++
+	if w.polls <= stallSpins {
+		return false
+	}
+	w.polls = 0
+	return true
 }
 
 // Spawn creates a task executing fn as a child of the current task. The

@@ -3,14 +3,11 @@
 // ShardedPool.SubmitBatchCtx — one syscall's worth of jobs pays one
 // admission section — and streams per-job outcome records back with
 // coalesced writes, plus the matching client. Each connection runs one
-// reader/writer goroutine pair; completed jobs hop from the completing
-// worker to the writer through Job.Subscribe, so no goroutine ever
-// blocks per job, and while frames arrive faster than pollWindow apart
-// the reader polls for the next one instead of parking (edge.go: "the
-// edge polls itself"). Typed admission errors travel as wire status codes,
-// buffers recycle through internal/alloc, and per-connection traffic
-// lands on prof.Wire — the whole edge holds the fast path's
-// zero-allocation line for synthetic (spin) jobs.
+// reader/writer goroutine pair around a counted window; completed jobs
+// hop from the completing worker to the writer through Job.Subscribe,
+// and a hot connection's reader polls instead of parking (edge.go).
+// ARCHITECTURE.md, "Network serving edge", has the design; the whole edge
+// holds the fast path's zero-allocation line for synthetic (spin) jobs.
 package jobserve
 
 import (
@@ -33,10 +30,10 @@ import (
 	"repro/xomp"
 )
 
-// DefaultWindow bounds each connection's admitted-but-unreported jobs
+// DefaultWindow bounds each connection's decoded-but-unreported records
 // when Config.Window is zero. The window is the conn's only unbounded-
-// buffer guard: the completion channel is sized to it, so delivery
-// sends never block a worker.
+// buffer guard: the completion channel is sized to it, so delivery sends
+// never block a worker.
 const DefaultWindow = 4096
 
 // Config configures a Server.
@@ -47,7 +44,7 @@ type Config struct {
 	// Scale is the BOTS input scale for named-app submissions (zero
 	// value = bots.ScaleTest, matching the replay harness).
 	Scale bots.Scale
-	// Window bounds admitted-but-unreported jobs per connection
+	// Window bounds decoded-but-unreported records per connection
 	// (0 = DefaultWindow). A reader that fills its window stops decoding
 	// until results drain — per-connection backpressure.
 	Window int
@@ -68,6 +65,9 @@ type Server struct {
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
+	// windowHook, set by tests only, sees every raise of a connection's
+	// window: the reader's sent and the counter its writer advances.
+	windowHook func(sent uint64, reported *atomic.Uint64)
 }
 
 // Serve starts serving connections from ln until Close. The returned
@@ -164,12 +164,35 @@ func (s *Server) accept() {
 	}
 }
 
-// handle runs one connection: this goroutine is the reader (decode →
-// admit → subscribe), a second is the writer (completions → encode →
-// coalesced flush). The two share the window semaphore bounding
-// admitted-but-unreported jobs and a context that either side cancels
-// on its terminal error, so neither outlives the other by more than a
-// drain.
+// conn is one connection's state, shared by its reader (handle's own
+// goroutine: decode → admit → subscribe) and its writer (completions →
+// encode → coalesced flush). Either half's terminal error cancels the
+// pair, so neither outlives the other by more than a drain.
+type conn struct {
+	s      *Server
+	c      net.Conn
+	ec     *edgeConn // the polling read side; nil = the reader decodes from c itself
+	cancel context.CancelFunc
+	// done (completed jobs, delivered by the finishing worker) and
+	// refusals (records for items that never became jobs) feed the
+	// writer. cap(done) == window keeps Subscribe's delivery send
+	// nonblocking by construction.
+	done     chan *xomp.Job
+	refusals chan []wire.ResultRecord
+	// admitted is the stage clock's hand-off: the reader arms it with the
+	// admission stamp of the oldest frame no completion has answered yet,
+	// the writer's next wake-up with a completed job disarms it (0).
+	admitted atomic.Int64
+	// The window (ARCHITECTURE.md, "Connection lifecycle"): sent, the
+	// reader's own, counts records let in; reported counts records the
+	// writer has flushed, jobs and refusals alike; room is the writer's
+	// poke for a reader that found sent - reported at Config.Window.
+	sent     uint64
+	reported atomic.Uint64
+	room     chan struct{}
+}
+
+// handle runs one connection to its end.
 func (s *Server) handle(c net.Conn) {
 	defer s.wg.Done()
 	s.wire.ConnOpened()
@@ -184,41 +207,58 @@ func (s *Server) handle(c net.Conn) {
 	}()
 	ctx, cancel := context.WithCancel(s.ctx)
 	defer cancel()
-
-	window := s.cfg.Window
-	// done (completed jobs, delivered by the finishing worker) and
-	// refusals (records for items that never became jobs) feed the
-	// writer. cap(done) == window keeps Subscribe's delivery send
-	// nonblocking by construction.
-	done := make(chan *xomp.Job, window)
-	refusals := make(chan []wire.ResultRecord, 8)
-	slots := make(chan struct{}, window)
-	// admitted is the stage clock's hand-off between the two halves: the
-	// reader arms it with the admission stamp of the oldest frame no
-	// completion has answered yet, the writer's next wake-up with a
-	// completed job disarms it (0 = unarmed).
-	var admitted atomic.Int64
-
-	var writerWG sync.WaitGroup
-	writerWG.Add(1)
+	cn := &conn{
+		s: s, c: c, ec: ec, cancel: cancel,
+		done:     make(chan *xomp.Job, s.cfg.Window),
+		refusals: make(chan []wire.ResultRecord, 8),
+		room:     make(chan struct{}, 1),
+	}
+	written := make(chan struct{})
 	go func() {
-		defer writerWG.Done()
-		s.writeResults(ctx, cancel, c, done, refusals, slots, &admitted)
+		defer close(written)
+		cn.write(ctx)
 	}()
-	s.readSubmits(ctx, cancel, c, ec, done, refusals, slots, &admitted)
-	writerWG.Wait()
+	cn.read(ctx)
+	<-written
 }
 
-// readSubmits is the reader half: decode one submit frame, admit it as
-// one batch, subscribe the admitted jobs to the writer's channel, and
-// forward immediate refusals. Sequence numbers are implicit per
-// connection, assigned in decode order. ec is the connection's polling
-// read side, nil when it has none: the reader then decodes from c itself.
-func (s *Server) readSubmits(ctx context.Context, cancel context.CancelFunc, c net.Conn, ec *edgeConn, done chan *xomp.Job, refusals chan []wire.ResultRecord, slots chan struct{}, admitted *atomic.Int64) {
-	defer cancel() // reader gone → writer must not wait forever
-	var src io.Reader = c
-	if ec != nil {
-		src = ec
+// acquire waits until n more records fit the window and counts them in —
+// the window's only raise; its only release is the writer's, after a flush.
+func (cn *conn) acquire(ctx context.Context, n int) bool {
+	for cn.sent+uint64(n)-cn.reported.Load() > uint64(cn.s.cfg.Window) {
+		select {
+		case <-cn.room:
+		case <-ctx.Done():
+			return false
+		}
+	}
+	cn.sent += uint64(n)
+	if h := cn.s.windowHook; h != nil {
+		h(cn.sent, &cn.reported)
+	}
+	return true
+}
+
+// refuse forwards refusal records to the writer, reporting false when the
+// connection died first.
+func (cn *conn) refuse(ctx context.Context, out []wire.ResultRecord) bool {
+	select {
+	case cn.refusals <- out:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
+// read is the reader half: decode one submit frame, admit it as one
+// batch, subscribe the admitted jobs to the writer's channel, and forward
+// immediate refusals. Sequence numbers are implicit, in decode order.
+func (cn *conn) read(ctx context.Context) {
+	defer cn.cancel() // reader gone → writer must not wait forever
+	s := cn.s
+	var src io.Reader = cn.c
+	if cn.ec != nil {
+		src = cn.ec
 	}
 	dec := wire.NewDecoder(src, s.bufs)
 	defer dec.Close()
@@ -241,7 +281,7 @@ func (s *Server) readSubmits(ctx context.Context, cancel context.CancelFunc, c n
 		// relative on the wire and rebased onto the server clock here;
 		// the same reading starts the frame's stage clock.
 		now := time.Now()
-		ec.frame(now, int64(now.Sub(s.epoch)))
+		cn.ec.frame(now, int64(now.Sub(s.epoch)))
 		items = items[:0]
 		for i := range recs {
 			r := &recs[i]
@@ -254,23 +294,13 @@ func (s *Server) readSubmits(ctx context.Context, cancel context.CancelFunc, c n
 			items = append(items, it)
 		}
 
-		// One frame is normally one admission section. A frame larger
-		// than the window is admitted in window-sized chunks — acquiring
-		// more slots than the window holds would deadlock against the
-		// writer, which can only free slots for jobs already submitted.
+		// One frame is normally one admission section; one larger than
+		// the window goes in window-sized chunks, since a chunk that can
+		// never fit would wait on the writer forever.
 		for at := 0; at < len(items); {
-			chunk := len(items) - at
-			if chunk > s.cfg.Window {
-				chunk = s.cfg.Window
-			}
-			// Window acquisition before admission: the chunk must fit the
-			// unreported-jobs bound before it may hold admission slots.
-			for i := 0; i < chunk; i++ {
-				select {
-				case slots <- struct{}{}:
-				case <-ctx.Done():
-					return
-				}
+			chunk := min(len(items)-at, s.cfg.Window)
+			if !cn.acquire(ctx, chunk) {
+				return
 			}
 			res, err := s.cfg.Pool.SubmitBatchCtx(ctx, items[at:at+chunk])
 			if err != nil {
@@ -278,9 +308,8 @@ func (s *Server) readSubmits(ctx context.Context, cancel context.CancelFunc, c n
 				out := make([]wire.ResultRecord, chunk)
 				for i := range out {
 					out[i] = wire.ResultRecord{Seq: seq + uint64(at+i), Status: wire.StatusClosed}
-					<-slots
 				}
-				sendRefusals(ctx, refusals, out)
+				cn.refuse(ctx, out)
 				return
 			}
 			// The verdict is in: one clock read closes the admit stage
@@ -296,18 +325,17 @@ func (s *Server) readSubmits(ctx context.Context, cancel context.CancelFunc, c n
 						Seq:    seq + uint64(at+i),
 						Status: statusFor(res[i].Err),
 					})
-					<-slots // never became a job; free its window slot
 					continue
 				}
 				if !armed {
-					admitted.CompareAndSwap(0, int64(verdict.Sub(s.epoch))|1)
+					cn.admitted.CompareAndSwap(0, int64(verdict.Sub(s.epoch))|1)
 					armed = true
 				}
 				j := res[i].Job
 				j.SetTag(seq + uint64(at+i))
-				j.Subscribe(done)
+				j.Subscribe(cn.done)
 			}
-			if refused != nil && !sendRefusals(ctx, refusals, refused) {
+			if refused != nil && !cn.refuse(ctx, refused) {
 				return
 			}
 			at += chunk
@@ -316,34 +344,23 @@ func (s *Server) readSubmits(ctx context.Context, cancel context.CancelFunc, c n
 	}
 }
 
-// sendRefusals forwards refusal records to the writer, reporting false
-// when the connection died first.
-func sendRefusals(ctx context.Context, refusals chan []wire.ResultRecord, out []wire.ResultRecord) bool {
-	select {
-	case refusals <- out:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// writeResults is the writer half: collect completed jobs and refusal
-// records, encode them as result frames, and flush coalesced — after
-// one blocking receive it drains everything already pending, so a burst
-// of completions costs one syscall.
-func (s *Server) writeResults(ctx context.Context, cancel context.CancelFunc, c net.Conn, done chan *xomp.Job, refusals chan []wire.ResultRecord, slots chan struct{}, admitted *atomic.Int64) {
-	defer cancel() // writer gone → reader must stop admitting
-	enc := wire.NewEncoder(c, s.bufs)
+// write is the writer half: collect completed jobs and refusal records,
+// encode them as result frames, and flush coalesced — after one blocking
+// receive it drains everything already pending, so a burst of
+// completions costs one syscall.
+func (cn *conn) write(ctx context.Context) {
+	defer cn.cancel() // writer gone → reader must stop admitting
+	s := cn.s
+	enc := wire.NewEncoder(cn.c, s.bufs)
 	defer enc.Close()
 	var out []wire.ResultRecord
 	for {
 		out = out[:0]
 		refused := 0
 		select {
-		case j := <-done:
+		case j := <-cn.done:
 			out = appendJobResult(out, j)
-			<-slots
-		case recs := <-refusals:
+		case recs := <-cn.refusals:
 			out = append(out, recs...)
 			refused += len(recs)
 		case <-ctx.Done():
@@ -355,10 +372,9 @@ func (s *Server) writeResults(ctx context.Context, cancel context.CancelFunc, c 
 	coalesce:
 		for len(out) < wire.MaxBatch {
 			select {
-			case j := <-done:
+			case j := <-cn.done:
 				out = appendJobResult(out, j)
-				<-slots
-			case recs := <-refusals:
+			case recs := <-cn.refusals:
 				out = append(out, recs...)
 				refused += len(recs)
 			default:
@@ -366,21 +382,16 @@ func (s *Server) writeResults(ctx context.Context, cancel context.CancelFunc, c 
 			}
 		}
 		if len(out) > refused { // a completed job, not only refusals
-			if at := admitted.Swap(0); at != 0 {
+			if at := cn.admitted.Swap(0); at != 0 {
 				s.wire.RecordStage(prof.StageFirstDone, int64(woke.Sub(s.epoch))-at)
 			}
 		}
 		// Encode in frame-safe chunks before the single flush: the
-		// coalesce bound is loose (a refusal slice lands whole, so out
-		// can exceed MaxBatch), and even a legal near-MaxBatch batch of
-		// OK records can overflow MaxFrame — an oversized coalesced
-		// batch becomes several frames in one flush, not a terminal
-		// encode error.
+		// coalesce bound is loose (a refusal slice lands whole), and a
+		// near-MaxBatch batch of OK records can overflow MaxFrame — an
+		// oversized batch becomes several frames in one flush.
 		for at := 0; at < len(out); {
-			n := len(out) - at
-			if n > wire.MaxResultsPerFrame {
-				n = wire.MaxResultsPerFrame
-			}
+			n := min(len(out)-at, wire.MaxResultsPerFrame)
 			if err := enc.Results(out[at : at+n]); err != nil {
 				return // malformed record; conn is unusable
 			}
@@ -389,6 +400,12 @@ func (s *Server) writeResults(ctx context.Context, cancel context.CancelFunc, c 
 		n, err := enc.Flush()
 		if err != nil {
 			return // peer gone; reader will notice via cancel
+		}
+		// Flushed is reported: the window's one release.
+		cn.reported.Add(uint64(len(out)))
+		select {
+		case cn.room <- struct{}{}:
+		default:
 		}
 		s.wire.RecordStage(prof.StageFlush, int64(time.Since(woke)))
 		s.wire.FlushOut(n)
@@ -403,14 +420,8 @@ func appendJobResult(out []wire.ResultRecord, j *xomp.Job) []wire.ResultRecord {
 	if j.Err() != nil {
 		rec.Status = wire.StatusPanicked
 	} else {
-		rec.QueueNS = int64(j.QueueDelay())
-		rec.RunNS = int64(j.RunTime())
-		if rec.QueueNS < 0 {
-			rec.QueueNS = 0
-		}
-		if rec.RunNS < 0 {
-			rec.RunNS = 0
-		}
+		rec.QueueNS = max(0, int64(j.QueueDelay()))
+		rec.RunNS = max(0, int64(j.RunTime()))
 	}
 	j.Release()
 	return append(out, rec)

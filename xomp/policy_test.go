@@ -176,29 +176,3 @@ func TestPoolSignalsAndPolicyTrace(t *testing.T) {
 		t.Fatalf("fresh pool has policy trace %+v", trace)
 	}
 }
-
-func TestFromEnvPolicy(t *testing.T) {
-	t.Setenv("XOMP_POLICY", "adaptive")
-	cfg, err := xomp.FromEnv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Policy.Name != "adaptive" {
-		t.Fatalf("Policy.Name = %q", cfg.Policy.Name)
-	}
-	t.Setenv("XOMP_POLICY", "ws-mid")
-	if cfg, err = xomp.FromEnv(); err != nil {
-		t.Fatal(err)
-	}
-	tm, err := xomp.NewTeam(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want, _ := xomp.PolicyDLB("ws-mid", tm.Topology().Zones); tm.DLB() != want {
-		t.Fatalf("ws-mid installed %+v, want %+v", tm.DLB(), want)
-	}
-	t.Setenv("XOMP_POLICY", "bogus")
-	if _, err := xomp.FromEnv(); err == nil {
-		t.Fatal("bogus policy accepted")
-	}
-}
