@@ -444,7 +444,13 @@ func BenchmarkPoolThroughput(b *testing.B) {
 			})
 		}
 		b.Run(fmt.Sprintf("cheap-%s/batch64", preset), func(b *testing.B) {
-			benchCheapBatch(b, preset, 64)
+			benchCheapBatch(b, preset, 64, cheapBacklog)
+		})
+		// The same batch on the default backlog (4×Workers = 16): three
+		// quarters of it overflows the ring and enters in runs, the path
+		// cheapBacklog keeps the other rows off.
+		b.Run(fmt.Sprintf("cheap-%s/batch64-overflow", preset), func(b *testing.B) {
+			benchCheapBatch(b, preset, 64, 0)
 		})
 	}
 }
@@ -453,7 +459,7 @@ func BenchmarkPoolThroughput(b *testing.B) {
 // goroutines submit empty jobs back to back and wait for each.
 func benchCheapPool(b *testing.B, preset string, submitters int) {
 	b.Helper()
-	pool := cheapPool(b, preset)
+	pool := cheapPool(b, preset, cheapBacklog)
 	noop := func(*xomp.Worker) {}
 	var next atomic.Int64
 	b.ReportAllocs()
@@ -498,9 +504,9 @@ func benchCheapPool(b *testing.B, preset string, submitters int) {
 // items slice across rounds, then waits for and releases every handle.
 // Compare against the cheap-*/sub1 row: the delta is what one admission
 // decision per batch buys over one per job.
-func benchCheapBatch(b *testing.B, preset string, size int) {
+func benchCheapBatch(b *testing.B, preset string, size, backlog int) {
 	b.Helper()
-	pool := cheapPool(b, preset)
+	pool := cheapPool(b, preset, backlog)
 	noop := func(*xomp.Worker) {}
 	items := make([]xomp.BatchItem, size)
 	for i := range items {
@@ -540,13 +546,16 @@ func benchCheapBatch(b *testing.B, preset string, size int) {
 	}
 }
 
-// cheapPool builds the pool the cheap-job rows share: a deep backlog so
-// the cells measure the submit path, not a 4×Workers backpressure bound.
-func cheapPool(b *testing.B, preset string) *xomp.Pool {
+// cheapBacklog is the deep backlog the cheap-job rows share, so the cells
+// measure the submit path, not a 4×Workers backpressure bound.
+const cheapBacklog = 256
+
+// cheapPool builds the pool of a cheap-job row (backlog 0: the default).
+func cheapPool(b *testing.B, preset string, backlog int) *xomp.Pool {
 	b.Helper()
 	cfg := xomp.Preset(preset, benchWorkers)
 	cfg.Topology = numa.Synthetic(benchWorkers, 2)
-	cfg.Backlog = 256
+	cfg.Backlog = backlog
 	return xomp.MustPool(cfg)
 }
 

@@ -13,12 +13,12 @@ type Ring struct {
 	_    [7]uint64
 }
 
-// Gate reproduces the unpadded-counter bug. go vet is silent here:
+// Gate reproduces the unpadded-flag bug. go vet is silent here:
 // copylocks only cares about copying, not layout.
 type Gate struct {
-	waiters atomic.Int32 // want `shares a cache line with mu`
-	mu      int64
-	ch      chan struct{}
+	armed atomic.Bool // want `shares a cache line with mu`
+	mu    int64
+	ch    chan struct{}
 }
 
 // Bell is the fixed shape.

@@ -91,15 +91,18 @@ func (q *Queue[T]) Enqueue(v *T) bool {
 // empty. Consumer-only.
 func (q *Queue[T]) Dequeue() *T {
 	if q.tail == q.batchTail {
-		// Backtracking probe: find the largest batch whose last slot is
-		// already filled. Monotone filling by the producer guarantees every
-		// slot before it is filled too.
-		batch := q.cBatch
-		for batch > 0 && q.buf[(q.tail+batch-1)&q.mask].Load() == nil {
-			batch >>= 1
-		}
-		if batch == 0 {
+		// Monotone filling by the producer makes the head slot definitive:
+		// nil there means nothing behind it either, so an empty queue costs
+		// its poller one load of one line.
+		if q.buf[q.tail&q.mask].Load() == nil {
 			return nil
+		}
+		// Backtracking probe: find the largest batch whose last slot is
+		// already filled; every slot before it is filled too. It stops at
+		// the head slot at the latest — only this consumer clears it.
+		batch := q.cBatch
+		for q.buf[(q.tail+batch-1)&q.mask].Load() == nil {
+			batch >>= 1
 		}
 		q.batchTail = q.tail + batch
 	}

@@ -95,6 +95,31 @@ func TestEmptyReporting(t *testing.T) {
 	}
 }
 
+// An empty queue stays empty however often it is polled — at every
+// position of the consumer's cursor within its probe batch — and the very
+// next enqueue is seen by the very next dequeue.
+func TestEmptyStaysEmptyThenSeesNextEnqueue(t *testing.T) {
+	q := New[int](64) // probe batch 16: walk the cursor through three of them
+	vals := make([]int, 50)
+	for i := range vals {
+		for poll := 0; poll < 3; poll++ {
+			if got := q.Dequeue(); got != nil {
+				t.Fatalf("empty queue at position %d, poll %d returned %d", i, poll, *got)
+			}
+		}
+		vals[i] = i
+		if !q.Enqueue(&vals[i]) {
+			t.Fatalf("enqueue %d failed", i)
+		}
+		if got := q.Dequeue(); got == nil || *got != i {
+			t.Fatalf("dequeue after enqueue %d = %v", i, got)
+		}
+	}
+	if got := q.Dequeue(); got != nil {
+		t.Fatalf("drained queue returned %d", *got)
+	}
+}
+
 func TestWrapAround(t *testing.T) {
 	q := New[int](4)
 	vals := make([]int, 1000)

@@ -337,67 +337,111 @@ func (tm *Team) admitBatch(ctx context.Context, svc *service, items []BatchItem,
 	}
 
 	// Phase 5: leftovers — items whose class ring was full. Reject-mode
-	// items roll back immediately; wait-mode items block in item order on
-	// their class's space gate, each honouring ctx and its own deadline.
+	// items roll back at once; from here on wait[i] marks the wait-mode
+	// leftovers, which enter in runs (admitRun): consecutive leftovers of
+	// one class and one deadline refill the ring together each time space
+	// appears, in item order, under ctx and the run's deadline.
 	var seen [load.NumClasses]int
 	for i := range items {
 		j := res[i].Job
 		if j == nil {
+			wait[i] = false
 			continue
 		}
 		seen[j.class]++
 		if seen[j.class] <= enq[j.class] {
-			continue // queued in phase 4
-		}
-		if !wait[i] {
+			wait[i] = false // queued in phase 4
+		} else if !wait[i] {
 			tm.rollbackSubmit(svc, j, prof.AdmitRejected)
 			res[i] = BatchResult{Err: ErrBacklogFull}
-		} else if err := tm.blockEnqueue(ctx, svc, j, items[i].Opts.Deadline, admitStart); err != nil {
-			res[i] = BatchResult{Err: err}
+		}
+	}
+	for lo := 0; lo < len(items); {
+		if !wait[lo] {
+			lo++
+			continue
+		}
+		class, deadline := res[lo].Job.class, items[lo].Opts.Deadline
+		roots = roots[:0]
+		hi := lo
+		for ; hi < len(items); hi++ {
+			if !wait[hi] {
+				continue
+			}
+			if res[hi].Job.class != class || !items[hi].Opts.Deadline.Equal(deadline) {
+				break
+			}
+			roots = append(roots, &res[hi].Job.root)
+		}
+		n, o, err := tm.admitRun(ctx, svc, roots, deadline, admitStart)
+		for ; lo < hi; lo++ {
+			if !wait[lo] {
+				continue
+			}
+			if n > 0 {
+				n-- // in the published prefix
+				continue
+			}
+			tm.rollbackSubmit(svc, res[lo].Job, o)
+			res[lo] = BatchResult{Err: err}
 		}
 	}
 }
 
-// blockEnqueue publishes an already-reserved job into its class ring,
-// waiting on the class's space gate until it fits, ctx is cancelled, or
-// deadline passes; on failure the admission accounting is rolled back
-// and the frame recycled. It fails fast on an already-cancelled ctx, so
-// once a cancellation lands the rest of a batch's wait-items roll back
-// without blocking. Only this goroutine can publish j's root, so the job
-// either enqueues (and never rolls back) or rolls back (and was never
-// visible to a worker): exactly-once without a select's one-arm
+// admitRun publishes a run of already-reserved jobs of one class into
+// their ring, in order, waiting on the class's space gate whenever the
+// ring is full: each time space appears it refills the ring with one
+// reserving EnqueueBatch, rings the bell once, reads the clock once and
+// counts one Admitted per tenant run, then blocks again. A single
+// blocked submission is the run of one. It returns how many roots it
+// published; short of all of them, ctx was cancelled or deadline passed,
+// and it returns the outcome and typed error the caller rolls the
+// unpublished suffix back with. It fails fast on an already-cancelled
+// ctx, so once a cancellation lands the rest of a batch's runs roll back
+// without blocking. Only this goroutine can publish the run's roots, so
+// each job either enqueues (and never rolls back) or rolls back (and was
+// never visible to a worker): exactly-once without a select's one-arm
 // commitment.
-func (tm *Team) blockEnqueue(ctx context.Context, svc *service, j *Job, deadline time.Time, admitStart int64) error {
-	if err := ctx.Err(); err != nil {
-		tm.rollbackSubmit(svc, j, prof.AdmitCancelled)
-		return err
-	}
+func (tm *Team) admitRun(ctx context.Context, svc *service, roots []*Task, deadline time.Time, admitStart int64) (int, prof.AdmitOutcome, error) {
+	class := roots[0].job.class
+	ring, g := svc.submit[class], svc.space[class]
 	var timeout <-chan time.Time
 	if !deadline.IsZero() {
 		timer := time.NewTimer(time.Until(deadline))
 		defer timer.Stop()
 		timeout = timer.C
 	}
-	g := svc.space[j.class]
-	g.Add()
-	defer g.Done()
+	done := 0
 	for {
-		// Load the gate channel before retrying the enqueue: a consumer
-		// frees its slot before ringing the gate, so either the retry sees
-		// the space or the wake closes exactly this channel.
-		ch := g.Chan()
-		if svc.enqueue(j.class, &j.root) {
-			tm.profile.Admitted(j.class, j.tenant, 1, tm.profile.Now()-admitStart)
-			return nil
+		if err := ctx.Err(); err != nil {
+			return done, prof.AdmitCancelled, err
+		}
+		// Arm before the refill: a consumer frees its slot before it wakes
+		// the gate, so a dequeue the refill did not see closes exactly this
+		// channel — also when the refill took some slots and left the ring
+		// full again.
+		ch := g.Arm()
+		if n := ring.EnqueueBatch(roots[done:]); n > 0 {
+			svc.bell.RingMany(n)
+			lat := tm.profile.Now() - admitStart
+			for in := roots[done : done+n]; len(in) > 0; {
+				t, k := in[0].job.tenant, 1
+				for k < len(in) && in[k].job.tenant.ID == t.ID {
+					k++
+				}
+				tm.profile.Admitted(class, t, k, lat)
+				in = in[k:]
+			}
+			if done += n; done == len(roots) {
+				return done, prof.AdmitAdmitted, nil
+			}
 		}
 		select {
 		case <-ch:
 		case <-ctx.Done():
-			tm.rollbackSubmit(svc, j, prof.AdmitCancelled)
-			return ctx.Err()
+			return done, prof.AdmitCancelled, ctx.Err()
 		case <-timeout:
-			tm.rollbackSubmit(svc, j, prof.AdmitExpired)
-			return ErrDeadlineExceeded
+			return done, prof.AdmitExpired, ErrDeadlineExceeded
 		}
 	}
 }
@@ -442,7 +486,7 @@ func forEachRun(res []BatchResult, limit [load.NumClasses]int, fn func(c load.Cl
 // rollbackSubmit undoes the admission accounting of a job whose enqueue
 // did not happen (rejected, cancelled, or expired while waiting) — the
 // queue-depth gauges and the service's reservation, exactly once (see
-// blockEnqueue) — and recycles its frame.
+// admitRun) — and recycles its frame.
 func (tm *Team) rollbackSubmit(svc *service, j *Job, o prof.AdmitOutcome) {
 	tm.profile.Refused(j.class, j.tenant, o, true)
 	svc.jobDone()

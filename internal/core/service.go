@@ -213,16 +213,15 @@ func (tm *Team) SetActive(n int) error {
 // queue empty, which is what makes the per-class queues an
 // anti-head-of-line-blocking device rather than mere partitioning.
 // Non-blocking; nil when all queues are empty. A successful dequeue
-// rings the class's space gate so a submitter blocked on the full ring
-// can take the freed slot.
-func (svc *service) tryRecv() *Task {
+// wakes the class's space gate so a submitter blocked on the full ring
+// can take the freed slot; released reports that there was one.
+func (svc *service) tryRecv() (t *Task, released bool) {
 	for _, c := range load.ByPriority {
 		if t, ok := svc.submit[c].TryDequeue(); ok {
-			svc.space[c].Wake()
-			return t
+			return t, svc.space[c].Wake()
 		}
 	}
-	return nil
+	return nil, false
 }
 
 // pending reports whether any class ring holds a job — the non-consuming
@@ -256,14 +255,11 @@ func (svc *service) enqueueBlocking(class load.Class, t *Task) {
 	if svc.enqueue(class, t) {
 		return
 	}
-	g := svc.space[class]
-	g.Add()
-	defer g.Done()
 	for {
-		// Load the gate channel before retrying: a consumer frees its
-		// slot before ringing, so either the retry sees the space or the
-		// wake closes exactly this channel.
-		ch := g.Chan()
+		// Arm before retrying: a consumer frees its slot before it wakes
+		// the gate, so either the retry sees the space or the wake closes
+		// exactly this channel.
+		ch := svc.space[class].Arm()
 		if svc.enqueue(class, t) {
 			return
 		}
@@ -309,15 +305,13 @@ func (tm *Team) Close() error {
 			break
 		}
 	}
-	svc.gate.Add()
 	for {
-		ch := svc.gate.Chan() // loaded before the re-check: the last jobDone's wake closes it
+		ch := svc.gate.Arm() // armed before the re-check: the last jobDone's wake closes it
 		if svc.state.Load()>>svcPhaseBits == 0 {
 			break
 		}
 		<-ch
 	}
-	svc.gate.Done()
 	// The count is zero for good; under lifeMu this Close alone writes the
 	// word from here on.
 	tm.lifeMu.Lock()
@@ -376,8 +370,12 @@ func (tm *Team) serve(svc *service, w *Worker) {
 			tm.execute(w, t)
 			continue
 		}
-		if t := svc.tryRecv(); t != nil {
+		if t, released := svc.tryRecv(); t != nil {
 			w.found()
+			// The dequeue released a submitter blocked on the full ring: the
+			// work this worker waits for next is that submitter's, so it
+			// drains what is queued and yields at its first empty poll.
+			w.released = w.released || released
 			tm.adopt(w, t)
 			continue
 		}
@@ -466,13 +464,11 @@ func (tm *Team) park(svc *service, w *Worker) {
 	tm.drainOnPark(w)
 	timer := time.NewTimer(parkSweep)
 	defer timer.Stop()
-	svc.gate.Add()
-	defer svc.gate.Done()
 	for {
-		// Load the wakeup channel before re-checking the condition: a
-		// concurrent SetActive/Close stores its state first and then
-		// closes exactly this channel, so the wake cannot be lost.
-		ch := svc.gate.Chan()
+		// Arm before re-checking the condition: a concurrent
+		// SetActive/Close stores its state first and then closes exactly
+		// this channel, so the wake cannot be lost.
+		ch := svc.gate.Arm()
 		if svc.phase() >= svcStopping || int32(w.id) < tm.active.Load() {
 			break
 		}

@@ -47,8 +47,10 @@ type Worker struct {
 	parkCur int
 	// Stall bookkeeping of the worker's scheduling loop (owner-only; see
 	// found and idle): an EvStall span is open, empty polls since the last
-	// yield point, and (serve loop) the idle spell's first clock reading.
+	// yield point, and (serve loop) the idle spell's first clock reading and
+	// whether a dequeue since the last yield released a blocked submitter.
 	stalling  bool
+	released  bool
 	polls     int
 	idleSince time.Time
 	// bell is the service bell while this worker runs a serve loop, nil
@@ -100,7 +102,8 @@ func (w *Worker) found() {
 // idle is one empty poll of a scheduling loop: the worker samples itself
 // idle, takes a thief step, and opens the EvStall span on the first poll
 // of a spell. It reports true once per stallSpins polls — the loop's cue
-// to yield the OS thread.
+// to yield the OS thread — and at the first poll after a hand-off: the
+// submitter the worker released refills the ring only once it runs.
 func (w *Worker) idle() bool {
 	w.sig.Idle()
 	if d := w.team.dlb.Load(); d.Strategy != DLBNone {
@@ -111,10 +114,10 @@ func (w *Worker) idle() bool {
 		w.stalling = true
 	}
 	w.polls++
-	if w.polls <= stallSpins {
+	if w.polls <= stallSpins && !w.released {
 		return false
 	}
-	w.polls = 0
+	w.polls, w.released = 0, false
 	return true
 }
 

@@ -194,51 +194,60 @@ func (r *Ring[T]) TryDequeue() (T, bool) {
 	}
 }
 
-// Gate is the broadcast wakeup producers blocked on a full Ring wait on.
-// A waiter registers (Add), loads the current channel (Chan), retries
-// its enqueue, and only then blocks on the channel — so a Wake between
-// the retry and the block closes exactly the loaded channel and cannot
-// be lost. Wake is a no-op single atomic load while nobody waits, which
-// keeps it free on the consumer fast path.
+// Gate is the broadcast wakeup producers blocked on a full Ring wait on,
+// and the wakeup of any other wait for a condition somebody else
+// changes. A waiter arms the gate (Arm, which returns the channel the
+// next Wake closes), re-checks its condition, and only then blocks on
+// the channel; a waker changes the condition and then calls Wake. Arm's
+// store of the armed flag is sequenced before the re-check, and the
+// change before Wake's load of it, so either the re-check sees the
+// change or Wake sees the flag and closes the channel the waiter holds.
+// Wake closes, re-makes and disarms: one sleep episode costs one close
+// and one make however many waiters it releases, and every Wake until
+// somebody arms again is a single atomic load — which keeps it free on
+// the consumer fast path. A waiter woken to a condition that still does
+// not hold arms again.
 //
 // Gate is move-only (repolint:nocopy): a copy would broadcast on a
-// stale channel. waiters sits alone on its cache line because every
-// consumer-side Wake loads it — an unpadded counter would drag the
-// producer-side mu/ch writes into those reads' line (falseshare).
+// stale channel. armed sits alone on its cache line because every
+// consumer-side Wake loads it — an unpadded flag would drag the
+// waiter-side mu/ch writes into those reads' line (falseshare).
 type Gate struct {
-	waiters atomic.Int32
-	_       [CacheLine - 4]byte
-	mu      sync.Mutex
-	ch      chan struct{}
+	armed atomic.Bool
+	_     [CacheLine - 4]byte
+	mu    sync.Mutex
+	ch    chan struct{}
 }
 
-// NewGate returns an armed gate.
+// NewGate returns a gate nobody waits on.
 func NewGate() *Gate { return &Gate{ch: make(chan struct{})} }
 
-// Add registers a waiter. Pair with Done.
-func (g *Gate) Add() { g.waiters.Add(1) }
-
-// Done deregisters a waiter.
-func (g *Gate) Done() { g.waiters.Add(-1) }
-
-// Chan returns the current wakeup channel. Load it before re-checking
-// the wait condition (see the type comment's ordering argument).
-func (g *Gate) Chan() <-chan struct{} {
+// Arm registers the caller as a waiter and returns the channel the next
+// Wake closes. Call it before re-checking the wait condition (see the
+// type comment's ordering argument), once per re-check.
+func (g *Gate) Arm() <-chan struct{} {
 	g.mu.Lock()
+	g.armed.Store(true)
 	ch := g.ch
 	g.mu.Unlock()
 	return ch
 }
 
-// Wake releases every current waiter (close broadcasts) and re-arms.
-func (g *Gate) Wake() {
-	if g.waiters.Load() == 0 {
-		return
+// Wake releases every waiter that armed since the last Wake (close
+// broadcasts), and reports whether there was one to release.
+func (g *Gate) Wake() bool {
+	if !g.armed.Load() {
+		return false
 	}
 	g.mu.Lock()
-	close(g.ch)
-	g.ch = make(chan struct{})
+	armed := g.armed.Load()
+	if armed { // else a racing Wake already released them
+		close(g.ch)
+		g.ch = make(chan struct{})
+		g.armed.Store(false)
+	}
 	g.mu.Unlock()
+	return armed
 }
 
 // Bell is the wake-one registry idle consumers sleep on: a worker that
@@ -252,7 +261,7 @@ func (g *Gate) Wake() {
 // Ring is one atomic load and no lock, and so is Wake while id is awake.
 //
 // Bell is move-only (repolint:nocopy). sleepers is padded for the same
-// reason as Gate.waiters: it is loaded on every producer Ring call and
+// reason as Gate.armed: it is loaded on every producer Ring call and
 // must not share a line with the registry the sleepers mutate; each
 // consumer's asleep flag, loaded on every directed Wake, has a line of
 // its own for the same reason.

@@ -180,8 +180,8 @@ func TestRingBoundUnderContention(t *testing.T) {
 	wg.Wait()
 }
 
-// TestGateNoLostWake exercises the register → load chan → retry → block
-// protocol against concurrent wakes.
+// TestGateNoLostWake exercises the arm → retry → block protocol against
+// concurrent wakes.
 func TestGateNoLostWake(t *testing.T) {
 	g := NewGate()
 	r := New[int](1)
@@ -191,10 +191,8 @@ func TestGateNoLostWake(t *testing.T) {
 	doneCh := make(chan struct{})
 	go func() {
 		defer close(doneCh)
-		g.Add()
-		defer g.Done()
 		for {
-			ch := g.Chan()
+			ch := g.Arm()
 			if r.TryEnqueue(1) {
 				return
 			}
@@ -214,15 +212,129 @@ func TestGateNoLostWake(t *testing.T) {
 	}
 }
 
+// TestGateNoLostWakeHammer is the same protocol at full speed: a producer
+// pushes a long sequence through a one-slot ring, blocking on the gate
+// whenever it is full, against a consumer that wakes after every
+// dequeue. A lost wake hangs into the watchdog.
+func TestGateNoLostWakeHammer(t *testing.T) {
+	const n = 20000
+	g := NewGate()
+	r := New[int](1)
+	go func() {
+		for i := 0; i < n; i++ {
+			for {
+				ch := g.Arm()
+				if r.TryEnqueue(i) {
+					break
+				}
+				<-ch
+			}
+		}
+	}()
+	watchdog := time.After(30 * time.Second)
+	for want := 0; want < n; {
+		v, ok := r.TryDequeue()
+		if !ok {
+			select {
+			case <-watchdog:
+				t.Fatalf("producer stuck after %d of %d items", want, n)
+			default:
+				runtime.Gosched()
+			}
+			continue
+		}
+		g.Wake()
+		if v != want {
+			t.Fatalf("dequeued %d, want %d", v, want)
+		}
+		want++
+	}
+}
+
 func TestGateWakeWithoutWaitersIsFree(t *testing.T) {
 	g := NewGate()
-	// Must not close or replace the armed channel.
-	before := g.Chan()
-	g.Wake()
+	if g.Wake() {
+		t.Fatal("Wake on a gate nobody armed reported a release")
+	}
+	// It must not have closed the channel the next waiter gets.
 	select {
-	case <-before:
+	case <-g.Arm():
 		t.Fatal("Wake with no waiters closed the channel")
 	default:
+	}
+}
+
+// TestGateWakesOncePerArm pins the wake-once cost model: of N Wakes after
+// one Arm the first closes the channel and disarms, and every later one
+// releases nobody and allocates nothing.
+func TestGateWakesOncePerArm(t *testing.T) {
+	g := NewGate()
+	ch := g.Arm()
+	if !g.Wake() {
+		t.Fatal("first Wake after Arm released nobody")
+	}
+	select {
+	case <-ch:
+	default:
+		t.Fatal("first Wake after Arm left the armed channel open")
+	}
+	for i := 0; i < 8; i++ {
+		if g.Wake() {
+			t.Fatalf("Wake %d after the release reported another", i+2)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { g.Wake() }); allocs != 0 {
+		t.Fatalf("Wake on a disarmed gate allocates: %v allocs/op", allocs)
+	}
+	// Re-arming hands out the fresh channel, and the cycle repeats.
+	ch = g.Arm()
+	select {
+	case <-ch:
+		t.Fatal("Arm after a Wake returned the closed channel")
+	default:
+	}
+	if !g.Wake() {
+		t.Fatal("Wake after re-arming released nobody")
+	}
+	<-ch
+}
+
+// TestGateBroadcast: one Wake releases every waiter that armed before it.
+func TestGateBroadcast(t *testing.T) {
+	const waiters = 8
+	g := NewGate()
+	var open atomic.Bool
+	var armed, wg sync.WaitGroup
+	armed.Add(waiters)
+	wg.Add(waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			defer wg.Done()
+			first := true
+			for {
+				ch := g.Arm()
+				if first {
+					armed.Done()
+					first = false
+				}
+				if open.Load() {
+					return
+				}
+				<-ch
+			}
+		}()
+	}
+	armed.Wait()
+	open.Store(true)
+	if !g.Wake() {
+		t.Fatal("Wake with armed waiters released nobody")
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("one Wake did not release every armed waiter")
 	}
 }
 

@@ -2,8 +2,11 @@ package xomp_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/prof"
 	"repro/xomp"
@@ -97,5 +100,103 @@ func TestShardedPoolSubmitBatchAccounting(t *testing.T) {
 	// changes the total.
 	if completed != n {
 		t.Fatalf("completed %d across shards, want %d (migrated in: %d)", completed, n, migrated)
+	}
+}
+
+// TestShardedPoolOneShardBatchParity pins that a one-shard pool passing a
+// batch to its team whole changes nothing a caller can see: the same
+// batch admitted in dispatch chunks of 8 (what a multi-shard pool does,
+// driven here through the shard's own SubmitBatchInto) yields the same
+// outcome item by item — under reject admission on a wedged team, where
+// the ring's bound decides who gets in, and under block admission on a
+// live one, where everything valid does.
+func TestShardedPoolOneShardBatchParity(t *testing.T) {
+	const chunk, backlog = 8, 4
+	noop := func(*xomp.Worker) {}
+	items := make([]xomp.BatchItem, 40)
+	for i := range items {
+		items[i] = xomp.BatchItem{Fn: noop, Opts: xomp.SubmitOpts{Tenant: xomp.Tenant{ID: i % 3}}}
+	}
+	items[1].Fn = nil
+	items[2].Opts.Priority = xomp.NumClasses
+	items[5].Opts.Deadline = time.Now().Add(-time.Second)
+	items[9].Opts.Priority = xomp.ClassInteractive
+	items[20].Opts.Priority = xomp.ClassInteractive
+	items[33].Opts.Tenant.Weight = -1
+
+	outcome := func(r xomp.BatchResult) string {
+		for _, e := range []error{xomp.ErrInvalid, xomp.ErrDeadlineExceeded, xomp.ErrBacklogFull} {
+			if errors.Is(r.Err, e) {
+				return e.Error()
+			}
+		}
+		if r.Err != nil || r.Job == nil {
+			return fmt.Sprintf("unexpected (%v, %v)", r.Job, r.Err)
+		}
+		return "admitted"
+	}
+	for _, tc := range []struct {
+		name  string
+		admit xomp.AdmitPolicy
+		wedge bool
+	}{
+		{"reject on a wedged team", xomp.RejectWhenFull{}, true},
+		{"block on a live team", xomp.BlockWhenFull{}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(whole bool) []string {
+				team := xomp.Preset("xgomptb", 1)
+				team.Backlog = backlog
+				team.Admit = tc.admit
+				pool := xomp.MustShardedPool(xomp.ShardConfig{Shards: 1, Team: team})
+				defer pool.Close()
+				gate := make(chan struct{})
+				defer close(gate)
+				if tc.wedge {
+					started := make(chan struct{})
+					if _, err := pool.Submit(func(*xomp.Worker) { close(started); <-gate }); err != nil {
+						t.Fatal(err)
+					}
+					<-started
+				}
+				var res []xomp.BatchResult
+				if whole {
+					var err error
+					if res, err = pool.SubmitBatchCtx(context.Background(), items); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					res = make([]xomp.BatchResult, len(items))
+					for off := 0; off < len(items); off += chunk {
+						if err := pool.Team(0).SubmitBatchInto(context.Background(), items[off:off+chunk], res[off:off+chunk]); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				out := make([]string, len(res))
+				for i, r := range res {
+					out[i] = outcome(r)
+				}
+				return out
+			}
+			whole, chunked := run(true), run(false)
+			admitted := 0
+			for i := range whole {
+				if whole[i] != chunked[i] {
+					t.Fatalf("item %d: %q passed whole, %q in chunks of %d", i, whole[i], chunked[i], chunk)
+				}
+				if whole[i] == "admitted" {
+					admitted++
+				}
+			}
+			// 36 valid items: 2 interactive and 34 batch, each class ring 4 deep.
+			want := 36
+			if tc.wedge {
+				want = 2 + backlog
+			}
+			if admitted != want {
+				t.Fatalf("%d items admitted, want %d", admitted, want)
+			}
+		})
 	}
 }

@@ -12,9 +12,11 @@ package xomp_test
 // scenario_test.go.
 
 import (
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/load"
 	"repro/internal/replay"
 	"repro/internal/scenario"
 	"repro/xomp"
@@ -127,10 +129,30 @@ func TestFairnessNoisyNeighbor(t *testing.T) {
 	t.Errorf("WFQAdmit never bounded victims while BlockWhenFull degraded them in %d attempts", attempts)
 }
 
+// weightRecorder is WFQAdmit that also records, per tenant, the weight
+// the tenant's submissions carried when they reached the admission
+// decision (AdmitRequest.Tenant).
+type weightRecorder struct {
+	*xomp.WFQAdmit
+	mu   sync.Mutex
+	seen map[int]float64
+}
+
+func (r *weightRecorder) Admit(req load.AdmitRequest, sig load.Signals) load.AdmitDecision {
+	r.mu.Lock()
+	r.seen[req.Tenant.ID] = req.Tenant.Weight
+	r.mu.Unlock()
+	return r.WFQAdmit.Admit(req, sig)
+}
+
 // TestFairnessReplayHonorsTraceWeights pins the replay plumbing the
 // noisy-neighbor test relies on: the tenant-storm golden header carries
 // per-tenant weights, the replayer stamps them onto submissions, and an
-// Options override wins over the header.
+// Options override wins over the header. The plumbing is asserted where
+// it ends — the weight on the AdmitRequest the policy rules on — and is
+// unconditional; that the weight then moves the outcome is a comparison
+// of two live replays' shed counts, which differ by under a tenth, so it
+// retries a few times like TestFairnessNoisyNeighbor.
 func TestFairnessReplayHonorsTraceWeights(t *testing.T) {
 	tr, err := scenario.Generate("tenant-storm", scenario.GoldenSeed)
 	if err != nil {
@@ -139,36 +161,56 @@ func TestFairnessReplayHonorsTraceWeights(t *testing.T) {
 	if len(tr.Weights) == 0 {
 		t.Fatalf("tenant-storm trace carries no tenant weights")
 	}
-	for _, id := range append(append([]int{}, victimTenants...), stormTenant) {
+	tenants := append(append([]int{}, victimTenants...), stormTenant)
+	for _, id := range tenants {
 		if tr.Weights[id] == 0 {
 			t.Errorf("tenant %d missing from trace weights %v", id, tr.Weights)
 		}
 	}
-	// A storm tenant with overwhelming weight is entitled to its flood:
-	// with the same MaxShare, far fewer storm submissions are refused
-	// than at trace weights — the weight knob demonstrably reaches the
-	// admission decision.
-	shedAt := func(weights map[int]float64) uint64 {
+	// replayWith replays the trace under the override, checks that every
+	// tenant's submissions reached admission at the override's weight, or
+	// the header's where the override is silent, and returns how many
+	// storm submissions were shed.
+	replayWith := func(override map[int]float64) uint64 {
 		cfg := xomp.Preset("xgomptb", 2)
 		cfg.Backlog = 16
 		// Burst is pinned high to isolate the share bound: the lead
 		// backstop scales as 1/weight and would otherwise shed the
 		// heavyweight storm for running ahead of the plane clock, masking
 		// the share comparison this test makes.
-		cfg.Admit = &xomp.WFQAdmit{MaxShare: 0.75, Burst: 1e9}
-		res, err := replay.ReplayJobs(tr, replay.Options{Team: cfg, TenantWeights: weights})
+		rec := &weightRecorder{WFQAdmit: &xomp.WFQAdmit{MaxShare: 0.75, Burst: 1e9}, seen: map[int]float64{}}
+		cfg.Admit = rec
+		res, err := replay.ReplayJobs(tr, replay.Options{Team: cfg, TenantWeights: override})
 		if err != nil {
 			t.Fatalf("replay: %v", err)
 		}
+		for _, id := range tenants {
+			want, ok := override[id]
+			if !ok {
+				want = tr.Weights[id]
+			}
+			if got, ok := rec.seen[id]; !ok || got != want {
+				t.Fatalf("tenant %d reached admission at weight %v (seen: %v), want %v under override %v",
+					id, got, ok, want, override)
+			}
+		}
 		return res.PerTenant[stormTenant].Shed
 	}
-	base := shedAt(nil)
-	heavy := shedAt(map[int]float64{stormTenant: 1000})
-	t.Logf("storm shed: trace weights %d, weight-1000 override %d", base, heavy)
-	if base == 0 {
-		t.Fatalf("storm never shed at trace weights")
+	// A storm tenant with overwhelming weight is entitled to its flood:
+	// with the same MaxShare, fewer storm submissions are refused than at
+	// trace weights — the weight demonstrably moves the decision.
+	const attempts = 4
+	for i := 1; i <= attempts; i++ {
+		base := replayWith(nil)
+		heavy := replayWith(map[int]float64{stormTenant: 1000})
+		t.Logf("storm shed: trace weights %d, weight-1000 override %d", base, heavy)
+		if base == 0 {
+			t.Fatalf("storm never shed at trace weights")
+		}
+		if heavy < base {
+			return
+		}
+		t.Logf("attempt %d/%d inconclusive", i, attempts)
 	}
-	if heavy >= base {
-		t.Errorf("weight-1000 storm shed %d >= weight-1 shed %d; weights do not reach admission", heavy, base)
-	}
+	t.Errorf("a weight-1000 storm was never shed less than at trace weights in %d attempts; weights do not move admission", attempts)
 }

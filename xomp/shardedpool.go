@@ -537,7 +537,8 @@ func (p *ShardedPool) SubmitBatch(fns []TaskFunc) ([]BatchResult, error) {
 // batches get coherent placement) and enter the chosen shard through
 // Team.SubmitBatchInto, each chunk filling its own stretch of the one
 // result slice — per-shard admission accounting, gauges, and rollback
-// all happen on the team that actually received each chunk.
+// all happen on the team that actually received each chunk. A one-shard
+// pool has no placement to decide and passes the batch whole.
 // Partial admission surfaces per item, exactly as on Pool.SubmitBatchCtx.
 func (p *ShardedPool) SubmitBatchCtx(ctx context.Context, items []BatchItem) ([]BatchResult, error) {
 	if p.closed.Load() {
@@ -547,8 +548,12 @@ func (p *ShardedPool) SubmitBatchCtx(ctx context.Context, items []BatchItem) ([]
 		return nil, nil
 	}
 	res := make([]BatchResult, len(items))
-	for off := 0; off < len(items); off += batchChunk {
-		end := min(off+batchChunk, len(items))
+	chunk := batchChunk
+	if len(p.shards) == 1 {
+		chunk = len(items) // pick has one answer: one admission section, not one per chunk
+	}
+	for off := 0; off < len(items); off += chunk {
+		end := min(off+chunk, len(items))
 		s := p.pick(items[off].Opts.Priority, items[off].Opts.Tenant)
 		if err := p.shards[s].SubmitBatchInto(ctx, items[off:end], res[off:end]); err != nil {
 			// A shard-level failure (not serving) fails its chunk's items,
