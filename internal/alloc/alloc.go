@@ -125,44 +125,60 @@ type mlWorker[T any] struct {
 	_          [8]uint64 // pad
 }
 
-// sharedSpillMax bounds a lane's spill list for PutShared: beyond it a
-// returned descriptor is dropped to the GC, so slow releasers cannot
+// sharedSpillMax bounds a lane's spill list for PutSharedRun: beyond it
+// returned descriptors are dropped to the GC, so slow releasers cannot
 // grow a lane without bound.
 const sharedSpillMax = 8 * chunkSize
 
-// GetShared serves a descriptor from lane w's spill level under the lane
-// lock — the externally safe entry for goroutines that are not the
-// lane's owning worker (job frames drawn at the submit edge). It never
-// touches the owner-only local list; an empty spill falls through to a
-// fresh allocation.
-func (a *MultiLevel[T]) GetShared(w int) *T {
+// GetSharedRun fills dst with descriptors from lane w's spill level under
+// one lane lock — the externally safe entry for goroutines that are not
+// the lane's owning worker (job frames drawn at the submit edge, a batch
+// at a time). It never touches the owner-only local list; what the spill
+// cannot cover is freshly allocated.
+func (a *MultiLevel[T]) GetSharedRun(w int, dst []*T) {
 	me := &a.workers[w]
 	me.mu.Lock()
-	if n := len(me.spill); n > 0 {
-		t := me.spill[n-1]
-		me.spill[n-1] = nil
-		me.spill = me.spill[:n-1]
-		me.sharedHits++
-		me.mu.Unlock()
-		return t
-	}
+	n := min(len(me.spill), len(dst))
+	rest := len(me.spill) - n
+	copy(dst, me.spill[rest:])
+	clear(me.spill[rest:])
+	me.spill = me.spill[:rest]
+	me.sharedHits += uint64(n)
 	me.mu.Unlock()
+	if n == len(dst) {
+		return
+	}
+	for i := n; i < len(dst); i++ {
+		dst[i] = new(T)
+	}
 	a.statsMu.Lock()
-	a.fresh++
+	a.fresh += uint64(len(dst) - n)
 	a.statsMu.Unlock()
-	return new(T)
 }
 
-// PutShared recycles t into lane w's spill level, the externally safe
-// counterpart of GetShared. Past sharedSpillMax the descriptor is
-// dropped instead (bounded pool).
-func (a *MultiLevel[T]) PutShared(w int, t *T) {
+// GetShared is GetSharedRun for one descriptor.
+func (a *MultiLevel[T]) GetShared(w int) *T {
+	var one [1]*T
+	a.GetSharedRun(w, one[:])
+	return one[0]
+}
+
+// PutSharedRun recycles ts into lane w's spill level under one lane lock,
+// the externally safe counterpart of GetSharedRun. Past sharedSpillMax
+// descriptors are dropped instead (bounded pool).
+func (a *MultiLevel[T]) PutSharedRun(w int, ts []*T) {
 	me := &a.workers[w]
 	me.mu.Lock()
-	if len(me.spill) < sharedSpillMax {
-		me.spill = append(me.spill, t)
+	if room := sharedSpillMax - len(me.spill); room > 0 {
+		me.spill = append(me.spill, ts[:min(room, len(ts))]...)
 	}
 	me.mu.Unlock()
+}
+
+// PutShared is PutSharedRun for one descriptor.
+func (a *MultiLevel[T]) PutShared(w int, t *T) {
+	one := [1]*T{t}
+	a.PutSharedRun(w, one[:])
 }
 
 // NewMultiLevel returns a multi-level allocator for workers workers.

@@ -181,6 +181,52 @@ func TestNewMultiLevelValidates(t *testing.T) {
 	NewMultiLevel[task](0)
 }
 
+// The shared entry points move descriptors a run at a time: a run comes
+// back whole, a lane that cannot cover a run tops it up fresh, and a
+// lane's spill stays bounded however much is put.
+func TestMultiLevelSharedRuns(t *testing.T) {
+	a := NewMultiLevel[task](2)
+	run := make([]*task, 8)
+	a.GetSharedRun(1, run)
+	if s := a.Stats(); s.FreshAllocs != 8 || s.GlobalHits != 0 {
+		t.Fatalf("first run: %+v, want 8 fresh", s)
+	}
+	seen := make(map[*task]bool)
+	for _, x := range run {
+		if x == nil || seen[x] {
+			t.Fatal("run holds a nil or repeated descriptor")
+		}
+		seen[x] = true
+	}
+	a.PutSharedRun(1, run[:5])
+	a.PutShared(1, run[5])
+	again := make([]*task, 8)
+	a.GetSharedRun(1, again)
+	pooled := 0
+	for _, x := range again {
+		if seen[x] {
+			pooled++
+		}
+	}
+	if s := a.Stats(); pooled != 6 || s.GlobalHits != 6 || s.FreshAllocs != 10 {
+		t.Fatalf("second run: %d pooled, %+v; want the 6 put back and 2 fresh", pooled, s)
+	}
+	if a.GetShared(0) == nil || a.Stats().FreshAllocs != 11 {
+		t.Fatal("lane 0 served from lane 1's spill")
+	}
+	big := make([]*task, sharedSpillMax+40)
+	for i := range big {
+		big[i] = new(task)
+	}
+	a.PutSharedRun(0, big)
+	a.PutSharedRun(0, big[:1])
+	before := a.Stats()
+	a.GetSharedRun(0, big)
+	if s := a.Stats(); s.GlobalHits-before.GlobalHits != sharedSpillMax || s.FreshAllocs-before.FreshAllocs != 40 {
+		t.Fatalf("a lane kept %d descriptors, bound %d", s.GlobalHits-before.GlobalHits, sharedSpillMax)
+	}
+}
+
 // The benchmark pair below is the microscopic version of the paper's
 // allocator argument: under parallel load the contended allocator
 // serializes while the multi-level allocator scales.

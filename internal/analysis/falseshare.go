@@ -33,14 +33,14 @@ import (
 //   - //repolint:ok falseshare suppresses with justification.
 //
 // Checked structs are the named hot set (Ring, Gate, Bell, Cell,
-// paddedGauge, paddedFloat, admitSlot, Profile; core's service) plus any
-// struct in a hot package that already uses the padding idiom (a blank
-// pad of at least 48 bytes next to an atomic field): partial padding —
-// head padded, tail forgotten — is precisely the regression this
-// analyzer exists to catch.
+// paddedGauge, paddedFloat, admitSlot, Profile; core's service and
+// Outbox) plus any struct in a hot package that already uses the padding
+// idiom (a blank pad of at least 48 bytes next to an atomic field):
+// partial padding — head padded, tail forgotten — is precisely the
+// regression this analyzer exists to catch.
 var FalseShare = &Analyzer{
 	Name: "falseshare",
-	Doc:  "hot atomic fields must be cache-line padded (intake, load, prof, core.service)",
+	Doc:  "hot atomic fields must be cache-line padded (intake, load, prof, core.service, core.Outbox)",
 	Run:  runFalseShare,
 }
 
@@ -60,10 +60,14 @@ var FalseShareTypes = map[string]bool{
 	"Profile":     true,
 }
 
-// Outside those packages falseshare inspects one struct, core's service
+// Outside those packages falseshare inspects two structs of core: service
 // (its lifecycle word is touched by every submitter, finishing worker and
-// idle poller); core's per-worker layouts pad by other rules.
-const hotCorePackage, hotCoreStruct = "internal/core", "service"
+// idle poller) and Outbox (its head by every worker finishing a job of
+// the connection, and by the connection's writer); core's per-worker
+// layouts pad by other rules.
+const hotCorePackage = "internal/core"
+
+var hotCoreStructs = map[string]bool{"service": true, "Outbox": true}
 
 // PaddedCells are the hot packages' own one-line cell types; a field of
 // one of them counts as a hot atomic field of the struct that holds it.
@@ -75,24 +79,24 @@ var PaddedCells = map[string]bool{"paddedGauge": true, "paddedFloat": true}
 const minIdiomPad = CacheLine - 16
 
 func runFalseShare(pass *Pass) error {
-	only := ""
+	var only map[string]bool
 	if !pathIn(pass.Pkg.Path(), FalseSharePackages) {
 		if !pathIn(pass.Pkg.Path(), []string{hotCorePackage}) {
 			return nil
 		}
-		only = hotCoreStruct
+		only = hotCoreStructs
 	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
-			if !ok || only != "" && ts.Name.Name != only {
+			if !ok || only != nil && !only[ts.Name.Name] {
 				return true
 			}
 			st, ok := ts.Type.(*ast.StructType)
 			if !ok {
 				return true
 			}
-			checkFalseShareStruct(pass, ts, st)
+			checkFalseShareStruct(pass, ts, st, only != nil)
 			return true
 		})
 	}
@@ -107,7 +111,7 @@ type fieldLayout struct {
 	size int64
 }
 
-func checkFalseShareStruct(pass *Pass, ts *ast.TypeSpec, st *ast.StructType) {
+func checkFalseShareStruct(pass *Pass, ts *ast.TypeSpec, st *ast.StructType, always bool) {
 	obj, ok := pass.TypesInfo.Defs[ts.Name]
 	if !ok {
 		return
@@ -157,7 +161,7 @@ func checkFalseShareStruct(pass *Pass, ts *ast.TypeSpec, st *ast.StructType) {
 	if !hasAtomic {
 		return
 	}
-	checked := FalseShareTypes[ts.Name.Name] || hasIdiomPad
+	checked := always || FalseShareTypes[ts.Name.Name] || hasIdiomPad
 	if !checked {
 		return
 	}

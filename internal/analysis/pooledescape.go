@@ -22,7 +22,10 @@ import (
 // trusted):
 //
 //   - a pool Get whose result is discarded (no assignment, or assigned
-//     to _) is always a leak;
+//     to _) is always a leak; so is a discarded take from a frame holder
+//     (core.Outbox.Take: finished job frames queue in an Outbox chain
+//     between delivery and release — a sanctioned place for pooled frames
+//     to be — and whoever takes the chain owes each frame its Release);
 //   - a result kept in a local variable must either reach a matching
 //     Put/PutShared (possibly deferred), be released through one of its
 //     own lifetime methods (Release/Close/Free), or visibly transfer
@@ -50,11 +53,16 @@ var (
 	// hand out pooled values.
 	PoolPackages = []string{"internal/alloc"}
 	poolGets     = map[string]bool{"Get": true, "GetShared": true}
-	poolPuts     = map[string]bool{"Put": true, "PutShared": true}
+	poolPuts     = map[string]bool{"Put": true, "PutShared": true, "PutSharedRun": true}
 	// releaseMethods on the pooled value itself end its lifetime (the
 	// job-frame Release path).
 	releaseMethods = map[string]bool{"Release": true, "Close": true, "Free": true}
 )
+
+// The one holder of pooled values outside the pools: core.Outbox chains
+// finished job frames on their way back, and its Take hands them — and the
+// duty to release them — to the caller, like a Get.
+const holderPackage, holderType, holderMethod = "internal/core", "Outbox", "Take"
 
 func runPooledEscape(pass *Pass) error {
 	for _, file := range pass.Files {
@@ -68,26 +76,48 @@ func runPooledEscape(pass *Pass) error {
 	return nil
 }
 
-// poolCall classifies call as a pool Get/Put, returning the method name.
-func poolCall(pass *Pass, call *ast.CallExpr, names map[string]bool) (string, bool) {
+// calledMethod resolves call to the method it invokes, or nil for
+// anything else. Methods only: a package-level Get in alloc would be a
+// different API; receivers are what the pools expose.
+func calledMethod(pass *Pass, call *ast.CallExpr) *types.Func {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return "", false
+		return nil
 	}
 	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || !names[fn.Name()] {
-		return "", false
+	if !ok || fn.Pkg() == nil {
+		return nil
 	}
-	if !pathIn(fn.Pkg().Path(), PoolPackages) {
-		return "", false
+	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() == nil {
+		return nil
 	}
-	// Methods only: a package-level Get in alloc would be a different
-	// API; receivers are what the pools expose.
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
+	return fn
+}
+
+// poolCall classifies call as a pool Get/Put, returning the method name.
+func poolCall(pass *Pass, call *ast.CallExpr, names map[string]bool) (string, bool) {
+	fn := calledMethod(pass, call)
+	if fn == nil || !names[fn.Name()] || !pathIn(fn.Pkg().Path(), PoolPackages) {
 		return "", false
 	}
 	return fn.Name(), true
+}
+
+// holderTake classifies call as a take from the frame holder, returning
+// "Type.Method".
+func holderTake(pass *Pass, call *ast.CallExpr) (string, bool) {
+	fn := calledMethod(pass, call)
+	if fn == nil || fn.Name() != holderMethod || !pathIn(fn.Pkg().Path(), []string{holderPackage}) {
+		return "", false
+	}
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	if n, ok := recv.(*types.Named); !ok || n.Obj().Name() != holderType {
+		return "", false
+	}
+	return holderType + "." + holderMethod, true
 }
 
 func checkPoolFunc(pass *Pass, fd *ast.FuncDecl) {
@@ -105,6 +135,9 @@ func checkPoolFunc(pass *Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		method, ok := poolCall(pass, call, poolGets)
+		if !ok {
+			method, ok = holderTake(pass, call)
+		}
 		if !ok {
 			return true
 		}

@@ -1,5 +1,5 @@
 // Fixture for the falseshare analyzer outside its hot packages: in
-// internal/core only the service struct is inspected.
+// internal/core only the service and Outbox structs are inspected.
 package core
 
 import "sync/atomic"
@@ -9,6 +9,13 @@ type service struct {
 	_     [8]uint64
 	state atomic.Int64 // want `shares a cache line with wg`
 	wg    uint64
+}
+
+// Outbox keeps its wake-up channel on the line every pusher CASes; it is
+// inspected by name, with no padding idiom in sight.
+type Outbox struct {
+	note chan struct{}
+	head atomic.Pointer[Outbox] // want `shares a cache line with note`
 }
 
 // Worker has the same flaw and the same idiom, and is not inspected.

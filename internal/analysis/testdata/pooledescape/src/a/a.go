@@ -2,7 +2,10 @@
 // invisible to go vet: leaking a pooled value is perfectly legal Go.
 package a
 
-import "internal/alloc"
+import (
+	"internal/alloc"
+	"internal/core"
+)
 
 type job struct {
 	id int
@@ -73,4 +76,29 @@ func stash(p *alloc.BufPool) {
 	b := p.Get(64) //repolint:ok pooledescape — released by the connection finalizer in the real shape
 	b = append(b, 0)
 	_ = len(b)
+}
+
+func intoOutbox(l *alloc.Level[core.Job], ob *core.Outbox, w int) {
+	j := l.GetShared(w)
+	ob.Push(j) // the chain holds the frame now: no finding
+}
+
+func takeDiscard(ob *core.Outbox) {
+	ob.Take(nil) // want `result of Outbox.Take is discarded`
+}
+
+func takeLeaks(ob *core.Outbox) int {
+	jobs := ob.Take(nil) // want `pooled value from Outbox.Take`
+	return len(jobs)
+}
+
+func takeReleased(ob *core.Outbox, scratch []*core.Job) []*core.Job {
+	jobs := ob.Take(scratch[:0])
+	core.ReleaseJobs(jobs) // handed on with the duty: no finding
+	return scratch
+}
+
+func takeRunPut(l *alloc.Level[core.Job], ob *core.Outbox, w int) {
+	jobs := ob.Take(nil)
+	l.PutSharedRun(w, jobs)
 }

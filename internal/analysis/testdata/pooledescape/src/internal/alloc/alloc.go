@@ -42,3 +42,8 @@ func (l *Level[T]) GetShared(w int) *T {
 func (l *Level[T]) PutShared(w int, t *T) {
 	l.free = append(l.free, t)
 }
+
+// PutSharedRun returns a run of values to lane w.
+func (l *Level[T]) PutSharedRun(w int, ts []*T) {
+	l.free = append(l.free, ts...)
+}

@@ -178,12 +178,13 @@ const admitStack = 16
 func (tm *Team) admitBatch(ctx context.Context, svc *service, items []BatchItem, res []BatchResult) {
 	clear(res)
 	var (
-		waitBuf [admitStack]bool
-		rootBuf [admitStack]*Task
+		waitBuf  [admitStack]bool
+		rootBuf  [admitStack]*Task
+		frameBuf [admitStack]*Job
 	)
-	wait, roots := waitBuf[:], rootBuf[:0]
+	wait, roots, frames := waitBuf[:], rootBuf[:0], frameBuf[:]
 	if len(items) > admitStack {
-		wait, roots = make([]bool, len(items)), make([]*Task, 0, len(items))
+		wait, roots, frames = make([]bool, len(items)), make([]*Task, 0, len(items)), make([]*Job, len(items))
 	}
 
 	// Phase 1: validate every item and take the policy's per-item verdict
@@ -286,20 +287,24 @@ func (tm *Team) admitBatch(ctx context.Context, svc *service, items []BatchItem,
 		}
 	}
 
-	// Phase 3: draw the frames and raise the gauges, grouped — one Queued
-	// event per run of consecutive same-class, same-tenant items (one for
-	// the whole batch when it is uniform). The gauges rise before the
-	// enqueue so a blocked submitter still counts as demand against this
-	// team (the signal a sharded dispatcher compares); adoption, migration,
-	// and rollbackSubmit decrement them.
+	// Phase 3: draw the frames — one run from one pool lane — and raise the
+	// gauges, grouped: one Queued event per run of consecutive same-class,
+	// same-tenant items (one for the whole batch when it is uniform). The
+	// gauges rise before the enqueue so a blocked submitter still counts as
+	// demand against this team (the signal a sharded dispatcher compares);
+	// adoption, migration, and rollbackSubmit decrement them.
 	admitStart := tm.profile.Now()
 	var classTotal [load.NumClasses]int
+	frames = frames[:admissible]
+	lane := tm.acquireJobs(seq+1, frames)
 	for i := range items {
 		if res[i].Err != nil {
 			continue // failed validation, shed, expired, or pre-cancelled
 		}
 		seq++
-		j := tm.acquireJob(seq, items[i].Fn, items[i].Opts.Priority, items[i].Opts.Tenant)
+		j := frames[0]
+		frames = frames[1:]
+		j.resetForSubmit(tm, lane, seq, items[i].Fn, items[i].Opts.Priority, items[i].Opts.Tenant)
 		j.submitNS.Store(admitStart)
 		res[i].Job = j
 		classTotal[j.class]++

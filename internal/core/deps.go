@@ -101,7 +101,13 @@ func (tm *Team) wireEdge(pred, t *Task) {
 
 // resolveDeps wires t (a new child of parent) after its predecessors per
 // the depend clauses. t.waitingDeps must hold the creation guard unit.
+// TaskGroup scopes are transparent to sibling ordering: the table lives on
+// the task whose body is running, so depend-siblings inside and outside a
+// group share it.
 func (tm *Team) resolveDeps(parent, t *Task, deps []Dep) {
+	for parent.scope {
+		parent = parent.parent
+	}
 	if parent.deps == nil {
 		parent.deps = &depState{}
 	}
@@ -179,13 +185,11 @@ func (w *Worker) SpawnDeps(fn TaskFunc, deps ...Dep) {
 	t.reset(fn, w.cur, int32(w.id), 0)
 	t.noRecycle = true
 	t.deps = &depState{} // participates as a predecessor for later siblings
-	if g := w.cur.group; g != nil {
-		t.group = g
-		g.refs.Add(1)
-	}
 	t.job = w.cur.job
 	w.cur.refs.Add(1)
-	tm.counter.created(w.id)
+	if t.job == nil {
+		tm.counter.created(w.id)
+	}
 	th.Inc(prof.CntTasksCreated)
 
 	// Hold one guard unit so a predecessor finishing mid-wiring cannot

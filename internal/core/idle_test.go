@@ -148,12 +148,15 @@ func watchProgress(t *testing.T, progress *atomic.Int64, done <-chan error) {
 	}
 }
 
-// TestServeIdleBurnsNoPolls: an idle pool sleeps. Two idle spells of the
-// same team — 50 ms, then 250 ms — each pay one idleSpin budget on the
-// way down; the extra 200 ms may only add the sweep's one poll per
-// parkSweep per worker (a small multiple of it, for timer slop), where a
-// spinning pool would add millions. The per-thread counters are
-// owner-written, so each spell is read after its Close.
+// TestServeIdleBurnsNoPolls: an idle pool sleeps. Idle spells of the same
+// team — 50 ms, then 250 ms — each pay one idleSpin budget on the way
+// down; the extra 200 ms may only add the sweep's one poll per parkSweep
+// per worker (a small multiple of it, for timer slop), where a spinning
+// pool would add millions. What one idleSpin budget buys in polls depends
+// on who else is on the CPU (564 to 2711 were read for the same 50 ms
+// spell), so the baseline is the largest of three short spells. The
+// per-thread counters are owner-written, so each spell is read after its
+// Close.
 func TestServeIdleBurnsNoPolls(t *testing.T) {
 	const workers = 2
 	tm := MustTeam(Preset("xgomptb+naws", workers))
@@ -170,9 +173,13 @@ func TestServeIdleBurnsNoPolls(t *testing.T) {
 		}
 		return p.Sum(prof.CntIdlePolls) - polls0, p.Sum(prof.CntIdleParks) - parks0, p.Sum(prof.CntSweepWakes) - sweeps0
 	}
-	short, _, _ := spell(50 * time.Millisecond)
+	var short uint64
+	for i := 0; i < 3; i++ {
+		polls, _, _ := spell(50 * time.Millisecond)
+		short = max(short, polls)
+	}
 	long, parks, sweeps := spell(250 * time.Millisecond)
-	t.Logf("idle polls: %d in 50ms, %d in 250ms (%d parks, %d sweep wakes)", short, long, parks, sweeps)
+	t.Logf("idle polls: at most %d in 50ms, %d in 250ms (%d parks, %d sweep wakes)", short, long, parks, sweeps)
 	if parks < workers {
 		t.Fatalf("%d parks in a 250ms idle spell of %d workers: the pool never slept", parks, workers)
 	}

@@ -37,11 +37,13 @@ type Job struct {
 	// one-token channel allocated once per frame lifetime and used only in
 	// phase waiting: finish deposits the token, each Wait takes it and puts
 	// it back (so any number of waiters drain through), and reset reclaims
-	// it. sink is Subscribe's delivery channel, a plain field published by
-	// the CAS to phase subscribed.
+	// it. sink is where a subscribed job is delivered, a plain field
+	// published by the CAS to phase subscribed; next links the job into its
+	// sink's Outbox chain from delivery to Take.
 	word atomic.Uint64
 	wake chan struct{}
-	sink chan *Job
+	sink sink
+	next *Job
 
 	// class is the job's admission priority class (SubmitOpts.Priority),
 	// fixed at submission: it selects the admission queue, survives
@@ -208,18 +210,46 @@ func (j *Job) Release() {
 	}
 }
 
-// recycle is the only way into phase pooled and so into the frame pool:
-// one CAS from → pooled, which the loser of two Releases fails. Reference
-// fields are cleared so a pooled frame pins neither the task body, a
-// captured panic, nor a subscriber's channel.
+// ReleaseJobs is Release over a receiver's whole drain: every job of jobs,
+// each a finished handle the caller owns, goes back to its team's pool, one
+// lane lock per run of frames that share a pool lane (the frames of one
+// batch do) instead of one per frame. jobs is scratch: its order is not
+// preserved.
+func ReleaseJobs(jobs []*Job) {
+	for len(jobs) > 0 {
+		home, lane := jobs[0].home, jobs[0].lane
+		run, retired := 0, 0
+		for ; run < len(jobs) && jobs[run].home == home && jobs[run].lane == lane; run++ {
+			if jobs[run].retire(jobDone) {
+				jobs[retired] = jobs[run]
+				retired++
+			}
+		}
+		home.jobPool.PutSharedRun(lane, jobs[:retired])
+		jobs = jobs[run:]
+	}
+}
+
+// recycle returns the frame to its pool if it is in phase from.
 func (j *Job) recycle(from uint64) {
+	if j.retire(from) {
+		j.home.jobPool.PutShared(j.lane, j)
+	}
+}
+
+// retire is the only way into phase pooled, and its true return the only
+// licence to put the frame in the pool: one CAS from → pooled, which the
+// loser of two Releases fails. Reference fields are cleared so a pooled
+// frame pins neither the task body, a captured panic, a subscriber's sink,
+// nor an Outbox chain-mate.
+func (j *Job) retire(from uint64) bool {
 	w := j.word.Load()
 	if w&phaseMask != from || !j.word.CompareAndSwap(w, w&^phaseMask|jobPooled) {
-		return
+		return false
 	}
-	j.root.fn, j.root.job, j.sink = nil, nil, nil
+	j.root.fn, j.root.job, j.sink, j.next = nil, nil, sink{}, nil
 	j.fail.Store(nil)
-	j.home.jobPool.PutShared(j.lane, j)
+	return true
 }
 
 // finish publishes completion with one Swap (only finish leaves a live
@@ -233,16 +263,16 @@ func (j *Job) finish() {
 	case jobWaiting:
 		j.wake <- struct{}{}
 	case jobSubscribed:
-		j.sink <- j
+		j.sink.deliver(j)
 	}
 }
 
 // Subscribe registers ch to receive the job's handle exactly once when
 // it completes — the channel-driven alternative to Wait for callers
-// multiplexing many jobs onto one receiver (the network edge's writer
-// goroutine). It may be called before or after completion: the CAS
-// inFlight → subscribed hands delivery to the completing worker, and a
-// Subscribe that loses it to finish delivers the job itself.
+// multiplexing many jobs onto one receiver. It may be called before or
+// after completion: the CAS inFlight → subscribed hands delivery to the
+// completing worker, and a Subscribe that loses it to finish delivers the
+// job itself.
 //
 // Contract: the receiver owns completion for a subscribed job. No other
 // goroutine may Wait, Err, or Release the handle, and ch must have
@@ -250,10 +280,18 @@ func (j *Job) finish() {
 // completing worker's last action, and a full channel would stall it.
 // One channel may serve any number of jobs; at most one Subscribe per
 // job generation.
-func (j *Job) Subscribe(ch chan *Job) {
+func (j *Job) Subscribe(ch chan *Job) { j.subscribe(sink{ch: ch}) }
+
+// SubscribeTo is Subscribe with an Outbox as the receiver's end — what
+// the network edge's writer drains: delivery is one CAS, needs no
+// capacity, and wakes the receiver once per drain instead of once per job.
+// The contract is Subscribe's.
+func (j *Job) SubscribeTo(ob *Outbox) { j.subscribe(sink{box: ob}) }
+
+func (j *Job) subscribe(s sink) {
 	w := j.word.Load()
 	if w&phaseMask == jobInFlight {
-		j.sink = ch // published by the CAS; finish reads it only in phase subscribed
+		j.sink = s // published by the CAS; finish reads it only in phase subscribed
 		if j.word.CompareAndSwap(w, w&^phaseMask|jobSubscribed) {
 			return
 		}
@@ -261,7 +299,7 @@ func (j *Job) Subscribe(ch chan *Job) {
 	if !j.done() {
 		panic("core: Subscribe on a released, waited-on or already subscribed job")
 	}
-	ch <- j
+	s.deliver(j)
 }
 
 // SetTag attaches an opaque caller value to the job for the rest of its

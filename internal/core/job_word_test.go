@@ -7,12 +7,24 @@ import (
 	"repro/internal/load"
 )
 
+// acquireJob draws and initializes one frame the way admitBatch does for a
+// batch of one.
+func (tm *Team) acquireJob(id int64, fn TaskFunc, class load.Class, tenant load.Tenant) *Job {
+	var one [1]*Job
+	lane := tm.acquireJobs(id, one[:])
+	one[0].resetForSubmit(tm, lane, id, fn, class, tenant)
+	return one[0]
+}
+
 // TestJobWordTransitions is the completion protocol as a table: every
 // phase of Job.word × every operation, with the phase it must leave
 // behind. "parks" rows block until a finish; "panics" rows are contract
 // violations (use after Release, two kinds of party on one generation)
 // that fail loudly instead of hanging or corrupting a later generation.
 // finish on pooled/done has no row: cascade runs it once per generation.
+// The sink kind is a column, not more rows: every row holds for a channel
+// and for an Outbox, whose token count must equal its deliveries (at most
+// one of either per row).
 func TestJobWordTransitions(t *testing.T) {
 	tm := MustTeam(Preset("xgomptb", 1))
 	frame := func() *Job { return tm.acquireJob(1, func(*Worker) {}, load.ClassBatch, load.Tenant{}) }
@@ -20,20 +32,20 @@ func TestJobWordTransitions(t *testing.T) {
 
 	// reach drives a fresh inFlight frame into each phase by the
 	// protocol's own transitions.
-	reach := map[uint64]func(j *Job, ch chan *Job){
-		jobPooled:     func(j *Job, _ chan *Job) { j.finish(); j.Release() },
-		jobInFlight:   func(*Job, chan *Job) {},
-		jobWaiting:    func(j *Job, _ chan *Job) { j.enterWait() }, // a waiter registered but not yet parked
-		jobSubscribed: func(j *Job, ch chan *Job) { j.Subscribe(ch) },
-		jobDone:       func(j *Job, _ chan *Job) { j.finish() },
+	reach := map[uint64]func(j *Job, rx receiver){
+		jobPooled:     func(j *Job, _ receiver) { j.finish(); j.Release() },
+		jobInFlight:   func(*Job, receiver) {},
+		jobWaiting:    func(j *Job, _ receiver) { j.enterWait() }, // a waiter registered but not yet parked
+		jobSubscribed: func(j *Job, rx receiver) { rx.subscribe(j) },
+		jobDone:       func(j *Job, _ receiver) { j.finish() },
 	}
-	ops := map[string]func(j *Job, ch chan *Job){
-		"Wait":      func(j *Job, _ chan *Job) { _ = j.Wait() },
-		"Subscribe": func(j *Job, ch chan *Job) { j.Subscribe(ch) },
-		"Release":   func(j *Job, _ chan *Job) { j.Release() },
-		"finish":    func(j *Job, _ chan *Job) { j.finish() },
-		"Err":       func(j *Job, _ chan *Job) { _ = j.Err() },
-		"Done":      func(j *Job, _ chan *Job) { <-j.Done() },
+	ops := map[string]func(j *Job, rx receiver){
+		"Wait":      func(j *Job, _ receiver) { _ = j.Wait() },
+		"Subscribe": func(j *Job, rx receiver) { rx.subscribe(j) },
+		"Release":   func(j *Job, _ receiver) { j.Release() },
+		"finish":    func(j *Job, _ receiver) { j.finish() },
+		"Err":       func(j *Job, _ receiver) { _ = j.Err() },
+		"Done":      func(j *Job, _ receiver) { <-j.Done() },
 	}
 	const (
 		returns = iota // op returns at once, leaving phase want
@@ -46,7 +58,7 @@ func TestJobWordTransitions(t *testing.T) {
 		how       int
 		want      uint64
 		tokens    int // wake tokens deposited once the op (and the finish a parks row adds) is over
-		delivered int // deliveries on the Subscribe channel, counting reach's registration
+		delivered int // deliveries to the subscribed receiver, counting reach's registration
 	}{
 		{jobPooled, "Wait", panics, jobPooled, 0, 0},
 		{jobPooled, "Subscribe", panics, jobPooled, 0, 0},
@@ -83,46 +95,51 @@ func TestJobWordTransitions(t *testing.T) {
 	} {
 		name := [...]string{"pooled", "inFlight", "waiting", "subscribed", "done"}[tc.from] + "/" + tc.op
 		t.Run(name, func(t *testing.T) {
-			j, ch := frame(), make(chan *Job, 2)
-			reach[tc.from](j, ch)
-			if phaseOf(j) != tc.from {
-				t.Fatalf("reach left phase %d, want %d", phaseOf(j), tc.from)
-			}
-			gen := j.word.Load() >> phaseBits
-
-			returned := make(chan any, 1)
-			go func() {
-				defer func() { returned <- recover() }()
-				ops[tc.op](j, ch)
-			}()
-			if tc.how == parks {
-				waitFor(t, func() bool { return phaseOf(j) == tc.want })
-				select {
-				case <-returned:
-					t.Fatal("returned before finish")
-				case <-time.After(10 * time.Millisecond):
+			sinkKinds(t, 2, func(t *testing.T, rx receiver) {
+				j := frame()
+				reach[tc.from](j, rx)
+				if phaseOf(j) != tc.from {
+					t.Fatalf("reach left phase %d, want %d", phaseOf(j), tc.from)
 				}
-				j.finish()
-			}
-			var r any
-			select {
-			case r = <-returned:
-			case <-time.After(5 * time.Second):
-				t.Fatal("never returned")
-			}
-			if (r != nil) != (tc.how == panics) {
-				t.Fatalf("panic = %v, want panic: %v", r, tc.how == panics)
-			}
-			want := tc.want
-			if tc.how == parks {
-				want = jobDone
-			}
-			if phaseOf(j) != want || j.word.Load()>>phaseBits != gen {
-				t.Fatalf("word = gen %d phase %d, want gen %d phase %d", j.word.Load()>>phaseBits, phaseOf(j), gen, want)
-			}
-			if len(j.wake) != tc.tokens || len(ch) != tc.delivered {
-				t.Fatalf("%d wake tokens, %d deliveries; want %d, %d", len(j.wake), len(ch), tc.tokens, tc.delivered)
-			}
+				gen := j.word.Load() >> phaseBits
+
+				returned := make(chan any, 1)
+				go func() {
+					defer func() { returned <- recover() }()
+					ops[tc.op](j, rx)
+				}()
+				if tc.how == parks {
+					waitFor(t, func() bool { return phaseOf(j) == tc.want })
+					select {
+					case <-returned:
+						t.Fatal("returned before finish")
+					case <-time.After(10 * time.Millisecond):
+					}
+					j.finish()
+				}
+				var r any
+				select {
+				case r = <-returned:
+				case <-time.After(5 * time.Second):
+					t.Fatal("never returned")
+				}
+				if (r != nil) != (tc.how == panics) {
+					t.Fatalf("panic = %v, want panic: %v", r, tc.how == panics)
+				}
+				want := tc.want
+				if tc.how == parks {
+					want = jobDone
+				}
+				if phaseOf(j) != want || j.word.Load()>>phaseBits != gen {
+					t.Fatalf("word = gen %d phase %d, want gen %d phase %d", j.word.Load()>>phaseBits, phaseOf(j), gen, want)
+				}
+				if box, ok := rx.(*boxReceiver); ok && len(box.ob.note) != tc.delivered {
+					t.Fatalf("%d outbox tokens for %d deliveries", len(box.ob.note), tc.delivered)
+				}
+				if len(j.wake) != tc.tokens || rx.pending() != tc.delivered {
+					t.Fatalf("%d wake tokens, %d deliveries; want %d, %d", len(j.wake), rx.pending(), tc.tokens, tc.delivered)
+				}
+			})
 		})
 	}
 }

@@ -521,9 +521,11 @@ func (tm *Team) handOff(w *Worker, t *Task) bool {
 }
 
 // adopt makes worker w the entry point of a submitted job: the worker
-// becomes the root task's creator for locality accounting, counts the task
-// into the (single-writer) task counters, and executes it. The root's
-// children are then distributed by the normal static balancer and DLB.
+// becomes the root task's creator for locality accounting and executes it.
+// The root's children are then distributed by the normal static balancer
+// and DLB. Job tasks stay out of the region barrier's task counter — a
+// serving team opens no region, and a job quiesces through its root's
+// reference cascade — so only the profile counts them.
 func (tm *Team) adopt(w *Worker, t *Task) {
 	j := t.job
 	tm.profile.Queued(j.class, j.tenant, -1)
@@ -534,7 +536,6 @@ func (tm *Team) adopt(w *Worker, t *Task) {
 	// Mirror spawn's accounting so NTASKS_CREATED and NTASKS_EXECUTED
 	// stay balanced across service-mode profiles.
 	w.prof.Inc(prof.CntTasksCreated)
-	tm.counter.created(w.id)
 	tm.execute(w, t)
 }
 

@@ -285,45 +285,67 @@ func TestServiceCloseDrainsAndRejects(t *testing.T) {
 }
 
 // After Close, the same team must be reusable: for regions and for a
-// second Serve — the barrier-reserved-for-startup/shutdown contract.
+// second Serve — the barrier-reserved-for-startup/shutdown contract. Job
+// tasks never enter the region barrier's task counter, whichever counter
+// the preset uses, so every Close leaves it quiescent for the region that
+// follows — also after a job that panicked with tasks still queued.
 func TestServiceThenRegionThenServeAgain(t *testing.T) {
-	tm := serviceTeam(t, "xgomp", 4)
-	var a uint64
-	j, _ := tm.Submit(jobFib(&a, 12))
-	if err := j.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tm.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, preset := range []string{"gomp", "xgomp", "xgomptb"} {
+		t.Run(preset, func(t *testing.T) {
+			tm := serviceTeam(t, preset, 4)
+			var a uint64
+			j, _ := tm.Submit(jobFib(&a, 12))
+			if err := j.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			bad, _ := tm.Submit(func(w *Worker) {
+				for i := 0; i < 32; i++ {
+					w.Spawn(func(*Worker) {})
+				}
+				panic("boom")
+			})
+			if err := bad.Wait(); err == nil {
+				t.Fatal("panicking job reported success")
+			}
+			if err := tm.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !tm.counter.quiescent() {
+				t.Fatal("task counter not quiescent after the service closed")
+			}
 
-	var b uint64
-	tm.Run(func(w *Worker) { b = fibJob(w, 12) })
-	if a != b {
-		t.Fatalf("region after service: %d != %d", b, a)
-	}
+			var b uint64
+			tm.Run(func(w *Worker) { b = fibJob(w, 12) })
+			if a != b {
+				t.Fatalf("region after service: %d != %d", b, a)
+			}
 
-	if err := tm.Serve(); err != nil {
-		t.Fatal(err)
-	}
-	var c uint64
-	j2, err := tm.Submit(jobFib(&c, 12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j2.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if c != a {
-		t.Fatalf("second service: %d != %d", c, a)
-	}
-	// Job IDs are team-unique across Serve generations (profile records
-	// from both generations coexist in the ring).
-	if j2.ID() <= j.ID() {
-		t.Fatalf("job id %d in second service did not advance past %d", j2.ID(), j.ID())
-	}
-	if err := tm.Close(); err != nil {
-		t.Fatal(err)
+			if err := tm.Serve(); err != nil {
+				t.Fatal(err)
+			}
+			var c uint64
+			j2, err := tm.Submit(jobFib(&c, 12))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j2.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if c != a {
+				t.Fatalf("second service: %d != %d", c, a)
+			}
+			// Job IDs are team-unique across Serve generations (profile records
+			// from both generations coexist in the ring).
+			if j2.ID() <= j.ID() {
+				t.Fatalf("job id %d in second service did not advance past %d", j2.ID(), j.ID())
+			}
+			if err := tm.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !tm.counter.quiescent() {
+				t.Fatal("task counter not quiescent after the second service closed")
+			}
+		})
 	}
 }
 

@@ -9,25 +9,27 @@ import (
 )
 
 // TestSubscribeDeliversEachJobOnce: many jobs multiplexed onto one
-// channel each arrive exactly once, carrying the tag set at submission —
-// the network edge's writer-goroutine pattern.
+// receiver each arrive exactly once, carrying the tag set at submission —
+// the network edge's writer-goroutine pattern, on both sink kinds.
 func TestSubscribeDeliversEachJobOnce(t *testing.T) {
-	tm := admitTeam(t, 2, 128, nil)
-	defer tm.Close()
 	const n = 100
-	ch := make(chan *Job, n)
-	for i := 0; i < n; i++ {
-		j, err := tm.Submit(func(*Worker) {})
-		if err != nil {
-			t.Fatal(err)
+	sinkKinds(t, n, func(t *testing.T, rx receiver) {
+		tm := admitTeam(t, 2, 128, nil)
+		defer tm.Close()
+		for i := 0; i < n; i++ {
+			j, err := tm.Submit(func(*Worker) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.SetTag(uint64(i) + 1)
+			rx.subscribe(j)
 		}
-		j.SetTag(uint64(i) + 1)
-		j.Subscribe(ch)
-	}
-	seen := make(map[uint64]bool, n)
-	for i := 0; i < n; i++ {
-		select {
-		case j := <-ch:
+		seen := make(map[uint64]bool, n)
+		for i := 0; i < n; i++ {
+			j := rx.recv(5 * time.Second)
+			if j == nil {
+				t.Fatalf("delivery %d never arrived", i)
+			}
 			tag := j.Tag()
 			if tag == 0 || tag > n {
 				t.Fatalf("tag %d outside submitted range", tag)
@@ -40,40 +42,32 @@ func TestSubscribeDeliversEachJobOnce(t *testing.T) {
 				t.Fatal("delivered job not done")
 			}
 			j.Release()
-		case <-time.After(5 * time.Second):
-			t.Fatalf("delivery %d never arrived", i)
 		}
-	}
-	select {
-	case j := <-ch:
-		t.Fatalf("spurious extra delivery, tag %d", j.Tag())
-	default:
-	}
+		if j := rx.recv(10 * time.Millisecond); j != nil {
+			t.Fatalf("spurious extra delivery, tag %d", j.Tag())
+		}
+	})
 }
 
 // TestSubscribeAfterCompletion: subscribing a job that already finished
 // delivers it from Subscribe itself, still exactly once.
 func TestSubscribeAfterCompletion(t *testing.T) {
-	tm := admitTeam(t, 2, 16, nil)
-	defer tm.Close()
-	j, err := tm.Submit(func(*Worker) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	ch := make(chan *Job, 1)
-	j.Subscribe(ch)
-	select {
-	case got := <-ch:
-		if got != j {
-			t.Fatal("wrong job delivered")
+	sinkKinds(t, 1, func(t *testing.T, rx receiver) {
+		tm := admitTeam(t, 2, 16, nil)
+		defer tm.Close()
+		j, err := tm.Submit(func(*Worker) {})
+		if err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(time.Second):
-		t.Fatal("completed job never delivered")
-	}
-	j.Release()
+		if err := j.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		rx.subscribe(j)
+		if got := rx.recv(time.Second); got != j {
+			t.Fatalf("delivered %v, want the completed job", got)
+		}
+		j.Release()
+	})
 }
 
 // TestSubscribeRaceWithFinish hammers the Subscribe/finish interleaving:
@@ -81,127 +75,123 @@ func TestSubscribeAfterCompletion(t *testing.T) {
 // never zero, never twice (the Dekker hand-off between the two CAS
 // sides). Run with -race.
 func TestSubscribeRaceWithFinish(t *testing.T) {
-	tm := admitTeam(t, 4, 64, nil)
-	defer tm.Close()
-	const rounds = 500
-	ch := make(chan *Job, 1)
-	for r := 0; r < rounds; r++ {
-		j, err := tm.Submit(func(*Worker) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		j.SetTag(uint64(r) + 1)
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			j.Subscribe(ch)
-		}()
-		select {
-		case got := <-ch:
+	sinkKinds(t, 1, func(t *testing.T, rx receiver) {
+		tm := admitTeam(t, 4, 64, nil)
+		defer tm.Close()
+		const rounds = 500
+		for r := 0; r < rounds; r++ {
+			j, err := tm.Submit(func(*Worker) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.SetTag(uint64(r) + 1)
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rx.subscribe(j)
+			}()
+			got := rx.recv(5 * time.Second)
+			if got == nil {
+				t.Fatalf("round %d: delivery lost", r)
+			}
 			if got.Tag() != uint64(r)+1 {
 				t.Fatalf("round %d: delivered tag %d", r, got.Tag())
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("round %d: delivery lost", r)
+			wg.Wait()
+			j.Release()
 		}
-		wg.Wait()
-		j.Release()
-	}
+	})
 }
 
 // TestTagResetsOnRecycle: a recycled frame must not leak the previous
 // generation's tag or subscription into the next submission.
 func TestTagResetsOnRecycle(t *testing.T) {
-	tm := admitTeam(t, 1, 16, nil)
-	defer tm.Close()
-	ch := make(chan *Job, 1)
-	j, err := tm.Submit(func(*Worker) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.SetTag(777)
-	j.Subscribe(ch)
-	<-ch
-	j.Release()
-
-	// Drive enough submissions that the recycled frame comes back around.
-	var sawStale atomic.Bool
-	for i := 0; i < 64; i++ {
-		k, err := tm.Submit(func(*Worker) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k.Tag() != 0 {
-			sawStale.Store(true)
-		}
-		if err := k.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		k.Release()
-	}
-	if sawStale.Load() {
-		t.Fatal("recycled frame leaked a stale tag")
-	}
-	select {
-	case k := <-ch:
-		t.Fatalf("recycled frame leaked a stale subscription (tag %d)", k.Tag())
-	default:
-	}
-}
-
-// TestSubscribeRecycleGenerations: the finish/Subscribe hand-off must
-// be atomic with completion publication. A finish whose final touches
-// (the notify claim, the wake-token deposit) trailed an inline delivery
-// would corrupt the frame's NEXT generation once the receiver Releases
-// and the frame recycles — a stale wake token makes the next Wait
-// return on an in-flight job, a stale claim steals the next
-// subscription. Hammer deliver → release → resubmit on a small pool so
-// frames recycle immediately, asserting every generation's completion
-// is observed exactly once and only when actually done. Run with -race.
-func TestSubscribeRecycleGenerations(t *testing.T) {
-	tm := admitTeam(t, 2, 16, nil)
-	defer tm.Close()
-	ch := make(chan *Job, 1)
-	const rounds = 2000
-	for r := 0; r < rounds; r++ {
+	sinkKinds(t, 1, func(t *testing.T, rx receiver) {
+		tm := admitTeam(t, 1, 16, nil)
+		defer tm.Close()
 		j, err := tm.Submit(func(*Worker) {})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			j.Subscribe(ch) // races finish: inline or worker-side delivery
-		}()
-		got := <-ch
-		if !got.done() {
-			t.Fatalf("round %d: delivered job still in flight", r)
+		j.SetTag(777)
+		rx.subscribe(j)
+		if rx.recv(5*time.Second) != j {
+			t.Fatal("subscribed job not delivered")
 		}
-		wg.Wait()
-		got.Release()
+		j.Release()
 
-		// The recycled frame's next generation must not inherit the
-		// previous finish's wake token or subscription claim.
-		var ran atomic.Bool
-		k, err := tm.Submit(func(*Worker) { ran.Store(true) })
-		if err != nil {
-			t.Fatal(err)
+		// Drive enough submissions that the recycled frame comes back around.
+		for i := 0; i < 64; i++ {
+			k, err := tm.Submit(func(*Worker) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k.Tag() != 0 {
+				t.Fatal("recycled frame leaked a stale tag")
+			}
+			if err := k.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			k.Release()
 		}
-		if err := k.Wait(); err != nil {
-			t.Fatal(err)
+		if k := rx.recv(10 * time.Millisecond); k != nil {
+			t.Fatalf("recycled frame leaked a stale subscription (tag %d)", k.Tag())
 		}
-		if !k.done() || !ran.Load() {
-			t.Fatalf("round %d: Wait returned on an in-flight job (stale wake token)", r)
+	})
+}
+
+// TestSubscribeRecycleGenerations: the finish/Subscribe hand-off must
+// be atomic with completion publication. A finish whose final touches
+// (the wake-token deposit, the outbox link) trailed an inline delivery
+// would corrupt the frame's NEXT generation once the receiver Releases
+// and the frame recycles — a stale wake token makes the next Wait
+// return on an in-flight job, a stale sink steals the next
+// subscription. Hammer deliver → release → resubmit on a small pool so
+// frames recycle immediately, asserting every generation's completion
+// is observed exactly once and only when actually done. Run with -race.
+func TestSubscribeRecycleGenerations(t *testing.T) {
+	sinkKinds(t, 1, func(t *testing.T, rx receiver) {
+		tm := admitTeam(t, 2, 16, nil)
+		defer tm.Close()
+		const rounds = 2000
+		for r := 0; r < rounds; r++ {
+			j, err := tm.Submit(func(*Worker) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rx.subscribe(j) // races finish: inline or worker-side delivery
+			}()
+			got := rx.recv(5 * time.Second)
+			if got == nil || !got.done() {
+				t.Fatalf("round %d: delivery lost, or delivered job still in flight", r)
+			}
+			wg.Wait()
+			got.Release()
+
+			// The recycled frame's next generation must not inherit the
+			// previous finish's wake token or subscription.
+			var ran atomic.Bool
+			k, err := tm.Submit(func(*Worker) { ran.Store(true) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := k.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if !k.done() || !ran.Load() {
+				t.Fatalf("round %d: Wait returned on an in-flight job (stale wake token)", r)
+			}
+			if rx.pending() != 0 {
+				t.Fatalf("round %d: stale subscription delivered a job", r)
+			}
+			k.Release()
 		}
-		select {
-		case s := <-ch:
-			t.Fatalf("round %d: stale subscription delivered job %d", r, s.ID())
-		default:
-		}
-		k.Release()
-	}
+	})
 }
 
 // TestWaitRecycleGenerations is TestSubscribeRecycleGenerations for the

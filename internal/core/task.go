@@ -42,9 +42,9 @@ type Task struct {
 	// next links tasks inside the GOMP global priority list.
 	next *Task
 
-	// group is the innermost taskgroup this task belongs to (inherited
-	// from the creator), or nil.
-	group *taskGroup
+	// scope marks a TaskGroup's frame: never executed, only the parent of
+	// what the group's body spawns while it stands in as the current task.
+	scope bool
 	// job is the submitted job this task belongs to (inherited from the
 	// creator), or nil for tasks of a classic parallel region. Job tasks
 	// get per-job panic isolation and cancellation; the job's root task is
@@ -69,7 +69,7 @@ func (t *Task) reset(fn TaskFunc, parent *Task, creator, priority int32) {
 	t.implicit = false
 	t.noRecycle = false
 	t.next = nil
-	t.group = nil
+	t.scope = false
 	t.job = nil
 	t.deps = nil
 	t.waitingDeps.Store(0)

@@ -2,42 +2,49 @@ package core
 
 import (
 	"runtime"
-	"sync/atomic"
 
 	"repro/internal/prof"
 )
 
 // TaskGroup is the OpenMP taskgroup construct: unlike TaskWait, which
 // joins only the current task's direct children, a taskgroup joins every
-// task created inside its body *and all of their descendants*. Tasks
-// inherit the innermost active group of their creator, so the counter
-// covers the whole subtree; nested taskgroups compose because the inner
-// wait completes before the enclosing body does.
-type taskGroup struct {
-	refs atomic.Int32
-}
-
+// task created inside its body *and all of their descendants*. The group is
+// a frame in the task tree, not a counter beside it: body runs with a scope
+// task as the current task, so what it spawns are the scope's children, and
+// the rule every task already follows — a child releases its parent only
+// when its own subtree is done — makes the scope's reference count cover
+// the whole subtree. Nested taskgroups compose because the inner scope is a
+// child of the outer one.
+//
 // TaskGroup runs body and then blocks until every task spawned within it
 // (transitively) has completed, executing other queued tasks while
 // waiting — a scheduling point, like TaskWait.
 func (w *Worker) TaskGroup(body TaskFunc) {
-	g := &taskGroup{}
-	cur := w.cur
-	prev := cur.group
-	cur.group = g
-	// Restore the enclosing group even when body panics: job-mode recovery
-	// (runJobTask) resumes this task's completion accounting, which must
-	// decrement the group the task was spawned into, not the abandoned
-	// inner group — otherwise an enclosing TaskGroup never quiesces.
-	defer func() { cur.group = prev }()
+	tm, cur := w.team, w.cur
+	scope := tm.alloc.Get(w.id)
+	scope.reset(nil, cur, int32(w.id), 0)
+	scope.scope = true
+	scope.job = cur.job
+	cur.refs.Add(1)
+	w.cur = scope
+	// The body reference drops on every way out. When body panics, job-mode
+	// recovery (runJobTask) resumes cur's completion accounting; cur stays
+	// referenced by the scope until the group's stragglers have finished,
+	// and the last of them releases it like any child would.
+	defer func() {
+		w.cur = cur
+		if scope.refs.Add(-1) == 0 {
+			tm.cascade(w, scope)
+		}
+	}()
 	body(w)
 
-	if g.refs.Load() == 0 {
+	if scope.refs.Load() <= 1 {
 		return
 	}
 	th := w.prof
 	th.Begin(prof.EvTaskWait)
-	w.waitFor(func() bool { return g.refs.Load() == 0 })
+	w.waitFor(func() bool { return scope.refs.Load() <= 1 })
 	th.End(prof.EvTaskWait)
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -125,5 +127,98 @@ func TestTaskGroupAcrossPresets(t *testing.T) {
 				})
 			})
 		})
+	}
+}
+
+// The group is a frame between the running task and what its body spawns;
+// it must stay invisible to the constructs that speak of "the current
+// task's children": a TaskWait inside the body still joins children
+// spawned before the group opened, and depend clauses inside and outside
+// the group order against one table.
+func TestTaskGroupScopeIsTransparent(t *testing.T) {
+	tm := MustTeam(Preset("xgomptb", 4))
+	runWithTimeout(t, 30*time.Second, "scope", func() {
+		tm.Run(func(w *Worker) {
+			var early atomic.Bool
+			w.Spawn(func(*Worker) {
+				time.Sleep(5 * time.Millisecond)
+				early.Store(true)
+			})
+			w.TaskGroup(func(w *Worker) {
+				w.TaskGroup(func(w *Worker) {
+					w.TaskWait()
+					if !early.Load() {
+						t.Error("TaskWait inside nested groups returned before a child spawned outside them")
+					}
+				})
+			})
+
+			var cell, order []int
+			key := &cell
+			w.SpawnDeps(func(*Worker) {
+				time.Sleep(2 * time.Millisecond)
+				order = append(order, 1)
+			}, Out(key))
+			w.TaskGroup(func(w *Worker) {
+				w.SpawnDeps(func(*Worker) { order = append(order, 2) }, InOut(key))
+			})
+			w.SpawnDeps(func(*Worker) { order = append(order, 3) }, In(key))
+			w.TaskWait()
+			if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
+				t.Errorf("depend-siblings across a group boundary ran as %v, want [1 2 3]", order)
+			}
+		})
+	})
+}
+
+// A panicking group body leaves stragglers behind: the job must fail, and
+// must not quiesce — nor recycle the frames the stragglers hang off —
+// before the last of them has run.
+func TestTaskGroupPanicWaitsForStragglers(t *testing.T) {
+	tm := serviceTeam(t, "xgomptb", 2)
+	defer tm.Close()
+	var started, ran atomic.Int64
+	release := make(chan struct{})
+	j, err := tm.Submit(func(w *Worker) {
+		w.TaskGroup(func(w *Worker) {
+			// Two, so the static balancer hands at least one to the peer; the
+			// other waits in this worker's queue until the panic has unwound.
+			for s := 0; s < 2; s++ {
+				w.Spawn(func(w *Worker) {
+					started.Add(1)
+					<-release
+					for i := 0; i < 8; i++ {
+						w.Spawn(func(*Worker) { ran.Add(1) })
+					}
+				})
+			}
+			for started.Load() == 0 {
+				runtime.Gosched()
+			}
+			panic("group body exploded")
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- j.Wait() }()
+	select {
+	case err := <-done:
+		t.Fatalf("job quiesced (%v) while a task of its group was still running", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case err := <-done:
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Value != "group body exploded" {
+			t.Fatalf("Wait = %v, want PanicError(group body exploded)", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("job never quiesced after its group's stragglers finished")
+	}
+	if ran.Load() != 0 {
+		t.Fatalf("%d task bodies of a failed job ran", ran.Load())
 	}
 }

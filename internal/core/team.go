@@ -274,15 +274,16 @@ func (tm *Team) Profile() *prof.Profile { return tm.profile }
 // AllocStats reports the task-allocator path counters.
 func (tm *Team) AllocStats() alloc.Stats { return tm.alloc.Stats() }
 
-// acquireJob draws a job frame from the team's frame pool and initializes
-// it for one submission. The pool lane is derived from the job id, so
-// concurrent submitters spread across the pool's per-lane locks instead
-// of serializing on one free list.
-func (tm *Team) acquireJob(id int64, fn TaskFunc, class load.Class, tenant load.Tenant) *Job {
-	lane := int(id % int64(tm.n))
-	j := tm.jobPool.GetShared(lane)
-	j.resetForSubmit(tm, lane, id, fn, class, tenant)
-	return j
+// acquireJobs draws one job frame per element of frames from the team's
+// frame pool, all from one lane under one lane lock, and returns the lane.
+// The lane is derived from the batch's first job id, so concurrent
+// submitters spread across the pool's per-lane locks instead of serializing
+// on one free list, and the frames of a batch — which tend to complete, and
+// come back, together (ReleaseJobs) — share a lane.
+func (tm *Team) acquireJobs(firstID int64, frames []*Job) (lane int) {
+	lane = int(firstID % int64(tm.n))
+	tm.jobPool.GetSharedRun(lane, frames)
+	return lane
 }
 
 // Run opens a parallel region in which worker 0 executes f while all other
@@ -386,9 +387,8 @@ func (tm *Team) execute(w *Worker, t *Task) {
 	w.cur = prev
 	th.End(prof.EvTask)
 
-	tm.counter.finished(w.id)
-	if t.group != nil {
-		t.group.refs.Add(-1)
+	if t.job == nil {
+		tm.counter.finished(w.id)
 	}
 	if t.deps != nil {
 		tm.completeDeps(w, t)

@@ -140,13 +140,11 @@ func (w *Worker) spawn(fn TaskFunc, priority int32) {
 	th.Begin(prof.EvTaskCreate)
 	t := tm.alloc.Get(w.id)
 	t.reset(fn, w.cur, int32(w.id), priority)
-	if g := w.cur.group; g != nil {
-		t.group = g
-		g.refs.Add(1)
-	}
 	t.job = w.cur.job // job tasks beget job tasks
 	w.cur.refs.Add(1)
-	tm.counter.created(w.id)
+	if t.job == nil {
+		tm.counter.created(w.id) // the region barrier's count; a job quiesces through its root
+	}
 	th.Inc(prof.CntTasksCreated)
 
 	placed := false
@@ -213,16 +211,22 @@ func (w *Worker) announce(target int) {
 
 // TaskWait blocks until all children spawned by the current task have
 // completed (including their descendants), executing other queued tasks
-// while it waits — a scheduling point, as in OpenMP.
+// while it waits — a scheduling point, as in OpenMP. Inside a TaskGroup
+// body the current task's children hang off more than one frame: the
+// innermost scope's, then each enclosing frame's up to the task itself,
+// every one of which also counts the open scope below it.
 func (w *Worker) TaskWait() {
-	cur := w.cur
-	if cur.refs.Load() <= 1 {
-		return
+	for f, open := w.cur, int32(1); ; f, open = f.parent, 2 {
+		if f.refs.Load() > open {
+			th := w.prof
+			th.Begin(prof.EvTaskWait)
+			w.waitFor(func() bool { return f.refs.Load() <= open })
+			th.End(prof.EvTaskWait)
+		}
+		if !f.scope {
+			return
+		}
 	}
-	th := w.prof
-	th.Begin(prof.EvTaskWait)
-	w.waitFor(func() bool { return cur.refs.Load() <= 1 })
-	th.End(prof.EvTaskWait)
 }
 
 // Yield is an explicit scheduling point: it executes at most one queued

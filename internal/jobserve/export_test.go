@@ -17,3 +17,12 @@ func (s *Server) WatchWindow(f func(sent uint64, reported *atomic.Uint64)) {
 	s.windowHook = f
 	s.mu.Unlock()
 }
+
+// WatchHolds installs f as the hold hook of every connection accepted from
+// now on: a writer calls it before each yield of a hold, with the number
+// of records its last drain added.
+func (s *Server) WatchHolds(f func(added int)) {
+	s.mu.Lock()
+	s.holdHook = f
+	s.mu.Unlock()
+}

@@ -4,8 +4,9 @@
 // admission section — and streams per-job outcome records back with
 // coalesced writes, plus the matching client. Each connection runs one
 // reader/writer goroutine pair around a counted window; completed jobs
-// hop from the completing worker to the writer through Job.Subscribe,
-// and a hot connection's reader polls instead of parking (edge.go).
+// chain themselves into the connection's Outbox, which the writer takes a
+// drain at a time, and a hot connection's reader polls instead of parking
+// (edge.go).
 // ARCHITECTURE.md, "Network serving edge", has the design; the whole edge
 // holds the fast path's zero-allocation line for synthetic (spin) jobs.
 package jobserve
@@ -16,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,8 +34,8 @@ import (
 
 // DefaultWindow bounds each connection's decoded-but-unreported records
 // when Config.Window is zero. The window is the conn's only unbounded-
-// buffer guard: the completion channel is sized to it, so delivery sends
-// never block a worker.
+// buffer guard: nothing on the completion side is sized to it (finished
+// jobs queue in an Outbox, through their own frames).
 const DefaultWindow = 4096
 
 // Config configures a Server.
@@ -68,6 +70,9 @@ type Server struct {
 	// windowHook, set by tests only, sees every raise of a connection's
 	// window: the reader's sent and the counter its writer advances.
 	windowHook func(sent uint64, reported *atomic.Uint64)
+	// holdHook, set by tests only, sees every hold of a writer: how many
+	// records the drain before the yield added.
+	holdHook func(added int)
 }
 
 // Serve starts serving connections from ln until Close. The returned
@@ -173,21 +178,21 @@ type conn struct {
 	c      net.Conn
 	ec     *edgeConn // the polling read side; nil = the reader decodes from c itself
 	cancel context.CancelFunc
-	// done (completed jobs, delivered by the finishing worker) and
-	// refusals (records for items that never became jobs) feed the
-	// writer. cap(done) == window keeps Subscribe's delivery send
-	// nonblocking by construction.
-	done     chan *xomp.Job
+	// box (completed jobs, pushed by the finishing worker) and refusals
+	// (records for items that never became jobs) feed the writer.
+	box      *xomp.Outbox
 	refusals chan []wire.ResultRecord
 	// admitted is the stage clock's hand-off: the reader arms it with the
 	// admission stamp of the oldest frame no completion has answered yet,
 	// the writer's next wake-up with a completed job disarms it (0).
 	admitted atomic.Int64
-	// The window (ARCHITECTURE.md, "Connection lifecycle"): sent, the
-	// reader's own, counts records let in; reported counts records the
-	// writer has flushed, jobs and refusals alike; room is the writer's
-	// poke for a reader that found sent - reported at Config.Window.
-	sent     uint64
+	// The window (ARCHITECTURE.md, "Connection lifecycle"): sent, raised
+	// only by the reader, counts records let in; reported, raised only by
+	// the writer, counts records flushed, jobs and refusals alike; room is
+	// the writer's poke for a reader that found sent - reported at
+	// Config.Window. Each half reads the other's counter: the reader to
+	// find room, the writer to learn whether records are still in flight.
+	sent     atomic.Uint64
 	reported atomic.Uint64
 	room     chan struct{}
 }
@@ -209,7 +214,7 @@ func (s *Server) handle(c net.Conn) {
 	defer cancel()
 	cn := &conn{
 		s: s, c: c, ec: ec, cancel: cancel,
-		done:     make(chan *xomp.Job, s.cfg.Window),
+		box:      xomp.NewOutbox(),
 		refusals: make(chan []wire.ResultRecord, 8),
 		room:     make(chan struct{}, 1),
 	}
@@ -225,16 +230,17 @@ func (s *Server) handle(c net.Conn) {
 // acquire waits until n more records fit the window and counts them in —
 // the window's only raise; its only release is the writer's, after a flush.
 func (cn *conn) acquire(ctx context.Context, n int) bool {
-	for cn.sent+uint64(n)-cn.reported.Load() > uint64(cn.s.cfg.Window) {
+	sent := cn.sent.Load() + uint64(n)
+	for sent-cn.reported.Load() > uint64(cn.s.cfg.Window) {
 		select {
 		case <-cn.room:
 		case <-ctx.Done():
 			return false
 		}
 	}
-	cn.sent += uint64(n)
+	cn.sent.Store(sent)
 	if h := cn.s.windowHook; h != nil {
-		h(cn.sent, &cn.reported)
+		h(sent, &cn.reported)
 	}
 	return true
 }
@@ -251,7 +257,7 @@ func (cn *conn) refuse(ctx context.Context, out []wire.ResultRecord) bool {
 }
 
 // read is the reader half: decode one submit frame, admit it as one
-// batch, subscribe the admitted jobs to the writer's channel, and forward
+// batch, subscribe the admitted jobs to the writer's outbox, and forward
 // immediate refusals. Sequence numbers are implicit, in decode order.
 func (cn *conn) read(ctx context.Context) {
 	defer cn.cancel() // reader gone → writer must not wait forever
@@ -333,7 +339,7 @@ func (cn *conn) read(ctx context.Context) {
 				}
 				j := res[i].Job
 				j.SetTag(seq + uint64(at+i))
-				j.Subscribe(cn.done)
+				j.SubscribeTo(cn.box)
 			}
 			if refused != nil && !cn.refuse(ctx, refused) {
 				return
@@ -344,52 +350,108 @@ func (cn *conn) read(ctx context.Context) {
 	}
 }
 
-// write is the writer half: collect completed jobs and refusal records,
-// encode them as result frames, and flush coalesced — after one blocking
-// receive it drains everything already pending, so a burst of
-// completions costs one syscall.
+// write is the writer half: take whatever has completed or been refused,
+// encode it as result frames, and flush — one wake-up, one pass over the
+// outbox's chain and one syscall per drain.
+//
+// Before it flushes it may hold: while records that were in flight when it
+// woke still are, the last drain added something, the frame has room, and
+// records have been landing on this connection closer together than one of
+// its socket writes takes (gapNS < flushNS, two averages it keeps), it
+// yields once and drains again — results that arrive faster than they can
+// be flushed one drain at a time coalesce anyway, a write late; holding
+// makes that the plan instead of the backlog. Both sides are measured
+// here, per connection, from clock readings the stage clock takes anyway:
+// a frame of no-op jobs lands 64 results in the time of a few writes and
+// leaves as one result frame; results a millisecond apart, or one to a
+// frame, flush at once. An empty drain ends the hold: it never blocks and
+// never waits on a clock.
 func (cn *conn) write(ctx context.Context) {
 	defer cn.cancel() // writer gone → reader must stop admitting
 	s := cn.s
 	enc := wire.NewEncoder(cn.c, s.bufs)
 	defer enc.Close()
-	var out []wire.ResultRecord
+	var (
+		out  []wire.ResultRecord
+		jobs []*xomp.Job
+		// The hold rule's two sides, averaged over this connection's
+		// flushes (α = ¼, like prof.Wire.FrameGap; zero = not measured
+		// yet): what one socket write took, and how far apart the records
+		// a flush carried had landed — the time since the flush before it
+		// over their number.
+		flushNS, gapNS int64
+		lastFlush      time.Time
+	)
+	average := func(avg *int64, ns int64) {
+		if *avg == 0 {
+			*avg = max(1, ns)
+		} else {
+			*avg += (ns - *avg) / 4
+		}
+	}
 	for {
 		out = out[:0]
-		refused := 0
 		select {
-		case j := <-cn.done:
-			out = appendJobResult(out, j)
+		case <-cn.box.Note():
 		case recs := <-cn.refusals:
 			out = append(out, recs...)
-			refused += len(recs)
 		case <-ctx.Done():
 			return
 		}
 		// One clock read per wake-up: it stops the first-done stage a
 		// reader armed and starts this flush's.
 		woke := time.Now()
-	coalesce:
-		for len(out) < wire.MaxBatch {
-			select {
-			case j := <-cn.done:
-				out = appendJobResult(out, j)
-			case recs := <-cn.refusals:
-				out = append(out, recs...)
-				refused += len(recs)
-			default:
-				break coalesce
+		refused := len(out)
+		// What is in flight now is what a hold may wait for: frames let in
+		// later do not extend it, so a pipelining client cannot starve its
+		// own results.
+		owed := cn.sent.Load() - cn.reported.Load()
+		for {
+			had := len(out)
+			jobs = cn.box.Take(jobs[:0])
+			for _, j := range jobs {
+				out = append(out, jobResult(j))
 			}
+			xomp.ReleaseJobs(jobs) // the handles are dead past this point
+		refusals:
+			for {
+				select {
+				case recs := <-cn.refusals:
+					out = append(out, recs...)
+					refused += len(recs)
+				default:
+					break refusals
+				}
+			}
+			added := len(out) - had
+			if added == 0 || uint64(len(out)) >= owed || len(out) >= wire.MaxResultsPerFrame ||
+				gapNS == 0 || gapNS >= flushNS {
+				break
+			}
+			if h := s.holdHook; h != nil {
+				h(added)
+			}
+			runtime.Gosched()
+			// What lands during the yield finds the box empty and posts a
+			// token; the drain that follows answers it, so it is taken
+			// first — left standing, it would wake the writer to nothing.
+			select {
+			case <-cn.box.Note():
+			default:
+			}
+		}
+		if len(out) == 0 {
+			continue // the token of a push an earlier drain already took
 		}
 		if len(out) > refused { // a completed job, not only refusals
 			if at := cn.admitted.Swap(0); at != 0 {
 				s.wire.RecordStage(prof.StageFirstDone, int64(woke.Sub(s.epoch))-at)
 			}
 		}
-		// Encode in frame-safe chunks before the single flush: the
-		// coalesce bound is loose (a refusal slice lands whole), and a
-		// near-MaxBatch batch of OK records can overflow MaxFrame — an
-		// oversized batch becomes several frames in one flush.
+		// Encode in frame-safe chunks before the single flush: a drain is
+		// bounded by the window, not by a frame, and a near-MaxBatch batch
+		// of OK records can overflow MaxFrame — an oversized drain becomes
+		// several frames in one flush.
 		for at := 0; at < len(out); {
 			n := min(len(out)-at, wire.MaxResultsPerFrame)
 			if err := enc.Results(out[at : at+n]); err != nil {
@@ -397,6 +459,7 @@ func (cn *conn) write(ctx context.Context) {
 			}
 			at += n
 		}
+		encoded := time.Since(woke)
 		n, err := enc.Flush()
 		if err != nil {
 			return // peer gone; reader will notice via cancel
@@ -407,15 +470,21 @@ func (cn *conn) write(ctx context.Context) {
 		case cn.room <- struct{}{}:
 		default:
 		}
-		s.wire.RecordStage(prof.StageFlush, int64(time.Since(woke)))
+		flushed := time.Since(woke)
+		average(&flushNS, int64(flushed-encoded))
+		now := woke.Add(flushed)
+		if !lastFlush.IsZero() {
+			average(&gapNS, int64(now.Sub(lastFlush))/int64(len(out)))
+		}
+		lastFlush = now
+		s.wire.RecordStage(prof.StageFlush, int64(flushed))
 		s.wire.FlushOut(n)
 		s.wire.ResultOut(len(out), refused)
 	}
 }
 
-// appendJobResult converts one completed job to its wire record and
-// releases the frame — the handle is dead past this point.
-func appendJobResult(out []wire.ResultRecord, j *xomp.Job) []wire.ResultRecord {
+// jobResult converts one completed job to its wire record.
+func jobResult(j *xomp.Job) wire.ResultRecord {
 	rec := wire.ResultRecord{Seq: j.Tag(), Status: wire.StatusOK}
 	if j.Err() != nil {
 		rec.Status = wire.StatusPanicked
@@ -423,8 +492,7 @@ func appendJobResult(out []wire.ResultRecord, j *xomp.Job) []wire.ResultRecord {
 		rec.QueueNS = max(0, int64(j.QueueDelay()))
 		rec.RunNS = max(0, int64(j.RunTime()))
 	}
-	j.Release()
-	return append(out, rec)
+	return rec
 }
 
 // noopBody is the shared zero-size synthetic body: the wire fast path's

@@ -145,6 +145,103 @@ func testWindowCountsEveryRecordOnce(t *testing.T, start startFunc) {
 	}
 }
 
+// TestWindowBalancesOverManyFrames is the window's conservation law at
+// length: a pipelining client sends frames of mixed sizes — smaller than,
+// equal to and larger than the window, refusals (records the pool rejects
+// as invalid) interleaved with no-op completions — and when the last
+// result is in, every record has been reported exactly once, slots
+// acquired equal slots released, and no writer ever held across a drain
+// that added nothing.
+func TestWindowBalancesOverManyFrames(t *testing.T) {
+	readerPaths(t, testWindowBalancesOverManyFrames)
+}
+
+func testWindowBalancesOverManyFrames(t *testing.T, start startFunc) {
+	frames := 10_000
+	if raceEnabled() && !testing.Short() {
+		frames = 100_000
+	}
+	const window = 16
+	sizes := []int{1, 2, 3, 5, 8, 13, 16, 21, 64}
+	pool := xomp.MustShardedPool(xomp.ShardConfig{Shards: 1, Team: xomp.Preset("xgomptb", 2)})
+	defer pool.Close()
+	srv := serve(t, start, pool, window)
+	defer srv.Close()
+	watch := &windowWatch{t: t, window: window}
+	srv.WatchWindow(watch.raised)
+	var holds, emptyHolds atomic.Int64
+	srv.WatchHolds(func(added int) {
+		holds.Add(1)
+		if added <= 0 {
+			emptyHolds.Add(1)
+		}
+	})
+	cl, err := jobserve.Dial(srv.Addr().String(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	total := 0
+	for f := 0; f < frames; f++ {
+		total += sizes[f%len(sizes)]
+	}
+	invalid := func(seq int) bool { return seq%7 == 3 }
+	sendErr := make(chan error, 1)
+	go func() { // the submit half: pipelined, never waits for results
+		seq := 0
+		recs := make([]wire.SubmitRecord, 64)
+		for f := 0; f < frames; f++ {
+			frame := recs[:sizes[f%len(sizes)]]
+			for i := range frame {
+				frame[i] = wire.SubmitRecord{}
+				if invalid(seq) {
+					frame[i].Class = 99
+				}
+				seq++
+			}
+			if _, err := cl.Submit(frame); err != nil {
+				sendErr <- err
+				return
+			}
+			if err := cl.Flush(); err != nil {
+				sendErr <- err
+				return
+			}
+		}
+		sendErr <- nil
+	}()
+	seen := make([]bool, total)
+	for n := 0; n < total; {
+		rs, err := cl.Recv()
+		if err != nil {
+			t.Fatalf("recv after %d of %d results: %v", n, total, err)
+		}
+		for _, r := range rs {
+			want := wire.StatusOK
+			if r.Seq < uint64(total) && invalid(int(r.Seq)) {
+				want = wire.StatusInvalid
+			}
+			if r.Seq >= uint64(total) || seen[r.Seq] || r.Status != want {
+				t.Fatalf("seq %d status %v: out of range, reported twice, or not %v", r.Seq, r.Status, want)
+			}
+			seen[r.Seq] = true
+		}
+		n += len(rs)
+	}
+	if err := <-sendErr; err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, func() bool { _, open := watch.open(); return open == 0 }, "the window to empty")
+	if sent, _ := watch.open(); sent != uint64(total) {
+		t.Fatalf("reader let %d records in, client sent %d", sent, total)
+	}
+	if emptyHolds.Load() != 0 {
+		t.Fatalf("%d of %d holds followed a drain that added nothing", emptyHolds.Load(), holds.Load())
+	}
+	t.Logf("%d frames, %d records, %d holds", frames, total, holds.Load())
+}
+
 // TestWindowReleasedByAVanishedClient: a client that dies while its
 // reader waits on a full window — results and refusals still owed — takes
 // the whole goroutine pair with it, and the server keeps serving.

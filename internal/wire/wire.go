@@ -298,28 +298,68 @@ func (e *Encoder) Close() {
 	e.buf = nil
 }
 
-// Decoder reads frames from an io.Reader into recycled buffers and
-// parses them into reused record slices. Decoders are not safe for
-// concurrent use and are move-only (repolint:nocopy) for the same
-// reason as Encoder: copies double-free the recycled buffers.
+// Decoder reads frames from an io.Reader through one recycled buffer and
+// parses them into reused record slices. A read takes whatever the reader
+// has — a frame that arrived in one segment costs one Read, and bytes past
+// its end stay buffered for the next frame. Decoders are not safe for
+// concurrent use and are move-only (repolint:nocopy) for the same reason
+// as Encoder: copies double-free the recycled buffer.
 type Decoder struct {
-	r       io.Reader
-	pool    *alloc.BufPool
-	hdr     [6]byte
+	r    io.Reader
+	pool *alloc.BufPool
+	// buf[at:] is what has been read and not yet consumed; payload, the
+	// body of the frame Next last returned, aliases buf below at.
+	buf     []byte
+	at      int
 	payload []byte
 	submits []SubmitRecord
 	results []ResultRecord
 	last    int
 }
 
-// NewDecoder returns a decoder reading frames from r, drawing its frame
+// NewDecoder returns a decoder reading frames from r, drawing its read
 // buffer from pool (nil pool means plain make).
 func NewDecoder(r io.Reader, pool *alloc.BufPool) *Decoder {
 	d := &Decoder{r: r, pool: pool}
 	if pool != nil {
-		d.payload = pool.Get(0)
+		d.buf = pool.Get(0)
 	}
 	return d
+}
+
+// minReadBuf is the read buffer's smallest size without a pool (a pool has
+// its own floor): room for a few typical frames.
+const minReadBuf = 4096
+
+// fill reads until at least need unconsumed bytes are buffered, first
+// making room for them: leftover bytes move to the front of the buffer,
+// and a buffer smaller than need is swapped for one that fits.
+func (d *Decoder) fill(need int) error {
+	have := len(d.buf) - d.at
+	if have >= need {
+		return nil
+	}
+	if cap(d.buf) < need {
+		old := d.buf
+		if d.pool != nil {
+			d.buf = d.pool.Get(need)
+		} else {
+			d.buf = make([]byte, 0, max(need, minReadBuf))
+		}
+		d.buf = append(d.buf, old[d.at:]...)
+		if d.pool != nil {
+			d.pool.Put(old)
+		}
+	} else if d.at > 0 {
+		d.buf = d.buf[:copy(d.buf, d.buf[d.at:])]
+	}
+	d.at = 0
+	n, err := io.ReadAtLeast(d.r, d.buf[have:cap(d.buf)], need-have)
+	d.buf = d.buf[:have+n]
+	if err == io.EOF && have > 0 {
+		err = io.ErrUnexpectedEOF // the peer closed inside a frame
+	}
+	return err
 }
 
 // Next reads and parses one frame, reporting its type. The records are
@@ -328,37 +368,26 @@ func NewDecoder(r io.Reader, pool *alloc.BufPool) *Decoder {
 // io.EOF; a close mid-frame is io.ErrUnexpectedEOF; structural damage
 // is ErrCorrupt/ErrVersion/ErrFrameType, all terminal.
 func (d *Decoder) Next() (FrameType, error) {
-	// Length word + header in one read: every valid frame has ≥ 2
-	// payload bytes, so the 6-byte prefix never overshoots.
-	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
+	// Length word + header first: every valid frame has ≥ 2 payload
+	// bytes, so the 6-byte prefix never overshoots.
+	if err := d.fill(6); err != nil {
 		return 0, err // io.EOF only when no prefix byte arrived: clean close
 	}
-	n := int(binary.LittleEndian.Uint32(d.hdr[:4]))
+	hdr := d.buf[d.at:]
+	n := int(binary.LittleEndian.Uint32(hdr[:4]))
 	if n < 2 || n > MaxFrame {
 		return 0, fmt.Errorf("%w: payload length %d", ErrCorrupt, n)
 	}
-	if d.hdr[4] != Version {
-		return 0, fmt.Errorf("%w: %d", ErrVersion, d.hdr[4])
+	if hdr[4] != Version {
+		return 0, fmt.Errorf("%w: %d", ErrVersion, hdr[4])
 	}
-	t := FrameType(d.hdr[5])
-	body := n - 2
-	if cap(d.payload) < body {
-		old := d.payload
-		if d.pool != nil {
-			d.payload = d.pool.Get(body)
-			d.pool.Put(old)
-		} else {
-			d.payload = make([]byte, 0, body)
-		}
-	}
+	t := FrameType(hdr[5])
 	d.last = 4 + n
-	d.payload = d.payload[:body]
-	if _, err := io.ReadFull(d.r, d.payload); err != nil {
-		if err == io.EOF {
-			return 0, io.ErrUnexpectedEOF
-		}
+	if err := d.fill(d.last); err != nil {
 		return 0, err
 	}
+	d.payload = d.buf[d.at+6 : d.at+d.last]
+	d.at += d.last
 	switch t {
 	case FrameSubmit:
 		return t, d.parseSubmits()
@@ -381,13 +410,13 @@ func (d *Decoder) Results() []ResultRecord { return d.results }
 // counters' feed.
 func (d *Decoder) FrameBytes() int { return d.last }
 
-// Close recycles the decoder's frame buffer; the decoder must not be
-// used afterwards.
+// Close recycles the decoder's buffer; the decoder must not be used
+// afterwards.
 func (d *Decoder) Close() {
 	if d.pool != nil {
-		d.pool.Put(d.payload)
+		d.pool.Put(d.buf)
 	}
-	d.payload = nil
+	d.buf, d.payload = nil, nil
 }
 
 // uvarint decodes one varint from b, returning the value and the rest.

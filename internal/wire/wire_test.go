@@ -296,3 +296,110 @@ func TestMaxResultsPerFrameFits(t *testing.T) {
 		t.Fatalf("round-tripped %d records, want %d", got, wire.MaxResultsPerFrame)
 	}
 }
+
+// segReader hands out its byte stream in the given segments, one per Read
+// — the socket as the decoder sees it — and counts the Reads it serves.
+type segReader struct {
+	segs  [][]byte
+	reads int
+}
+
+func (s *segReader) Read(p []byte) (int, error) {
+	if len(s.segs) == 0 {
+		return 0, io.EOF
+	}
+	s.reads++
+	n := copy(p, s.segs[0])
+	if s.segs[0] = s.segs[0][n:]; len(s.segs[0]) == 0 {
+		s.segs = s.segs[1:]
+	}
+	return n, nil
+}
+
+// TestDecoderReadsPerFrame: the decoder takes what a Read gives it and
+// carries the rest over, so the Reads it issues follow the segments on the
+// wire, not the frames in them — one Read for a frame that arrived whole
+// (not one for the prefix and one for the body), none for a frame that
+// arrived behind another, and a frame cut anywhere still decodes. Every
+// row also runs through a pooled decoder whose buffer must grow, with the
+// leftover bytes, to fit the large frame.
+func TestDecoderReadsPerFrame(t *testing.T) {
+	both := encodeGolden(t)
+	first := 4 + int(binary.LittleEndian.Uint32(both[:4]))
+	big := make([]wire.ResultRecord, 2000) // ~20 KB: past the buffer's first size
+	for i := range big {
+		big[i] = wire.ResultRecord{Seq: uint64(i), Status: wire.StatusOK, QueueNS: 1 << 40, RunNS: 1 << 41}
+	}
+	var sink bytes.Buffer
+	enc := wire.NewEncoder(&sink, nil)
+	if err := enc.Results(big); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	bigFrame := append([]byte(nil), sink.Bytes()...)
+	cut := func(b []byte, at ...int) [][]byte {
+		var segs [][]byte
+		prev := 0
+		for _, a := range at {
+			segs = append(segs, b[prev:a])
+			prev = a
+		}
+		return append(segs, b[prev:])
+	}
+	for _, tc := range []struct {
+		name   string
+		segs   [][]byte
+		frames int // how many of: the golden submit frame, the golden result frame, the big frame
+		reads  int
+	}{
+		{"one frame per segment", cut(both, first), 2, 2},
+		{"two frames in one segment", cut(both), 2, 1},
+		{"one frame across three segments", cut(both[:first], 3, 9), 1, 3},
+		{"cut inside the prefix of the second frame", cut(both, first+2), 2, 2},
+		{"every byte its own segment", cut(both[:first], func() (at []int) {
+			for i := 1; i < first; i++ {
+				at = append(at, i)
+			}
+			return at
+		}()...), 1, first},
+		// The big frame's length is known only once its prefix is in: one
+		// Read fills the small buffer, one more the buffer grown to fit.
+		{"a large frame behind a small segment's leftover", cut(append(append([]byte(nil), both...), bigFrame...), len(both)+5), 3, 3},
+	} {
+		for _, pool := range []*alloc.BufPool{nil, alloc.NewBufPool()} {
+			src := &segReader{segs: append([][]byte(nil), tc.segs...)}
+			dec := wire.NewDecoder(src, pool)
+			ft, err := dec.Next()
+			if err != nil || ft != wire.FrameSubmit {
+				t.Fatalf("%s: frame 1: type %v err %v", tc.name, ft, err)
+			}
+			checkSubmits(t, dec.Submits(), goldenSubmits)
+			if dec.FrameBytes() != first {
+				t.Fatalf("%s: frame 1 is %d bytes, FrameBytes says %d", tc.name, first, dec.FrameBytes())
+			}
+			if tc.frames >= 2 {
+				ft, err = dec.Next()
+				if err != nil || ft != wire.FrameResults {
+					t.Fatalf("%s: frame 2: type %v err %v", tc.name, ft, err)
+				}
+				checkResults(t, dec.Results(), goldenResults)
+			}
+			if tc.frames >= 3 {
+				ft, err = dec.Next()
+				if err != nil || ft != wire.FrameResults {
+					t.Fatalf("%s: big frame: type %v err %v", tc.name, ft, err)
+				}
+				checkResults(t, dec.Results(), big)
+			}
+			if _, err := dec.Next(); err != io.EOF {
+				t.Fatalf("%s: after the last frame: want io.EOF, got %v", tc.name, err)
+			}
+			if src.reads != tc.reads {
+				t.Fatalf("%s: %d Reads, want %d", tc.name, src.reads, tc.reads)
+			}
+			dec.Close()
+		}
+	}
+}

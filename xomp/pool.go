@@ -16,11 +16,24 @@ import (
 // whole task subtree has completed and reports a *PanicError if any of the
 // job's task bodies panicked. Completion is one atomic word on the job's
 // frame: register for it with Wait or Done (any number of waiters) or with
-// Subscribe (one receiver, which then owns the handle), never both, and
-// Release the frame only once every Wait has returned and every Done
-// channel has been seen closed. See core.Job for the full API (Err,
-// QueueDelay, RunTime, ...).
+// Subscribe or SubscribeTo (one receiver, which then owns the handle),
+// never both, and Release the frame only once every Wait has returned and
+// every Done channel has been seen closed. See core.Job for the full API
+// (Err, QueueDelay, RunTime, ...).
 type Job = core.Job
+
+// Outbox is the receiver's end of Job.SubscribeTo: finished jobs chain
+// themselves into it and one goroutine takes them a drain at a time. See
+// core.Outbox.
+type Outbox = core.Outbox
+
+// NewOutbox returns an empty Outbox.
+func NewOutbox() *Outbox { return core.NewOutbox() }
+
+// ReleaseJobs releases every job of jobs — finished handles the caller
+// owns, typically one Outbox.Take — in runs that pay the frame pool's lock
+// once per batch rather than once per job. jobs is scratch afterwards.
+func ReleaseJobs(jobs []*Job) { core.ReleaseJobs(jobs) }
 
 // PanicError is the error Job.Wait returns for a job that panicked; its
 // Value field carries the recovered panic value.
