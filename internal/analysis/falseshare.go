@@ -33,14 +33,14 @@ import (
 //   - //repolint:ok falseshare suppresses with justification.
 //
 // Checked structs are the named hot set (Ring, Gate, Bell, Cell,
-// paddedGauge, paddedFloat, admitSlot, Profile; core's service and
-// Outbox) plus any struct in a hot package that already uses the padding
+// paddedGauge, paddedFloat, admitSlot, Profile; core's service, Outbox
+// and parkedRun) plus any struct in a hot package that already uses the padding
 // idiom (a blank pad of at least 48 bytes next to an atomic field):
 // partial padding — head padded, tail forgotten — is precisely the
 // regression this analyzer exists to catch.
 var FalseShare = &Analyzer{
 	Name: "falseshare",
-	Doc:  "hot atomic fields must be cache-line padded (intake, load, prof, core.service, core.Outbox)",
+	Doc:  "hot atomic fields must be cache-line padded (intake, load, prof, core.service, core.Outbox, core.parkedRun)",
 	Run:  runFalseShare,
 }
 
@@ -60,14 +60,15 @@ var FalseShareTypes = map[string]bool{
 	"Profile":     true,
 }
 
-// Outside those packages falseshare inspects two structs of core: service
-// (its lifecycle word is touched by every submitter, finishing worker and
-// idle poller) and Outbox (its head by every worker finishing a job of
-// the connection, and by the connection's writer); core's per-worker
-// layouts pad by other rules.
+// Outside those packages falseshare inspects three structs of core:
+// service (its lifecycle word is touched by every submitter, finishing
+// worker and idle poller), Outbox (its head by every worker finishing a
+// job of the connection, and by the connection's writer) and parkedRun
+// (its claim cursor by every worker adopting from the run); core's
+// per-worker layouts pad by other rules.
 const hotCorePackage = "internal/core"
 
-var hotCoreStructs = map[string]bool{"service": true, "Outbox": true}
+var hotCoreStructs = map[string]bool{"service": true, "Outbox": true, "parkedRun": true}
 
 // PaddedCells are the hot packages' own one-line cell types; a field of
 // one of them counts as a hot atomic field of the struct that holds it.

@@ -1,5 +1,6 @@
 // Fixture for the falseshare analyzer outside its hot packages: in
-// internal/core only the service and Outbox structs are inspected.
+// internal/core only the service, Outbox and parkedRun structs are
+// inspected.
 package core
 
 import "sync/atomic"
@@ -16,6 +17,14 @@ type service struct {
 type Outbox struct {
 	note chan struct{}
 	head atomic.Pointer[Outbox] // want `shares a cache line with note`
+}
+
+// parkedRun pads its claim cursor's tail and leaves the run's roots on
+// its head line.
+type parkedRun struct {
+	roots []uintptr
+	cur   atomic.Int64 // want `shares a cache line with roots`
+	_     [7]uint64
 }
 
 // Worker has the same flaw and the same idiom, and is not inspected.

@@ -4,9 +4,9 @@
 // from cmd/benchall or through the root-level testing.B benchmarks.
 //
 // Absolute numbers will differ from the paper (its testbed is a 192-core,
-// 8-socket machine); what the experiments preserve — and EXPERIMENTS.md
-// records — is the comparative shape: which runtime wins per workload class,
-// and where the crossovers fall.
+// 8-socket machine); what the experiments preserve is the comparative
+// shape: which runtime wins per workload class, and where the crossovers
+// fall. cmd/README.md shows how to regenerate each table with cmd/benchall.
 //
 // The package splits by role: this file holds the shared harness plumbing
 // every experiment builds on (Options and its defaults, team construction,

@@ -4,8 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/intake"
 	"repro/internal/load"
 	"repro/internal/prof"
 )
@@ -135,9 +139,11 @@ func (tm *Team) SubmitBatch(fns []TaskFunc) ([]BatchResult, error) {
 // validation, shedding, rejection, expiry, cancellation — land in the
 // item's BatchResult, so partial admission is the normal outcome under
 // backpressure, not an error. Items whose policy verdict allows waiting
-// block (in item order) on their class's space gate when their ring is
-// full, honouring ctx and each item's own deadline. Like SubmitCtx it
-// must be called from outside the team's task bodies.
+// park (in item order) behind their class's ring when it is full, and
+// the submitter blocks until workers have claimed enough of them to bring
+// the rest within the class's bound, honouring ctx and each item's own
+// deadline. Like SubmitCtx it must be called from outside the team's task
+// bodies.
 func (tm *Team) SubmitBatchCtx(ctx context.Context, items []BatchItem) ([]BatchResult, error) {
 	res := make([]BatchResult, len(items))
 	if err := tm.SubmitBatchInto(ctx, items, res); err != nil {
@@ -240,7 +246,7 @@ func (tm *Team) admitBatch(ctx context.Context, svc *service, items []BatchItem,
 			switch tm.admit.Admit(load.AdmitRequest{
 				Class:    class,
 				Deadline: remaining,
-				Queued:   ring.Len(),
+				Queued:   ring.Len() + svc.runs[class].queued(),
 				Capacity: ring.Cap(),
 				Tenant:   it.Opts.Tenant,
 				// The tenant gauge is raised before the enqueue (phase 3),
@@ -320,8 +326,8 @@ func (tm *Team) admitBatch(ctx context.Context, svc *service, items []BatchItem,
 	var enq [load.NumClasses]int
 	total := 0
 	for _, c := range load.ByPriority {
-		if classTotal[c] == 0 {
-			continue
+		if classTotal[c] == 0 || svc.runs[c].head.Load() != nil {
+			continue // parked runs fill the class: its items queue behind them
 		}
 		roots = roots[:0]
 		for i := range items {
@@ -341,11 +347,11 @@ func (tm *Team) admitBatch(ctx context.Context, svc *service, items []BatchItem,
 		return
 	}
 
-	// Phase 5: leftovers — items whose class ring was full. Reject-mode
-	// items roll back at once; from here on wait[i] marks the wait-mode
+	// Phase 5: leftovers — items whose class was full. Reject-mode items
+	// roll back at once; from here on wait[i] marks the wait-mode
 	// leftovers, which enter in runs (admitRun): consecutive leftovers of
-	// one class and one deadline refill the ring together each time space
-	// appears, in item order, under ctx and the run's deadline.
+	// one class and one deadline park together, in item order, under ctx
+	// and the run's deadline.
 	var seen [load.NumClasses]int
 	for i := range items {
 		j := res[i].Job
@@ -393,62 +399,197 @@ func (tm *Team) admitBatch(ctx context.Context, svc *service, items []BatchItem,
 	}
 }
 
-// admitRun publishes a run of already-reserved jobs of one class into
-// their ring, in order, waiting on the class's space gate whenever the
-// ring is full: each time space appears it refills the ring with one
-// reserving EnqueueBatch, rings the bell once, reads the clock once and
-// counts one Admitted per tenant run, then blocks again. A single
-// blocked submission is the run of one. It returns how many roots it
-// published; short of all of them, ctx was cancelled or deadline passed,
-// and it returns the outcome and typed error the caller rolls the
-// unpublished suffix back with. It fails fast on an already-cancelled
-// ctx, so once a cancellation lands the rest of a batch's runs roll back
-// without blocking. Only this goroutine can publish the run's roots, so
-// each job either enqueues (and never rolls back) or rolls back (and was
-// never visible to a worker): exactly-once without a select's one-arm
-// commitment.
+// admitRun publishes a run of already-reserved wait-mode jobs of one
+// class, in order: what fits enters the class ring, unless the class has
+// parked runs to queue behind, and the rest is parked once, where it lies
+// (runQueue). The submitter blocks once, until its run is within the
+// class's bound (runQueue.release), ctx or deadline; the reclaim's Swap
+// hands back exactly the roots no worker claimed, so each job either runs
+// or rolls back. It returns how many roots were published and, short of
+// all of them, the outcome and typed error the caller rolls the rest back
+// with. An already-cancelled ctx fails fast, so the rest of a batch's runs
+// roll back without blocking.
 func (tm *Team) admitRun(ctx context.Context, svc *service, roots []*Task, deadline time.Time, admitStart int64) (int, prof.AdmitOutcome, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, prof.AdmitCancelled, err
+	}
 	class := roots[0].job.class
-	ring, g := svc.submit[class], svc.space[class]
-	var timeout <-chan time.Time
-	if !deadline.IsZero() {
-		timer := time.NewTimer(time.Until(deadline))
-		defer timer.Stop()
-		timeout = timer.C
+	q := &svc.runs[class]
+	n, o, err := 0, prof.AdmitAdmitted, error(nil)
+	if q.head.Load() == nil {
+		n = q.ring.EnqueueBatch(roots)
+		svc.bell.RingMany(n)
 	}
-	done := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return done, prof.AdmitCancelled, err
+	if n < len(roots) {
+		var timeout <-chan time.Time
+		if !deadline.IsZero() {
+			timer := time.NewTimer(time.Until(deadline))
+			defer timer.Stop()
+			timeout = timer.C
 		}
-		// Arm before the refill: a consumer frees its slot before it wakes
-		// the gate, so a dequeue the refill did not see closes exactly this
-		// channel — also when the refill took some slots and left the ring
-		// full again.
-		ch := g.Arm()
-		if n := ring.EnqueueBatch(roots[done:]); n > 0 {
-			svc.bell.RingMany(n)
-			lat := tm.profile.Now() - admitStart
-			for in := roots[done : done+n]; len(in) > 0; {
-				t, k := in[0].job.tenant, 1
-				for k < len(in) && in[k].job.tenant.ID == t.ID {
-					k++
-				}
-				tm.profile.Admitted(class, t, k, lat)
-				in = in[k:]
-			}
-			if done += n; done == len(roots) {
-				return done, prof.AdmitAdmitted, nil
-			}
-		}
+		r := q.park(roots[n:])
+		svc.bell.RingMany(len(r.roots))
 		select {
-		case <-ch:
+		case <-r.wake:
 		case <-ctx.Done():
-			return done, prof.AdmitCancelled, ctx.Err()
+			o, err = prof.AdmitCancelled, ctx.Err()
 		case <-timeout:
-			return done, prof.AdmitExpired, ErrDeadlineExceeded
+			o, err = prof.AdmitExpired, ErrDeadlineExceeded
+		}
+		claimed := len(r.roots)
+		if err != nil {
+			if k := int(r.cur.Swap(int64(claimed))); k < claimed {
+				q.unlink(r)
+				claimed = k
+			} else {
+				o, err = prof.AdmitAdmitted, nil // the last claim beat the reclaim
+			}
+		}
+		n += claimed
+	}
+	// One clock read, one Admitted per run of same-tenant roots.
+	lat := tm.profile.Now() - admitStart
+	for in := roots[:n]; len(in) > 0; {
+		t, k := in[0].job.tenant, 1
+		for k < len(in) && in[k].job.tenant.ID == t.ID {
+			k++
+		}
+		tm.profile.Admitted(class, t, k, lat)
+		in = in[k:]
+	}
+	return n, o, err
+}
+
+// parkedRun is the suffix of a wait-mode run its class ring had no room
+// for, claimed in order with one CAS per root on cur. Never reused, so a
+// stale pointer can only find it exhausted.
+type parkedRun struct {
+	roots    []*Task
+	wake     chan struct{} // closed by wakeOnce
+	released bool          // wake is closed; under runQueue.mu
+	_        [3]uint64
+	cur      atomic.Int64
+	_        [7]uint64
+}
+
+// runQueue is one class's FIFO of parked runs, served after its ring. mu
+// orders park, unlink and release; head mirrors runs[0] for lock-free
+// claims.
+type runQueue struct {
+	ring  *intake.Ring[*Task] // the class ring, which admitBatch leaves alone while runs exist
+	head  atomic.Pointer[parkedRun]
+	mu    sync.Mutex
+	runs  []*parkedRun
+	parks int // runs ever published, under mu
+}
+
+// park publishes a copy of roots as a parked run behind the class's others.
+func (q *runQueue) park(roots []*Task) *parkedRun {
+	r := &parkedRun{roots: slices.Clone(roots), wake: make(chan struct{})}
+	q.mu.Lock()
+	q.parks++
+	q.relink(append(q.runs, r))
+	q.mu.Unlock()
+	return r
+}
+
+// unlink removes r once cur is at its end — called by whichever of the
+// last claim and the reclaim put it there — and wakes its submitter if
+// release has not: a racing admitBatch can refill the ring in front of it.
+// It reports whether it woke a submitter.
+func (q *runQueue) unlink(r *parkedRun) bool {
+	q.mu.Lock()
+	woke := r.wakeOnce()
+	woke = q.relink(slices.DeleteFunc(q.runs, func(x *parkedRun) bool { return x == r })) || woke
+	q.mu.Unlock()
+	return woke
+}
+
+// relink installs runs and their head, then releases. Under q.mu.
+func (q *runQueue) relink(runs []*parkedRun) bool {
+	q.runs = runs
+	var h *parkedRun
+	if len(runs) > 0 {
+		h = runs[0]
+	}
+	q.head.Store(h)
+	return q.release()
+}
+
+// release wakes, oldest first, every run's submitter once the ring plus
+// the unclaimed roots up to and including the run's last fit the ring's
+// capacity: a submitter waits for room, never for its jobs to start, so
+// jobs that wait on their submitter's next call cannot deadlock the team.
+// It reports whether it woke a submitter. Under q.mu.
+func (q *runQueue) release() (woke bool) {
+	acc := q.ring.Len()
+	for _, r := range q.runs {
+		if acc += len(r.roots) - int(r.cur.Load()); acc > q.ring.Cap() {
+			return woke
+		}
+		woke = r.wakeOnce() || woke
+	}
+	return woke
+}
+
+// wakeOnce closes r.wake the first time it is called, and reports whether
+// this call did. Under runQueue.mu.
+func (r *parkedRun) wakeOnce() bool {
+	if r.released {
+		return false
+	}
+	r.released = true
+	close(r.wake)
+	return true
+}
+
+// dequeued is release after a ring dequeue or a claim, skipped without the
+// lock while the head run alone exceeds the bound.
+func (q *runQueue) dequeued() bool {
+	if r := q.head.Load(); r == nil || q.ring.Len()+len(r.roots)-int(r.cur.Load()) > q.ring.Cap() {
+		return false
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.release()
+}
+
+// claim takes the oldest parked run's next root; nil when there is none
+// or the oldest is exhausted but not yet unlinked. woke reports that the
+// claim released a submitter.
+func (q *runQueue) claim() (t *Task, woke bool) {
+	r := q.head.Load()
+	if r == nil {
+		return nil, false
+	}
+	for n := int64(len(r.roots)); ; {
+		i := r.cur.Load()
+		if i >= n {
+			return nil, false
+		}
+		if r.cur.CompareAndSwap(i, i+1) {
+			if i+1 == n {
+				woke = q.unlink(r)
+			} else {
+				woke = q.dequeued()
+			}
+			return r.roots[i], woke
 		}
 	}
+}
+
+// queued returns how many parked roots no worker has claimed yet.
+func (q *runQueue) queued() int {
+	if q.head.Load() == nil {
+		return 0
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	n := 0
+	for _, r := range q.runs {
+		n += len(r.roots) - int(r.cur.Load())
+	}
+	return n
 }
 
 // forEachRun calls fn once per run of consecutive same-class, same-tenant

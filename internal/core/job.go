@@ -256,15 +256,18 @@ func (j *Job) retire(from uint64) bool {
 // phase, so the generation it loaded cannot move). The Swap is its last
 // touch on the frame unless the phase it displaced names a party that pins
 // the frame — a waiter still inside Wait, a receiver not yet handed the
-// job; anyone else who observes done may Release at once.
-func (j *Job) finish() {
+// job; anyone else who observes done may Release at once. It reports
+// whether it woke a goroutine: the waiter, or a receiver it delivered to.
+func (j *Job) finish() bool {
 	gen := j.word.Load() &^ phaseMask
 	switch j.word.Swap(gen|jobDone) & phaseMask {
 	case jobWaiting:
 		j.wake <- struct{}{}
+		return true
 	case jobSubscribed:
-		j.sink.deliver(j)
+		return j.sink.deliver(j)
 	}
+	return false
 }
 
 // Subscribe registers ch to receive the job's handle exactly once when
@@ -335,9 +338,6 @@ func (j *Job) resetForSubmit(tm *Team, lane int, id int64, fn TaskFunc, class lo
 	j.home = tm
 	j.lane = lane
 	j.worker.Store(-1)
-	j.submitNS.Store(0)
-	j.startNS.Store(0)
-	j.endNS.Store(0)
 	j.root.reset(fn, nil, 0, 0)
 	j.root.noRecycle = true // the root outlives the region; never task-pool it
 	j.root.job = j

@@ -40,12 +40,12 @@ func MigrateQueuedJob(src, dst *Team) bool {
 	// A task still in the admission ring is by definition unadopted;
 	// dequeuing it makes this goroutine its exclusive owner (the ring is
 	// MPMC precisely so the balancer can consume alongside the workers).
-	// The freed slot rings src's space gate like any other dequeue.
+	// The freed slot may release a parked run, like any other dequeue.
 	var t *Task
 	for i := len(load.ByPriority) - 1; i >= 0 && t == nil; i-- {
 		c := load.ByPriority[i]
 		if v, ok := ssvc.submit[c].TryDequeue(); ok {
-			ssvc.space[c].Wake()
+			ssvc.runs[c].dequeued()
 			t = v
 		}
 	}
@@ -76,8 +76,6 @@ func MigrateQueuedJob(src, dst *Team) bool {
 			ob.ObserveComplete(j.tenant, 0)
 		}
 	}
-	// The blocking enqueue cannot hang: the job is in dst's count, so
-	// dst's workers keep serving (and draining this ring) until it runs.
-	dsvc.enqueueBlocking(j.class, t)
+	dsvc.enqueueMigrated(j.class, t)
 	return true
 }

@@ -13,13 +13,14 @@ type sink struct {
 }
 
 // deliver hands a finished job to its receiver; it is the deliverer's last
-// touch on the frame.
-func (s sink) deliver(j *Job) {
+// touch on the frame. It reports whether the receiver may have been woken:
+// always for a channel, only on the token post for an Outbox.
+func (s sink) deliver(j *Job) bool {
 	if s.box != nil {
-		s.box.push(j)
-		return
+		return s.box.push(j)
 	}
 	s.ch <- j
+	return true
 }
 
 // Outbox collects finished jobs for one receiver: any number of completing
@@ -49,7 +50,8 @@ func NewOutbox() *Outbox { return &Outbox{note: make(chan struct{}, 1)} }
 // token then announces an empty box.
 func (ob *Outbox) Note() <-chan struct{} { return ob.note }
 
-func (ob *Outbox) push(j *Job) {
+// push delivers j and reports whether it posted the receiver's token.
+func (ob *Outbox) push(j *Job) bool {
 	for {
 		old := ob.head.Load()
 		j.next = old
@@ -60,10 +62,11 @@ func (ob *Outbox) push(j *Job) {
 		if old == nil {
 			select {
 			case ob.note <- struct{}{}:
+				return true
 			default: // an unread token already says so
 			}
 		}
-		return
+		return false
 	}
 }
 

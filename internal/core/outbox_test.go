@@ -305,3 +305,53 @@ func TestReleaseJobsRuns(t *testing.T) {
 		t.Fatal("a frame released twice went into the pool twice")
 	}
 }
+
+// TestFinishReportsWake: finish reports a wake exactly when the completing
+// worker may have made a goroutine runnable — a channel delivery, or the
+// push that posts the Outbox token — and a worker that woke someone
+// yields at its next empty poll instead of after stallSpins of them.
+func TestFinishReportsWake(t *testing.T) {
+	tm := MustTeam(Preset("xgomptb", 2))
+	frame := func() *Job { return tm.acquireJob(1, func(*Worker) {}, load.ClassBatch, load.Tenant{}) }
+
+	if frame().finish() {
+		t.Fatal("finish with nobody waiting or subscribed reported a wake")
+	}
+	ch := make(chan *Job, 1)
+	j := frame()
+	j.Subscribe(ch)
+	if !j.finish() {
+		t.Fatal("a channel delivery reported no wake")
+	}
+	ob := NewOutbox()
+	js := []*Job{frame(), frame(), frame()}
+	for _, j := range js {
+		j.SubscribeTo(ob)
+	}
+	if !js[0].finish() || js[1].finish() {
+		t.Fatal("want a wake for the push that posts the token and none for the one behind it")
+	}
+	<-ob.Note()
+	got := ob.Take(nil)
+	if len(got) != 2 {
+		t.Fatalf("took %d jobs, want the 2 pushed", len(got))
+	}
+	ReleaseJobs(got)
+	if !js[2].finish() {
+		t.Fatal("the first push into a drained outbox reported no wake")
+	}
+
+	w := tm.workers[0]
+	w.woke = true
+	if !w.idle() || w.woke {
+		t.Fatal("a worker that woke a goroutine did not yield at its first empty poll")
+	}
+	for i := 0; i < stallSpins; i++ {
+		if w.idle() {
+			t.Fatalf("yielded at empty poll %d without a wake; want after %d", i+1, stallSpins)
+		}
+	}
+	if !w.idle() {
+		t.Fatal("no yield after stallSpins empty polls")
+	}
+}

@@ -52,10 +52,11 @@ type service struct {
 	// submit is the bounded admission queue, one lock-free intake ring per
 	// priority class (each Config.Backlog deep) so a flood in one class
 	// never head-of-line-blocks another; workers adopt in class order
-	// (tryRecv). space[c] wakes submitters blocked on class c's full ring.
-	// ARCHITECTURE.md, "The submission fast path", has the design.
+	// (tryRecv). runs[c] holds the wait-mode runs class c's ring had no
+	// room for, served after the ring. ARCHITECTURE.md, "The submission
+	// fast path", has the design.
 	submit [load.NumClasses]*intake.Ring[*Task]
-	space  [load.NumClasses]*intake.Gate
+	runs   [load.NumClasses]runQueue
 	// bell is what idle workers block on once their idleSpin budget is
 	// spent; every producer announces on it after publishing (an intake
 	// enqueue, Worker.announce, SetActive, Close).
@@ -137,7 +138,7 @@ func (tm *Team) Serve() error {
 	}
 	for c := range svc.submit {
 		svc.submit[c] = intake.New[*Task](tm.cfg.Backlog)
-		svc.space[c] = intake.NewGate()
+		svc.runs[c].ring = svc.submit[c]
 	}
 	// Each Serve generation starts at full capacity and with the admission
 	// saturation verdict back at auto, both published before the service
@@ -208,63 +209,44 @@ func (tm *Team) SetActive(n int) error {
 }
 
 // tryRecv receives one submitted root task in strict priority order
-// (load.ByPriority): interactive before batch before background. A
-// worker only reaches a lower class after finding every higher class's
-// queue empty, which is what makes the per-class queues an
-// anti-head-of-line-blocking device rather than mere partitioning.
-// Non-blocking; nil when all queues are empty. A successful dequeue
-// wakes the class's space gate so a submitter blocked on the full ring
-// can take the freed slot; released reports that there was one.
-func (svc *service) tryRecv() (t *Task, released bool) {
+// (load.ByPriority): interactive before batch before background, and
+// within a class the ring before the oldest parked run. A worker only
+// reaches a lower class after finding every higher class's queue empty,
+// which is what makes the per-class queues an anti-head-of-line-blocking
+// device rather than mere partitioning. Non-blocking; nil when all queues
+// are empty. woke reports that the take released a parked submitter.
+func (svc *service) tryRecv() (t *Task, woke bool) {
 	for _, c := range load.ByPriority {
 		if t, ok := svc.submit[c].TryDequeue(); ok {
-			return t, svc.space[c].Wake()
+			return t, svc.runs[c].dequeued()
+		}
+		if t, woke := svc.runs[c].claim(); t != nil {
+			return t, woke
 		}
 	}
 	return nil, false
 }
 
-// pending reports whether any class ring holds a job — the non-consuming
-// re-check a worker makes between registering on the bell and blocking.
+// pending reports whether any class ring or parked run holds a job — the
+// non-consuming re-check a worker makes between registering on the bell
+// and blocking.
 func (svc *service) pending() bool {
 	for c := range svc.submit {
-		if svc.submit[c].Len() > 0 {
+		if svc.submit[c].Len() > 0 || svc.runs[c].head.Load() != nil {
 			return true
 		}
 	}
 	return false
 }
 
-// enqueue publishes one admitted root task into its class ring and rings
-// the bell for a sleeping worker. It reports false when the ring is at
-// its bound (the admission policy then decides between waiting,
-// rejection, and shedding).
-func (svc *service) enqueue(class load.Class, t *Task) bool {
+// enqueueMigrated publishes a migrated root, already in this team's
+// active count, into its class ring — or, when the ring is full, parks it
+// behind the ring for the workers to claim, so a balancer never waits.
+func (svc *service) enqueueMigrated(class load.Class, t *Task) {
 	if !svc.submit[class].TryEnqueue(t) {
-		return false
+		svc.runs[class].park([]*Task{t})
 	}
 	svc.bell.Ring()
-	return true
-}
-
-// enqueueBlocking publishes a root task that is already accounted as
-// active, waiting on the class's space gate for as long as it takes. The
-// wait always terminates: the job is in some team's active count, so
-// workers keep serving (and draining this ring) until it completes.
-func (svc *service) enqueueBlocking(class load.Class, t *Task) {
-	if svc.enqueue(class, t) {
-		return
-	}
-	for {
-		// Arm before retrying: a consumer frees its slot before it wakes
-		// the gate, so either the retry sees the space or the wake closes
-		// exactly this channel.
-		ch := svc.space[class].Arm()
-		if svc.enqueue(class, t) {
-			return
-		}
-		<-ch
-	}
 }
 
 // QueueDepth returns the number of jobs submitted to this team but not yet
@@ -370,12 +352,9 @@ func (tm *Team) serve(svc *service, w *Worker) {
 			tm.execute(w, t)
 			continue
 		}
-		if t, released := svc.tryRecv(); t != nil {
+		if t, woke := svc.tryRecv(); t != nil {
 			w.found()
-			// The dequeue released a submitter blocked on the full ring: the
-			// work this worker waits for next is that submitter's, so it
-			// drains what is queued and yields at its first empty poll.
-			w.released = w.released || released
+			w.woke = w.woke || woke
 			tm.adopt(w, t)
 			continue
 		}
@@ -540,8 +519,9 @@ func (tm *Team) adopt(w *Worker, t *Task) {
 }
 
 // finishJob publishes a job's completion. It runs on whichever worker drove
-// the root task's reference count to zero (see cascade).
-func (tm *Team) finishJob(j *Job) {
+// the root task's reference count to zero (see cascade), and reports
+// whether it woke the job's waiter or receiver.
+func (tm *Team) finishJob(j *Job) bool {
 	j.endNS.Store(tm.profile.Now())
 	tm.profile.JobDone(prof.JobRecord{
 		ID:       j.id,
@@ -566,7 +546,7 @@ func (tm *Team) finishJob(j *Job) {
 	// finish must be the last access to j on this path: it releases the
 	// waiter, and a released waiter may Release() the frame — from that
 	// point the frame can be recycled and belong to an unrelated job.
-	j.finish()
+	return j.finish()
 }
 
 // runJobTask executes a job task's body with per-job panic isolation: a

@@ -419,7 +419,9 @@ func (tm *Team) cascade(w *Worker, t *Task) {
 			// by an unrelated submission. Return without touching t again.
 			// (A root has no parent and is never task-pooled, so nothing
 			// below applies to it anyway.)
-			tm.finishJob(j)
+			if tm.finishJob(j) {
+				w.woke = true
+			}
 			return
 		}
 		p := t.parent

@@ -47,10 +47,11 @@ type Worker struct {
 	parkCur int
 	// Stall bookkeeping of the worker's scheduling loop (owner-only; see
 	// found and idle): an EvStall span is open, empty polls since the last
-	// yield point, and (serve loop) the idle spell's first clock reading and
-	// whether a dequeue since the last yield released a blocked submitter.
+	// yield point, (serve loop) the idle spell's first clock reading, and
+	// whether the worker woke a goroutine — a parked submitter, a job's
+	// waiter or receiver — since its last yield point.
 	stalling  bool
-	released  bool
+	woke      bool
 	polls     int
 	idleSince time.Time
 	// bell is the service bell while this worker runs a serve loop, nil
@@ -102,8 +103,8 @@ func (w *Worker) found() {
 // idle is one empty poll of a scheduling loop: the worker samples itself
 // idle, takes a thief step, and opens the EvStall span on the first poll
 // of a spell. It reports true once per stallSpins polls — the loop's cue
-// to yield the OS thread — and at the first poll after a hand-off: the
-// submitter the worker released refills the ring only once it runs.
+// to yield the OS thread — and at the first poll after a wake: on a busy
+// processor the goroutine the worker woke runs only once it yields.
 func (w *Worker) idle() bool {
 	w.sig.Idle()
 	if d := w.team.dlb.Load(); d.Strategy != DLBNone {
@@ -114,10 +115,10 @@ func (w *Worker) idle() bool {
 		w.stalling = true
 	}
 	w.polls++
-	if w.polls <= stallSpins && !w.released {
+	if w.polls <= stallSpins && !w.woke {
 		return false
 	}
-	w.polls, w.released = 0, false
+	w.polls, w.woke = 0, false
 	return true
 }
 

@@ -21,9 +21,9 @@
 // submission's queue traffic O(1) in the batch size.
 //
 // The queue itself never blocks; waiting is layered on top. Gate is a
-// broadcast wakeup for producers blocked on a full ring (the admission
-// backpressure path), Bell a registry for consumers sleeping on an empty
-// ring (the worker idle path): Bell.Ring wakes any one sleeper for work
+// broadcast wakeup for a wait on a condition somebody else changes (a
+// service's lifecycle), Bell a registry for consumers sleeping on an
+// empty ring (the worker idle path): Bell.Ring wakes any one sleeper for work
 // every consumer can take, Bell.Wake(id) wakes exactly consumer id for
 // work pushed into queues only it polls. All are written so the fast
 // path — nobody waiting — is a single atomic load.
@@ -194,8 +194,7 @@ func (r *Ring[T]) TryDequeue() (T, bool) {
 	}
 }
 
-// Gate is the broadcast wakeup producers blocked on a full Ring wait on,
-// and the wakeup of any other wait for a condition somebody else
+// Gate is the broadcast wakeup of a wait for a condition somebody else
 // changes. A waiter arms the gate (Arm, which returns the channel the
 // next Wake closes), re-checks its condition, and only then blocks on
 // the channel; a waker changes the condition and then calls Wake. Arm's

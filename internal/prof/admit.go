@@ -11,6 +11,7 @@ package prof
 import (
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 
 	"repro/internal/load"
@@ -121,13 +122,8 @@ func newTenantSlot() *tenantSlot {
 
 // seen returns tenant id's slot, nil when no event ever named it. Tenant
 // ids are an open set, so unlike the fixed per-class array the slots live
-// in a bounded map; the read lock is the only coordination on hot paths.
-func (p *Profile) seen(id int) *tenantSlot {
-	p.tenantMu.RLock()
-	t := p.tenants[id]
-	p.tenantMu.RUnlock()
-	return t
-}
+// in a bounded map, read through one atomic load of its current snapshot.
+func (p *Profile) seen(id int) *tenantSlot { return (*p.tenants.Load())[id] }
 
 // tenant returns tenant id's slot for an event to write, allocating it on
 // first sight. Once MaxTenants distinct ids exist the rest share one
@@ -138,15 +134,17 @@ func (p *Profile) tenant(id int) *tenantSlot {
 	}
 	p.tenantMu.Lock()
 	defer p.tenantMu.Unlock()
-	t := p.tenants[id]
-	switch {
-	case t != nil:
-	case len(p.tenants) >= MaxTenants:
-		t = p.overflow
-	default:
-		t = newTenantSlot()
-		p.tenants[id] = t
+	old := *p.tenants.Load()
+	if t := old[id]; t != nil {
+		return t
 	}
+	if len(old) >= MaxTenants {
+		return p.overflow
+	}
+	t := newTenantSlot()
+	next := maps.Clone(old)
+	next[id] = t
+	p.tenants.Store(&next)
 	return t
 }
 
@@ -289,13 +287,12 @@ type TenantCounters struct {
 // tenantCounters returns the per-tenant state keyed by tenant id, nil
 // when no event ever named a tenant.
 func (p *Profile) tenantCounters() map[int]TenantCounters {
-	p.tenantMu.RLock()
-	defer p.tenantMu.RUnlock()
-	if len(p.tenants) == 0 {
+	tenants := *p.tenants.Load()
+	if len(tenants) == 0 {
 		return nil
 	}
-	out := make(map[int]TenantCounters, len(p.tenants))
-	for id, t := range p.tenants {
+	out := make(map[int]TenantCounters, len(tenants))
+	for id, t := range tenants {
 		tc := TenantCounters{Weight: t.weight.load(), Completed: t.completed.load()}
 		tc.Queued, tc.Counts, tc.Latencies = t.read()
 		out[id] = tc

@@ -107,7 +107,7 @@ func TestLedgerHammer(t *testing.T) {
 		for o, n := range tc.Counts {
 			tenantN[o] += n
 		}
-		tenantLat += checkRing(t, "tenant latencies", &p.tenants[id].lat, MaxTenantLatencies, tc.Latencies)
+		tenantLat += checkRing(t, "tenant latencies", &(*p.tenants.Load())[id].lat, MaxTenantLatencies, tc.Latencies)
 		completed += tc.Completed
 		if tc.Weight != 2 && tc.Weight != 1 {
 			t.Fatalf("tenant weight %v, want the observed 2 (or the default 1)", tc.Weight)

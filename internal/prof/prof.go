@@ -32,6 +32,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/load"
@@ -277,8 +278,11 @@ type Profile struct {
 	timeline bool
 	threads  []*Thread
 
-	tenantMu sync.RWMutex
-	tenants  map[int]*tenantSlot
+	// tenants is a copy-on-write snapshot of the tenant slots: readers
+	// load it lock-free, and tenant() replaces it under tenantMu only when
+	// it inserts, at most MaxTenants times over the profile's life.
+	tenantMu sync.Mutex
+	tenants  atomic.Pointer[map[int]*tenantSlot] //repolint:ok falseshare — read-mostly, beside read-only and cold fields
 	overflow *tenantSlot
 
 	// The event logs: completed jobs in completion order, non-admissions
@@ -304,7 +308,6 @@ func New(workers int, timeline bool) *Profile {
 		jobs:        NewRing[JobRecord](MaxJobRecords),
 		polSwitches: NewRing[PolicySwitch](MaxPolicySwitches),
 		admitEvents: NewRing[AdmitEvent](MaxAdmitEvents),
-		tenants:     make(map[int]*tenantSlot),
 		overflow:    newTenantSlot(),
 	}
 	for c := range p.classes {
@@ -314,6 +317,7 @@ func New(workers int, timeline bool) *Profile {
 	for i := range p.threads {
 		p.threads[i] = &Thread{id: i, timeline: timeline, base: p.base}
 	}
+	p.tenants.Store(&map[int]*tenantSlot{})
 	p.workersActive.set(int64(workers))
 	return p
 }
