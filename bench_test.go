@@ -15,6 +15,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -557,6 +558,81 @@ func cheapPool(b *testing.B, preset string, backlog int) *xomp.Pool {
 	cfg.Topology = numa.Synthetic(benchWorkers, 2)
 	cfg.Backlog = backlog
 	return xomp.MustPool(cfg)
+}
+
+// BenchmarkBotsMixInProcess is svcbench's bots-mix workload without the
+// socket, for quick A/B runs of the task runtime: one 2-worker
+// xgomptb+naws pool at GOMAXPROCS 1 (how svcbench places the server), fed
+// by 2 closed-loop submitters that each send frames of 4 jobs cycling
+// through fib, sort and nqueens at test scale and wait for the whole frame.
+// One op is one job, so allocs/op and B/op are per job; gc/op counts GC
+// cycles per job.
+func BenchmarkBotsMixInProcess(b *testing.B) {
+	const submitters, frame = 2, 4
+	mix := []string{"fib", "sort", "nqueens"}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	pool := xomp.MustPool(xomp.Preset("xgomptb+naws", 2))
+	// apps[s][i][m] is submitter s's instance of mix[m] for frame slot i: a
+	// job in flight owns its instance, and RunTask resets it per run.
+	apps := make([][][]bots.Benchmark, submitters)
+	for s := range apps {
+		apps[s] = make([][]bots.Benchmark, frame)
+		for i := range apps[s] {
+			for _, name := range mix {
+				apps[s][i] = append(apps[s][i], bots.MustNew(name, bots.ScaleTest))
+			}
+		}
+	}
+	var next atomic.Int64
+	var gc0 runtime.MemStats
+	runtime.ReadMemStats(&gc0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := time.Now()
+	var wg sync.WaitGroup
+	for s := 0; s < submitters; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			items := make([]xomp.BatchItem, frame)
+			for {
+				first := int(next.Add(frame)) - frame
+				if first >= b.N {
+					return
+				}
+				n := min(frame, b.N-first)
+				for i := range items[:n] {
+					items[i].Fn = apps[s][i][(first+i)%len(mix)].RunTask
+				}
+				res, err := pool.SubmitBatchCtx(context.Background(), items[:n])
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				for i := range res {
+					if err := res[i].Err; err != nil {
+						b.Error(err)
+						return
+					}
+					if err := res[i].Job.Wait(); err != nil {
+						b.Error(err)
+						return
+					}
+					res[i].Job.Release()
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	b.StopTimer()
+	var gc1 runtime.MemStats
+	runtime.ReadMemStats(&gc1)
+	if err := pool.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "jobs/sec")
+	b.ReportMetric(float64(gc1.NumGC-gc0.NumGC)/float64(b.N), "gc/op")
 }
 
 // BenchmarkShardedPoolThroughput measures the two-level pool: jobs/sec by

@@ -28,12 +28,12 @@ func runBench(t *testing.T, b Benchmark, preset string, workers int) {
 	}
 }
 
-// Every application must produce a verified result on the paper's headline
-// runtime (xgomptb), on the GOMP baseline, and with both DLB strategies.
+// Every application must produce a verified result on every preset: the
+// paper's headline runtime (xgomptb), the GOMP and LOMP baselines, and both
+// DLB strategies.
 func TestAllBenchmarksAllRuntimes(t *testing.T) {
-	presets := []string{"gomp", "lomp", "xgomp", "xgomptb", "xgomptb+narp", "xgomptb+naws"}
 	for _, name := range Names {
-		for _, preset := range presets {
+		for _, preset := range core.PresetNames() {
 			t.Run(name+"/"+preset, func(t *testing.T) {
 				b, err := New(name, ScaleTest)
 				if err != nil {
@@ -102,7 +102,7 @@ func TestFibIterReference(t *testing.T) {
 
 func TestQueensSequentialKnownCounts(t *testing.T) {
 	for n := 4; n <= 9; n++ {
-		if got := queensSeq(n, 0, make([]int8, n)); got != knownSolutions[n] {
+		if got := queensSeq(n, 0, 0); got != knownSolutions[n] {
 			t.Errorf("queensSeq(%d) = %d, want %d", n, got, knownSolutions[n])
 		}
 	}

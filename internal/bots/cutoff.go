@@ -1,29 +1,28 @@
 package bots
 
-import (
-	"fmt"
-
-	"repro/internal/core"
-)
+import "fmt"
 
 // Manual-cutoff variants. The original BOTS ships "if-cutoff" versions of
 // its recursive benchmarks that stop spawning below a recursion depth and
 // continue serially — the coarsening knob practitioners use when the
 // runtime cannot sustain fine granularity. Sweeping the cutoff reproduces
 // the same granularity/performance trade-off the paper's Fig. 8 batch-size
-// sweep shows for loop-shaped work, applied to recursive work.
+// sweep shows for loop-shaped work, applied to recursive work. Each variant
+// runs its plain benchmark's task code with a cutoff the plain one never
+// reaches.
 
 // FibCutoff is Fib with task creation limited to the top cutoff levels of
 // the recursion tree.
 type FibCutoff struct {
 	Fib
-	cutoff int
 }
 
 // NewFibCutoff returns Fib at the given scale spawning tasks only above
 // the given recursion depth.
 func NewFibCutoff(sc Scale, cutoff int) *FibCutoff {
-	return &FibCutoff{Fib: *NewFib(sc), cutoff: cutoff}
+	f := &FibCutoff{Fib: *NewFib(sc)}
+	f.cutoff = cutoff
+	return f
 }
 
 // Name implements Benchmark.
@@ -32,54 +31,18 @@ func (f *FibCutoff) Name() string { return "fib-cutoff" }
 // Params implements Benchmark.
 func (f *FibCutoff) Params() string { return fmt.Sprintf("n=%d cutoff=%d", f.n, f.cutoff) }
 
-// RunParallel implements Benchmark.
-func (f *FibCutoff) RunParallel(tm *core.Team) {
-	tm.Run(func(w *core.Worker) {
-		f.result = fibCutoffTask(w, f.n, f.cutoff)
-	})
-	f.ran = true
-}
-
-// RunTask implements TaskRunner: the same computation as one job body.
-func (f *FibCutoff) RunTask(w *core.Worker) {
-	w.TaskGroup(func(w *core.Worker) {
-		f.result = fibCutoffTask(w, f.n, f.cutoff)
-	})
-	f.ran = true
-}
-
-func fibCutoffTask(w *core.Worker, n, cutoff int) uint64 {
-	if n < 2 {
-		return uint64(n)
-	}
-	if cutoff <= 0 {
-		return fibSerial(n)
-	}
-	var a uint64
-	w.Spawn(func(w *core.Worker) { a = fibCutoffTask(w, n-1, cutoff-1) })
-	b := fibCutoffTask(w, n-2, cutoff-1)
-	w.TaskWait()
-	return a + b
-}
-
-func fibSerial(n int) uint64 {
-	if n < 2 {
-		return uint64(n)
-	}
-	return fibSerial(n-1) + fibSerial(n-2)
-}
-
 // NQueensCutoff is NQueens with task creation limited to the top cutoff
 // rows of the board, the shape of the BOTS manual-cutoff version.
 type NQueensCutoff struct {
 	NQueens
-	cutoff int
 }
 
 // NewNQueensCutoff returns NQueens at the given scale spawning tasks only
 // for the first cutoff rows.
 func NewNQueensCutoff(sc Scale, cutoff int) *NQueensCutoff {
-	return &NQueensCutoff{NQueens: *NewNQueens(sc), cutoff: cutoff}
+	q := &NQueensCutoff{NQueens: *NewNQueens(sc)}
+	q.cutoff = cutoff
+	return q
 }
 
 // Name implements Benchmark.
@@ -87,49 +50,3 @@ func (q *NQueensCutoff) Name() string { return "nqueens-cutoff" }
 
 // Params implements Benchmark.
 func (q *NQueensCutoff) Params() string { return fmt.Sprintf("n=%d cutoff=%d", q.n, q.cutoff) }
-
-// RunParallel implements Benchmark.
-func (q *NQueensCutoff) RunParallel(tm *core.Team) {
-	tm.Run(func(w *core.Worker) {
-		q.result = queensCutoffTask(w, q.n, 0, make([]int8, q.n), q.cutoff)
-	})
-	q.ran = true
-}
-
-// RunTask implements TaskRunner: the same computation as one job body.
-func (q *NQueensCutoff) RunTask(w *core.Worker) {
-	w.TaskGroup(func(w *core.Worker) {
-		q.result = queensCutoffTask(w, q.n, 0, make([]int8, q.n), q.cutoff)
-	})
-	q.ran = true
-}
-
-func queensCutoffTask(w *core.Worker, n, row int, cols []int8, cutoff int) int64 {
-	if row == n {
-		return 1
-	}
-	if row >= cutoff {
-		local := make([]int8, n)
-		copy(local, cols)
-		return queensSeq(n, row, local)
-	}
-	counts := make([]int64, n)
-	for col := 0; col < n; col++ {
-		if !safe(cols, row, col) {
-			continue
-		}
-		col := col
-		next := make([]int8, row+1)
-		copy(next, cols[:row])
-		next[row] = int8(col)
-		w.Spawn(func(w *core.Worker) {
-			counts[col] = queensCutoffTask(w, n, row+1, next, cutoff)
-		})
-	}
-	w.TaskWait()
-	var sum int64
-	for _, c := range counts {
-		sum += c
-	}
-	return sum
-}

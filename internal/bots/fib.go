@@ -11,7 +11,10 @@ import (
 // measures 10–80 cycles per task). Its task DAG has a long critical path
 // and little parallel slack, which is why NA-RP degrades it (§VI-B1).
 type Fib struct {
-	n      int
+	n int
+	// cutoff is the recursion depth below which no task is spawned; n for
+	// the plain benchmark, which never reaches it.
+	cutoff int
 	result uint64
 	ran    bool
 }
@@ -19,7 +22,7 @@ type Fib struct {
 // NewFib returns the instance for the given scale.
 func NewFib(sc Scale) *Fib {
 	n := map[Scale]int{ScaleTest: 18, ScaleSmall: 23, ScaleMedium: 26, ScaleLarge: 29}[sc]
-	return &Fib{n: n}
+	return &Fib{n: n, cutoff: n}
 }
 
 // Name implements Benchmark.
@@ -31,26 +34,44 @@ func (f *Fib) Params() string { return fmt.Sprintf("n=%d", f.n) }
 // RunParallel implements Benchmark.
 func (f *Fib) RunParallel(tm *core.Team) {
 	tm.Run(func(w *core.Worker) {
-		f.result = fibTask(w, f.n)
+		f.result = fibTask(w, f.n, f.cutoff)
 	})
 	f.ran = true
 }
 
 // RunTask implements TaskRunner: the same computation as one job body.
 func (f *Fib) RunTask(w *core.Worker) {
-	w.TaskGroup(func(w *core.Worker) { f.result = fibTask(w, f.n) })
+	w.TaskGroup(func(w *core.Worker) { f.result = fibTask(w, f.n, f.cutoff) })
 	f.ran = true
 }
 
-func fibTask(w *core.Worker, n int) uint64 {
+// fibTask computes fib(n), spawning fib(n-1) as a call task and computing
+// fib(n-2) inline on the same frame, until cutoff more levels have passed.
+func fibTask(w *core.Worker, n, cutoff int) uint64 {
 	if n < 2 {
 		return uint64(n)
 	}
-	var a uint64
-	w.Spawn(func(w *core.Worker) { a = fibTask(w, n-1) })
-	b := fibTask(w, n-2)
+	if cutoff <= 0 {
+		return fibSerial(n)
+	}
+	a := w.SpawnCall(fibCall, uint64(n-1), uint64(cutoff-1), 0)
+	b := fibTask(w, n-2, cutoff-1)
 	w.TaskWait()
-	return a + b
+	return *a + b
+}
+
+// fibCall is the body of one spawned recursive call: Arg(0) is n and
+// Arg(1) the remaining cutoff.
+func fibCall(w *core.Worker, t *core.Task) {
+	t.Return(fibTask(w, int(t.Arg(0)), int(t.Arg(1))))
+}
+
+// fibSerial is the task-free recursion below the cutoff.
+func fibSerial(n int) uint64 {
+	if n < 2 {
+		return uint64(n)
+	}
+	return fibSerial(n-1) + fibSerial(n-2)
 }
 
 // RunSequential implements Benchmark.

@@ -163,8 +163,7 @@ func (tm *Team) enqueueReady(w *Worker, t *Task) {
 		w.prof.Inc(prof.CntStaticPush)
 		return
 	}
-	w.prof.Inc(prof.CntImmExec)
-	tm.execute(w, t)
+	w.runNow(t)
 }
 
 // SpawnDeps creates a child task ordered by the given depend clauses. It
@@ -175,9 +174,7 @@ func (w *Worker) SpawnDeps(fn TaskFunc, deps ...Dep) {
 		w.Spawn(fn)
 		return
 	}
-	tm := w.team
-	th := w.prof
-	th.Begin(prof.EvTaskCreate)
+	w.prof.Begin(prof.EvTaskCreate)
 	// Dependence tasks bypass the recycling allocator: the parent's table
 	// and predecessor successor-lists may hold references past completion,
 	// so these descriptors are left to the garbage collector.
@@ -185,33 +182,15 @@ func (w *Worker) SpawnDeps(fn TaskFunc, deps ...Dep) {
 	t.reset(fn, w.cur, int32(w.id), 0)
 	t.noRecycle = true
 	t.deps = &depState{} // participates as a predecessor for later siblings
-	t.job = w.cur.job
-	w.cur.refs.Add(1)
-	if t.job == nil {
-		tm.counter.created(w.id)
-	}
-	th.Inc(prof.CntTasksCreated)
+	w.linkChild(t)
 
 	// Hold one guard unit so a predecessor finishing mid-wiring cannot
 	// release the task before all edges exist.
 	t.waitingDeps.Store(1)
-	tm.resolveDeps(w.cur, t, deps)
-	ready := t.waitingDeps.Add(-1) == 0 // drop the guard unit
-	th.End(prof.EvTaskCreate)
-	if ready {
-		placed := false
-		if w.redirectThief >= 0 {
-			placed = w.tryRedirect(t)
-		}
-		if !placed {
-			if w.push(t) {
-				th.Inc(prof.CntStaticPush)
-				placed = true
-			}
-		}
-		if !placed {
-			th.Inc(prof.CntImmExec)
-			tm.execute(w, t)
-		}
+	w.team.resolveDeps(w.cur, t, deps)
+	if t.waitingDeps.Add(-1) == 0 { // drop the guard unit
+		w.place(t)
+		return
 	}
+	w.prof.End(prof.EvTaskCreate)
 }

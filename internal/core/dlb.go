@@ -152,8 +152,7 @@ func (tm *Team) doWorkSteal(w *Worker, thief int, cfg *DLBConfig) {
 			w.prof.Inc(prof.CntReqTargetFull)
 			// The task is ours again; requeue locally or run it now.
 			if !w.pushTo(w.id, t) {
-				w.prof.Inc(prof.CntImmExec)
-				tm.execute(w, t)
+				w.runNow(t)
 			}
 			break
 		}

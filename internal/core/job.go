@@ -29,8 +29,7 @@ import (
 // return it with Release so steady-state submission allocates nothing.
 // Release is optional — an unreleased frame is ordinary garbage.
 type Job struct {
-	id   int64
-	root Task
+	id int64
 
 	// word is the whole completion protocol: generation<<phaseBits | phase,
 	// every transition one CAS or Swap (see the phase constants). wake is a
@@ -89,6 +88,11 @@ type Job struct {
 	submitNS atomic.Int64
 	startNS  atomic.Int64
 	endNS    atomic.Int64
+
+	// root is the job's root task. It comes last so that the root's call
+	// block (argument and result words), which a submission never touches,
+	// trails everything resetForSubmit writes.
+	root Task
 }
 
 // Phases of Job.word: pooled → inFlight → {waiting | subscribed} → done →

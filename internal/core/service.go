@@ -567,5 +567,5 @@ func (tm *Team) runJobTask(w *Worker, t *Task, j *Job) {
 			w.prof.UnwindTo(depth)
 		}
 	}()
-	t.fn(w)
+	t.run(w)
 }

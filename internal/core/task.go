@@ -16,8 +16,20 @@ import "sync/atomic"
 // the handle for spawning children and waiting on them.
 type TaskFunc func(*Worker)
 
+// CallFunc is the body of a call task (Worker.SpawnCall): a plain function
+// rather than a closure, which reads its arguments from its own frame
+// (Task.Arg) and hands its result back through it (Task.Return). Spawning
+// one allocates nothing.
+type CallFunc func(*Worker, *Task)
+
+// taskSlots is the number of call-task result words one frame holds: the
+// most that still keeps a Job frame, which embeds its root Task, in the
+// 320-byte size class.
+const taskSlots = 9
+
 // Task is a task descriptor. Descriptors are recycled through the
-// configured allocator; all fields are reset on reuse.
+// configured allocator; see reset for which fields are restored on reuse.
+// args and slots never are: SpawnCall writes each word before it is read.
 //
 // Lifetime is reference counted in refs: one reference for the unfinished
 // body plus one per unfinished direct child. A task is recycled when refs
@@ -26,25 +38,13 @@ type TaskFunc func(*Worker)
 // when they themselves reach zero. Taskwait uses the same counter: it
 // returns when refs drops to 1 (only the body reference remains).
 type Task struct {
-	fn      TaskFunc
-	parent  *Task
-	refs    atomic.Int32
-	creator int32
-	// priority orders tasks in the GOMP global queue (higher runs first);
-	// the lock-less schedulers ignore it, as XQueue is relaxed-order.
-	priority int32
-	// implicit marks per-worker region roots, which are statically
-	// allocated and must never be recycled.
-	implicit bool
-	// noRecycle marks tasks that may be referenced after completion
-	// (dependence bookkeeping) and therefore bypass the allocator.
-	noRecycle bool
+	// fn is a closure task's body, body a call task's. At most one is set,
+	// and both are nil in a pooled frame.
+	fn     TaskFunc
+	body   CallFunc
+	parent *Task
 	// next links tasks inside the GOMP global priority list.
 	next *Task
-
-	// scope marks a TaskGroup's frame: never executed, only the parent of
-	// what the group's body spawns while it stands in as the current task.
-	scope bool
 	// job is the submitted job this task belongs to (inherited from the
 	// creator), or nil for tasks of a classic parallel region. Job tasks
 	// get per-job panic isolation and cancellation; the job's root task is
@@ -54,12 +54,45 @@ type Task struct {
 	// table; as a predecessor, the done flag and successor list. Nil for
 	// tasks not involved in depend clauses.
 	deps *depState
+	// out is where a call task's Return lands: a slot of its spawner's
+	// frame, or a word of the spawning worker's spill stack.
+	out *uint64
+
+	refs    atomic.Int32
+	creator int32
+	// priority orders tasks in the GOMP global queue (higher runs first);
+	// the lock-less schedulers ignore it, as XQueue is relaxed-order.
+	priority int32
 	// waitingDeps counts unresolved predecessors plus a creation guard;
-	// the task is enqueued when it reaches zero.
+	// the task is enqueued when it reaches zero. Only dependence tasks
+	// ever move it, and they bypass the allocator, so every pooled frame
+	// holds zero here and reset need not store it.
 	waitingDeps atomic.Int32
+
+	// implicit marks per-worker region roots, which are statically
+	// allocated and must never be recycled.
+	implicit bool
+	// noRecycle marks tasks that may be referenced after completion
+	// (dependence bookkeeping) and therefore bypass the allocator.
+	noRecycle bool
+	// scope marks a TaskGroup's frame: never executed, only the parent of
+	// what the group's body spawns while it stands in as the current task.
+	scope bool
+	// nslot counts the slots this frame has handed out; it only grows
+	// while the frame's body runs.
+	nslot uint8
+
+	// args is a call task's inline argument block (SpawnCall's a0–a2).
+	args [3]uint64
+	// slots are the result words of the call tasks this frame's body
+	// spawns. Each child's reference keeps the frame alive until it has
+	// written its word, so the spawner can read it after TaskWait.
+	slots [taskSlots]uint64
 }
 
-// reset prepares a recycled descriptor for a new task.
+// reset prepares a recycled descriptor for a new task. body, out and
+// waitingDeps are already zero: cascade clears the first two on the way
+// into the pool and nothing pooled ever moves the third.
 func (t *Task) reset(fn TaskFunc, parent *Task, creator, priority int32) {
 	t.fn = fn
 	t.parent = parent
@@ -70,7 +103,24 @@ func (t *Task) reset(fn TaskFunc, parent *Task, creator, priority int32) {
 	t.noRecycle = false
 	t.next = nil
 	t.scope = false
+	t.nslot = 0
 	t.job = nil
 	t.deps = nil
-	t.waitingDeps.Store(0)
 }
+
+// run executes the task's body, whichever kind it has.
+func (t *Task) run(w *Worker) {
+	if t.body != nil {
+		t.body(w, t)
+		return
+	}
+	t.fn(w)
+}
+
+// Arg returns argument i (0, 1 or 2) of a call task, as passed to
+// SpawnCall.
+func (t *Task) Arg(i int) uint64 { return t.args[i] }
+
+// Return delivers a call task's result to the word SpawnCall returned to
+// its spawner. A call task that never returns leaves that word zero.
+func (t *Task) Return(v uint64) { *t.out = v }

@@ -375,16 +375,16 @@ func (tm *Team) execute(w *Worker, t *Task) {
 	}
 	th := w.prof
 	th.Begin(prof.EvTask)
-	prev := w.cur
+	prev, spilled := w.cur, w.spillTop
 	w.cur = t
 	sample := w.sig.TaskStart()
 	if j := t.job; j != nil {
 		tm.runJobTask(w, t, j) // per-job panic isolation and cancellation
 	} else {
-		t.fn(w)
+		t.run(w)
 	}
 	w.sig.TaskDone(sample)
-	w.cur = prev
+	w.cur, w.spillTop = prev, spilled // the body's spill words die with it
 	th.End(prof.EvTask)
 
 	if t.job == nil {
@@ -426,7 +426,7 @@ func (tm *Team) cascade(w *Worker, t *Task) {
 		}
 		p := t.parent
 		if !t.implicit && !t.noRecycle {
-			t.fn = nil
+			t.fn, t.body, t.out = nil, nil, nil
 			t.parent = nil
 			t.deps = nil
 			tm.alloc.Put(w.id, t)

@@ -14,6 +14,10 @@ import (
 // thread. Teams larger than GOMAXPROCS rely on the yield for progress.
 const stallSpins = 64
 
+// spillChunk is the number of words in one chunk of a worker's spill
+// stack (see Worker.spill).
+const spillChunk = 64
+
 // Worker is one member of a Team. A Worker's methods must only be called
 // from inside a task body running on that worker (the runtime passes the
 // correct *Worker to every TaskFunc).
@@ -28,6 +32,13 @@ type Worker struct {
 	cur *Task
 	// implicit is the per-region root task (one per worker, never recycled).
 	implicit Task
+	// spill holds the result words of call tasks that ran undeferred
+	// because their spawner's frame had no free slot: a stack of fixed
+	// chunks, so a word never moves, of which spillTop words are in use.
+	// execute pops it back when a body returns, which ends the words'
+	// lifetime (owner-only).
+	spill    []*[spillChunk]uint64
+	spillTop int
 
 	// Lock-less messaging cells (§IV-B); padded against false sharing.
 	round   atomic.Uint64
@@ -82,6 +93,7 @@ func (w *Worker) beginRegion() {
 	w.implicit.reset(nil, nil, int32(w.id), 0)
 	w.implicit.implicit = true
 	w.cur = &w.implicit
+	w.spillTop = 0
 	w.timeoutCtr = 0
 	w.redirectThief = -1
 	w.redirectLeft = 0
@@ -136,33 +148,100 @@ func (w *Worker) SpawnPriority(priority int, fn TaskFunc) {
 }
 
 func (w *Worker) spawn(fn TaskFunc, priority int32) {
-	tm := w.team
-	th := w.prof
-	th.Begin(prof.EvTaskCreate)
-	t := tm.alloc.Get(w.id)
+	w.prof.Begin(prof.EvTaskCreate)
+	t := w.team.alloc.Get(w.id)
 	t.reset(fn, w.cur, int32(w.id), priority)
-	t.job = w.cur.job // job tasks beget job tasks
-	w.cur.refs.Add(1)
-	if t.job == nil {
-		tm.counter.created(w.id) // the region barrier's count; a job quiesces through its root
-	}
-	th.Inc(prof.CntTasksCreated)
+	w.linkChild(t)
+	w.place(t)
+}
 
-	placed := false
-	if w.redirectThief >= 0 { // NA-RP redirect armed
-		placed = w.tryRedirect(t)
+// SpawnCall creates a call task running body as a child of the current
+// task, with a0–a2 as its arguments (Task.Arg), and returns the word its
+// Task.Return writes. Read the word after TaskWait, or after the TaskGroup
+// the call was made in; it belongs to the running task body and stays
+// valid until that body returns.
+//
+// Unlike Spawn, SpawnCall allocates nothing: the arguments travel in the
+// task frame and the result in a slot of the spawner's frame, which the
+// child's reference keeps alive until the child has finished. A frame has
+// nine slots (taskSlots). Once they are handed out, further calls run undeferred
+// — at once on this worker, like an OpenMP if(0) task — with the result in
+// a word of the worker's spill stack, so correctness never depends on the
+// slot count.
+func (w *Worker) SpawnCall(body CallFunc, a0, a1, a2 uint64) *uint64 {
+	w.prof.Begin(prof.EvTaskCreate)
+	t := w.team.alloc.Get(w.id)
+	t.reset(nil, w.cur, int32(w.id), 0)
+	t.body = body
+	t.args = [3]uint64{a0, a1, a2}
+	w.linkChild(t)
+	f := w.cur
+	for f.scope { // a TaskGroup scope is never executed: use the running body's frame
+		f = f.parent
 	}
-	if !placed {
-		if w.push(t) {
-			th.Inc(prof.CntStaticPush)
-			placed = true
-		}
+	if n := f.nslot; n < taskSlots {
+		f.nslot = n + 1
+		out := &f.slots[n]
+		*out = 0
+		t.out = out
+		w.place(t)
+		return out
+	}
+	out := w.spillWord()
+	t.out = out
+	w.prof.End(prof.EvTaskCreate)
+	w.runNow(t)
+	return out
+}
+
+// spillWord pushes a zeroed word onto w's spill stack. It stays valid until
+// the body running on w returns (execute pops the stack back then).
+func (w *Worker) spillWord() *uint64 {
+	c, i := w.spillTop/spillChunk, w.spillTop%spillChunk
+	if c == len(w.spill) {
+		w.spill = append(w.spill, new([spillChunk]uint64))
+	}
+	w.spillTop++
+	p := &w.spill[c][i]
+	*p = 0
+	return p
+}
+
+// linkChild makes a freshly reset descriptor a child of the current task:
+// it joins the current task's job and reference count and is counted as
+// created.
+func (w *Worker) linkChild(t *Task) {
+	cur := w.cur
+	t.job = cur.job // job tasks beget job tasks
+	cur.refs.Add(1)
+	if t.job == nil {
+		w.team.counter.created(w.id) // the region barrier's count; a job quiesces through its root
+	}
+	w.prof.Inc(prof.CntTasksCreated)
+}
+
+// place is the one placement path of a created task: the NA-RP redirect
+// while one is armed, else the substrate's static balancer, else — every
+// queue it may use is full — immediate execution on w (XQueue's overflow
+// rule). It closes the creator's EvTaskCreate span.
+func (w *Worker) place(t *Task) {
+	th := w.prof
+	placed := w.redirectThief >= 0 && w.tryRedirect(t)
+	if !placed && w.push(t) {
+		th.Inc(prof.CntStaticPush)
+		placed = true
 	}
 	th.End(prof.EvTaskCreate)
 	if !placed {
-		th.Inc(prof.CntImmExec)
-		tm.execute(w, t)
+		w.runNow(t)
 	}
+}
+
+// runNow executes t at once on w instead of queueing it: a task no queue
+// could take, or an undeferred call task.
+func (w *Worker) runNow(t *Task) {
+	w.prof.Inc(prof.CntImmExec)
+	w.team.execute(w, t)
 }
 
 // push places t with the substrate's static balancer on behalf of w and,

@@ -26,6 +26,31 @@ func Example() {
 	// Output: 6765
 }
 
+// fibCall is a call task's body: its argument and its result travel in task
+// frames, so spawning it allocates nothing.
+func fibCall(w *xomp.Worker, t *xomp.Task) { t.Return(callFib(w, t.Arg(0))) }
+
+func callFib(w *xomp.Worker, n uint64) uint64 {
+	if n < 2 {
+		return n
+	}
+	a := w.SpawnCall(fibCall, n-1, 0, 0)
+	b := callFib(w, n-2)
+	w.TaskWait()
+	return *a + b
+}
+
+// The same fib without closures: SpawnCall passes up to three argument
+// words and returns the word the child's Return fills, final after
+// TaskWait.
+func ExampleWorker_SpawnCall() {
+	team := xomp.MustTeam(xomp.Preset("xgomptb", 4))
+	var result uint64
+	team.Run(func(w *xomp.Worker) { result = callFib(w, 20) })
+	fmt.Println(result)
+	// Output: 6765
+}
+
 // Taskloops chunk an iteration space into tasks and join them.
 func ExampleWorker_ForRange() {
 	team := xomp.MustTeam(xomp.Preset("xgomptb+naws", 4))

@@ -41,6 +41,24 @@
 // across regions, and Team.Profile exposes the paper's per-thread profiling
 // tools (§V).
 //
+// The closure above costs a heap object per task, plus the variables it
+// captures. For fine-grained tasks, Worker.SpawnCall spawns a call task
+// instead: a plain function with up to three argument words carried in the
+// task frame and a result word in the spawner's frame, so a spawn
+// allocates nothing:
+//
+//	func fibCall(w *xomp.Worker, t *xomp.Task) { t.Return(fib(w, t.Arg(0))) }
+//
+//	func fib(w *xomp.Worker, n uint64) uint64 {
+//		if n < 2 {
+//			return n
+//		}
+//		a := w.SpawnCall(fibCall, n-1, 0, 0) // *a is final after TaskWait
+//		b := fib(w, n-2)
+//		w.TaskWait()
+//		return *a + b
+//	}
+//
 // # Serving concurrent jobs
 //
 // A Team executes one region at a time. To serve many independent jobs
@@ -98,6 +116,14 @@ type Worker = core.Worker
 
 // TaskFunc is a task body.
 type TaskFunc = core.TaskFunc
+
+// CallFunc is the body of a call task (Worker.SpawnCall): a plain function
+// rather than a closure, so spawning one allocates nothing.
+type CallFunc = core.CallFunc
+
+// Task is a task's frame. A call task's body reads its arguments from it
+// with Arg and hands back its result with Return.
+type Task = core.Task
 
 // Team is a fixed set of workers executing parallel regions.
 type Team = core.Team
