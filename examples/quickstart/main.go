@@ -1,7 +1,8 @@
 // Quickstart: spawn recursive tasks on the paper's XGOMPTB runtime
 // (XQueue + distributed tree barrier) and wait for them with taskwait —
 // the OpenMP "parallel + single" idiom — first with closures, then with
-// closure-free call tasks, which allocate nothing per task.
+// closure-free call tasks, which allocate nothing for the first nine calls
+// of each task body.
 package main
 
 import (

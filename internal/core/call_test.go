@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/numa"
 	"repro/internal/prof"
@@ -31,8 +33,9 @@ func mix3(_ *Worker, t *Task) { t.Return(t.Arg(0)*1_000_000 + t.Arg(1)*1_000 + t
 func mix3Want(i uint64) uint64 { return i*1_000_000 + (i+1)*1_000 + i + 2 }
 
 // A frame spawning 40 call tasks runs out of slots after taskSlots of them;
-// the rest run undeferred with their results on the spill stack, and the
-// sum is right either way, under every preset.
+// the rest are deferred all the same with heap words as their results, and
+// the sum is right under every preset. The queues hold all 40, so none runs
+// immediately.
 func TestCallTasksPastSlots(t *testing.T) {
 	const calls = 40
 	var want uint64
@@ -59,10 +62,66 @@ func TestCallTasksPastSlots(t *testing.T) {
 					}
 				})
 			})
-			if imm := tm.Profile().Sum(prof.CntImmExec); imm < calls-taskSlots {
-				t.Errorf("%d immediate executions, want at least the %d undeferred calls", imm, calls-taskSlots)
+			if imm := tm.Profile().Sum(prof.CntImmExec); imm != 0 {
+				t.Errorf("%d calls ran undeferred, want every call queued", imm)
 			}
 		})
+	}
+}
+
+// A body that loops over SpawnCall and TaskWait spends its slots in nine
+// iterations. Every later call is still queued, so the loop keeps its
+// parallelism, and the heap words its results take are garbage once read:
+// the loop retains no memory per iteration.
+func TestCallTaskLoopRetainsNothing(t *testing.T) {
+	const iters = 1 << 16
+	tm := MustTeam(Preset("xgomptb+naws", 2))
+	var ms runtime.MemStats
+	live := func() int64 {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	var right int
+	var before, after int64
+	runWithTimeout(t, 60*time.Second, "loop", func() {
+		tm.Run(func(w *Worker) {
+			for i := uint64(0); i < iters; i++ {
+				if i == 2*taskSlots {
+					before = live()
+				}
+				p := w.SpawnCall(mix3, i, i+1, i+2)
+				w.TaskWait()
+				if *p == mix3Want(i) {
+					right++
+				}
+			}
+			after = live()
+		})
+	})
+	if right != iters {
+		t.Errorf("%d of %d calls returned the right value", right, iters)
+	}
+	if imm := tm.Profile().Sum(prof.CntImmExec); imm != 0 {
+		t.Errorf("%d of %d calls ran undeferred, want every call queued", imm, iters)
+	}
+	// A word per iteration kept until the body returns would be 512 KiB.
+	if grew := after - before; grew > 64<<10 {
+		t.Errorf("live heap grew by %d bytes over %d calls in one body", grew, iters)
+	}
+}
+
+// The frame layout ARCHITECTURE.md documents: a Task fills the 176-byte
+// size class, and a Job, which embeds its root Task, stays within 320.
+func TestFrameSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("frame sizes are pinned for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(Task{}); got != 176 {
+		t.Errorf("Task is %d bytes, want 176", got)
+	}
+	if got := unsafe.Sizeof(Job{}); got > 320 {
+		t.Errorf("Job is %d bytes, want at most 320", got)
 	}
 }
 
@@ -149,7 +208,7 @@ func TestCallTaskPanicIsolation(t *testing.T) {
 }
 
 // Once a job has failed, its call tasks are cancelled: their bodies never
-// run and their result words stay zero, deferred or undeferred alike.
+// run and their result words stay zero, slots and heap words alike.
 func TestCallTaskCancelled(t *testing.T) {
 	tm := serviceTeam(t, "xgomptb", 2)
 	var ran atomic.Int64
@@ -290,7 +349,7 @@ func TestPooledFrameIsClean(t *testing.T) {
 }
 
 // Jobs made only of call tasks, many at once from several submitters: the
-// slot and spill bookkeeping of one job never leaks into another's.
+// slot bookkeeping of one job never leaks into another's.
 func TestCallTaskJobsConcurrent(t *testing.T) {
 	tm := serviceTeam(t, "xgomptb+naws", 4)
 	defer tm.Close()

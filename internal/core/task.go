@@ -19,7 +19,7 @@ type TaskFunc func(*Worker)
 // CallFunc is the body of a call task (Worker.SpawnCall): a plain function
 // rather than a closure, which reads its arguments from its own frame
 // (Task.Arg) and hands its result back through it (Task.Return). Spawning
-// one allocates nothing.
+// one allocates nothing while the spawner's frame has a free result slot.
 type CallFunc func(*Worker, *Task)
 
 // taskSlots is the number of call-task result words one frame holds: the
@@ -55,7 +55,7 @@ type Task struct {
 	// tasks not involved in depend clauses.
 	deps *depState
 	// out is where a call task's Return lands: a slot of its spawner's
-	// frame, or a word of the spawning worker's spill stack.
+	// frame, or a heap word once that frame's slots are all handed out.
 	out *uint64
 
 	refs    atomic.Int32

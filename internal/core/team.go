@@ -375,7 +375,7 @@ func (tm *Team) execute(w *Worker, t *Task) {
 	}
 	th := w.prof
 	th.Begin(prof.EvTask)
-	prev, spilled := w.cur, w.spillTop
+	prev := w.cur
 	w.cur = t
 	sample := w.sig.TaskStart()
 	if j := t.job; j != nil {
@@ -384,7 +384,7 @@ func (tm *Team) execute(w *Worker, t *Task) {
 		t.run(w)
 	}
 	w.sig.TaskDone(sample)
-	w.cur, w.spillTop = prev, spilled // the body's spill words die with it
+	w.cur = prev
 	th.End(prof.EvTask)
 
 	if t.job == nil {

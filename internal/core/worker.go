@@ -14,10 +14,6 @@ import (
 // thread. Teams larger than GOMAXPROCS rely on the yield for progress.
 const stallSpins = 64
 
-// spillChunk is the number of words in one chunk of a worker's spill
-// stack (see Worker.spill).
-const spillChunk = 64
-
 // Worker is one member of a Team. A Worker's methods must only be called
 // from inside a task body running on that worker (the runtime passes the
 // correct *Worker to every TaskFunc).
@@ -32,13 +28,6 @@ type Worker struct {
 	cur *Task
 	// implicit is the per-region root task (one per worker, never recycled).
 	implicit Task
-	// spill holds the result words of call tasks that ran undeferred
-	// because their spawner's frame had no free slot: a stack of fixed
-	// chunks, so a word never moves, of which spillTop words are in use.
-	// execute pops it back when a body returns, which ends the words'
-	// lifetime (owner-only).
-	spill    []*[spillChunk]uint64
-	spillTop int
 
 	// Lock-less messaging cells (§IV-B); padded against false sharing.
 	round   atomic.Uint64
@@ -93,7 +82,6 @@ func (w *Worker) beginRegion() {
 	w.implicit.reset(nil, nil, int32(w.id), 0)
 	w.implicit.implicit = true
 	w.cur = &w.implicit
-	w.spillTop = 0
 	w.timeoutCtr = 0
 	w.redirectThief = -1
 	w.redirectLeft = 0
@@ -161,13 +149,14 @@ func (w *Worker) spawn(fn TaskFunc, priority int32) {
 // the call was made in; it belongs to the running task body and stays
 // valid until that body returns.
 //
-// Unlike Spawn, SpawnCall allocates nothing: the arguments travel in the
-// task frame and the result in a slot of the spawner's frame, which the
-// child's reference keeps alive until the child has finished. A frame has
-// nine slots (taskSlots). Once they are handed out, further calls run undeferred
-// — at once on this worker, like an OpenMP if(0) task — with the result in
-// a word of the worker's spill stack, so correctness never depends on the
-// slot count.
+// The arguments travel in the task frame. The result goes to one of the
+// nine slots (taskSlots) of the spawner's frame, which the child's
+// reference keeps alive until the child has finished, so the first nine
+// calls of a task body allocate nothing. A slot is never handed out twice
+// during one body, TaskWait or not: each later call is deferred all the
+// same, with one 8-byte heap word as its result. A body that spawns call
+// tasks in a long loop therefore pays one small allocation per iteration
+// past the ninth.
 func (w *Worker) SpawnCall(body CallFunc, a0, a1, a2 uint64) *uint64 {
 	w.prof.Begin(prof.EvTaskCreate)
 	t := w.team.alloc.Get(w.id)
@@ -179,32 +168,17 @@ func (w *Worker) SpawnCall(body CallFunc, a0, a1, a2 uint64) *uint64 {
 	for f.scope { // a TaskGroup scope is never executed: use the running body's frame
 		f = f.parent
 	}
+	var out *uint64
 	if n := f.nslot; n < taskSlots {
 		f.nslot = n + 1
-		out := &f.slots[n]
+		out = &f.slots[n]
 		*out = 0
-		t.out = out
-		w.place(t)
-		return out
+	} else {
+		out = new(uint64)
 	}
-	out := w.spillWord()
 	t.out = out
-	w.prof.End(prof.EvTaskCreate)
-	w.runNow(t)
+	w.place(t)
 	return out
-}
-
-// spillWord pushes a zeroed word onto w's spill stack. It stays valid until
-// the body running on w returns (execute pops the stack back then).
-func (w *Worker) spillWord() *uint64 {
-	c, i := w.spillTop/spillChunk, w.spillTop%spillChunk
-	if c == len(w.spill) {
-		w.spill = append(w.spill, new([spillChunk]uint64))
-	}
-	w.spillTop++
-	p := &w.spill[c][i]
-	*p = 0
-	return p
 }
 
 // linkChild makes a freshly reset descriptor a child of the current task:
@@ -238,7 +212,7 @@ func (w *Worker) place(t *Task) {
 }
 
 // runNow executes t at once on w instead of queueing it: a task no queue
-// could take, or an undeferred call task.
+// could take.
 func (w *Worker) runNow(t *Task) {
 	w.prof.Inc(prof.CntImmExec)
 	w.team.execute(w, t)

@@ -27,7 +27,8 @@ func Example() {
 }
 
 // fibCall is a call task's body: its argument and its result travel in task
-// frames, so spawning it allocates nothing.
+// frames, so spawning it allocates nothing while the spawner's frame has a
+// free result slot (nine per frame).
 func fibCall(w *xomp.Worker, t *xomp.Task) { t.Return(callFib(w, t.Arg(0))) }
 
 func callFib(w *xomp.Worker, n uint64) uint64 {

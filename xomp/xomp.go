@@ -59,6 +59,13 @@
 //		return *a + b
 //	}
 //
+// A frame holds nine result words, and they are not reused while its
+// body runs, even across TaskWait. From the tenth call of one body on,
+// each call's result is one 8-byte heap word; the call is still a
+// deferred task. fib(n)'s body makes about n/2 calls, so only the few
+// bodies near the root of a large fib pay it. A long loop of calls in one
+// body pays it on every iteration past the ninth.
+//
 // # Serving concurrent jobs
 //
 // A Team executes one region at a time. To serve many independent jobs
@@ -118,7 +125,8 @@ type Worker = core.Worker
 type TaskFunc = core.TaskFunc
 
 // CallFunc is the body of a call task (Worker.SpawnCall): a plain function
-// rather than a closure, so spawning one allocates nothing.
+// rather than a closure, so spawning one allocates nothing while the
+// spawner's frame has a free result slot.
 type CallFunc = core.CallFunc
 
 // Task is a task's frame. A call task's body reads its arguments from it
