@@ -552,7 +552,7 @@ func benchCheapBatch(b *testing.B, preset string, size, backlog int) {
 const cheapBacklog = 256
 
 // cheapPool builds the pool of a cheap-job row (backlog 0: the default).
-func cheapPool(b *testing.B, preset string, backlog int) *xomp.Pool {
+func cheapPool(b *testing.B, preset string, backlog int) *xomp.ShardedPool {
 	b.Helper()
 	cfg := xomp.Preset(preset, benchWorkers)
 	cfg.Topology = numa.Synthetic(benchWorkers, 2)
@@ -869,18 +869,18 @@ func BenchmarkPolicyPhase(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				runBlock(fine)
 				if pol == "adaptive" {
-					pool.Team().PolicyTick()
+					pool.Team(0).PolicyTick()
 				}
 				runBlock(coarse)
 				if pol == "adaptive" {
-					pool.Team().PolicyTick()
+					pool.Team(0).PolicyTick()
 				}
 			}
 			elapsed := time.Since(start)
 			b.StopTimer()
 			var switches uint64
 			if pol == "adaptive" {
-				switches = uint64(len(pool.PolicyTrace()))
+				switches = uint64(len(pool.Team(0).PolicyTrace()))
 			}
 			if err := pool.Close(); err != nil {
 				b.Fatal(err)

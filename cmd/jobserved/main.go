@@ -47,7 +47,7 @@ import (
 func main() {
 	var (
 		addr   = flag.String("addr", "127.0.0.1:7077", "listen address")
-		pf     = poolflags.Register(flag.CommandLine, 1)
+		pf     = poolflags.Register(flag.CommandLine)
 		window = flag.Int("window", 0, "per-connection in-flight job bound (0 = default)")
 		report = flag.Duration("report", 0, "print wire counters every period (0 = only at exit)")
 	)

@@ -1,21 +1,21 @@
-// Command loadgen drives a shared task service (xomp.Pool) with concurrent
-// submitters over a mix of BOTS workloads — the traffic shape a job-server
-// runtime must sustain: many independent clients, heterogeneous task trees,
-// one persistent worker team.
+// Command loadgen drives a shared task service (xomp.ShardedPool) with
+// concurrent submitters over a mix of BOTS workloads — the traffic shape a
+// job-server runtime must sustain: many independent clients, heterogeneous
+// task trees, persistent worker teams.
 //
 // Each submitter goroutine submits jobs back-to-back, cycling through the
 // workload mix; every job is verified against its application's sequential
 // reference. The report covers throughput (jobs/sec), per-application
 // counts, and queue-delay/run-time statistics from the per-job profile.
 //
-// The pool flags are internal/poolflags', shared with cmd/jobserved;
-// -shards 0, the default here, is one shared team over -zones synthetic
-// NUMA zones. With -shards the same total worker count is split into a
-// NUMA-sharded pool (xomp.ShardedPool): jobs are placed by the
+// The pool flags are internal/poolflags', shared with cmd/jobserved. The
+// default, -shards 1, is the one-shard pool: a single shared team over
+// -zones synthetic NUMA zones. With -shards N > 1 the same total worker
+// count is split into N single-zone shards: jobs are placed by the
 // power-of-two-choices dispatcher and a second-level balancer migrates
 // queued jobs off overloaded shards. -skew pins a leading fraction of
 // every submitter's jobs to shard 0 — the hot-shard scenario that only
-// cross-shard migration can drain — and the report adds per-shard
+// cross-shard migration can drain. The report lists every shard's
 // completion and NJOBS_MIGRATED counts.
 //
 // With -elastic the sharded pool additionally runs the elastic capacity
@@ -133,8 +133,8 @@ import (
 
 func main() {
 	var (
-		pf         = poolflags.Register(flag.CommandLine, 0) // -shards 0: one shared team
-		zones      = flag.Int("zones", 2, "synthetic NUMA zones of the shared team (without -shards)")
+		pf         = poolflags.Register(flag.CommandLine)
+		zones      = flag.Int("zones", 2, "synthetic NUMA zones of the one-shard pool's team (rejected with -shards > 1)")
 		submitters = flag.Int("submitters", 4, "concurrent submitter goroutines")
 		jobs       = flag.Int("jobs", 8, "jobs per submitter")
 		mix        = flag.String("mix", "fib,sort,nqueens", "comma-separated BOTS apps to cycle through")
@@ -215,17 +215,17 @@ func main() {
 	if *skew > 0 && pf.Shards < 2 {
 		fatal(fmt.Errorf("-skew needs -shards > 1 (nothing to skew against)"))
 	}
-	if pf.Shards > 0 {
-		// Sharded pools pin each team to its own single-zone domain, so a
-		// -zones request cannot be honoured; reject it rather than ignore it.
+	if pf.Shards > 1 {
+		// Each shard of a multi-shard pool is its own single-zone domain, so
+		// a -zones request cannot be honoured; reject it rather than ignore it.
 		flag.CommandLine.Visit(func(f *flag.Flag) {
 			if f.Name == "zones" {
-				fatal(fmt.Errorf("-zones does not apply with -shards (each shard is one NUMA domain)"))
+				fatal(fmt.Errorf("-zones does not apply with -shards > 1 (each shard is one NUMA domain)"))
 			}
 		})
 	}
 
-	// scfg.Team is sized per shard with -shards, for all -workers without.
+	// scfg.Team is sized per shard: all -workers with the default one shard.
 	scfg, sc, err := pf.Config()
 	if err != nil {
 		fatal(err)
@@ -296,57 +296,29 @@ func main() {
 		}
 	}
 
-	// Either a single shared team or a NUMA-sharded pool serves the same
-	// submit/wait traffic; submit hides the difference (pin routes a job to
-	// shard 0, the skewed hot-shard scenario).
-	var (
-		submit      func(pin bool, fn xomp.TaskFunc, opts xomp.SubmitOpts) (*xomp.Job, error)
-		submitBatch func(items []xomp.BatchItem) ([]xomp.BatchResult, error)
-		closePool   func() error
-		sharded     *xomp.ShardedPool
-		pool        *xomp.Pool
-	)
-	ctx := context.Background()
-	if pf.Shards > 0 {
-		sp, err := xomp.NewShardedPool(scfg)
-		if err != nil {
-			fatal(err)
-		}
-		sharded = sp
-		submit = func(pin bool, fn xomp.TaskFunc, opts xomp.SubmitOpts) (*xomp.Job, error) {
-			if pin {
-				return sp.SubmitToCtx(ctx, 0, fn, opts)
-			}
-			return sp.SubmitCtx(ctx, fn, opts)
-		}
-		submitBatch = func(items []xomp.BatchItem) ([]xomp.BatchResult, error) {
-			return sp.SubmitBatchCtx(ctx, items)
-		}
-		closePool = sp.Close
-		elasticNote := ""
-		if pf.Elastic {
-			elasticNote = fmt.Sprintf(", elastic budget %d", sp.ActiveWorkers())
-		}
-		fmt.Printf("loadgen: %d submitters x %d jobs, mix [%s] at scale %s, on %s (%d shards x %d workers, skew %.0f%%%s, policy %s, admit %s)\n",
-			*submitters, *jobs, strings.Join(names, " "), sc, pf.Runtime, pf.Shards, scfg.Team.Workers, *skew*100, elasticNote, pf.Policy, pf.Admit)
-	} else {
-		cfg := scfg.Team
-		cfg.Topology = numa.Synthetic(pf.Workers, *zones)
-		p, err := xomp.NewPool(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		pool = p
-		submit = func(_ bool, fn xomp.TaskFunc, opts xomp.SubmitOpts) (*xomp.Job, error) {
-			return p.SubmitCtx(ctx, fn, opts)
-		}
-		submitBatch = func(items []xomp.BatchItem) ([]xomp.BatchResult, error) {
-			return p.SubmitBatchCtx(ctx, items)
-		}
-		closePool = p.Close
-		fmt.Printf("loadgen: %d submitters x %d jobs, mix [%s] at scale %s, on %s (%d workers, %d zones, policy %s, admit %s)\n",
-			*submitters, *jobs, strings.Join(names, " "), sc, pf.Runtime, pf.Workers, *zones, pf.Policy, pf.Admit)
+	// A one-shard pool's team spans -zones synthetic NUMA zones.
+	if pf.Shards == 1 {
+		scfg.Team.Topology = numa.Synthetic(pf.Workers, *zones)
 	}
+	pool, err := xomp.NewShardedPool(scfg)
+	if err != nil {
+		fatal(err)
+	}
+	ctx := context.Background()
+	// pin routes a job to shard 0, the skewed hot-shard scenario.
+	submit := func(pin bool, fn xomp.TaskFunc, opts xomp.SubmitOpts) (*xomp.Job, error) {
+		if pin {
+			return pool.SubmitToCtx(ctx, 0, fn, opts)
+		}
+		return pool.SubmitCtx(ctx, fn, opts)
+	}
+	elasticNote := ""
+	if pf.Elastic {
+		elasticNote = fmt.Sprintf(", elastic budget %d", pool.ActiveWorkers())
+	}
+	fmt.Printf("loadgen: %d submitters x %d jobs, mix [%s] at scale %s, on %s (%d shards x %d workers, %d zones each, skew %.0f%%%s, policy %s, admit %s)\n",
+		*submitters, *jobs, strings.Join(names, " "), sc, pf.Runtime, pf.Shards, scfg.Team.Workers,
+		pool.Team(0).Topology().Zones, *skew*100, elasticNote, pf.Policy, pf.Admit)
 
 	var (
 		wg       sync.WaitGroup
@@ -418,7 +390,7 @@ func main() {
 						meta = append(meta, slot{cur[m], app, class, tenant})
 					}
 					t0 := time.Now()
-					res, err := submitBatch(items)
+					res, err := pool.SubmitBatchCtx(ctx, items)
 					admitTime := time.Since(t0)
 					if err != nil {
 						fmt.Fprintf(os.Stderr, "submitter %d: batch submit: %v\n", s, err)
@@ -528,11 +500,8 @@ func main() {
 	elapsed := time.Since(start)
 	// Snapshot shard stats before Close: closing resets each shard's
 	// active-worker mask back to full capacity.
-	var shardStats []xomp.ShardStats
-	if sharded != nil {
-		shardStats = sharded.Stats()
-	}
-	if err := closePool(); err != nil {
+	shardStats := pool.Stats()
+	if err := pool.Close(); err != nil {
 		fatal(err)
 	}
 
@@ -581,29 +550,22 @@ func main() {
 	}
 
 	var recs []xomp.JobRecord
-	if sharded != nil {
-		fmt.Println("per-shard:")
-		for _, st := range shardStats {
-			fmt.Printf("  shard %d: %d/%d workers active, %d jobs completed, migrated in %d / out %d\n",
-				st.Shard, st.ActiveWorkers, st.Workers, st.JobsCompleted, st.MigratedIn, st.MigratedOut)
-			recs = append(recs, sharded.Team(st.Shard).Profile().Jobs()...)
+	fmt.Println("per-shard:")
+	for _, st := range shardStats {
+		fmt.Printf("  shard %d: %d/%d workers active, %d jobs completed, migrated in %d / out %d\n",
+			st.Shard, st.ActiveWorkers, st.Workers, st.JobsCompleted, st.MigratedIn, st.MigratedOut)
+		recs = append(recs, pool.Team(st.Shard).Profile().Jobs()...)
+	}
+	if pf.Elastic {
+		fmt.Printf("quota: %d moves by the elastic controller\n", pool.QuotaMoves())
+		for _, mv := range pool.QuotaTrace() {
+			fmt.Printf("  %10v  shard %d -> shard %d  (now %d and %d active)\n",
+				mv.At.Round(time.Microsecond), mv.From, mv.To, mv.FromActive, mv.ToActive)
 		}
-		if pf.Elastic {
-			fmt.Printf("quota: %d moves by the elastic controller\n", sharded.QuotaMoves())
-			for _, mv := range sharded.QuotaTrace() {
-				fmt.Printf("  %10v  shard %d -> shard %d  (now %d and %d active)\n",
-					mv.At.Round(time.Microsecond), mv.From, mv.To, mv.FromActive, mv.ToActive)
-			}
-		}
-		if pf.Policy == "adaptive" {
-			for s := 0; s < sharded.Shards(); s++ {
-				printPolicyTrace(fmt.Sprintf("shard %d", s), sharded.Team(s).PolicyTrace())
-			}
-		}
-	} else {
-		recs = pool.Team().Profile().Jobs()
-		if pf.Policy == "adaptive" {
-			printPolicyTrace("pool", pool.PolicyTrace())
+	}
+	if pf.Policy == "adaptive" {
+		for s := 0; s < pool.Shards(); s++ {
+			printPolicyTrace(fmt.Sprintf("shard %d", s), pool.Team(s).PolicyTrace())
 		}
 	}
 	if len(recs) > 0 {

@@ -8,14 +8,15 @@
 // the paper's evaluation.
 //
 // Beyond one-region-at-a-time execution, the runtime doubles as a shared
-// task service: xomp.Pool keeps one persistent worker team running and
+// task service: xomp.ShardedPool keeps persistent worker teams running and
 // accepts concurrent job submissions from many goroutines, with per-job
 // quiescence detection, panic isolation, bounded-backlog admission, and
-// per-job profiling. xomp.ShardedPool scales that across NUMA domains —
-// one serving team per domain behind a two-level dynamic load balancer
-// (power-of-two-choices job placement by shard queue depth, plus a
-// balancer migrating whole queued jobs off overloaded shards). cmd/loadgen
-// drives both with mixed BOTS traffic, and BenchmarkPoolThroughput /
+// per-job profiling. Its one-shard case (xomp.NewPool) is a single serving
+// team; with more shards it runs one serving team per NUMA domain behind a
+// two-level dynamic load balancer (power-of-two-choices job placement by
+// shard queue depth, plus a balancer migrating whole queued jobs off
+// overloaded shards). cmd/loadgen drives both shapes with mixed BOTS
+// traffic, and BenchmarkPoolThroughput /
 // BenchmarkShardedPoolThroughput in bench_test.go measure jobs/sec by
 // preset, submitter count, and shard count.
 //

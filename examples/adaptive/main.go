@@ -31,6 +31,7 @@ func main() {
 	}
 	pool := xomp.MustPool(cfg)
 	defer pool.Close()
+	team := pool.Team(0) // the one-shard pool's serving team
 
 	fine := func(w *xomp.Worker) {
 		for i := 0; i < 4000; i++ {
@@ -56,17 +57,17 @@ func main() {
 				panic(err)
 			}
 		}
-		sig := pool.Signals()
+		sig := team.Signals()
 		fmt.Printf("%-6s phase: %2d jobs in %7v  (signal plane: service %9v, dlb %v ns=%d)\n",
 			name, jobs, time.Since(start).Round(time.Millisecond),
-			time.Duration(sig.ServiceNS), pool.Team().DLB().Strategy, pool.Team().DLB().NSteal)
+			time.Duration(sig.ServiceNS), team.DLB().Strategy, team.DLB().NSteal)
 	}
 
 	phase("fine", fine, 30)
 	phase("coarse", coarse, 10)
 	phase("fine", fine, 30)
 
-	trace := pool.PolicyTrace()
+	trace := team.PolicyTrace()
 	fmt.Printf("\n%d strategy changes by the adaptive controller:\n", len(trace))
 	for _, sw := range trace {
 		fmt.Printf("  %10v  %s  =>  %s\n",

@@ -83,7 +83,7 @@ type Benchmark interface {
 // TaskRunner is implemented by every benchmark in this package: RunTask
 // executes the whole parallel phase (input preparation included) as a
 // single task body on an already-running team. This is how a benchmark
-// runs as one job on a shared task service (xomp.Pool) — or nested inside
+// runs as one job on a shared task service (xomp.ShardedPool) — or nested inside
 // a larger region — instead of owning a region via RunParallel. RunTask
 // joins its task subtree with a taskgroup, so results are final and Verify
 // is valid as soon as RunTask returns.

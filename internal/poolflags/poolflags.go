@@ -25,19 +25,14 @@ type Flags struct {
 	Elastic bool
 	Budget  int
 	Scale   string
-
-	minShards int
 }
 
-// Register adds the pool flags to fs. minShards is the smallest -shards
-// the command accepts and also its default: 1 for a service, whose pool
-// is always sharded, or 0 for a tool that treats "unsharded" as a shape
-// of its own (see Config).
-func Register(fs *flag.FlagSet, minShards int) *Flags {
-	f := &Flags{minShards: minShards}
+// Register adds the pool flags to fs.
+func Register(fs *flag.FlagSet) *Flags {
+	f := &Flags{}
 	fs.StringVar(&f.Runtime, "runtime", "xgomptb", "runtime preset: "+strings.Join(xomp.PresetNames(), "|"))
 	fs.IntVar(&f.Workers, "workers", 4, "total workers across shards")
-	fs.IntVar(&f.Shards, "shards", minShards, "NUMA shards (each one serving team)")
+	fs.IntVar(&f.Shards, "shards", 1, "NUMA shards (each one serving team)")
 	fs.IntVar(&f.Backlog, "backlog", 0, "admission queue capacity per class (0 = 4x workers)")
 	fs.StringVar(&f.Admit, "admit", "block", "admission policy: block|reject|shed|wfq")
 	fs.StringVar(&f.Policy, "policy", "static", "balancing policy: "+strings.Join(xomp.PolicyNames(), "|"))
@@ -48,14 +43,13 @@ func Register(fs *flag.FlagSet, minShards int) *Flags {
 }
 
 // Config validates the parsed flags and returns the pool they describe
-// plus the BOTS input scale. With -shards N > 0 the team is sized per
-// shard (-workers / N). With -shards 0 the result has Shards 0 and a team
-// of all -workers — the unsharded shape, which the caller builds as one
-// xomp.Pool.
+// plus the BOTS input scale. The team is sized per shard (-workers / N
+// for -shards N); the default, one shard, is a single team of all
+// -workers.
 func (f *Flags) Config() (xomp.ShardConfig, bots.Scale, error) {
 	var cfg xomp.ShardConfig
-	if f.Shards < f.minShards || f.Workers < 1 || (f.Shards > 0 && f.Workers%f.Shards != 0) {
-		return cfg, 0, fmt.Errorf("-shards %d must be >= %d and divide -workers %d", f.Shards, f.minShards, f.Workers)
+	if f.Shards < 1 || f.Workers < 1 || f.Workers%f.Shards != 0 {
+		return cfg, 0, fmt.Errorf("-shards %d must be >= 1 and divide -workers %d", f.Shards, f.Workers)
 	}
 	if f.Elastic && f.Shards < 2 {
 		return cfg, 0, fmt.Errorf("-elastic needs -shards > 1 (no shard to move quota between)")
@@ -76,7 +70,7 @@ func (f *Flags) Config() (xomp.ShardConfig, bots.Scale, error) {
 	}
 
 	cfg.Shards = f.Shards
-	cfg.Team = xomp.Preset(f.Runtime, f.Workers/max(f.Shards, 1))
+	cfg.Team = xomp.Preset(f.Runtime, f.Workers/f.Shards)
 	cfg.Team.Backlog = f.Backlog
 	cfg.Team.Admit = admit
 	if f.Policy != "static" {

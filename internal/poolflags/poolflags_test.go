@@ -10,11 +10,11 @@ import (
 )
 
 // parse registers the pool flags on a fresh FlagSet and parses args.
-func parse(t *testing.T, minShards int, args ...string) *Flags {
+func parse(t *testing.T, args ...string) *Flags {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	f := Register(fs, minShards)
+	f := Register(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
@@ -24,23 +24,22 @@ func parse(t *testing.T, minShards int, args ...string) *Flags {
 func TestConfigShapes(t *testing.T) {
 	cases := []struct {
 		name        string
-		minShards   int
 		args        []string
 		shards      int
 		teamWorkers int
 		budget      int // 0: elastic off
 	}{
-		{name: "service defaults", minShards: 1, shards: 1, teamWorkers: 4},
-		{name: "workers split per shard", minShards: 1, args: []string{"-workers", "8", "-shards", "2"}, shards: 2, teamWorkers: 4},
-		{name: "unsharded keeps all workers in one team", minShards: 0, args: []string{"-workers", "8"}, shards: 0, teamWorkers: 8},
-		{name: "elastic budget defaults to half the workers", minShards: 1,
+		{name: "service defaults", shards: 1, teamWorkers: 4},
+		{name: "workers split per shard", args: []string{"-workers", "8", "-shards", "2"}, shards: 2, teamWorkers: 4},
+		{name: "one shard keeps all workers in one team", args: []string{"-workers", "8"}, shards: 1, teamWorkers: 8},
+		{name: "elastic budget defaults to half the workers",
 			args: []string{"-workers", "8", "-shards", "2", "-elastic"}, shards: 2, teamWorkers: 4, budget: 4},
-		{name: "explicit elastic budget", minShards: 0,
+		{name: "explicit elastic budget",
 			args: []string{"-workers", "8", "-shards", "4", "-elastic", "-budget", "6"}, shards: 4, teamWorkers: 2, budget: 6},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg, scale, err := parse(t, tc.minShards, tc.args...).Config()
+			cfg, scale, err := parse(t, tc.args...).Config()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +57,7 @@ func TestConfigShapes(t *testing.T) {
 }
 
 func TestConfigCarriesPolicies(t *testing.T) {
-	cfg, scale, err := parse(t, 1, "-admit", "reject", "-policy", "adaptive", "-backlog", "7", "-scale", "small").Config()
+	cfg, scale, err := parse(t, "-admit", "reject", "-policy", "adaptive", "-backlog", "7", "-scale", "small").Config()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,29 +67,28 @@ func TestConfigCarriesPolicies(t *testing.T) {
 	if cfg.Team.Policy.Name != "adaptive" || cfg.Team.Backlog != 7 || scale != bots.ScaleSmall {
 		t.Errorf("got policy %q backlog %d scale %v", cfg.Team.Policy.Name, cfg.Team.Backlog, scale)
 	}
-	if cfg, _, _ := parse(t, 1).Config(); cfg.Team.Admit != nil || cfg.Team.Policy.Name != "" {
+	if cfg, _, _ := parse(t).Config(); cfg.Team.Admit != nil || cfg.Team.Policy.Name != "" {
 		t.Errorf("defaults set Admit %T / policy %q, want the team's own defaults", cfg.Team.Admit, cfg.Team.Policy.Name)
 	}
 }
 
 func TestConfigRejects(t *testing.T) {
 	cases := []struct {
-		name      string
-		minShards int
-		args      []string
+		name string
+		args []string
 	}{
-		{"a service with no shard", 1, []string{"-shards", "0"}},
-		{"negative shards", 0, []string{"-shards", "-1"}},
-		{"shards not dividing workers", 1, []string{"-workers", "4", "-shards", "3"}},
-		{"no workers", 1, []string{"-workers", "0"}},
-		{"elastic without a second shard", 1, []string{"-elastic"}},
-		{"budget without elastic", 1, []string{"-budget", "2"}},
-		{"unknown admission policy", 1, []string{"-admit", "maybe"}},
-		{"unknown balancing policy", 1, []string{"-policy", "nope"}},
-		{"unknown scale", 1, []string{"-scale", "huge"}},
+		{"zero shards (there is no unsharded pool)", []string{"-shards", "0"}},
+		{"negative shards", []string{"-shards", "-1"}},
+		{"shards not dividing workers", []string{"-workers", "4", "-shards", "3"}},
+		{"no workers", []string{"-workers", "0"}},
+		{"elastic without a second shard", []string{"-elastic"}},
+		{"budget without elastic", []string{"-budget", "2"}},
+		{"unknown admission policy", []string{"-admit", "maybe"}},
+		{"unknown balancing policy", []string{"-policy", "nope"}},
+		{"unknown scale", []string{"-scale", "huge"}},
 	}
 	for _, tc := range cases {
-		if _, _, err := parse(t, tc.minShards, tc.args...).Config(); err == nil {
+		if _, _, err := parse(t, tc.args...).Config(); err == nil {
 			t.Errorf("%s: Config accepted %v", tc.name, tc.args)
 		}
 	}

@@ -18,27 +18,26 @@ import (
 // driven through and how recorded time maps onto replay time. The zero
 // value replays at recorded pace through a single default-config pool.
 type Options struct {
-	// Shards selects the pool: <= 1 replays through one xomp.Pool built
-	// from Team; >= 2 through an xomp.ShardedPool of that many shards
-	// (each shard a single-zone Team.Workers team, like explicit
-	// ShardConfig.Shards).
+	// Shards is the xomp.ShardedPool's shard count (<= 1 means one), each
+	// shard a Team.Workers team as with explicit ShardConfig.Shards. One
+	// shard is a single serving team on Team.Topology (detected when
+	// unset); two or more run on a single zone each unless Team.Topology
+	// is set.
 	Shards int
 	// Team is the serving-team configuration under test: preset,
 	// workers, backlog, admission policy, balancing policy — the
 	// "candidate" of a what-if comparison.
 	Team xomp.Config
-	// Elastic configures the elastic quota controller (sharded replays
-	// only).
+	// Elastic configures the elastic quota controller.
 	Elastic xomp.ElasticConfig
 	// BalanceInterval and MigrateThreshold configure the second-level
-	// job-migration balancer (sharded replays only): 0 keeps the
-	// ShardConfig defaults, a negative BalanceInterval disables the
-	// background balancer — how a quota-level test isolates the elastic
-	// controller from job migration.
+	// job-migration balancer: 0 keeps the ShardConfig defaults, a
+	// negative BalanceInterval disables the background balancer — how a
+	// quota-level test isolates the elastic controller from job
+	// migration.
 	BalanceInterval  time.Duration
 	MigrateThreshold int
-	// Policy overrides the sharded pool's dispatch/migrate/quota
-	// policies (sharded replays only).
+	// Policy overrides the pool's dispatch/migrate/quota policies.
 	Policy xomp.ShardPolicy
 	// Speed compresses recorded time: arrivals (and deadlines) happen
 	// Speed times faster than recorded. 1 (or 0) replays at recorded
@@ -48,7 +47,7 @@ type Options struct {
 	// PinTenants pins each event's tenant to shard Tenant mod Shards via
 	// SubmitToCtx instead of letting the dispatch policy place it —
 	// how a zipf-skewed tenant trace becomes a deterministically hot
-	// shard (sharded replays only).
+	// shard.
 	PinTenants bool
 	// TenantWeights assigns fair-share weights by tenant id, overriding
 	// any weights recorded in the trace header. Tenants absent from both
@@ -111,8 +110,8 @@ type JobReplayResult struct {
 	// PerTenant indexes outcomes by tenant id (only tenants that
 	// submitted at least once appear).
 	PerTenant map[int]TenantOutcome
-	// QuotaMoves and MigratedIn are the sharded pool's third- and
-	// second-level balancing activity during the replay (0 unsharded).
+	// QuotaMoves and MigratedIn are the pool's third- and second-level
+	// balancing activity during the replay (0 with one shard).
 	QuotaMoves uint64
 	MigratedIn uint64
 }
@@ -185,54 +184,24 @@ func ReplayJobs(tr *JobTrace, opts Options) (JobReplayResult, error) {
 	}
 
 	// Assemble the pool under test.
-	var (
-		submit      func(ev JobEvent, fn xomp.TaskFunc, so xomp.SubmitOpts) (*xomp.Job, error)
-		submitBatch func(items []xomp.BatchItem) ([]xomp.BatchResult, error)
-		closer      func() error
-		shPool      *xomp.ShardedPool
-	)
+	pool, err := xomp.NewShardedPool(xomp.ShardConfig{
+		Shards:           max(opts.Shards, 1),
+		Team:             opts.Team,
+		Elastic:          opts.Elastic,
+		BalanceInterval:  opts.BalanceInterval,
+		MigrateThreshold: opts.MigrateThreshold,
+		Policy:           opts.Policy,
+	})
+	if err != nil {
+		return res, fmt.Errorf("replay: build pool: %w", err)
+	}
 	ctx := context.Background()
-	if opts.Shards >= 2 {
-		sp, err := xomp.NewShardedPool(xomp.ShardConfig{
-			Shards:           opts.Shards,
-			Team:             opts.Team,
-			Elastic:          opts.Elastic,
-			BalanceInterval:  opts.BalanceInterval,
-			MigrateThreshold: opts.MigrateThreshold,
-			Policy:           opts.Policy,
-		})
-		if err != nil {
-			return res, fmt.Errorf("replay: build sharded pool: %w", err)
+	submit := func(ev JobEvent, fn xomp.TaskFunc, so xomp.SubmitOpts) (*xomp.Job, error) {
+		if opts.PinTenants {
+			n := pool.Shards()
+			return pool.SubmitToCtx(ctx, (ev.Tenant%n+n)%n, fn, so)
 		}
-		shPool = sp
-		shards := opts.Shards
-		pin := opts.PinTenants
-		submit = func(ev JobEvent, fn xomp.TaskFunc, so xomp.SubmitOpts) (*xomp.Job, error) {
-			if pin {
-				s := ev.Tenant % shards
-				if s < 0 {
-					s += shards
-				}
-				return sp.SubmitToCtx(ctx, s, fn, so)
-			}
-			return sp.SubmitCtx(ctx, fn, so)
-		}
-		submitBatch = func(items []xomp.BatchItem) ([]xomp.BatchResult, error) {
-			return sp.SubmitBatchCtx(ctx, items)
-		}
-		closer = sp.Close
-	} else {
-		p, err := xomp.NewPool(opts.Team)
-		if err != nil {
-			return res, fmt.Errorf("replay: build pool: %w", err)
-		}
-		submit = func(_ JobEvent, fn xomp.TaskFunc, so xomp.SubmitOpts) (*xomp.Job, error) {
-			return p.SubmitCtx(ctx, fn, so)
-		}
-		submitBatch = func(items []xomp.BatchItem) ([]xomp.BatchResult, error) {
-			return p.SubmitBatchCtx(ctx, items)
-		}
-		closer = p.Close
+		return pool.SubmitCtx(ctx, fn, so)
 	}
 
 	// Weight lookup: Options override, then the trace header, then the
@@ -332,7 +301,7 @@ func ReplayJobs(tr *JobTrace, opts Options) (JobReplayResult, error) {
 				items[b] = xomp.BatchItem{Fn: bodies[i], Opts: buildOpts(tr.Jobs[i])}
 			}
 			t0 := time.Now()
-			res, err := submitBatch(items)
+			res, err := pool.SubmitBatchCtx(ctx, items)
 			admitLat := time.Since(t0)
 			if err != nil {
 				for _, i := range idx {
@@ -385,13 +354,11 @@ func ReplayJobs(tr *JobTrace, opts Options) (JobReplayResult, error) {
 	flush()
 	wg.Wait()
 	res.Wall = time.Since(start)
-	if shPool != nil {
-		res.QuotaMoves = shPool.QuotaMoves()
-		for _, st := range shPool.Stats() {
-			res.MigratedIn += st.MigratedIn
-		}
+	res.QuotaMoves = pool.QuotaMoves()
+	for _, st := range pool.Stats() {
+		res.MigratedIn += st.MigratedIn
 	}
-	if err := closer(); err != nil {
+	if err := pool.Close(); err != nil {
 		return res, fmt.Errorf("replay: close pool: %w", err)
 	}
 	if firstErr != nil {

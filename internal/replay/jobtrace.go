@@ -221,7 +221,7 @@ func (r *Recorder) Trace(name string) *JobTrace {
 // should be recorded live instead.
 func JobTraceFromSnapshot(s prof.Snapshot) (*JobTrace, error) {
 	if len(s.Jobs) == 0 {
-		return nil, fmt.Errorf("replay: snapshot has no job records (serve jobs through a Pool, or record task level with -profile)")
+		return nil, fmt.Errorf("replay: snapshot has no job records (serve jobs through a pool, or record task level with -profile)")
 	}
 	jobs := make([]JobEvent, 0, len(s.Jobs))
 	base := s.Jobs[0].Submit

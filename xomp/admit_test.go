@@ -11,8 +11,8 @@ import (
 	"repro/xomp"
 )
 
-// Pool.SubmitCtx round trip: classes recorded, deadline honored, typed
-// errors surfaced through the public API.
+// SubmitCtx round trip on the one-shard pool: classes recorded, deadline
+// honored, typed errors surfaced through the public API.
 func TestPoolSubmitCtx(t *testing.T) {
 	cfg := xomp.Preset("xgomptb", 2)
 	cfg.Backlog = 1
@@ -83,7 +83,7 @@ func TestPoolRejectWhenFull(t *testing.T) {
 	if _, err := pool.Submit(func(*xomp.Worker) {}); !errors.Is(err, xomp.ErrBacklogFull) {
 		t.Fatalf("full backlog: %v, want ErrBacklogFull", err)
 	}
-	snap := pool.Team().Profile().Snapshot()
+	snap := pool.Team(0).Profile().Snapshot()
 	if snap.AdmitCounts[int(xomp.ClassBatch)][2] != 0 { // no sheds
 		t.Fatalf("unexpected shed count in %v", snap.AdmitCounts)
 	}

@@ -233,16 +233,17 @@ func TestElasticBackgroundController(t *testing.T) {
 	}
 }
 
-// Pool exposes the same load signals per single team that ShardedPool
-// reads per shard, plus the SetActive capacity lever.
+// The one-shard pool's team exposes the same load signals the pool reads
+// per shard, plus the SetActive capacity lever.
 func TestPoolLoadSignalsAndSetActive(t *testing.T) {
 	pool := xomp.MustPool(xomp.Preset("xgomptb", 4))
 	defer pool.Close()
+	team := pool.Team(0)
 	if pool.Workers() != 4 || pool.ActiveWorkers() != 4 {
 		t.Fatalf("fresh pool: %d/%d active/capacity, want 4/4", pool.ActiveWorkers(), pool.Workers())
 	}
-	if pool.QueueDepth() != 0 || pool.ActiveJobs() != 0 {
-		t.Fatalf("idle pool reports depth %d, active %d", pool.QueueDepth(), pool.ActiveJobs())
+	if team.QueueDepth() != 0 || team.ActiveJobs() != 0 {
+		t.Fatalf("idle pool reports depth %d, active %d", team.QueueDepth(), team.ActiveJobs())
 	}
 	gate := make(chan struct{})
 	var jobs []*xomp.Job
@@ -253,13 +254,13 @@ func TestPoolLoadSignalsAndSetActive(t *testing.T) {
 		}
 		jobs = append(jobs, j)
 	}
-	if got := pool.ActiveJobs(); got != 6 {
+	if got := team.ActiveJobs(); got != 6 {
 		t.Fatalf("ActiveJobs = %d, want 6", got)
 	}
-	if got := pool.QueueDepth(); got < 1 || got > 6 {
+	if got := team.QueueDepth(); got < 1 || got > 6 {
 		t.Fatalf("QueueDepth = %d with 6 gated jobs on 4 workers", got)
 	}
-	if err := pool.SetActive(2); err != nil {
+	if err := team.SetActive(2); err != nil {
 		t.Fatal(err)
 	}
 	if got := pool.ActiveWorkers(); got != 2 {
@@ -271,7 +272,7 @@ func TestPoolLoadSignalsAndSetActive(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := pool.ActiveJobs(); got != 0 {
+	if got := team.ActiveJobs(); got != 0 {
 		t.Fatalf("ActiveJobs = %d after drain, want 0", got)
 	}
 }

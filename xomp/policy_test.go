@@ -169,10 +169,10 @@ func TestPoolSignalsAndPolicyTrace(t *testing.T) {
 	cfg.Policy = xomp.Policy{Name: "adaptive", Interval: -1}
 	pool := xomp.MustPool(cfg)
 	defer pool.Close()
-	if got := pool.Signals().Capacity; got != 2 {
+	if got := pool.Team(0).Signals().Capacity; got != 2 {
 		t.Fatalf("Capacity = %v, want 2", got)
 	}
-	if trace := pool.PolicyTrace(); len(trace) != 0 {
+	if trace := pool.Team(0).PolicyTrace(); len(trace) != 0 {
 		t.Fatalf("fresh pool has policy trace %+v", trace)
 	}
 }

@@ -119,6 +119,9 @@ func TestPoolSubmitAfterClose(t *testing.T) {
 	if _, err := pool.Submit(func(*xomp.Worker) {}); !errors.Is(err, xomp.ErrClosed) {
 		t.Fatalf("Submit after Close: %v, want ErrClosed", err)
 	}
+	if err := pool.Close(); err != nil {
+		t.Fatalf("second Close: %v, want nil", err)
+	}
 }
 
 // Per-job profiling must be reachable through the public facade.
@@ -134,7 +137,7 @@ func TestPoolJobProfile(t *testing.T) {
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs := pool.Team().Profile().Jobs()
+	recs := pool.Team(0).Profile().Jobs()
 	if len(recs) != 1 {
 		t.Fatalf("%d job records, want 1", len(recs))
 	}

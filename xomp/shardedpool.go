@@ -82,7 +82,9 @@ type ShardConfig struct {
 	// topology: one shard per NUMA zone of Team.Topology (or of the
 	// detected host topology when Team.Topology is unset), each shard
 	// sized to its zone. When Shards is set explicitly, every shard runs
-	// Team.Workers workers on its own single-zone topology.
+	// Team.Workers workers on Team.Topology when it is set; when it is
+	// unset, a single shard detects its topology the way a Team does and
+	// two or more shards each run on a single zone.
 	Shards int
 
 	// Team is the per-shard team configuration (substrate, barrier, DLB,
@@ -152,8 +154,11 @@ type ShardStats struct {
 	MigratedOut uint64
 }
 
-// ShardedPool is a NUMA-sharded task service: one persistent serving Team
-// per NUMA domain behind a two-level dynamic load balancer.
+// ShardedPool is the task service, and the only pool type: one persistent
+// serving Team per NUMA domain behind a two-level dynamic load balancer. A
+// single team serving concurrent jobs is its one-shard case (NewPool),
+// where placement has one answer and the balancers do not run; reach that
+// team's load signals, profile and active-worker lever through Team(0).
 //
 //	pool := xomp.MustShardedPool(xomp.ShardConfig{
 //		Shards: 4,
@@ -180,6 +185,14 @@ type ShardStats struct {
 // placement. Tasks move inside a team, jobs move between teams, workers'
 // quota moves between teams: three granularities of the same hot→cold
 // feedback loop.
+//
+// Jobs are isolated from each other: each has its own quiescence detection
+// and panic capture, so one panicking job neither poisons its team nor
+// disturbs other jobs in flight. Per-job profiling records accumulate on
+// each team's profile in a bounded ring (Team(s).Profile().Jobs()).
+// ShardConfig.Team.Profile (the per-task event timeline) is meant for bounded
+// experiments: it is not size-bounded, so leave it off for a long-lived
+// pool under continuous traffic.
 //
 // Jobs/IDs are issued per shard, so two jobs of one pool may share an ID if
 // they were submitted to (or migrated from) different shards.
@@ -248,9 +261,18 @@ func NewShardedPool(cfg ShardConfig) (*ShardedPool, error) {
 		if base.Workers <= 0 {
 			return nil, fmt.Errorf("xomp: Team.Workers must be positive with explicit Shards, got %d", base.Workers)
 		}
+		top := base.Topology
+		switch {
+		case top.Workers == 0 && cfg.Shards == 1:
+			top = numa.Detect(base.Workers)
+		case top.Workers == 0:
+			top = numa.Synthetic(base.Workers, 1)
+		case top.Workers != base.Workers:
+			return nil, fmt.Errorf("xomp: Team.Topology covers %d workers, Team.Workers is %d", top.Workers, base.Workers)
+		}
 		shardTops = make([]Topology, cfg.Shards)
 		for i := range shardTops {
-			shardTops[i] = numa.Synthetic(base.Workers, 1)
+			shardTops[i] = top
 		}
 	}
 
@@ -486,9 +508,10 @@ func MustShardedPool(cfg ShardConfig) *ShardedPool {
 // Submit places fn as a new job on the less loaded of two randomly chosen
 // shards and returns its handle. Under the default admission policy it
 // blocks while that shard's admission queue is full (a non-blocking
-// Team.Admit policy returns ErrBacklogFull instead, exactly as on
-// Pool.Submit) and returns ErrClosed after Close. Like Pool.Submit it
-// must be called from outside the pool's task bodies.
+// Team.Admit policy — RejectWhenFull, DeadlineShed — returns
+// ErrBacklogFull instead) and returns ErrClosed after Close. Submit must
+// be called from outside the pool's task bodies; inside a task, spawn
+// children with Worker.Spawn instead.
 func (p *ShardedPool) Submit(fn TaskFunc) (*Job, error) {
 	if p.closed.Load() {
 		return nil, ErrClosed
@@ -497,7 +520,7 @@ func (p *ShardedPool) Submit(fn TaskFunc) (*Job, error) {
 }
 
 // SubmitCtx places fn under an admission contract (priority class,
-// optional deadline, cancellable wait — see Pool.SubmitCtx) on a shard
+// optional deadline, cancellable wait — see Team.SubmitCtx) on a shard
 // chosen by the dispatch policy for that class: power-of-two-choices
 // compares the queue depth the job's class would actually experience
 // (load.EffectiveDepth), so an interactive job lands where the least
@@ -538,8 +561,10 @@ func (p *ShardedPool) SubmitBatch(fns []TaskFunc) ([]BatchResult, error) {
 // Team.SubmitBatchInto, each chunk filling its own stretch of the one
 // result slice — per-shard admission accounting, gauges, and rollback
 // all happen on the team that actually received each chunk. A one-shard
-// pool has no placement to decide and passes the batch whole.
-// Partial admission surfaces per item, exactly as on Pool.SubmitBatchCtx.
+// pool has no placement to decide and passes the batch whole. Partial
+// admission under backpressure is the normal outcome and surfaces per
+// item: each BatchResult carries its Job or the typed error SubmitCtx
+// would have returned for it.
 func (p *ShardedPool) SubmitBatchCtx(ctx context.Context, items []BatchItem) ([]BatchResult, error) {
 	if p.closed.Load() {
 		return nil, ErrClosed
@@ -671,8 +696,9 @@ func (p *ShardedPool) Rebalance() int {
 
 // Close stops the balancer and closes every shard: admission ends, all
 // submitted jobs run to completion, then the workers stop. Repeated and
-// concurrent Close calls are safe. Like Pool.Close it must be called from
-// outside the pool's task bodies.
+// concurrent Close calls are safe, and a repeated Close returns nil. It
+// must be called from outside the pool's task bodies: it waits for every
+// job, including the caller's own, so a task calling Close deadlocks.
 func (p *ShardedPool) Close() error {
 	p.closed.Store(true)
 	p.balOnce.Do(func() { close(p.stopBal) })

@@ -282,9 +282,41 @@ func TestShardedPoolAutoShards(t *testing.T) {
 	}
 }
 
+// TestShardedPoolExplicitShardTopology pins the topology rule of explicit
+// Shards: a set Team.Topology is every shard's; unset, one shard detects
+// its topology as a Team does, and two or more run on one zone each.
+func TestShardedPoolExplicitShardTopology(t *testing.T) {
+	cfg := xomp.Preset("xgomptb", 4)
+	cfg.Topology = xomp.SyntheticTopology(4, 2)
+	one := xomp.MustShardedPool(xomp.ShardConfig{Shards: 1, Team: cfg})
+	defer one.Close()
+	if z := one.Team(0).Topology().Zones; z != 2 {
+		t.Errorf("one shard on a two-zone Team.Topology reports %d zones, want 2", z)
+	}
+
+	detected := xomp.MustPool(xomp.Preset("xgomptb", 4))
+	defer detected.Close()
+	if z, want := detected.Team(0).Topology().Zones, xomp.DetectTopology(4).Zones; z != want {
+		t.Errorf("one shard without a topology reports %d zones, want the detected %d", z, want)
+	}
+
+	two := xomp.MustShardedPool(xomp.ShardConfig{Shards: 2, Team: xomp.Preset("xgomptb", 4)})
+	defer two.Close()
+	for s := 0; s < two.Shards(); s++ {
+		if z := two.Team(s).Topology().Zones; z != 1 {
+			t.Errorf("shard %d of two without a topology reports %d zones, want 1", s, z)
+		}
+	}
+}
+
 func TestShardedPoolConfigErrors(t *testing.T) {
 	if _, err := xomp.NewShardedPool(xomp.ShardConfig{Shards: -1}); err == nil {
 		t.Fatal("negative Shards accepted")
+	}
+	mismatched := xomp.Preset("xgomptb", 2)
+	mismatched.Topology = xomp.SyntheticTopology(4, 2)
+	if _, err := xomp.NewPool(mismatched); err == nil {
+		t.Fatal("Team.Topology covering other than Team.Workers accepted")
 	}
 	if _, err := xomp.NewShardedPool(xomp.ShardConfig{}); err == nil {
 		t.Fatal("unsized pool accepted")

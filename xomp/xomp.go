@@ -69,9 +69,10 @@
 // # Serving concurrent jobs
 //
 // A Team executes one region at a time. To serve many independent jobs
-// concurrently — submitted from any number of goroutines against one
-// persistent worker team — use a Pool, the job-server layer on top of the
-// same substrate:
+// concurrently — submitted from any number of goroutines against
+// persistent worker teams — use a pool, the job-server layer on top of the
+// same substrate. There is one pool type, ShardedPool; a single serving
+// team is its one-shard case, which MustPool builds:
 //
 //	pool := xomp.MustPool(xomp.Preset("xgomptb+naws", runtime.NumCPU()))
 //	defer pool.Close()
@@ -87,9 +88,10 @@
 //
 // Each job has its own quiescence detection and panic capture, so jobs are
 // isolated from each other while their tasks share queues, allocator, and
-// dynamic load balancing. See Pool for details.
+// dynamic load balancing. The team's load signals, profile and
+// active-worker lever are pool.Team(0)'s.
 //
-// Admission is itself policy-driven: Pool.SubmitCtx submits under an
+// Admission is itself policy-driven: ShardedPool.SubmitCtx submits under an
 // admission contract — a priority class (interactive/batch/background,
 // each with its own bounded queue, adopted in strict class order) and an
 // optional deadline — and Config.Admit selects what a full backlog
@@ -98,8 +100,9 @@
 // (DeadlineShed → ErrShed). A waiting submitter unblocks promptly on
 // context cancellation or deadline expiry instead of blocking forever.
 //
-// To scale the job server across NUMA domains, ShardedPool runs one
-// serving team per domain behind a two-level dynamic load balancer: jobs
+// To scale the job server across NUMA domains, a ShardedPool of several
+// shards runs one serving team per domain behind a two-level dynamic load
+// balancer: jobs
 // are placed on the less loaded of two random shards and a second-level
 // balancer migrates queued jobs off overloaded shards. With
 // ShardConfig.Elastic a third level balances capacity itself: worker
@@ -234,11 +237,11 @@ var (
 
 // SubmitOpts qualifies one SubmitCtx submission: a priority class, an
 // optional absolute completion deadline, and the submitting tenant. See
-// Pool.SubmitCtx.
+// ShardedPool.SubmitCtx.
 type SubmitOpts = core.SubmitOpts
 
-// BatchItem is one submission of a batch (Pool.SubmitBatchCtx,
-// ShardedPool.SubmitBatchCtx): a task body plus its SubmitOpts.
+// BatchItem is one submission of a batch (ShardedPool.SubmitBatchCtx): a
+// task body plus its SubmitOpts.
 type BatchItem = core.BatchItem
 
 // BatchResult is one batch item's outcome: the admitted Job, or the
@@ -297,7 +300,7 @@ type (
 )
 
 // Signals is one entity's (worker's, team's, or shard's) load picture on
-// the unified load-signal plane; see Pool.Signals and Team.Signals.
+// the unified load-signal plane; see Team.Signals.
 type Signals = load.Signals
 
 // Balancing policy interfaces (see package load): victim selection inside
@@ -334,7 +337,7 @@ type (
 )
 
 // PolicySwitch is one recorded adaptive-controller retune; see
-// Pool.PolicyTrace and Team.PolicyTrace.
+// Team.PolicyTrace.
 type PolicySwitch = prof.PolicySwitch
 
 // Dep is a task depend clause (OpenMP depend(in/out/inout)); build them
@@ -354,7 +357,7 @@ func InOut(key any) Dep { return core.InOut(key) }
 // JobRecord is one completed job's per-job profiling record (submission,
 // adoption, and completion times; adopting worker; panic and migration
 // flags), retained in a bounded ring on the serving team's profile. Read
-// them with Pool.Team().Profile().Jobs() or per ShardedPool shard.
+// them per shard with ShardedPool.Team(s).Profile().Jobs().
 type JobRecord = prof.JobRecord
 
 // Measurement is what Team.AutoTune observed while probing a workload.
