@@ -1,6 +1,8 @@
 // Command profview renders a profile dump written by botsrun -profout (or
 // any prof.Profile.Dump output) as the paper's Fig. 3 ASCII summaries: the
-// per-thread timeline and the per-thread task-count bars.
+// per-thread timeline and the per-thread task-count bars, with imbalance
+// and utilization ratios. It is the only reader of profile dumps; -trace
+// also exports the dump as a Chrome trace-event file.
 //
 // Usage:
 //

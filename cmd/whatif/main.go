@@ -2,28 +2,19 @@
 // traffic once, then replay it under alternative configurations to find
 // the best settings without re-running the application.
 //
-// It accepts two input shapes through one -in flag, distinguished by
-// sniffing the file header:
-//
-//   - A legacy profile dump (botsrun -profile): the task-size trace is
-//     replayed through core.Team.Parallel under alternative DLB
-//     configurations — the original task-level analysis.
-//   - A job trace (loadgen -record, or a generated scenario): the
-//     arrival trace is replayed through xomp pools under alternative
-//     admission/balancing candidates — block, reject, shed, wfq
-//     (weighted-fair multi-tenant admission), adaptive, and (with
-//     -shards) elastic — and the candidates are compared on completed
-//     jobs, jobs/sec, interactive p99, and — when the trace carries more
-//     than one tenant — Jain's fairness index over per-tenant completion
-//     fractions, over the exact same traffic ("replay the same day's
-//     traffic twice").
+// The input is a job trace (loadgen -record, or a generated scenario).
+// Its arrivals are replayed through xomp pools under alternative
+// admission/balancing candidates — block, reject, shed, wfq
+// (weighted-fair multi-tenant admission), adaptive, and (with -shards)
+// elastic — and the candidates are compared on completed jobs,
+// jobs/sec, interactive p99, and — when the trace carries more than one
+// tenant — Jain's fairness index over per-tenant completion fractions,
+// over the exact same traffic ("replay the same day's traffic twice").
+// Any other file, a profile dump included, is refused.
 //
 // -scenario skips the file and generates a corpus preset directly.
 //
 // Usage:
-//
-//	botsrun -app sort -runtime xgomptb -profile -profout sort.json
-//	whatif -in sort.json -workers 8 -zones 4 -reps 3
 //
 //	loadgen -jobs 20 -record day.jsonl
 //	whatif -in day.jsonl -workers 4 -reps 2
@@ -32,16 +23,14 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/load"
-	"repro/internal/numa"
-	"repro/internal/prof"
 	"repro/internal/replay"
 	"repro/internal/scenario"
 	"repro/internal/stats"
@@ -50,11 +39,10 @@ import (
 
 func main() {
 	var (
-		in       = flag.String("in", "", "profile dump (botsrun -profile) or job trace (loadgen -record); the header decides the analysis")
+		in       = flag.String("in", "", "job trace to replay (loadgen -record)")
 		scenName = flag.String("scenario", "", "generate a scenario preset instead of reading -in: "+joinNames())
 		seed     = flag.Uint64("seed", scenario.GoldenSeed, "scenario generation seed (with -scenario)")
 		workers  = flag.Int("workers", 4, "team size for replay")
-		zones    = flag.Int("zones", 2, "synthetic NUMA zones (legacy task-level replay)")
 		shards   = flag.Int("shards", 0, "replay job traces through this many shards (adds an elastic candidate; 0 = one pool)")
 		speed    = flag.Float64("speed", 1, "job-trace time compression: arrivals and deadlines run this times faster")
 		reps     = flag.Int("reps", 3, "replays per candidate")
@@ -86,20 +74,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if replay.IsJobTrace(data) {
-		f, err := os.Open(*in)
-		if err != nil {
-			fatal(err)
-		}
-		tr, err := replay.ReadJobTrace(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		jobWhatIf(tr, *workers, *shards, *speed, *reps)
-		return
+	if !replay.IsJobTrace(data) {
+		fatal(fmt.Errorf("%s is not a job trace; -in expects a job trace (loadgen -record), not a profile dump", *in))
 	}
-	taskWhatIf(*in, *workers, *zones, *reps)
+	tr, err := replay.ReadJobTrace(bytes.NewReader(data))
+	if err != nil {
+		fatal(err)
+	}
+	jobWhatIf(tr, *workers, *shards, *speed, *reps)
 }
 
 // jobCandidate is one admission/balancing configuration under
@@ -226,45 +208,6 @@ func jobWhatIf(tr *replay.JobTrace, workers, shards int, speed float64, reps int
 		fmt.Printf("%-10s %10d %12.1f %10d %14s %9s\n", r.cand.name, r.completed, r.jobsPerSec, r.refused, p99, fair)
 	}
 	fmt.Printf("\nrecommendation: %s\n", results[0].cand.name)
-}
-
-// taskWhatIf is the legacy task-level analysis: replay a profile dump's
-// task-size distribution under alternative DLB configurations.
-func taskWhatIf(in string, workers, zones, reps int) {
-	f, err := os.Open(in)
-	if err != nil {
-		fatal(err)
-	}
-	snap, err := prof.Load(f)
-	f.Close()
-	if err != nil {
-		fatal(err)
-	}
-	tr, err := replay.FromSnapshot(snap)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("trace: %d tasks over %d threads, mean task ~%.0f units\n",
-		tr.TotalTasks, tr.Workers(), tr.MeanTaskUnits())
-
-	base := core.Preset("xgomptb", workers)
-	base.Topology = numa.Synthetic(workers, zones)
-	results, err := replay.Evaluate(tr, base, replay.DefaultCandidates(tr, zones), reps)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("%-14s %-12s %-12s %s\n", "candidate", "mean", "best", "settings")
-	for _, r := range results {
-		d := r.Candidate.DLB
-		settings := "static round-robin"
-		if d.Strategy != core.DLBNone {
-			settings = fmt.Sprintf("%v nv=%d ns=%d ti=%d pl=%.2f",
-				d.Strategy, d.NVictim, d.NSteal, d.TInterval, d.PLocal)
-		}
-		fmt.Printf("%-14s %-12v %-12v %s\n",
-			r.Candidate.Name, r.Mean.Round(time.Microsecond), r.Best.Round(time.Microsecond), settings)
-	}
-	fmt.Printf("\nrecommendation: %s\n", results[0].Candidate.Name)
 }
 
 func joinNames() string {

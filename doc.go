@@ -28,8 +28,8 @@
 // named fixed policy or "adaptive", the runtime controller that
 // classifies workload granularity from the plane and retunes the DLB
 // configuration live (loadgen -policy adaptive -phase 300ms shows it
-// switching; dlbsweep -policy all reports the fixed point it converges
-// to per BOTS app).
+// switching; benchall -exp ext-autotune compares it with static and
+// best-of-sweep settings).
 //
 // Admission itself is policy-driven: SubmitCtx submissions carry a
 // priority class (per-class bounded queues, adopted interactive-first)
@@ -43,7 +43,7 @@
 //
 // The public API lives in repro/xomp. ARCHITECTURE.md maps the paper's
 // sections onto the packages and traces a job end to end; cmd/README.md
-// documents the seven command-line tools. The root package exists to host
+// documents the eight command-line tools. The root package exists to host
 // the repository-level benchmark suite (bench_test.go), which has one
 // testing.B entry per reproduced table and figure.
 package repro

@@ -1,13 +1,13 @@
-// Job-level traces. The task-size Trace in replay.go predates the job
-// service: it replays one region's task distribution through core.Team's
-// Parallel and can say nothing about admission, priority classes,
-// deadlines, or sharded dispatch. A JobTrace records the submit edge
-// itself — per job: arrival offset, priority class, completion deadline,
-// application, and size — so one production-shaped day of traffic can be
-// replayed deterministically through any policy configuration (admission,
-// dispatch, elastic quota) and two configurations can be compared on the
-// *same* traffic instead of two different random workloads. This is the
-// workload-corpus methodology LB4OMP uses to evaluate scheduling
+// Package replay records and replays job traces. A JobTrace records the
+// submit edge of the job service — per job: arrival offset, priority
+// class, completion deadline, tenant, application, and size — so one
+// production-shaped day of traffic can be replayed deterministically
+// through any pool configuration (admission, dispatch, elastic quota),
+// and two configurations can be compared on the *same* traffic instead
+// of two different random workloads. Traces come from a live Recorder
+// (loadgen -record), from a profiled pool's snapshot, or from the
+// scenario corpus; ReplayJobs drives one through an xomp pool. This is
+// the workload-corpus methodology LB4OMP uses to evaluate scheduling
 // techniques, applied to the job service.
 package replay
 
@@ -26,7 +26,7 @@ import (
 )
 
 // jobTraceMagic identifies the JSONL header line of a serialized JobTrace
-// (and lets cmd/whatif distinguish job traces from legacy profile dumps).
+// (and lets cmd/whatif refuse any other file, a profile dump included).
 const jobTraceMagic = "jobtrace/v1"
 
 // JobEvent is one job's submission record: everything the admission edge
@@ -160,8 +160,8 @@ func ReadJobTrace(r io.Reader) (*JobTrace, error) {
 }
 
 // IsJobTrace reports whether data begins with a JobTrace JSONL header —
-// the sniff cmd/whatif uses to accept both legacy profile snapshots and
-// job traces through one -in flag.
+// the check cmd/whatif uses to refuse a profile dump or any other file
+// with a clear message instead of a decode error.
 func IsJobTrace(data []byte) bool {
 	end := len(data)
 	if i := bytes.IndexByte(data, '\n'); i >= 0 {

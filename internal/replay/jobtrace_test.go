@@ -60,7 +60,7 @@ func TestIsJobTraceRejectsOtherInputs(t *testing.T) {
 	for _, in := range []string{
 		"",
 		"not json",
-		`{"workers": 4, "jobs": []}`, // a legacy profile snapshot header
+		`{"workers": 4, "jobs": []}`, // a profile snapshot header
 		`{"jobtrace": "jobtrace/v0", "jobs": 1}`,
 	} {
 		if IsJobTrace([]byte(in)) {

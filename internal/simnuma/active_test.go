@@ -20,9 +20,6 @@ func TestModelPrefix(t *testing.T) {
 			}
 		}
 	}
-	if got := sub.RemotePenaltyRatio(); got != m.RemotePenaltyRatio() {
-		t.Fatalf("Prefix changed penalty ratio: %v != %v", got, m.RemotePenaltyRatio())
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("access by a parked worker id did not panic in the prefix view")

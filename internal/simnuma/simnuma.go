@@ -94,10 +94,6 @@ type Config struct {
 	RemoteNS float64
 }
 
-// DefaultConfig mirrors the latencies the paper quotes: ~2 ns for
-// shared-cache-served local accesses, ~100 ns for remote-socket accesses.
-func DefaultConfig() Config { return Config{LocalNS: 2, RemoteNS: 100} }
-
 // NewModel builds a model for the given topology. Costs below the
 // resolution of one spin unit are rounded up to one unit so that remote is
 // always at least as expensive as local.
@@ -138,11 +134,6 @@ func (m *Model) Access(w, home, n int) {
 	Spin(n * m.AccessCostUnits(w, home))
 }
 
-// RemotePenaltyRatio reports the modelled remote/local cost ratio.
-func (m *Model) RemotePenaltyRatio() float64 {
-	return float64(m.unitsPerRemote) / float64(m.unitsPerLocal)
-}
-
 // Prefix returns the active-set view of the model: the same calibrated
 // local/remote costs over the sub-topology covering only the first active
 // workers (see numa.Topology.Prefix). Workloads priced against a team
@@ -155,44 +146,4 @@ func (m *Model) Prefix(active int) *Model {
 		unitsPerLocal:  m.unitsPerLocal,
 		unitsPerRemote: m.unitsPerRemote,
 	}
-}
-
-// ShardView charges the model's costs on behalf of a per-domain shard team
-// (see numa.Topology.SplitDomains): every worker of the shard lives in the
-// pinned zone, so workloads running on a sharded pool can price accesses
-// with shard-local worker ids and still observe exactly the asymmetry the
-// unsharded topology defines. Immutable and safe for concurrent use.
-type ShardView struct {
-	m    *Model
-	zone int
-}
-
-// Shard returns the view of the model for the shard pinned to zone. It
-// panics when zone is outside the model's topology.
-func (m *Model) Shard(zone int) *ShardView {
-	if zone < 0 || zone >= m.top.Zones {
-		panic("simnuma: Shard zone outside the model's topology")
-	}
-	return &ShardView{m: m, zone: zone}
-}
-
-// Zone returns the NUMA domain this view's shard is pinned to.
-func (v *ShardView) Zone() int { return v.zone }
-
-// AccessCostUnits returns the per-access spin units the shard's workers pay
-// for data homed in zone home.
-func (v *ShardView) AccessCostUnits(home int) int {
-	if v.zone == home {
-		return v.m.unitsPerLocal
-	}
-	return v.m.unitsPerRemote
-}
-
-// Access charges any worker of the shard for n accesses to data homed in
-// zone home.
-func (v *ShardView) Access(home, n int) {
-	if n <= 0 {
-		return
-	}
-	Spin(n * v.AccessCostUnits(home))
 }

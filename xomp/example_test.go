@@ -102,9 +102,10 @@ func ExampleWorker_TaskGroup() {
 	// Output: 16
 }
 
-// A Pool serves independent jobs submitted concurrently from many
-// goroutines against one persistent worker team.
-func ExamplePool() {
+// NewPool (here through MustPool) builds the one-shard ShardedPool: it
+// serves independent jobs submitted concurrently from many goroutines
+// against one persistent worker team.
+func ExampleNewPool() {
 	pool := xomp.MustPool(xomp.Preset("xgomptb", 4))
 	defer pool.Close()
 
