@@ -565,24 +565,14 @@ func cheapPool(b *testing.B, preset string, backlog int) *xomp.ShardedPool {
 // xgomptb+naws pool at GOMAXPROCS 1 (how svcbench places the server), fed
 // by 2 closed-loop submitters that each send frames of 4 jobs cycling
 // through fib, sort and nqueens at test scale and wait for the whole frame.
-// One op is one job, so allocs/op and B/op are per job; gc/op counts GC
-// cycles per job.
+// Each job's body comes from the app's instance pool (bots.Get), as the
+// server's does. One op is one job, so allocs/op and B/op are per job;
+// gc/op counts GC cycles per job.
 func BenchmarkBotsMixInProcess(b *testing.B) {
 	const submitters, frame = 2, 4
 	mix := []string{"fib", "sort", "nqueens"}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	pool := xomp.MustPool(xomp.Preset("xgomptb+naws", 2))
-	// apps[s][i][m] is submitter s's instance of mix[m] for frame slot i: a
-	// job in flight owns its instance, and RunTask resets it per run.
-	apps := make([][][]bots.Benchmark, submitters)
-	for s := range apps {
-		apps[s] = make([][]bots.Benchmark, frame)
-		for i := range apps[s] {
-			for _, name := range mix {
-				apps[s][i] = append(apps[s][i], bots.MustNew(name, bots.ScaleTest))
-			}
-		}
-	}
 	var next atomic.Int64
 	var gc0 runtime.MemStats
 	runtime.ReadMemStats(&gc0)
@@ -590,9 +580,9 @@ func BenchmarkBotsMixInProcess(b *testing.B) {
 	b.ResetTimer()
 	start := time.Now()
 	var wg sync.WaitGroup
-	for s := 0; s < submitters; s++ {
+	for range submitters {
 		wg.Add(1)
-		go func(s int) {
+		go func() {
 			defer wg.Done()
 			items := make([]xomp.BatchItem, frame)
 			for {
@@ -602,7 +592,7 @@ func BenchmarkBotsMixInProcess(b *testing.B) {
 				}
 				n := min(frame, b.N-first)
 				for i := range items[:n] {
-					items[i].Fn = apps[s][i][(first+i)%len(mix)].RunTask
+					items[i].Fn = bots.Get(mix[(first+i)%len(mix)], bots.ScaleTest).Body
 				}
 				res, err := pool.SubmitBatchCtx(context.Background(), items[:n])
 				if err != nil {
@@ -621,7 +611,7 @@ func BenchmarkBotsMixInProcess(b *testing.B) {
 					res[i].Job.Release()
 				}
 			}
-		}(s)
+		}()
 	}
 	wg.Wait()
 	elapsed := time.Since(start)

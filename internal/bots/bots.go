@@ -15,6 +15,7 @@ package bots
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 )
@@ -88,7 +89,8 @@ type Benchmark interface {
 // joins its task subtree with a taskgroup, so results are final and Verify
 // is valid as soon as RunTask returns.
 //
-// Instances are stateful: use one Benchmark value per in-flight job.
+// Instances are stateful: use one Benchmark value per in-flight job. Get
+// hands out recycled ones.
 type TaskRunner interface {
 	RunTask(w *core.Worker)
 }
@@ -145,4 +147,55 @@ func MustNew(name string, sc Scale) Benchmark {
 		panic(err)
 	}
 	return b
+}
+
+// Instance is a recycled app instance: a Benchmark drawn from its app's
+// pool by Get, with the job body that gives it back.
+type Instance struct {
+	Benchmark
+	// Body is the instance's job body: RunTask, then the instance goes
+	// back to its pool. Its TaskGroup has joined every task of the run by
+	// the time RunTask returns, so nothing touches the instance after.
+	// A panicking run keeps the instance out of the pool, since tasks of
+	// that run may still hold it. Body is bound once per instance, so
+	// handing it to a job allocates nothing.
+	Body core.TaskFunc
+	pool *sync.Pool
+}
+
+func (in *Instance) run(w *core.Worker) {
+	in.RunTask(w)
+	in.pool.Put(in)
+}
+
+// pools holds one instance pool per app and scale: an instance's inputs
+// are built once and every RunTask resets its per-run state, so a pooled
+// instance serves job after job without rebuilding its arrays.
+var pools = func() map[string]*[ScaleLarge + 1]sync.Pool {
+	m := make(map[string]*[ScaleLarge + 1]sync.Pool, len(Names))
+	for _, name := range Names {
+		ps := new([ScaleLarge + 1]sync.Pool)
+		for sc := range ps {
+			p := &ps[sc]
+			p.New = func() any {
+				in := &Instance{Benchmark: MustNew(name, Scale(sc)), pool: p}
+				in.Body = in.run
+				return in
+			}
+		}
+		m[name] = ps
+	}
+	return m
+}()
+
+// Get draws an instance of the named app at scale sc from that app's
+// pool, building one when the pool is empty, or returns nil for an
+// unknown name or scale. The instance is the caller's until it runs Body
+// once; a caller that never runs Body just drops it.
+func Get(name string, sc Scale) *Instance {
+	ps := pools[name]
+	if ps == nil || sc < ScaleTest || sc > ScaleLarge {
+		return nil
+	}
+	return ps[sc].Get().(*Instance)
 }

@@ -69,3 +69,40 @@ func TestRunTaskMixedConcurrentJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A pooled instance serves job after job: every app's RunTask resets its
+// per-run state, so a second run on the same instance verifies as the
+// first did. Its Body then runs one more job and hands it back.
+func TestPooledInstanceRunsTwice(t *testing.T) {
+	tm := core.MustTeam(core.Preset("xgomptb+naws", 2))
+	if err := tm.Serve(); err != nil {
+		t.Fatal(err)
+	}
+	defer tm.Close()
+	run := func(name string, body core.TaskFunc) {
+		t.Helper()
+		j, err := tm.Submit(body)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := j.Wait(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	for _, name := range Names {
+		in := Get(name, ScaleTest)
+		for r := 1; r <= 2; r++ {
+			run(name, in.RunTask)
+			if err := in.Verify(); err != nil {
+				t.Fatalf("%s, run %d on one instance: %v", name, r, err)
+			}
+		}
+		run(name, in.Body)
+	}
+	if Get("nosuchapp", ScaleTest) != nil {
+		t.Fatal("Get returned an instance for an unknown app")
+	}
+	if Get("fib", ScaleLarge+1) != nil {
+		t.Fatal("Get returned an instance for an unknown scale")
+	}
+}

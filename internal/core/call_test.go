@@ -282,8 +282,8 @@ func TestCallTaskArgsSurviveSteal(t *testing.T) {
 			t.Errorf("call %d returned %d, want %d", i, *p, want)
 		}
 	}
-	if r := victim.implicit.refs.Load(); r != 1 {
-		t.Fatalf("victim frame holds %d refs after its calls ran, want 1", r)
+	if f := &victim.implicit; f.spawned != taskSlots || f.open() != 0 {
+		t.Fatalf("victim frame spawned %d with %d open after its calls ran, want %d and 0", f.spawned, f.open(), taskSlots)
 	}
 }
 

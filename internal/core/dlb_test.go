@@ -109,7 +109,7 @@ func TestVictimHandlesRequestOnce(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		task := tm.alloc.Get(0)
 		task.reset(func(*Worker) {}, &victim.implicit, 0, 0)
-		victim.implicit.refs.Add(1)
+		victim.implicit.spawned++
 		tm.counter.created(0)
 		if !tm.sched.pushTo(0, 0, task) {
 			t.Fatal("seed push failed")

@@ -15,9 +15,9 @@ import (
 //
 // Unlike a parallel region, which detects termination with the team-wide
 // barrier and task counters, a job carries its own quiescence detection:
-// the root task's reference count covers the job's whole task subtree
-// (children decrement their parent only when their own subtree completes),
-// so the job is done exactly when the root's count reaches zero — no
+// the root task's join count covers the job's whole task subtree
+// (children count as done in their parent only when their own subtree
+// completes), so the job is done exactly when the root's count closes — no
 // barrier, and no coordination with other jobs in flight.
 //
 // Panics are captured per job: a panicking task body fails its job, cancels

@@ -106,7 +106,7 @@ func TestPanicUnblocksTaskWait(t *testing.T) {
 					if i == 25 {
 						panic("mid-chain")
 					}
-					// Children that park briefly keep refs > 1.
+					// Children that park briefly keep the join open.
 					time.Sleep(time.Millisecond)
 				})
 			}

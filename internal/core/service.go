@@ -17,7 +17,7 @@ import (
 // Task-service mode: instead of executing one parallel region at a time,
 // the team's workers run persistently and serve independent jobs submitted
 // by any number of client goroutines. A bounded admission queue provides
-// backpressure; per-job quiescence detection (Job.root's reference count)
+// backpressure; per-job quiescence detection (Job.root's join count)
 // replaces the team barrier, which this mode needs only conceptually for
 // startup/shutdown — startup is the worker launch, shutdown is Close's
 // drain-then-join.
@@ -504,7 +504,7 @@ func (tm *Team) handOff(w *Worker, t *Task) bool {
 // The root's children are then distributed by the normal static balancer
 // and DLB. Job tasks stay out of the region barrier's task counter — a
 // serving team opens no region, and a job quiesces through its root's
-// reference cascade — so only the profile counts them.
+// join cascade — so only the profile counts them.
 func (tm *Team) adopt(w *Worker, t *Task) {
 	j := t.job
 	tm.profile.Queued(j.class, j.tenant, -1)
@@ -518,8 +518,8 @@ func (tm *Team) adopt(w *Worker, t *Task) {
 	tm.execute(w, t)
 }
 
-// finishJob publishes a job's completion. It runs on whichever worker drove
-// the root task's reference count to zero (see cascade), and reports
+// finishJob publishes a job's completion. It runs on whichever worker
+// closed the root task's join count (see cascade), and reports
 // whether it woke the job's waiter or receiver.
 func (tm *Team) finishJob(j *Job) bool {
 	j.endNS.Store(tm.profile.Now())

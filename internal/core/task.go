@@ -31,12 +31,17 @@ const taskSlots = 9
 // configured allocator; see reset for which fields are restored on reuse.
 // args and slots never are: SpawnCall writes each word before it is read.
 //
-// Lifetime is reference counted in refs: one reference for the unfinished
-// body plus one per unfinished direct child. A task is recycled when refs
-// reaches zero, which requires both its body and all of its descendants'
-// bodies to have finished — children decrement their parent's count only
-// when they themselves reach zero. Taskwait uses the same counter: it
-// returns when refs drops to 1 (only the body reference remains).
+// Lifetime is an owner-counted join. While the body runs, only the worker
+// running it spawns children, so it counts them in the plain field
+// spawned; each child whose subtree is done does one refs.Add(-1), which
+// keeps refs at or below zero until the body ends. The body's end adds
+// spawned back (and skips the add when it spawned nothing), which leaves
+// refs at the number of children still open. Whoever brings refs to zero —
+// the body's end, or the last child — completes the frame, so a task is
+// recycled only once its body and all of its descendants' bodies have
+// finished. spawned + refs is the number of open children, which is what
+// TaskWait and TaskGroup wait on. Every frame, pooled or fresh, holds
+// refs == 0 between lives.
 type Task struct {
 	// fn is a closure task's body, body a call task's. At most one is set,
 	// and both are nil in a pooled frame.
@@ -81,22 +86,26 @@ type Task struct {
 	// nslot counts the slots this frame has handed out; it only grows
 	// while the frame's body runs.
 	nslot uint8
+	// spawned counts the children this frame's body created. Only the
+	// worker running the body writes it, so it needs no atomic; see refs.
+	spawned int32
 
 	// args is a call task's inline argument block (SpawnCall's a0–a2).
 	args [3]uint64
 	// slots are the result words of the call tasks this frame's body
-	// spawns. Each child's reference keeps the frame alive until it has
-	// written its word, so the spawner can read it after TaskWait.
+	// spawns. An open child keeps the frame alive until it has written its
+	// word, so the spawner can read it after TaskWait.
 	slots [taskSlots]uint64
 }
 
-// reset prepares a recycled descriptor for a new task. body, out and
-// waitingDeps are already zero: cascade clears the first two on the way
-// into the pool and nothing pooled ever moves the third.
+// reset prepares a recycled descriptor for a new task. body, out, refs
+// and waitingDeps are already zero: cascade clears the first two on the
+// way into the pool, a frame reaches the pool only once refs is back at
+// zero, and nothing pooled ever moves waitingDeps.
 func (t *Task) reset(fn TaskFunc, parent *Task, creator, priority int32) {
 	t.fn = fn
 	t.parent = parent
-	t.refs.Store(1)
+	t.spawned = 0
 	t.creator = creator
 	t.priority = priority
 	t.implicit = false
@@ -107,6 +116,20 @@ func (t *Task) reset(fn TaskFunc, parent *Task, creator, priority int32) {
 	t.job = nil
 	t.deps = nil
 }
+
+// bodyDone is the end of t's body in the join count: it adds back the
+// children the body spawned and reports whether t is complete — nothing
+// spawned, or every child already done — and so must be cascaded by the
+// caller. A false return hands completion to the last open child; t may
+// be recycled by then, so the caller must not touch it again.
+func (t *Task) bodyDone() bool {
+	n := t.spawned
+	return n == 0 || t.refs.Add(n) == 0
+}
+
+// open is the number of t's children not yet done. Only the worker running
+// t's body may ask.
+func (t *Task) open() int32 { return t.spawned + t.refs.Load() }
 
 // run executes the task's body, whichever kind it has.
 func (t *Task) run(w *Worker) {

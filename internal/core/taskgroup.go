@@ -11,10 +11,10 @@ import (
 // task created inside its body *and all of their descendants*. The group is
 // a frame in the task tree, not a counter beside it: body runs with a scope
 // task as the current task, so what it spawns are the scope's children, and
-// the rule every task already follows — a child releases its parent only
-// when its own subtree is done — makes the scope's reference count cover
-// the whole subtree. Nested taskgroups compose because the inner scope is a
-// child of the outer one.
+// the rule every task already follows — a child counts as done in its
+// parent only when its own subtree is done — makes the scope's join count
+// cover the whole subtree. Nested taskgroups compose because the inner
+// scope is a child of the outer one.
 //
 // TaskGroup runs body and then blocks until every task spawned within it
 // (transitively) has completed, executing other queued tasks while
@@ -25,39 +25,35 @@ func (w *Worker) TaskGroup(body TaskFunc) {
 	scope.reset(nil, cur, int32(w.id), 0)
 	scope.scope = true
 	scope.job = cur.job
-	cur.refs.Add(1)
+	cur.spawned++
 	w.cur = scope
-	// The body reference drops on every way out. When body panics, job-mode
+	// The scope's body ends on every way out. When body panics, job-mode
 	// recovery (runJobTask) resumes cur's completion accounting; cur stays
-	// referenced by the scope until the group's stragglers have finished,
-	// and the last of them releases it like any child would.
+	// open through the scope until the group's stragglers have finished,
+	// and the last of them completes it like any child would.
 	defer func() {
 		w.cur = cur
-		if scope.refs.Add(-1) == 0 {
+		if scope.bodyDone() {
 			tm.cascade(w, scope)
 		}
 	}()
 	body(w)
 
-	if scope.refs.Load() <= 1 {
-		return
+	if scope.open() > 0 {
+		w.waitFor(scope, 0)
 	}
-	th := w.prof
-	th.Begin(prof.EvTaskWait)
-	w.waitFor(func() bool { return scope.refs.Load() <= 1 })
-	th.End(prof.EvTaskWait)
 }
 
-// waitFor is the shared scheduling-point loop: execute queued tasks, run
-// the thief protocol while idle, and yield under oversubscription, until
-// done reports true or the region aborts.
-func (w *Worker) waitFor(done func() bool) {
+// waitFor is the shared scheduling-point loop, timed as one EvTaskWait
+// span: execute queued tasks, run the thief protocol while idle, and
+// yield under oversubscription, until f has no more than open children
+// left or the region aborts.
+func (w *Worker) waitFor(f *Task, open int32) {
 	tm := w.team
+	th := w.prof
+	th.Begin(prof.EvTaskWait)
 	spins := 0
-	for !done() {
-		if tm.aborted.Load() {
-			return
-		}
+	for f.open() > open && !tm.aborted.Load() {
 		if t := tm.sched.pop(w.id); t != nil {
 			tm.execute(w, t)
 			spins = 0
@@ -73,4 +69,5 @@ func (w *Worker) waitFor(done func() bool) {
 			spins = 0
 		}
 	}
+	th.End(prof.EvTaskWait)
 }

@@ -402,15 +402,17 @@ func (tm *Team) execute(w *Worker, t *Task) {
 	default:
 		th.Inc(prof.CntTasksRemote)
 	}
-	if t.refs.Add(-1) == 0 {
+	if t.bodyDone() {
 		tm.cascade(w, t)
 	}
 }
 
 // cascade recycles a fully completed task and propagates completion to
-// ancestors whose last outstanding reference this was. A job's root task
-// reaching zero here means the job's whole subtree has quiesced — the
-// per-job analogue of the region barrier's termination detection.
+// ancestors whose last open child this was: each parent gets one
+// refs.Add(-1), and the one that lands on zero is complete too (see Task).
+// A job's root task completing here means the job's whole subtree has
+// quiesced — the per-job analogue of the region barrier's termination
+// detection.
 func (tm *Team) cascade(w *Worker, t *Task) {
 	for {
 		if j := t.job; j != nil && t == &j.root {

@@ -77,9 +77,11 @@ func (w *Worker) Zone() int { return w.zone }
 func (w *Worker) Team() *Team { return w.team }
 
 // beginRegion resets per-region worker state and installs a fresh implicit
-// root task.
+// root task. The implicit task's body never ends in the join count, so
+// its children leave refs at minus what the last region spawned.
 func (w *Worker) beginRegion() {
 	w.implicit.reset(nil, nil, int32(w.id), 0)
+	w.implicit.refs.Store(0)
 	w.implicit.implicit = true
 	w.cur = &w.implicit
 	w.timeoutCtr = 0
@@ -182,12 +184,12 @@ func (w *Worker) SpawnCall(body CallFunc, a0, a1, a2 uint64) *uint64 {
 }
 
 // linkChild makes a freshly reset descriptor a child of the current task:
-// it joins the current task's job and reference count and is counted as
+// it joins the current task's job and join count and is counted as
 // created.
 func (w *Worker) linkChild(t *Task) {
 	cur := w.cur
 	t.job = cur.job // job tasks beget job tasks
-	cur.refs.Add(1)
+	cur.spawned++
 	if t.job == nil {
 		w.team.counter.created(w.id) // the region barrier's count; a job quiesces through its root
 	}
@@ -270,12 +272,9 @@ func (w *Worker) announce(target int) {
 // innermost scope's, then each enclosing frame's up to the task itself,
 // every one of which also counts the open scope below it.
 func (w *Worker) TaskWait() {
-	for f, open := w.cur, int32(1); ; f, open = f.parent, 2 {
-		if f.refs.Load() > open {
-			th := w.prof
-			th.Begin(prof.EvTaskWait)
-			w.waitFor(func() bool { return f.refs.Load() <= open })
-			th.End(prof.EvTaskWait)
+	for f, open := w.cur, int32(0); ; f, open = f.parent, 1 {
+		if f.open() > open {
+			w.waitFor(f, open)
 		}
 		if !f.scope {
 			return

@@ -424,3 +424,60 @@ func testServerCloseWithInflightConns(t *testing.T, start startFunc) {
 		cl.Close()
 	}
 }
+
+// TestServeRecyclesAppInstances: named apps run on instances recycled
+// from their pools, so one connection submitting the same apps again and
+// again — more jobs in flight than one instance could serve — sees every
+// result StatusOK, while an unknown app is still refused as invalid.
+func TestServeRecyclesAppInstances(t *testing.T) { readerPaths(t, testServeRecyclesAppInstances) }
+
+func testServeRecyclesAppInstances(t *testing.T, start startFunc) {
+	pool := testPool(t, nil, 256)
+	srv := serve(t, start, pool, 0)
+	defer srv.Close()
+	cl, err := jobserve.Dial(srv.Addr().String(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	const frames, perFrame = 8, 6
+	apps := []string{"sort", "fib", "nqueens"}
+	n := 0
+	for f := 0; f < frames; f++ {
+		recs := make([]wire.SubmitRecord, perFrame)
+		for i := range recs {
+			recs[i] = wire.SubmitRecord{App: []byte(apps[i%len(apps)])}
+		}
+		if f == frames/2 {
+			recs[0].App = []byte("nosuchapp")
+		}
+		if _, err := cl.Submit(recs); err != nil {
+			t.Fatal(err)
+		}
+		n += len(recs)
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var ok, invalid, other int
+	for ok+invalid+other < n {
+		rs, err := cl.Recv()
+		if err != nil {
+			t.Fatalf("recv after %d results: %v", ok+invalid+other, err)
+		}
+		for _, r := range rs {
+			switch r.Status {
+			case wire.StatusOK:
+				ok++
+			case wire.StatusInvalid:
+				invalid++
+			default:
+				other++
+			}
+		}
+	}
+	if ok != n-1 || invalid != 1 || other != 0 {
+		t.Fatalf("ok %d, invalid %d, other %d; want %d, 1, 0", ok, invalid, other, n-1)
+	}
+}

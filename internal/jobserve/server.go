@@ -499,19 +499,20 @@ func jobResult(j *xomp.Job) wire.ResultRecord {
 // job, allocation-free by construction.
 func noopBody(*xomp.Worker) {}
 
-// bodyFor turns a submit record's workload selector into a task body,
-// mirroring the replay harness: named apps get a fresh BOTS instance
-// per job (instances are not concurrent-safe — the allocating slow
-// path), synthetic sizes a spin tree fanned over a handful of subtasks,
-// and size zero the shared noop. An unknown app yields nil, which the
-// pool refuses as a validation error (StatusInvalid on the wire).
+// bodyFor turns a submit record's workload selector into a task body:
+// a named app runs a recycled BOTS instance from the app's pool
+// (bots.Get; an instance serves one job at a time and goes back to the
+// pool when its run ends), a synthetic size a spin tree fanned over a
+// handful of subtasks, and size zero the shared noop. An unknown app
+// yields nil, which the pool refuses as a validation error
+// (StatusInvalid on the wire).
 func (s *Server) bodyFor(r *wire.SubmitRecord) xomp.TaskFunc {
 	if len(r.App) > 0 {
-		b, err := bots.New(string(r.App), s.cfg.Scale)
-		if err != nil {
+		in := bots.Get(string(r.App), s.cfg.Scale)
+		if in == nil {
 			return nil
 		}
-		return b.RunTask
+		return in.Body
 	}
 	size := r.Size
 	if size == 0 {

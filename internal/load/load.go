@@ -224,8 +224,7 @@ type Sampler struct {
 	base time.Time
 
 	// Accumulators since the last flush.
-	events  uint64
-	tasks   uint64
+	events  uint64 // scheduling events: completed tasks plus idle visits
 	idle    uint64
 	steals  uint64
 	taskSeq uint64 // lifetime task counter, drives 1-in-N duration sampling
@@ -257,17 +256,26 @@ func (s *Sampler) now() int64 { return int64(time.Since(s.base)) }
 
 // TaskStart begins one task observation. It returns a start timestamp for
 // the 1-in-serviceSampleEvery tasks whose duration is sampled and 0 for
-// the rest, so the common path costs one increment and a mask test.
+// the rest, so the common path, inlined at the call site, costs one
+// increment and a mask test; the clock is read out of line.
 func (s *Sampler) TaskStart() int64 {
 	if s.cell == nil {
 		return 0
 	}
 	s.taskSeq++
-	if s.taskSeq%serviceSampleEvery == 0 {
-		s.openSeq = s.doneSeq
-		return s.now() | 1 // never 0, so 0 can mean "not sampled"
+	if s.taskSeq%serviceSampleEvery != 0 {
+		return 0
 	}
-	return 0
+	return s.openSample()
+}
+
+// openSample is TaskStart's clock-reading part, kept out of line so that
+// TaskStart itself inlines.
+//
+//go:noinline
+func (s *Sampler) openSample() int64 {
+	s.openSeq = s.doneSeq
+	return s.now() | 1 // never 0, so 0 can mean "not sampled"
 }
 
 // TaskDone completes one task observation started with TaskStart. A
@@ -278,19 +286,29 @@ func (s *Sampler) TaskStart() int64 {
 // the balancing policies tune for. Dropping nested samples keeps the
 // service-time signal a *leaf* task-size estimate.
 func (s *Sampler) TaskDone(start int64) {
+	s.events++
+	s.doneSeq++
+	if start != 0 || s.events&flushCheckMask == 0 {
+		s.taskDoneSlow(start)
+	}
+}
+
+// taskDoneSlow is TaskDone's clock-reading part: it closes a sampled
+// duration and checks the flush cadence.
+func (s *Sampler) taskDoneSlow(start int64) {
 	if s.cell == nil {
 		return
 	}
-	s.tasks++
-	s.events++
-	if start != 0 && s.doneSeq == s.openSeq {
+	// doneSeq moved once since the sample opened: by this task alone.
+	if start != 0 && s.doneSeq == s.openSeq+1 {
 		if d := s.now() - start; d > 0 {
 			s.smpNS += d
 			s.smpN++
 		}
 	}
-	s.doneSeq++
-	s.maybeFlush()
+	if s.events&flushCheckMask == 0 {
+		s.maybeFlush()
+	}
 }
 
 // Idle records one idle scheduling-point visit (no task found).
@@ -300,7 +318,9 @@ func (s *Sampler) Idle() {
 	}
 	s.idle++
 	s.events++
-	s.maybeFlush()
+	if s.events&flushCheckMask == 0 {
+		s.maybeFlush()
+	}
 }
 
 // Steal records n steal requests sent by this worker as a thief.
@@ -311,15 +331,12 @@ func (s *Sampler) Steal(n uint64) {
 }
 
 // maybeFlush folds the accumulators into the EWMAs and publishes, on the
-// uniform cadence described at the constants above.
+// uniform cadence described at the constants above. Its callers call it
+// only every flushCheckMask+1 events; flushEvents is a multiple of that,
+// so the count-based flush lands on one of those calls.
 func (s *Sampler) maybeFlush() {
-	if s.events < flushEvents {
-		if s.events&flushCheckMask != 0 {
-			return
-		}
-		if s.now()-s.last < flushMaxAge {
-			return
-		}
+	if s.events < flushEvents && s.now()-s.last < flushMaxAge {
+		return
 	}
 	s.Flush()
 }
@@ -338,10 +355,10 @@ func (s *Sampler) Flush() {
 	if s.smpN > 0 {
 		s.serviceNS.Update(float64(s.smpNS) / float64(s.smpN))
 	}
-	if visits := s.tasks + s.idle; visits > 0 {
-		s.idleRatio.Update(float64(s.idle) / float64(visits))
+	if s.events > 0 {
+		s.idleRatio.Update(float64(s.idle) / float64(s.events))
 	}
-	s.taskRate.Update(float64(s.tasks) / elapsed)
+	s.taskRate.Update(float64(s.events-s.idle) / elapsed)
 	s.stealRate.Update(float64(s.steals) / elapsed)
 
 	idle := s.idleRatio.Value()
@@ -353,7 +370,7 @@ func (s *Sampler) Flush() {
 		StealRate: s.stealRate.Value(),
 		IdleRatio: idle,
 	})
-	s.events, s.tasks, s.idle, s.steals = 0, 0, 0, 0
+	s.events, s.idle, s.steals = 0, 0, 0
 	s.smpNS, s.smpN = 0, 0
 	s.last = now
 }

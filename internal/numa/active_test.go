@@ -43,33 +43,3 @@ func TestActivePeers(t *testing.T) {
 		t.Fatalf("ActivePeers(1, 6) = %v", got)
 	}
 }
-
-func TestTopologyPrefix(t *testing.T) {
-	top := Synthetic(8, 2)
-	sub := top.Prefix(5)
-	if sub.Workers != 5 || sub.Zones != 2 {
-		t.Fatalf("Prefix(5) = %d workers over %d zones", sub.Workers, sub.Zones)
-	}
-	if got := sub.ZoneSize(0); got != 4 {
-		t.Fatalf("Prefix(5) zone 0 size = %d, want 4", got)
-	}
-	if got := sub.ZoneSize(1); got != 1 {
-		t.Fatalf("Prefix(5) zone 1 size = %d, want 1", got)
-	}
-	for w := 0; w < 5; w++ {
-		if sub.ZoneOf(w) != top.ZoneOf(w) {
-			t.Fatalf("Prefix changed zone of worker %d", w)
-		}
-	}
-	// The full prefix is the topology itself; degenerate bounds panic.
-	full := top.Prefix(8)
-	if full.Workers != 8 || full.ZoneSize(1) != 4 {
-		t.Fatalf("Prefix(Workers) altered the topology: %v", full)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Prefix(0) did not panic")
-		}
-	}()
-	top.Prefix(0)
-}

@@ -164,10 +164,10 @@ func (t Topology) SameZone(a, b int) bool { return t.zoneOf[a] == t.zoneOf[b] }
 
 // SplitDomains partitions the topology into one single-zone topology per
 // NUMA domain: shard z covers exactly the workers of zone z, renumbered
-// 0..ZoneSize(z)-1 in ascending global-id order. It is the domain→team map
-// of a two-level runtime that pins one worker team per socket (one
-// xomp.ShardedPool shard per domain); GlobalWorker inverts the renumbering
-// for profiling and memory-cost accounting against the global topology.
+// 0..ZoneSize(z)-1 in ascending global-id order, so local worker i of
+// shard z is global worker Peers(z)[i]. It is the domain→team map of a
+// two-level runtime that pins one worker team per socket (one
+// xomp.ShardedPool shard per domain).
 func (t Topology) SplitDomains() []Topology {
 	out := make([]Topology, t.Zones)
 	for z := range out {
@@ -175,11 +175,6 @@ func (t Topology) SplitDomains() []Topology {
 	}
 	return out
 }
-
-// GlobalWorker returns the global worker id behind local worker id local of
-// the shard pinned to zone z — the inverse of the renumbering SplitDomains
-// applies. It panics when z or local is out of range.
-func (t Topology) GlobalWorker(z, local int) int { return t.peers[z][local] }
 
 // ActivePrefix returns the leading portion of ids whose entries are below
 // active. ids must be in ascending order (Peers and the per-zone victim
@@ -206,28 +201,6 @@ func ActivePrefix(ids []int, active int) []int {
 // aliases the topology's peer list; callers must not modify it.
 func (t Topology) ActivePeers(z, active int) []int {
 	return ActivePrefix(t.peers[z], active)
-}
-
-// Prefix returns the sub-topology covering only the first active workers —
-// the active-set view of a team whose trailing workers are parked. Zones
-// that lose all their workers disappear from the count of non-empty zones
-// only implicitly: the zone ids are preserved (Zones stays the same) so
-// zone-homed data keeps its addressing, but emptied zones simply have no
-// peers. Prefix(Workers) returns the topology itself.
-func (t Topology) Prefix(active int) Topology {
-	if active >= t.Workers {
-		return t
-	}
-	if active < 1 {
-		panic("numa: Prefix requires active >= 1")
-	}
-	sub := Topology{Workers: active, Zones: t.Zones}
-	sub.zoneOf = t.zoneOf[:active]
-	sub.peers = make([][]int, t.Zones)
-	for z := range sub.peers {
-		sub.peers[z] = ActivePrefix(t.peers[z], active)
-	}
-	return sub
 }
 
 // Classify returns the locality class of a task created by worker creator

@@ -169,7 +169,9 @@ func TestSyntheticCloseAffinityProperty(t *testing.T) {
 }
 
 // SplitDomains must cover every worker exactly once, with shard sizes equal
-// to the zone sizes and GlobalWorker inverting the renumbering.
+// to the zone sizes: local worker i of shard z is global worker
+// Peers(z)[i], so the zones' peer lists, in ascending order, cover every
+// global id once.
 func TestSplitDomains(t *testing.T) {
 	for _, tc := range []struct{ workers, zones int }{
 		{8, 2}, {7, 3}, {4, 4}, {5, 1}, {9, 4},
@@ -179,7 +181,7 @@ func TestSplitDomains(t *testing.T) {
 		if len(shards) != top.Zones {
 			t.Fatalf("%d/%d: %d shards, want %d", tc.workers, tc.zones, len(shards), top.Zones)
 		}
-		covered := 0
+		seen := make([]bool, tc.workers)
 		for z, s := range shards {
 			if s.Workers != top.ZoneSize(z) {
 				t.Fatalf("%d/%d: shard %d has %d workers, want zone size %d",
@@ -188,17 +190,23 @@ func TestSplitDomains(t *testing.T) {
 			if s.Zones != 1 {
 				t.Fatalf("%d/%d: shard %d spans %d zones, want 1", tc.workers, tc.zones, z, s.Zones)
 			}
-			for local := 0; local < s.Workers; local++ {
-				g := top.GlobalWorker(z, local)
-				if top.ZoneOf(g) != z {
-					t.Fatalf("%d/%d: GlobalWorker(%d,%d)=%d lives in zone %d",
-						tc.workers, tc.zones, z, local, g, top.ZoneOf(g))
+			peers := top.Peers(z)
+			if len(peers) != s.Workers {
+				t.Fatalf("%d/%d: shard %d renumbers %d peers into %d local ids",
+					tc.workers, tc.zones, z, len(peers), s.Workers)
+			}
+			for local, g := range peers {
+				if top.ZoneOf(g) != z || seen[g] || (local > 0 && g <= peers[local-1]) {
+					t.Fatalf("%d/%d: local worker %d of shard %d is global %d (zone %d, seen %v), want an unseen zone-%d id above the previous",
+						tc.workers, tc.zones, local, z, g, top.ZoneOf(g), seen[g], z)
 				}
-				covered++
+				seen[g] = true
 			}
 		}
-		if covered != tc.workers {
-			t.Fatalf("%d/%d: shards cover %d workers, want %d", tc.workers, tc.zones, covered, tc.workers)
+		for g, ok := range seen {
+			if !ok {
+				t.Fatalf("%d/%d: no shard covers global worker %d", tc.workers, tc.zones, g)
+			}
 		}
 	}
 }

@@ -381,11 +381,15 @@ func (t *Thread) now() int64 { return int64(time.Since(t.base)) }
 
 // Begin opens an event of class ev. Events nest: while a nested event is
 // open, time accrues to the nested event, and the outer event resumes when
-// the nested one ends. Begin/End pairs must be properly nested.
+// the nested one ends. Begin/End pairs must be properly nested. With the
+// timeline off, Begin and End inline to one flag test at the call site.
 func (t *Thread) Begin(ev Event) {
-	if !t.timeline {
-		return
+	if t.timeline {
+		t.begin(ev)
 	}
+}
+
+func (t *Thread) begin(ev Event) {
 	now := t.now()
 	if n := len(t.open); n > 0 {
 		// Close the current segment of the outer event.
@@ -401,9 +405,12 @@ func (t *Thread) Begin(ev Event) {
 
 // End closes the innermost open event, which must be of class ev.
 func (t *Thread) End(ev Event) {
-	if !t.timeline {
-		return
+	if t.timeline {
+		t.end(ev)
 	}
+}
+
+func (t *Thread) end(ev Event) {
 	n := len(t.open)
 	if n == 0 {
 		panic("prof: End without Begin")

@@ -133,17 +133,3 @@ func (m *Model) Access(w, home, n int) {
 	}
 	Spin(n * m.AccessCostUnits(w, home))
 }
-
-// Prefix returns the active-set view of the model: the same calibrated
-// local/remote costs over the sub-topology covering only the first active
-// workers (see numa.Topology.Prefix). Workloads priced against a team
-// whose trailing workers are parked use it so a stray access charged to a
-// parked worker id panics (out of the sub-topology's range) instead of
-// silently pricing work the scheduler can no longer run there.
-func (m *Model) Prefix(active int) *Model {
-	return &Model{
-		top:            m.top.Prefix(active),
-		unitsPerLocal:  m.unitsPerLocal,
-		unitsPerRemote: m.unitsPerRemote,
-	}
-}

@@ -2,11 +2,14 @@
 // queuing fabric from the paper (§II-B, Fig. 2).
 //
 // For a team of N workers, worker i owns N single-producer single-consumer
-// B-queues: one master queue that i both produces to and consumes from, and
-// one auxiliary queue per other worker j, to which only j produces and only
-// i consumes. Every (producer, consumer) pair therefore has a dedicated
-// SPSC channel and no queue ever sees two producers or two consumers —
-// MPMC behaviour emerges from the matrix, not from shared synchronization.
+// queues: one master queue that i both produces to and consumes from, and
+// one auxiliary B-queue per other worker j, to which only j produces and
+// only i consumes. Every (producer, consumer) pair therefore has a
+// dedicated SPSC channel and no queue ever sees two producers or two
+// consumers — MPMC behaviour emerges from the matrix, not from shared
+// synchronization. The master queue has one goroutine at both ends, so it
+// is a plain ring with no atomics at all; the auxiliary queues cross
+// workers and pay B-queue's atomic slot hand-off.
 //
 // Placement is the paper's static load balancer: each producer round-robins
 // over the N consumers starting with itself; when the chosen queue is full
@@ -26,12 +29,50 @@ type cursor struct {
 	_ pad64
 }
 
+// ring is a master queue: a bounded FIFO that only its owner ever touches,
+// as producer and as consumer, so its cursors and slots are plain words.
+// It accepts exactly capacity items, as a B-queue of that capacity does.
+type ring[T any] struct {
+	head uint32 // next slot to write
+	tail uint32 // next slot to read
+	mask uint32
+	buf  []*T
+	_    pad64 // keeps adjacent workers' rings off one cache line
+}
+
+func (r *ring[T]) push(v *T) bool {
+	if r.head-r.tail > r.mask {
+		return false
+	}
+	r.buf[r.head&r.mask] = v
+	r.head++
+	return true
+}
+
+func (r *ring[T]) pop() *T {
+	if r.head == r.tail {
+		return nil
+	}
+	slot := &r.buf[r.tail&r.mask]
+	v := *slot
+	*slot = nil
+	r.tail++
+	return v
+}
+
+func (r *ring[T]) empty() bool { return r.head == r.tail }
+
+func (r *ring[T]) full() bool { return r.head-r.tail > r.mask }
+
 // XQueue is the queue matrix for a fixed team of workers. Methods taking a
 // producer index must be called only from that worker; methods taking a
 // consumer index only from that worker.
 type XQueue[T any] struct {
 	n int
-	// qs[consumer][producer]: producer writes, consumer reads.
+	// own[c] is consumer c's master queue, c → c.
+	own []ring[T]
+	// qs[consumer][producer]: the auxiliary queues, producer writes,
+	// consumer reads. qs[c][c] is nil: that pair is own[c].
 	qs [][]*bqueue.Queue[T]
 	// pushCur[p]: next round-robin offset for producer p (producer-owned).
 	pushCur []cursor
@@ -46,8 +87,12 @@ func New[T any](workers, capacity int) *XQueue[T] {
 	if workers <= 0 {
 		panic("xqueue: workers must be positive")
 	}
+	if capacity < 2 || capacity&(capacity-1) != 0 {
+		panic("xqueue: capacity must be a power of two and >= 2")
+	}
 	x := &XQueue[T]{
 		n:       workers,
+		own:     make([]ring[T], workers),
 		qs:      make([][]*bqueue.Queue[T], workers),
 		pushCur: make([]cursor, workers),
 		scanCur: make([]cursor, workers),
@@ -55,8 +100,11 @@ func New[T any](workers, capacity int) *XQueue[T] {
 	for c := 0; c < workers; c++ {
 		x.qs[c] = make([]*bqueue.Queue[T], workers)
 		for p := 0; p < workers; p++ {
-			x.qs[c][p] = bqueue.New[T](capacity)
+			if p != c {
+				x.qs[c][p] = bqueue.New[T](capacity)
+			}
 		}
+		x.own[c] = ring[T]{mask: uint32(capacity - 1), buf: make([]*T, capacity)}
 	}
 	return x
 }
@@ -99,7 +147,7 @@ func (x *XQueue[T]) PushActive(p int, v *T, active int) (target int, ok bool) {
 	if cur.v == active {
 		cur.v = 0
 	}
-	return target, x.qs[target][p].Enqueue(v)
+	return target, x.PushTo(p, target, v)
 }
 
 // PushTo enqueues v into consumer c's queue owned by producer p, reporting
@@ -107,6 +155,9 @@ func (x *XQueue[T]) PushActive(p int, v *T, active int) (target int, ok bool) {
 // victim redirects or migrates tasks straight into the thief's queue while
 // preserving the single-producer discipline.
 func (x *XQueue[T]) PushTo(p, c int, v *T) bool {
+	if p == c {
+		return x.own[c].push(v)
+	}
 	return x.qs[c][p].Enqueue(v)
 }
 
@@ -114,10 +165,10 @@ func (x *XQueue[T]) PushTo(p, c int, v *T) bool {
 // the auxiliary queues in a rotating scan so no producer is starved. It
 // returns nil when every queue appears empty.
 func (x *XQueue[T]) Pop(c int) *T {
-	row := x.qs[c]
-	if v := row[c].Dequeue(); v != nil {
+	if v := x.own[c].pop(); v != nil {
 		return v
 	}
+	row := x.qs[c]
 	cur := &x.scanCur[c]
 	p := cur.v
 	for i := 0; i < x.n; i++ {
@@ -141,8 +192,11 @@ func (x *XQueue[T]) Pop(c int) *T {
 // Consumer-only; a true result can race with concurrent pushes, which is
 // inherent and tolerated by the barrier's authoritative quiescence check.
 func (x *XQueue[T]) Empty(c int) bool {
-	for _, q := range x.qs[c] {
-		if !q.Empty() {
+	if !x.own[c].empty() {
+		return false
+	}
+	for p, q := range x.qs[c] {
+		if p != c && !q.Empty() {
 			return false
 		}
 	}
@@ -152,6 +206,9 @@ func (x *XQueue[T]) Empty(c int) bool {
 // TargetFull reports whether producer p's queue into consumer c would
 // reject an enqueue right now. Producer-only (for p).
 func (x *XQueue[T]) TargetFull(p, c int) bool {
+	if p == c {
+		return x.own[c].full()
+	}
 	return x.qs[c][p].ProbeFull()
 }
 
