@@ -22,9 +22,9 @@
 //
 // All balancing levels decide from one load-signal plane (internal/load):
 // per-worker EWMA-smoothed signals (queue depth, service time, task and
-// steal rates, idle ratio) published lock-free and consumed through
-// pluggable policy interfaces — admission, victim selection, job
-// dispatch, job migration, quota moves. xomp.Config.Policy selects a
+// steal rates, idle ratio) published lock-free and read by one plan per
+// level (victim, dispatch, migration, quota) and by admission, the one
+// level with a choice of policies (below). xomp.Config.Policy selects a
 // named fixed policy or "adaptive", the runtime controller that
 // classifies workload granularity from the plane and retunes the DLB
 // configuration live (loadgen -policy adaptive -phase 300ms shows it

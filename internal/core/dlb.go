@@ -18,8 +18,8 @@ import (
 //
 // The strategy and its tunables are read per scheduling point through the
 // team's atomic DLB pointer (Team.dlb), so the adaptive policy controller
-// can retune a live team; victim selection is delegated to the team's
-// load.VictimPolicy, consuming the worker's victimView.
+// can retune a live team; victims are picked by load.CondRandom through
+// the worker's victimView.
 const (
 	roundBits = 40
 	roundMask = (uint64(1) << roundBits) - 1
@@ -28,8 +28,8 @@ const (
 )
 
 // thiefStep runs at every idle scheduling point. It counts idle visits and,
-// every TInterval visits, sends steal requests to NVictim victims chosen by
-// the team's victim policy (conditionally random by default, Alg. 1). cfg
+// every TInterval visits, sends steal requests to NVictim victims chosen
+// conditionally at random (Alg. 1). cfg
 // is the effective DLB configuration the caller loaded for this visit.
 func (tm *Team) thiefStep(w *Worker, cfg *DLBConfig) {
 	w.timeoutCtr++
@@ -53,24 +53,21 @@ func (tm *Team) thiefStep(w *Worker, cfg *DLBConfig) {
 	}
 }
 
-// pickVictim delegates victim selection to the team's VictimPolicy. The
-// default, load.CondRandom, is the paper's conditionally random pick:
+// pickVictim is the paper's conditionally random pick (load.CondRandom):
 // NUMA-local with probability plocal, NUMA-remote otherwise, never self,
 // and never a parked worker — a parked victim has drained its queues and
 // stopped handling requests, so targeting it would only waste the thief's
 // round. It returns -1 when no other active worker exists.
 func (tm *Team) pickVictim(w *Worker, plocal float64) int {
-	return tm.victim.Pick(&w.view, plocal)
+	return load.CondRandom{}.Pick(&w.view, plocal)
 }
 
-// victimView adapts one worker to load.VictimView: the read-only window a
-// victim policy gets onto the team. All candidate lists are in ascending
+// victimView adapts one worker to load.VictimView: the read-only window
+// victim selection gets onto the team. All candidate lists are in ascending
 // id order, so the active set is their prefix below the team's active
 // bound; the slices alias the team's candidate tables and must not be
 // mutated.
 type victimView struct{ w *Worker }
-
-var _ load.VictimView = (*victimView)(nil)
 
 func (v *victimView) Thief() int  { return v.w.id }
 func (v *victimView) Active() int { return int(v.w.team.active.Load()) }
@@ -86,10 +83,6 @@ func (v *victimView) RemotePeers() []int {
 }
 
 func (v *victimView) Rand() *rng.State { return &v.w.rng }
-
-func (v *victimView) Signals(worker int) load.Signals {
-	return v.w.team.plane.Cell(worker).Snapshot()
-}
 
 // victimCheck runs whenever a worker finds a task to execute (it has become
 // a victim, Alg. 2). A request is valid when its round number equals the

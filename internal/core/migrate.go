@@ -15,11 +15,12 @@ import "repro/internal/load"
 // admission queue onto dst, preserving the job's handle, quiescence
 // detection, and panic isolation. It returns true when a job moved, and
 // false when src has no queued job, either team is not serving, or dst has
-// begun closing: a migrate-in is a reserve like any admission, taken on
-// dst before the job leaves src's ring and retired on src before it
-// enters dst's, so no Close on either team sees the job unaccounted and a
-// returned Wait finds it in neither count (ARCHITECTURE.md, "Service
-// lifecycle").
+// begun closing. A migrate-in is a reserve like any admission, taken on
+// dst only once the job is out of src's ring (src still counts it) and
+// retired on src before the job enters dst's, so no Close on either team
+// sees the job unaccounted, a returned Wait finds it in neither count, and
+// a call that finds nothing to move never touches dst (ARCHITECTURE.md,
+// "Service lifecycle"). When dst refuses, the job goes back to src.
 //
 // The job keeps the ID issued by src and its admission priority class: it
 // re-enters dst's queue for the same class, so migration can never
@@ -34,7 +35,7 @@ func MigrateQueuedJob(src, dst *Team) bool {
 		return false
 	}
 	ssvc, dsvc := src.svc.Load(), dst.svc.Load()
-	if ssvc == nil || dsvc == nil || ssvc.phase() == svcStopped || !dsvc.reserve(1) {
+	if ssvc == nil || dsvc == nil || ssvc.phase() == svcStopped {
 		return false
 	}
 	// A task still in the admission ring is by definition unadopted;
@@ -50,10 +51,13 @@ func MigrateQueuedJob(src, dst *Team) bool {
 		}
 	}
 	if t == nil {
-		dsvc.jobDone() // nothing to move: hand the reservation back
 		return false
 	}
 	j := t.job
+	if !dsvc.reserve(1) {
+		ssvc.enqueueMigrated(j.class, t) // src still counts it: put it back
+		return false
+	}
 	src.profile.Migrated(j.class, j.tenant, -1)
 	ssvc.jobDone()
 

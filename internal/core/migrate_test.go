@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -271,5 +272,46 @@ func TestMigrateUnderChurn(t *testing.T) {
 		if d := tm.QueueDepth(); d != 0 {
 			t.Fatalf("queue depth %d after Close, want 0", d)
 		}
+	}
+}
+
+// TestMigrateFromEmptyIsInvisible hammers MigrateQueuedJob from a team
+// with nothing queued while a poller reads the destination's ActiveJobs.
+// A balancer that plans from stale signals makes exactly these calls, and
+// none of them may show on dst: a reservation taken before the dequeue
+// and handed back after an empty one would read as a phantom active job
+// to anyone who checks dst after every job has quiesced.
+func TestMigrateFromEmptyIsInvisible(t *testing.T) {
+	src := serviceTeam(t, "xgomptb", 1)
+	dst := serviceTeam(t, "xgomptb", 1)
+	defer src.Close()
+	defer dst.Close()
+
+	var done atomic.Bool
+	var reads, phantoms atomic.Int64
+	var poller sync.WaitGroup
+	poller.Add(1)
+	go func() {
+		defer poller.Done()
+		for !done.Load() {
+			if dst.ActiveJobs() != 0 {
+				phantoms.Add(1)
+			}
+			reads.Add(1)
+			runtime.Gosched()
+		}
+	}()
+	for i := 0; i < 20000; i++ {
+		if MigrateQueuedJob(src, dst) {
+			t.Fatal("migrated a job from an empty queue")
+		}
+		if i%64 == 0 {
+			runtime.Gosched()
+		}
+	}
+	done.Store(true)
+	poller.Wait()
+	if n := phantoms.Load(); n != 0 {
+		t.Fatalf("dst read %d active jobs in %d polls with nothing to migrate", n, reads.Load())
 	}
 }

@@ -29,9 +29,6 @@ type Policy struct {
 	//
 	// Every name except "" and "static" overrides Config.DLB.
 	Name string
-	// Victim overrides victim selection for the DLB thief protocol
-	// (nil → load.CondRandom, the paper's conditionally random pick).
-	Victim load.VictimPolicy
 	// Interval is the adaptive controller's tick period. 0 → 10ms;
 	// negative disables the background loop (PolicyTick can still be
 	// called manually, which tests use for determinism).

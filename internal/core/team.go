@@ -48,9 +48,6 @@ type Team struct {
 	// controller (and RetuneLive) can swap it while workers run. cfg.DLB
 	// keeps the construction-time value; Team.DLB reads the live one.
 	dlb atomic.Pointer[DLBConfig]
-	// victim selects steal victims for idle thieves (Config.Policy.Victim,
-	// default load.CondRandom — the paper's conditionally random pick).
-	victim load.VictimPolicy
 	// admit is the admission policy of the task-service mode
 	// (Config.Admit, default load.BlockWhenFull).
 	admit load.AdmitPolicy
@@ -111,10 +108,6 @@ func NewTeam(cfg Config) (*Team, error) {
 	tm := &Team{cfg: cfg, n: cfg.Workers, top: cfg.Topology}
 	d := cfg.DLB
 	tm.dlb.Store(&d)
-	tm.victim = cfg.Policy.Victim
-	if tm.victim == nil {
-		tm.victim = load.CondRandom{}
-	}
 	tm.admit = cfg.Admit
 	if tm.admit == nil {
 		tm.admit = load.BlockWhenFull{}

@@ -63,7 +63,7 @@ type Worker struct {
 	// idle ratio, steal rate) into its cell of the team's signal plane
 	// (owner-only; the cell hand-off is lock-free).
 	sig load.Sampler
-	// view is the worker's read-only window for victim policies.
+	// view is the worker's read-only window for victim selection.
 	view victimView
 }
 

@@ -1,14 +1,10 @@
 package jobserve
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"net"
 
 	"repro/internal/alloc"
 	"repro/internal/wire"
-	"repro/xomp"
 )
 
 // Client is the submit side of one wire connection. It mirrors the
@@ -91,36 +87,3 @@ func (c *Client) Close() error {
 	c.dec.Close()
 	return c.conn.Close()
 }
-
-// ErrorFor is the inverse of the server's error→status mapping: it
-// turns a result record's status back into the sentinel the pool-side
-// SubmitCtx would have returned, so remote callers branch on the same
-// errors.Is vocabulary as local ones. StatusOK maps to nil. The switch
-// is deliberately default-free: repolint's admiterr analyzer then
-// requires a case per status, so a new wire status cannot silently
-// decay into a generic error here.
-func ErrorFor(s wire.Status) error {
-	switch s {
-	case wire.StatusOK:
-		return nil
-	case wire.StatusBacklogFull:
-		return xomp.ErrBacklogFull
-	case wire.StatusShed:
-		return xomp.ErrShed
-	case wire.StatusExpired:
-		return xomp.ErrDeadlineExceeded
-	case wire.StatusCanceled:
-		return context.Canceled
-	case wire.StatusClosed:
-		return xomp.ErrClosed
-	case wire.StatusPanicked:
-		return ErrRemotePanic
-	case wire.StatusInvalid:
-		return xomp.ErrInvalid
-	}
-	return fmt.Errorf("jobserve: unknown wire status %d", s)
-}
-
-// ErrRemotePanic reports that the job's task body panicked on the
-// serving side (wire.StatusPanicked).
-var ErrRemotePanic = errors.New("jobserve: job panicked on the server")

@@ -1,23 +1,23 @@
-// Package load is the runtime's unified load-signal plane and its
-// pluggable balancing policies.
+// Package load is the runtime's unified load-signal plane and the
+// balancing plans that read it.
 //
 // The runtime balances at three levels — task stealing inside a team (the
 // paper's NA-RP/NA-WS), whole-job migration between shard teams, and
 // worker-quota moves between shards — and before this package each level
 // derived its own ad-hoc load estimate by reaching into another layer's
-// internals. Following LB4OMP's "library of selectable balancing
-// techniques behind one interface" and the two-level DLB observation that
-// the levels should *share* load information, this package factors the
-// common ground out:
+// internals. Following the two-level DLB observation that the levels
+// should *share* load information, this package factors the common ground
+// out:
 //
 //   - a signal plane: a small set of uniformly sampled, EWMA-smoothed
 //     signals per entity (worker or shard) — queue depth, steal-request
 //     rate, task service time, task rate, idle ratio — published
 //     lock-free by their single writer and snapshotted by any reader
 //     (Cell, Plane, Sampler);
-//   - policy interfaces for each balancing level (VictimPolicy,
-//     DispatchPolicy, MigratePolicy, QuotaPolicy) whose implementations
-//     consume Signals instead of probing other layers (policy.go);
+//   - one plan per balancing level, each reading Signals instead of
+//     probing other layers (policy.go: CondRandom, PowerOfTwo,
+//     GapHalving, OversubscribedQuota); admission alone chooses among
+//     policies behind one interface (AdmitPolicy, admit.go);
 //   - an adaptive controller (Adaptive, adaptive.go) that classifies the
 //     running workload's granularity from the signal plane and decides
 //     when the balancing configuration should be retuned, with hysteresis
@@ -140,9 +140,6 @@ type Plane struct {
 
 // NewPlane returns a plane covering n entities.
 func NewPlane(n int) *Plane { return &Plane{cells: make([]Cell, n)} }
-
-// Size returns the number of entities covered.
-func (p *Plane) Size() int { return len(p.cells) }
 
 // Cell returns entity i's publication slot.
 func (p *Plane) Cell(i int) *Cell { return &p.cells[i] }

@@ -86,7 +86,6 @@ type viewStub struct {
 	thief  int
 	active int
 	r      rng.State
-	sig    map[int]Signals
 }
 
 func (v *viewStub) Thief() int  { return v.thief }
@@ -110,8 +109,7 @@ func (v *viewStub) RemotePeers() []int {
 	}
 	return out
 }
-func (v *viewStub) Rand() *rng.State      { return &v.r }
-func (v *viewStub) Signals(w int) Signals { return v.sig[w] }
+func (v *viewStub) Rand() *rng.State { return &v.r }
 
 func TestCondRandomNeverSelfNeverParked(t *testing.T) {
 	v := &viewStub{thief: 1, active: 6, r: rng.New(7)}
@@ -164,29 +162,6 @@ func TestCondRandomRespectsPLocal(t *testing.T) {
 	}
 }
 
-func TestBusyVictimPrefersBusy(t *testing.T) {
-	sig := map[int]Signals{}
-	for w := 0; w < 8; w++ {
-		sig[w] = Signals{IdleRatio: 0.9}
-	}
-	sig[2] = Signals{IdleRatio: 0.0} // the one busy worker
-	v := &viewStub{thief: 1, active: 8, r: rng.New(5), sig: sig}
-	var bv BusyVictim
-	hits := 0
-	const draws = 4000
-	for i := 0; i < draws; i++ {
-		if bv.Pick(v, 1) == 2 {
-			hits++
-		}
-	}
-	// With plocal=1 the candidates come from the 3 local peers; two draws
-	// preferring the busy one should pick worker 2 well above the uniform
-	// 1/3 a single draw would give.
-	if frac := float64(hits) / draws; frac < 0.45 {
-		t.Fatalf("busy victim picked %.0f%%, want > 45%%", frac*100)
-	}
-}
-
 func TestPowerOfTwoPrefersShallow(t *testing.T) {
 	depths := []float64{9, 0, 9, 9}
 	sig := func(i int) Signals { return Signals{QueueDepth: depths[i]} }
@@ -204,21 +179,55 @@ func TestPowerOfTwoPrefersShallow(t *testing.T) {
 	if frac := float64(wins) / draws; frac < 0.35 {
 		t.Fatalf("shallow shard picked %.0f%%, want > 35%%", frac*100)
 	}
-	if got := p2.Pick(123, 1, ClassBatch, sig); got != 0 {
-		t.Fatalf("single shard pick %d", got)
+	// Whatever the draw and the depths, the pick names a shard in [0, n):
+	// the dispatcher indexes its shard slice with it unchecked.
+	for _, n := range []int{1, 2, 3, 7} {
+		sig := func(i int) Signals { return Signals{QueueDepth: float64(i % 3), Running: float64(i % 2)} }
+		for i := 0; i < 2000; i++ {
+			if got := p2.Pick(r.Uint64(), n, Class(i%int(NumClasses)), sig); got < 0 || got >= n {
+				t.Fatalf("n=%d: pick %d outside [0, %d)", n, got, n)
+			}
+		}
 	}
 }
 
-func TestLeastLoaded(t *testing.T) {
-	sigs := []Signals{
-		{QueueDepth: 4, Running: 2, Capacity: 2},
-		{QueueDepth: 0, Running: 1, Capacity: 2},
-		{QueueDepth: 2, Running: 2, Capacity: 2},
-	}
-	var ll LeastLoaded
-	for r := uint64(0); r < 50; r++ {
-		if got := ll.Pick(r, len(sigs), ClassBatch, func(i int) Signals { return sigs[i] }); got != 1 {
-			t.Fatalf("least loaded pick %d, want 1", got)
+// TestPlansNameTwoShardsInRange: a migration or quota plan that moves
+// anything names two distinct shards of the snapshot it was given; the
+// pool applies it unchecked.
+func TestPlansNameTwoShardsInRange(t *testing.T) {
+	r := rng.New(17)
+	for _, n := range []int{1, 2, 3, 7} {
+		min, max := make([]int, n), make([]int, n)
+		for s := range min {
+			min[s], max[s] = 1, 4
+		}
+		q := OversubscribedQuota{Hysteresis: 1}
+		g := GapHalving{Threshold: 2}
+		moves := 0
+		for i := 0; i < 2000; i++ {
+			sigs := make([]Signals, n)
+			for s := range sigs {
+				sigs[s] = Signals{
+					QueueDepth: float64(r.Intn(6)),
+					Running:    float64(r.Intn(5)),
+					Capacity:   float64(1 + r.Intn(4)),
+				}
+			}
+			if from, to, k := g.Plan(sigs); k > 0 {
+				moves++
+				if from == to || from < 0 || to < 0 || from >= n || to >= n {
+					t.Fatalf("n=%d: GapHalving plan (%d, %d, %d) on %+v", n, from, to, k, sigs)
+				}
+			}
+			if from, to, ok := q.Plan(sigs, min, max); ok {
+				moves++
+				if from == to || from < 0 || to < 0 || from >= n || to >= n {
+					t.Fatalf("n=%d: OversubscribedQuota plan (%d, %d) on %+v", n, from, to, sigs)
+				}
+			}
+		}
+		if n > 1 && moves == 0 {
+			t.Fatalf("n=%d: no plan moved anything in 2000 random snapshots", n)
 		}
 	}
 }

@@ -2,17 +2,16 @@ package load
 
 import "repro/internal/rng"
 
-// Policy interfaces — one per balancing level. Implementations decide
+// One balancing plan per level below admission. Each plan decides
 // *where* work or capacity should move; the callers own the mechanism
 // (steal protocol, job migration, SetActive) and the cadence. All
 // decisions are made from Signals, never by probing another layer's
-// internals, so any level can be re-pointed at a different policy without
-// touching the mechanisms.
+// internals. Admission is the one level with a choice of policies
+// (AdmitPolicy, admit.go).
 
-// VictimView is what a victim-selection policy may consult when picking a
-// steal victim for an idle worker (the thief). Implementations are
-// provided by the runtime per worker; all methods are cheap and
-// allocation-free.
+// VictimView is what CondRandom consults when picking a steal victim for
+// an idle worker (the thief). The runtime provides one per worker; all
+// methods are cheap and allocation-free.
 type VictimView interface {
 	// Thief is the requesting worker's id.
 	Thief() int
@@ -27,22 +26,13 @@ type VictimView interface {
 	RemotePeers() []int
 	// Rand is the thief's private RNG.
 	Rand() *rng.State
-	// Signals returns worker w's current load signals from the team's
-	// signal plane.
-	Signals(w int) Signals
-}
-
-// VictimPolicy selects a steal victim for an idle worker. plocal is the
-// configured probability of preferring a NUMA-local victim (§IV-E's
-// Plocal). Pick returns a worker id, or -1 when no victim exists.
-type VictimPolicy interface {
-	Pick(v VictimView, plocal float64) int
 }
 
 // CondRandom is the paper's conditionally random victim selection
-// (§IV-B): NUMA-local with probability plocal, NUMA-remote otherwise,
-// never self, never parked. A thief alone in its zone falls through to a
-// remote pick; a single-zone team picks any other active worker.
+// (§IV-B): NUMA-local with probability plocal (§IV-E's Plocal),
+// NUMA-remote otherwise, never self, never parked. A thief alone in its
+// zone falls through to a remote pick; a single-zone team picks any other
+// active worker. Pick returns a worker id, or -1 when no victim exists.
 type CondRandom struct{}
 
 func (CondRandom) Pick(v VictimView, plocal float64) int {
@@ -74,37 +64,6 @@ func (CondRandom) Pick(v VictimView, plocal float64) int {
 	return vic
 }
 
-// BusyVictim is signal-aware victim selection: draw two candidates with
-// CondRandom and keep the one whose signal plane shows the lower idle
-// ratio — a busier worker is likelier to hold stealable tasks, so fewer
-// requests land on empty queues (NREQ_SRC_EMPTY). Falls back to plain
-// CondRandom when the draws coincide.
-type BusyVictim struct{}
-
-func (BusyVictim) Pick(v VictimView, plocal float64) int {
-	var cr CondRandom
-	a := cr.Pick(v, plocal)
-	if a < 0 {
-		return a
-	}
-	b := cr.Pick(v, plocal)
-	if b < 0 || b == a {
-		return a
-	}
-	if v.Signals(b).IdleRatio < v.Signals(a).IdleRatio {
-		return b
-	}
-	return a
-}
-
-// DispatchPolicy places one incoming job on a shard. r is a fresh uniform
-// 64-bit random draw (so stateless policies need no RNG of their own), n
-// the shard count, c the job's admission priority class, and sig returns
-// shard i's current signals. Pick returns a shard index in [0, n).
-type DispatchPolicy interface {
-	Pick(r uint64, n int, c Class, sig func(int) Signals) int
-}
-
 // EffectiveDepth is the queue depth a class-c submission actually
 // experiences on a shard: under strict priority-order adoption only jobs
 // of an equal or higher priority class precede it, so the relevant
@@ -124,11 +83,13 @@ func EffectiveDepth(s Signals, c Class) float64 {
 	return d
 }
 
-// PowerOfTwo is power-of-two-choices placement: draw two distinct shards,
-// compare the admission queue depth the job's class would experience
-// there (EffectiveDepth — an interactive job ignores queued background
-// work it would be adopted ahead of), and take the shallower (ties break
-// to the fewer running jobs, then to the first draw). Two signal reads
+// PowerOfTwo is the dispatcher's plan, power-of-two-choices placement.
+// Pick gets a fresh uniform 64-bit draw r, the shard count n, the job's
+// class c and shard i's signals from sig, and returns a shard in [0, n):
+// of two distinct random shards, the one where the job's class would
+// queue behind less work (EffectiveDepth — an interactive job ignores
+// queued background work it would be adopted ahead of); ties break to
+// the fewer running jobs, then to the first draw. Two signal reads
 // per placement, no shared coordination point, and an expected max-load
 // exponentially better than one random choice. The class-effective depth
 // also makes placement shed-aware: the shallower effective queue is the
@@ -157,45 +118,16 @@ func (PowerOfTwo) Pick(r uint64, n int, c Class, sig func(int) Signals) int {
 	return a
 }
 
-// LeastLoaded scans every shard and places on the minimum Load() (queued
-// plus running work over active capacity, class-blind). O(n) signal reads
-// per placement — the accuracy end of the dispatch spectrum, for small
-// shard counts or placement-sensitive tenants.
-type LeastLoaded struct{}
-
-func (LeastLoaded) Pick(r uint64, n int, _ Class, sig func(int) Signals) int {
-	if n <= 1 {
-		return 0
-	}
-	best := int(r % uint64(n)) // random start breaks systematic ties
-	bestLoad := sig(best).Load()
-	for i := 0; i < n; i++ {
-		if i == best {
-			continue
-		}
-		if l := sig(i).Load(); l < bestLoad {
-			best, bestLoad = i, l
-		}
-	}
-	return best
-}
-
-// MigratePolicy plans one round of whole-job migration between shards
-// from a snapshot of every shard's signals. Plan returns the donor, the
-// receiver, and how many queued jobs to move; n == 0 means no move.
-type MigratePolicy interface {
-	Plan(shards []Signals) (from, to, n int)
-}
-
-// GapHalving is the second-level balancer's default plan: find the shards
-// with the deepest and shallowest admission queues and, when the gap
-// reaches Threshold, move half the gap (halving can never invert the
-// imbalance, so repeated application converges). Below the threshold only
-// a *rescue* moves: a queued job stuck behind a shard whose active
-// workers are all occupied, while the coldest shard sits empty with idle
-// capacity, must always drain — it would otherwise wait out the hot
-// shard's running work — whereas a forced move between two live shards
-// would just ping-pong the job back on the next scan.
+// GapHalving is the second-level balancer's plan. Plan returns the donor,
+// the receiver, and how many queued jobs to move (n == 0: no move). It
+// finds the shards with the deepest and shallowest admission queues and,
+// when the gap reaches Threshold, moves half the gap (halving can never
+// invert the imbalance, so repeated application converges). Below the
+// threshold only a *rescue* moves: a queued job stuck behind a shard
+// whose active workers are all occupied, while the coldest shard sits
+// empty with idle capacity, must always drain — it would otherwise wait
+// out the hot shard's running work — whereas a forced move between two
+// live shards would just ping-pong the job back on the next scan.
 type GapHalving struct {
 	// Threshold is the minimum hot-cold queue-depth gap that triggers a
 	// bulk move. Values below 1 behave as 1.
@@ -223,13 +155,9 @@ func (g GapHalving) Plan(shards []Signals) (from, to, n int) {
 	if hot == cold {
 		return 0, 0, 0
 	}
-	threshold := float64(g.Threshold)
-	if threshold < 1 {
-		threshold = 1
-	}
 	gap := hi - lo
 	moves := int(gap / 2)
-	if gap < threshold || moves < 1 {
+	if gap < float64(g.Threshold) || moves < 1 {
 		hotS, coldS := shards[hot], shards[cold]
 		if hi == 0 || lo != 0 ||
 			hotS.Running < hotS.Capacity ||
@@ -241,16 +169,10 @@ func (g GapHalving) Plan(shards []Signals) (from, to, n int) {
 	return hot, cold, moves
 }
 
-// QuotaPolicy plans one worker-quota move between shards from a snapshot
-// of every shard's signals and the per-shard active-worker bounds. Plan
-// returns the donor, the receiver, and whether a move should happen now.
-// Implementations may be stateful (hysteresis); callers must serialize
-// Plan calls on one instance.
-type QuotaPolicy interface {
-	Plan(shards []Signals, min, max []int) (from, to int, ok bool)
-}
-
-// OversubscribedQuota is the elastic controller's default plan: the shard
+// OversubscribedQuota is the elastic controller's plan. Plan gets every
+// shard's signals and the per-shard active-worker bounds and returns the
+// donor, the receiver, and whether to move one worker of quota now; it is
+// stateful, so callers serialize Plan calls on one instance. The shard
 // whose load (queued + running jobs) most oversubscribes its active
 // workers receives one worker of quota from the shard with the most idle
 // active capacity — but only after the same hot candidate has persisted

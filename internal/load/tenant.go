@@ -12,11 +12,8 @@ import (
 // still monopolize a queue and starve everyone else (the noisy-neighbor
 // gap). This file makes the tenant a first-class dimension of the load
 // plane: TenantPlane keeps weighted-fair-queuing virtual time per
-// tenant, WFQAdmit applies it at the admission edge, and
-// TenantPowerOfTwo spreads one tenant's flood across shards at
-// dispatch. Like every other level, tenancy is a policy over the
-// existing seams (AdmitPolicy, DispatchPolicy), not a hard-coded
-// mechanism.
+// tenant, and WFQAdmit applies it at the admission edge. Tenancy is an
+// admission policy (AdmitPolicy), not a hard-coded mechanism.
 
 // Tenant identifies the principal behind a submission and its fair-share
 // weight. The zero value — what a caller gets from an unfilled
@@ -418,63 +415,4 @@ func (p *WFQAdmit) Engaged() uint64 { return p.engaged.Load() }
 // expired) or migrated away before running.
 type TenantObserver interface {
 	ObserveComplete(t Tenant, serviceNS float64)
-}
-
-// TenantDispatchPolicy is a DispatchPolicy that also weighs the
-// submitting tenant's existing footprint per shard. tenantQueued
-// returns the tenant's queued jobs on shard i; pools that track
-// per-tenant gauges pass them through so a flood from one tenant
-// spreads instead of following pure queue depth onto one shard.
-type TenantDispatchPolicy interface {
-	DispatchPolicy
-	PickTenant(r uint64, n int, c Class, t Tenant, sig func(int) Signals, tenantQueued func(int) float64) int
-}
-
-// TenantPowerOfTwo is power-of-two-choices dispatch with a tenant
-// penalty: between the two sampled shards it compares effective class
-// depth plus Spread × (tenant's own queued jobs on the shard)/weight.
-// One tenant's flood piles its penalty onto the shards it already
-// occupies, so its next job — and nobody else's — is steered away,
-// while a victim tenant with no footprint sees plain power-of-two. As a
-// plain DispatchPolicy (no tenant in hand) it degrades to PowerOfTwo.
-type TenantPowerOfTwo struct {
-	// Spread scales the per-job penalty of the tenant's own queued work
-	// when comparing shards. 0 means 1.
-	Spread float64
-}
-
-// Pick implements DispatchPolicy by deferring to plain power-of-two.
-func (TenantPowerOfTwo) Pick(r uint64, n int, c Class, sig func(int) Signals) int {
-	return PowerOfTwo{}.Pick(r, n, c, sig)
-}
-
-// PickTenant implements the tenant-weighted comparison described on the
-// type.
-func (p TenantPowerOfTwo) PickTenant(r uint64, n int, c Class, t Tenant, sig func(int) Signals, tenantQueued func(int) float64) int {
-	if n <= 1 {
-		return 0
-	}
-	spread := p.Spread
-	if spread <= 0 {
-		spread = 1
-	}
-	w := t.EffectiveWeight()
-	a := int(r % uint64(n))
-	b := int((r >> 32) % uint64(n))
-	if a == b {
-		b = (b + 1) % n
-	}
-	cost := func(i int) float64 {
-		return EffectiveDepth(sig(i), c) + spread*tenantQueued(i)/w
-	}
-	ca, cb := cost(a), cost(b)
-	switch {
-	case cb < ca:
-		return b
-	case ca < cb:
-		return a
-	case sig(b).Running < sig(a).Running:
-		return b
-	}
-	return a
 }

@@ -196,13 +196,6 @@ func ActivePrefix(ids []int, active int) []int {
 	return ids[:lo]
 }
 
-// ActivePeers returns the workers of zone z that are inside the active set
-// [0, active) — Peers restricted to unparked workers. The returned slice
-// aliases the topology's peer list; callers must not modify it.
-func (t Topology) ActivePeers(z, active int) []int {
-	return ActivePrefix(t.peers[z], active)
-}
-
 // Classify returns the locality class of a task created by worker creator
 // and executed by worker executor.
 func (t Topology) Classify(creator, executor int) Locality {

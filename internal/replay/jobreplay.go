@@ -30,22 +30,18 @@ type Options struct {
 	Team xomp.Config
 	// Elastic configures the elastic quota controller.
 	Elastic xomp.ElasticConfig
-	// BalanceInterval and MigrateThreshold configure the second-level
-	// job-migration balancer: 0 keeps the ShardConfig defaults, a
-	// negative BalanceInterval disables the background balancer — how a
-	// quota-level test isolates the elastic controller from job
-	// migration.
-	BalanceInterval  time.Duration
-	MigrateThreshold int
-	// Policy overrides the pool's dispatch/migrate/quota policies.
-	Policy xomp.ShardPolicy
+	// BalanceInterval is the second-level job-migration balancer's
+	// period: 0 keeps the ShardConfig default, a negative value disables
+	// the background balancer — how a quota-level test isolates the
+	// elastic controller from job migration.
+	BalanceInterval time.Duration
 	// Speed compresses recorded time: arrivals (and deadlines) happen
 	// Speed times faster than recorded. 1 (or 0) replays at recorded
 	// pace. Job sizes are not scaled, so Speed > 1 also raises the
 	// offered load.
 	Speed float64
 	// PinTenants pins each event's tenant to shard Tenant mod Shards via
-	// SubmitToCtx instead of letting the dispatch policy place it —
+	// SubmitToCtx instead of letting the dispatcher place it —
 	// how a zipf-skewed tenant trace becomes a deterministically hot
 	// shard.
 	PinTenants bool
@@ -185,12 +181,10 @@ func ReplayJobs(tr *JobTrace, opts Options) (JobReplayResult, error) {
 
 	// Assemble the pool under test.
 	pool, err := xomp.NewShardedPool(xomp.ShardConfig{
-		Shards:           max(opts.Shards, 1),
-		Team:             opts.Team,
-		Elastic:          opts.Elastic,
-		BalanceInterval:  opts.BalanceInterval,
-		MigrateThreshold: opts.MigrateThreshold,
-		Policy:           opts.Policy,
+		Shards:          max(opts.Shards, 1),
+		Team:            opts.Team,
+		Elastic:         opts.Elastic,
+		BalanceInterval: opts.BalanceInterval,
 	})
 	if err != nil {
 		return res, fmt.Errorf("replay: build pool: %w", err)

@@ -275,9 +275,6 @@ func (e *Encoder) Results(recs []ResultRecord) error {
 	return e.endFrame(at)
 }
 
-// Buffered returns the bytes of encoded frames awaiting Flush.
-func (e *Encoder) Buffered() int { return len(e.buf) }
-
 // Flush writes every buffered frame with one Write call and resets the
 // buffer, reporting the bytes written.
 func (e *Encoder) Flush() (int, error) {

@@ -93,7 +93,8 @@ func TestPoolRejectWhenFull(t *testing.T) {
 }
 
 // ShardedPool.SubmitCtx: mixed-class traffic across shards completes,
-// classes survive dispatch (and possibly migration), and a background
+// classes survive dispatch (core's TestMigratePreservesClass covers
+// migration), and a background
 // flood cannot stop interactive admission anywhere — the pool-level
 // priority-inversion guard.
 func TestShardedPoolSubmitCtxPriority(t *testing.T) {
@@ -104,6 +105,11 @@ func TestShardedPoolSubmitCtxPriority(t *testing.T) {
 			c.Backlog = 2
 			return c
 		}(),
+		// No background migration: a balancer that moved one of shard 0's
+		// gated floods onto the still-empty shard 1 would fill it before
+		// the flood pinned there, and that SubmitTo would wait on the gate
+		// forever.
+		BalanceInterval: -1,
 	})
 	defer pool.Close()
 

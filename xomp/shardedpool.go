@@ -105,32 +105,6 @@ type ShardConfig struct {
 	// Elastic configures the elastic capacity controller (the third
 	// balancing level: worker-quota moves between shards).
 	Elastic ElasticConfig
-
-	// Policy overrides the pool's balancing policy implementations. Zero
-	// fields keep the defaults; Team.Policy (inside the per-shard team
-	// configuration above) separately selects each shard's task-level
-	// policy, including the adaptive controller.
-	Policy ShardPolicy
-}
-
-// ShardPolicy selects the pool-level balancing policies. All three
-// consume the shards' load signals (Team.Signals → load.Signals) through
-// the load package's policy interfaces — the pool never reaches into a
-// team's internals to make a balancing decision, so alternative policies
-// can be swapped in without touching the mechanisms (dispatch, job
-// migration, quota moves).
-type ShardPolicy struct {
-	// Dispatch places each submitted job on a shard.
-	// nil → load.PowerOfTwo (power-of-two-choices by queue depth).
-	Dispatch load.DispatchPolicy
-	// Migrate plans the second-level balancer's hot→cold queued-job
-	// moves. nil → load.GapHalving{Threshold: MigrateThreshold}.
-	Migrate load.MigratePolicy
-	// Quota plans the elastic controller's worker-quota moves; only used
-	// with Elastic.Enabled. Stateful implementations are called under the
-	// controller's lock. nil → load.OversubscribedQuota with
-	// Elastic.Hysteresis.
-	Quota load.QuotaPolicy
 }
 
 // ShardStats is one shard's load and migration picture at a point in time.
@@ -184,7 +158,9 @@ type ShardStats struct {
 // allocation itself follows the traffic instead of only the work
 // placement. Tasks move inside a team, jobs move between teams, workers'
 // quota moves between teams: three granularities of the same hot→cold
-// feedback loop.
+// feedback loop. Each level runs one fixed plan over the shards' load
+// signals (power-of-two choices, gap halving, oversubscribed quota); the
+// admission policy (Config.Admit) is the pool's one selectable balancer.
 //
 // Jobs are isolated from each other: each has its own quiescence detection
 // and panic capture, so one panicking job neither poisons its team nor
@@ -200,10 +176,8 @@ type ShardedPool struct {
 	shards []*core.Team
 	start  time.Time
 
-	// dispatch and migrate are the first- and second-level balancing
-	// policies; both consume per-shard load.Signals only.
-	dispatch load.DispatchPolicy
-	migrate  load.MigratePolicy
+	// migrate is the second-level balancer's plan.
+	migrate load.GapHalving
 
 	// seq and seed drive the dispatcher's placement randomness: a
 	// SplitMix64 stream indexed by an atomic counter, so concurrent
@@ -218,11 +192,11 @@ type ShardedPool struct {
 
 	// el is the elastic capacity controller's state (third balancing
 	// level). mu serializes controller ticks (background loop and manual
-	// RebalanceQuota calls) and guards the quota policy's hysteresis
+	// RebalanceQuota calls) and guards the quota plan's hysteresis
 	// state; trace is the bounded quota-move log and its lifetime count.
 	el struct {
 		enabled bool
-		policy  load.QuotaPolicy
+		policy  load.OversubscribedQuota
 		minEff  []int // per-shard active floor
 		maxEff  []int // per-shard active cap (≤ capacity)
 		mu      sync.Mutex
@@ -230,8 +204,8 @@ type ShardedPool struct {
 	}
 }
 
-// signals snapshots every shard's current load signals — the one view all
-// three balancing policies decide from.
+// signals snapshots every shard's current load signals — the one view the
+// migration and quota plans decide from.
 func (p *ShardedPool) signals() []load.Signals {
 	out := make([]load.Signals, len(p.shards))
 	for i, tm := range p.shards {
@@ -293,20 +267,13 @@ func NewShardedPool(cfg ShardConfig) (*ShardedPool, error) {
 		baseSeed = 1
 	}
 	p := &ShardedPool{
-		shards:   make([]*core.Team, len(shardTops)),
-		dispatch: cfg.Policy.Dispatch,
-		migrate:  cfg.Policy.Migrate,
-		start:    time.Now(),
-		seed:     uint64(baseSeed) * 0x9e3779b97f4a7c15,
-		stopBal:  make(chan struct{}),
+		shards:  make([]*core.Team, len(shardTops)),
+		migrate: load.GapHalving{Threshold: threshold},
+		start:   time.Now(),
+		seed:    uint64(baseSeed) * 0x9e3779b97f4a7c15,
+		stopBal: make(chan struct{}),
 	}
-	if p.dispatch == nil {
-		p.dispatch = load.PowerOfTwo{}
-	}
-	if p.migrate == nil {
-		p.migrate = load.GapHalving{Threshold: threshold}
-	}
-	quota, err := p.initElastic(cfg.Elastic, cfg.Policy.Quota, shardTops)
+	quota, err := p.initElastic(cfg.Elastic, shardTops)
 	if err != nil {
 		return nil, err
 	}
@@ -355,7 +322,7 @@ func NewShardedPool(cfg ShardConfig) (*ShardedPool, error) {
 // initial active-quota split (nil when elasticity is off). The budget is
 // spread evenly and then clamped into the per-shard [min, max] bounds,
 // pushing any remainder to shards that still have headroom.
-func (p *ShardedPool) initElastic(e ElasticConfig, quota load.QuotaPolicy, shardTops []Topology) ([]int, error) {
+func (p *ShardedPool) initElastic(e ElasticConfig, shardTops []Topology) ([]int, error) {
 	if !e.Enabled {
 		return nil, nil
 	}
@@ -372,14 +339,11 @@ func (p *ShardedPool) initElastic(e ElasticConfig, quota load.QuotaPolicy, shard
 	}
 	p.el.enabled = true
 	p.el.trace = prof.NewRing[QuotaMove](maxQuotaTrace)
-	p.el.policy = quota
 	hysteresis := e.Hysteresis
 	if hysteresis == 0 {
 		hysteresis = 2
 	}
-	if p.el.policy == nil {
-		p.el.policy = &load.OversubscribedQuota{Hysteresis: hysteresis}
-	}
+	p.el.policy = load.OversubscribedQuota{Hysteresis: hysteresis}
 	p.el.minEff = make([]int, n)
 	p.el.maxEff = make([]int, n)
 	sumMin, sumMax := 0, 0
@@ -446,11 +410,10 @@ func (p *ShardedPool) elasticLoop(interval time.Duration) {
 }
 
 // RebalanceQuota runs one elastic-controller tick synchronously: snapshot
-// every shard's load signals, let the quota policy pick a donor and a
-// receiver (the default, load.OversubscribedQuota, moves one worker of
-// quota toward the shard whose live jobs most oversubscribe its active
-// workers, with hysteresis), and apply the move — donor parks first, so
-// the active total never exceeds the budget. It reports whether quota
+// every shard's load signals, let the quota plan (load.OversubscribedQuota,
+// with hysteresis) pick a donor and the shard whose live jobs most
+// oversubscribe its active workers, and move one worker of quota — donor
+// parks first, so the active total never exceeds the budget. It reports whether quota
 // moved. The background loop calls this every Elastic.Interval; tests and
 // latency-sensitive callers may invoke it directly.
 func (p *ShardedPool) RebalanceQuota() bool {
@@ -461,10 +424,7 @@ func (p *ShardedPool) RebalanceQuota() bool {
 	defer p.el.mu.Unlock()
 	sigs := p.signals()
 	cold, hot, ok := p.el.policy.Plan(sigs, p.el.minEff, p.el.maxEff)
-	if !ok || cold == hot || cold < 0 || hot < 0 ||
-		cold >= len(p.shards) || hot >= len(p.shards) {
-		// Also rejects out-of-range indices from a misbehaving custom
-		// policy, like pick() and Rebalance() do for theirs.
+	if !ok {
 		return false
 	}
 	coldAct := int(sigs[cold].Capacity)
@@ -516,12 +476,12 @@ func (p *ShardedPool) Submit(fn TaskFunc) (*Job, error) {
 	if p.closed.Load() {
 		return nil, ErrClosed
 	}
-	return p.shards[p.pick(load.ClassBatch, load.Tenant{})].Submit(fn)
+	return p.shards[p.pick(load.ClassBatch)].Submit(fn)
 }
 
 // SubmitCtx places fn under an admission contract (priority class,
 // optional deadline, cancellable wait — see Team.SubmitCtx) on a shard
-// chosen by the dispatch policy for that class: power-of-two-choices
+// chosen by the dispatcher for that class: power-of-two-choices
 // compares the queue depth the job's class would actually experience
 // (load.EffectiveDepth), so an interactive job lands where the least
 // same-or-higher-priority work precedes it — which is also the shard
@@ -531,7 +491,7 @@ func (p *ShardedPool) SubmitCtx(ctx context.Context, fn TaskFunc, opts SubmitOpt
 	if p.closed.Load() {
 		return nil, ErrClosed
 	}
-	return p.shards[p.pick(opts.Priority, opts.Tenant)].SubmitCtx(ctx, fn, opts)
+	return p.shards[p.pick(opts.Priority)].SubmitCtx(ctx, fn, opts)
 }
 
 // batchChunk is how many consecutive items of a batched submission share
@@ -543,8 +503,8 @@ func (p *ShardedPool) SubmitCtx(ctx context.Context, fn TaskFunc, opts SubmitOpt
 const batchChunk = 8
 
 // SubmitBatch admits every fn as a new job of the neutral batch class,
-// dispatching chunks of batchChunk jobs to shards chosen by the dispatch
-// policy and admitting each chunk through the shard's amortized batch
+// dispatching chunks of batchChunk jobs to shards chosen by the
+// dispatcher and admitting each chunk through the shard's amortized batch
 // path. Results are index-aligned with fns.
 func (p *ShardedPool) SubmitBatch(fns []TaskFunc) ([]BatchResult, error) {
 	items := make([]BatchItem, len(fns))
@@ -556,8 +516,8 @@ func (p *ShardedPool) SubmitBatch(fns []TaskFunc) ([]BatchResult, error) {
 
 // SubmitBatchCtx admits a batch of jobs across the pool: consecutive
 // runs of batchChunk items share one dispatch decision (keyed by the
-// run's first item, so callers submitting per-class or per-tenant
-// batches get coherent placement) and enter the chosen shard through
+// class of the run's first item, so callers submitting per-class batches
+// get coherent placement) and enter the chosen shard through
 // Team.SubmitBatchInto, each chunk filling its own stretch of the one
 // result slice — per-shard admission accounting, gauges, and rollback
 // all happen on the team that actually received each chunk. A one-shard
@@ -579,7 +539,7 @@ func (p *ShardedPool) SubmitBatchCtx(ctx context.Context, items []BatchItem) ([]
 	}
 	for off := 0; off < len(items); off += chunk {
 		end := min(off+chunk, len(items))
-		s := p.pick(items[off].Opts.Priority, items[off].Opts.Tenant)
+		s := p.pick(items[off].Opts.Priority)
 		if err := p.shards[s].SubmitBatchInto(ctx, items[off:end], res[off:end]); err != nil {
 			// A shard-level failure (not serving) fails its chunk's items,
 			// not the whole batch — later chunks may land elsewhere.
@@ -619,31 +579,16 @@ func (p *ShardedPool) SubmitToCtx(ctx context.Context, shard int, fn TaskFunc, o
 	return p.shards[shard].SubmitCtx(ctx, fn, opts)
 }
 
-// pick delegates placement to the dispatch policy (power-of-two-choices
-// over the class-effective shard queue depth by default), feeding it a
-// fresh SplitMix64 draw, the submission's class, and per-shard signal
-// access. A tenant-aware policy (load.TenantDispatchPolicy) additionally
-// sees the submitting tenant and its per-shard queued footprint, so one
-// tenant's flood spreads across shards instead of following pure queue
-// depth.
-func (p *ShardedPool) pick(c load.Class, t load.Tenant) int {
+// pick places one submission of class c: power-of-two-choices over the
+// class-effective shard queue depth (load.PowerOfTwo), fed a fresh
+// SplitMix64 draw and per-shard signal access.
+func (p *ShardedPool) pick(c load.Class) int {
 	n := len(p.shards)
 	if n == 1 {
 		return 0
 	}
 	r := splitmix64(p.seed + p.seq.Add(1))
-	sig := func(i int) load.Signals { return p.shards[i].Signals() }
-	var s int
-	if tp, ok := p.dispatch.(load.TenantDispatchPolicy); ok {
-		tq := func(i int) float64 { return float64(p.shards[i].Profile().TenantQueued(t.ID)) }
-		s = tp.PickTenant(r, n, c, t, sig, tq)
-	} else {
-		s = p.dispatch.Pick(r, n, c, sig)
-	}
-	if s < 0 || s >= n {
-		s = int(r % uint64(n)) // a misbehaving policy cannot crash Submit
-	}
-	return s
+	return load.PowerOfTwo{}.Pick(r, n, c, func(i int) load.Signals { return p.shards[i].Signals() })
 }
 
 // splitmix64 is the SplitMix64 output function: a bijective mixer turning
@@ -672,26 +617,20 @@ func (p *ShardedPool) balance(interval time.Duration) {
 }
 
 // Rebalance runs one second-level balancing scan synchronously: snapshot
-// every shard's load signals, let the migrate policy plan a hot→cold move
-// (the default, load.GapHalving, halves the deepest-shallowest queue gap
-// once it reaches the migration threshold, plus a rescue rule for a job
-// stuck behind a saturated shard), and migrate that many queued jobs. It
+// every shard's load signals, let the migration plan (load.GapHalving)
+// pick a hot→cold move — it halves the deepest-shallowest queue gap once
+// it reaches the migration threshold, plus a rescue rule for a job stuck
+// behind a saturated shard — and migrate that many queued jobs. It
 // returns the number of jobs moved. The background balancer calls this on
 // every tick; tests and latency-sensitive callers may invoke it directly.
 func (p *ShardedPool) Rebalance() int {
 	hot, cold, n := p.migrate.Plan(p.signals())
-	if n <= 0 || hot == cold || hot < 0 || cold < 0 ||
-		hot >= len(p.shards) || cold >= len(p.shards) {
-		return 0
-	}
-	moved := 0
-	for moved < n {
+	for moved := 0; moved < n; moved++ {
 		if !core.MigrateQueuedJob(p.shards[hot], p.shards[cold]) {
-			break
+			return moved
 		}
-		moved++
 	}
-	return moved
+	return n
 }
 
 // Close stops the balancer and closes every shard: admission ends, all

@@ -251,8 +251,8 @@ type BatchResult = core.BatchResult
 // Tenant identifies the principal behind a submission (id + fair-share
 // weight). The zero value is tenant 0 at weight 1. Set it on
 // SubmitOpts.Tenant to key per-tenant admission accounting and to let
-// weighted-fair policies (WFQAdmit, TenantPowerOfTwo) bound each
-// tenant's share of the service.
+// weighted-fair admission (WFQAdmit) bound each tenant's share of the
+// service.
 type Tenant = load.Tenant
 
 // Class is a submission's admission priority class. Each serving team
@@ -302,39 +302,6 @@ type (
 // Signals is one entity's (worker's, team's, or shard's) load picture on
 // the unified load-signal plane; see Team.Signals.
 type Signals = load.Signals
-
-// Balancing policy interfaces (see package load): victim selection inside
-// a team, job dispatch across shards, queued-job migration, and worker
-// quota moves. Custom implementations plug in via Config.Policy.Victim
-// and ShardConfig.Policy.
-type (
-	VictimPolicy   = load.VictimPolicy
-	DispatchPolicy = load.DispatchPolicy
-	MigratePolicy  = load.MigratePolicy
-	QuotaPolicy    = load.QuotaPolicy
-	// TenantDispatchPolicy is a DispatchPolicy that additionally weighs
-	// the submitting tenant's per-shard footprint.
-	TenantDispatchPolicy = load.TenantDispatchPolicy
-)
-
-// Built-in policy implementations.
-type (
-	// CondRandom is the paper's conditionally random victim selection.
-	CondRandom = load.CondRandom
-	// BusyVictim prefers the less idle of two victim candidates.
-	BusyVictim = load.BusyVictim
-	// PowerOfTwo places jobs on the shallower of two random shards.
-	PowerOfTwo = load.PowerOfTwo
-	// TenantPowerOfTwo is PowerOfTwo plus a penalty for the tenant's own
-	// queued jobs per shard, spreading one tenant's flood.
-	TenantPowerOfTwo = load.TenantPowerOfTwo
-	// LeastLoaded places jobs on the globally least loaded shard.
-	LeastLoaded = load.LeastLoaded
-	// GapHalving migrates half the hot-cold queue-depth gap.
-	GapHalving = load.GapHalving
-	// OversubscribedQuota moves quota toward oversubscribed shards.
-	OversubscribedQuota = load.OversubscribedQuota
-)
 
 // PolicySwitch is one recorded adaptive-controller retune; see
 // Team.PolicyTrace.
