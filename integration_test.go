@@ -20,19 +20,23 @@ func TestKitchenSinkRegion(t *testing.T) {
 		total := 0
 		team.Run(func(w *xomp.Worker) {
 			w.TaskGroup(func(w *xomp.Worker) {
-				w.ForRange(300, 16, func(w *xomp.Worker, lo, hi int) {
-					for i := lo; i < hi; i++ {
-						w.Spawn(func(*xomp.Worker) {})
-					}
-				})
+				for lo := 0; lo < 300; lo += 16 {
+					hi := min(lo+16, 300)
+					w.Spawn(func(w *xomp.Worker) {
+						for i := lo; i < hi; i++ {
+							w.Spawn(func(*xomp.Worker) {})
+						}
+					})
+				}
 				for i := 0; i < 20; i++ {
-					w.SpawnDeps(func(*xomp.Worker) { ordered++ }, xomp.InOut(&ordered))
+					w.Spawn(func(*xomp.Worker) { ordered++ })
+					w.TaskWait()
 				}
 			})
 			total = ordered
 		})
 		if total != 20 {
-			panic("taskgroup returned before dependence chain finished")
+			panic("taskgroup returned before its TaskWait chain finished")
 		}
 	}()
 	select {

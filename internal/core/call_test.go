@@ -111,17 +111,32 @@ func TestCallTaskLoopRetainsNothing(t *testing.T) {
 	}
 }
 
-// The frame layout ARCHITECTURE.md documents: a Task fills the 176-byte
+// The frame layout ARCHITECTURE.md documents: a Task fills the 160-byte
 // size class, and a Job, which embeds its root Task, stays within 320.
 func TestFrameSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("frame sizes are pinned for 64-bit targets")
 	}
-	if got := unsafe.Sizeof(Task{}); got != 176 {
-		t.Errorf("Task is %d bytes, want 176", got)
+	if got := unsafe.Sizeof(Task{}); got != 160 {
+		t.Errorf("Task is %d bytes, want 160", got)
 	}
 	if got := unsafe.Sizeof(Job{}); got > 320 {
 		t.Errorf("Job is %d bytes, want at most 320", got)
+	}
+	// The offsets ARCHITECTURE.md's frame table states.
+	var f Task
+	for _, c := range []struct {
+		field     string
+		got, want uintptr
+	}{
+		{"refs", unsafe.Offsetof(f.refs), 48},
+		{"spawned", unsafe.Offsetof(f.spawned), 60},
+		{"args", unsafe.Offsetof(f.args), 64},
+		{"slots", unsafe.Offsetof(f.slots), 88},
+	} {
+		if c.got != c.want {
+			t.Errorf("Task.%s is at byte %d, want %d", c.field, c.got, c.want)
+		}
 	}
 }
 
@@ -317,15 +332,13 @@ func TestCallTaskArgsSurviveRedirect(t *testing.T) {
 }
 
 // Frames come back from the allocator as fresh ones are: cascade leaves
-// refs at zero and clears every reference, and waitingDeps is zero without
-// reset storing it, because dependence tasks never enter the pool.
+// refs at zero and clears every reference.
 func TestPooledFrameIsClean(t *testing.T) {
 	tm := MustTeam(Preset("xgomptb", 2))
 	runWithTimeout(t, 30*time.Second, "region", func() {
 		tm.Run(func(w *Worker) {
-			var key int
 			for i := 0; i < 8; i++ {
-				w.SpawnDeps(func(w *Worker) { callFib(w, 6) }, InOut(&key))
+				w.Spawn(func(w *Worker) { callFib(w, 6) })
 				w.Spawn(func(w *Worker) { taskFib(w, 6) })
 			}
 			w.TaskGroup(func(w *Worker) { callFib(w, 12) })
@@ -335,15 +348,64 @@ func TestPooledFrameIsClean(t *testing.T) {
 	for _, w := range tm.workers {
 		for i := 0; i < 64; i++ {
 			f := tm.alloc.Get(w.id)
-			if f.refs.Load() != 0 || f.waitingDeps.Load() != 0 {
-				t.Fatalf("pooled frame: refs %d, waitingDeps %d, want 0 and 0", f.refs.Load(), f.waitingDeps.Load())
+			if f.refs.Load() != 0 {
+				t.Fatalf("pooled frame: refs %d, want 0", f.refs.Load())
 			}
-			if f.fn != nil || f.body != nil || f.out != nil || f.parent != nil || f.deps != nil {
+			if f.fn != nil || f.body != nil || f.out != nil || f.parent != nil {
 				t.Fatalf("pooled frame keeps a reference: %+v", f)
 			}
 		}
 	}
 	if after := tm.AllocStats(); after.LocalHits+after.GlobalHits+after.RemoteAcquires == before.LocalHits+before.GlobalHits+before.RemoteAcquires {
+		t.Fatal("no frame came from the pool; the test checked only fresh ones")
+	}
+}
+
+// A job's root task lives in its Job frame, so it must never reach the task
+// pool: cascade returns on a root before its recycling step. The Job
+// handles are never released, so every root stays live, and a root found
+// among the pooled frames can only have been put there by cascade.
+func TestPooledFrameNeverAJobRoot(t *testing.T) {
+	tm := serviceTeam(t, "xgomptb+naws", 4)
+	var jobs [16]*Job
+	runWithTimeout(t, 30*time.Second, "jobs", func() {
+		for i := range jobs {
+			j, err := tm.Submit(func(w *Worker) { taskFib(w, 10) })
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			jobs[i] = j
+		}
+		for _, j := range jobs {
+			if err := j.Wait(); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	tm.Close() // every cascade has returned; the pool is ours to drain
+	if t.Failed() {
+		return
+	}
+	roots := make(map[*Task]bool, len(jobs))
+	for _, j := range jobs {
+		roots[&j.root] = true
+	}
+	pooled := 0
+	for _, w := range tm.workers {
+		for {
+			fresh := tm.AllocStats().FreshAllocs
+			f := tm.alloc.Get(w.id) //repolint:ok pooledescape — draining the pool is the test; the team is closed
+			if tm.AllocStats().FreshAllocs != fresh {
+				break // w's pool is drained
+			}
+			pooled++
+			if roots[f] {
+				t.Fatalf("frame %d from worker %d's pool is a job root", pooled, w.id)
+			}
+		}
+	}
+	if pooled == 0 {
 		t.Fatal("no frame came from the pool; the test checked only fresh ones")
 	}
 }

@@ -11,8 +11,9 @@ import (
 type Sched int
 
 const (
-	// SchedGOMP is GNU OpenMP's model: one globally shared priority task
-	// queue protected by a single global task lock (§II-A).
+	// SchedGOMP is GNU OpenMP's model: one globally shared task queue
+	// protected by a single global task lock (§II-A). It is GNU's priority
+	// queue with every task at the default priority, so FIFO.
 	SchedGOMP Sched = iota
 	// SchedLOMP is the LLVM OpenMP model: per-worker lock-free
 	// work-stealing deques (Chase–Lev) with random pull-based stealing.

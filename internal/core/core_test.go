@@ -213,28 +213,24 @@ func TestNestedTaskWait(t *testing.T) {
 	}
 }
 
-func TestGompPriorityOrdering(t *testing.T) {
-	// With one worker and the GOMP queue, tasks must run in descending
-	// priority order, FIFO among equals.
-	cfg := Preset("gomp", 1)
-	tm := MustTeam(cfg)
+// With one worker, the GOMP queue runs tasks in spawn order: every task
+// has the default priority, so GNU's priority queue is FIFO.
+func TestGompFIFO(t *testing.T) {
+	tm := MustTeam(Preset("gomp", 1))
 	var order []int
-	runWithTimeout(t, 30*time.Second, "prio", func() {
+	runWithTimeout(t, 30*time.Second, "fifo", func() {
 		tm.Run(func(w *Worker) {
-			w.SpawnPriority(1, func(*Worker) { order = append(order, 1) })
-			w.SpawnPriority(3, func(*Worker) { order = append(order, 3) })
-			w.SpawnPriority(2, func(*Worker) { order = append(order, 2) })
-			w.SpawnPriority(3, func(*Worker) { order = append(order, 30) })
-			w.SpawnPriority(0, func(*Worker) { order = append(order, 0) })
+			for i := 0; i < 8; i++ {
+				w.Spawn(func(*Worker) { order = append(order, i) })
+			}
 		})
 	})
-	want := []int{3, 30, 2, 1, 0}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
+	if len(order) != 8 {
+		t.Fatalf("order = %v, want 0 through 7", order)
 	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("order = %v, want 0 through 7", order)
 		}
 	}
 }
@@ -310,22 +306,6 @@ func TestProfileTimelineBalanced(t *testing.T) {
 	}
 	if s.Counters[0][prof.CntTasksExecuted]+s.Counters[1][prof.CntTasksExecuted] == 0 {
 		t.Fatal("no executions recorded")
-	}
-}
-
-func TestYield(t *testing.T) {
-	cfg := Preset("xgomptb", 2)
-	tm := MustTeam(cfg)
-	var ran atomic.Bool
-	runWithTimeout(t, 30*time.Second, "yield", func() {
-		tm.Run(func(w *Worker) {
-			w.Spawn(func(*Worker) { ran.Store(true) })
-			w.Yield() // single worker visible queue; may or may not pop
-			w.TaskWait()
-		})
-	})
-	if !ran.Load() {
-		t.Fatal("spawned task never ran")
 	}
 }
 

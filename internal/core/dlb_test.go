@@ -108,7 +108,7 @@ func TestVictimHandlesRequestOnce(t *testing.T) {
 	// Seed the victim's master queue with tasks so the steal can move them.
 	for i := 0; i < 3; i++ {
 		task := tm.alloc.Get(0)
-		task.reset(func(*Worker) {}, &victim.implicit, 0, 0)
+		task.reset(func(*Worker) {}, &victim.implicit, 0)
 		victim.implicit.spawned++
 		tm.counter.created(0)
 		if !tm.sched.pushTo(0, 0, task) {

@@ -26,10 +26,10 @@ func stretchIdleSweep(t *testing.T) {
 // with the sweep off, a 2-worker team is fed single jobs at gaps that
 // straddle the idleSpin budget (so workers are asleep, falling asleep or
 // spinning when each arrives), and every job fans children out through
-// the push sites — static placement onto the possibly sleeping peer, the
-// dependence-release path, NA-WS steal responses, NA-RP redirects, and
-// the shared-queue substrates whose pushes ring instead of naming a
-// target. A producer that publishes without announcing leaves a task in
+// the push sites — static placement onto the possibly sleeping peer, a
+// push by a child running on either worker, NA-WS steal responses, NA-RP
+// redirects, and the shared-queue substrates whose pushes ring instead of
+// naming a target. A producer that publishes without announcing leaves a task in
 // a sleeper's queue for good: the job never quiesces and the watchdog
 // dumps the goroutines. (Delete the announce in Worker.push and the
 // xgomptb row wedges within seconds.)
@@ -60,11 +60,13 @@ func TestServeIdleWakeHammer(t *testing.T) {
 			body := func(i int) TaskFunc {
 				return func(w *Worker) {
 					if i%4 == 3 {
-						// Dependence chain: the reader is released and
-						// pushed by whichever worker completes the writer.
-						var cell int
-						w.SpawnDeps(leaf, Out(&cell))
-						w.SpawnDeps(leaf, In(&cell))
+						// Nested spawn: the inner leaves are pushed by
+						// whichever worker runs their parent, which need
+						// not be the root's.
+						w.Spawn(func(w *Worker) {
+							w.Spawn(leaf)
+							w.Spawn(leaf)
+						})
 						w.Spawn(leaf)
 						w.Spawn(leaf)
 					} else {

@@ -342,8 +342,7 @@ func (j *Job) resetForSubmit(tm *Team, lane int, id int64, fn TaskFunc, class lo
 	j.home = tm
 	j.lane = lane
 	j.worker.Store(-1)
-	j.root.reset(fn, nil, 0, 0)
-	j.root.noRecycle = true // the root outlives the region; never task-pool it
+	j.root.reset(fn, nil, 0)
 	j.root.job = j
 	j.word.Store(w + 1<<phaseBits + jobInFlight)
 }

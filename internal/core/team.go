@@ -383,9 +383,6 @@ func (tm *Team) execute(w *Worker, t *Task) {
 	if t.job == nil {
 		tm.counter.finished(w.id)
 	}
-	if t.deps != nil {
-		tm.completeDeps(w, t)
-	}
 	th.Inc(prof.CntTasksExecuted)
 	switch tm.top.Classify(int(t.creator), w.id) {
 	case numa.Self:
@@ -412,18 +409,17 @@ func (tm *Team) cascade(w *Worker, t *Task) {
 			// finishJob releases the job's waiter, and the waiter may
 			// Release() the frame — including this root task — for reuse
 			// by an unrelated submission. Return without touching t again.
-			// (A root has no parent and is never task-pooled, so nothing
-			// below applies to it anyway.)
+			// This return is also what keeps a root, which lives in its
+			// Job frame, out of the task pool.
 			if tm.finishJob(j) {
 				w.woke = true
 			}
 			return
 		}
 		p := t.parent
-		if !t.implicit && !t.noRecycle {
+		if !t.implicit {
 			t.fn, t.body, t.out = nil, nil, nil
 			t.parent = nil
-			t.deps = nil
 			tm.alloc.Put(w.id, t)
 		}
 		if p == nil {

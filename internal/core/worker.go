@@ -80,7 +80,7 @@ func (w *Worker) Team() *Team { return w.team }
 // root task. The implicit task's body never ends in the join count, so
 // its children leave refs at minus what the last region spawned.
 func (w *Worker) beginRegion() {
-	w.implicit.reset(nil, nil, int32(w.id), 0)
+	w.implicit.reset(nil, nil, int32(w.id))
 	w.implicit.refs.Store(0)
 	w.implicit.implicit = true
 	w.cur = &w.implicit
@@ -128,19 +128,10 @@ func (w *Worker) idle() bool {
 // task may run on any worker; fn receives the worker that runs it. Spawn
 // never blocks: if the destination queue is full the task runs immediately
 // on this worker (XQueue's overflow rule).
-func (w *Worker) Spawn(fn TaskFunc) { w.spawn(fn, 0) }
-
-// SpawnPriority is Spawn with a GOMP queue priority; higher priorities
-// dequeue first under SchedGOMP and are ignored by the relaxed-order
-// substrates.
-func (w *Worker) SpawnPriority(priority int, fn TaskFunc) {
-	w.spawn(fn, int32(priority))
-}
-
-func (w *Worker) spawn(fn TaskFunc, priority int32) {
+func (w *Worker) Spawn(fn TaskFunc) {
 	w.prof.Begin(prof.EvTaskCreate)
 	t := w.team.alloc.Get(w.id)
-	t.reset(fn, w.cur, int32(w.id), priority)
+	t.reset(fn, w.cur, int32(w.id))
 	w.linkChild(t)
 	w.place(t)
 }
@@ -162,7 +153,7 @@ func (w *Worker) spawn(fn TaskFunc, priority int32) {
 func (w *Worker) SpawnCall(body CallFunc, a0, a1, a2 uint64) *uint64 {
 	w.prof.Begin(prof.EvTaskCreate)
 	t := w.team.alloc.Get(w.id)
-	t.reset(nil, w.cur, int32(w.id), 0)
+	t.reset(nil, w.cur, int32(w.id))
 	t.body = body
 	t.args = [3]uint64{a0, a1, a2}
 	w.linkChild(t)
@@ -279,14 +270,5 @@ func (w *Worker) TaskWait() {
 		if !f.scope {
 			return
 		}
-	}
-}
-
-// Yield is an explicit scheduling point: it executes at most one queued
-// task if one is available and returns. It lets long-running tasks
-// participate in load balancing, like OpenMP's taskyield.
-func (w *Worker) Yield() {
-	if t := w.team.sched.pop(w.id); t != nil {
-		w.team.execute(w, t)
 	}
 }

@@ -164,7 +164,9 @@ func TestElasticUniformLoadStable(t *testing.T) {
 	for shard := 0; shard < 2; shard++ {
 		for i := 0; i < 4; i++ {
 			j, err := pool.SubmitTo(shard, func(w *xomp.Worker) {
-				w.For(8, 1, func(*xomp.Worker, int) {})
+				for k := 0; k < 8; k++ {
+					w.Spawn(func(*xomp.Worker) {})
+				}
 			})
 			if err != nil {
 				t.Fatal(err)

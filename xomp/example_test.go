@@ -52,35 +52,6 @@ func ExampleWorker_SpawnCall() {
 	// Output: 6765
 }
 
-// Taskloops chunk an iteration space into tasks and join them.
-func ExampleWorker_ForRange() {
-	team := xomp.MustTeam(xomp.Preset("xgomptb+naws", 4))
-	data := make([]int, 1000)
-	team.Run(func(w *xomp.Worker) {
-		w.ForRange(len(data), 64, func(_ *xomp.Worker, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				data[i] = i * i
-			}
-		})
-	})
-	fmt.Println(data[31], data[999])
-	// Output: 961 998001
-}
-
-// Depend clauses order sibling tasks through the data they touch, like
-// OpenMP depend(in/out).
-func ExampleWorker_SpawnDeps() {
-	team := xomp.MustTeam(xomp.Preset("xgomptb", 4))
-	var x, y int
-	team.Run(func(w *xomp.Worker) {
-		w.SpawnDeps(func(*xomp.Worker) { x = 21 }, xomp.Out(&x))
-		w.SpawnDeps(func(*xomp.Worker) { y = 2 * x }, xomp.In(&x), xomp.Out(&y))
-		w.TaskWait()
-	})
-	fmt.Println(y)
-	// Output: 42
-}
-
 // TaskGroup joins a whole subtree of tasks, not just direct children.
 func ExampleWorker_TaskGroup() {
 	team := xomp.MustTeam(xomp.Preset("xgomptb", 4))
@@ -114,7 +85,7 @@ func ExampleNewPool() {
 	for i := range squares {
 		i := i
 		job, err := pool.Submit(func(w *xomp.Worker) {
-			w.For(1, 1, func(_ *xomp.Worker, _ int) { squares[i] = i * i })
+			w.Spawn(func(*xomp.Worker) { squares[i] = i * i })
 		})
 		if err != nil {
 			panic(err)
@@ -148,11 +119,13 @@ func ExampleShardedPool() {
 		// Submit picks the less loaded of two random shards; SubmitTo(s,
 		// fn) would pin the job to shard s instead.
 		job, err := pool.Submit(func(w *xomp.Worker) {
-			w.ForRange(len(table[i]), 16, func(_ *xomp.Worker, lo, hi int) {
-				for k := lo; k < hi; k++ {
-					table[i][k] = i * k
-				}
-			})
+			for lo := 0; lo < len(table[i]); lo += 16 {
+				w.Spawn(func(*xomp.Worker) {
+					for k := lo; k < lo+16; k++ {
+						table[i][k] = i * k
+					}
+				})
+			}
 		})
 		if err != nil {
 			panic(err)

@@ -9,7 +9,8 @@
 // balancer is chosen by Config, and Preset names the compositions the paper
 // evaluates:
 //
-//	gomp          GNU OpenMP model: global task lock + priority queue,
+//	gomp          GNU OpenMP model: global task lock + GNU's task queue
+//	              (every task at the default priority, so FIFO),
 //	              centralized lock barrier, contended allocator.
 //	lomp          LLVM OpenMP model: lock-free work-stealing deques,
 //	              atomic centralized barrier, multi-level allocator.
@@ -306,20 +307,6 @@ type Signals = load.Signals
 // PolicySwitch is one recorded adaptive-controller retune; see
 // Team.PolicyTrace.
 type PolicySwitch = prof.PolicySwitch
-
-// Dep is a task depend clause (OpenMP depend(in/out/inout)); build them
-// with In, Out, and InOut and pass them to Worker.SpawnDeps to order
-// sibling tasks by the data they touch.
-type Dep = core.Dep
-
-// DepMode is a depend clause's access mode.
-type DepMode = core.DepMode
-
-// Depend clause constructors. The key is conventionally the address of
-// the protected datum (any comparable value works).
-func In(key any) Dep    { return core.In(key) }
-func Out(key any) Dep   { return core.Out(key) }
-func InOut(key any) Dep { return core.InOut(key) }
 
 // JobRecord is one completed job's per-job profiling record (submission,
 // adoption, and completion times; adopting worker; panic and migration
