@@ -51,7 +51,7 @@ func TestOpenLoopLatencyCountsFromTheDueTime(t *testing.T) {
 		if out.err != nil || out.statuses[wire.StatusOK] != jobs {
 			t.Fatalf("drive: err %v, %d of %d ok", out.err, out.statuses[wire.StatusOK], jobs)
 		}
-		return time.Duration(out.hist.Min())
+		return time.Duration(out.hist.Percentile(0))
 	}
 
 	// Every record is due as the run starts; the worker is held busy for

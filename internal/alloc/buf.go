@@ -23,10 +23,6 @@ const bufMinCap = 4096
 type BufPool struct {
 	mu   sync.Mutex
 	free [][]byte
-
-	gets  uint64
-	hits  uint64
-	drops uint64
 }
 
 // NewBufPool returns an empty buffer pool.
@@ -41,13 +37,11 @@ func (p *BufPool) Get(min int) []byte {
 		min = bufMinCap
 	}
 	p.mu.Lock()
-	p.gets++
 	if n := len(p.free); n > 0 {
 		b := p.free[n-1]
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
 		if cap(b) >= min {
-			p.hits++
 			p.mu.Unlock()
 			return b[:0]
 		}
@@ -68,23 +62,6 @@ func (p *BufPool) Put(b []byte) {
 	p.mu.Lock()
 	if len(p.free) < bufPoolMax {
 		p.free = append(p.free, b[:0])
-	} else {
-		p.drops++
 	}
 	p.mu.Unlock()
-}
-
-// BufStats are BufPool counters: total Gets, Gets served from the free
-// stack, and Puts dropped at the retention bound.
-type BufStats struct {
-	Gets  uint64
-	Hits  uint64
-	Drops uint64
-}
-
-// Stats reports the pool's counters.
-func (p *BufPool) Stats() BufStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return BufStats{Gets: p.gets, Hits: p.hits, Drops: p.drops}
 }

@@ -66,9 +66,6 @@ type Diagnostic struct {
 	Message string
 }
 
-// Report emits a diagnostic.
-func (p *Pass) Report(d Diagnostic) { p.report(d) }
-
 // Reportf emits a diagnostic at pos with a formatted message.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Pos: pos, End: pos, Message: fmt.Sprintf(format, args...)})
@@ -137,27 +134,4 @@ func enclosingFunc(files []*ast.File, pos token.Pos) *ast.FuncDecl {
 		}
 	}
 	return nil
-}
-
-// recvTypeName returns the receiver's named-type name of a method decl
-// ("" for plain functions).
-func recvTypeName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return ""
-	}
-	t := fd.Recv.List[0].Type
-	for {
-		switch x := t.(type) {
-		case *ast.StarExpr:
-			t = x.X
-		case *ast.IndexExpr: // generic receiver Ring[T]
-			t = x.X
-		case *ast.IndexListExpr:
-			t = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
-	}
 }

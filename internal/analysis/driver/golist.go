@@ -40,18 +40,20 @@ type listPkg struct {
 }
 
 // listExport shells out to `go list -export -json -deps patterns...`
-// and decodes the package stream. -export compiles into the build
-// cache, so export data is available offline. With tests set, -test adds
+// in dir (the current directory when empty) and decodes the package
+// stream. -export compiles into the build cache, so export data is
+// available offline. With tests set, -test adds
 // each package's test variants ("p [p.test]" with the _test.go files
 // compiled in, "p_test [p.test]" for external tests) — the units `go
 // vet` hands a vettool.
-func listExport(patterns []string, tests bool) ([]*listPkg, error) {
+func listExport(dir string, patterns []string, tests bool) ([]*listPkg, error) {
 	args := []string{"list", "-e", "-export", "-json", "-deps"}
 	if tests {
 		args = append(args, "-test")
 	}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -104,7 +106,7 @@ func vetUnit(p *listPkg) bool {
 // analyzers over each, prints findings to out, and returns (findings,
 // suppressed).
 func LoadAndRun(patterns []string, analyzers []*analysis.Analyzer, out io.Writer) (int, int, error) {
-	pkgs, err := listExport(patterns, true)
+	pkgs, err := listExport("", patterns, true)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -164,7 +166,7 @@ func LoadAndRun(patterns []string, analyzers []*analysis.Analyzer, out io.Writer
 // data for patterns (used by the analysistest harness to typecheck
 // fixtures that import the standard library).
 func ExportImporter(fset *token.FileSet, patterns ...string) (types.Importer, error) {
-	pkgs, err := listExport(patterns, false)
+	pkgs, err := listExport("", patterns, false)
 	if err != nil {
 		return nil, err
 	}

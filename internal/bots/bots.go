@@ -107,7 +107,6 @@ var (
 	_ TaskRunner = (*Sort)(nil)
 	_ TaskRunner = (*Align)(nil)
 	_ TaskRunner = (*FibCutoff)(nil)
-	_ TaskRunner = (*NQueensCutoff)(nil)
 )
 
 // Names lists the applications in the paper's figure order.

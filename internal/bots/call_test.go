@@ -15,7 +15,7 @@ const maxAllocsPerJob = 8
 // callTaskApps are the applications whose tasks are call tasks, plain and
 // with a cutoff that still leaves tasks to spawn.
 func callTaskApps() []Benchmark {
-	return []Benchmark{NewFib(ScaleTest), NewNQueens(ScaleTest), NewFibCutoff(ScaleTest, 6), NewNQueensCutoff(ScaleTest, 3)}
+	return []Benchmark{NewFib(ScaleTest), NewNQueens(ScaleTest), NewFibCutoff(ScaleTest, 6), nqueensCutoff(3)}
 }
 
 // Every call-task application verifies on every preset, as a region and as

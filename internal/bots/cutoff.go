@@ -30,23 +30,3 @@ func (f *FibCutoff) Name() string { return "fib-cutoff" }
 
 // Params implements Benchmark.
 func (f *FibCutoff) Params() string { return fmt.Sprintf("n=%d cutoff=%d", f.n, f.cutoff) }
-
-// NQueensCutoff is NQueens with task creation limited to the top cutoff
-// rows of the board, the shape of the BOTS manual-cutoff version.
-type NQueensCutoff struct {
-	NQueens
-}
-
-// NewNQueensCutoff returns NQueens at the given scale spawning tasks only
-// for the first cutoff rows.
-func NewNQueensCutoff(sc Scale, cutoff int) *NQueensCutoff {
-	q := &NQueensCutoff{NQueens: *NewNQueens(sc)}
-	q.cutoff = cutoff
-	return q
-}
-
-// Name implements Benchmark.
-func (q *NQueensCutoff) Name() string { return "nqueens-cutoff" }
-
-// Params implements Benchmark.
-func (q *NQueensCutoff) Params() string { return fmt.Sprintf("n=%d cutoff=%d", q.n, q.cutoff) }

@@ -19,10 +19,18 @@ func TestFibCutoffCorrectAtAllCutoffs(t *testing.T) {
 	}
 }
 
+// nqueensCutoff is NQueens at test scale spawning tasks only for the
+// first cutoff rows, the shape of the BOTS manual-cutoff version.
+func nqueensCutoff(cutoff int) *NQueens {
+	q := NewNQueens(ScaleTest)
+	q.cutoff = cutoff
+	return q
+}
+
 func TestNQueensCutoffCorrectAtAllCutoffs(t *testing.T) {
 	tm := core.MustTeam(core.Preset("xgomptb", 4))
 	for _, cutoff := range []int{0, 1, 3, 100} {
-		q := NewNQueensCutoff(ScaleTest, cutoff)
+		q := nqueensCutoff(cutoff)
 		q.RunParallel(tm)
 		if err := q.Verify(); err != nil {
 			t.Fatalf("cutoff %d: %v", cutoff, err)
@@ -54,10 +62,6 @@ func TestCutoffNames(t *testing.T) {
 	f := NewFibCutoff(ScaleTest, 4)
 	if f.Name() != "fib-cutoff" || f.Params() == "" {
 		t.Error("fib-cutoff metadata wrong")
-	}
-	q := NewNQueensCutoff(ScaleTest, 3)
-	if q.Name() != "nqueens-cutoff" || q.Params() == "" {
-		t.Error("nqueens-cutoff metadata wrong")
 	}
 }
 

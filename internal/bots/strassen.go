@@ -31,7 +31,6 @@ type mat struct {
 
 func (m mat) at(i, j int) float64     { return m.d[i*m.stride+j] }
 func (m mat) set(i, j int, v float64) { m.d[i*m.stride+j] = v }
-func (m mat) add(i, j int, v float64) { m.d[i*m.stride+j] += v }
 func (m mat) quad(qi, qj int) mat {
 	h := m.n / 2
 	return mat{d: m.d[qi*h*m.stride+qj*h:], stride: m.stride, n: h}

@@ -60,9 +60,6 @@ func New[T any](capacity int) *Queue[T] {
 	}
 }
 
-// Cap returns the queue capacity.
-func (q *Queue[T]) Cap() int { return len(q.buf) }
-
 // Enqueue appends v and reports success; it returns false when the queue is
 // full. v must be non-nil (nil is the empty-slot marker). Producer-only.
 func (q *Queue[T]) Enqueue(v *T) bool {

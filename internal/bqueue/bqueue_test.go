@@ -20,8 +20,8 @@ func TestNewValidatesCapacity(t *testing.T) {
 		}()
 	}
 	for _, good := range []int{2, 4, 64, 1024} {
-		if q := New[int](good); q.Cap() != good {
-			t.Errorf("Cap = %d, want %d", q.Cap(), good)
+		if q := New[int](good); len(q.buf) != good {
+			t.Errorf("capacity = %d, want %d", len(q.buf), good)
 		}
 	}
 }

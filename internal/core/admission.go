@@ -111,7 +111,7 @@ func (tm *Team) Submit(fn TaskFunc) (*Job, error) {
 // submission (nil fn, class out of range, negative tenant weight). Like
 // Submit it must be called from outside the team's task bodies.
 //
-// It is the batch of one: the same admission pass as SubmitBatchCtx over
+// It is the batch of one: the same admission pass as SubmitBatchInto over
 // stack-resident slices, so a single submission allocates nothing.
 func (tm *Team) SubmitCtx(ctx context.Context, fn TaskFunc, opts SubmitOpts) (*Job, error) {
 	items := [1]BatchItem{{Fn: fn, Opts: opts}}
@@ -122,40 +122,20 @@ func (tm *Team) SubmitCtx(ctx context.Context, fn TaskFunc, opts SubmitOpts) (*J
 	return res[0].Job, res[0].Err
 }
 
-// SubmitBatch admits every fn as a new job of the neutral batch class —
-// the compatibility wrapper over SubmitBatchCtx, mirroring Submit.
-func (tm *Team) SubmitBatch(fns []TaskFunc) ([]BatchResult, error) {
-	items := make([]BatchItem, len(fns))
-	for i, fn := range fns {
-		items[i] = BatchItem{Fn: fn, Opts: SubmitOpts{Priority: load.ClassBatch}}
-	}
-	return tm.SubmitBatchCtx(context.Background(), items)
-}
-
-// SubmitBatchCtx admits a batch of jobs in one amortized admission pass
-// (see admitBatch) and returns one BatchResult per item, index-aligned
-// with items. The batch-level error reports only conditions that fail
-// the batch as a whole (a team that is not serving); per-item failures —
-// validation, shedding, rejection, expiry, cancellation — land in the
-// item's BatchResult, so partial admission is the normal outcome under
-// backpressure, not an error. Items whose policy verdict allows waiting
+// SubmitBatchInto admits a batch of jobs in one amortized admission pass
+// (see admitBatch) and writes one BatchResult per item into res,
+// index-aligned with items (len(res) >= len(items); previous contents are
+// overwritten), so a caller splitting one batch across teams fills
+// sub-slices of one result slice. The batch-level error reports only
+// conditions that fail the batch as a whole (a team that is not
+// serving); per-item failures — validation, shedding, rejection, expiry,
+// cancellation — land in the item's BatchResult, so partial admission is
+// the normal outcome under backpressure, not an error. Items whose policy verdict allows waiting
 // park (in item order) behind their class's ring when it is full, and
 // the submitter blocks until workers have claimed enough of them to bring
 // the rest within the class's bound, honouring ctx and each item's own
 // deadline. Like SubmitCtx it must be called from outside the team's task
 // bodies.
-func (tm *Team) SubmitBatchCtx(ctx context.Context, items []BatchItem) ([]BatchResult, error) {
-	res := make([]BatchResult, len(items))
-	if err := tm.SubmitBatchInto(ctx, items, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// SubmitBatchInto is SubmitBatchCtx writing the per-item outcomes into
-// the caller's res (len(res) >= len(items); previous contents are
-// overwritten), so a caller splitting one batch across teams fills
-// sub-slices of one result slice.
 func (tm *Team) SubmitBatchInto(ctx context.Context, items []BatchItem, res []BatchResult) error {
 	svc := tm.svc.Load()
 	if svc == nil {

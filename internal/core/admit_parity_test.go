@@ -17,7 +17,7 @@ const parityTenant = 3
 
 // TestAdmitSingleBatchParity pins "a single submission is the batch of
 // one": every admission outcome is driven through SubmitCtx(x) and
-// through SubmitBatchCtx([x]) on fresh teams in the same state, and both
+// through SubmitBatchInto([x]) on fresh teams in the same state, and both
 // must report the same error identity, move the same admission counters
 // (per class and per tenant), and leave every gauge at zero once the
 // team has drained.
@@ -127,16 +127,16 @@ func TestAdmitSingleBatchParity(t *testing.T) {
 				class = int(opts.Priority)
 			}
 			opts.Tenant.ID = parityTenant
-			before := tm.Profile().AdmitCounts()[class]
+			before := admitCounts(tm.Profile())[class]
 
 			var (
 				j   *Job
 				err error
 			)
 			if batch {
-				res, berr := tm.SubmitBatchCtx(ctx, []BatchItem{{Fn: tc.fn, Opts: opts}})
+				res, berr := submitBatch(ctx, tm, []BatchItem{{Fn: tc.fn, Opts: opts}})
 				if berr != nil || len(res) != 1 {
-					t.Fatalf("SubmitBatchCtx = (%d results, %v), want one result and no batch error", len(res), berr)
+					t.Fatalf("SubmitBatchInto = (%d results, %v), want one result and no batch error", len(res), berr)
 				}
 				if (res[0].Job == nil) == (res[0].Err == nil) {
 					t.Fatalf("BatchResult %+v: want exactly one of Job and Err", res[0])
@@ -155,10 +155,10 @@ func TestAdmitSingleBatchParity(t *testing.T) {
 			if !o.matches {
 				t.Errorf("got (%v, %v), want error %v", j, err, tc.want)
 			}
-			after := tm.Profile().AdmitCounts()[class]
+			after := admitCounts(tm.Profile())[class]
 			for oc := range after {
 				o.class[oc] = after[oc] - before[oc]
-				o.tenant[oc] = tm.Profile().TenantAdmitCount(parityTenant, prof.AdmitOutcome(oc))
+				o.tenant[oc] = tm.Profile().Tenants()[parityTenant].Counts[oc]
 				want := uint64(0)
 				if prof.AdmitOutcome(oc) == tc.outcome {
 					want = 1
@@ -200,7 +200,7 @@ func TestAdmitSingleBatchParity(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			single, batch := run(t, false), run(t, true)
 			if single != batch {
-				t.Fatalf("SubmitCtx observed %+v, SubmitBatchCtx of one observed %+v", single, batch)
+				t.Fatalf("SubmitCtx observed %+v, SubmitBatchInto of one observed %+v", single, batch)
 			}
 		})
 	}

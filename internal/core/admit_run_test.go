@@ -23,6 +23,16 @@ import (
 // the ring's FIFO — and every one of them ends with the ledgers at rest:
 // gauges at zero, nothing active, every frame back in the pool.
 
+// admitCounts reads p's per-class × per-outcome admission counters.
+func admitCounts(p *prof.Profile) (out [load.NumClasses][prof.NumAdmitOutcomes]uint64) {
+	for c := range out {
+		for o := range out[c] {
+			out[c][o] = p.AdmitCount(c, prof.AdmitOutcome(o))
+		}
+	}
+	return out
+}
+
 // assertAtRest checks that nothing of a finished scenario is still
 // counted anywhere: the team's in-flight word, the queue gauges, and the
 // frame pool — jobs holds every handle the scenario was given, and once
@@ -53,7 +63,7 @@ func assertAtRest(t *testing.T, tm *Team, tenants []int, jobs []*Job) {
 	for i := range items {
 		items[i] = BatchItem{Fn: func(*Worker) {}}
 	}
-	res, err := tm.SubmitBatchCtx(context.Background(), items)
+	res, err := submitBatch(context.Background(), tm, items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +97,7 @@ func TestAdmitRunOverflow(t *testing.T) {
 					Opts: SubmitOpts{Tenant: load.Tenant{ID: tenant}},
 				}
 			}
-			res, err := tm.SubmitBatchCtx(context.Background(), items)
+			res, err := submitBatch(context.Background(), tm, items)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +122,7 @@ func TestAdmitRunOverflow(t *testing.T) {
 			if got := p.AdmitCount(int(load.ClassBatch), prof.AdmitAdmitted); got != n {
 				t.Fatalf("class ADMIT = %d, want %d", got, n)
 			}
-			if got := p.TenantAdmitCount(tenant, prof.AdmitAdmitted); got != n {
+			if got := p.Tenants()[tenant].Counts[prof.AdmitAdmitted]; got != n {
 				t.Fatalf("tenant ADMIT = %d, want %d", got, n)
 			}
 			assertAtRest(t, tm, []int{tenant}, jobs)
@@ -156,7 +166,7 @@ func TestAdmitRunInterrupted(t *testing.T) {
 			items[0].Fn = func(*Worker) { ran.Add(1); <-gate }
 			done := make(chan []BatchResult, 1)
 			go func() {
-				res, err := tm.SubmitBatchCtx(ctx, items)
+				res, err := submitBatch(ctx, tm, items)
 				if err != nil {
 					t.Error(err)
 				}
@@ -269,7 +279,7 @@ func TestAdmitRunSplits(t *testing.T) {
 	}
 	done := make(chan []BatchResult, 1)
 	go func() {
-		res, err := tm.SubmitBatchCtx(context.Background(), items)
+		res, err := submitBatch(context.Background(), tm, items)
 		if err != nil {
 			t.Error(err)
 		}
@@ -324,11 +334,11 @@ func TestAdmitRunSplits(t *testing.T) {
 	}
 	wantTenant[0]++ // the wedge
 	for id, want := range wantTenant {
-		if got := p.TenantAdmitCount(id, prof.AdmitAdmitted); got != want {
+		if got := p.Tenants()[id].Counts[prof.AdmitAdmitted]; got != want {
 			t.Fatalf("tenant %d ADMIT = %d, want %d", id, got, want)
 		}
 	}
-	if got := p.TenantAdmitCount(rejected, prof.AdmitRejected); got != 2 {
+	if got := p.Tenants()[rejected].Counts[prof.AdmitRejected]; got != 2 {
 		t.Fatalf("tenant %d REJECT = %d, want 2", rejected, got)
 	}
 	assertAtRest(t, tm, []int{0, 1, 2, 3, rejected}, jobs)
@@ -418,7 +428,7 @@ func TestParkedRunWaitsForRoom(t *testing.T) {
 		for i := range items {
 			items[i] = BatchItem{Fn: func(*Worker) { <-gate }}
 		}
-		res, err := tm.SubmitBatchCtx(context.Background(), items)
+		res, err := submitBatch(context.Background(), tm, items)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -140,7 +140,7 @@ func TestSubmitCtxCancelAdoptRace(t *testing.T) {
 			t.Fatalf("class %v queue gauge = %d after drain, want 0", load.Class(c), d)
 		}
 	}
-	counts := p.AdmitCounts()
+	counts := admitCounts(p)
 	total := counts[load.ClassBatch][prof.AdmitAdmitted] + counts[load.ClassBatch][prof.AdmitCancelled]
 	if want := uint64(submitters * perSubmitter); total != want {
 		t.Fatalf("admitted+cancelled = %d, want exactly one outcome per submission (%d)", total, want)
@@ -517,7 +517,7 @@ func TestMixedClassConcurrentSubmitters(t *testing.T) {
 	if got := done.Load(); got != submitters*jobsPer {
 		t.Fatalf("%d jobs ran, want %d", got, submitters*jobsPer)
 	}
-	counts := tm.Profile().AdmitCounts()
+	counts := admitCounts(tm.Profile())
 	var admitted uint64
 	for c := range counts {
 		admitted += counts[c][prof.AdmitAdmitted]

@@ -12,6 +12,24 @@ import (
 	"repro/internal/prof"
 )
 
+// submitBatch admits items on tm and returns their results.
+func submitBatch(ctx context.Context, tm *Team, items []BatchItem) ([]BatchResult, error) {
+	res := make([]BatchResult, len(items))
+	if err := tm.SubmitBatchInto(ctx, items, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// batchOf wraps fns as batch-class items.
+func batchOf(fns []TaskFunc) []BatchItem {
+	items := make([]BatchItem, len(fns))
+	for i, fn := range fns {
+		items[i] = BatchItem{Fn: fn}
+	}
+	return items
+}
+
 // TestSubmitBatchBasic: a whole batch admits in one pass, every job runs,
 // and after the drain the admission gauges are back to zero.
 func TestSubmitBatchBasic(t *testing.T) {
@@ -23,7 +41,7 @@ func TestSubmitBatchBasic(t *testing.T) {
 	for i := range fns {
 		fns[i] = func(*Worker) { ran.Add(1) }
 	}
-	res, err := tm.SubmitBatch(fns)
+	res, err := submitBatch(context.Background(), tm, batchOf(fns))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +82,7 @@ func TestSubmitBatchMixedClasses(t *testing.T) {
 			Opts: SubmitOpts{Priority: classes[i%3], Tenant: load.Tenant{ID: i % 2, Weight: 1}},
 		}
 	}
-	res, err := tm.SubmitBatchCtx(context.Background(), items)
+	res, err := submitBatch(context.Background(), tm, items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +104,7 @@ func TestSubmitBatchMixedClasses(t *testing.T) {
 		}
 	}
 	for id := 0; id < 2; id++ {
-		if got := p.TenantAdmitCount(id, prof.AdmitAdmitted); got != 6 {
+		if got := p.Tenants()[id].Counts[prof.AdmitAdmitted]; got != 6 {
 			t.Fatalf("tenant %d admitted %d, want 6", id, got)
 		}
 	}
@@ -112,7 +130,7 @@ func TestSubmitBatchPartialReject(t *testing.T) {
 	for i := range items {
 		items[i] = BatchItem{Fn: func(*Worker) {}}
 	}
-	res, err := tm.SubmitBatchCtx(context.Background(), items)
+	res, err := submitBatch(context.Background(), tm, items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +184,7 @@ func TestSubmitBatchCtxCancelMidBatch(t *testing.T) {
 	}
 	done := make(chan out, 1)
 	go func() {
-		res, err := tm.SubmitBatchCtx(ctx, items)
+		res, err := submitBatch(ctx, tm, items)
 		done <- out{res, err}
 	}()
 	// Let the batch reach its blocked tail, then cancel.
@@ -213,7 +231,7 @@ func TestSubmitBatchValidation(t *testing.T) {
 		{Fn: func(*Worker) {}, Opts: SubmitOpts{Deadline: time.Now().Add(-time.Second)}},
 		{Fn: func(*Worker) {}},
 	}
-	res, err := tm.SubmitBatchCtx(context.Background(), items)
+	res, err := submitBatch(context.Background(), tm, items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +260,7 @@ func TestSubmitBatchClosed(t *testing.T) {
 	if err := tm.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := tm.SubmitBatch([]TaskFunc{func(*Worker) {}, func(*Worker) {}})
+	res, err := submitBatch(context.Background(), tm, batchOf([]TaskFunc{func(*Worker) {}, func(*Worker) {}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +296,7 @@ func TestSubmitBatchConcurrent(t *testing.T) {
 						Opts: SubmitOpts{Priority: load.ByPriority[(s+i)%len(load.ByPriority)]},
 					}
 				}
-				res, err := tm.SubmitBatchCtx(context.Background(), items)
+				res, err := submitBatch(context.Background(), tm, items)
 				if err != nil {
 					t.Error(err)
 					return

@@ -175,9 +175,6 @@ type Config struct {
 	Admit load.AdmitPolicy
 	// Profile enables the event timeline (counters are always on).
 	Profile bool
-	// Pin locks each worker goroutine to an OS thread for the duration of
-	// a parallel region, approximating OMP_PROC_BIND=close.
-	Pin bool
 	// Seed seeds the per-worker RNGs; 0 → 1 (deterministic by default).
 	Seed int64
 }

@@ -130,31 +130,6 @@ func TestTaskWaitHappensBefore(t *testing.T) {
 	})
 }
 
-func TestParallelSPMD(t *testing.T) {
-	for _, name := range []string{"gomp", "xgomptb"} {
-		t.Run(name, func(t *testing.T) {
-			cfg := Preset(name, 4)
-			tm := MustTeam(cfg)
-			var ran [4]atomic.Bool
-			var ids [4]atomic.Int32
-			runWithTimeout(t, 30*time.Second, name, func() {
-				tm.Parallel(func(w *Worker) {
-					ran[w.ID()].Store(true)
-					ids[w.ID()].Store(int32(w.Zone()))
-				})
-			})
-			for i := range ran {
-				if !ran[i].Load() {
-					t.Errorf("worker %d did not run the SPMD body", i)
-				}
-				if int(ids[i].Load()) != tm.Topology().ZoneOf(i) {
-					t.Errorf("worker %d reported wrong zone", i)
-				}
-			}
-		})
-	}
-}
-
 func TestTeamReuse(t *testing.T) {
 	cfg := Preset("xgomptb", 3)
 	tm := MustTeam(cfg)
@@ -363,19 +338,6 @@ func TestMoreWorkersThanCPUs(t *testing.T) {
 		tm.Run(func(w *Worker) { got = taskFib(w, 15) })
 		if got != serialFib(15) {
 			t.Errorf("wrong result under oversubscription")
-		}
-	})
-}
-
-func TestPinnedWorkers(t *testing.T) {
-	cfg := Preset("xgomptb", 2)
-	cfg.Pin = true
-	tm := MustTeam(cfg)
-	runWithTimeout(t, 30*time.Second, "pin", func() {
-		var got int
-		tm.Run(func(w *Worker) { got = taskFib(w, 10) })
-		if got != serialFib(10) {
-			t.Errorf("wrong result with pinned workers")
 		}
 	})
 }

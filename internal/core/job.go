@@ -359,10 +359,6 @@ func (j *Job) Migrated() bool { return j.migrated.Load() }
 // Class returns the job's admission priority class.
 func (j *Job) Class() load.Class { return j.class }
 
-// Tenant returns the submitting tenant (zero value for single-tenant
-// callers).
-func (j *Job) Tenant() load.Tenant { return j.tenant }
-
 // QueueDelay returns how long the job waited in the admission queue before
 // a worker adopted it. Valid once the job has started.
 func (j *Job) QueueDelay() time.Duration {

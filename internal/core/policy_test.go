@@ -119,6 +119,20 @@ func adaptiveTeam(t *testing.T, hysteresis int) *Team {
 	return tm
 }
 
+// liveGrain maps the team's live DLB configuration back to the grain
+// class the adaptive controller tuned it for. Each class has its own
+// configuration, and the team starts on DefaultDLB, which is none of
+// them, so it reads as GrainUnknown until the first classification.
+func liveGrain(tm *Team) load.Grain {
+	d := tm.DLB()
+	for g := load.GrainFine; g <= load.GrainXCoarse; g++ {
+		if DLBForGrain(g, tm.top.Zones) == d {
+			return g
+		}
+	}
+	return load.GrainUnknown
+}
+
 // burst submits one job that spawns n tasks of the given body and waits
 // for it to quiesce.
 func burst(t *testing.T, tm *Team, n int, body TaskFunc) {
@@ -240,12 +254,12 @@ func TestAdaptiveHysteresisNoFlap(t *testing.T) {
 	var inputs []load.Signals
 	tick := func() {
 		burst(t, tm, 512, mixed)
-		cur := tm.adapt.Current()
+		cur := liveGrain(tm)
 		tm.PolicyTick()
 		// This goroutine is the team's only Signals caller, so the cached
 		// aggregate is exactly what the tick classified.
 		inputs = append(inputs, *tm.sigAgg.Load())
-		if next := tm.adapt.Current(); next != cur && cur != load.GrainUnknown {
+		if next := liveGrain(tm); next != cur && cur != load.GrainUnknown {
 			for _, s := range inputs[max(0, len(inputs)-hysteresis):] {
 				if !left(s, cur) {
 					t.Fatalf("switched %v -> %v on ServiceNS %.0f (rate %.0f), inside %v's guard band; inputs %+v",
@@ -255,10 +269,10 @@ func TestAdaptiveHysteresisNoFlap(t *testing.T) {
 		}
 	}
 
-	for i := 0; i < 40 && tm.adapt.Current() == load.GrainUnknown; i++ {
+	for i := 0; i < 40 && liveGrain(tm) == load.GrainUnknown; i++ {
 		tick()
 	}
-	if tm.adapt.Current() == load.GrainUnknown {
+	if liveGrain(tm) == load.GrainUnknown {
 		t.Skip("mix never classified (host too noisy); nothing to flap")
 	}
 	for i := 0; i < 30; i++ {

@@ -118,7 +118,7 @@ func (svc *service) jobDone() {
 
 // Serve switches the team into task-service mode: all workers start and
 // remain available to execute jobs submitted with Submit until Close. A
-// serving team must not open parallel regions (Run/Parallel panic); after
+// serving team must not open parallel regions (Run panics); after
 // Close the team may serve again or run regions.
 func (tm *Team) Serve() error {
 	tm.lifeMu.Lock()
@@ -328,10 +328,6 @@ func (tm *Team) Serving() bool {
 // worker outside the active set.
 func (tm *Team) serve(svc *service, w *Worker) {
 	defer svc.wg.Done()
-	if tm.cfg.Pin {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
 	w.beginRegion()
 	w.bell = svc.bell
 	defer func() { w.bell = nil }()

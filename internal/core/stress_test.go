@@ -118,8 +118,9 @@ func TestManyRegionsDLBStateHygiene(t *testing.T) {
 	})
 }
 
-// Parallel (SPMD) regions where every worker spawns concurrently stress
-// the multi-producer discipline of the queue matrix.
+// Every worker spawning concurrently (SPMD-style: one spawner task per
+// worker, each spawning and joining its own children) stresses the
+// multi-producer discipline of the queue matrix.
 func TestSPMDAllWorkersSpawn(t *testing.T) {
 	for _, preset := range []string{"gomp", "lomp", "xgomptb", "xgomptb+naws"} {
 		t.Run(preset, func(t *testing.T) {
@@ -127,11 +128,15 @@ func TestSPMDAllWorkersSpawn(t *testing.T) {
 			tm := MustTeam(cfg)
 			var ran atomic.Int64
 			runWithTimeout(t, 60*time.Second, preset, func() {
-				tm.Parallel(func(w *Worker) {
-					for i := 0; i < 500; i++ {
-						w.Spawn(func(*Worker) { ran.Add(1) })
+				tm.Run(func(w *Worker) {
+					for s := 0; s < 4; s++ {
+						w.Spawn(func(w *Worker) {
+							for i := 0; i < 500; i++ {
+								w.Spawn(func(*Worker) { ran.Add(1) })
+							}
+							w.TaskWait()
+						})
 					}
-					w.TaskWait()
 				})
 			})
 			if got := ran.Load(); got != 4*500 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -219,7 +220,7 @@ func TestWaitRecycleGenerations(t *testing.T) {
 	go func() {
 		defer close(finished)
 		for r := 1; r <= rounds; r++ {
-			res, err := tm.SubmitBatch(fns)
+			res, err := submitBatch(context.Background(), tm, batchOf(fns))
 			if err != nil {
 				t.Error(err)
 				return
@@ -270,7 +271,7 @@ func TestPollRecycleGenerations(t *testing.T) {
 	}
 	deadline := time.Now().Add(60 * time.Second)
 	for r := 1; r <= rounds; r++ {
-		res, err := tm.SubmitBatch(fns)
+		res, err := submitBatch(context.Background(), tm, batchOf(fns))
 		if err != nil {
 			t.Fatal(err)
 		}

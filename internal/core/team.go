@@ -15,15 +15,15 @@ import (
 )
 
 // Team is a set of workers executing parallel regions, the analogue of an
-// OpenMP thread team. A Team is reusable: Run and Parallel may be called
-// any number of times, sequentially.
+// OpenMP thread team. A Team is reusable: Run may be called any number of
+// times, sequentially.
 //
 // Config.Workers is the team's maximum capacity, not a frozen size: in
 // task-service mode (Serve) the running worker set is an active mask over
 // that capacity — SetActive(n) keeps workers [0, n) serving and parks the
 // rest on a wakeup, so an elastic capacity controller can move worker
-// quota between teams at runtime. Parallel regions always run at full
-// capacity; the mask resets to Workers when the service closes.
+// quota between teams at runtime. Parallel regions (Run) always run at
+// full capacity; the mask resets to Workers when the service closes.
 type Team struct {
 	cfg     Config
 	n       int
@@ -283,13 +283,7 @@ func (tm *Team) acquireJobs(firstID int64, frames []*Job) (lane int) {
 // workers proceed straight to task execution and the team barrier — the
 // OpenMP "parallel + single" idiom every BOTS benchmark uses. Run returns
 // when every task created in the region has completed.
-func (tm *Team) Run(f TaskFunc) { tm.region(f, false) }
-
-// Parallel opens an SPMD region: every worker executes f, then joins the
-// team barrier. Equivalent to an OpenMP parallel region body.
-func (tm *Team) Parallel(f TaskFunc) { tm.region(f, true) }
-
-func (tm *Team) region(f TaskFunc, spmd bool) {
+func (tm *Team) Run(f TaskFunc) {
 	tm.lifeMu.Lock()
 	if tm.Serving() {
 		tm.lifeMu.Unlock()
@@ -316,12 +310,8 @@ func (tm *Team) region(f TaskFunc, spmd bool) {
 					tm.recordPanic(r)
 				}
 			}()
-			if tm.cfg.Pin {
-				runtime.LockOSThread()
-				defer runtime.UnlockOSThread()
-			}
 			w.beginRegion()
-			if spmd || w.id == 0 {
+			if w.id == 0 {
 				w.prof.Begin(prof.EvTask)
 				f(w)
 				w.prof.End(prof.EvTask)

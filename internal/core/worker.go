@@ -73,9 +73,6 @@ func (w *Worker) ID() int { return w.id }
 // Zone returns the worker's NUMA zone.
 func (w *Worker) Zone() int { return w.zone }
 
-// Team returns the team this worker belongs to.
-func (w *Worker) Team() *Team { return w.team }
-
 // beginRegion resets per-region worker state and installs a fresh implicit
 // root task. The implicit task's body never ends in the join count, so
 // its children leave refs at minus what the last region spawned.

@@ -79,9 +79,10 @@ func admitTotals(pool *xomp.ShardedPool) (class [load.NumClasses]uint64, tenant 
 		for c := 0; c < int(load.NumClasses); c++ {
 			class[c] += p.AdmitCount(c, prof.AdmitAdmitted)
 		}
+		tenants := p.Tenants()
 		for id := 1; id <= 4; id++ {
-			tenant[id] += p.TenantAdmitCount(id, prof.AdmitAdmitted)
-			completed[id] += p.TenantCompleted(id)
+			tenant[id] += tenants[id].Counts[prof.AdmitAdmitted]
+			completed[id] += tenants[id].Completed
 		}
 	}
 	return class, tenant, completed

@@ -137,12 +137,16 @@ func (r *writerRig) settled(unreported uint64) {
 func noop(*xomp.Worker) {}
 
 // hot makes the connection look busy to its writer: a run of flushes that
-// each carry hundreds of (refusal) records, so the average gap between
-// records falls far below what a socket write costs. The average follows
-// the traffic within a few flushes, so each scenario heats it afresh.
+// each carry thousands of (refusal) records, so the average gap between
+// records falls far below what a socket write costs. Each scenario heats
+// it afresh, and the run must be long enough for the writer's ¼-weight
+// average to forget the previous scenario's gaps, which were one record a
+// flush and milliseconds apart: after 16 flushes of 512 a few runs in a
+// hundred still read the gap above the write cost, and the writer rightly
+// did not hold. 32 flushes leave ¾³² ≈ 10⁻⁴ of the old gap.
 func (r *writerRig) hot() {
 	r.t.Helper()
-	const bursts, each = 16, 512
+	const bursts, each = 32, 2048
 	for b := 0; b < bursts; b++ {
 		recs := make([]wire.ResultRecord, each)
 		for i := range recs {

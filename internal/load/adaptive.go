@@ -131,10 +131,6 @@ func NewAdaptive(cfg AdaptiveConfig) *Adaptive {
 	return &Adaptive{cfg: cfg, current: GrainUnknown, candidate: GrainUnknown}
 }
 
-// Current returns the established granularity class (GrainUnknown before
-// the first switch).
-func (a *Adaptive) Current() Grain { return a.current }
-
 // Observe feeds one signal-plane aggregate. It returns (grain, true) when
 // the workload has durably reclassified — the caller should retune to the
 // returned class — and (current, false) otherwise. Unclassifiable or idle
@@ -177,9 +173,6 @@ func (a *Adaptive) Observe(s Signals) (Grain, bool) {
 	a.candidate, a.streak = GrainUnknown, 0
 	return a.current, true
 }
-
-// Saturated returns the established saturation verdict.
-func (a *Adaptive) Saturated() bool { return a.saturated }
 
 // ObserveSaturation feeds one signal-plane aggregate to the saturation
 // tracker, the gate that lets deadline-aware admission shedding engage

@@ -148,8 +148,8 @@ func TestObserveSaturation(t *testing.T) {
 	if sat, sw := a.ObserveSaturation(at(0.5)); sat || !sw {
 		t.Fatalf("release: saturated=%v switched=%v, want false,true", sat, sw)
 	}
-	if a.Saturated() {
-		t.Fatal("Saturated() disagrees with the release")
+	if a.saturated {
+		t.Fatal("saturation verdict disagrees with the release")
 	}
 	// An interrupted streak resets.
 	a.ObserveSaturation(at(2))

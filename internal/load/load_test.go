@@ -384,8 +384,8 @@ func TestAdaptiveHysteresisAndSwitching(t *testing.T) {
 	if !sw || g != GrainXCoarse {
 		t.Fatalf("coarse not established: (%v, %v)", g, sw)
 	}
-	if a.Current() != GrainXCoarse {
-		t.Fatalf("Current = %v", a.Current())
+	if a.current != GrainXCoarse {
+		t.Fatalf("Current = %v", a.current)
 	}
 	// Idle observations never disturb the established class.
 	for i := 0; i < 10; i++ {
@@ -393,7 +393,7 @@ func TestAdaptiveHysteresisAndSwitching(t *testing.T) {
 			t.Fatal("idle observation switched the class")
 		}
 	}
-	if a.Current() != GrainXCoarse {
+	if a.current != GrainXCoarse {
 		t.Fatal("idle observations changed the class")
 	}
 }

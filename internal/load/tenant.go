@@ -68,10 +68,6 @@ type tenantLane struct {
 	// edge, waiting in a class queue, or running). Lanes with inflight
 	// work define the plane's virtual time and active weight.
 	inflight int
-	// backlog counts arrivals awaiting a grant via the scheduler API
-	// (Arrive/NextGrant); the admission edge does not use it.
-	backlog int
-	granted uint64
 }
 
 // TenantPlane is the per-tenant virtual-time plane behind weighted fair
@@ -79,10 +75,8 @@ type tenantLane struct {
 // time advances by serviceCost/weight per grant, the plane's virtual
 // time is the minimum over tenants with work in flight, and an idle
 // tenant re-enters at the plane's clock rather than its own stale one.
-// Two client surfaces share the state: the admission edge (Grant /
-// Observe / Lead / ShareBound, driven by WFQAdmit) and a grant
-// scheduler (Arrive / NextGrant) that the property tests drive
-// directly. All methods are safe for concurrent use.
+// WFQAdmit drives it at the admission edge (Grant / Observe / Lead /
+// ShareBound). All methods are safe for concurrent use.
 type TenantPlane struct {
 	mu    sync.Mutex
 	lanes map[int]*tenantLane
@@ -116,7 +110,7 @@ func (p *TenantPlane) lane(t Tenant) *tenantLane {
 }
 
 // vminLocked returns the plane's virtual time — the minimum vtime over
-// lanes with work in flight or backlogged arrivals — and whether any
+// lanes with work in flight — and whether any
 // such lane exists. An idle plane has no clock: callers must not compare
 // a lane's absolute vtime against the 0 returned here (that would turn
 // accumulated virtual time into phantom lead). Deterministic regardless
@@ -125,7 +119,7 @@ func (p *TenantPlane) lane(t Tenant) *tenantLane {
 func (p *TenantPlane) vminLocked() (float64, bool) {
 	min, found := 0.0, false
 	for _, l := range p.lanes {
-		if l.inflight <= 0 && l.backlog <= 0 {
+		if l.inflight <= 0 {
 			continue
 		}
 		if !found || l.vtime < min {
@@ -158,7 +152,6 @@ func (p *TenantPlane) grantLocked(l *tenantLane) {
 		p.activeWeight += l.weight
 	}
 	l.inflight++
-	l.granted++
 }
 
 // Grant records one admitted submission for t, advancing its virtual
@@ -170,13 +163,13 @@ func (p *TenantPlane) Grant(t Tenant) {
 	if l == nil {
 		return
 	}
-	if l.inflight == 0 && l.backlog == 0 {
+	if l.inflight == 0 {
 		// Idle re-entry forgives stale debt as well as stale credit: a
 		// lane whose vtime ran far ahead (a past flood, burst-shed since
 		// drained) rejoins at the plane's clock instead of carrying its
 		// lead forever — fairness memory lasts exactly as long as the
-		// lane's backlog does. A continuously-active flood never takes
-		// this path, so the burst bound still catches it.
+		// lane's work in flight does. A continuously-active flood never
+		// takes this path, so the burst bound still catches it.
 		if v, active := p.vminLocked(); active && l.vtime > v {
 			l.vtime = v
 		}
@@ -266,77 +259,6 @@ func (p *TenantPlane) ShareBound(t Tenant, capacity int, share float64) int {
 		bound = 1
 	}
 	return bound
-}
-
-// Arrive queues one arrival for t on the scheduler surface; NextGrant
-// will serve it in weighted-fair order.
-func (p *TenantPlane) Arrive(t Tenant) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if l := p.lane(t); l != nil {
-		l.backlog++
-	}
-}
-
-// NextGrant serves the backlogged tenant with the smallest virtual
-// finish time (ties broken by tenant id, so grant order is deterministic
-// under map iteration). It returns the granted tenant id, or ok=false
-// when no tenant is backlogged. The granted work is in flight until
-// Observe, exactly like an admission-edge grant.
-func (p *TenantPlane) NextGrant() (id int, ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	v, _ := p.vminLocked()
-	var best *tenantLane
-	var bestFinish float64
-	for _, l := range p.lanes {
-		if l.backlog <= 0 {
-			continue
-		}
-		start := l.vtime
-		if start < v {
-			start = v
-		}
-		finish := start + costLocked(l)/l.weight
-		if best == nil || finish < bestFinish || (finish == bestFinish && l.id < best.id) {
-			best, bestFinish = l, finish
-		}
-	}
-	if best == nil {
-		return 0, false
-	}
-	best.backlog--
-	p.grantLocked(best)
-	return best.id, true
-}
-
-// VTime returns tenant id's current virtual time (0 if unknown).
-func (p *TenantPlane) VTime(id int) float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if l, ok := p.lanes[id]; ok {
-		return l.vtime
-	}
-	return 0
-}
-
-// VirtualTime returns the plane's clock: the minimum virtual time over
-// tenants with outstanding work (0 when the plane is idle).
-func (p *TenantPlane) VirtualTime() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	v, _ := p.vminLocked()
-	return v
-}
-
-// Granted returns the number of grants tenant id has received.
-func (p *TenantPlane) Granted(id int) uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if l, ok := p.lanes[id]; ok {
-		return l.granted
-	}
-	return 0
 }
 
 // WFQAdmit is weighted-fair admission — the noisy-neighbor policy. It

@@ -1,50 +1,82 @@
 package load
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
-// Property-style tests for the WFQ plane, driven through the scheduler
-// surface (Arrive/NextGrant/Observe) with seeded randomness from
-// internal/rng — deterministic run to run, no wall clock anywhere.
+// Property-style tests for the WFQ plane, driven through Grant/Observe
+// with seeded randomness from internal/rng — deterministic run to run,
+// no wall clock anywhere. Each tenant holds one grant that is never
+// observed, so every lane stays in flight and defines the plane's clock,
+// as under saturation; nextFair is the scheduler's pick among them.
+
+// saturate grants each tenant one submission that stays in flight.
+func saturate(p *TenantPlane, tenants []Tenant) {
+	for _, tn := range tenants {
+		p.Grant(tn)
+	}
+}
+
+// nextFair returns the tenant with the smallest virtual finish time if
+// granted now, ties to the earlier tenant: weighted-fair order over
+// tenants that always have work waiting.
+func nextFair(p *TenantPlane, tenants []Tenant) Tenant {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	v, _ := p.vminLocked()
+	var best Tenant
+	bestFinish := math.Inf(1)
+	for _, tn := range tenants {
+		l := p.lanes[tn.ID]
+		start := l.vtime
+		if start < v {
+			start = v
+		}
+		if finish := start + costLocked(l)/l.weight; finish < bestFinish {
+			best, bestFinish = tn, finish
+		}
+	}
+	return best
+}
+
+// clocks returns tenant id's virtual time and the plane's.
+func clocks(p *TenantPlane, id int) (lane, plane float64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	plane, _ = p.vminLocked()
+	return p.lanes[id].vtime, plane
+}
 
 // TestTenantPlaneVirtualTimeMonotone pins the clock invariants: each
 // tenant's virtual time never decreases across grants, and the plane's
-// clock never decreases while the backlogged set is stable (tenants are
-// kept permanently backlogged so no lane re-enters from idle below the
-// minimum).
+// clock never decreases while the set of tenants in flight is stable (no
+// lane re-enters from idle below the minimum).
 func TestTenantPlaneVirtualTimeMonotone(t *testing.T) {
 	r := rng.New(1)
 	p := NewTenantPlane()
 	tenants := []Tenant{{ID: 0}, {ID: 1, Weight: 2}, {ID: 2, Weight: 0.5}, {ID: 3, Weight: 4}}
-	for _, tn := range tenants {
-		for i := 0; i < 2000; i++ {
-			p.Arrive(tn)
-		}
-	}
-	lastV := p.VirtualTime()
+	saturate(p, tenants)
+	_, lastV := clocks(p, 0)
 	lastT := map[int]float64{}
 	for i := 0; i < 5000; i++ {
-		id, ok := p.NextGrant()
-		if !ok {
-			t.Fatalf("grant %d: no backlogged tenant", i)
+		tn := nextFair(p, tenants)
+		p.Grant(tn)
+		vt, v := clocks(p, tn.ID)
+		if vt < lastT[tn.ID] {
+			t.Fatalf("grant %d: tenant %d virtual time went backwards: %g -> %g", i, tn.ID, lastT[tn.ID], vt)
 		}
-		if vt := p.VTime(id); vt < lastT[id] {
-			t.Fatalf("grant %d: tenant %d virtual time went backwards: %g -> %g", i, id, lastT[id], vt)
-		} else {
-			lastT[id] = vt
-		}
-		if v := p.VirtualTime(); v < lastV {
+		lastT[tn.ID] = vt
+		if v < lastV {
 			t.Fatalf("grant %d: plane clock went backwards: %g -> %g", i, lastV, v)
-		} else {
-			lastV = v
 		}
+		lastV = v
 		// Random service times keep per-tenant costs moving through the
 		// EWMA, so the invariant is exercised off the cold-start path.
-		p.Observe(Tenant{ID: id}, 5e5+r.Float64()*1.5e6)
+		p.Observe(tn, 5e5+r.Float64()*1.5e6)
 	}
 }
 
@@ -54,34 +86,34 @@ func TestTenantPlaneVirtualTimeMonotone(t *testing.T) {
 // costs by up to ~4x.
 func TestTenantPlaneNoStarvation(t *testing.T) {
 	const (
-		tenants = 4
-		grants  = 8000
+		n      = 4
+		grants = 8000
 		// Cost ratios are bounded by the observation range below (~4x),
 		// so between two grants to one tenant each competitor can take
 		// at most a handful; 6 per competitor is a generous ceiling.
-		maxGap = 6 * tenants
+		maxGap = 6 * n
 	)
 	r := rng.New(2)
 	p := NewTenantPlane()
-	for id := 0; id < tenants; id++ {
-		for i := 0; i < grants; i++ {
-			p.Arrive(Tenant{ID: id})
-		}
+	tenants := make([]Tenant, n)
+	for id := range tenants {
+		tenants[id] = Tenant{ID: id}
 	}
+	saturate(p, tenants)
 	lastGrant := map[int]int{}
+	granted := make([]int, n)
 	for i := 0; i < grants; i++ {
-		id, ok := p.NextGrant()
-		if !ok {
-			t.Fatalf("grant %d: no backlogged tenant", i)
+		tn := nextFair(p, tenants)
+		p.Grant(tn)
+		if gap := i - lastGrant[tn.ID]; gap > maxGap {
+			t.Fatalf("tenant %d starved for %d consecutive grants (bound %d)", tn.ID, gap, maxGap)
 		}
-		if gap := i - lastGrant[id]; gap > maxGap {
-			t.Fatalf("tenant %d starved for %d consecutive grants (bound %d)", id, gap, maxGap)
-		}
-		lastGrant[id] = i
-		p.Observe(Tenant{ID: id}, 5e5+r.Float64()*1.5e6)
+		lastGrant[tn.ID] = i
+		granted[tn.ID]++
+		p.Observe(tn, 5e5+r.Float64()*1.5e6)
 	}
-	for id := 0; id < tenants; id++ {
-		if p.Granted(id) == 0 {
+	for id, g := range granted {
+		if g == 0 {
 			t.Errorf("tenant %d never granted", id)
 		}
 	}
@@ -91,54 +123,39 @@ func TestTenantPlaneNoStarvation(t *testing.T) {
 // service times, grant counts converge to the weight ratio, and the
 // equal-weight case is near-perfectly fair by Jain's index.
 func TestTenantPlaneShareConvergesToWeights(t *testing.T) {
-	weighted := []Tenant{{ID: 0, Weight: 1}, {ID: 1, Weight: 1}, {ID: 2, Weight: 2}, {ID: 3, Weight: 4}}
 	const grants = 8000
-	p := NewTenantPlane()
+	// run grants in weighted-fair order and returns each tenant's count.
+	run := func(tenants []Tenant) []float64 {
+		p := NewTenantPlane()
+		saturate(p, tenants)
+		counts := make([]float64, len(tenants))
+		for i := 0; i < grants; i++ {
+			tn := nextFair(p, tenants)
+			p.Grant(tn)
+			counts[tn.ID]++
+			// Observe with the full tenant (id and weight), as the
+			// runtime does — the lane refreshes its weight from every
+			// call.
+			p.Observe(tn, 1e6)
+		}
+		return counts
+	}
+
+	weighted := []Tenant{{ID: 0, Weight: 1}, {ID: 1, Weight: 1}, {ID: 2, Weight: 2}, {ID: 3, Weight: 4}}
 	totalW := 0.0
-	byID := map[int]Tenant{}
 	for _, tn := range weighted {
 		totalW += tn.Weight
-		byID[tn.ID] = tn
-		for i := 0; i < grants; i++ {
-			p.Arrive(tn)
-		}
 	}
-	for i := 0; i < grants; i++ {
-		id, ok := p.NextGrant()
-		if !ok {
-			t.Fatalf("grant %d: no backlogged tenant", i)
-		}
-		// Observe with the full tenant (id and weight), as the runtime
-		// does — the lane refreshes its weight from every call.
-		p.Observe(byID[id], 1e6)
-	}
+	counts := run(weighted)
 	for _, tn := range weighted {
 		want := float64(grants) * tn.Weight / totalW
-		got := float64(p.Granted(tn.ID))
-		if got < 0.95*want || got > 1.05*want {
+		if got := counts[tn.ID]; got < 0.95*want || got > 1.05*want {
 			t.Errorf("tenant %d (weight %g): %g grants, want %g ±5%%", tn.ID, tn.Weight, got, want)
 		}
 	}
 
 	// Equal weights: Jain's fairness index over grant counts ≥ 0.9.
-	q := NewTenantPlane()
-	const equal = 4
-	for id := 0; id < equal; id++ {
-		for i := 0; i < grants; i++ {
-			q.Arrive(Tenant{ID: id})
-		}
-	}
-	for i := 0; i < grants; i++ {
-		id, ok := q.NextGrant()
-		if !ok {
-			t.Fatalf("grant %d: no backlogged tenant", i)
-		}
-		q.Observe(Tenant{ID: id}, 1e6)
-	}
-	xs := make([]float64, equal)
-	for id := 0; id < equal; id++ {
-		xs[id] = float64(q.Granted(id))
-	}
+	xs := run([]Tenant{{ID: 0}, {ID: 1}, {ID: 2}, {ID: 3}})
 	if j := stats.Jain(xs); j < 0.9 {
 		t.Errorf("equal-weight Jain index %g < 0.9 (grants %v)", j, xs)
 	}
@@ -156,6 +173,7 @@ func TestWFQAdmitBoundsHotTenantShare(t *testing.T) {
 	order := []int{} // FIFO of queued tenant ids, the modeled queue
 	total := 0
 	var victimShed, hotShed, hotMax int
+	victimGranted := map[int]int{}
 	submit := func(tn Tenant) {
 		req := AdmitRequest{
 			Queued:       total,
@@ -170,7 +188,9 @@ func TestWFQAdmitBoundsHotTenantShare(t *testing.T) {
 			queued[tn.ID]++
 			total++
 			order = append(order, tn.ID)
-			if tn.ID == hot.ID && queued[tn.ID] > hotMax {
+			if tn.ID != hot.ID {
+				victimGranted[tn.ID]++
+			} else if queued[tn.ID] > hotMax {
 				hotMax = queued[tn.ID]
 			}
 		case AdmitShed:
@@ -210,7 +230,7 @@ func TestWFQAdmitBoundsHotTenantShare(t *testing.T) {
 		t.Errorf("hot tenant held %d queue slots, share bound is %d", hotMax, bound)
 	}
 	for _, v := range victims {
-		if p.Plane().Granted(v.ID) == 0 {
+		if victimGranted[v.ID] == 0 {
 			t.Errorf("victim %d never granted", v.ID)
 		}
 	}

@@ -156,15 +156,12 @@ func (t Topology) ZoneOf(w int) int { return t.zoneOf[w] }
 // slice is shared; callers must not modify it.
 func (t Topology) Peers(z int) []int { return t.peers[z] }
 
-// ZoneSize returns the number of workers in zone z.
-func (t Topology) ZoneSize(z int) int { return len(t.peers[z]) }
-
 // SameZone reports whether workers a and b share a NUMA zone.
 func (t Topology) SameZone(a, b int) bool { return t.zoneOf[a] == t.zoneOf[b] }
 
 // SplitDomains partitions the topology into one single-zone topology per
 // NUMA domain: shard z covers exactly the workers of zone z, renumbered
-// 0..ZoneSize(z)-1 in ascending global-id order, so local worker i of
+// 0..len(Peers(z))-1 in ascending global-id order, so local worker i of
 // shard z is global worker Peers(z)[i]. It is the domain→team map of a
 // two-level runtime that pins one worker team per socket (one
 // xomp.ShardedPool shard per domain).

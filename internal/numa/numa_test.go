@@ -24,7 +24,7 @@ func TestSyntheticBlocks(t *testing.T) {
 
 func TestSyntheticRemainder(t *testing.T) {
 	top := Synthetic(7, 3) // blocks of sizes 2,2,3 (extras go to trailing zones)
-	sizes := []int{top.ZoneSize(0), top.ZoneSize(1), top.ZoneSize(2)}
+	sizes := []int{len(top.Peers(0)), len(top.Peers(1)), len(top.Peers(2))}
 	total := sizes[0] + sizes[1] + sizes[2]
 	if total != 7 {
 		t.Fatalf("zone sizes %v do not cover 7 workers", sizes)
@@ -42,7 +42,7 @@ func TestSyntheticMoreZonesThanWorkers(t *testing.T) {
 		t.Fatalf("Zones = %d, want clamp to 3", top.Zones)
 	}
 	for w := 0; w < 3; w++ {
-		if top.ZoneSize(top.ZoneOf(w)) != 1 {
+		if len(top.Peers(top.ZoneOf(w))) != 1 {
 			t.Errorf("worker %d not alone in its zone", w)
 		}
 	}
@@ -183,9 +183,9 @@ func TestSplitDomains(t *testing.T) {
 		}
 		seen := make([]bool, tc.workers)
 		for z, s := range shards {
-			if s.Workers != top.ZoneSize(z) {
+			if s.Workers != len(top.Peers(z)) {
 				t.Fatalf("%d/%d: shard %d has %d workers, want zone size %d",
-					tc.workers, tc.zones, z, s.Workers, top.ZoneSize(z))
+					tc.workers, tc.zones, z, s.Workers, len(top.Peers(z)))
 			}
 			if s.Zones != 1 {
 				t.Fatalf("%d/%d: shard %d spans %d zones, want 1", tc.workers, tc.zones, z, s.Zones)

@@ -149,9 +149,6 @@ func (p *Plot) Size() int {
 	return n
 }
 
-// Bucket returns the (sorted) puzzles in bucket b.
-func (p *Plot) Bucket(b int) []Puzzle { return p.buckets[b] }
-
 // ThroughputMHS returns the generation throughput in million hashes per
 // second, the metric of Fig. 8.
 func (p *Plot) ThroughputMHS() float64 {

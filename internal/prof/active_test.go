@@ -39,7 +39,7 @@ func TestParkTimelineEvent(t *testing.T) {
 	th := p.Thread(0)
 	th.Begin(EvPark)
 	th.End(EvPark)
-	recs := th.Events()
+	recs := th.events
 	if len(recs) != 1 || recs[0].Ev != EvPark {
 		t.Fatalf("events = %+v, want one PARK record", recs)
 	}

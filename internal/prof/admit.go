@@ -225,15 +225,6 @@ func (p *Profile) ClassQueued(c int) int64 { return p.classes[c].queued.load() }
 // AdmitCount returns the lifetime count of outcome o for class c.
 func (p *Profile) AdmitCount(c int, o AdmitOutcome) uint64 { return p.classes[c].counts[o].load() }
 
-// AdmitCounts returns the full per-class × per-outcome admission counter
-// matrix.
-func (p *Profile) AdmitCounts() (out [load.NumClasses][NumAdmitOutcomes]uint64) {
-	for c := range out {
-		out[c] = p.classes[c].outcomes()
-	}
-	return out
-}
-
 // AdmitLatencies returns a copy of class c's retained admission latencies
 // (ns, the most recent MaxAdmitLatencies, in admission order).
 func (p *Profile) AdmitLatencies(c int) []int64 { return p.classes[c].lat.Snapshot() }
@@ -244,27 +235,11 @@ func (p *Profile) JobsMigrated() (in, out uint64) {
 	return p.migratedIn.load(), p.migratedOut.load()
 }
 
-// TenantAdmitCount returns tenant id's lifetime count of outcome o.
-func (p *Profile) TenantAdmitCount(id int, o AdmitOutcome) uint64 {
-	if t := p.seen(id); t != nil {
-		return t.counts[o].load()
-	}
-	return 0
-}
-
 // TenantQueued returns tenant id's slice of NJOBS_QUEUED — the footprint
 // weighted-fair admission bounds.
 func (p *Profile) TenantQueued(id int) int64 {
 	if t := p.seen(id); t != nil {
 		return t.queued.load()
-	}
-	return 0
-}
-
-// TenantCompleted returns tenant id's completed-job count.
-func (p *Profile) TenantCompleted(id int) uint64 {
-	if t := p.seen(id); t != nil {
-		return t.completed.load()
 	}
 	return 0
 }
@@ -284,9 +259,10 @@ type TenantCounters struct {
 	Latencies []int64 `json:"latencies,omitempty"`
 }
 
-// tenantCounters returns the per-tenant state keyed by tenant id, nil
-// when no event ever named a tenant.
-func (p *Profile) tenantCounters() map[int]TenantCounters {
+// Tenants returns the per-tenant admission picture keyed by tenant id,
+// nil when no event ever named a tenant. Unlike Snapshot it is safe on a
+// running team.
+func (p *Profile) Tenants() map[int]TenantCounters {
 	tenants := *p.tenants.Load()
 	if len(tenants) == 0 {
 		return nil

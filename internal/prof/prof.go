@@ -325,9 +325,6 @@ func New(workers int, timeline bool) *Profile {
 // Thread returns the profiling state of worker w.
 func (p *Profile) Thread(w int) *Thread { return p.threads[w] }
 
-// Workers returns the number of threads covered.
-func (p *Profile) Workers() int { return len(p.threads) }
-
 // Now returns the current time as nanoseconds since the profile base, the
 // clock JobRecord timestamps are expressed in.
 func (p *Profile) Now() int64 { return int64(time.Since(p.base)) }
@@ -454,19 +451,6 @@ func (t *Thread) Inc(c Counter) { t.counters[c]++ }
 // Counter returns the current value of counter c.
 func (t *Thread) Counter(c Counter) uint64 { return t.counters[c] }
 
-// Events returns the closed timeline records. The slice is owned by the
-// Thread; callers must not modify it.
-func (t *Thread) Events() []Record { return t.events }
-
-// Totals sums the time per event class over the closed records.
-func (t *Thread) Totals() [NumEvents]int64 {
-	var out [NumEvents]int64
-	for _, r := range t.events {
-		out[r.Ev] += r.End - r.Start
-	}
-	return out
-}
-
 // Sum returns the total of counter c across all threads.
 func (p *Profile) Sum(c Counter) uint64 {
 	var s uint64
@@ -536,7 +520,7 @@ func (p *Profile) Snapshot() Snapshot {
 		s.ClassQueued[c], s.AdmitCounts[c], s.AdmitLatencies[c] = p.classes[c].read()
 	}
 	s.AdmitEvents = p.admitEvents.Snapshot()
-	s.Tenants = p.tenantCounters()
+	s.Tenants = p.Tenants()
 	return s
 }
 

@@ -28,7 +28,7 @@ func TestTimelineDisabledIsNoop(t *testing.T) {
 	th := p.Thread(0)
 	th.Begin(EvTask)
 	th.End(EvTask)
-	if len(th.Events()) != 0 {
+	if len(th.events) != 0 {
 		t.Fatal("events recorded while timeline disabled")
 	}
 }
@@ -39,14 +39,14 @@ func TestTimelineBasic(t *testing.T) {
 	th.Begin(EvTask)
 	time.Sleep(2 * time.Millisecond)
 	th.End(EvTask)
-	ev := th.Events()
+	ev := th.events
 	if len(ev) != 1 {
 		t.Fatalf("got %d events, want 1", len(ev))
 	}
 	if ev[0].Ev != EvTask || ev[0].End <= ev[0].Start {
 		t.Fatalf("bad record %+v", ev[0])
 	}
-	tot := th.Totals()
+	tot := totals(th)
 	if tot[EvTask] < int64(time.Millisecond) {
 		t.Errorf("TASK total %v too small", tot[EvTask])
 	}
@@ -64,12 +64,12 @@ func TestTimelineNesting(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	th.End(EvTaskWait)
 
-	tot := th.Totals()
+	tot := totals(th)
 	if tot[EvTask] == 0 || tot[EvTaskWait] == 0 {
 		t.Fatalf("missing classes: %v", tot)
 	}
 	// No record may overlap another.
-	ev := th.Events()
+	ev := th.events
 	for i := 0; i < len(ev); i++ {
 		for j := i + 1; j < len(ev); j++ {
 			a, b := ev[i], ev[j]
@@ -105,7 +105,7 @@ func TestSpanIdentity(t *testing.T) {
 	th.End(EvTask)
 
 	spans := map[int64]int{}
-	for _, r := range th.Events() {
+	for _, r := range th.events {
 		if r.Ev == EvTask {
 			spans[r.Span]++
 		}
@@ -305,4 +305,13 @@ func TestLoadMalformedDumps(t *testing.T) {
 			s.ImbalanceRatio()
 		})
 	}
+}
+
+// totals sums the time per event class over th's closed records.
+func totals(th *Thread) [NumEvents]int64 {
+	var out [NumEvents]int64
+	for _, r := range th.events {
+		out[r.Ev] += r.End - r.Start
+	}
+	return out
 }

@@ -20,9 +20,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/prof"
-	"repro/internal/simnuma"
 )
 
 // jobTraceMagic identifies the JSONL header line of a serialized JobTrace
@@ -209,35 +206,4 @@ func (r *Recorder) Trace(name string) *JobTrace {
 	r.mu.Unlock()
 	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].At < jobs[j].At })
 	return &JobTrace{Name: name, Jobs: jobs}
-}
-
-// JobTraceFromSnapshot rebuilds a job trace from a profile dump's per-job
-// records — the after-the-fact recorder for runs that kept no live
-// Recorder: arrival offsets come from each job's submit timestamp
-// (normalized so the first submission is offset 0), classes from the
-// per-job class field, and sizes from each job's measured run time
-// converted to spin units. Deadlines are not in JobRecord and come back
-// 0. Only completed jobs appear in a profile, so a heavily shedding run
-// should be recorded live instead.
-func JobTraceFromSnapshot(s prof.Snapshot) (*JobTrace, error) {
-	if len(s.Jobs) == 0 {
-		return nil, fmt.Errorf("replay: snapshot has no job records (serve jobs through a pool, or record task level with -profile)")
-	}
-	jobs := make([]JobEvent, 0, len(s.Jobs))
-	base := s.Jobs[0].Submit
-	for _, r := range s.Jobs {
-		if r.Submit < base {
-			base = r.Submit
-		}
-	}
-	unitsPerNS := simnuma.UnitsPerMicrosecond() / 1000
-	for _, r := range s.Jobs {
-		units := int(float64(r.End-r.Start) * unitsPerNS)
-		if units < 1 {
-			units = 1
-		}
-		jobs = append(jobs, JobEvent{At: r.Submit - base, Class: r.Class, Size: units})
-	}
-	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].At < jobs[j].At })
-	return &JobTrace{Name: "snapshot", Jobs: jobs}, nil
 }

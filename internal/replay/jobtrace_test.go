@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/load"
-	"repro/internal/prof"
 	"repro/xomp"
 )
 
@@ -109,33 +108,6 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 	if tr.Jobs[0].Deadline != int64(time.Millisecond) {
 		t.Errorf("deadline not recorded: %d", tr.Jobs[0].Deadline)
-	}
-}
-
-func TestJobTraceFromSnapshot(t *testing.T) {
-	snap := prof.Snapshot{Jobs: []prof.JobRecord{
-		{ID: 2, Submit: 5000, Start: 6000, End: 9000, Class: int(load.ClassInteractive)},
-		{ID: 1, Submit: 2000, Start: 2500, End: 4000},
-	}}
-	tr, err := JobTraceFromSnapshot(snap)
-	if err != nil {
-		t.Fatalf("JobTraceFromSnapshot: %v", err)
-	}
-	if len(tr.Jobs) != 2 {
-		t.Fatalf("got %d jobs, want 2", len(tr.Jobs))
-	}
-	// Offsets normalize to the earliest submission and come back sorted.
-	if tr.Jobs[0].At != 0 || tr.Jobs[1].At != 3000 {
-		t.Errorf("offsets = %d, %d; want 0, 3000", tr.Jobs[0].At, tr.Jobs[1].At)
-	}
-	if tr.Jobs[1].Class != int(load.ClassInteractive) {
-		t.Errorf("class not preserved: %d", tr.Jobs[1].Class)
-	}
-	if tr.Jobs[0].Size < 1 || tr.Jobs[1].Size < 1 {
-		t.Errorf("sizes not derived: %+v", tr.Jobs)
-	}
-	if _, err := JobTraceFromSnapshot(prof.Snapshot{}); err == nil {
-		t.Errorf("empty snapshot accepted")
 	}
 }
 

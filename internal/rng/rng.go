@@ -9,8 +9,6 @@
 // ids always produce well-separated streams.
 package rng
 
-import "math"
-
 // State is a xoshiro256** generator. The zero value is invalid; use New.
 // State is not safe for concurrent use; the runtime embeds one per worker.
 type State struct {
@@ -108,29 +106,4 @@ func (r *State) Bool(p float64) bool {
 		return false
 	}
 	return r.Float64() < p
-}
-
-// Perm fills out with a uniformly random permutation of [0, len(out)).
-func (r *State) Perm(out []int) {
-	for i := range out {
-		out[i] = i
-	}
-	for i := len(out) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		out[i], out[j] = out[j], out[i]
-	}
-}
-
-// NormFloat64 returns a normally distributed float64 with mean 0 and
-// standard deviation 1, using the polar (Marsaglia) method.
-func (r *State) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		return u * math.Sqrt(-2*math.Log(s)/s)
-	}
 }

@@ -104,40 +104,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(11)
-	buf := make([]int, 64)
-	for trial := 0; trial < 100; trial++ {
-		r.Perm(buf)
-		seen := make(map[int]bool, len(buf))
-		for _, v := range buf {
-			if v < 0 || v >= len(buf) || seen[v] {
-				t.Fatalf("not a permutation: %v", buf)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(13)
-	const draws = 200000
-	var sum, sumSq float64
-	for i := 0; i < draws; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / draws
-	variance := sumSq/draws - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Errorf("variance = %v, want ~1", variance)
-	}
-}
-
 // Property: mul64 agrees with big-integer multiplication decomposed into
 // 32-bit halves for arbitrary inputs.
 func TestMul64Property(t *testing.T) {

@@ -46,8 +46,7 @@ const GoldenSeed = 42
 
 // generator builds one preset's arrival events from a seeded stream.
 type generator struct {
-	describe string
-	build    func(r *rng.State) []replay.JobEvent
+	build func(r *rng.State) []replay.JobEvent
 	// weights, when non-nil, are the trace's per-tenant fair-share
 	// weights; they land in the trace header so a weighted-fair replay
 	// sees the scenario's intended tenancy.
@@ -57,12 +56,13 @@ type generator struct {
 // presets maps scenario names to their generators. Iteration for Names is
 // sorted, so ordering here is cosmetic.
 var presets = map[string]generator{
-	"steady":       {"calm three-class Poisson mix, generous deadlines", genSteady, nil},
-	"flash-crowd":  {"baseline traffic plus a short-deadline background burst", genFlashCrowd, nil},
-	"zipf":         {"zipf-skewed tenants (s=1.6) over one batch class", genZipf, nil},
-	"diurnal":      {"interactive day phase shifting to heavy night batch", genDiurnal, nil},
-	"deadline-mix": {"uniform mix of tight/moderate/loose/no deadlines", genDeadlineMix, nil},
-	"tenant-storm": {"one tenant ramping to ~90% of arrivals mid-trace", genTenantStorm,
+	"steady":       {genSteady, nil},      // calm three-class Poisson mix, generous deadlines
+	"flash-crowd":  {genFlashCrowd, nil},  // baseline traffic plus a short-deadline background burst
+	"zipf":         {genZipf, nil},        // zipf-skewed tenants (s=1.6) over one batch class
+	"diurnal":      {genDiurnal, nil},     // interactive day phase shifting to heavy night batch
+	"deadline-mix": {genDeadlineMix, nil}, // uniform mix of tight/moderate/loose/no deadlines
+	// One tenant ramping to ~90% of arrivals mid-trace.
+	"tenant-storm": {genTenantStorm,
 		// Victims carry twice the storm's weight — the paying-tenant
 		// shape: a weighted-fair policy grants them a burst slice wide
 		// enough that their own clustered arrivals never trip the share
@@ -80,9 +80,6 @@ func Names() []string {
 	sort.Strings(names)
 	return names
 }
-
-// Describe returns a one-line description of a preset ("" if unknown).
-func Describe(name string) string { return presets[name].describe }
 
 // Generate builds the named scenario from seed. The generation consumes
 // only the seeded rng stream, so equal (name, seed) pairs produce equal

@@ -33,7 +33,6 @@ const HistBuckets = (64 - histSubBits + 1) * histSub
 type Histogram struct {
 	counts [HistBuckets]uint64
 	total  uint64
-	sum    float64
 	min    int64
 	max    int64
 }
@@ -75,7 +74,6 @@ func (h *Histogram) Record(v int64) {
 		h.max = v
 	}
 	h.total++
-	h.sum += float64(v)
 	h.counts[histBucket(v)]++
 }
 
@@ -91,7 +89,6 @@ func (h *Histogram) Merge(o *Histogram) {
 		h.max = o.max
 	}
 	h.total += o.total
-	h.sum += o.sum
 	for i, c := range o.counts {
 		if c != 0 {
 			h.counts[i] += c
@@ -101,17 +98,6 @@ func (h *Histogram) Merge(o *Histogram) {
 
 // Count returns the number of recorded samples.
 func (h *Histogram) Count() uint64 { return h.total }
-
-// Mean returns the exact mean of the recorded samples (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
-
-// Min and Max return the exact extremes of the recorded samples.
-func (h *Histogram) Min() int64 { return h.min }
 
 // Max returns the largest recorded sample (0 when empty).
 func (h *Histogram) Max() int64 { return h.max }
@@ -169,6 +155,5 @@ func (h *Histogram) AddBucket(idx int, count uint64) {
 		h.max = v
 	}
 	h.total += count
-	h.sum += float64(v) * float64(count)
 	h.counts[idx] += count
 }

@@ -46,9 +46,6 @@ func (s *Sample) AddDuration(d time.Duration) { s.Add(d.Seconds()) }
 // N returns the observation count.
 func (s *Sample) N() int { return s.n }
 
-// Mean returns the sample mean (0 when empty).
-func (s *Sample) Mean() float64 { return s.mean }
-
 // Min returns the smallest observation (0 when empty).
 func (s *Sample) Min() float64 { return s.min }
 
@@ -164,20 +161,6 @@ func (e *EWMA) Value() float64 { return e.value }
 
 // Set reports whether at least one observation has been folded in.
 func (e *EWMA) Set() bool { return e.set }
-
-// Speedup summarizes a ratio of two samples (baseline mean over variant
-// mean) with a first-order propagated uncertainty.
-func Speedup(baseline, variant *Sample) (ratio, halfWidth float64) {
-	if baseline.n == 0 || variant.n == 0 || variant.mean == 0 {
-		return 0, 0
-	}
-	ratio = baseline.mean / variant.mean
-	// Relative errors add in quadrature for a quotient.
-	rb := baseline.StderrMean() / baseline.mean
-	rv := variant.StderrMean() / variant.mean
-	halfWidth = 1.96 * ratio * math.Sqrt(rb*rb+rv*rv)
-	return ratio, halfWidth
-}
 
 // Jain computes Jain's fairness index over per-entity allocations:
 // (Σx)² / (n·Σx²), 1 when all allocations are equal, approaching 1/n

@@ -15,7 +15,7 @@ func TestBasicMoments(t *testing.T) {
 	if s.N() != 8 {
 		t.Fatalf("N = %d", s.N())
 	}
-	if got := s.Mean(); math.Abs(got-5) > 1e-12 {
+	if got := s.mean; math.Abs(got-5) > 1e-12 {
 		t.Errorf("mean = %v, want 5", got)
 	}
 	// Population stddev of this classic set is 2; sample variance = 32/7.
@@ -29,7 +29,7 @@ func TestBasicMoments(t *testing.T) {
 
 func TestEmptyAndSingle(t *testing.T) {
 	var s Sample
-	if s.Mean() != 0 || s.Variance() != 0 || s.CI95() != 0 || s.Percentile(50) != 0 {
+	if s.mean != 0 || s.Variance() != 0 || s.CI95() != 0 || s.Percentile(50) != 0 {
 		t.Error("empty sample must report zeros")
 	}
 	if s.String() != "n=0" {
@@ -68,25 +68,6 @@ func TestDurations(t *testing.T) {
 	}
 }
 
-func TestSpeedup(t *testing.T) {
-	var base, vari Sample
-	for i := 0; i < 10; i++ {
-		base.Add(2.0)
-		vari.Add(1.0)
-	}
-	ratio, hw := Speedup(&base, &vari)
-	if ratio != 2 {
-		t.Errorf("ratio = %v, want 2", ratio)
-	}
-	if hw != 0 {
-		t.Errorf("zero-variance speedup must have zero half-width, got %v", hw)
-	}
-	var empty Sample
-	if r, _ := Speedup(&empty, &vari); r != 0 {
-		t.Error("empty baseline must give 0")
-	}
-}
-
 // Property: Welford mean/variance agree with the two-pass formulas.
 func TestWelfordMatchesTwoPassProperty(t *testing.T) {
 	f := func(raw []int16) bool {
@@ -106,7 +87,7 @@ func TestWelfordMatchesTwoPassProperty(t *testing.T) {
 			m2 += d * d
 		}
 		wantVar := m2 / float64(len(raw)-1)
-		return math.Abs(s.Mean()-mean) < 1e-6*(1+math.Abs(mean)) &&
+		return math.Abs(s.mean-mean) < 1e-6*(1+math.Abs(mean)) &&
 			math.Abs(s.Variance()-wantVar) < 1e-6*(1+wantVar)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -25,10 +25,10 @@ func TestPushActiveBounds(t *testing.T) {
 		// Everything pushed must be reachable by the active consumers only.
 		got := 0
 		for c := 0; c < active; c++ {
-			got += len(x.Drain(c))
+			got += len(drain(x, c))
 		}
 		for c := active; c < workers; c++ {
-			if extra := x.Drain(c); len(extra) != 0 {
+			if extra := drain(x, c); len(extra) != 0 {
 				t.Fatalf("active=%d: %d items in parked consumer %d's queues", active, len(extra), c)
 			}
 		}

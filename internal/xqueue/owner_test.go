@@ -91,7 +91,7 @@ func TestEmptyAndDrainOverBothRowKinds(t *testing.T) {
 	if !x.Empty(1) {
 		t.Fatal("consumer 1 sees consumer 0's own row")
 	}
-	got := x.Drain(0)
+	got := drain(x, 0)
 	if len(got) != len(own) || !x.Empty(0) {
 		t.Fatalf("drained %d owner-row items, want %d, then empty", len(got), len(own))
 	}
@@ -104,7 +104,7 @@ func TestEmptyAndDrainOverBothRowKinds(t *testing.T) {
 	for i := range own {
 		x.PushTo(0, 0, &own[i])
 	}
-	got = x.Drain(0)
+	got = drain(x, 0)
 	want := append(append([]int{}, own...), aux...)
 	if len(got) != len(want) {
 		t.Fatalf("drained %d items, want %d", len(got), len(want))

@@ -109,9 +109,6 @@ func New[T any](workers, capacity int) *XQueue[T] {
 	return x
 }
 
-// Workers returns the team size N.
-func (x *XQueue[T]) Workers() int { return x.n }
-
 // Push places v with the static round-robin balancer on behalf of producer
 // p. It returns the chosen consumer and whether the enqueue succeeded; on
 // ok == false (chosen queue full) the caller must execute v immediately,
@@ -123,7 +120,7 @@ func (x *XQueue[T]) Push(p int, v *T) (target int, ok bool) {
 // PushActive is Push restricted to the active consumer set [0, active):
 // the round-robin only ever selects an active consumer, so a runtime that
 // parks the trailing workers of its team never routes new work to a parked
-// worker's queues. With active == Workers() it is exactly Push. A producer
+// worker's queues. With active == N it is exactly Push. A producer
 // outside the active set (a parking worker spawning children while it
 // drains) rotates over the whole active set instead of starting with
 // itself. Out-of-range active values fall back to the full team.
@@ -210,17 +207,4 @@ func (x *XQueue[T]) TargetFull(p, c int) bool {
 		return x.own[c].full()
 	}
 	return x.qs[c][p].ProbeFull()
-}
-
-// Drain removes and returns all items reachable by consumer c. It is a
-// test/teardown helper and must only run when producers are quiescent.
-func (x *XQueue[T]) Drain(c int) []*T {
-	var out []*T
-	for {
-		v := x.Pop(c)
-		if v == nil {
-			return out
-		}
-		out = append(out, v)
-	}
 }

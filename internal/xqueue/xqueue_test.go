@@ -129,13 +129,23 @@ func TestEmpty(t *testing.T) {
 	}
 }
 
+// drain pops every item reachable by consumer c; producers must be
+// quiescent.
+func drain[T any](x *XQueue[T], c int) []*T {
+	var out []*T
+	for v := x.Pop(c); v != nil; v = x.Pop(c) {
+		out = append(out, v)
+	}
+	return out
+}
+
 func TestDrain(t *testing.T) {
 	x := New[int](2, 8)
 	vals := []int{1, 2, 3, 4, 5}
 	for i := range vals {
 		x.PushTo(0, 1, &vals[i])
 	}
-	got := x.Drain(1)
+	got := drain(x, 1)
 	if len(got) != len(vals) {
 		t.Fatalf("drained %d items, want %d", len(got), len(vals))
 	}

@@ -675,7 +675,7 @@ func (p *ShardedPool) ActiveWorkers() int {
 }
 
 // Team returns shard s's serving team, e.g. for Profile() access. Do not
-// call Run/Parallel/Close on it while the pool is open.
+// call Run/Close on it while the pool is open.
 func (p *ShardedPool) Team(s int) *Team { return p.shards[s] }
 
 // Stats returns every shard's current load and migration counters. It may

@@ -38,9 +38,8 @@
 //	team.Run(func(w *xomp.Worker) { result = fib(w, 30) })
 //
 // Team.Run is the OpenMP "parallel + single" idiom (worker 0 produces the
-// root tasks); Team.Parallel is a full SPMD region. Teams are reusable
-// across regions, and Team.Profile exposes the paper's per-thread profiling
-// tools (§V).
+// root tasks). Teams are reusable across regions, and Team.Profile exposes
+// the paper's per-thread profiling tools (§V).
 //
 // The closure above costs a heap object per task, plus the variables it
 // captures. For fine-grained tasks, Worker.SpawnCall spawns a call task

@@ -56,22 +56,25 @@ func TestFacadeRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// Worker identity is stable through the facade types.
+// Worker identity is stable through the facade types: every task runs on
+// one of the team's workers, in that worker's zone.
 func TestWorkerIdentity(t *testing.T) {
 	team := xomp.MustTeam(xomp.Preset("xgomptb", 3))
-	seen := make([]atomic.Int32, 3)
-	team.Parallel(func(w *xomp.Worker) {
-		seen[w.ID()].Add(1)
-		if w.Team() != team {
-			t.Error("worker bound to wrong team")
-		}
-		if w.Zone() != team.Topology().ZoneOf(w.ID()) {
-			t.Error("zone mismatch")
+	var ran atomic.Int32
+	team.Run(func(w *xomp.Worker) {
+		for i := 0; i < 64; i++ {
+			w.Spawn(func(w *xomp.Worker) {
+				ran.Add(1)
+				if id := w.ID(); id < 0 || id >= 3 {
+					t.Errorf("task ran on worker %d of a 3-worker team", id)
+				}
+				if w.Zone() != team.Topology().ZoneOf(w.ID()) {
+					t.Error("zone mismatch")
+				}
+			})
 		}
 	})
-	for i := range seen {
-		if seen[i].Load() != 1 {
-			t.Errorf("worker %d ran the SPMD body %d times", i, seen[i].Load())
-		}
+	if ran.Load() != 64 {
+		t.Errorf("ran %d tasks, want 64", ran.Load())
 	}
 }
