@@ -802,89 +802,6 @@ func BenchmarkElasticShardedPool(b *testing.B) {
 	}
 }
 
-// BenchmarkPolicyPhase measures the adaptive policy against the two fixed
-// extremes of the policy library on a phase-changing workload: each op is
-// one full phase cycle — a block of fine-grained jobs (hundreds of empty
-// tasks each) followed by a block of coarse-grained jobs (a few ~100µs
-// tasks each) — so every op crosses two phase boundaries at any
-// -benchtime, including CI's 1x. A fixed policy is tuned for one phase
-// and pays in the other; the adaptive variant runs with the background
-// controller off (Interval -1, the policy_test harness shape) and gets a
-// manual PolicyTick at each boundary, where the load-signal plane has
-// just accumulated one phase's worth of evidence — so the switches
-// metric is nonzero from b.N=1 (a 1ms background tick never fires inside
-// a one-job 1x run). Compare the jobs/sec metric across the three
-// variants.
-func BenchmarkPolicyPhase(b *testing.B) {
-	const phaseBlock = 32 // jobs per phase before the workload flips
-	for _, pol := range []string{"ws-fine", "rp-coarse", "adaptive"} {
-		b.Run(pol, func(b *testing.B) {
-			cfg := xomp.Preset("xgomptb", benchWorkers)
-			cfg.Topology = numa.Synthetic(benchWorkers, 2)
-			cfg.Policy = xomp.Policy{Name: pol}
-			if pol == "adaptive" {
-				cfg.Policy.Interval = -1 // ticked manually at phase boundaries
-				cfg.Policy.Hysteresis = 1
-			}
-			pool := xomp.MustPool(cfg)
-			fine := func(w *xomp.Worker) {
-				for i := 0; i < 800; i++ {
-					w.Spawn(func(*xomp.Worker) {})
-				}
-				w.TaskWait()
-			}
-			coarse := func(w *xomp.Worker) {
-				for i := 0; i < 8; i++ {
-					w.Spawn(func(*xomp.Worker) { simnuma.Spin(200_000) })
-				}
-				w.TaskWait()
-			}
-			jobs := make([]*xomp.Job, phaseBlock)
-			runBlock := func(body xomp.TaskFunc) {
-				for i := range jobs {
-					j, err := pool.Submit(body)
-					if err != nil {
-						b.Fatal(err)
-					}
-					jobs[i] = j
-				}
-				for _, j := range jobs {
-					if err := j.Wait(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.ResetTimer()
-			start := time.Now()
-			for n := 0; n < b.N; n++ {
-				runBlock(fine)
-				if pol == "adaptive" {
-					pool.Team(0).PolicyTick()
-				}
-				runBlock(coarse)
-				if pol == "adaptive" {
-					pool.Team(0).PolicyTick()
-				}
-			}
-			elapsed := time.Since(start)
-			b.StopTimer()
-			var switches uint64
-			if pol == "adaptive" {
-				switches = uint64(len(pool.Team(0).PolicyTrace()))
-			}
-			if err := pool.Close(); err != nil {
-				b.Fatal(err)
-			}
-			if elapsed > 0 {
-				b.ReportMetric(float64(b.N*2*phaseBlock)/elapsed.Seconds(), "jobs/sec")
-			}
-			if pol == "adaptive" {
-				b.ReportMetric(float64(switches), "switches")
-			}
-		})
-	}
-}
-
 // BenchmarkAdmissionSaturation drives a deliberately undersized pool far
 // past its capacity with mixed-class, deadline-carrying traffic and
 // compares admission policies: "block" (pure backpressure — a

@@ -8,8 +8,7 @@
 // travel as per-job status codes, not connection errors.
 //
 // The pool flags (preset, workers, shards, backlog, admission policy,
-// balancing policy, elastic capacity controller, BOTS scale) come from
-// internal/poolflags. -window bounds each connection's
+// elastic capacity controller, BOTS scale) come from internal/poolflags. -window bounds each connection's
 // admitted-but-unreported jobs (its backpressure knob); -report prints
 // the wire traffic counters, the server-side stage clock and the edge
 // poller's counters at that period. The server runs until
@@ -23,7 +22,7 @@
 //
 //	jobserved -addr 127.0.0.1:7077 -workers 8 -shards 2
 //	jobserved -workers 4 -backlog 64 -admit shed
-//	jobserved -workers 8 -shards 4 -elastic -budget 4 -policy adaptive
+//	jobserved -workers 8 -shards 4 -elastic -budget 4
 //
 // Drive it with "loadgen -mode client" (or a whole fleet; see
 // cmd/README.md).
@@ -70,8 +69,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("jobserved: serving on %s (%s, %d shards x %d workers, policy %s, admit %s)\n",
-		srv.Addr(), pf.Runtime, scfg.Shards, scfg.Team.Workers, pf.Policy, pf.Admit)
+	fmt.Printf("jobserved: serving on %s (%s, %d shards x %d workers, admit %s)\n",
+		srv.Addr(), pf.Runtime, scfg.Shards, scfg.Team.Workers, pf.Admit)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)

@@ -25,15 +25,6 @@
 // then includes each shard's active worker count and the quota-move
 // trajectory (the NWORKERS_ACTIVE story).
 //
-// -policy selects the balancing policy for every serving team: "static"
-// (the preset's DLB settings), a named fixed policy from the library, or
-// "adaptive" — the runtime controller that classifies workload
-// granularity from the load-signal plane and retunes the DLB
-// configuration live. -phase makes adaptive switching observable from the
-// CLI: it flips every submitter's workload mix between a fine-grained and
-// a coarse-grained preset at the given period, and the report prints the
-// policy-switch trace next to the quota trace.
-//
 // The admission edge is exercised with three flags. -priority-mix
 // "I:B:G" spreads each submitter's jobs over the interactive, batch, and
 // background classes by integer weight (default 0:1:0, everything
@@ -93,7 +84,6 @@
 //	loadgen -mix fib,sort,nqueens -scale test -backlog 4 -v
 //	loadgen -workers 8 -shards 4 -skew 0.75 -jobs 40
 //	loadgen -workers 16 -shards 4 -skew 0.9 -elastic -budget 8
-//	loadgen -workers 8 -policy adaptive -phase 300ms -jobs 60
 //	loadgen -workers 2 -submitters 16 -backlog 2 -priority-mix 1:1:6 -deadline 50ms -admit shed
 //	loadgen -workers 2 -submitters 8 -tenants 4 -tenant-weights 0=2,1=2 -admit wfq
 //	loadgen -submitters 2 -jobs 64 -batch 16 -admit reject
@@ -139,7 +129,6 @@ func main() {
 		jobs       = flag.Int("jobs", 8, "jobs per submitter")
 		mix        = flag.String("mix", "fib,sort,nqueens", "comma-separated BOTS apps to cycle through")
 		skew       = flag.Float64("skew", 0, "fraction of each submitter's jobs pinned to shard 0 (hot-shard scenario; needs -shards > 1)")
-		phase      = flag.Duration("phase", 0, "flip the workload mix between fine- and coarse-grained presets every period (makes -policy adaptive observable); overrides -mix")
 		prioMix    = flag.String("priority-mix", "0:1:0", "interactive:batch:background integer weights for each submitter's jobs")
 		deadline   = flag.Duration("deadline", 0, "per-job completion deadline from submission (0 = none)")
 		batchN     = flag.Int("batch", 1, "submit jobs in batches of N through SubmitBatchCtx (amortized admission); applies to closed-loop submitters and to -scenario/-trace replays")
@@ -206,8 +195,14 @@ func main() {
 	if *deadline < 0 {
 		fatal(fmt.Errorf("-deadline %v must be >= 0", *deadline))
 	}
-	if *phase < 0 {
-		fatal(fmt.Errorf("-phase %v must be >= 0", *phase))
+	if *submitters < 1 {
+		fatal(fmt.Errorf("-submitters %d must be >= 1", *submitters))
+	}
+	if *jobs < 1 {
+		fatal(fmt.Errorf("-jobs %d must be >= 1", *jobs))
+	}
+	if *zones < 1 {
+		fatal(fmt.Errorf("-zones %d must be >= 1", *zones))
 	}
 	if *skew < 0 || *skew > 1 {
 		fatal(fmt.Errorf("-skew %v must be in [0,1]", *skew))
@@ -248,8 +243,8 @@ func main() {
 		}
 		opts := replay.Options{Team: scfg.Team, Shards: scfg.Shards, Elastic: scfg.Elastic,
 			Speed: *speed, PinTenants: *pinTenants, Scale: sc, TenantWeights: weights, Batch: *batchN}
-		fmt.Printf("loadgen: replaying %s (%d jobs over %v) at %gx on %s (%d workers, %d shards, policy %s, admit %s)\n",
-			tr.Name, len(tr.Jobs), tr.Span().Round(time.Millisecond), *speed, pf.Runtime, pf.Workers, pf.Shards, pf.Policy, pf.Admit)
+		fmt.Printf("loadgen: replaying %s (%d jobs over %v) at %gx on %s (%d workers, %d shards, admit %s)\n",
+			tr.Name, len(tr.Jobs), tr.Span().Round(time.Millisecond), *speed, pf.Runtime, pf.Workers, pf.Shards, pf.Admit)
 		res, err := replay.ReplayJobs(tr, opts)
 		if err != nil {
 			fatal(err)
@@ -262,14 +257,6 @@ func main() {
 	for i, name := range names {
 		names[i] = strings.TrimSpace(name)
 	}
-	// -phase alternates between a fine-grained and a coarse-grained mix
-	// preset instead of the static -mix list, so a phase-classifying
-	// adaptive policy has something to react to.
-	mixes := [][]string{names}
-	if *phase > 0 {
-		mixes = [][]string{{"fib", "nqueens"}, {"sort", "strassen"}}
-		names = []string{"fib", "nqueens", "|", "sort", "strassen"}
-	}
 
 	// One benchmark instance per submitter, mix entry, and batch lane,
 	// built before the clock starts so jobs/sec measures the task
@@ -277,21 +264,18 @@ func main() {
 	// has at most one job in flight and RunTask re-initializes per-run
 	// state, so one lane suffices; with -batch N up to N of a submitter's
 	// jobs run concurrently, so each batch slot gets its own lane of
-	// instances (slot b uses apps[s][x][b*len(mix)+m]).
+	// instances (slot b uses apps[s][b*len(names)+m]).
 	lanes := *batchN
-	apps := make([][][]bots.Benchmark, *submitters)
+	apps := make([][]bots.Benchmark, *submitters)
 	for s := range apps {
-		apps[s] = make([][]bots.Benchmark, len(mixes))
-		for x, mx := range mixes {
-			apps[s][x] = make([]bots.Benchmark, lanes*len(mx))
-			for l := 0; l < lanes; l++ {
-				for m, name := range mx {
-					b, err := bots.New(name, sc)
-					if err != nil {
-						fatal(err)
-					}
-					apps[s][x][l*len(mx)+m] = b
+		apps[s] = make([]bots.Benchmark, lanes*len(names))
+		for l := 0; l < lanes; l++ {
+			for m, name := range names {
+				b, err := bots.New(name, sc)
+				if err != nil {
+					fatal(err)
 				}
+				apps[s][l*len(names)+m] = b
 			}
 		}
 	}
@@ -316,9 +300,9 @@ func main() {
 	if pf.Elastic {
 		elasticNote = fmt.Sprintf(", elastic budget %d", pool.ActiveWorkers())
 	}
-	fmt.Printf("loadgen: %d submitters x %d jobs, mix [%s] at scale %s, on %s (%d shards x %d workers, %d zones each, skew %.0f%%%s, policy %s, admit %s)\n",
+	fmt.Printf("loadgen: %d submitters x %d jobs, mix [%s] at scale %s, on %s (%d shards x %d workers, %d zones each, skew %.0f%%%s, admit %s)\n",
 		*submitters, *jobs, strings.Join(names, " "), sc, pf.Runtime, pf.Shards, scfg.Team.Workers,
-		pool.Team(0).Topology().Zones, *skew*100, elasticNote, pf.Policy, pf.Admit)
+		pool.Team(0).Topology().Zones, *skew*100, elasticNote, pf.Admit)
 
 	var (
 		wg       sync.WaitGroup
@@ -365,15 +349,10 @@ func main() {
 					if rem := *jobs - k; rem < n {
 						n = rem
 					}
-					x := 0
-					if *phase > 0 {
-						x = int(time.Since(start) / *phase) % len(mixes)
-					}
-					cur := mixes[x]
 					items, meta = items[:0], meta[:0]
 					for b := 0; b < n; b++ {
-						m := (s + k + b) % len(cur)
-						app := apps[s][x][b*len(cur)+m]
+						m := (s + k + b) % len(names)
+						app := apps[s][b*len(names)+m]
 						class := classPattern[(s+k+b)%len(classPattern)]
 						tenant := s % *tenants
 						so := xomp.SubmitOpts{
@@ -384,10 +363,10 @@ func main() {
 							so.Deadline = time.Now().Add(*deadline)
 						}
 						if rec != nil {
-							rec.Record(cur[m], 0, int(class), *deadline, tenant)
+							rec.Record(names[m], 0, int(class), *deadline, tenant)
 						}
 						items = append(items, xomp.BatchItem{Fn: app.RunTask, Opts: so})
-						meta = append(meta, slot{cur[m], app, class, tenant})
+						meta = append(meta, slot{names[m], app, class, tenant})
 					}
 					t0 := time.Now()
 					res, err := pool.SubmitBatchCtx(ctx, items)
@@ -435,14 +414,9 @@ func main() {
 				return
 			}
 			for k := 0; k < *jobs; k++ {
-				x := 0
-				if *phase > 0 {
-					x = int(time.Since(start) / *phase) % len(mixes)
-				}
-				cur := mixes[x]
-				m := (s + k) % len(cur)
-				name := cur[m]
-				b := apps[s][x][m]
+				m := (s + k) % len(names)
+				name := names[m]
+				b := apps[s][m]
 				// The leading -skew fraction of every submitter's jobs is
 				// pinned to shard 0, front-loading the hot shard.
 				pin := *skew > 0 && k < int(*skew*float64(*jobs))
@@ -563,11 +537,6 @@ func main() {
 				mv.At.Round(time.Microsecond), mv.From, mv.To, mv.FromActive, mv.ToActive)
 		}
 	}
-	if pf.Policy == "adaptive" {
-		for s := 0; s < pool.Shards(); s++ {
-			printPolicyTrace(fmt.Sprintf("shard %d", s), pool.Team(s).PolicyTrace())
-		}
-	}
 	if len(recs) > 0 {
 		queue := make([]time.Duration, 0, len(recs))
 		run := make([]time.Duration, 0, len(recs))
@@ -652,15 +621,6 @@ func printReplayReport(res replay.JobReplayResult) {
 	}
 	if res.QuotaMoves > 0 || res.MigratedIn > 0 {
 		fmt.Printf("  quota moves %d, jobs migrated %d\n", res.QuotaMoves, res.MigratedIn)
-	}
-}
-
-// printPolicyTrace renders one serving team's adaptive retune history.
-func printPolicyTrace(who string, trace []xomp.PolicySwitch) {
-	fmt.Printf("policy (%s): %d switches by the adaptive controller\n", who, len(trace))
-	for _, sw := range trace {
-		fmt.Printf("  %10v  %s  =>  %s\n",
-			time.Duration(sw.At).Round(time.Microsecond), sw.From, sw.To)
 	}
 }
 

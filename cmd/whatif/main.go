@@ -5,11 +5,11 @@
 // The input is a job trace (loadgen -record, or a generated scenario).
 // Its arrivals are replayed through xomp pools under alternative
 // admission/balancing candidates — block, reject, shed, wfq
-// (weighted-fair multi-tenant admission), adaptive, and (with -shards)
-// elastic — and the candidates are compared on completed jobs,
-// jobs/sec, interactive p99, and — when the trace carries more than one
-// tenant — Jain's fairness index over per-tenant completion fractions,
-// over the exact same traffic ("replay the same day's traffic twice").
+// (weighted-fair multi-tenant admission), and (with -shards) elastic —
+// and the candidates are compared on completed jobs, jobs/sec,
+// interactive p99, and — when the trace carries more than one tenant —
+// Jain's fairness index over per-tenant completion fractions, over the
+// exact same traffic ("replay the same day's traffic twice").
 // Any other file, a profile dump included, is refused.
 //
 // -scenario skips the file and generates a corpus preset directly.
@@ -92,16 +92,12 @@ type jobCandidate struct {
 }
 
 // jobCandidates builds the comparison set: the four admission policies
-// (weighted-fair multi-tenant included), the adaptive balancing
-// controller, and — sharded with headroom — the elastic capacity
-// controller.
+// (weighted-fair multi-tenant included) and — sharded with headroom —
+// the elastic capacity controller.
 func jobCandidates(workers, shards int) []jobCandidate {
-	build := func(name string, admit xomp.AdmitPolicy, policy string, elastic bool) jobCandidate {
+	build := func(name string, admit xomp.AdmitPolicy, elastic bool) jobCandidate {
 		cfg := xomp.Preset("xgomptb", workers)
 		cfg.Admit = admit
-		if policy != "" {
-			cfg.Policy.Name = policy
-		}
 		opts := replay.Options{Team: cfg}
 		if shards > 1 {
 			opts.Shards = shards
@@ -113,16 +109,15 @@ func jobCandidates(workers, shards int) []jobCandidate {
 		return jobCandidate{name: name, opts: opts}
 	}
 	cands := []jobCandidate{
-		build("block", nil, "", false),
-		build("reject", xomp.RejectWhenFull{}, "", false),
-		build("shed", xomp.DeadlineShed{}, "", false),
-		build("wfq", &xomp.WFQAdmit{}, "", false),
-		build("adaptive", nil, "adaptive", false),
+		build("block", nil, false),
+		build("reject", xomp.RejectWhenFull{}, false),
+		build("shed", xomp.DeadlineShed{}, false),
+		build("wfq", &xomp.WFQAdmit{}, false),
 	}
 	// The elastic candidate needs at least one active worker per shard
 	// out of the half-capacity budget.
 	if shards > 1 && workers/2 >= shards {
-		cands = append(cands, build("elastic", nil, "", true))
+		cands = append(cands, build("elastic", nil, true))
 	}
 	return cands
 }

@@ -20,15 +20,13 @@
 // BenchmarkShardedPoolThroughput in bench_test.go measure jobs/sec by
 // preset, submitter count, and shard count.
 //
-// All balancing levels decide from one load-signal plane (internal/load):
-// per-worker EWMA-smoothed signals (queue depth, service time, task and
-// steal rates, idle ratio) published lock-free and read by one plan per
-// level (victim, dispatch, migration, quota) and by admission, the one
-// level with a choice of policies (below). xomp.Config.Policy selects a
-// named fixed policy or "adaptive", the runtime controller that
-// classifies workload granularity from the plane and retunes the DLB
-// configuration live (loadgen -policy adaptive -phase 300ms shows it
-// switching; benchall -exp ext-autotune compares it with static and
+// All balancing levels decide from one load-signal record (internal/load):
+// each serving team's queued and running jobs, active capacity and
+// smoothed job run time, read by one plan per level (victim, dispatch,
+// migration, quota) and by admission, the one level with a choice of
+// policies (below). A team's DLB configuration is fixed when it is built:
+// a preset, or xomp.GuidelineFor's Table IV settings for a measured task
+// size (benchall -exp ext-autotune compares those with static and
 // best-of-sweep settings).
 //
 // Admission itself is policy-driven: SubmitCtx submissions carry a

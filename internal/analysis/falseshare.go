@@ -25,8 +25,8 @@ import (
 //
 //   - a struct whose non-padding fields are all atomics and whose total
 //     size fits one cache line is a "packed publication group" (one
-//     writer publishes all fields together — load.Cell); intra-struct
-//     sharing is the design, so only its *element size* is checked:
+//     writer publishes all fields together); intra-struct sharing is
+//     the design, so only its *element size* is checked:
 //     used as an array or slice element, its size must be a multiple of
 //     the cache line so neighbouring elements stay off each other's
 //     lines;
@@ -172,7 +172,7 @@ func checkFalseShareStruct(pass *Pass, ts *ast.TypeSpec, st *ast.StructType, alw
 	if allAtomic && total <= CacheLine {
 		if total%CacheLine != 0 && usedAsElement(pass, named) {
 			pass.Reportf(ts.Pos(),
-				"%s is a packed atomic struct used as an array/slice element but its size %d B is not a multiple of the %d B cache line; pad it (load.Cell idiom) so neighbouring elements do not share lines",
+				"%s is a packed atomic struct used as an array/slice element but its size %d B is not a multiple of the %d B cache line; pad it to a whole line so neighbouring elements do not share lines",
 				ts.Name.Name, total, CacheLine)
 		}
 		return

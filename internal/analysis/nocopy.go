@@ -11,10 +11,9 @@ import (
 // go vet's copylocks catches copies of types that embed a sync.Mutex or
 // a sync/atomic typed field (those carry an internal noCopy marker).
 // But several hot-path types are just as copy-hostile without carrying
-// either: load.Plane (copying the header aliases the cells while
-// detaching Size bookkeeping), the wire codec's Encoder/Decoder
-// (copying duplicates a recycled buffer — two owners will both Put it),
-// and future lock-free structures whose cursors are plain integers. A
+// either: the wire codec's Encoder/Decoder (copying duplicates a
+// recycled buffer — two owners will both Put it), and future lock-free
+// structures whose cursors are plain integers. A
 // copy of intake.Ring is caught by vet only *after* the atomics make it
 // in; this analyzer pins the invariant at the type level, not at the
 // field level.
@@ -45,7 +44,6 @@ const noCopyMarker = "repolint:nocopy"
 // too (cross-package analysis sees only export data, not comments).
 var NoCopyTypes = map[string][]string{
 	"internal/intake": {"Ring", "Gate", "Bell"},
-	"internal/load":   {"Plane", "Cell"},
 	"internal/wire":   {"Encoder", "Decoder"},
 }
 

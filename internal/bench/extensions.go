@@ -67,8 +67,8 @@ func runExtCutoff(o Options, w io.Writer) error {
 }
 
 // runExtAutotune compares static balancing, the guideline chosen from a
-// measured probe (what Team.AutoTune installs), and the sweep's best
-// configuration per application.
+// measured probe (core.GuidelineFor), and the sweep's best configuration
+// per application.
 func runExtAutotune(o Options, w io.Writer) error {
 	o = o.withDefaults()
 	s, err := getDLBStudy(o)

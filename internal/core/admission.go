@@ -175,11 +175,11 @@ func (tm *Team) admitBatch(ctx context.Context, svc *service, items []BatchItem,
 
 	// Phase 1: validate every item and take the policy's per-item verdict
 	// — the enqueue *mode* (wait / no-wait / shed) — before any
-	// accounting, from the same signal plane the other balancing levels
+	// accounting, from the same signals the other balancing levels
 	// read. wait[i] records whether a full ring means waiting or rejection
 	// for item i; admissible counts the items that survive this phase.
 	// Both built-in non-shedding policies never consult the signals, so
-	// plain backpressure and fail-fast admission cost no plane scan.
+	// plain backpressure and fail-fast admission read no signals.
 	ctxErr := ctx.Err()
 	var (
 		sig     load.Signals
@@ -624,16 +624,9 @@ func (tm *Team) rollbackSubmit(svc *service, j *Job, o prof.AdmitOutcome) {
 	j.recycle(jobInFlight)
 }
 
-// saturated is the runtime's saturation verdict for the admission edge:
-// the adaptive controller's hysteresis-damped trigger when a controller
-// is running (see Team.PolicyTick), an instantaneous Load() >= 1 check
-// otherwise.
+// saturated is the admission edge's saturation verdict: the team is
+// saturated once queued plus running work reaches its active capacity.
+// Deadline-aware shedding engages only then.
 func (tm *Team) saturated(sig load.Signals) bool {
-	switch tm.satState.Load() {
-	case satOn:
-		return true
-	case satOff:
-		return false
-	}
 	return sig.Load() >= 1
 }

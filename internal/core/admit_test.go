@@ -305,9 +305,9 @@ func TestDeadlineShedUnderSaturation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Saturate: occupy the worker and queue a job ahead. Load() = (queued
-	// + running) / capacity >= 1, so the instantaneous saturation check
-	// engages the shed predictor.
+	// Saturate: occupy the worker, nothing queued. Load() = (queued +
+	// running) / capacity is exactly 1, the saturation gate's edge, so
+	// the shed predictor engages.
 	gate := make(chan struct{})
 	defer close(gate)
 	var started atomic.Int64
@@ -315,8 +315,8 @@ func TestDeadlineShedUnderSaturation(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return started.Load() == 1 })
-	if _, err := tm.Submit(func(*Worker) {}); err != nil {
-		t.Fatal(err)
+	if l := tm.Signals().Load(); l != 1 {
+		t.Fatalf("one running job on one worker: Load = %v, want 1", l)
 	}
 
 	_, err = tm.SubmitCtx(context.Background(), func(*Worker) {},
@@ -339,53 +339,6 @@ func TestDeadlineShedUnderSaturation(t *testing.T) {
 	if _, err := tm.SubmitCtx(context.Background(), func(*Worker) {},
 		SubmitOpts{Priority: load.ClassBatch}); !errors.Is(err, ErrBacklogFull) {
 		t.Fatalf("full queue under shed policy: %v, want ErrBacklogFull", err)
-	}
-}
-
-// With the adaptive controller running, shedding is gated by the
-// controller's hysteresis-damped saturation tracker, not the
-// instantaneous Load check: one controller tick on a just-saturated team
-// publishes "not saturated" (streak < hysteresis), so a momentary blip
-// cannot shed; only sustained saturation across hysteresis ticks engages
-// the shed regime.
-func TestAdaptiveGatesShedding(t *testing.T) {
-	cfg := Preset("xgomptb", 1)
-	cfg.Backlog = 8
-	cfg.Admit = load.DeadlineShed{}
-	cfg.Policy = Policy{Name: "adaptive", Interval: -1, Hysteresis: 3}
-	tm := MustTeam(cfg)
-	if err := tm.Serve(); err != nil {
-		t.Fatal(err)
-	}
-	defer tm.Close()
-
-	// Establish the job-time estimate, then saturate the single worker.
-	gate := make(chan struct{})
-	defer close(gate)
-	saturateForShed(t, tm, gate)
-
-	tight := func() error {
-		_, err := tm.SubmitCtx(context.Background(), func(*Worker) {},
-			SubmitOpts{Deadline: time.Now().Add(time.Millisecond)})
-		return err
-	}
-	// Before any controller tick the edge falls back to the per-call
-	// Load check: instantaneous saturation sheds.
-	if err := tight(); !errors.Is(err, ErrShed) {
-		t.Fatalf("pre-controller tight deadline: %v, want ErrShed", err)
-	}
-	// One tick: the tracker has seen saturation once (< hysteresis 3),
-	// so its published verdict is "not saturated" — no shed despite the
-	// instantaneous load.
-	tm.PolicyTick()
-	if err := tight(); errors.Is(err, ErrShed) {
-		t.Fatal("one-tick-old saturation already sheds; tracker verdict not honored")
-	}
-	// Sustained saturation across the hysteresis engages the regime.
-	tm.PolicyTick()
-	tm.PolicyTick()
-	if err := tight(); !errors.Is(err, ErrShed) {
-		t.Fatalf("sustained saturation: %v, want ErrShed", err)
 	}
 }
 

@@ -286,8 +286,8 @@ func TestCallTaskArgsSurviveSteal(t *testing.T) {
 		outs[i] = victim.SpawnCall(mix3, u, u+1, u+2)
 	}
 	tm.sched.setActive(2)
-	tm.doWorkSteal(victim, thief.id, tm.dlb.Load())
-	if got := tm.profile.Thread(0).Counter(prof.CntTasksStolen); got == 0 {
+	tm.doWorkSteal(victim, thief.id, &tm.cfg.DLB)
+	if got := counterOf(tm, 0, prof.CntTasksStolen); got == 0 {
 		t.Fatal("no call task was stolen")
 	}
 	drainOn(tm, thief)
@@ -313,13 +313,13 @@ func TestCallTaskArgsSurviveRedirect(t *testing.T) {
 	thief.beginRegion()
 	round := victim.round.Load()
 	victim.request.Store(uint64(thief.id)<<roundBits | round&roundMask)
-	tm.victimCheck(victim, tm.dlb.Load())
+	tm.victimCheck(victim, &tm.cfg.DLB)
 	var outs [3]*uint64
 	for i := range outs {
 		u := uint64(i)
 		outs[i] = victim.SpawnCall(mix3, u, u+1, u+2)
 	}
-	if got := tm.profile.Thread(0).Counter(prof.CntTasksStolen); got != 2 {
+	if got := counterOf(tm, 0, prof.CntTasksStolen); got != 2 {
 		t.Fatalf("redirected %d calls, want 2", got)
 	}
 	drainOn(tm, thief)

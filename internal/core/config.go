@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/load"
 	"repro/internal/numa"
@@ -136,6 +137,32 @@ func DefaultDLB(s DLBStrategy) DLBConfig {
 	return DLBConfig{Strategy: s, NVictim: 8, NSteal: 16, TInterval: 100, PLocal: 1.0}
 }
 
+// GuidelineFor maps a mean task duration to the DLB settings the paper's
+// Table IV recommends for its task-size class (load.GrainOf): fine-grained
+// tasks → NA-WS with small steal sizes and fully local victims; coarse
+// tasks → larger steals, with the coarsest class on NA-RP. PLocal only
+// matters on multi-zone topologies; an unmeasured (zero) duration maps
+// like the fine class, the conservative end.
+func GuidelineFor(meanTask time.Duration, zones int) DLBConfig {
+	var cfg DLBConfig
+	switch load.GrainOf(float64(meanTask.Nanoseconds())) {
+	case load.GrainSmall:
+		cfg = DLBConfig{Strategy: DLBWorkSteal, NVictim: 2, NSteal: 8, TInterval: 100, PLocal: 1}
+	case load.GrainMid:
+		cfg = DLBConfig{Strategy: DLBWorkSteal, NVictim: 4, NSteal: 16, TInterval: 100, PLocal: 1}
+	case load.GrainCoarse:
+		cfg = DLBConfig{Strategy: DLBWorkSteal, NVictim: 8, NSteal: 32, TInterval: 100, PLocal: 0.5}
+	case load.GrainXCoarse:
+		cfg = DLBConfig{Strategy: DLBRedirectPush, NVictim: 8, NSteal: 32, TInterval: 100, PLocal: 1}
+	default: // GrainUnknown, GrainFine
+		cfg = DLBConfig{Strategy: DLBWorkSteal, NVictim: 1, NSteal: 1, TInterval: 100, PLocal: 1}
+	}
+	if zones <= 1 {
+		cfg.PLocal = 1
+	}
+	return cfg
+}
+
 // Config assembles a runtime. The zero value is not valid; use Preset or
 // fill the fields and let NewTeam validate.
 type Config struct {
@@ -150,10 +177,6 @@ type Config struct {
 	Alloc   Alloc
 	// DLB configures dynamic load balancing; requires SchedXQueue.
 	DLB DLBConfig
-	// Policy selects a named balancing policy or the adaptive runtime
-	// controller; see the Policy type. The zero value keeps the static
-	// DLB configuration above.
-	Policy Policy
 	// Topology maps workers to NUMA zones. Zero value → detected topology.
 	Topology numa.Topology
 	// QueueSize is the per-SPSC-queue capacity for XQueue and the deque
@@ -241,17 +264,11 @@ func (c *Config) validate() error {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if err := c.Policy.resolve(c); err != nil {
-		return err
-	}
 	return c.DLB.validate(c.Sched)
 }
 
 // validate checks a DLB configuration against the bounds of §IV-E for a
-// team on the given substrate. It is the shared check of Config
-// validation and of Retune/RetuneLive (which must not re-run policy
-// resolution — a named policy would silently replace the caller's
-// settings before they were ever checked).
+// team on the given substrate.
 func (d *DLBConfig) validate(sched Sched) error {
 	if d.Strategy == DLBNone {
 		return nil

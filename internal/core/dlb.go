@@ -16,10 +16,9 @@ import (
 // accesses are plain atomic loads and stores — overwrites between racing
 // thieves are tolerated by design and recovered by the thief timeout.
 //
-// The strategy and its tunables are read per scheduling point through the
-// team's atomic DLB pointer (Team.dlb), so the adaptive policy controller
-// can retune a live team; victims are picked by load.CondRandom through
-// the worker's victimView.
+// The strategy and its tunables are the team's Config.DLB, fixed when the
+// team is built; victims are picked by load.CondRandom through the
+// worker's victimView.
 const (
 	roundBits = 40
 	roundMask = (uint64(1) << roundBits) - 1
@@ -29,8 +28,7 @@ const (
 
 // thiefStep runs at every idle scheduling point. It counts idle visits and,
 // every TInterval visits, sends steal requests to NVictim victims chosen
-// conditionally at random (Alg. 1). cfg
-// is the effective DLB configuration the caller loaded for this visit.
+// conditionally at random (Alg. 1). cfg is the team's DLB configuration.
 func (tm *Team) thiefStep(w *Worker, cfg *DLBConfig) {
 	w.timeoutCtr++
 	if w.timeoutCtr < cfg.TInterval {
@@ -48,7 +46,6 @@ func (tm *Team) thiefStep(w *Worker, cfg *DLBConfig) {
 		if req&roundMask != round { // stale (curr < round, wrap-safe)
 			vw.request.Store(uint64(w.id)<<roundBits | round)
 			w.prof.Inc(prof.CntReqSent)
-			w.sig.Steal(1)
 		}
 	}
 }
@@ -88,8 +85,8 @@ func (v *victimView) Rand() *rng.State { return &v.w.rng }
 // a victim, Alg. 2). A request is valid when its round number equals the
 // victim's current round; the victim then applies the configured strategy
 // and increments its round to accept new requests — immediately for NA-WS,
-// or once the redirect completes for NA-RP (§IV-C). cfg is the effective
-// DLB configuration the caller loaded for this scheduling point.
+// or once the redirect completes for NA-RP (§IV-C). cfg is the team's
+// DLB configuration.
 func (tm *Team) victimCheck(w *Worker, cfg *DLBConfig) {
 	if w.handlingReq {
 		return // re-entrant scheduling point inside doLoadBalancing

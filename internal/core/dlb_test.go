@@ -9,6 +9,12 @@ import (
 	"repro/internal/prof"
 )
 
+// counterOf reads worker w's counter c from a profile snapshot (the
+// protocol tests below drive one worker by hand, so the team is quiet).
+func counterOf(tm *Team, w int, c prof.Counter) uint64 {
+	return tm.profile.Snapshot().Counters[w][c]
+}
+
 func TestRequestCellPacking(t *testing.T) {
 	// 24-bit thief id above a 40-bit round number.
 	thief := uint64(0xABCDEF)
@@ -32,7 +38,7 @@ func TestPickVictimNeverSelf(t *testing.T) {
 	tm := MustTeam(cfg)
 	w := tm.workers[3]
 	for i := 0; i < 10000; i++ {
-		v := tm.pickVictim(w, tm.DLB().PLocal)
+		v := tm.pickVictim(w, tm.cfg.DLB.PLocal)
 		if v == 3 {
 			t.Fatal("picked self as victim")
 		}
@@ -81,7 +87,7 @@ func TestPickVictimSingleWorkerZone(t *testing.T) {
 	tm := MustTeam(cfg)
 	w := tm.workers[0]
 	for i := 0; i < 100; i++ {
-		v := tm.pickVictim(w, tm.DLB().PLocal)
+		v := tm.pickVictim(w, tm.cfg.DLB.PLocal)
 		if v == 0 || v < 0 {
 			t.Fatalf("bad victim %d", v)
 		}
@@ -118,14 +124,14 @@ func TestVictimHandlesRequestOnce(t *testing.T) {
 	round := victim.round.Load()
 	victim.request.Store(uint64(1)<<roundBits | (round & roundMask))
 
-	tm.victimCheck(victim, tm.dlb.Load())
+	tm.victimCheck(victim, &tm.cfg.DLB)
 	if got := victim.round.Load(); got != round+1 {
 		t.Fatalf("round after handling = %d, want %d", got, round+1)
 	}
-	if got := tm.profile.Thread(0).Counter(prof.CntReqHandled); got != 1 {
+	if got := counterOf(tm, 0, prof.CntReqHandled); got != 1 {
 		t.Fatalf("handled = %d, want 1", got)
 	}
-	if got := tm.profile.Thread(0).Counter(prof.CntTasksStolen); got != 3 {
+	if got := counterOf(tm, 0, prof.CntTasksStolen); got != 3 {
 		t.Fatalf("stolen = %d, want 3", got)
 	}
 	// The thief's queue (consumer 1, producer 0) must now hold the tasks.
@@ -138,8 +144,8 @@ func TestVictimHandlesRequestOnce(t *testing.T) {
 	}
 
 	// Replay the stale request: round no longer matches.
-	tm.victimCheck(victim, tm.dlb.Load())
-	if got := tm.profile.Thread(0).Counter(prof.CntReqHandled); got != 1 {
+	tm.victimCheck(victim, &tm.cfg.DLB)
+	if got := counterOf(tm, 0, prof.CntReqHandled); got != 1 {
 		t.Fatalf("stale request handled: %d", got)
 	}
 }
@@ -155,7 +161,7 @@ func TestRedirectPushArming(t *testing.T) {
 
 	round := victim.round.Load()
 	victim.request.Store(uint64(1)<<roundBits | (round & roundMask))
-	tm.victimCheck(victim, tm.dlb.Load())
+	tm.victimCheck(victim, &tm.cfg.DLB)
 	if victim.redirectThief != 1 {
 		t.Fatalf("redirect not armed: thief=%d", victim.redirectThief)
 	}
@@ -173,11 +179,10 @@ func TestRedirectPushArming(t *testing.T) {
 	if got := victim.round.Load(); got != round+1 {
 		t.Fatalf("round = %d, want %d after redirect", got, round+1)
 	}
-	th := tm.profile.Thread(0)
-	if got := th.Counter(prof.CntTasksStolen); got != 2 {
+	if got := counterOf(tm, 0, prof.CntTasksStolen); got != 2 {
 		t.Fatalf("redirected = %d, want 2", got)
 	}
-	if got := th.Counter(prof.CntStaticPush); got != 1 {
+	if got := counterOf(tm, 0, prof.CntStaticPush); got != 1 {
 		t.Fatalf("static pushes = %d, want 1", got)
 	}
 	// Thief's queue from producer 0 holds the two redirected tasks.
@@ -237,20 +242,52 @@ func TestThiefTimeoutGating(t *testing.T) {
 	w := tm.workers[0]
 	w.beginRegion()
 	for i := 0; i < 9; i++ {
-		tm.thiefStep(w, tm.dlb.Load())
+		tm.thiefStep(w, &tm.cfg.DLB)
 	}
-	if got := tm.profile.Thread(0).Counter(prof.CntReqSent); got != 0 {
+	if got := counterOf(tm, 0, prof.CntReqSent); got != 0 {
 		t.Fatalf("request sent before TInterval: %d", got)
 	}
-	tm.thiefStep(w, tm.dlb.Load())
-	if got := tm.profile.Thread(0).Counter(prof.CntReqSent); got != 1 {
+	tm.thiefStep(w, &tm.cfg.DLB)
+	if got := counterOf(tm, 0, prof.CntReqSent); got != 1 {
 		t.Fatalf("requests after TInterval = %d, want 1", got)
 	}
 	// A pending (equal-round) request must not be overwritten.
 	for i := 0; i < 10; i++ {
-		tm.thiefStep(w, tm.dlb.Load())
+		tm.thiefStep(w, &tm.cfg.DLB)
 	}
-	if got := tm.profile.Thread(0).Counter(prof.CntReqSent); got != 1 {
+	if got := counterOf(tm, 0, prof.CntReqSent); got != 1 {
 		t.Fatalf("pending request overwritten: sent=%d", got)
+	}
+}
+
+func TestGuidelineForClasses(t *testing.T) {
+	cases := []struct {
+		mean     time.Duration
+		strategy DLBStrategy
+	}{
+		{100 * time.Nanosecond, DLBWorkSteal},
+		{2 * time.Microsecond, DLBWorkSteal},
+		{20 * time.Microsecond, DLBWorkSteal},
+		{200 * time.Microsecond, DLBWorkSteal},
+		{2 * time.Millisecond, DLBRedirectPush},
+	}
+	prevSteal := 0
+	for _, c := range cases {
+		cfg := GuidelineFor(c.mean, 4)
+		if cfg.Strategy != c.strategy {
+			t.Errorf("GuidelineFor(%v): strategy %v, want %v", c.mean, cfg.Strategy, c.strategy)
+		}
+		steal := cfg.NVictim * cfg.NSteal
+		if steal < prevSteal {
+			t.Errorf("steal size must grow with task size: %v gave %d after %d", c.mean, steal, prevSteal)
+		}
+		prevSteal = steal
+		if cfg.TInterval < 1 || cfg.PLocal < 0 || cfg.PLocal > 1 {
+			t.Errorf("invalid guideline config %+v", cfg)
+		}
+	}
+	// Single-zone topologies force PLocal=1.
+	if cfg := GuidelineFor(200*time.Microsecond, 1); cfg.PLocal != 1 {
+		t.Errorf("single zone must pin PLocal=1, got %v", cfg.PLocal)
 	}
 }

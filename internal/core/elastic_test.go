@@ -298,7 +298,7 @@ func TestVictimDropsParkedThief(t *testing.T) {
 	round := v.round.Load() & roundMask
 	v.request.Store(uint64(3)<<roundBits | round) // thief 3 requests
 	tm.active.Store(3)                            // ... then parks
-	tm.victimCheck(v, tm.dlb.Load())
+	tm.victimCheck(v, &tm.cfg.DLB)
 	if got := v.round.Load(); got != round+1 {
 		t.Fatalf("round = %d, want %d (request from parked thief dropped)", got, round+1)
 	}

@@ -64,10 +64,8 @@ type service struct {
 	// gate wakes the lifecycle's two blocked waits: parked workers
 	// (SetActive, Close) and a Close draining a closing service (jobDone).
 	gate *intake.Gate
-	// wg counts the serve loops and the policy controller, which ctlStop
-	// stops (nil when the policy is static or its loop is disabled).
-	wg      sync.WaitGroup
-	ctlStop chan struct{}
+	// wg counts the serve loops.
+	wg sync.WaitGroup
 
 	// state is the whole lifecycle, active<<svcPhaseBits | phase: raised
 	// only by reserve, lowered only by jobDone, walked only by Close, and
@@ -140,27 +138,13 @@ func (tm *Team) Serve() error {
 		svc.submit[c] = intake.New[*Task](tm.cfg.Backlog)
 		svc.runs[c].ring = svc.submit[c]
 	}
-	// Each Serve generation starts at full capacity and with the admission
-	// saturation verdict back at auto, both published before the service
-	// so no submission can read a stale one.
+	// Each Serve generation starts at full capacity, published before the
+	// service so no submission can read a stale active bound.
 	tm.setActiveLocked(tm.n)
-	tm.satState.Store(satAuto)
 	tm.svc.Store(svc)
 	svc.wg.Add(tm.n)
 	for _, w := range tm.workers {
 		go tm.serve(svc, w)
-	}
-	if tm.cfg.Policy.Adaptive() {
-		// Fresh classifier state per Serve generation; the background
-		// loop is optional (Interval < 0 → manual PolicyTick only).
-		tm.polMu.Lock()
-		tm.adapt = load.NewAdaptive(load.AdaptiveConfig{Hysteresis: tm.cfg.Policy.Hysteresis})
-		tm.polMu.Unlock()
-		if tm.cfg.Policy.Interval > 0 {
-			svc.ctlStop = make(chan struct{})
-			svc.wg.Add(1)
-			go tm.runPolicyController(svc, svc.ctlStop)
-		}
 	}
 	return nil
 }
@@ -304,9 +288,6 @@ func (tm *Team) Close() error {
 	svc.state.Store(svcStopping)
 	svc.gate.Wake()    // parked workers must observe stopping and exit
 	svc.bell.RingAll() // idle sleepers too, without waiting out their timers
-	if svc.ctlStop != nil {
-		close(svc.ctlStop)
-	}
 	svc.wg.Wait()
 	svc.state.Store(svcStopped)
 	// Restore the full-capacity invariant regions (and the next Serve)
@@ -387,11 +368,9 @@ func (tm *Team) serve(svc *service, w *Worker) {
 // tabulates under "Idle policy": producers publish, then announce; the
 // worker registers, then re-checks everything a producer could have
 // changed — the phase, the active bound, the intake rings, its own
-// queues. Its load signals are flushed first so dispatch and migration
-// read a sleeping shard as idle, not as whatever it last published.
+// queues.
 func (tm *Team) idleWait(svc *service, w *Worker, timer *time.Timer, sweep time.Duration) bool {
 	th := w.prof
-	w.sig.Flush()
 	svc.bell.Sleep(w.id)
 	if svc.phase() >= svcStopping || int32(w.id) >= tm.active.Load() || svc.pending() || !tm.sched.empty(w.id) {
 		svc.bell.Cancel(w.id)

@@ -366,9 +366,6 @@ func TestServiceGuards(t *testing.T) {
 	if _, err := tm.Submit(nil); err == nil {
 		t.Fatal("Submit(nil) succeeded")
 	}
-	if err := tm.Retune(DefaultDLB(DLBWorkSteal)); err == nil {
-		t.Fatal("Retune on a serving team succeeded")
-	}
 	fresh := MustTeam(Preset("gomp", 2))
 	if _, err := fresh.Submit(func(*Worker) {}); err == nil {
 		t.Fatal("Submit on a non-serving team succeeded")
@@ -541,5 +538,42 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached before deadline")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTeamSignals: the uniform signal surface reads the service gauges —
+// capacity, queued jobs, and the job run-time estimate — fresh on every
+// call.
+func TestTeamSignals(t *testing.T) {
+	tm := MustTeam(Preset("xgomptb+naws", 1))
+	if err := tm.Serve(); err != nil {
+		t.Fatal(err)
+	}
+	defer tm.Close()
+	if sig := tm.Signals(); sig.Capacity != 1 || sig.QueueDepth != 0 || sig.JobNS != 0 {
+		t.Fatalf("fresh team: %+v, want capacity 1, nothing queued, no job time", sig)
+	}
+	j, err := tm.Submit(func(*Worker) { time.Sleep(time.Millisecond) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if ns := tm.Signals().JobNS; ns < float64(time.Millisecond) {
+		t.Fatalf("JobNS = %v after a 1ms job, want >= 1ms", ns)
+	}
+	gate := make(chan struct{})
+	defer close(gate)
+	var started atomic.Int64
+	if _, err := tm.Submit(func(*Worker) { started.Add(1); <-gate }); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return started.Load() == 1 })
+	if _, err := tm.Submit(func(*Worker) {}); err != nil {
+		t.Fatal(err)
+	}
+	if sig := tm.Signals(); sig.QueueDepth != 1 || sig.Running != 1 {
+		t.Fatalf("one running, one queued: %+v", sig)
 	}
 }

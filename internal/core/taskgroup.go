@@ -59,8 +59,7 @@ func (w *Worker) waitFor(f *Task, open int32) {
 			spins = 0
 			continue
 		}
-		w.sig.Idle()
-		if d := tm.dlb.Load(); d.Strategy != DLBNone {
+		if d := &tm.cfg.DLB; d.Strategy != DLBNone {
 			tm.thiefStep(w, d)
 		}
 		spins++

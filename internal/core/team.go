@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/load"
@@ -43,33 +42,9 @@ type Team struct {
 	// remotes[z] lists the workers outside zone z in ascending id order
 	// (victim selection; the ordering lets the DLB take active prefixes).
 	remotes [][]int
-	// dlb is the team's *effective* DLB configuration, read through an
-	// atomic pointer at every scheduling point so the adaptive policy
-	// controller (and RetuneLive) can swap it while workers run. cfg.DLB
-	// keeps the construction-time value; Team.DLB reads the live one.
-	dlb atomic.Pointer[DLBConfig]
 	// admit is the admission policy of the task-service mode
 	// (Config.Admit, default load.BlockWhenFull).
 	admit load.AdmitPolicy
-	// satState is the admission edge's saturation verdict: satAuto while
-	// no adaptive controller runs (SubmitCtx then checks Load() >= 1 per
-	// call), satOn/satOff once the controller's hysteresis-damped tracker
-	// has established one (see PolicyTick).
-	satState atomic.Int32
-	// plane is the team's load-signal plane: one lock-free cell per
-	// worker, written by that worker's Sampler at a uniform cadence and
-	// aggregated by Team.Signals for the balancing policies above.
-	plane *load.Plane
-	// sigAgg/sigStamp cache the plane aggregation for sigCacheTTL so hot
-	// readers (a sharded pool's dispatcher on every Submit) do not rescan
-	// every worker cell.
-	sigAgg   atomic.Pointer[load.Signals]
-	sigStamp atomic.Int64
-	// polMu serializes adaptive-controller ticks; adapt is the
-	// controller's classifier state, created per Serve generation when
-	// the adaptive policy is on.
-	polMu sync.Mutex
-	adapt *load.Adaptive
 	// active is the size of the active worker set: workers [0, active)
 	// run, workers [active, n) park. Outside task-service mode it is
 	// always n (SetActive is service-only and Close restores it), so
@@ -106,13 +81,10 @@ func NewTeam(cfg Config) (*Team, error) {
 		return nil, err
 	}
 	tm := &Team{cfg: cfg, n: cfg.Workers, top: cfg.Topology}
-	d := cfg.DLB
-	tm.dlb.Store(&d)
 	tm.admit = cfg.Admit
 	if tm.admit == nil {
 		tm.admit = load.BlockWhenFull{}
 	}
-	tm.plane = load.NewPlane(cfg.Workers)
 	tm.active.Store(int32(cfg.Workers))
 
 	switch cfg.Sched {
@@ -172,7 +144,6 @@ func NewTeam(cfg Config) (*Team, error) {
 		}
 		w.round.Store(1) // the protocol's round numbers start at 1
 		w.view.w = w
-		w.sig.Init(tm.plane.Cell(i))
 		tm.workers[i] = w
 	}
 	tm.remotes = make([][]int, tm.top.Zones)
@@ -206,55 +177,29 @@ func (tm *Team) Workers() int { return tm.n }
 // SetActive.
 func (tm *Team) ActiveWorkers() int { return int(tm.active.Load()) }
 
-// Config returns the validated configuration the team runs with. Its DLB
-// field is the construction-time value; see DLB for the live one.
+// Config returns the validated configuration the team runs with.
 func (tm *Team) Config() Config { return tm.cfg }
-
-// DLB returns the team's effective DLB configuration — cfg.DLB as
-// constructed, unless Retune/RetuneLive (e.g. the adaptive policy
-// controller) has since replaced it.
-func (tm *Team) DLB() DLBConfig { return *tm.dlb.Load() }
-
-// sigCacheTTL bounds how stale Team.Signals' worker-plane aggregation may
-// be. Queue depth, running jobs, and capacity are always read fresh; only
-// the per-worker EWMA aggregation (an O(workers) scan) is cached, so a
-// dispatcher calling Signals on every placement stays O(1).
-const sigCacheTTL = 200 * time.Microsecond
 
 // Signals returns the team's current load signals — the uniform surface
 // every balancing level consumes instead of probing team internals. For a
 // serving team, QueueDepth/Running/Capacity are the admission backlog,
 // jobs in flight, and active workers (the shard-level signals a pool's
-// dispatch, migration, and quota policies compare); ServiceNS, TaskRate,
-// StealRate, and IdleRatio aggregate the active workers' signal-plane
-// cells (what the adaptive controller classifies). Safe for any
+// dispatch, migration, and quota policies compare) and JobNS is the
+// smoothed job run time admission predicts with; outside service mode
+// only Capacity is set. Every field is read fresh. Safe for any
 // goroutine.
 func (tm *Team) Signals() load.Signals {
-	now := tm.profile.Now()
-	var agg load.Signals
-	if p := tm.sigAgg.Load(); p != nil && now-tm.sigStamp.Load() < int64(sigCacheTTL) {
-		agg = *p
-	} else {
-		act := int(tm.active.Load())
-		agg = load.Aggregate(tm.plane.Snapshot()[:act])
-		// Publish a private copy: agg itself is overlaid with the fresh
-		// service-mode gauges below, which must not mutate what cached
-		// readers dereference.
-		cached := agg
-		tm.sigAgg.Store(&cached)
-		tm.sigStamp.Store(now)
-		tm.profile.SetLoadSignals(agg.ServiceNS, agg.TaskRate, agg.StealRate, agg.IdleRatio)
-	}
+	var sig load.Signals
 	if tm.Serving() {
-		agg.QueueDepth = float64(tm.profile.QueueDepth())
+		sig.QueueDepth = float64(tm.profile.QueueDepth())
 		for c := 0; c < int(load.NumClasses); c++ {
-			agg.ClassQueueDepth[c] = float64(tm.profile.ClassQueued(c))
+			sig.ClassQueueDepth[c] = float64(tm.profile.ClassQueued(c))
 		}
-		agg.JobNS = tm.profile.JobTimeNS()
-		agg.Running = max(0, float64(tm.ActiveJobs())-agg.QueueDepth)
+		sig.JobNS = tm.profile.JobTimeNS()
+		sig.Running = max(0, float64(tm.ActiveJobs())-sig.QueueDepth)
 	}
-	agg.Capacity = float64(tm.ActiveWorkers())
-	return agg
+	sig.Capacity = float64(tm.ActiveWorkers())
+	return sig
 }
 
 // Topology returns the team's NUMA topology.
@@ -353,20 +298,18 @@ func (tm *Team) recordPanic(r any) {
 // victim), the body, completion accounting, and descriptor recycling.
 func (tm *Team) execute(w *Worker, t *Task) {
 	w.timeoutCtr = 0 // no longer idle
-	if d := tm.dlb.Load(); d.Strategy != DLBNone {
+	if d := &tm.cfg.DLB; d.Strategy != DLBNone {
 		tm.victimCheck(w, d)
 	}
 	th := w.prof
 	th.Begin(prof.EvTask)
 	prev := w.cur
 	w.cur = t
-	sample := w.sig.TaskStart()
 	if j := t.job; j != nil {
 		tm.runJobTask(w, t, j) // per-job panic isolation and cancellation
 	} else {
 		t.run(w)
 	}
-	w.sig.TaskDone(sample)
 	w.cur = prev
 	th.End(prof.EvTask)
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/intake"
-	"repro/internal/load"
 	"repro/internal/prof"
 	"repro/internal/rng"
 )
@@ -59,10 +58,6 @@ type Worker struct {
 	// on this worker announces a push without touching shared team state.
 	bell *intake.Bell
 
-	// sig samples this worker's load signals (service time, task rate,
-	// idle ratio, steal rate) into its cell of the team's signal plane
-	// (owner-only; the cell hand-off is lock-free).
-	sig load.Sampler
 	// view is the worker's read-only window for victim selection.
 	view victimView
 }
@@ -99,14 +94,13 @@ func (w *Worker) found() {
 	w.polls, w.idleSince = 0, time.Time{}
 }
 
-// idle is one empty poll of a scheduling loop: the worker samples itself
-// idle, takes a thief step, and opens the EvStall span on the first poll
-// of a spell. It reports true once per stallSpins polls — the loop's cue
-// to yield the OS thread — and at the first poll after a wake: on a busy
-// processor the goroutine the worker woke runs only once it yields.
+// idle is one empty poll of a scheduling loop: the worker takes a thief
+// step and opens the EvStall span on the first poll of a spell. It
+// reports true once per stallSpins polls — the loop's cue to yield the OS
+// thread — and at the first poll after a wake: on a busy processor the
+// goroutine the worker woke runs only once it yields.
 func (w *Worker) idle() bool {
-	w.sig.Idle()
-	if d := w.team.dlb.Load(); d.Strategy != DLBNone {
+	if d := &w.team.cfg.DLB; d.Strategy != DLBNone {
 		w.team.thiefStep(w, d)
 	}
 	if !w.stalling {

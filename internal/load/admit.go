@@ -127,11 +127,10 @@ type AdmitRequest struct {
 	// including submitters currently blocked waiting for queue space —
 	// the quantity WFQAdmit bounds against the tenant's share.
 	TenantQueued int
-	// Saturated is the runtime's saturation verdict: the adaptive
-	// controller's hysteresis-damped Schmitt trigger when a controller is
-	// running, an instantaneous Load() >= 1 check otherwise. Shedding
-	// policies engage only while it holds, so a transient queue blip on
-	// an otherwise idle team never drops work.
+	// Saturated is the runtime's saturation verdict: queued plus running
+	// work has reached the team's active capacity (Signals.Load() >= 1).
+	// Shedding policies engage only while it holds, so a team that is
+	// keeping up never drops work.
 	Saturated bool
 }
 

@@ -115,47 +115,3 @@ func TestPowerOfTwoClassAware(t *testing.T) {
 		}
 	}
 }
-
-// The saturation tracker: engages after Hysteresis consecutive saturated
-// observations, releases only below the guard band, and never flaps on a
-// load oscillating inside the band.
-func TestObserveSaturation(t *testing.T) {
-	a := NewAdaptive(AdaptiveConfig{Hysteresis: 3})
-	at := func(l float64) Signals { return Signals{QueueDepth: l, Capacity: 1} }
-
-	for i := 0; i < 2; i++ {
-		if sat, sw := a.ObserveSaturation(at(2)); sat || sw {
-			t.Fatalf("obs %d: saturated=%v switched=%v before hysteresis", i, sat, sw)
-		}
-	}
-	sat, sw := a.ObserveSaturation(at(2))
-	if !sat || !sw {
-		t.Fatalf("third saturated observation: saturated=%v switched=%v, want true,true", sat, sw)
-	}
-	// Load inside the release band (>= 1/1.25 = 0.8): stays saturated
-	// forever — the Schmitt trigger, not just streak damping.
-	for i := 0; i < 10; i++ {
-		if sat, sw := a.ObserveSaturation(at(0.9)); !sat || sw {
-			t.Fatalf("in-band obs %d flipped: saturated=%v switched=%v", i, sat, sw)
-		}
-	}
-	// A dip below the band releases after the streak.
-	for i := 0; i < 2; i++ {
-		if sat, _ := a.ObserveSaturation(at(0.5)); !sat {
-			t.Fatalf("released before hysteresis at obs %d", i)
-		}
-	}
-	if sat, sw := a.ObserveSaturation(at(0.5)); sat || !sw {
-		t.Fatalf("release: saturated=%v switched=%v, want false,true", sat, sw)
-	}
-	if a.saturated {
-		t.Fatal("saturation verdict disagrees with the release")
-	}
-	// An interrupted streak resets.
-	a.ObserveSaturation(at(2))
-	a.ObserveSaturation(at(2))
-	a.ObserveSaturation(at(0.1)) // streak broken
-	if sat, _ := a.ObserveSaturation(at(2)); sat {
-		t.Fatal("broken streak still engaged")
-	}
-}

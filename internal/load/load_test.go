@@ -1,52 +1,10 @@
 package load
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/rng"
 )
-
-func TestCellPublishSnapshot(t *testing.T) {
-	var c Cell
-	if got := c.Snapshot(); got != (Signals{}) {
-		t.Fatalf("zero cell reads %+v", got)
-	}
-	in := Signals{QueueDepth: 3, Running: 2, Capacity: 4, ServiceNS: 1500, TaskRate: 10, StealRate: 0.5, IdleRatio: 0.25}
-	c.Publish(in)
-	if got := c.Snapshot(); got != in {
-		t.Fatalf("snapshot %+v, want %+v", got, in)
-	}
-}
-
-func TestCellConcurrentReaders(t *testing.T) {
-	var c Cell
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				s := c.Snapshot()
-				if s.QueueDepth < 0 || s.IdleRatio < 0 || s.IdleRatio > 1 {
-					t.Error("torn field value")
-					return
-				}
-			}
-		}()
-	}
-	for i := 0; i < 10000; i++ {
-		c.Publish(Signals{QueueDepth: float64(i % 7), IdleRatio: float64(i%5) / 4})
-	}
-	close(done)
-	wg.Wait()
-}
 
 func TestSignalsLoad(t *testing.T) {
 	s := Signals{QueueDepth: 3, Running: 2, Capacity: 2}
@@ -56,27 +14,6 @@ func TestSignalsLoad(t *testing.T) {
 	// Zero capacity must not divide by zero.
 	if got := (Signals{QueueDepth: 4}).Load(); got != 4 {
 		t.Fatalf("zero-capacity Load = %v, want 4", got)
-	}
-}
-
-func TestAggregate(t *testing.T) {
-	per := []Signals{
-		{Capacity: 1, ServiceNS: 1000, TaskRate: 10, StealRate: 1, IdleRatio: 0.2, Running: 0.8},
-		{Capacity: 1, ServiceNS: 3000, TaskRate: 30, StealRate: 3, IdleRatio: 0.6, Running: 0.4},
-	}
-	agg := Aggregate(per)
-	if agg.Capacity != 2 || agg.TaskRate != 40 || agg.StealRate != 4 {
-		t.Fatalf("sums wrong: %+v", agg)
-	}
-	// Service time is task-rate weighted: (1000*10 + 3000*30)/40 = 2500.
-	if agg.ServiceNS != 2500 {
-		t.Fatalf("ServiceNS = %v, want 2500", agg.ServiceNS)
-	}
-	if agg.IdleRatio != 0.4 {
-		t.Fatalf("IdleRatio = %v, want 0.4", agg.IdleRatio)
-	}
-	if got := Aggregate(nil); got != (Signals{}) {
-		t.Fatalf("empty aggregate %+v", got)
 	}
 }
 
@@ -324,76 +261,5 @@ func TestGrainOf(t *testing.T) {
 		if got := GrainOf(c.ns); got != c.want {
 			t.Errorf("GrainOf(%v) = %v, want %v", c.ns, got, c.want)
 		}
-	}
-}
-
-func TestAdaptiveGuardBand(t *testing.T) {
-	a := NewAdaptive(AdaptiveConfig{Hysteresis: 1, GuardBand: 1.25})
-	mid := Signals{ServiceNS: 20_000, TaskRate: 100}
-	if _, sw := a.Observe(mid); !sw {
-		t.Fatal("initial class not established")
-	}
-	// Hovering just across the mid/coarse boundary (50µs) must never
-	// switch, no matter how long it persists: 55µs is inside the 25%
-	// guard band.
-	for i := 0; i < 20; i++ {
-		if _, sw := a.Observe(Signals{ServiceNS: 55_000, TaskRate: 100}); sw {
-			t.Fatalf("switched inside the guard band on observation %d", i)
-		}
-	}
-	// Clearing the boundary by the margin switches (with hysteresis 1).
-	g, sw := a.Observe(Signals{ServiceNS: 70_000, TaskRate: 100})
-	if !sw || g != GrainCoarse {
-		t.Fatalf("observation beyond the band gave (%v, %v)", g, sw)
-	}
-	// Same on the way down: 45µs hovers, 35µs switches back.
-	for i := 0; i < 20; i++ {
-		if _, sw := a.Observe(Signals{ServiceNS: 45_000, TaskRate: 100}); sw {
-			t.Fatal("downward hover switched inside the guard band")
-		}
-	}
-	if g, sw := a.Observe(Signals{ServiceNS: 35_000, TaskRate: 100}); !sw || g != GrainMid {
-		t.Fatalf("downward clear gave (%v, %v)", g, sw)
-	}
-}
-
-func TestAdaptiveHysteresisAndSwitching(t *testing.T) {
-	a := NewAdaptive(AdaptiveConfig{Hysteresis: 2})
-	fine := Signals{ServiceNS: 200, TaskRate: 1000}
-	coarse := Signals{ServiceNS: 1_000_000, TaskRate: 100}
-
-	// Establishing the first class takes the hysteresis too.
-	if _, sw := a.Observe(fine); sw {
-		t.Fatal("switched on one observation")
-	}
-	g, sw := a.Observe(fine)
-	if !sw || g != GrainFine {
-		t.Fatalf("fine not established: (%v, %v)", g, sw)
-	}
-	// One coarse blip must not flip the class...
-	if _, sw := a.Observe(coarse); sw {
-		t.Fatal("switched on a single blip")
-	}
-	// ...and returning to fine resets the candidate streak.
-	a.Observe(fine)
-	if _, sw := a.Observe(coarse); sw {
-		t.Fatal("streak survived an interleaved fine observation")
-	}
-	// A sustained coarse phase switches exactly once.
-	g, sw = a.Observe(coarse)
-	if !sw || g != GrainXCoarse {
-		t.Fatalf("coarse not established: (%v, %v)", g, sw)
-	}
-	if a.current != GrainXCoarse {
-		t.Fatalf("Current = %v", a.current)
-	}
-	// Idle observations never disturb the established class.
-	for i := 0; i < 10; i++ {
-		if _, sw := a.Observe(Signals{}); sw {
-			t.Fatal("idle observation switched the class")
-		}
-	}
-	if a.current != GrainXCoarse {
-		t.Fatal("idle observations changed the class")
 	}
 }

@@ -48,7 +48,7 @@ const (
 	// time has been observed for a tenant (≈1ms, the corpus' unit job).
 	defaultCostNS = 1e6
 	// tenantAlpha smooths the per-tenant service-time EWMA; matches the
-	// job-time smoothing used by the signal plane.
+	// job-time smoothing of Signals.JobNS (DefaultAlpha).
 	tenantAlpha = 0.3
 )
 

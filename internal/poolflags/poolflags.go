@@ -1,7 +1,7 @@
 // Package poolflags is the one way a command builds a pool from flags:
 // the flag vocabulary that shapes an xomp.ShardedPool (preset, workers,
-// shards, backlog, admission policy, balancing policy, elastic capacity
-// controller, BOTS input scale), its validation, and its defaults live
+// shards, backlog, admission policy, elastic capacity controller, BOTS
+// input scale), its validation, and its defaults live
 // here, so cmd/jobserved and cmd/loadgen cannot drift apart.
 package poolflags
 
@@ -21,7 +21,6 @@ type Flags struct {
 	Shards  int
 	Backlog int
 	Admit   string
-	Policy  string
 	Elastic bool
 	Budget  int
 	Scale   string
@@ -35,7 +34,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.Shards, "shards", 1, "NUMA shards (each one serving team)")
 	fs.IntVar(&f.Backlog, "backlog", 0, "admission queue capacity per class (0 = 4x workers)")
 	fs.StringVar(&f.Admit, "admit", "block", "admission policy: block|reject|shed|wfq")
-	fs.StringVar(&f.Policy, "policy", "static", "balancing policy: "+strings.Join(xomp.PolicyNames(), "|"))
 	fs.BoolVar(&f.Elastic, "elastic", false, "enable the elastic capacity controller (needs -shards > 1)")
 	fs.IntVar(&f.Budget, "budget", 0, "total active workers with -elastic (0 = half of -workers)")
 	fs.StringVar(&f.Scale, "scale", "test", "BOTS input scale for named-app jobs: test|small|medium|large")
@@ -61,9 +59,6 @@ func (f *Flags) Config() (xomp.ShardConfig, bots.Scale, error) {
 	if err != nil {
 		return cfg, 0, err
 	}
-	if !xomp.ValidPolicyName(f.Policy) {
-		return cfg, 0, fmt.Errorf("-policy %q is not a policy (%s)", f.Policy, strings.Join(xomp.PolicyNames(), ", "))
-	}
 	scale, err := bots.ParseScale(f.Scale)
 	if err != nil {
 		return cfg, 0, err
@@ -73,9 +68,6 @@ func (f *Flags) Config() (xomp.ShardConfig, bots.Scale, error) {
 	cfg.Team = xomp.Preset(f.Runtime, f.Workers/f.Shards)
 	cfg.Team.Backlog = f.Backlog
 	cfg.Team.Admit = admit
-	if f.Policy != "static" {
-		cfg.Team.Policy.Name = f.Policy
-	}
 	if f.Elastic {
 		budget := f.Budget
 		if budget == 0 {

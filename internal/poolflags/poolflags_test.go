@@ -57,18 +57,18 @@ func TestConfigShapes(t *testing.T) {
 }
 
 func TestConfigCarriesPolicies(t *testing.T) {
-	cfg, scale, err := parse(t, "-admit", "reject", "-policy", "adaptive", "-backlog", "7", "-scale", "small").Config()
+	cfg, scale, err := parse(t, "-admit", "reject", "-backlog", "7", "-scale", "small").Config()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := cfg.Team.Admit.(xomp.RejectWhenFull); !ok {
 		t.Errorf("Admit = %T, want RejectWhenFull", cfg.Team.Admit)
 	}
-	if cfg.Team.Policy.Name != "adaptive" || cfg.Team.Backlog != 7 || scale != bots.ScaleSmall {
-		t.Errorf("got policy %q backlog %d scale %v", cfg.Team.Policy.Name, cfg.Team.Backlog, scale)
+	if cfg.Team.Backlog != 7 || scale != bots.ScaleSmall {
+		t.Errorf("got backlog %d scale %v", cfg.Team.Backlog, scale)
 	}
-	if cfg, _, _ := parse(t).Config(); cfg.Team.Admit != nil || cfg.Team.Policy.Name != "" {
-		t.Errorf("defaults set Admit %T / policy %q, want the team's own defaults", cfg.Team.Admit, cfg.Team.Policy.Name)
+	if cfg, _, _ := parse(t).Config(); cfg.Team.Admit != nil {
+		t.Errorf("defaults set Admit %T, want the team's own default", cfg.Team.Admit)
 	}
 }
 
@@ -84,7 +84,6 @@ func TestConfigRejects(t *testing.T) {
 		{"elastic without a second shard", []string{"-elastic"}},
 		{"budget without elastic", []string{"-budget", "2"}},
 		{"unknown admission policy", []string{"-admit", "maybe"}},
-		{"unknown balancing policy", []string{"-policy", "nope"}},
 		{"unknown scale", []string{"-scale", "huge"}},
 	}
 	for _, tc := range cases {

@@ -50,8 +50,7 @@ func (c *counter) add(n int) {
 func (c *counter) load() uint64 { return c.v.Load() }
 
 // Ring is the bounded log all event-like state shares (job records,
-// policy switches, admission latencies and events, a sharded pool's
-// quota moves): append until the bound, then overwrite the oldest, under
+// admission latencies and events, a sharded pool's quota moves): append until the bound, then overwrite the oldest, under
 // the ring's own lock, with a lifetime total beside the retained entries.
 // Build one with NewRing; a Ring must not be copied after first use.
 type Ring[T any] struct {

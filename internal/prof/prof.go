@@ -14,8 +14,8 @@
 // therefore opt-in, exactly like the paper's perf_record instrumentation.
 //
 // Shared state is everything a goroutine other than the owning worker
-// writes — submitters, the migration balancer, the capacity and policy
-// controllers, a server's connection goroutines. It is built from three
+// writes — submitters, the migration balancer, the capacity controller,
+// a server's connection goroutines. It is built from three
 // cells (cells.go: a padded gauge, a counter, a locked bounded Ring) and
 // one admission ledger slot instantiated per priority class and per
 // tenant (admit.go), and the task service moves it through five event
@@ -225,19 +225,6 @@ func (r JobRecord) RunTime() time.Duration { return time.Duration(r.End - r.Star
 // bound.
 const MaxJobRecords = 4096
 
-// PolicySwitch records one adaptive-policy retune: at time At (ns since
-// the profile base) the controller replaced configuration From with To
-// (human-readable descriptions; To is prefixed with the granularity class
-// that triggered the switch).
-type PolicySwitch struct {
-	At   int64  `json:"at"`
-	From string `json:"from"`
-	To   string `json:"to"`
-}
-
-// MaxPolicySwitches bounds the retained policy-switch trace.
-const MaxPolicySwitches = 1024
-
 // Profile owns one Thread per worker plus the team's shared state, all of
 // it built from the cells in cells.go so any goroutine may write it and
 // any goroutine may read it live.
@@ -260,19 +247,11 @@ type Profile struct {
 	// gauge (and as PARK timeline segments on the parked threads).
 	workersActive paddedGauge
 
-	// Load-signal gauges: the most recent aggregation of the team's
-	// load-signal plane (internal/load) — EWMA mean task service time in
-	// ns, task completion rate and steal-request rate per second, and the
-	// idle ratio, written whenever Team.Signals refreshes its aggregate —
-	// and sigJobNS, the job-granular service-time signal deadline-aware
+	// sigJobNS is the job-granular service-time signal deadline-aware
 	// admission predicts with: jobNS smooths the completed jobs' run
 	// times under the job log's lock and JobDone mirrors it here.
-	sigServiceNS paddedFloat
-	sigTaskRate  paddedFloat
-	sigStealRate paddedFloat
-	sigIdleRatio paddedFloat
-	sigJobNS     paddedFloat
-	jobNS        stats.EWMA
+	sigJobNS paddedFloat
+	jobNS    stats.EWMA
 
 	base     time.Time
 	timeline bool
@@ -285,12 +264,10 @@ type Profile struct {
 	tenants  atomic.Pointer[map[int]*tenantSlot] //repolint:ok falseshare — read-mostly, beside read-only and cold fields
 	overflow *tenantSlot
 
-	// The event logs: completed jobs in completion order, non-admissions
-	// for the trace export, and the adaptive controller's retune trace
-	// (the POLICY_SWITCH timeline).
+	// The event logs: completed jobs in completion order and
+	// non-admissions for the trace export.
 	jobs        Ring[JobRecord]
 	admitEvents Ring[AdmitEvent]
-	polSwitches Ring[PolicySwitch]
 
 	// migratedIn/migratedOut are the NJOBS_MIGRATED counters: whole queued
 	// jobs a second-level balancer moved into or out of this team.
@@ -306,7 +283,6 @@ func New(workers int, timeline bool) *Profile {
 		timeline:    timeline,
 		jobNS:       stats.NewEWMA(load.DefaultAlpha),
 		jobs:        NewRing[JobRecord](MaxJobRecords),
-		polSwitches: NewRing[PolicySwitch](MaxPolicySwitches),
 		admitEvents: NewRing[AdmitEvent](MaxAdmitEvents),
 		overflow:    newTenantSlot(),
 	}
@@ -340,29 +316,6 @@ func (p *Profile) Jobs() []JobRecord { return p.jobs.Snapshot() }
 // JobsTotal returns how many job completions have been recorded over the
 // profile's lifetime, including records the ring has since evicted.
 func (p *Profile) JobsTotal() uint64 { return p.jobs.Total() }
-
-// SetLoadSignals updates the load-signal gauges: the EWMA mean task
-// service time (ns), task and steal-request rates (per second), and idle
-// ratio of the team's signal plane. Safe for any goroutine.
-func (p *Profile) SetLoadSignals(serviceNS, taskRate, stealRate, idleRatio float64) {
-	p.sigServiceNS.set(serviceNS)
-	p.sigTaskRate.set(taskRate)
-	p.sigStealRate.set(stealRate)
-	p.sigIdleRatio.set(idleRatio)
-}
-
-// LoadSignals returns the load-signal gauges last set by SetLoadSignals.
-func (p *Profile) LoadSignals() (serviceNS, taskRate, stealRate, idleRatio float64) {
-	return p.sigServiceNS.load(), p.sigTaskRate.load(), p.sigStealRate.load(), p.sigIdleRatio.load()
-}
-
-// RecordPolicySwitch appends one adaptive-policy retune to the bounded
-// policy-switch trace. Safe for any goroutine.
-func (p *Profile) RecordPolicySwitch(s PolicySwitch) { p.polSwitches.Add(s) }
-
-// PolicySwitches returns a copy of the retained policy-switch trace in
-// switch order (the most recent MaxPolicySwitches).
-func (p *Profile) PolicySwitches() []PolicySwitch { return p.polSwitches.Snapshot() }
 
 // SetWorkersActive sets the NWORKERS_ACTIVE gauge. The team writes it on
 // every SetActive transition; safe for any goroutine.
@@ -448,9 +401,6 @@ func (t *Thread) Add(c Counter, n uint64) { t.counters[c] += n }
 // Inc increments counter c by one.
 func (t *Thread) Inc(c Counter) { t.counters[c]++ }
 
-// Counter returns the current value of counter c.
-func (t *Thread) Counter(c Counter) uint64 { return t.counters[c] }
-
 // Sum returns the total of counter c across all threads.
 func (p *Profile) Sum(c Counter) uint64 {
 	var s uint64
@@ -476,14 +426,8 @@ type Snapshot struct {
 	// WorkersActive is the NWORKERS_ACTIVE gauge at snapshot time (0 in
 	// dumps predating elastic capacity; treat 0 as "all workers active").
 	WorkersActive int64 `json:"nworkers_active,omitempty"`
-	// Load-signal gauges at snapshot time (see SetLoadSignals) and the
-	// adaptive controller's policy-switch trace.
-	SigServiceNS   float64        `json:"sig_service_ns,omitempty"`
-	SigTaskRate    float64        `json:"sig_task_rate,omitempty"`
-	SigStealRate   float64        `json:"sig_steal_rate,omitempty"`
-	SigIdleRatio   float64        `json:"sig_idle_ratio,omitempty"`
-	SigJobNS       float64        `json:"sig_job_ns,omitempty"`
-	PolicySwitches []PolicySwitch `json:"policy_switches,omitempty"`
+	// SigJobNS is the job run-time signal at snapshot time (JobTimeNS).
+	SigJobNS float64 `json:"sig_job_ns,omitempty"`
 	// Admission-edge state at snapshot time: per-class queue-depth
 	// gauges, the per-class × per-outcome counter matrix (outcome order:
 	// admitted, rejected, shed, cancelled, expired), retained admission
@@ -513,9 +457,7 @@ func (p *Profile) Snapshot() Snapshot {
 	s.QueueDepth = p.QueueDepth()
 	s.JobsMigratedIn, s.JobsMigratedOut = p.JobsMigrated()
 	s.WorkersActive = p.WorkersActive()
-	s.SigServiceNS, s.SigTaskRate, s.SigStealRate, s.SigIdleRatio = p.LoadSignals()
 	s.SigJobNS = p.JobTimeNS()
-	s.PolicySwitches = p.PolicySwitches()
 	for c := range p.classes {
 		s.ClassQueued[c], s.AdmitCounts[c], s.AdmitLatencies[c] = p.classes[c].read()
 	}

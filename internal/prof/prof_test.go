@@ -12,7 +12,7 @@ func TestCounters(t *testing.T) {
 	p.Thread(0).Inc(CntTasksSelf)
 	p.Thread(0).Add(CntTasksSelf, 2)
 	p.Thread(3).Add(CntTasksRemote, 7)
-	if got := p.Thread(0).Counter(CntTasksSelf); got != 3 {
+	if got := p.Thread(0).counters[CntTasksSelf]; got != 3 {
 		t.Errorf("thread 0 self = %d, want 3", got)
 	}
 	if got := p.Sum(CntTasksSelf); got != 3 {

@@ -12,12 +12,10 @@ import (
 // ExportTraceEvents writes the snapshot's timeline in the Chrome
 // trace-event format (the JSON array form), loadable in chrome://tracing
 // or Perfetto. Each worker becomes a thread; each timeline record becomes
-// a complete ("X") event with microsecond timestamps, each adaptive
-// policy switch becomes an instant ("i") POLICY_SWITCH event on a
-// synthetic controller thread (tid = worker count), and each admission
+// a complete ("X") event with microsecond timestamps, and each admission
 // non-admission (ADMIT_REJECT / ADMIT_SHED / ADMIT_CANCEL / ADMIT_EXPIRE)
-// becomes an instant on a synthetic admission thread (tid = worker count
-// + 1) carrying the class in its args — a saturation episode reads as a
+// becomes an instant ("i") on a synthetic admission thread (tid = worker
+// count) carrying the class in its args — a saturation episode reads as a
 // burst on that row, lined up against the worker rows it starved. This
 // complements the paper's ASCII summaries with an interactive view of the
 // same data.
@@ -65,27 +63,14 @@ func (s Snapshot) ExportTraceEvents(w io.Writer) error {
 			}
 		}
 	}
-	for _, ps := range s.PolicySwitches {
-		if err := emit(traceEvent{
-			Name: "POLICY_SWITCH",
-			Ph:   "i",
-			TS:   float64(ps.At) / 1e3,
-			PID:  1,
-			TID:  s.Workers, // the controller's own row
-			S:    "p",       // process-scoped marker line
-			Args: map[string]any{"from": ps.From, "to": ps.To},
-		}); err != nil {
-			return err
-		}
-	}
 	for _, ae := range s.AdmitEvents {
 		if err := emit(traceEvent{
 			Name: "ADMIT_" + ae.Outcome.String(),
 			Ph:   "i",
 			TS:   float64(ae.At) / 1e3,
 			PID:  1,
-			TID:  s.Workers + 1, // the admission edge's own row
-			S:    "t",           // thread-scoped tick on the admission row
+			TID:  s.Workers, // the admission edge's own row
+			S:    "t",       // thread-scoped tick on the admission row
 			Args: map[string]any{"class": load.Class(ae.Class).String()},
 		}); err != nil {
 			return err

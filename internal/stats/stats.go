@@ -121,8 +121,8 @@ func (s *Sample) String() string {
 // EWMA is an exponentially weighted moving average: each Update moves the
 // value a fixed fraction (the smoothing factor alpha) toward the new
 // observation, so recent observations dominate while older ones decay
-// geometrically. The load-signal plane uses it to smooth per-worker
-// samples (queue depth, service time, idle ratio) into stable signals
+// geometrically. The profile uses it to smooth job run times into the
+// job-time signal, and weighted-fair admission per-tenant service times,
 // without retaining history. The zero value is empty; the first Update
 // adopts the observation unsmoothed so a fresh signal does not start from
 // a meaningless zero.

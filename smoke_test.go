@@ -32,7 +32,7 @@ var cmdMains = []string{
 var cmdRequiredFlags = map[string][]string{
 	"loadgen": {"scenario", "trace", "record", "emit", "seed", "speed", "admit", "priority-mix", "elastic", "shards",
 		"mode", "addr", "listen", "rate", "size", "fleet", "fleet-size"},
-	"jobserved": {"addr", "workers", "shards", "backlog", "admit", "policy", "elastic", "budget", "scale", "window", "report"},
+	"jobserved": {"addr", "workers", "shards", "backlog", "admit", "elastic", "budget", "scale", "window", "report"},
 	"whatif":    {"in", "scenario", "seed", "shards", "speed", "reps"},
 	"botsrun":   {"app", "profile"},
 }
@@ -178,6 +178,16 @@ func TestToolsRun(t *testing.T) {
 		out := runTool(t, dir, false, "loadgen", "-workers", "2", "-submitters", "2", "-jobs", "4")
 		wantLine(t, out, "8/8 jobs admitted")
 	})
+	for _, bad := range [][]string{
+		{"-submitters", "-1"},
+		{"-zones", "0"},
+		{"-jobs", "-3"},
+	} {
+		t.Run("loadgen-rejects"+bad[0]+"="+bad[1], func(t *testing.T) {
+			out := runTool(t, dir, true, "loadgen", append([]string{"-workers", "2"}, bad...)...)
+			wantLine(t, out, bad[0]+" "+bad[1]+" must be")
+		})
+	}
 }
 
 // TestToolList pins the tool inventory: cmdMains plus repolint (which is

@@ -2,6 +2,7 @@ package xomp_test
 
 import (
 	"fmt"
+	"time"
 
 	"repro/xomp"
 )
@@ -194,19 +195,16 @@ func ExampleShardedPool_elastic() {
 	// after: 3+1 of 4 budget
 }
 
-// Teams are tunable: probe a workload once, then run with the settings
-// the paper's Table IV prescribes for its granularity.
-func ExampleTeam_AutoTune() {
-	team := xomp.MustTeam(xomp.Preset("xgomptb", 4))
-	workload := func(w *xomp.Worker) {
-		for i := 0; i < 5000; i++ {
-			w.Spawn(func(*xomp.Worker) {})
-		}
+// Table IV as a lookup: the DLB settings for a measured mean task
+// duration, fixed into a team's configuration before it is built.
+func ExampleGuidelineFor() {
+	for _, mean := range []time.Duration{300 * time.Nanosecond, 2 * time.Millisecond} {
+		cfg := xomp.Preset("xgomptb", 4)
+		cfg.DLB = xomp.GuidelineFor(mean, 1)
+		team := xomp.MustTeam(cfg)
+		fmt.Println(mean, team.Config().DLB.Strategy, team.Config().DLB.NSteal)
 	}
-	cfg, _, err := team.AutoTune(workload)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(cfg.Strategy)
-	// Output: na-ws
+	// Output:
+	// 300ns na-ws 1
+	// 2ms na-rp 32
 }

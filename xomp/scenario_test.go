@@ -159,9 +159,9 @@ func TestScenarioZipfQuotaMoves(t *testing.T) {
 	t.Errorf("elastic controller moved no quota on the zipf trace in %d attempts", attempts)
 }
 
-// TestScenarioCorpusReplays replays checked-in golden traces through a
-// static and an adaptive configuration — the CI smoke that the corpus
-// files, the trace reader, and the replayer agree end to end.
+// TestScenarioCorpusReplays replays checked-in golden traces through the
+// xgomptb preset — the CI smoke that the corpus files, the trace reader,
+// and the replayer agree end to end.
 func TestScenarioCorpusReplays(t *testing.T) {
 	for _, name := range []string{"steady", "deadline-mix"} {
 		path := filepath.Join("..", "testdata", "scenarios", name+".jsonl")
@@ -173,22 +173,16 @@ func TestScenarioCorpusReplays(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		for _, policy := range []string{"static", "adaptive"} {
-			cfg := xomp.Preset("xgomptb", 2)
-			cfg.Backlog = 64
-			if policy != "static" {
-				cfg.Policy.Name = policy
-			}
-			res, err := replay.ReplayJobs(tr, replay.Options{Team: cfg, Speed: 4})
-			if err != nil {
-				t.Errorf("%s through %s: %v", name, policy, err)
-				continue
-			}
-			if res.Completed == 0 {
-				t.Errorf("%s through %s: no completions", name, policy)
-			}
-			t.Logf("%s through %s: %.0f jobs/sec, %d/%d completed",
-				name, policy, res.JobsPerSec, res.Completed, res.Jobs)
+		cfg := xomp.Preset("xgomptb", 2)
+		cfg.Backlog = 64
+		res, err := replay.ReplayJobs(tr, replay.Options{Team: cfg, Speed: 4})
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
 		}
+		if res.Completed == 0 {
+			t.Errorf("%s: no completions", name)
+		}
+		t.Logf("%s: %.0f jobs/sec, %d/%d completed", name, res.JobsPerSec, res.Completed, res.Jobs)
 	}
 }

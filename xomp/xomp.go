@@ -203,23 +203,6 @@ func PresetNames() []string { return core.PresetNames() }
 // starting point of the paper's parameter sweeps.
 func DefaultDLB(s DLBStrategy) DLBConfig { return core.DefaultDLB(s) }
 
-// Policy selects a team's balancing policy: a named fixed configuration
-// from the policy library, or "adaptive" for the runtime controller that
-// classifies the workload's granularity from the load-signal plane and
-// retunes the DLB configuration live. Assign to Config.Policy.
-type Policy = core.Policy
-
-// PolicyNames lists the selectable policy names.
-func PolicyNames() []string { return core.PolicyNames() }
-
-// ValidPolicyName reports whether name is a selectable policy name.
-func ValidPolicyName(name string) bool { return core.ValidPolicyName(name) }
-
-// PolicyDLB maps a fixed policy name to its DLB configuration for a
-// topology with the given zone count (false for unknown names and for
-// "adaptive").
-func PolicyDLB(name string, zones int) (DLBConfig, bool) { return core.PolicyDLB(name, zones) }
-
 // Admission errors of SubmitCtx: a full class queue under a non-blocking
 // policy, a submission deadline expired before admission, a policy-shed
 // submission, a pool that is not serving, and the ErrInvalid family for
@@ -299,22 +282,16 @@ type (
 	WFQAdmit = load.WFQAdmit
 )
 
-// Signals is one entity's (worker's, team's, or shard's) load picture on
-// the unified load-signal plane; see Team.Signals.
+// Signals is one serving team's (shard's) load picture: queued and
+// running jobs, active capacity, and the smoothed job run time; see
+// Team.Signals.
 type Signals = load.Signals
-
-// PolicySwitch is one recorded adaptive-controller retune; see
-// Team.PolicyTrace.
-type PolicySwitch = prof.PolicySwitch
 
 // JobRecord is one completed job's per-job profiling record (submission,
 // adoption, and completion times; adopting worker; panic and migration
 // flags), retained in a bounded ring on the serving team's profile. Read
 // them per shard with ShardedPool.Team(s).Profile().Jobs().
 type JobRecord = prof.JobRecord
-
-// Measurement is what Team.AutoTune observed while probing a workload.
-type Measurement = core.Measurement
 
 // GuidelineFor maps a mean task duration to the DLB settings the paper's
 // Table IV recommends for that granularity class.
