@@ -705,103 +705,6 @@ func BenchmarkShardedPoolThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkElasticShardedPool measures the third balancing level: the
-// elastic capacity controller against a fixed-quota baseline with the
-// same number of *active* workers, under uniform and skewed (3/4 of
-// submissions pinned to shard 0) traffic. The fixed baseline runs 2
-// shards × 2 workers with background job migration; the elastic pool
-// runs 2 shards × 4 capacity with a budget of 4 active workers, job
-// migration off, and the controller stepped manually — quota is the
-// only mover (the elastic_test harness shape), so the bench exercises
-// the quota level at any -benchtime, including CI's 1x. Each op is a
-// block of jobs with controller ticks interleaved while the skewed
-// backlog is queued; hysteresis 1 lets a single sustained sighting move
-// quota, so quota-moves/op is nonzero under skew even at b.N=1 (a 100µs
-// background loop never sees a gap in a b.N=1 → one-job run). Elastic
-// under skew should match or beat fixed; uniform traffic should show no
-// churn.
-func BenchmarkElasticShardedPool(b *testing.B) {
-	mix := []string{"fib", "sort", "nqueens"}
-	const (
-		shards = 2
-		budget = benchWorkers // active workers, both modes
-		block  = 64           // jobs per op (3/4 pinned hot when skewed)
-	)
-	for _, skewed := range []bool{false, true} {
-		scenario := "uniform"
-		if skewed {
-			scenario = "skewed"
-		}
-		for _, mode := range []string{"fixed", "elastic"} {
-			b.Run(fmt.Sprintf("%s/%s", scenario, mode), func(b *testing.B) {
-				cfg := xomp.ShardConfig{Shards: shards}
-				if mode == "elastic" {
-					// Full budget of capacity per shard, budget-bounded
-					// active set: quota can follow the traffic.
-					cfg.Team = xomp.Preset("xgomptb+naws", budget)
-					cfg.BalanceInterval = -1 // no job migration: isolate the quota level
-					cfg.Elastic = xomp.ElasticConfig{
-						Enabled:     true,
-						TotalBudget: budget,
-						Interval:    -1, // ticked manually below
-						Hysteresis:  1,
-					}
-				} else {
-					cfg.Team = xomp.Preset("xgomptb+naws", budget/shards)
-				}
-				pool := xomp.MustShardedPool(cfg)
-				// One instance per block slot: up to `block` jobs in flight.
-				apps := make([]bots.Benchmark, block)
-				for i := range apps {
-					apps[i] = bots.MustNew(mix[i%len(mix)], bots.ScaleTest)
-				}
-				jobs := make([]*xomp.Job, block)
-				b.ResetTimer()
-				start := time.Now()
-				for n := 0; n < b.N; n++ {
-					for i := 0; i < block; i++ {
-						var j *xomp.Job
-						var err error
-						if skewed && i%4 != 0 {
-							j, err = pool.SubmitTo(0, apps[i].RunTask)
-						} else {
-							j, err = pool.Submit(apps[i].RunTask)
-						}
-						if err != nil {
-							b.Fatal(err)
-						}
-						jobs[i] = j
-						// Tick the controller while the block is still
-						// queued — the moment the quota gap is visible.
-						if mode == "elastic" && i%16 == 15 {
-							pool.RebalanceQuota()
-						}
-					}
-					for _, j := range jobs {
-						if err := j.Wait(); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				elapsed := time.Since(start)
-				b.StopTimer()
-				hotActive := pool.Stats()[0].ActiveWorkers
-				moves := pool.QuotaMoves()
-				if err := pool.Close(); err != nil {
-					b.Fatal(err)
-				}
-				if elapsed > 0 {
-					b.ReportMetric(float64(b.N*block)/elapsed.Seconds(), "jobs/sec")
-				}
-				if mode == "elastic" {
-					b.ReportMetric(float64(hotActive), "hot-active")
-					b.ReportMetric(float64(moves)/float64(b.N), "quota-moves/op")
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkAdmissionSaturation drives a deliberately undersized pool far
 // past its capacity with mixed-class, deadline-carrying traffic and
 // compares admission policies: "block" (pure backpressure — a

@@ -8,7 +8,7 @@
 // travel as per-job status codes, not connection errors.
 //
 // The pool flags (preset, workers, shards, backlog, admission policy,
-// elastic capacity controller, BOTS scale) come from internal/poolflags. -window bounds each connection's
+// BOTS scale) come from internal/poolflags. -window bounds each connection's
 // admitted-but-unreported jobs (its backpressure knob); -report prints
 // the wire traffic counters, the server-side stage clock and the edge
 // poller's counters at that period. The server runs until
@@ -22,7 +22,6 @@
 //
 //	jobserved -addr 127.0.0.1:7077 -workers 8 -shards 2
 //	jobserved -workers 4 -backlog 64 -admit shed
-//	jobserved -workers 8 -shards 4 -elastic -budget 4
 //
 // Drive it with "loadgen -mode client" (or a whole fleet; see
 // cmd/README.md).
@@ -98,8 +97,8 @@ func main() {
 	}
 	printWire(srv)
 	for _, st := range pool.Stats() {
-		fmt.Printf("  shard %d: %d/%d workers active, %d jobs completed, migrated in %d / out %d\n",
-			st.Shard, st.ActiveWorkers, st.Workers, st.JobsCompleted, st.MigratedIn, st.MigratedOut)
+		fmt.Printf("  shard %d: %d workers, %d jobs completed, migrated in %d / out %d\n",
+			st.Shard, st.Workers, st.JobsCompleted, st.MigratedIn, st.MigratedOut)
 	}
 	if err := pool.Close(); err != nil {
 		fatal(err)

@@ -18,13 +18,6 @@
 // cross-shard migration can drain. The report lists every shard's
 // completion and NJOBS_MIGRATED counts.
 //
-// With -elastic the sharded pool additionally runs the elastic capacity
-// controller: each shard keeps its full worker capacity but only -budget
-// workers are active across the pool, and the controller moves one worker
-// of quota from a cold shard to a sustained-hot one per tick. The report
-// then includes each shard's active worker count and the quota-move
-// trajectory (the NWORKERS_ACTIVE story).
-//
 // The admission edge is exercised with three flags. -priority-mix
 // "I:B:G" spreads each submitter's jobs over the interactive, batch, and
 // background classes by integer weight (default 0:1:0, everything
@@ -83,7 +76,6 @@
 //	loadgen -runtime xgomptb+naws -workers 8 -submitters 8 -jobs 20
 //	loadgen -mix fib,sort,nqueens -scale test -backlog 4 -v
 //	loadgen -workers 8 -shards 4 -skew 0.75 -jobs 40
-//	loadgen -workers 16 -shards 4 -skew 0.9 -elastic -budget 8
 //	loadgen -workers 2 -submitters 16 -backlog 2 -priority-mix 1:1:6 -deadline 50ms -admit shed
 //	loadgen -workers 2 -submitters 8 -tenants 4 -tenant-weights 0=2,1=2 -admit wfq
 //	loadgen -submitters 2 -jobs 64 -batch 16 -admit reject
@@ -241,7 +233,7 @@ func main() {
 				tr.Name, len(tr.Jobs), tr.Span().Round(time.Millisecond), tr.Seed, *emitPath)
 			return
 		}
-		opts := replay.Options{Team: scfg.Team, Shards: scfg.Shards, Elastic: scfg.Elastic,
+		opts := replay.Options{Team: scfg.Team, Shards: scfg.Shards,
 			Speed: *speed, PinTenants: *pinTenants, Scale: sc, TenantWeights: weights, Batch: *batchN}
 		fmt.Printf("loadgen: replaying %s (%d jobs over %v) at %gx on %s (%d workers, %d shards, admit %s)\n",
 			tr.Name, len(tr.Jobs), tr.Span().Round(time.Millisecond), *speed, pf.Runtime, pf.Workers, pf.Shards, pf.Admit)
@@ -296,13 +288,9 @@ func main() {
 		}
 		return pool.SubmitCtx(ctx, fn, opts)
 	}
-	elasticNote := ""
-	if pf.Elastic {
-		elasticNote = fmt.Sprintf(", elastic budget %d", pool.ActiveWorkers())
-	}
-	fmt.Printf("loadgen: %d submitters x %d jobs, mix [%s] at scale %s, on %s (%d shards x %d workers, %d zones each, skew %.0f%%%s, admit %s)\n",
+	fmt.Printf("loadgen: %d submitters x %d jobs, mix [%s] at scale %s, on %s (%d shards x %d workers, %d zones each, skew %.0f%%, admit %s)\n",
 		*submitters, *jobs, strings.Join(names, " "), sc, pf.Runtime, pf.Shards, scfg.Team.Workers,
-		pool.Team(0).Topology().Zones, *skew*100, elasticNote, pf.Admit)
+		pool.Team(0).Topology().Zones, *skew*100, pf.Admit)
 
 	var (
 		wg       sync.WaitGroup
@@ -472,8 +460,6 @@ func main() {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	// Snapshot shard stats before Close: closing resets each shard's
-	// active-worker mask back to full capacity.
 	shardStats := pool.Stats()
 	if err := pool.Close(); err != nil {
 		fatal(err)
@@ -526,16 +512,9 @@ func main() {
 	var recs []xomp.JobRecord
 	fmt.Println("per-shard:")
 	for _, st := range shardStats {
-		fmt.Printf("  shard %d: %d/%d workers active, %d jobs completed, migrated in %d / out %d\n",
-			st.Shard, st.ActiveWorkers, st.Workers, st.JobsCompleted, st.MigratedIn, st.MigratedOut)
+		fmt.Printf("  shard %d: %d workers, %d jobs completed, migrated in %d / out %d\n",
+			st.Shard, st.Workers, st.JobsCompleted, st.MigratedIn, st.MigratedOut)
 		recs = append(recs, pool.Team(st.Shard).Profile().Jobs()...)
-	}
-	if pf.Elastic {
-		fmt.Printf("quota: %d moves by the elastic controller\n", pool.QuotaMoves())
-		for _, mv := range pool.QuotaTrace() {
-			fmt.Printf("  %10v  shard %d -> shard %d  (now %d and %d active)\n",
-				mv.At.Round(time.Microsecond), mv.From, mv.To, mv.FromActive, mv.ToActive)
-		}
 	}
 	if len(recs) > 0 {
 		queue := make([]time.Duration, 0, len(recs))
@@ -619,8 +598,8 @@ func printReplayReport(res replay.JobReplayResult) {
 				pt.P99.Round(time.Microsecond), pt.AdmitP99.Round(time.Microsecond))
 		}
 	}
-	if res.QuotaMoves > 0 || res.MigratedIn > 0 {
-		fmt.Printf("  quota moves %d, jobs migrated %d\n", res.QuotaMoves, res.MigratedIn)
+	if res.MigratedIn > 0 {
+		fmt.Printf("  jobs migrated %d\n", res.MigratedIn)
 	}
 }
 

@@ -4,12 +4,14 @@
 //
 // The input is a job trace (loadgen -record, or a generated scenario).
 // Its arrivals are replayed through xomp pools under alternative
-// admission/balancing candidates — block, reject, shed, wfq
-// (weighted-fair multi-tenant admission), and (with -shards) elastic —
-// and the candidates are compared on completed jobs, jobs/sec,
+// admission candidates — block, reject, shed and wfq (weighted-fair
+// multi-tenant admission), sharded with -shards — and the candidates
+// are compared on completed jobs, jobs/sec,
 // interactive p99, and — when the trace carries more than one tenant —
 // Jain's fairness index over per-tenant completion fractions, over the
-// exact same traffic ("replay the same day's traffic twice").
+// exact same traffic ("replay the same day's traffic twice"). The reps
+// interleave: each rep replays every candidate once, in reverse order
+// on odd reps, so drift on the host spreads over all candidates.
 // Any other file, a profile dump included, is refused.
 //
 // -scenario skips the file and generates a corpus preset directly.
@@ -43,7 +45,7 @@ func main() {
 		scenName = flag.String("scenario", "", "generate a scenario preset instead of reading -in: "+joinNames())
 		seed     = flag.Uint64("seed", scenario.GoldenSeed, "scenario generation seed (with -scenario)")
 		workers  = flag.Int("workers", 4, "team size for replay")
-		shards   = flag.Int("shards", 0, "replay job traces through this many shards (adds an elastic candidate; 0 = one pool)")
+		shards   = flag.Int("shards", 0, "replay job traces through this many shards, -workers split evenly (0 = one pool)")
 		speed    = flag.Float64("speed", 1, "job-trace time compression: arrivals and deadlines run this times faster")
 		reps     = flag.Int("reps", 3, "replays per candidate")
 	)
@@ -84,42 +86,31 @@ func main() {
 	jobWhatIf(tr, *workers, *shards, *speed, *reps)
 }
 
-// jobCandidate is one admission/balancing configuration under
-// comparison.
+// jobCandidate is one admission configuration under comparison.
 type jobCandidate struct {
 	name string
 	opts replay.Options
 }
 
-// jobCandidates builds the comparison set: the four admission policies
-// (weighted-fair multi-tenant included) and — sharded with headroom —
-// the elastic capacity controller.
+// jobCandidates builds the comparison set: the four admission policies,
+// weighted-fair multi-tenant admission included.
 func jobCandidates(workers, shards int) []jobCandidate {
-	build := func(name string, admit xomp.AdmitPolicy, elastic bool) jobCandidate {
+	build := func(name string, admit xomp.AdmitPolicy) jobCandidate {
 		cfg := xomp.Preset("xgomptb", workers)
 		cfg.Admit = admit
 		opts := replay.Options{Team: cfg}
 		if shards > 1 {
 			opts.Shards = shards
 			opts.Team.Workers = workers / shards
-			if elastic {
-				opts.Elastic = xomp.ElasticConfig{Enabled: true, TotalBudget: workers / 2}
-			}
 		}
 		return jobCandidate{name: name, opts: opts}
 	}
-	cands := []jobCandidate{
-		build("block", nil, false),
-		build("reject", xomp.RejectWhenFull{}, false),
-		build("shed", xomp.DeadlineShed{}, false),
-		build("wfq", &xomp.WFQAdmit{}, false),
+	return []jobCandidate{
+		build("block", nil),
+		build("reject", xomp.RejectWhenFull{}),
+		build("shed", xomp.DeadlineShed{}),
+		build("wfq", &xomp.WFQAdmit{}),
 	}
-	// The elastic candidate needs at least one active worker per shard
-	// out of the half-capacity budget.
-	if shards > 1 && workers/2 >= shards {
-		cands = append(cands, build("elastic", nil, true))
-	}
-	return cands
 }
 
 // jobResult aggregates one candidate's replays.
@@ -127,9 +118,9 @@ type jobResult struct {
 	cand       jobCandidate
 	completed  uint64
 	jobsPerSec float64
-	refused    uint64 // rejected + shed + expired, all classes
-	interP99   time.Duration
-	fairness   float64 // mean Jain index over per-tenant completion fractions; 0 = single-tenant trace
+	refused    uint64        // rejected + shed + expired, all classes
+	interP99   time.Duration // median over the reps that completed interactive jobs
+	fairness   float64       // mean Jain index over per-tenant completion fractions; 0 = single-tenant trace
 }
 
 // tenantFairness is Jain's index over each tenant's completed/submitted
@@ -149,47 +140,70 @@ func tenantFairness(res replay.JobReplayResult) float64 {
 	return stats.Jain(fracs)
 }
 
-// jobWhatIf replays tr through every candidate reps times and ranks
-// them: most completed jobs first, interactive p99 breaking ties — the
-// order a latency-contracted service would pick.
-func jobWhatIf(tr *replay.JobTrace, workers, shards int, speed float64, reps int) {
-	fmt.Printf("trace: %s, %d jobs over %v\n", tr.Name, len(tr.Jobs), tr.Span().Round(time.Millisecond))
-	cands := jobCandidates(workers, shards)
-	results := make([]jobResult, 0, len(cands))
-	for _, c := range cands {
-		c.opts.Speed = speed
-		agg := jobResult{cand: c}
-		for rep := 0; rep < reps; rep++ {
-			res, err := replay.ReplayJobs(tr, c.opts)
-			if err != nil {
-				fatal(fmt.Errorf("candidate %s: %w", c.name, err))
-			}
-			agg.completed += res.Completed
-			agg.jobsPerSec += res.JobsPerSec
-			for cl := range res.PerClass {
-				pc := res.PerClass[cl]
-				agg.refused += pc.Rejected + pc.Shed + pc.Expired
-			}
-			agg.fairness += tenantFairness(res)
-			p99 := res.PerClass[load.ClassInteractive].P99
-			// Keep the best interactive p99 across reps: the steadiest
-			// view of what the candidate can deliver.
-			if rep == 0 || (p99 > 0 && p99 < agg.interP99) {
-				agg.interP99 = p99
-			}
+// aggregate folds one candidate's replays into its row: means of the
+// counts and rates, and the median interactive p99 — one unlucky or
+// lucky rep cannot decide a ranking the p99 breaks.
+func aggregate(c jobCandidate, runs []replay.JobReplayResult) jobResult {
+	agg := jobResult{cand: c}
+	var p99s stats.Sample
+	for _, res := range runs {
+		agg.completed += res.Completed
+		agg.jobsPerSec += res.JobsPerSec
+		for cl := range res.PerClass {
+			pc := res.PerClass[cl]
+			agg.refused += pc.Rejected + pc.Shed + pc.Expired
 		}
-		agg.completed /= uint64(reps)
-		agg.jobsPerSec /= float64(reps)
-		agg.refused /= uint64(reps)
-		agg.fairness /= float64(reps)
-		results = append(results, agg)
+		agg.fairness += tenantFairness(res)
+		if p99 := res.PerClass[load.ClassInteractive].P99; p99 > 0 {
+			p99s.Add(float64(p99))
+		}
 	}
+	n := len(runs)
+	agg.completed /= uint64(n)
+	agg.jobsPerSec /= float64(n)
+	agg.refused /= uint64(n)
+	agg.fairness /= float64(n)
+	agg.interP99 = time.Duration(p99s.Median())
+	return agg
+}
+
+// rank orders results the way a latency-contracted service would pick:
+// most completed jobs first, interactive p99 breaking ties.
+func rank(results []jobResult) {
 	sort.SliceStable(results, func(i, j int) bool {
 		if results[i].completed != results[j].completed {
 			return results[i].completed > results[j].completed
 		}
 		return results[i].interP99 < results[j].interP99
 	})
+}
+
+// jobWhatIf replays tr through every candidate reps times, interleaved
+// (see the package comment), and prints the ranked comparison.
+func jobWhatIf(tr *replay.JobTrace, workers, shards int, speed float64, reps int) {
+	fmt.Printf("trace: %s, %d jobs over %v\n", tr.Name, len(tr.Jobs), tr.Span().Round(time.Millisecond))
+	cands := jobCandidates(workers, shards)
+	runs := make([][]replay.JobReplayResult, len(cands))
+	for rep := 0; rep < reps; rep++ {
+		for k := range cands {
+			i := k
+			if rep%2 == 1 {
+				i = len(cands) - 1 - k
+			}
+			c := cands[i]
+			c.opts.Speed = speed
+			res, err := replay.ReplayJobs(tr, c.opts)
+			if err != nil {
+				fatal(fmt.Errorf("candidate %s: %w", c.name, err))
+			}
+			runs[i] = append(runs[i], res)
+		}
+	}
+	results := make([]jobResult, len(cands))
+	for i, c := range cands {
+		results[i] = aggregate(c, runs[i])
+	}
+	rank(results)
 	fmt.Printf("%-10s %10s %12s %10s %14s %9s\n", "candidate", "completed", "jobs/sec", "refused", "interactive-p99", "fairness")
 	for _, r := range results {
 		p99 := "-"

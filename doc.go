@@ -21,9 +21,9 @@
 // preset, submitter count, and shard count.
 //
 // All balancing levels decide from one load-signal record (internal/load):
-// each serving team's queued and running jobs, active capacity and
-// smoothed job run time, read by one plan per level (victim, dispatch,
-// migration, quota) and by admission, the one level with a choice of
+// each serving team's queued and running jobs, capacity and smoothed
+// job run time, read by one plan per level (victim, dispatch,
+// migration) and by admission, the one level with a choice of
 // policies (below). A team's DLB configuration is fixed when it is built:
 // a preset, or xomp.GuidelineFor's Table IV settings for a measured task
 // size (benchall -exp ext-autotune compares those with static and

@@ -625,7 +625,7 @@ func (tm *Team) rollbackSubmit(svc *service, j *Job, o prof.AdmitOutcome) {
 }
 
 // saturated is the admission edge's saturation verdict: the team is
-// saturated once queued plus running work reaches its active capacity.
+// saturated once queued plus running work reaches its capacity.
 // Deadline-aware shedding engages only then.
 func (tm *Team) saturated(sig load.Signals) bool {
 	return sig.Load() >= 1

@@ -279,13 +279,12 @@ func TestCallTaskArgsSurviveSteal(t *testing.T) {
 	victim, thief := tm.workers[0], tm.workers[1]
 	victim.beginRegion()
 	thief.beginRegion()
-	tm.sched.setActive(1) // the static balancer keeps every call on the victim
+	// The static balancer alternates, so half the calls queue on the victim.
 	var outs [taskSlots]*uint64
 	for i := range outs {
 		u := uint64(i)
 		outs[i] = victim.SpawnCall(mix3, u, u+1, u+2)
 	}
-	tm.sched.setActive(2)
 	tm.doWorkSteal(victim, thief.id, &tm.cfg.DLB)
 	if got := counterOf(tm, 0, prof.CntTasksStolen); got == 0 {
 		t.Fatal("no call task was stolen")

@@ -166,10 +166,8 @@ func GuidelineFor(meanTask time.Duration, zones int) DLBConfig {
 // Config assembles a runtime. The zero value is not valid; use Preset or
 // fill the fields and let NewTeam validate.
 type Config struct {
-	// Workers is the team's maximum worker capacity (paper: up to 192).
-	// Parallel regions always run all Workers workers; in task-service
-	// mode the running set is an active mask over this capacity that
-	// Team.SetActive can shrink and grow at runtime (elastic capacity).
+	// Workers is the team's size (paper: up to 192): every region and
+	// every serving team runs all Workers workers.
 	Workers int
 	// Sched, Barrier, Alloc select the substrate composition.
 	Sched   Sched

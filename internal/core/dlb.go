@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/load"
-	"repro/internal/numa"
 	"repro/internal/prof"
 	"repro/internal/rng"
 )
@@ -51,33 +50,20 @@ func (tm *Team) thiefStep(w *Worker, cfg *DLBConfig) {
 }
 
 // pickVictim is the paper's conditionally random pick (load.CondRandom):
-// NUMA-local with probability plocal, NUMA-remote otherwise, never self,
-// and never a parked worker — a parked victim has drained its queues and
-// stopped handling requests, so targeting it would only waste the thief's
-// round. It returns -1 when no other active worker exists.
+// NUMA-local with probability plocal, NUMA-remote otherwise, never self.
+// It returns -1 when no other worker exists.
 func (tm *Team) pickVictim(w *Worker, plocal float64) int {
 	return load.CondRandom{}.Pick(&w.view, plocal)
 }
 
 // victimView adapts one worker to load.VictimView: the read-only window
-// victim selection gets onto the team. All candidate lists are in ascending
-// id order, so the active set is their prefix below the team's active
-// bound; the slices alias the team's candidate tables and must not be
-// mutated.
+// victim selection gets onto the team. The slices alias the team's
+// candidate tables and must not be mutated.
 type victimView struct{ w *Worker }
 
-func (v *victimView) Thief() int  { return v.w.id }
-func (v *victimView) Active() int { return int(v.w.team.active.Load()) }
-
-func (v *victimView) LocalPeers() []int {
-	tm := v.w.team
-	return numa.ActivePrefix(tm.top.Peers(v.w.zone), int(tm.active.Load()))
-}
-
-func (v *victimView) RemotePeers() []int {
-	tm := v.w.team
-	return numa.ActivePrefix(tm.remotes[v.w.zone], int(tm.active.Load()))
-}
+func (v *victimView) Thief() int         { return v.w.id }
+func (v *victimView) LocalPeers() []int  { return v.w.team.top.Peers(v.w.zone) }
+func (v *victimView) RemotePeers() []int { return v.w.team.remotes[v.w.zone] }
 
 func (v *victimView) Rand() *rng.State { return &v.w.rng }
 
@@ -98,10 +84,8 @@ func (tm *Team) victimCheck(w *Worker, cfg *DLBConfig) {
 	}
 	w.prof.Inc(prof.CntReqHandled)
 	thief := int(req >> roundBits)
-	if thief == w.id || thief >= int(tm.active.Load()) {
-		// Malformed, or the thief parked after sending the request:
-		// migrating tasks to a parked worker would strand them until its
-		// next stray sweep, so drop the request and accept new ones.
+	if thief == w.id {
+		// Malformed: drop the request and accept new ones.
 		w.round.Store(round + 1)
 		return
 	}

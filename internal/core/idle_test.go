@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -42,18 +41,13 @@ func TestServeIdleWakeHammer(t *testing.T) {
 	// detector on — every CI race step, and the race-stress matrix where
 	// this test's proof obligation lives — and a plain run keeps a feed
 	// that still wedges on a missing announcement with margin: the push
-	// mutation wedges on job 1, the elastic one by job 256.
+	// mutation wedges on job 1.
 	jobs := 1000
 	if raceEnabled && !testing.Short() {
 		jobs = 20000
 	}
-	// The elastic row resizes the active set under the feed: a worker
-	// blocked on the bell when SetActive shrinks past it must be rung out
-	// to park, or it keeps absorbing rings meant for the workers that
-	// still serve.
-	for _, row := range []string{"xgomptb", "xgomptb+naws", "xgomptb+narp", "lomp", "gomp", "xgomptb/elastic"} {
-		t.Run(row, func(t *testing.T) {
-			preset, elastic := strings.CutSuffix(row, "/elastic")
+	for _, preset := range []string{"xgomptb", "xgomptb+naws", "xgomptb+narp", "lomp", "gomp"} {
+		t.Run(preset, func(t *testing.T) {
 			tm := serviceTeam(t, preset, 2)
 			var ran, progress atomic.Int64
 			leaf := func(*Worker) { ran.Add(1) }
@@ -83,12 +77,6 @@ func TestServeIdleWakeHammer(t *testing.T) {
 			go func() {
 				rng := rand.New(rand.NewSource(16))
 				for i := 0; i < jobs; i++ {
-					if elastic && i%32 == 0 {
-						if err := tm.SetActive(1 + i/32%2); err != nil {
-							done <- fmt.Errorf("SetActive at job %d: %v", i, err)
-							return
-						}
-					}
 					j, err := tm.Submit(body(i))
 					if err != nil {
 						done <- fmt.Errorf("submit %d: %v", i, err)
@@ -152,7 +140,7 @@ func watchProgress(t *testing.T, progress *atomic.Int64, done <-chan error) {
 
 // TestServeIdleBurnsNoPolls: an idle pool sleeps. Idle spells of the same
 // team — 50 ms, then 250 ms — each pay one idleSpin budget on the way
-// down; the extra 200 ms may only add the sweep's one poll per parkSweep
+// down; the extra 200 ms may only add the sweep's one poll per idleSweep
 // per worker (a small multiple of it, for timer slop), where a spinning
 // pool would add millions. What one idleSpin budget buys in polls depends
 // on who else is on the CPU (564 to 2711 were read for the same 50 ms
@@ -185,12 +173,12 @@ func TestServeIdleBurnsNoPolls(t *testing.T) {
 	if parks < workers {
 		t.Fatalf("%d parks in a 250ms idle spell of %d workers: the pool never slept", parks, workers)
 	}
-	extra := uint64(4 * workers * int(200*time.Millisecond/parkSweep))
+	extra := uint64(4 * workers * int(200*time.Millisecond/idleSweep))
 	if long > 2*short+extra {
 		t.Fatalf("idle polls grew %d → %d over an extra 200ms idle; want at most 2×%d+%d (one poll per sweep)",
 			short, long, short, extra)
 	}
 	if sweeps > extra {
-		t.Fatalf("%d sweep wakes in 250ms; the sweep period is %v", sweeps, parkSweep)
+		t.Fatalf("%d sweep wakes in 250ms; the sweep period is %v", sweeps, idleSweep)
 	}
 }

@@ -26,17 +26,6 @@ type scheduler interface {
 	// targetFull reports whether a pushTo(from, to, ·) would currently
 	// fail.
 	targetFull(from, to int) bool
-	// setActive installs the active-set bound: the static balancer must
-	// only route new tasks to workers [0, active). Substrates whose
-	// queues stay reachable by every active worker regardless of who owns
-	// them (the GOMP global queue, LOMP's stealable deques) ignore it.
-	setActive(active int)
-	// parkDrain removes one task from w's own queues that would be
-	// stranded if w parked now, or returns nil. A parking worker calls it
-	// in a loop and hands the tasks to active workers (or runs them
-	// itself). Substrates that ignore setActive return nil: their queues
-	// drain through active workers even while the owner is parked.
-	parkDrain(w int) *Task
 }
 
 // gompSched is GNU OpenMP's tasking substrate: one globally shared task
@@ -102,14 +91,6 @@ func (s *gompSched) empty(int) bool {
 }
 
 func (s *gompSched) targetFull(_, _ int) bool { return false }
-
-// setActive is a no-op: the global queue is shared, so any active worker
-// can pop a task no matter who pushed it.
-func (s *gompSched) setActive(int) {}
-
-// parkDrain returns nil: nothing in the global queue is owned by the
-// parking worker.
-func (s *gompSched) parkDrain(int) *Task { return nil }
 
 // created/finished/quiescent implement taskCounter behind the global lock,
 // mirroring libgomp's team->task_count handling.

@@ -71,11 +71,3 @@ func (s *lompSched) targetFull(from, _ int) bool {
 	d := s.deques[from]
 	return d.bottom.Load()-d.top.Load() > d.mask
 }
-
-// setActive is a no-op: pop's pull-based stealing probes every deque, so
-// tasks left in a parked worker's deque are still drained by active
-// workers.
-func (s *lompSched) setActive(int) {}
-
-// parkDrain returns nil; see setActive.
-func (s *lompSched) parkDrain(int) *Task { return nil }

@@ -1,41 +1,23 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"repro/internal/xqueue"
-)
+import "repro/internal/xqueue"
 
 // xqSched adapts the lock-less XQueue matrix to the scheduler interface.
 // Unlike lompSched, pop never steals: redistribution is either the static
 // round-robin placement done at push time or an explicit DLB migration.
-// Because only the owner ever consumes a worker's queue rows, xqSched is
-// the one substrate that must take the team's active-set bound seriously:
-// push routes only to active consumers, and a parking worker hands its
-// queued rows off through parkDrain so no task is stranded behind a
-// consumer that stopped polling.
 type xqSched struct {
 	x *xqueue.XQueue[Task]
-	// active is the static balancer's consumer bound (see setActive);
-	// writers are SetActive/Close, readers every push.
-	active atomic.Int32
 }
 
 var _ scheduler = (*xqSched)(nil)
 
 func newXQSched(workers, capacity int) *xqSched {
-	s := &xqSched{x: xqueue.New[Task](workers, capacity)}
-	s.active.Store(int32(workers))
-	return s
+	return &xqSched{x: xqueue.New[Task](workers, capacity)}
 }
 
-func (s *xqSched) push(w int, t *Task) (int, bool) {
-	return s.x.PushActive(w, t, int(s.active.Load()))
-}
+func (s *xqSched) push(w int, t *Task) (int, bool)   { return s.x.Push(w, t) }
 func (s *xqSched) pushTo(from, to int, t *Task) bool { return s.x.PushTo(from, to, t) }
 func (s *xqSched) pop(w int) *Task                   { return s.x.Pop(w) }
 func (s *xqSched) popLocal(w int) *Task              { return s.x.Pop(w) }
 func (s *xqSched) empty(w int) bool                  { return s.x.Empty(w) }
 func (s *xqSched) targetFull(from, to int) bool      { return s.x.TargetFull(from, to) }
-func (s *xqSched) setActive(active int)              { s.active.Store(int32(active)) }
-func (s *xqSched) parkDrain(w int) *Task             { return s.x.Pop(w) }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -33,19 +32,15 @@ const (
 	// policy", has why it must be short, why not zero, and the sizing
 	// sweep 50 µs is the optimum of.
 	idleSpin = 50 * time.Microsecond
-	// parkSweep is the period of the safety-net timer behind both kinds
-	// of blocked worker. Every producer announces what it publishes, so
-	// the sweep is not how work is found: one that does find work is
-	// counted (prof.CntSweepFoundWork), and TestServeIdleWakeHammer runs
-	// with it switched off. For a *parked* worker it also re-drains strays
-	// from producers that raced the park and read the old active bound.
-	parkSweep = 2 * time.Millisecond
 )
 
-// idleSweep is the sweep period of a bell-blocked serving worker, read
-// once per serve loop. It is a variable only so the wake hammer can
-// stretch it to an hour and turn a missing announcement into a hang.
-var idleSweep = parkSweep
+// idleSweep is the period of the safety-net timer behind a bell-blocked
+// serving worker, read once per serve loop. Every producer announces
+// what it publishes, so the sweep is not how work is found: one that
+// does find work is counted (prof.CntSweepFoundWork). It is a variable
+// only so the wake hammer can stretch it to an hour and turn a missing
+// announcement into a hang.
+var idleSweep = 2 * time.Millisecond
 
 // service is the per-Serve state of a team in task-service mode.
 type service struct {
@@ -59,10 +54,9 @@ type service struct {
 	runs   [load.NumClasses]runQueue
 	// bell is what idle workers block on once their idleSpin budget is
 	// spent; every producer announces on it after publishing (an intake
-	// enqueue, Worker.announce, SetActive, Close).
+	// enqueue, Worker.announce, Close).
 	bell *intake.Bell
-	// gate wakes the lifecycle's two blocked waits: parked workers
-	// (SetActive, Close) and a Close draining a closing service (jobDone).
+	// gate wakes a Close draining a closing service (jobDone).
 	gate *intake.Gate
 	// wg counts the serve loops.
 	wg sync.WaitGroup
@@ -138,57 +132,11 @@ func (tm *Team) Serve() error {
 		svc.submit[c] = intake.New[*Task](tm.cfg.Backlog)
 		svc.runs[c].ring = svc.submit[c]
 	}
-	// Each Serve generation starts at full capacity, published before the
-	// service so no submission can read a stale active bound.
-	tm.setActiveLocked(tm.n)
 	tm.svc.Store(svc)
 	svc.wg.Add(tm.n)
 	for _, w := range tm.workers {
 		go tm.serve(svc, w)
 	}
-	return nil
-}
-
-// setActiveLocked installs a new active-set size in the team, the
-// scheduler's static balancer, and the NWORKERS_ACTIVE gauge. Callers
-// hold lifeMu (or are constructing the team).
-func (tm *Team) setActiveLocked(n int) {
-	tm.active.Store(int32(n))
-	tm.sched.setActive(n)
-	tm.profile.SetWorkersActive(int64(n))
-}
-
-// SetActive resizes the team's active worker set to workers [0, n),
-// parking the rest: parked workers first drain and hand off their queued
-// tasks (no task is ever stranded), then block on a wakeup. Growing the
-// set unparks workers. n must be in [1, Workers()].
-//
-// SetActive is the capacity lever of an elastic runtime — a controller
-// moving worker quota between teams calls SetActive down on the donor
-// and up on the receiver. It only applies to task-service mode: the team
-// must be serving (Serve), and the mask resets to full capacity when the
-// service closes. Safe for concurrent use with Submit and Close from any
-// goroutine outside the team's task bodies.
-func (tm *Team) SetActive(n int) error {
-	if n < 1 || n > tm.n {
-		return fmt.Errorf("core: SetActive(%d) outside [1, %d]", n, tm.n)
-	}
-	tm.lifeMu.Lock()
-	defer tm.lifeMu.Unlock()
-	svc := tm.svc.Load()
-	if svc == nil {
-		return errors.New("core: SetActive on a team that is not serving; call Serve first")
-	}
-	if svc.phase() != svcServing {
-		return ErrClosed
-	}
-	tm.setActiveLocked(n)
-	svc.gate.Wake()
-	// A worker blocked on the bell that just left the active set must go
-	// park (and stop absorbing rings meant for active workers); it
-	// re-checks the bound after registering, so store-then-ring here
-	// cannot miss it.
-	svc.bell.RingAll()
 	return nil
 }
 
@@ -286,13 +234,9 @@ func (tm *Team) Close() error {
 		return nil // another Close finished the teardown
 	}
 	svc.state.Store(svcStopping)
-	svc.gate.Wake()    // parked workers must observe stopping and exit
-	svc.bell.RingAll() // idle sleepers too, without waiting out their timers
+	svc.bell.RingAll() // idle sleepers must observe stopping, without waiting out their timers
 	svc.wg.Wait()
 	svc.state.Store(svcStopped)
-	// Restore the full-capacity invariant regions (and the next Serve)
-	// rely on: outside service mode, active == Workers().
-	tm.setActiveLocked(tm.n)
 	return nil
 }
 
@@ -304,9 +248,8 @@ func (tm *Team) Serving() bool {
 
 // serve is one worker's service loop — the persistent analogue of the
 // region barrier-wait loop: execute queued tasks, adopt newly submitted
-// jobs when idle, run the thief protocol, block on the bell once the
-// idleSpin budget is spent, and park fully whenever SetActive leaves this
-// worker outside the active set.
+// jobs when idle, run the thief protocol, and block on the bell once the
+// idleSpin budget is spent.
 func (tm *Team) serve(svc *service, w *Worker) {
 	defer svc.wg.Done()
 	w.beginRegion()
@@ -319,11 +262,6 @@ func (tm *Team) serve(svc *service, w *Worker) {
 	}
 	defer timer.Stop()
 	for {
-		if int32(w.id) >= tm.active.Load() && svc.phase() < svcStopping {
-			w.found()
-			tm.park(svc, w)
-			continue
-		}
 		if t := tm.sched.pop(w.id); t != nil {
 			w.found()
 			tm.execute(w, t)
@@ -367,12 +305,11 @@ func (tm *Team) serve(svc *service, w *Worker) {
 // false for a sweep. It is the consumer half of the pairing ARCHITECTURE.md
 // tabulates under "Idle policy": producers publish, then announce; the
 // worker registers, then re-checks everything a producer could have
-// changed — the phase, the active bound, the intake rings, its own
-// queues.
+// changed — the phase, the intake rings, its own queues.
 func (tm *Team) idleWait(svc *service, w *Worker, timer *time.Timer, sweep time.Duration) bool {
 	th := w.prof
 	svc.bell.Sleep(w.id)
-	if svc.phase() >= svcStopping || int32(w.id) >= tm.active.Load() || svc.pending() || !tm.sched.empty(w.id) {
+	if svc.phase() >= svcStopping || svc.pending() || !tm.sched.empty(w.id) {
 		svc.bell.Cancel(w.id)
 		return true
 	}
@@ -402,76 +339,6 @@ func rearm(t *time.Timer, d time.Duration) {
 		}
 	}
 	t.Reset(d)
-}
-
-// park takes worker w out of the serving rotation until SetActive grows
-// the active set past it again (or Close stops the service). It drains
-// first — every task already routed to w is handed off to an active
-// worker or executed here — and sweeps for strays while blocked, because a
-// producer that raced the park (static push, DLB steal/redirect, both read
-// the active bound lock-free) may still land a task in w's queues after
-// the drain: parking never strands a task. Parked time is an EvPark
-// timeline segment on w's thread.
-func (tm *Team) park(svc *service, w *Worker) {
-	th := w.prof
-	th.Begin(prof.EvPark)
-	tm.drainOnPark(w)
-	timer := time.NewTimer(parkSweep)
-	defer timer.Stop()
-	for {
-		// Arm before re-checking the condition: a concurrent
-		// SetActive/Close stores its state first and then closes exactly
-		// this channel, so the wake cannot be lost.
-		ch := svc.gate.Arm()
-		if svc.phase() >= svcStopping || int32(w.id) < tm.active.Load() {
-			break
-		}
-		rearm(timer, parkSweep)
-		select {
-		case <-ch:
-		case <-timer.C:
-		}
-		tm.drainOnPark(w) // sweep strays from producers that raced the park
-	}
-	th.End(prof.EvPark)
-}
-
-// drainOnPark empties w's own queues on the way into (or during) a park:
-// each task is handed to an active worker, or executed here when every
-// active worker's queue from w is full. Substrates whose queues remain
-// reachable by active workers return nil from parkDrain immediately.
-func (tm *Team) drainOnPark(w *Worker) {
-	for {
-		t := tm.sched.parkDrain(w.id)
-		if t == nil {
-			return
-		}
-		if !tm.handOff(w, t) {
-			tm.execute(w, t)
-		}
-	}
-}
-
-// handOff pushes t from a parking worker w into some active worker's
-// queue, rotating the target across calls so a drained backlog spreads
-// over the whole active set. It reports false when every active target
-// is full (or w is the only candidate).
-func (tm *Team) handOff(w *Worker, t *Task) bool {
-	act := int(tm.active.Load())
-	for i := 0; i < act; i++ {
-		target := w.parkCur + i
-		for target >= act {
-			target -= act
-		}
-		if target == w.id {
-			continue
-		}
-		if w.pushTo(target, t) {
-			w.parkCur = target + 1
-			return true
-		}
-	}
-	return false
 }
 
 // adopt makes worker w the entry point of a submitted job: the worker

@@ -577,3 +577,69 @@ func TestTeamSignals(t *testing.T) {
 		t.Fatalf("one running, one queued: %+v", sig)
 	}
 }
+
+// Submit racing Close must either run the job to completion or return
+// ErrClosed — never hang, never lose a job.
+func TestSubmitRacingClose(t *testing.T) {
+	for round := 0; round < 8; round++ {
+		tm := serviceTeam(t, "xgomptb", 4)
+		const submitters = 6
+		var (
+			accepted atomic.Int64
+			rejected atomic.Int64
+			ran      atomic.Int64
+			wg       sync.WaitGroup
+		)
+		start := make(chan struct{})
+		errs := make(chan error, submitters)
+		for s := 0; s < submitters; s++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for k := 0; k < 50; k++ {
+					j, err := tm.Submit(func(*Worker) { ran.Add(1) })
+					if errors.Is(err, ErrClosed) {
+						rejected.Add(1)
+						return
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+					accepted.Add(1)
+					if err := j.Wait(); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+		}
+		closed := make(chan error, 1)
+		close(start)
+		go func() { closed <- tm.Close() }()
+
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(60 * time.Second):
+			t.Fatal("submitters hung racing Close")
+		}
+		select {
+		case err := <-closed:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(60 * time.Second):
+			t.Fatal("Close hung racing Submit")
+		}
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		if got := ran.Load(); got != accepted.Load() {
+			t.Fatalf("round %d: %d accepted jobs but %d ran", round, accepted.Load(), got)
+		}
+	}
+}

@@ -86,17 +86,6 @@ func TestServiceWordTransitions(t *testing.T) {
 			}
 			return closeOutcome(tm.Close())
 		},
-		"SetActive": func(t *testing.T, tm *Team) string {
-			err := tm.SetActive(1)
-			want := tm.Workers() // a refused resize leaves the set alone
-			if err == nil {
-				want = 1
-			}
-			if n := tm.ActiveWorkers(); n != want {
-				t.Errorf("ActiveWorkers = %d after SetActive(1) = %v, want %d", n, err, want)
-			}
-			return closeOutcome(err)
-		},
 		"migrate-in": func(t *testing.T, tm *Team) string {
 			src := serviceTeam(t, "xgomptb", 1)
 			release := blockWorkers(t, src)
@@ -149,7 +138,6 @@ func TestServiceWordTransitions(t *testing.T) {
 		{svcServing, "jobDone", false, "ok", svcServing},
 		{svcServing, "Close", false, "ok", svcStopped},
 		{svcServing, "second Close", false, "ok", svcStopped},
-		{svcServing, "SetActive", false, "ok", svcServing},
 		{svcServing, "migrate-in", false, "ok", svcServing},
 		{svcServing, "Serve", false, "busy", svcServing},
 		{svcServing, "Run", false, "busy", svcServing},
@@ -157,7 +145,6 @@ func TestServiceWordTransitions(t *testing.T) {
 		{svcClosing, "reserve", false, "closed", svcStopped},
 		{svcClosing, "Close", true, "ok", svcStopped}, // joins the Close already waiting
 		{svcClosing, "second Close", true, "ok", svcStopped},
-		{svcClosing, "SetActive", false, "closed", svcStopped},
 		{svcClosing, "migrate-in", false, "closed", svcStopped},
 		{svcClosing, "Serve", false, "busy", svcStopped},
 		{svcClosing, "Run", false, "busy", svcStopped},
@@ -165,7 +152,6 @@ func TestServiceWordTransitions(t *testing.T) {
 		{svcStopping, "reserve", false, "closed", svcStopped},
 		{svcStopping, "Close", true, "ok", svcStopped},
 		{svcStopping, "second Close", true, "ok", svcStopped},
-		{svcStopping, "SetActive", true, "closed", svcStopped},
 		{svcStopping, "migrate-in", false, "closed", svcStopped},
 		{svcStopping, "Serve", true, "ok", svcServing}, // the next generation, once this one has stopped
 		{svcStopping, "Run", true, "ok", svcStopped},
@@ -173,7 +159,6 @@ func TestServiceWordTransitions(t *testing.T) {
 		{svcStopped, "reserve", false, "closed", svcStopped},
 		{svcStopped, "Close", false, "ok", svcStopped},
 		{svcStopped, "second Close", false, "ok", svcStopped},
-		{svcStopped, "SetActive", false, "closed", svcStopped},
 		{svcStopped, "migrate-in", false, "closed", svcStopped},
 		{svcStopped, "Serve", false, "ok", svcServing},
 		{svcStopped, "Run", false, "ok", svcStopped},

@@ -15,14 +15,8 @@ import (
 
 // Team is a set of workers executing parallel regions, the analogue of an
 // OpenMP thread team. A Team is reusable: Run may be called any number of
-// times, sequentially.
-//
-// Config.Workers is the team's maximum capacity, not a frozen size: in
-// task-service mode (Serve) the running worker set is an active mask over
-// that capacity — SetActive(n) keeps workers [0, n) serving and parks the
-// rest on a wakeup, so an elastic capacity controller can move worker
-// quota between teams at runtime. Parallel regions (Run) always run at
-// full capacity; the mask resets to Workers when the service closes.
+// times, sequentially. Every one of its Config.Workers workers runs in
+// every region and for as long as the team serves jobs.
 type Team struct {
 	cfg     Config
 	n       int
@@ -40,17 +34,11 @@ type Team struct {
 	profile *prof.Profile
 	workers []*Worker
 	// remotes[z] lists the workers outside zone z in ascending id order
-	// (victim selection; the ordering lets the DLB take active prefixes).
+	// (victim selection).
 	remotes [][]int
 	// admit is the admission policy of the task-service mode
 	// (Config.Admit, default load.BlockWhenFull).
 	admit load.AdmitPolicy
-	// active is the size of the active worker set: workers [0, active)
-	// run, workers [active, n) park. Outside task-service mode it is
-	// always n (SetActive is service-only and Close restores it), so
-	// regions and their barrier see the full team. Read on every spawn
-	// and victim pick; written by SetActive.
-	active atomic.Int32
 	// running guards against overlapping regions; atomic so the Serve
 	// lifecycle check cannot race a region opening on another goroutine.
 	running atomic.Bool
@@ -85,7 +73,6 @@ func NewTeam(cfg Config) (*Team, error) {
 	if tm.admit == nil {
 		tm.admit = load.BlockWhenFull{}
 	}
-	tm.active.Store(int32(cfg.Workers))
 
 	switch cfg.Sched {
 	case SchedGOMP:
@@ -167,15 +154,8 @@ func MustTeam(cfg Config) *Team {
 	return tm
 }
 
-// Workers returns the team's maximum capacity (Config.Workers). The
-// number of workers currently running may be smaller in task-service
-// mode; see ActiveWorkers and SetActive.
+// Workers returns the team's size (Config.Workers).
 func (tm *Team) Workers() int { return tm.n }
-
-// ActiveWorkers returns the size of the active worker set. It equals
-// Workers() except while a task service has parked part of the team with
-// SetActive.
-func (tm *Team) ActiveWorkers() int { return int(tm.active.Load()) }
 
 // Config returns the validated configuration the team runs with.
 func (tm *Team) Config() Config { return tm.cfg }
@@ -183,8 +163,8 @@ func (tm *Team) Config() Config { return tm.cfg }
 // Signals returns the team's current load signals — the uniform surface
 // every balancing level consumes instead of probing team internals. For a
 // serving team, QueueDepth/Running/Capacity are the admission backlog,
-// jobs in flight, and active workers (the shard-level signals a pool's
-// dispatch, migration, and quota policies compare) and JobNS is the
+// jobs in flight, and workers (the shard-level signals a pool's
+// dispatch and migration policies compare) and JobNS is the
 // smoothed job run time admission predicts with; outside service mode
 // only Capacity is set. Every field is read fresh. Safe for any
 // goroutine.
@@ -198,7 +178,7 @@ func (tm *Team) Signals() load.Signals {
 		sig.JobNS = tm.profile.JobTimeNS()
 		sig.Running = max(0, float64(tm.ActiveJobs())-sig.QueueDepth)
 	}
-	sig.Capacity = float64(tm.ActiveWorkers())
+	sig.Capacity = float64(tm.n)
 	return sig
 }
 

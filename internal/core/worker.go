@@ -41,9 +41,6 @@ type Worker struct {
 	redirectLeft  int
 	redirectedAny bool
 	handlingReq   bool
-	// parkCur rotates the hand-off target over the active set while this
-	// worker drains its queues to park (owner-only).
-	parkCur int
 	// Stall bookkeeping of the worker's scheduling loop (owner-only; see
 	// found and idle): an EvStall span is open, empty polls since the last
 	// yield point, (serve loop) the idle spell's first clock reading, and
@@ -81,7 +78,6 @@ func (w *Worker) beginRegion() {
 	w.redirectLeft = 0
 	w.redirectedAny = false
 	w.handlingReq = false
-	w.parkCur = 0
 }
 
 // found ends the worker's idle spell — it found work, or its scheduling
@@ -215,8 +211,7 @@ func (w *Worker) push(t *Task) bool {
 }
 
 // pushTo places t directly into worker to's queues on behalf of w (DLB
-// migration, NA-RP redirect, park hand-off) and announces it to that
-// worker on success.
+// migration, NA-RP redirect) and announces it to that worker on success.
 func (w *Worker) pushTo(to int, t *Task) bool {
 	if !w.team.sched.pushTo(w.id, to, t) {
 		return false

@@ -7,7 +7,7 @@ import "time"
 // every level; before this file, admission was the one level with no
 // policy at all: a full backlog simply blocked the submitter forever.
 // AdmitPolicy makes the admission edge a schedulable decision like victim
-// selection, dispatch, migration, and quota: the policy consumes the same
+// selection, dispatch, and migration: the policy consumes the same
 // Signals the other levels read and decides whether a submission waits for
 // space, is rejected outright, or is shed because its deadline cannot be
 // met anyway.
@@ -128,7 +128,7 @@ type AdmitRequest struct {
 	// the quantity WFQAdmit bounds against the tenant's share.
 	TenantQueued int
 	// Saturated is the runtime's saturation verdict: queued plus running
-	// work has reached the team's active capacity (Signals.Load() >= 1).
+	// work has reached the team's capacity (Signals.Load() >= 1).
 	// Shedding policies engage only while it holds, so a team that is
 	// keeping up never drops work.
 	Saturated bool

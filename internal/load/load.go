@@ -1,17 +1,16 @@
 // Package load is the runtime's load-signal surface and the balancing
 // plans that read it.
 //
-// The runtime balances at three levels — task stealing inside a team (the
-// paper's NA-RP/NA-WS), whole-job migration between shard teams, and
-// worker-quota moves between shards — and each level decides from the
-// same small picture of an entity (a serving team): queued work per
-// priority class, work in flight, active capacity, and the smoothed job
-// run time (Signals). This package holds that picture and the decisions
+// The runtime balances at two levels — task stealing inside a team (the
+// paper's NA-RP/NA-WS) and whole-job migration between shard teams — and
+// each level decides from the same small picture of an entity (a serving
+// team): queued work per priority class, work in flight, capacity, and
+// the smoothed job run time (Signals). This package holds that picture and the decisions
 // made from it:
 //
 //   - one plan per balancing level, each reading Signals instead of
 //     probing other layers (policy.go: CondRandom, PowerOfTwo,
-//     GapHalving, OversubscribedQuota); admission alone chooses among
+//     GapHalving); admission alone chooses among
 //     policies behind one interface (AdmitPolicy, admit.go), and
 //     weighted-fair multi-tenant admission keeps its own state
 //     (tenant.go);
@@ -31,7 +30,7 @@ package load
 const DefaultAlpha = 0.3
 
 // Signals is one serving team's load picture at a point in time — a
-// shard of a pool, as the dispatch, migration, quota and admission
+// shard of a pool, as the dispatch, migration and admission
 // decisions compare it. Fields read fresh from the team's service gauges
 // (core.Team.Signals); none is cached.
 type Signals struct {
@@ -45,8 +44,7 @@ type Signals struct {
 	ClassQueueDepth [NumClasses]float64
 	// Running is work in flight: adopted-but-unfinished jobs.
 	Running float64
-	// Capacity is the active execution capacity: active (unparked)
-	// workers.
+	// Capacity is the execution capacity: the team's workers.
 	Capacity float64
 	// JobNS is the EWMA-smoothed mean whole-job run time in nanoseconds
 	// (adoption to quiescence; 0 before the first job completes). It is
@@ -55,7 +53,7 @@ type Signals struct {
 }
 
 // Load is the entity's demand per unit of capacity: queued plus running
-// work over active capacity. A value above 1 means oversubscription.
+// work over capacity. A value above 1 means oversubscription.
 func (s Signals) Load() float64 {
 	c := s.Capacity
 	if c < 1 {

@@ -17,21 +17,19 @@ func TestSignalsLoad(t *testing.T) {
 	}
 }
 
-// viewStub implements VictimView over a synthetic two-zone, eight-worker
-// team with a configurable active bound.
+// viewStub implements VictimView over a synthetic team of workers
+// workers in NUMA zones of 4.
 type viewStub struct {
-	thief  int
-	active int
-	r      rng.State
+	thief   int
+	workers int
+	r       rng.State
 }
 
-func (v *viewStub) Thief() int  { return v.thief }
-func (v *viewStub) Active() int { return v.active }
+func (v *viewStub) Thief() int { return v.thief }
 func (v *viewStub) LocalPeers() []int {
-	// Zones of 4: [0..3] and [4..7], clipped to the active bound.
 	lo := v.thief / 4 * 4
 	var out []int
-	for w := lo; w < lo+4 && w < v.active; w++ {
+	for w := lo; w < lo+4 && w < v.workers; w++ {
 		out = append(out, w)
 	}
 	return out
@@ -39,7 +37,7 @@ func (v *viewStub) LocalPeers() []int {
 func (v *viewStub) RemotePeers() []int {
 	lo := v.thief / 4 * 4
 	var out []int
-	for w := 0; w < v.active; w++ {
+	for w := 0; w < v.workers; w++ {
 		if w < lo || w >= lo+4 {
 			out = append(out, w)
 		}
@@ -48,32 +46,36 @@ func (v *viewStub) RemotePeers() []int {
 }
 func (v *viewStub) Rand() *rng.State { return &v.r }
 
-func TestCondRandomNeverSelfNeverParked(t *testing.T) {
-	v := &viewStub{thief: 1, active: 6, r: rng.New(7)}
+// TestCondRandomNeverSelfInRange: over a full team, two-zone or
+// single-zone, every pick names another worker of the team.
+func TestCondRandomNeverSelfInRange(t *testing.T) {
 	var cr CondRandom
-	for i := 0; i < 10000; i++ {
-		vic := cr.Pick(v, 0.5)
-		if vic == v.thief {
-			t.Fatal("picked self")
+	for _, v := range []*viewStub{
+		{thief: 1, workers: 6, r: rng.New(7)},
+		{thief: 5, workers: 6, r: rng.New(5)},
+		{thief: 2, workers: 3, r: rng.New(9)}, // one zone: no remote peers
+	} {
+		for _, plocal := range []float64{0, 0.5, 1} {
+			for i := 0; i < 5000; i++ {
+				vic := cr.Pick(v, plocal)
+				if vic == v.thief {
+					t.Fatalf("thief %d of %d picked self", v.thief, v.workers)
+				}
+				if vic < 0 || vic >= v.workers {
+					t.Fatalf("thief %d: victim %d outside [0,%d)", v.thief, vic, v.workers)
+				}
+			}
 		}
-		if vic < 0 || vic >= v.active {
-			t.Fatalf("victim %d outside active set [0,%d)", vic, v.active)
-		}
-	}
-	// A parked thief (id >= active) must not pick at all.
-	v.thief = 7
-	if vic := cr.Pick(v, 1); vic != -1 {
-		t.Fatalf("parked thief picked %d", vic)
 	}
 	// A solo team has no victim.
-	v2 := &viewStub{thief: 0, active: 1, r: rng.New(3)}
+	v2 := &viewStub{thief: 0, workers: 1, r: rng.New(3)}
 	if vic := cr.Pick(v2, 1); vic != -1 {
 		t.Fatalf("solo pick %d", vic)
 	}
 }
 
 func TestCondRandomRespectsPLocal(t *testing.T) {
-	v := &viewStub{thief: 1, active: 8, r: rng.New(11)}
+	v := &viewStub{thief: 1, workers: 8, r: rng.New(11)}
 	var cr CondRandom
 	count := func(plocal float64, draws int) (local, remote int) {
 		for i := 0; i < draws; i++ {
@@ -128,17 +130,12 @@ func TestPowerOfTwoPrefersShallow(t *testing.T) {
 	}
 }
 
-// TestPlansNameTwoShardsInRange: a migration or quota plan that moves
+// TestPlansNameTwoShardsInRange: a migration plan that moves
 // anything names two distinct shards of the snapshot it was given; the
 // pool applies it unchecked.
 func TestPlansNameTwoShardsInRange(t *testing.T) {
 	r := rng.New(17)
 	for _, n := range []int{1, 2, 3, 7} {
-		min, max := make([]int, n), make([]int, n)
-		for s := range min {
-			min[s], max[s] = 1, 4
-		}
-		q := OversubscribedQuota{Hysteresis: 1}
 		g := GapHalving{Threshold: 2}
 		moves := 0
 		for i := 0; i < 2000; i++ {
@@ -154,12 +151,6 @@ func TestPlansNameTwoShardsInRange(t *testing.T) {
 				moves++
 				if from == to || from < 0 || to < 0 || from >= n || to >= n {
 					t.Fatalf("n=%d: GapHalving plan (%d, %d, %d) on %+v", n, from, to, k, sigs)
-				}
-			}
-			if from, to, ok := q.Plan(sigs, min, max); ok {
-				moves++
-				if from == to || from < 0 || to < 0 || from >= n || to >= n {
-					t.Fatalf("n=%d: OversubscribedQuota plan (%d, %d) on %+v", n, from, to, sigs)
 				}
 			}
 		}
@@ -208,44 +199,6 @@ func TestGapHalvingRescue(t *testing.T) {
 	// Balanced: nothing to do.
 	if _, _, n := g.Plan([]Signals{{}, {}}); n != 0 {
 		t.Fatalf("balanced plan moved %d", n)
-	}
-}
-
-func TestOversubscribedQuotaHysteresis(t *testing.T) {
-	q := &OversubscribedQuota{Hysteresis: 3}
-	min, max := []int{1, 1}, []int{4, 4}
-	hotCold := []Signals{
-		{QueueDepth: 4, Running: 2, Capacity: 2}, // oversubscribed
-		{QueueDepth: 0, Running: 0, Capacity: 2}, // idle donor
-	}
-	for i := 0; i < 2; i++ {
-		if _, _, ok := q.Plan(hotCold, min, max); ok {
-			t.Fatalf("moved on plan %d, before hysteresis", i+1)
-		}
-	}
-	from, to, ok := q.Plan(hotCold, min, max)
-	if !ok || from != 1 || to != 0 {
-		t.Fatalf("plan 3 = (%d,%d,%v), want (1,0,true)", from, to, ok)
-	}
-	// The streak resets after a move.
-	if _, _, ok := q.Plan(hotCold, min, max); ok {
-		t.Fatal("moved immediately after a move")
-	}
-	// A balanced interlude resets the streak too.
-	q2 := &OversubscribedQuota{Hysteresis: 2}
-	q2.Plan(hotCold, min, max)
-	q2.Plan([]Signals{{Running: 1, Capacity: 2}, {Running: 1, Capacity: 2}}, min, max)
-	if _, _, ok := q2.Plan(hotCold, min, max); ok {
-		t.Fatal("streak survived a balanced interlude")
-	}
-	// Bounds: a hot shard at its cap cannot receive.
-	q3 := &OversubscribedQuota{Hysteresis: 1}
-	capped := []Signals{
-		{QueueDepth: 4, Running: 2, Capacity: 4},
-		{QueueDepth: 0, Running: 0, Capacity: 2},
-	}
-	if _, _, ok := q3.Plan(capped, min, []int{4, 4}); ok {
-		t.Fatal("receiver above max accepted quota")
 	}
 }
 

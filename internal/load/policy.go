@@ -3,8 +3,8 @@ package load
 import "repro/internal/rng"
 
 // One balancing plan per level below admission. Each plan decides
-// *where* work or capacity should move; the callers own the mechanism
-// (steal protocol, job migration, SetActive) and the cadence. All
+// *where* work should move; the callers own the mechanism (steal
+// protocol, job migration) and the cadence. All
 // decisions are made from Signals, never by probing another layer's
 // internals. Admission is the one level with a choice of policies
 // (AdmitPolicy, admit.go).
@@ -15,14 +15,11 @@ import "repro/internal/rng"
 type VictimView interface {
 	// Thief is the requesting worker's id.
 	Thief() int
-	// Active is the team's active-worker bound: workers [0, Active) run,
-	// the rest are parked and must not be picked.
-	Active() int
-	// LocalPeers lists the active workers in the thief's NUMA zone in
-	// ascending id order (the thief included).
+	// LocalPeers lists the workers in the thief's NUMA zone in ascending
+	// id order (the thief included).
 	LocalPeers() []int
-	// RemotePeers lists the active workers outside the thief's zone in
-	// ascending id order.
+	// RemotePeers lists the workers outside the thief's zone in ascending
+	// id order.
 	RemotePeers() []int
 	// Rand is the thief's private RNG.
 	Rand() *rng.State
@@ -30,19 +27,16 @@ type VictimView interface {
 
 // CondRandom is the paper's conditionally random victim selection
 // (§IV-B): NUMA-local with probability plocal (§IV-E's Plocal),
-// NUMA-remote otherwise, never self, never parked. A thief alone in its
-// zone falls through to a remote pick; a single-zone team picks any other
-// active worker. Pick returns a worker id, or -1 when no victim exists.
+// NUMA-remote otherwise, never self. A thief alone in its zone falls
+// through to a remote pick; a single-zone team picks any other worker.
+// Pick returns a worker id, or -1 when no victim exists.
 type CondRandom struct{}
 
 func (CondRandom) Pick(v VictimView, plocal float64) int {
-	act := v.Active()
 	t := v.Thief()
-	if act <= 1 || t >= act {
-		return -1
-	}
-	if v.Rand().Bool(plocal) {
-		peers := v.LocalPeers()
+	peers, remotes := v.LocalPeers(), v.RemotePeers()
+	// Single zone: the local draw is the only one there is.
+	if v.Rand().Bool(plocal) || len(remotes) == 0 {
 		if len(peers) > 1 {
 			idx := v.Rand().Intn(len(peers) - 1)
 			vic := peers[idx]
@@ -53,15 +47,10 @@ func (CondRandom) Pick(v VictimView, plocal float64) int {
 		}
 		// Alone in the zone: fall through to a remote pick.
 	}
-	if remotes := v.RemotePeers(); len(remotes) > 0 {
+	if len(remotes) > 0 {
 		return remotes[v.Rand().Intn(len(remotes))]
 	}
-	// Single zone: any other active worker.
-	vic := v.Rand().Intn(act - 1)
-	if vic >= t {
-		vic++
-	}
-	return vic
+	return -1
 }
 
 // EffectiveDepth is the queue depth a class-c submission actually
@@ -167,63 +156,4 @@ func (g GapHalving) Plan(shards []Signals) (from, to, n int) {
 		moves = 1
 	}
 	return hot, cold, moves
-}
-
-// OversubscribedQuota is the elastic controller's plan. Plan gets every
-// shard's signals and the per-shard active-worker bounds and returns the
-// donor, the receiver, and whether to move one worker of quota now; it is
-// stateful, so callers serialize Plan calls on one instance. The shard
-// whose load (queued + running jobs) most oversubscribes its active
-// workers receives one worker of quota from the shard with the most idle
-// active capacity — but only after the same hot candidate has persisted
-// for Hysteresis consecutive Plan calls, the damping that keeps a
-// transient burst from stealing a worker the donor is about to need back.
-// The streak resets when a plan is returned, whether or not the caller
-// manages to apply it: a SetActive on a serving shard can only fail while
-// the pool is closing, where re-accumulating the streak costs nothing.
-type OversubscribedQuota struct {
-	// Hysteresis is how many consecutive plans the same shard must stay
-	// the oversubscribed candidate before quota moves. Values below 1
-	// behave as 1 (move on first sight).
-	Hysteresis int
-
-	lastHot int
-	streak  int
-}
-
-func (q *OversubscribedQuota) Plan(shards []Signals, min, max []int) (from, to int, ok bool) {
-	hot, cold := -1, -1
-	var hotLoad, hotAct, coldLoad, coldAct float64
-	for s, sig := range shards {
-		act := sig.Capacity
-		load := sig.QueueDepth + sig.Running
-		// Hot candidates are oversubscribed (more live jobs than active
-		// workers) and still below their cap; rank by load/active.
-		if load > act && int(act) < max[s] {
-			if hot < 0 || load*hotAct > hotLoad*act {
-				hot, hotLoad, hotAct = s, load, act
-			}
-		}
-		// Donors have at least one genuinely idle active worker and are
-		// above their floor; rank by most idle capacity.
-		if load < act && int(act) > min[s] {
-			if cold < 0 || act-load > coldAct-coldLoad {
-				cold, coldLoad, coldAct = s, load, act
-			}
-		}
-	}
-	if hot < 0 || cold < 0 || hot == cold {
-		q.lastHot, q.streak = -1, 0
-		return 0, 0, false
-	}
-	if hot != q.lastHot {
-		q.lastHot, q.streak = hot, 1
-	} else {
-		q.streak++
-	}
-	if q.streak < q.Hysteresis {
-		return 0, 0, false
-	}
-	q.lastHot, q.streak = -1, 0
-	return cold, hot, true
 }

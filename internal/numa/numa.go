@@ -173,26 +173,6 @@ func (t Topology) SplitDomains() []Topology {
 	return out
 }
 
-// ActivePrefix returns the leading portion of ids whose entries are below
-// active. ids must be in ascending order (Peers and the per-zone victim
-// lists derived from it are). It is the active-set view an elastic runtime
-// needs: with worker parking defined as "ids >= active are parked", the
-// returned slice is exactly the unparked members of ids. The result
-// aliases ids; callers must not modify it.
-func ActivePrefix(ids []int, active int) []int {
-	// ids is sorted, so binary-search the first parked entry.
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ids[mid] < active {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return ids[:lo]
-}
-
 // Classify returns the locality class of a task created by worker creator
 // and executed by worker executor.
 func (t Topology) Classify(creator, executor int) Locality {

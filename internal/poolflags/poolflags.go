@@ -1,8 +1,8 @@
 // Package poolflags is the one way a command builds a pool from flags:
 // the flag vocabulary that shapes an xomp.ShardedPool (preset, workers,
-// shards, backlog, admission policy, elastic capacity controller, BOTS
-// input scale), its validation, and its defaults live
-// here, so cmd/jobserved and cmd/loadgen cannot drift apart.
+// shards, backlog, admission policy, BOTS input scale), its validation,
+// and its defaults live here, so cmd/jobserved and cmd/loadgen cannot
+// drift apart.
 package poolflags
 
 import (
@@ -21,8 +21,6 @@ type Flags struct {
 	Shards  int
 	Backlog int
 	Admit   string
-	Elastic bool
-	Budget  int
 	Scale   string
 }
 
@@ -34,8 +32,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.Shards, "shards", 1, "NUMA shards (each one serving team)")
 	fs.IntVar(&f.Backlog, "backlog", 0, "admission queue capacity per class (0 = 4x workers)")
 	fs.StringVar(&f.Admit, "admit", "block", "admission policy: block|reject|shed|wfq")
-	fs.BoolVar(&f.Elastic, "elastic", false, "enable the elastic capacity controller (needs -shards > 1)")
-	fs.IntVar(&f.Budget, "budget", 0, "total active workers with -elastic (0 = half of -workers)")
 	fs.StringVar(&f.Scale, "scale", "test", "BOTS input scale for named-app jobs: test|small|medium|large")
 	return f
 }
@@ -48,12 +44,6 @@ func (f *Flags) Config() (xomp.ShardConfig, bots.Scale, error) {
 	var cfg xomp.ShardConfig
 	if f.Shards < 1 || f.Workers < 1 || f.Workers%f.Shards != 0 {
 		return cfg, 0, fmt.Errorf("-shards %d must be >= 1 and divide -workers %d", f.Shards, f.Workers)
-	}
-	if f.Elastic && f.Shards < 2 {
-		return cfg, 0, fmt.Errorf("-elastic needs -shards > 1 (no shard to move quota between)")
-	}
-	if f.Budget != 0 && !f.Elastic {
-		return cfg, 0, fmt.Errorf("-budget only applies with -elastic")
 	}
 	admit, err := parseAdmit(f.Admit)
 	if err != nil {
@@ -68,13 +58,6 @@ func (f *Flags) Config() (xomp.ShardConfig, bots.Scale, error) {
 	cfg.Team = xomp.Preset(f.Runtime, f.Workers/f.Shards)
 	cfg.Team.Backlog = f.Backlog
 	cfg.Team.Admit = admit
-	if f.Elastic {
-		budget := f.Budget
-		if budget == 0 {
-			budget = f.Workers / 2
-		}
-		cfg.Elastic = xomp.ElasticConfig{Enabled: true, TotalBudget: budget}
-	}
 	return cfg, scale, nil
 }
 

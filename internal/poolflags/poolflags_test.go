@@ -27,15 +27,10 @@ func TestConfigShapes(t *testing.T) {
 		args        []string
 		shards      int
 		teamWorkers int
-		budget      int // 0: elastic off
 	}{
 		{name: "service defaults", shards: 1, teamWorkers: 4},
 		{name: "workers split per shard", args: []string{"-workers", "8", "-shards", "2"}, shards: 2, teamWorkers: 4},
 		{name: "one shard keeps all workers in one team", args: []string{"-workers", "8"}, shards: 1, teamWorkers: 8},
-		{name: "elastic budget defaults to half the workers",
-			args: []string{"-workers", "8", "-shards", "2", "-elastic"}, shards: 2, teamWorkers: 4, budget: 4},
-		{name: "explicit elastic budget",
-			args: []string{"-workers", "8", "-shards", "4", "-elastic", "-budget", "6"}, shards: 4, teamWorkers: 2, budget: 6},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -45,9 +40,6 @@ func TestConfigShapes(t *testing.T) {
 			}
 			if cfg.Shards != tc.shards || cfg.Team.Workers != tc.teamWorkers {
 				t.Errorf("got %d shards x %d workers, want %d x %d", cfg.Shards, cfg.Team.Workers, tc.shards, tc.teamWorkers)
-			}
-			if cfg.Elastic.Enabled != (tc.budget > 0) || cfg.Elastic.TotalBudget != tc.budget {
-				t.Errorf("elastic = %+v, want budget %d", cfg.Elastic, tc.budget)
 			}
 			if scale != bots.ScaleTest {
 				t.Errorf("scale = %v, want test", scale)
@@ -81,8 +73,6 @@ func TestConfigRejects(t *testing.T) {
 		{"negative shards", []string{"-shards", "-1"}},
 		{"shards not dividing workers", []string{"-workers", "4", "-shards", "3"}},
 		{"no workers", []string{"-workers", "0"}},
-		{"elastic without a second shard", []string{"-elastic"}},
-		{"budget without elastic", []string{"-budget", "2"}},
 		{"unknown admission policy", []string{"-admit", "maybe"}},
 		{"unknown scale", []string{"-scale", "huge"}},
 	}

@@ -23,7 +23,6 @@ type paddedGauge struct {
 }
 
 func (g *paddedGauge) add(d int64) { g.v.Add(d) }
-func (g *paddedGauge) set(n int64) { g.v.Store(n) }
 func (g *paddedGauge) load() int64 { return g.v.Load() }
 
 // paddedFloat is the float64 gauge: the value's bits in an atomic word,
@@ -50,8 +49,8 @@ func (c *counter) add(n int) {
 func (c *counter) load() uint64 { return c.v.Load() }
 
 // Ring is the bounded log all event-like state shares (job records,
-// admission latencies and events, a sharded pool's quota moves): append until the bound, then overwrite the oldest, under
-// the ring's own lock, with a lifetime total beside the retained entries.
+// admission latencies and events): append until the bound, then
+// overwrite the oldest, under the ring's own lock, with a lifetime total beside the retained entries.
 // Build one with NewRing; a Ring must not be copied after first use.
 type Ring[T any] struct {
 	mu    sync.Mutex

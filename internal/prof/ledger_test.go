@@ -208,7 +208,6 @@ func goldenScript(p *Profile) {
 	p.JobDone(JobRecord{ID: 1, Worker: 0, Submit: 10, Start: 30, End: 1030, Class: 0, Tenant: 1})
 	p.JobDone(JobRecord{ID: 2, Worker: 1, Submit: 20, Start: 40, End: 2040, Class: 1, Tenant: 2, Panicked: true})
 	p.JobDone(JobRecord{ID: 3, Worker: 1, Submit: 50, Start: 60, End: 60, Class: 2, Tenant: 4, Migrated: true})
-	p.SetWorkersActive(1)
 }
 
 func TestGoldenSnapshot(t *testing.T) {
@@ -236,10 +235,11 @@ func TestGoldenSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Older dumps also carry the retired worker-signal gauges and policy
-	// switches; those fields are ignored, not refused.
+	// Older dumps also carry the retired worker-signal gauges, policy
+	// switches and active-worker gauge; those fields are ignored, not
+	// refused.
 	older := bytes.Replace(want, []byte(`"sig_job_ns"`),
-		[]byte(`"sig_service_ns":1234.5,"sig_idle_ratio":0.25,"policy_switches":[{"at":77,"from":"a","to":"fine: b"}],"sig_job_ns"`), 1)
+		[]byte(`"sig_service_ns":1234.5,"sig_idle_ratio":0.25,"policy_switches":[{"at":77,"from":"a","to":"fine: b"}],"nworkers_active":1,"sig_job_ns"`), 1)
 	if _, err := Load(bytes.NewReader(older)); err != nil {
 		t.Fatalf("dump with retired fields: %v", err)
 	}

@@ -2,8 +2,8 @@
 // live here.
 //
 // Per-thread state is the software profiling of Section V of the paper: a
-// timeline of runtime events (TASK, GOMP_TASK, TASKWAIT, BARRIER, STALL,
-// plus PARK) and a set of statistical counters (task locality, static
+// timeline of runtime events (TASK, GOMP_TASK, TASKWAIT, BARRIER, STALL)
+// and a set of statistical counters (task locality, static
 // pushes, immediate executions, the dynamic load-balancing request/steal
 // counters, and the service mode's adoption and idle-policy counters). The
 // paper timestamps events with the rdtscp cycle counter; this package uses
@@ -14,8 +14,8 @@
 // therefore opt-in, exactly like the paper's perf_record instrumentation.
 //
 // Shared state is everything a goroutine other than the owning worker
-// writes — submitters, the migration balancer, the capacity controller,
-// a server's connection goroutines. It is built from three
+// writes — submitters, the migration balancer, a server's connection
+// goroutines. It is built from three
 // cells (cells.go: a padded gauge, a counter, a locked bounded Ring) and
 // one admission ledger slot instantiated per priority class and per
 // tenant (admit.go), and the task service moves it through five event
@@ -53,16 +53,11 @@ const (
 	EvBarrier
 	// EvStall is time spent idle, polling empty queues (STALL).
 	EvStall
-	// EvPark is time a service-mode worker spent parked outside the active
-	// set (PARK): blocked on a wakeup after Team.SetActive shrank the
-	// team's active worker count. Park/unpark transitions are the segment
-	// boundaries of this event class.
-	EvPark
 	// NumEvents is the number of event classes.
 	NumEvents
 )
 
-var eventNames = [NumEvents]string{"TASK", "GOMP_TASK", "TASKWAIT", "BARRIER", "STALL", "PARK"}
+var eventNames = [NumEvents]string{"TASK", "GOMP_TASK", "TASKWAIT", "BARRIER", "STALL"}
 
 // String returns the paper's name for the event class.
 func (e Event) String() string {
@@ -240,13 +235,6 @@ type Profile struct {
 	queueDepth paddedGauge
 	classes    [load.NumClasses]admitSlot
 
-	// workersActive is the NWORKERS_ACTIVE gauge: how many of the team's
-	// workers are currently in the active set (unparked). It starts at the
-	// worker count and is adjusted by Team.SetActive; an elastic capacity
-	// controller moving quota between shards is visible as steps in this
-	// gauge (and as PARK timeline segments on the parked threads).
-	workersActive paddedGauge
-
 	// sigJobNS is the job-granular service-time signal deadline-aware
 	// admission predicts with: jobNS smooths the completed jobs' run
 	// times under the job log's lock and JobDone mirrors it here.
@@ -294,7 +282,6 @@ func New(workers int, timeline bool) *Profile {
 		p.threads[i] = &Thread{id: i, timeline: timeline, base: p.base}
 	}
 	p.tenants.Store(&map[int]*tenantSlot{})
-	p.workersActive.set(int64(workers))
 	return p
 }
 
@@ -316,15 +303,6 @@ func (p *Profile) Jobs() []JobRecord { return p.jobs.Snapshot() }
 // JobsTotal returns how many job completions have been recorded over the
 // profile's lifetime, including records the ring has since evicted.
 func (p *Profile) JobsTotal() uint64 { return p.jobs.Total() }
-
-// SetWorkersActive sets the NWORKERS_ACTIVE gauge. The team writes it on
-// every SetActive transition; safe for any goroutine.
-func (p *Profile) SetWorkersActive(n int64) { p.workersActive.set(n) }
-
-// WorkersActive returns the NWORKERS_ACTIVE gauge: the number of workers
-// currently in the team's active set. It equals Workers() unless a
-// capacity controller has parked part of the team.
-func (p *Profile) WorkersActive() int64 { return p.workersActive.load() }
 
 // now returns nanoseconds since the profile base.
 func (t *Thread) now() int64 { return int64(time.Since(t.base)) }
@@ -423,9 +401,6 @@ type Snapshot struct {
 	QueueDepth      int64  `json:"queue_depth,omitempty"`
 	JobsMigratedIn  uint64 `json:"njobs_migrated_in,omitempty"`
 	JobsMigratedOut uint64 `json:"njobs_migrated_out,omitempty"`
-	// WorkersActive is the NWORKERS_ACTIVE gauge at snapshot time (0 in
-	// dumps predating elastic capacity; treat 0 as "all workers active").
-	WorkersActive int64 `json:"nworkers_active,omitempty"`
 	// SigJobNS is the job run-time signal at snapshot time (JobTimeNS).
 	SigJobNS float64 `json:"sig_job_ns,omitempty"`
 	// Admission-edge state at snapshot time: per-class queue-depth
@@ -456,7 +431,6 @@ func (p *Profile) Snapshot() Snapshot {
 	s.Jobs = p.Jobs()
 	s.QueueDepth = p.QueueDepth()
 	s.JobsMigratedIn, s.JobsMigratedOut = p.JobsMigrated()
-	s.WorkersActive = p.WorkersActive()
 	s.SigJobNS = p.JobTimeNS()
 	for c := range p.classes {
 		s.ClassQueued[c], s.AdmitCounts[c], s.AdmitLatencies[c] = p.classes[c].read()
@@ -512,7 +486,7 @@ func (s Snapshot) TimelineSummary(w io.Writer, width int) error {
 	if width < 10 {
 		width = 10
 	}
-	glyph := [NumEvents]byte{'#', '+', 'w', 'B', '.', 'z'}
+	glyph := [NumEvents]byte{'#', '+', 'w', 'B', '.'}
 	var legend strings.Builder
 	for ev := Event(0); ev < NumEvents; ev++ {
 		fmt.Fprintf(&legend, "%c=%s ", glyph[ev], ev)

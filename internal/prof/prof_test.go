@@ -273,7 +273,7 @@ func TestLoadMalformedDumps(t *testing.T) {
 	}{
 		{"counters only", `{"workers":2,"counters":[` + row + `,` + row + `]}`, false},
 		{"null events", `{"workers":1,"counters":[` + row + `],"events":null}`, false},
-		{"events per worker", `{"workers":1,"timeline":true,"counters":[` + row + `],"events":[[{"ev":5,"start":1,"end":9,"span":1}]]}`, false},
+		{"events per worker", `{"workers":1,"timeline":true,"counters":[` + row + `],"events":[[{"ev":4,"start":1,"end":9,"span":1}]]}`, false},
 		{"short events", `{"workers":2,"counters":[` + row + `,` + row + `],"events":[[]]}`, true},
 		{"long events", `{"workers":1,"counters":[` + row + `],"events":[[],[]]}`, true},
 		{"event class 200", `{"workers":1,"counters":[` + row + `],"events":[[{"ev":200,"start":1,"end":2,"span":1}]]}`, true},

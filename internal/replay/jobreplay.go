@@ -28,13 +28,6 @@ type Options struct {
 	// workers, backlog, admission policy, balancing policy — the
 	// "candidate" of a what-if comparison.
 	Team xomp.Config
-	// Elastic configures the elastic quota controller.
-	Elastic xomp.ElasticConfig
-	// BalanceInterval is the second-level job-migration balancer's
-	// period: 0 keeps the ShardConfig default, a negative value disables
-	// the background balancer — how a quota-level test isolates the
-	// elastic controller from job migration.
-	BalanceInterval time.Duration
 	// Speed compresses recorded time: arrivals (and deadlines) happen
 	// Speed times faster than recorded. 1 (or 0) replays at recorded
 	// pace. Job sizes are not scaled, so Speed > 1 also raises the
@@ -106,9 +99,8 @@ type JobReplayResult struct {
 	// PerTenant indexes outcomes by tenant id (only tenants that
 	// submitted at least once appear).
 	PerTenant map[int]TenantOutcome
-	// QuotaMoves and MigratedIn are the pool's third- and second-level
-	// balancing activity during the replay (0 with one shard).
-	QuotaMoves uint64
+	// MigratedIn is the pool's second-level balancing activity during
+	// the replay (0 with one shard).
 	MigratedIn uint64
 }
 
@@ -181,10 +173,8 @@ func ReplayJobs(tr *JobTrace, opts Options) (JobReplayResult, error) {
 
 	// Assemble the pool under test.
 	pool, err := xomp.NewShardedPool(xomp.ShardConfig{
-		Shards:          max(opts.Shards, 1),
-		Team:            opts.Team,
-		Elastic:         opts.Elastic,
-		BalanceInterval: opts.BalanceInterval,
+		Shards: max(opts.Shards, 1),
+		Team:   opts.Team,
 	})
 	if err != nil {
 		return res, fmt.Errorf("replay: build pool: %w", err)
@@ -348,7 +338,6 @@ func ReplayJobs(tr *JobTrace, opts Options) (JobReplayResult, error) {
 	flush()
 	wg.Wait()
 	res.Wall = time.Since(start)
-	res.QuotaMoves = pool.QuotaMoves()
 	for _, st := range pool.Stats() {
 		res.MigratedIn += st.MigratedIn
 	}

@@ -2,7 +2,7 @@
 // submit edge of the job service — per job: arrival offset, priority
 // class, completion deadline, tenant, application, and size — so one
 // production-shaped day of traffic can be replayed deterministically
-// through any pool configuration (admission, dispatch, elastic quota),
+// through any pool configuration (admission, dispatch, migration),
 // and two configurations can be compared on the *same* traffic instead
 // of two different random workloads. Traces come from a live Recorder
 // (loadgen -record), from a profiled pool's snapshot, or from the

@@ -19,7 +19,7 @@
 //     DeadlineShed from BlockWhenFull on interactive latency.
 //   - zipf: one class, eight tenants, zipf-skewed (s=1.6) — pinned
 //     tenant→shard placement turns the skew into a deterministically hot
-//     shard for the elastic quota controller.
+//     shard for job migration to drain.
 //   - diurnal: a day phase (fast, interactive-heavy) switching to a
 //     night phase (slow, heavy batch/background) halfway through.
 //   - deadline-mix: uniform arrivals over four deadline profiles, from

@@ -114,34 +114,13 @@ func New[T any](workers, capacity int) *XQueue[T] {
 // ok == false (chosen queue full) the caller must execute v immediately,
 // per the paper's overflow rule.
 func (x *XQueue[T]) Push(p int, v *T) (target int, ok bool) {
-	return x.PushActive(p, v, x.n)
-}
-
-// PushActive is Push restricted to the active consumer set [0, active):
-// the round-robin only ever selects an active consumer, so a runtime that
-// parks the trailing workers of its team never routes new work to a parked
-// worker's queues. With active == N it is exactly Push. A producer
-// outside the active set (a parking worker spawning children while it
-// drains) rotates over the whole active set instead of starting with
-// itself. Out-of-range active values fall back to the full team.
-func (x *XQueue[T]) PushActive(p int, v *T, active int) (target int, ok bool) {
-	if active < 1 || active > x.n {
-		active = x.n
-	}
 	cur := &x.pushCur[p]
-	if cur.v >= active {
-		cur.v = 0
-	}
-	base := p
-	if base >= active {
-		base = 0
-	}
-	target = base + cur.v
-	if target >= active {
-		target -= active
+	target = p + cur.v
+	if target >= x.n {
+		target -= x.n
 	}
 	cur.v++
-	if cur.v == active {
+	if cur.v == x.n {
 		cur.v = 0
 	}
 	return target, x.PushTo(p, target, v)

@@ -30,9 +30,9 @@ var cmdMains = []string{
 // user's broken script. Keyed by tool name; every entry must appear as a
 // "-name" flag in the usage text.
 var cmdRequiredFlags = map[string][]string{
-	"loadgen": {"scenario", "trace", "record", "emit", "seed", "speed", "admit", "priority-mix", "elastic", "shards",
+	"loadgen": {"scenario", "trace", "record", "emit", "seed", "speed", "admit", "priority-mix", "shards",
 		"mode", "addr", "listen", "rate", "size", "fleet", "fleet-size"},
-	"jobserved": {"addr", "workers", "shards", "backlog", "admit", "elastic", "budget", "scale", "window", "report"},
+	"jobserved": {"addr", "workers", "shards", "backlog", "admit", "scale", "window", "report"},
 	"whatif":    {"in", "scenario", "seed", "shards", "speed", "reps"},
 	"botsrun":   {"app", "profile"},
 }

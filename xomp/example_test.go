@@ -144,57 +144,6 @@ func ExampleShardedPool() {
 	// Output: 16 jobs on 2 shards: 945
 }
 
-// With ShardConfig.Elastic a ShardedPool also balances worker *capacity*:
-// a shard whose load oversubscribes its active workers pulls quota from a
-// shard with idle workers (the donor parks one, the hot shard unparks
-// one), keeping the total at TotalBudget. Here the controller is stepped
-// manually (Interval < 0) to make the quota trajectory deterministic.
-func ExampleShardedPool_elastic() {
-	pool := xomp.MustShardedPool(xomp.ShardConfig{
-		Shards:          2,
-		Team:            xomp.Preset("xgomptb", 4), // capacity 4 per shard ...
-		BalanceInterval: -1,
-		Elastic: xomp.ElasticConfig{
-			Enabled:     true,
-			TotalBudget: 4, // ... but only 4 active workers overall
-			Interval:    -1,
-			Hysteresis:  1,
-		},
-	})
-	defer pool.Close()
-
-	fmt.Printf("start: %d+%d of %d budget\n",
-		pool.Stats()[0].ActiveWorkers, pool.Stats()[1].ActiveWorkers, pool.ActiveWorkers())
-
-	// Pin slow jobs to shard 0 — the skewed-traffic scenario.
-	gate := make(chan struct{})
-	jobs := make([]*xomp.Job, 6)
-	for i := range jobs {
-		j, err := pool.SubmitTo(0, func(*xomp.Worker) { <-gate })
-		if err != nil {
-			panic(err)
-		}
-		jobs[i] = j
-	}
-	pool.RebalanceQuota() // one controller tick: shard 1 donates to shard 0
-	for _, mv := range pool.QuotaTrace() {
-		fmt.Printf("quota move: shard %d -> shard %d\n", mv.From, mv.To)
-	}
-	fmt.Printf("after: %d+%d of %d budget\n",
-		pool.Stats()[0].ActiveWorkers, pool.Stats()[1].ActiveWorkers, pool.ActiveWorkers())
-
-	close(gate)
-	for _, j := range jobs {
-		if err := j.Wait(); err != nil {
-			panic(err)
-		}
-	}
-	// Output:
-	// start: 2+2 of 4 budget
-	// quota move: shard 1 -> shard 0
-	// after: 3+1 of 4 budget
-}
-
 // Table IV as a lookup: the DLB settings for a measured mean task
 // duration, fixed into a team's configuration before it is built.
 func ExampleGuidelineFor() {

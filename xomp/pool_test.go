@@ -148,3 +148,44 @@ func TestPoolJobProfile(t *testing.T) {
 		t.Fatalf("job RunTime = %v", job.RunTime())
 	}
 }
+
+// The one-shard pool's team exposes the same load signals the pool reads
+// per shard; its capacity is the whole team.
+func TestPoolLoadSignals(t *testing.T) {
+	pool := xomp.MustPool(xomp.Preset("xgomptb", 4))
+	defer pool.Close()
+	team := pool.Team(0)
+	if pool.Workers() != 4 {
+		t.Fatalf("fresh pool: %d workers, want 4", pool.Workers())
+	}
+	if team.QueueDepth() != 0 || team.ActiveJobs() != 0 {
+		t.Fatalf("idle pool reports depth %d, active %d", team.QueueDepth(), team.ActiveJobs())
+	}
+	gate := make(chan struct{})
+	var jobs []*xomp.Job
+	for i := 0; i < 6; i++ {
+		j, err := pool.Submit(func(*xomp.Worker) { <-gate })
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	if got := team.ActiveJobs(); got != 6 {
+		t.Fatalf("ActiveJobs = %d, want 6", got)
+	}
+	if got := team.QueueDepth(); got < 1 || got > 6 {
+		t.Fatalf("QueueDepth = %d with 6 gated jobs on 4 workers", got)
+	}
+	if sig := team.Signals(); sig.Capacity != float64(team.Workers()) {
+		t.Fatalf("Signals().Capacity = %v, want Workers() = %d", sig.Capacity, team.Workers())
+	}
+	close(gate)
+	for _, j := range jobs {
+		if err := j.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := team.ActiveJobs(); got != 0 {
+		t.Fatalf("ActiveJobs = %d after drain, want 0", got)
+	}
+}

@@ -101,64 +101,6 @@ func TestScenarioFlashCrowdShedding(t *testing.T) {
 	t.Errorf("DeadlineShed never bounded interactive p50 below BlockWhenFull in %d attempts", attempts)
 }
 
-// zipfAttempt replays the zipf trace pinned over a two-shard elastic
-// pool and reports whether the quota controller moved capacity.
-func zipfAttempt(t *testing.T) bool {
-	t.Helper()
-	tr, err := scenario.Generate("zipf", scenario.GoldenSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := xomp.Preset("xgomptb", 3)
-	res, err := replay.ReplayJobs(tr, replay.Options{
-		Shards:     2,
-		Team:       cfg,
-		PinTenants: true, // zipf-hot tenant 0 lands on shard 0, every time
-		// Isolate the quota level: with the job-migration balancer
-		// running, queued jobs drain off the hot shard before the
-		// oversubscription signal can persist.
-		BalanceInterval: -1,
-		Elastic: xomp.ElasticConfig{
-			Enabled:     true,
-			MinPerShard: 1,
-			MaxPerShard: 3,
-			// One worker of headroom below capacity (2×3), split 2+2, so
-			// the controller has something to move toward the hot shard.
-			TotalBudget: 4,
-			// Controller cadence scaled to the trace timescale: a 150ms
-			// trace gives a 250µs tick with hysteresis 2 hundreds of
-			// chances to observe the sustained imbalance.
-			Interval:   250 * time.Microsecond,
-			Hysteresis: 2,
-		},
-	})
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if res.Completed == 0 {
-		t.Fatalf("no completions")
-	}
-	t.Logf("quota moves %d, migrated in %d, completed %d", res.QuotaMoves, res.MigratedIn, res.Completed)
-	return res.QuotaMoves > 0
-}
-
-// TestScenarioZipfQuotaMoves: a zipf-skewed tenant trace pinned to
-// shards must make the elastic controller move worker quota toward the
-// hot shard.
-func TestScenarioZipfQuotaMoves(t *testing.T) {
-	if testing.Short() {
-		t.Skip("replays ~150ms traces repeatedly")
-	}
-	const attempts = 3
-	for i := 1; i <= attempts; i++ {
-		if zipfAttempt(t) {
-			return
-		}
-		t.Logf("attempt %d/%d saw no quota move", i, attempts)
-	}
-	t.Errorf("elastic controller moved no quota on the zipf trace in %d attempts", attempts)
-}
-
 // TestScenarioCorpusReplays replays checked-in golden traces through the
 // xgomptb preset — the CI smoke that the corpus files, the trace reader,
 // and the replayer agree end to end.

@@ -20,61 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/load"
 	"repro/internal/numa"
-	"repro/internal/prof"
 )
-
-// ElasticConfig configures the third balancing level: an elastic capacity
-// controller that moves *worker quota* between shards, where the first
-// level places jobs and the second migrates queued jobs. Every Interval
-// the controller compares per-shard load (admission queue depth + jobs in
-// flight) against the shard's active worker count and, when one shard has
-// been oversubscribed while another has idle active workers for
-// Hysteresis consecutive ticks, parks one worker on the cold donor
-// (Team.SetActive down) and unparks one on the hot shard (SetActive up).
-// The sum of active workers never exceeds TotalBudget, so the pool can be
-// provisioned with per-shard capacity headroom (Team.Workers above the
-// per-shard share of the budget) that quota moves into whichever domain
-// the traffic actually hits.
-type ElasticConfig struct {
-	// Enabled turns the controller on. When false the other fields are
-	// ignored and every shard keeps all its workers active.
-	Enabled bool
-	// MinPerShard is the floor of active workers per shard (a shard must
-	// always be able to drain its own admission queue). 0 means 1.
-	MinPerShard int
-	// MaxPerShard caps active workers per shard. 0 means the shard's
-	// capacity (its team's Workers); values above capacity are clamped.
-	MaxPerShard int
-	// TotalBudget is the total number of active workers across all
-	// shards. 0 means the sum of the per-shard caps (shard capacities,
-	// or MaxPerShard where that is lower) — no headroom, so the
-	// controller then has nothing to move. It must admit a distribution
-	// within the per-shard min/max bounds.
-	TotalBudget int
-	// Interval is the controller's tick period. 0 means 1ms; negative
-	// disables the background loop (RebalanceQuota can still be called
-	// manually).
-	Interval time.Duration
-	// Hysteresis is how many consecutive ticks the same shard must stay
-	// the oversubscribed candidate before quota moves — the damping that
-	// keeps a transient burst from stealing a worker the donor is about
-	// to need back. 0 means 2.
-	Hysteresis int
-}
-
-// QuotaMove records one elastic quota reassignment: at time At (since
-// pool construction) one worker of quota moved from shard From to shard
-// To, leaving them with FromActive and ToActive active workers.
-type QuotaMove struct {
-	At         time.Duration
-	From, To   int
-	FromActive int
-	ToActive   int
-}
-
-// maxQuotaTrace bounds the retained quota-move trace; a long-lived pool
-// keeps the most recent moves (the lifetime count is in Stats).
-const maxQuotaTrace = 4096
 
 // ShardConfig assembles a ShardedPool.
 type ShardConfig struct {
@@ -101,20 +47,13 @@ type ShardConfig struct {
 	// MigrateThreshold is the minimum queue-depth gap (hottest minus
 	// coldest shard) that triggers migration. 0 means 2.
 	MigrateThreshold int
-
-	// Elastic configures the elastic capacity controller (the third
-	// balancing level: worker-quota moves between shards).
-	Elastic ElasticConfig
 }
 
 // ShardStats is one shard's load and migration picture at a point in time.
 type ShardStats struct {
-	// Shard is the shard index, Workers its team's maximum capacity, and
-	// ActiveWorkers how many of those are currently unparked (equal to
-	// Workers unless the elastic controller moved quota away).
-	Shard         int
-	Workers       int
-	ActiveWorkers int
+	// Shard is the shard index and Workers its team's size.
+	Shard   int
+	Workers int
 	// QueueDepth is the shard's NJOBS_QUEUED gauge: jobs submitted but not
 	// yet adopted. ActiveJobs additionally counts adopted jobs still
 	// running.
@@ -132,7 +71,7 @@ type ShardStats struct {
 // serving Team per NUMA domain behind a two-level dynamic load balancer. A
 // single team serving concurrent jobs is its one-shard case (NewPool),
 // where placement has one answer and the balancers do not run; reach that
-// team's load signals, profile and active-worker lever through Team(0).
+// team's load signals and profile through Team(0).
 //
 //	pool := xomp.MustShardedPool(xomp.ShardConfig{
 //		Shards: 4,
@@ -151,15 +90,9 @@ type ShardStats struct {
 // detection, and panic isolation across a migration; a job that has begun
 // executing is never moved, so every task of one job always runs inside
 // one team, preserving the intra-team locality the paper's DLB exploits.
-// Level three (opt-in via ShardConfig.Elastic): an elastic capacity
-// controller moves *worker quota* between shards — sustained
-// oversubscription on one shard parks a worker on an idle shard
-// (Team.SetActive) and unparks one on the hot shard, so the resource
-// allocation itself follows the traffic instead of only the work
-// placement. Tasks move inside a team, jobs move between teams, workers'
-// quota moves between teams: three granularities of the same hot→cold
-// feedback loop. Each level runs one fixed plan over the shards' load
-// signals (power-of-two choices, gap halving, oversubscribed quota); the
+// Tasks move inside a team and jobs move between teams: two granularities
+// of the same hot→cold feedback loop. Each level runs one fixed plan over
+// the shards' load signals (power-of-two choices, gap halving); the
 // admission policy (Config.Admit) is the pool's one selectable balancer.
 //
 // Jobs are isolated from each other: each has its own quiescence detection
@@ -174,7 +107,6 @@ type ShardStats struct {
 // they were submitted to (or migrated from) different shards.
 type ShardedPool struct {
 	shards []*core.Team
-	start  time.Time
 
 	// migrate is the second-level balancer's plan.
 	migrate load.GapHalving
@@ -189,23 +121,10 @@ type ShardedPool struct {
 	stopBal chan struct{}
 	balOnce sync.Once
 	balWG   sync.WaitGroup
-
-	// el is the elastic capacity controller's state (third balancing
-	// level). mu serializes controller ticks (background loop and manual
-	// RebalanceQuota calls) and guards the quota plan's hysteresis
-	// state; trace is the bounded quota-move log and its lifetime count.
-	el struct {
-		enabled bool
-		policy  load.OversubscribedQuota
-		minEff  []int // per-shard active floor
-		maxEff  []int // per-shard active cap (≤ capacity)
-		mu      sync.Mutex
-		trace   prof.Ring[QuotaMove]
-	}
 }
 
 // signals snapshots every shard's current load signals — the one view the
-// migration and quota plans decide from.
+// migration plan decides from.
 func (p *ShardedPool) signals() []load.Signals {
 	out := make([]load.Signals, len(p.shards))
 	for i, tm := range p.shards {
@@ -269,13 +188,8 @@ func NewShardedPool(cfg ShardConfig) (*ShardedPool, error) {
 	p := &ShardedPool{
 		shards:  make([]*core.Team, len(shardTops)),
 		migrate: load.GapHalving{Threshold: threshold},
-		start:   time.Now(),
 		seed:    uint64(baseSeed) * 0x9e3779b97f4a7c15,
 		stopBal: make(chan struct{}),
-	}
-	quota, err := p.initElastic(cfg.Elastic, shardTops)
-	if err != nil {
-		return nil, err
 	}
 	for s, st := range shardTops {
 		c := base
@@ -291,9 +205,6 @@ func NewShardedPool(cfg ShardConfig) (*ShardedPool, error) {
 		if err == nil {
 			err = tm.Serve()
 		}
-		if err == nil && quota != nil && quota[s] < tm.Workers() {
-			err = tm.SetActive(quota[s])
-		}
 		if err != nil {
 			for _, started := range p.shards[:s] {
 				started.Close()
@@ -306,155 +217,8 @@ func NewShardedPool(cfg ShardConfig) (*ShardedPool, error) {
 		p.balWG.Add(1)
 		go p.balance(interval)
 	}
-	if p.el.enabled && len(p.shards) > 1 && cfg.Elastic.Interval >= 0 {
-		tick := cfg.Elastic.Interval
-		if tick == 0 {
-			tick = time.Millisecond
-		}
-		p.balWG.Add(1)
-		go p.elasticLoop(tick)
-	}
 	return p, nil
 }
-
-// initElastic validates the elastic configuration against the shard
-// layout, fills the controller's per-shard bounds, and returns the
-// initial active-quota split (nil when elasticity is off). The budget is
-// spread evenly and then clamped into the per-shard [min, max] bounds,
-// pushing any remainder to shards that still have headroom.
-func (p *ShardedPool) initElastic(e ElasticConfig, shardTops []Topology) ([]int, error) {
-	if !e.Enabled {
-		return nil, nil
-	}
-	n := len(shardTops)
-	floor := e.MinPerShard
-	if floor == 0 {
-		floor = 1
-	}
-	if floor < 1 {
-		return nil, fmt.Errorf("xomp: Elastic.MinPerShard must be >= 1, got %d", e.MinPerShard)
-	}
-	if e.Hysteresis < 0 {
-		return nil, fmt.Errorf("xomp: Elastic.Hysteresis must be >= 0, got %d", e.Hysteresis)
-	}
-	p.el.enabled = true
-	p.el.trace = prof.NewRing[QuotaMove](maxQuotaTrace)
-	hysteresis := e.Hysteresis
-	if hysteresis == 0 {
-		hysteresis = 2
-	}
-	p.el.policy = load.OversubscribedQuota{Hysteresis: hysteresis}
-	p.el.minEff = make([]int, n)
-	p.el.maxEff = make([]int, n)
-	sumMin, sumMax := 0, 0
-	for s, st := range shardTops {
-		capacity := st.Workers
-		if floor > capacity {
-			return nil, fmt.Errorf("xomp: Elastic.MinPerShard %d exceeds shard %d capacity %d", floor, s, capacity)
-		}
-		ceil := e.MaxPerShard
-		if ceil == 0 || ceil > capacity {
-			ceil = capacity
-		}
-		if ceil < floor {
-			return nil, fmt.Errorf("xomp: Elastic.MaxPerShard %d below MinPerShard %d", e.MaxPerShard, floor)
-		}
-		p.el.minEff[s] = floor
-		p.el.maxEff[s] = ceil
-		sumMin += floor
-		sumMax += ceil
-	}
-	budget := e.TotalBudget
-	if budget == 0 {
-		budget = sumMax
-	}
-	if budget < sumMin || budget > sumMax {
-		return nil, fmt.Errorf("xomp: Elastic.TotalBudget %d outside [%d, %d] admitted by the per-shard bounds", budget, sumMin, sumMax)
-	}
-	split := make([]int, n)
-	left := budget
-	for s := range split {
-		split[s] = floor
-		left -= floor
-	}
-	for left > 0 {
-		gave := false
-		for s := range split {
-			if left > 0 && split[s] < p.el.maxEff[s] {
-				split[s]++
-				left--
-				gave = true
-			}
-		}
-		if !gave {
-			break
-		}
-	}
-	return split, nil
-}
-
-// elasticLoop is the background capacity controller: one RebalanceQuota
-// tick per interval until Close.
-func (p *ShardedPool) elasticLoop(interval time.Duration) {
-	defer p.balWG.Done()
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-p.stopBal:
-			return
-		case <-tick.C:
-			p.RebalanceQuota()
-		}
-	}
-}
-
-// RebalanceQuota runs one elastic-controller tick synchronously: snapshot
-// every shard's load signals, let the quota plan (load.OversubscribedQuota,
-// with hysteresis) pick a donor and the shard whose live jobs most
-// oversubscribe its active workers, and move one worker of quota — donor
-// parks first, so the active total never exceeds the budget. It reports whether quota
-// moved. The background loop calls this every Elastic.Interval; tests and
-// latency-sensitive callers may invoke it directly.
-func (p *ShardedPool) RebalanceQuota() bool {
-	if !p.el.enabled || p.closed.Load() {
-		return false
-	}
-	p.el.mu.Lock()
-	defer p.el.mu.Unlock()
-	sigs := p.signals()
-	cold, hot, ok := p.el.policy.Plan(sigs, p.el.minEff, p.el.maxEff)
-	if !ok {
-		return false
-	}
-	coldAct := int(sigs[cold].Capacity)
-	hotAct := int(sigs[hot].Capacity)
-	// Donor parks before the receiver unparks, so the sum of active
-	// workers never exceeds TotalBudget, not even transiently.
-	if err := p.shards[cold].SetActive(coldAct - 1); err != nil {
-		return false
-	}
-	if err := p.shards[hot].SetActive(hotAct + 1); err != nil {
-		p.shards[cold].SetActive(coldAct) // return the donated quota
-		return false
-	}
-	p.el.trace.Add(QuotaMove{
-		At:         time.Since(p.start),
-		From:       cold,
-		To:         hot,
-		FromActive: coldAct - 1,
-		ToActive:   hotAct + 1,
-	})
-	return true
-}
-
-// QuotaMoves returns how many elastic quota reassignments the controller
-// has made over the pool's lifetime.
-func (p *ShardedPool) QuotaMoves() uint64 { return p.el.trace.Total() }
-
-// QuotaTrace returns a copy of the retained quota-move history in move
-// order (the most recent maxQuotaTrace moves; QuotaMoves counts all).
-func (p *ShardedPool) QuotaTrace() []QuotaMove { return p.el.trace.Snapshot() }
 
 // MustShardedPool is NewShardedPool, panicking on configuration errors.
 func MustShardedPool(cfg ShardConfig) *ShardedPool {
@@ -663,17 +427,6 @@ func (p *ShardedPool) Workers() int {
 	return n
 }
 
-// ActiveWorkers returns the total number of currently active (unparked)
-// workers across all shards — at most Elastic.TotalBudget when the
-// elastic controller is on, and equal to Workers otherwise.
-func (p *ShardedPool) ActiveWorkers() int {
-	n := 0
-	for _, tm := range p.shards {
-		n += tm.ActiveWorkers()
-	}
-	return n
-}
-
 // Team returns shard s's serving team, e.g. for Profile() access. Do not
 // call Run/Close on it while the pool is open.
 func (p *ShardedPool) Team(s int) *Team { return p.shards[s] }
@@ -687,7 +440,6 @@ func (p *ShardedPool) Stats() []ShardStats {
 		out[i] = ShardStats{
 			Shard:         i,
 			Workers:       tm.Workers(),
-			ActiveWorkers: tm.ActiveWorkers(),
 			QueueDepth:    tm.QueueDepth(),
 			ActiveJobs:    tm.ActiveJobs(),
 			JobsCompleted: tm.Profile().JobsTotal(),

@@ -88,8 +88,8 @@
 //
 // Each job has its own quiescence detection and panic capture, so jobs are
 // isolated from each other while their tasks share queues, allocator, and
-// dynamic load balancing. The team's load signals, profile and
-// active-worker lever are pool.Team(0)'s.
+// dynamic load balancing. The team's load signals and profile are
+// pool.Team(0)'s.
 //
 // Admission is itself policy-driven: ShardedPool.SubmitCtx submits under an
 // admission contract — a priority class (interactive/batch/background,
@@ -102,13 +102,9 @@
 //
 // To scale the job server across NUMA domains, a ShardedPool of several
 // shards runs one serving team per domain behind a two-level dynamic load
-// balancer: jobs
-// are placed on the less loaded of two random shards and a second-level
-// balancer migrates queued jobs off overloaded shards. With
-// ShardConfig.Elastic a third level balances capacity itself: worker
-// quota moves from cold shards to sustained-hot ones (Team.SetActive
-// parks and unparks workers), keeping the active total at a budget. See
-// ShardedPool, ShardConfig, and ElasticConfig.
+// balancer: jobs are placed on the less loaded of two random shards and a
+// second-level balancer migrates queued jobs off overloaded shards. See
+// ShardedPool and ShardConfig.
 package xomp
 
 import (
@@ -283,7 +279,7 @@ type (
 )
 
 // Signals is one serving team's (shard's) load picture: queued and
-// running jobs, active capacity, and the smoothed job run time; see
+// running jobs, capacity, and the smoothed job run time; see
 // Team.Signals.
 type Signals = load.Signals
 
