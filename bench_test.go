@@ -513,6 +513,7 @@ func benchCheapBatch(b *testing.B, preset string, size, backlog int) {
 	for i := range items {
 		items[i] = xomp.BatchItem{Fn: noop, Opts: xomp.SubmitOpts{Priority: xomp.ClassBatch}}
 	}
+	results := make([]xomp.BatchResult, size)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -522,8 +523,8 @@ func benchCheapBatch(b *testing.B, preset string, size, backlog int) {
 		if rem := b.N - done; rem < n {
 			n = rem
 		}
-		res, err := pool.SubmitBatchCtx(ctx, items[:n])
-		if err != nil {
+		res := results[:n]
+		if err := pool.SubmitBatchCtx(ctx, items[:n], res); err != nil {
 			b.Fatal(err)
 		}
 		for i := range res {
@@ -585,6 +586,7 @@ func BenchmarkBotsMixInProcess(b *testing.B) {
 		go func() {
 			defer wg.Done()
 			items := make([]xomp.BatchItem, frame)
+			results := make([]xomp.BatchResult, frame)
 			for {
 				first := int(next.Add(frame)) - frame
 				if first >= b.N {
@@ -594,8 +596,8 @@ func BenchmarkBotsMixInProcess(b *testing.B) {
 				for i := range items[:n] {
 					items[i].Fn = bots.Get(mix[(first+i)%len(mix)], bots.ScaleTest).Body
 				}
-				res, err := pool.SubmitBatchCtx(context.Background(), items[:n])
-				if err != nil {
+				res := results[:n]
+				if err := pool.SubmitBatchCtx(context.Background(), items[:n], res); err != nil {
 					b.Error(err)
 					return
 				}

@@ -325,6 +325,7 @@ func main() {
 			// is its batch's single submit-call latency.
 			if *batchN > 1 {
 				items := make([]xomp.BatchItem, 0, *batchN)
+				results := make([]xomp.BatchResult, *batchN)
 				type slot struct {
 					name   string
 					app    bots.Benchmark
@@ -357,7 +358,8 @@ func main() {
 						meta = append(meta, slot{names[m], app, class, tenant})
 					}
 					t0 := time.Now()
-					res, err := pool.SubmitBatchCtx(ctx, items)
+					res := results[:n]
+					err := pool.SubmitBatchCtx(ctx, items, res)
 					admitTime := time.Since(t0)
 					if err != nil {
 						fmt.Fprintf(os.Stderr, "submitter %d: batch submit: %v\n", s, err)

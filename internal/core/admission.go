@@ -150,8 +150,35 @@ func (tm *Team) SubmitBatchInto(ctx context.Context, items []BatchItem, res []Ba
 
 // admitStack is the batch size up to which admitBatch's per-item scratch
 // lives on its stack: it covers single submissions and a sharded pool's
-// dispatch chunks, so those admit without allocating.
+// dispatch chunks. Larger batches borrow it from admitScratchPool, so no
+// batch size allocates once the pool is warm.
 const admitStack = 16
+
+// admitScratch is admitBatch's per-item scratch for a batch larger than
+// admitStack.
+type admitScratch struct {
+	wait   []bool
+	roots  []*Task
+	frames []*Job
+}
+
+var admitScratchPool = sync.Pool{New: func() any { return new(admitScratch) }}
+
+// size returns the scratch cut to n items, growing it first if needed.
+func (s *admitScratch) size(n int) (wait []bool, roots []*Task, frames []*Job) {
+	if cap(s.wait) < n {
+		s.wait, s.roots, s.frames = make([]bool, n), make([]*Task, n), make([]*Job, n)
+	}
+	return s.wait[:n], s.roots[:0], s.frames[:n]
+}
+
+// put clears the scratch's frame and root pointers, so a pooled scratch
+// pins no job frame, and returns it to the pool.
+func (s *admitScratch) put() {
+	clear(s.roots[:cap(s.roots)])
+	clear(s.frames[:cap(s.frames)])
+	admitScratchPool.Put(s)
+}
 
 // admitBatch is the admission state machine — the one implementation
 // behind every Submit variant, a single submission being the batch of
@@ -170,7 +197,10 @@ func (tm *Team) admitBatch(ctx context.Context, svc *service, items []BatchItem,
 	)
 	wait, roots, frames := waitBuf[:], rootBuf[:0], frameBuf[:]
 	if len(items) > admitStack {
-		wait, roots, frames = make([]bool, len(items)), make([]*Task, 0, len(items)), make([]*Job, len(items))
+		s := admitScratchPool.Get().(*admitScratch)
+		defer s.put()
+		wait, roots, frames = s.size(len(items))
+		clear(wait)
 	}
 
 	// Phase 1: validate every item and take the policy's per-item verdict
@@ -273,14 +303,18 @@ func (tm *Team) admitBatch(ctx context.Context, svc *service, items []BatchItem,
 		}
 	}
 
-	// Phase 3: draw the frames — one run from one pool lane — and raise the
+	// Phase 3: draw the frames — one run from one pool lane — resolve the
+	// tenant's ledger slot once per run of same-tenant items, and raise the
 	// gauges, grouped: one Queued event per run of consecutive same-class,
 	// same-tenant items (one for the whole batch when it is uniform). The
 	// gauges rise before the enqueue so a blocked submitter still counts as
 	// demand against this team (the signal a sharded dispatcher compares);
 	// adoption, migration, and rollbackSubmit decrement them.
 	admitStart := tm.profile.Now()
-	var classTotal [load.NumClasses]int
+	var (
+		classTotal [load.NumClasses]int
+		prev       *Job
+	)
 	frames = frames[:admissible]
 	lane := tm.acquireJobs(seq+1, frames)
 	for i := range items {
@@ -291,12 +325,18 @@ func (tm *Team) admitBatch(ctx context.Context, svc *service, items []BatchItem,
 		j := frames[0]
 		frames = frames[1:]
 		j.resetForSubmit(tm, lane, seq, items[i].Fn, items[i].Opts.Priority, items[i].Opts.Tenant)
-		j.submitNS.Store(admitStart)
+		if prev != nil && prev.tenant.ID == j.tenant.ID {
+			j.ten = prev.ten
+		} else {
+			j.ten = tm.profile.Tenant(j.tenant)
+		}
+		j.submitNS = admitStart
 		res[i].Job = j
 		classTotal[j.class]++
+		prev = j
 	}
-	forEachRun(res, classTotal, func(c load.Class, t load.Tenant, n int) {
-		tm.profile.Queued(c, t, int64(n))
+	forEachRun(res, classTotal, func(j *Job, n int) {
+		tm.profile.Queued(j.class, j.ten, int64(n))
 	})
 
 	// Phase 4: each class group enters its ring with one reserving CAS;
@@ -320,8 +360,8 @@ func (tm *Team) admitBatch(ctx context.Context, svc *service, items []BatchItem,
 	}
 	svc.bell.RingMany(total)
 	lat := tm.profile.Now() - admitStart
-	forEachRun(res, enq, func(c load.Class, t load.Tenant, n int) {
-		tm.profile.Admitted(c, t, n, lat)
+	forEachRun(res, enq, func(j *Job, n int) {
+		tm.profile.Admitted(j.class, j.tenant, n, lat)
 	})
 	if total == admissible {
 		return
@@ -573,17 +613,19 @@ func (q *runQueue) queued() int {
 }
 
 // forEachRun calls fn once per run of consecutive same-class, same-tenant
-// items, with the run's length, over the items that hold a job frame and
-// are among the first limit[c] such items of their class c (in batch
-// order) — every framed item when limit is the per-class frame count,
-// the ones that entered the ring when it is phase 4's enqueue count.
-// Callers batching per class and tenant get O(1) profile traffic; mixed
-// batches degrade to per-item.
-func forEachRun(res []BatchResult, limit [load.NumClasses]int, fn func(c load.Class, t load.Tenant, n int)) {
-	var seen [load.NumClasses]int
+// items, with the run's first job and its length, over the items that
+// hold a job frame and are among the first limit[c] such items of their
+// class c (in batch order) — every framed item when limit is the
+// per-class frame count, the ones that entered the ring when it is phase
+// 4's enqueue count. Callers batching per class and tenant get O(1)
+// profile traffic; mixed batches degrade to per-item. It reads only the
+// fields fixed for the job's generation, so it may run after the jobs
+// are published; fn may read Job.ten only before that (a migration
+// rewrites it).
+func forEachRun(res []BatchResult, limit [load.NumClasses]int, fn func(first *Job, n int)) {
 	var (
-		class load.Class
-		run   load.Tenant
+		seen  [load.NumClasses]int
+		first *Job
 	)
 	runN := 0
 	for i := range res {
@@ -595,17 +637,17 @@ func forEachRun(res []BatchResult, limit [load.NumClasses]int, fn func(c load.Cl
 		if seen[j.class] > limit[j.class] {
 			continue
 		}
-		if runN > 0 && (j.class != class || j.tenant.ID != run.ID) {
-			fn(class, run, runN)
+		if runN > 0 && (j.class != first.class || j.tenant.ID != first.tenant.ID) {
+			fn(first, runN)
 			runN = 0
 		}
 		if runN == 0 {
-			class, run = j.class, j.tenant
+			first = j
 		}
 		runN++
 	}
 	if runN > 0 {
-		fn(class, run, runN)
+		fn(first, runN)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/load"
+	"repro/internal/prof"
 )
 
 // Job is the handle to one unit of work submitted to a serving Team (see
@@ -53,8 +54,12 @@ type Job struct {
 	// tenant is the submitting tenant (SubmitOpts.Tenant), fixed at
 	// submission like class: it keys the per-tenant gauges and counters
 	// along the job's whole path (admission, adoption, migration,
-	// completion) and is recorded on the JobRecord.
+	// completion) and is recorded on the JobRecord. ten is its ledger
+	// slot on the profile of the team whose queue holds the job, resolved
+	// once per same-tenant run at admission and again on a migration's
+	// destination, so adoption and completion skip the lookup.
 	tenant load.Tenant
+	ten    prof.TenantRef
 
 	// fail is the outcome: nil until the first panicking task publishes
 	// its PanicError (first CAS wins). Later tasks of a failed job skip
@@ -62,32 +67,32 @@ type Job struct {
 	// job still quiesces.
 	fail atomic.Pointer[PanicError]
 
-	// migrated is set when a second-level balancer moved this job, while
-	// still queued, from the team it was submitted to onto another team
-	// (see MigrateQueuedJob).
-	migrated atomic.Bool
-
-	// tag is an opaque caller-set value carried through the job's
-	// lifetime (the network edge stores the connection-relative wire
-	// sequence number here).
-	tag atomic.Uint64
-
 	// home/lane identify the frame pool (the submitting team's, even
 	// after a migration) and the pool lane the frame came from.
 	home *Team
 	lane int
 
-	// Profiling fields: the adopting worker and nanosecond timestamps on
-	// the executing team profile's clock. worker/startNS are written by
-	// the adopter before the root runs; endNS by the completing worker;
-	// submitNS by Submit before the job is published, and rebased onto the
-	// destination team's clock when the job migrates. The atomic wrapper
-	// types guarantee the alignment 64-bit atomics need on 32-bit
-	// platforms (and make the migration rebase race-free against readers).
-	worker   atomic.Int32
-	submitNS atomic.Int64
-	startNS  atomic.Int64
-	endNS    atomic.Int64
+	// The stamps: the caller's tag (the network edge stores the
+	// connection-relative wire sequence number here), whether a
+	// second-level balancer moved the job while it was queued
+	// (MigrateQueuedJob), the adopting worker, and nanosecond times on
+	// the executing team profile's clock. They are plain fields: each has
+	// one writer at a time, and each reader sits behind a happens-before
+	// edge of the job's own protocol (ARCHITECTURE.md, "What one job
+	// costs", names the edge per field). The submitter writes submitNS
+	// and resets tag and migrated before the intake ring publishes the
+	// job; the migrator, which owns the job from its dequeue to its
+	// re-enqueue, sets migrated and rebases submitNS onto the destination
+	// team's clock; the adopter writes worker and startNS before the root
+	// runs; the completing worker writes endNS before finish's Swap. The
+	// caller's SetTag precedes its Subscribe or Wait. The accessors are
+	// therefore valid once the job has completed.
+	tag      uint64
+	migrated bool
+	worker   int32
+	submitNS int64
+	startNS  int64
+	endNS    int64
 
 	// root is the job's root task. It comes last so that the root's call
 	// block (argument and result words), which a submission never touches,
@@ -252,7 +257,9 @@ func (j *Job) retire(from uint64) bool {
 		return false
 	}
 	j.root.fn, j.root.job, j.sink, j.next = nil, nil, sink{}, nil
-	j.fail.Store(nil)
+	if j.failed() {
+		j.fail.Store(nil)
+	}
 	return true
 }
 
@@ -311,11 +318,15 @@ func (j *Job) subscribe(s sink) {
 
 // SetTag attaches an opaque caller value to the job for the rest of its
 // generation; Tag reads it back. The network edge keys result records by
-// it. Reset on frame recycling like every other per-submission field.
-func (j *Job) SetTag(v uint64) { j.tag.Store(v) }
+// it. Call it before the Subscribe, SubscribeTo or Wait that hands the
+// job's completion to its receiver; the value is reset on frame recycling
+// like every other per-submission field.
+func (j *Job) SetTag(v uint64) { j.tag = v }
 
-// Tag returns the value set by SetTag (0 if never set).
-func (j *Job) Tag() uint64 { return j.tag.Load() }
+// Tag returns the value set by SetTag (0 if never set). Like the other
+// stamps it is for the job's receiver: read it after Wait returns or
+// after the job was delivered.
+func (j *Job) Tag() uint64 { return j.tag }
 
 // resetForSubmit re-initializes a (possibly recycled) frame for one
 // submission. The frame pool hands frames to one submitter at a time, so
@@ -337,38 +348,38 @@ func (j *Job) resetForSubmit(tm *Team, lane int, id int64, fn TaskFunc, class lo
 	j.id = id
 	j.class = class
 	j.tenant = tenant
-	j.migrated.Store(false)
-	j.tag.Store(0)
+	j.migrated = false
+	j.tag = 0
 	j.home = tm
 	j.lane = lane
-	j.worker.Store(-1)
 	j.root.reset(fn, nil, 0)
 	j.root.job = j
 	j.word.Store(w + 1<<phaseBits + jobInFlight)
 }
 
-// Worker returns the worker that adopted the job's root task, or -1 while
-// the job is still queued. After a migration the id refers to a worker of
-// the team the job migrated to.
-func (j *Job) Worker() int { return int(j.worker.Load()) }
+// Worker returns the worker that adopted the job's root task. After a
+// migration the id refers to a worker of the team the job migrated to.
+// Valid after completion: Wait returned, or the job was delivered.
+func (j *Job) Worker() int { return int(j.worker) }
 
 // Migrated reports whether a second-level balancer moved this job off the
-// team it was submitted to while it was still queued (see MigrateQueuedJob).
-func (j *Job) Migrated() bool { return j.migrated.Load() }
+// team it was submitted to while it was still queued (see
+// MigrateQueuedJob). Valid after completion.
+func (j *Job) Migrated() bool { return j.migrated }
 
 // Class returns the job's admission priority class.
 func (j *Job) Class() load.Class { return j.class }
 
 // QueueDelay returns how long the job waited in the admission queue before
-// a worker adopted it. Valid once the job has started.
-func (j *Job) QueueDelay() time.Duration {
-	return time.Duration(j.startNS.Load() - j.submitNS.Load())
-}
+// a worker adopted it. Valid after completion.
+func (j *Job) QueueDelay() time.Duration { return time.Duration(j.startNS - j.submitNS) }
 
-// RunTime returns the time from adoption to quiescence. Valid after Wait.
-func (j *Job) RunTime() time.Duration {
-	return time.Duration(j.endNS.Load() - j.startNS.Load())
-}
+// RunTime returns the time from adoption to quiescence. A job's run is
+// timed from the moment its worker was free to take it: a worker that
+// adopts it straight after finishing another job starts it at that job's
+// end reading, or at its submission if that came later (Team.adopt).
+// Valid after completion.
+func (j *Job) RunTime() time.Duration { return time.Duration(j.endNS - j.startNS) }
 
 // failed reports whether a task of this job has panicked.
 func (j *Job) failed() bool { return j.fail.Load() != nil }

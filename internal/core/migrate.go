@@ -58,16 +58,19 @@ func MigrateQueuedJob(src, dst *Team) bool {
 		ssvc.enqueueMigrated(j.class, t) // src still counts it: put it back
 		return false
 	}
-	src.profile.Migrated(j.class, j.tenant, -1)
+	src.profile.Migrated(j.class, j.ten, -1)
 	ssvc.jobDone()
 
-	j.migrated.Store(true)
+	// Between the dequeue and the enqueue below this goroutine owns the
+	// job, so its stamps and tenant ref are plain writes.
+	j.migrated = true
 	// Rebase the submission timestamp onto dst's profile clock (each
 	// profile's nanosecond base is its construction time), so QueueDelay
 	// and the JobRecord recorded on dst stay on one time base. Sampling
 	// the two clocks back-to-back bounds the rebase error to nanoseconds.
-	j.submitNS.Add(dst.profile.Now() - src.profile.Now())
-	dst.profile.Migrated(j.class, j.tenant, 1)
+	j.submitNS += dst.profile.Now() - src.profile.Now()
+	j.ten = dst.profile.Tenant(j.tenant)
+	dst.profile.Migrated(j.class, j.ten, 1)
 	// The job leaves src's tenant plane with it: a tenant-tracking
 	// admission policy on src granted this work and would otherwise
 	// count it in flight forever. When both teams share one policy

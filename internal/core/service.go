@@ -261,18 +261,23 @@ func (tm *Team) serve(svc *service, w *Worker) {
 		<-timer.C
 	}
 	defer timer.Stop()
+	// free is the clock reading of the last job this worker finished,
+	// while nothing has run since: the start of the next job it adopts.
+	// Every other execution replaces it and every idle poll drops it.
+	var free int64
 	for {
 		if t := tm.sched.pop(w.id); t != nil {
 			w.found()
-			tm.execute(w, t)
+			free = tm.execute(w, t)
 			continue
 		}
 		if t, woke := svc.tryRecv(); t != nil {
 			w.found()
 			w.woke = w.woke || woke
-			tm.adopt(w, t)
+			free = tm.adopt(w, t, free)
 			continue
 		}
+		free = 0
 		if svc.phase() >= svcStopping {
 			w.found()
 			return
@@ -347,39 +352,50 @@ func rearm(t *time.Timer, d time.Duration) {
 // and DLB. Job tasks stay out of the region barrier's task counter — a
 // serving team opens no region, and a job quiesces through its root's
 // join cascade — so only the profile counts them.
-func (tm *Team) adopt(w *Worker, t *Task) {
+//
+// free is the serve loop's reading of the moment w finished its last job,
+// 0 when something ran or w polled idle since: the job starts when w was
+// free to take it, or when it was submitted if that came later, and only
+// without a reading does adopt read the clock. adopt returns what
+// execute returns.
+func (tm *Team) adopt(w *Worker, t *Task, free int64) int64 {
 	j := t.job
-	tm.profile.Queued(j.class, j.tenant, -1)
+	if free == 0 {
+		free = tm.profile.Now()
+	}
+	j.startNS = max(free, j.submitNS)
+	j.worker = int32(w.id)
 	t.creator = int32(w.id)
-	j.worker.Store(int32(w.id))
-	j.startNS.Store(tm.profile.Now())
+	tm.profile.Queued(j.class, j.ten, -1)
 	w.prof.Inc(prof.CntJobsAdopted)
 	// Mirror spawn's accounting so NTASKS_CREATED and NTASKS_EXECUTED
 	// stay balanced across service-mode profiles.
 	w.prof.Inc(prof.CntTasksCreated)
-	tm.execute(w, t)
+	return tm.execute(w, t)
 }
 
 // finishJob publishes a job's completion. It runs on whichever worker
-// closed the root task's join count (see cascade), and reports
-// whether it woke the job's waiter or receiver.
-func (tm *Team) finishJob(j *Job) bool {
-	j.endNS.Store(tm.profile.Now())
+// closed the root task's join count (see cascade), reads the clock once,
+// and returns that reading (the job's end) and whether it woke the job's
+// waiter or receiver.
+func (tm *Team) finishJob(j *Job) (end int64, woke bool) {
+	end = tm.profile.Now()
+	j.endNS = end
 	tm.profile.JobDone(prof.JobRecord{
 		ID:       j.id,
-		Worker:   int(j.worker.Load()),
-		Submit:   j.submitNS.Load(),
-		Start:    j.startNS.Load(),
-		End:      j.endNS.Load(),
+		Worker:   int(j.worker),
+		Submit:   j.submitNS,
+		Start:    j.startNS,
+		End:      end,
 		Class:    int(j.class),
 		Tenant:   j.tenant.ID,
 		Panicked: j.failed(),
-		Migrated: j.migrated.Load(),
-	})
+		Migrated: j.migrated,
+	}, j.ten)
 	// Close the loop to a tenant-tracking admission policy: the measured
 	// run time feeds the tenant's service-time EWMA on the WFQ plane.
 	if ob, ok := tm.admit.(load.TenantObserver); ok {
-		ob.ObserveComplete(j.tenant, float64(j.endNS.Load()-j.startNS.Load()))
+		ob.ObserveComplete(j.tenant, float64(end-j.startNS))
 	}
 	// Retire before publishing: a waiter that finish releases must already
 	// find the job gone from ActiveJobs (Close joins the workers after the
@@ -388,7 +404,7 @@ func (tm *Team) finishJob(j *Job) bool {
 	// finish must be the last access to j on this path: it releases the
 	// waiter, and a released waiter may Release() the frame — from that
 	// point the frame can be recycled and belong to an unrelated job.
-	return j.finish()
+	return end, j.finish()
 }
 
 // runJobTask executes a job task's body with per-job panic isolation: a

@@ -275,8 +275,10 @@ func (tm *Team) recordPanic(r any) {
 }
 
 // execute runs task t on worker w: a scheduling point (the worker becomes a
-// victim), the body, completion accounting, and descriptor recycling.
-func (tm *Team) execute(w *Worker, t *Task) {
+// victim), the body, completion accounting, and descriptor recycling. It
+// returns the end reading of the job t's completion finished (cascade),
+// else 0; only the serve loop keeps it (see adopt).
+func (tm *Team) execute(w *Worker, t *Task) int64 {
 	w.timeoutCtr = 0 // no longer idle
 	if d := &tm.cfg.DLB; d.Strategy != DLBNone {
 		tm.victimCheck(w, d)
@@ -306,8 +308,9 @@ func (tm *Team) execute(w *Worker, t *Task) {
 		th.Inc(prof.CntTasksRemote)
 	}
 	if t.bodyDone() {
-		tm.cascade(w, t)
+		return tm.cascade(w, t)
 	}
+	return 0
 }
 
 // cascade recycles a fully completed task and propagates completion to
@@ -315,8 +318,8 @@ func (tm *Team) execute(w *Worker, t *Task) {
 // refs.Add(-1), and the one that lands on zero is complete too (see Task).
 // A job's root task completing here means the job's whole subtree has
 // quiesced — the per-job analogue of the region barrier's termination
-// detection.
-func (tm *Team) cascade(w *Worker, t *Task) {
+// detection; cascade then returns finishJob's end reading, else 0.
+func (tm *Team) cascade(w *Worker, t *Task) int64 {
 	for {
 		if j := t.job; j != nil && t == &j.root {
 			// finishJob releases the job's waiter, and the waiter may
@@ -324,10 +327,9 @@ func (tm *Team) cascade(w *Worker, t *Task) {
 			// by an unrelated submission. Return without touching t again.
 			// This return is also what keeps a root, which lives in its
 			// Job frame, out of the task pool.
-			if tm.finishJob(j) {
-				w.woke = true
-			}
-			return
+			end, woke := tm.finishJob(j)
+			w.woke = w.woke || woke
+			return end
 		}
 		p := t.parent
 		if !t.implicit {
@@ -336,10 +338,10 @@ func (tm *Team) cascade(w *Worker, t *Task) {
 			tm.alloc.Put(w.id, t)
 		}
 		if p == nil {
-			return
+			return 0
 		}
 		if p.refs.Add(-1) != 0 {
-			return
+			return 0
 		}
 		t = p
 	}

@@ -208,8 +208,8 @@ func testServeAccountingMatchesLocal(t *testing.T, start startFunc) {
 				},
 			}
 		}
-		res, err := localPool.SubmitBatchCtx(context.Background(), items)
-		if err != nil {
+		res := make([]xomp.BatchResult, len(items))
+		if err := localPool.SubmitBatchCtx(context.Background(), items, res); err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range res {

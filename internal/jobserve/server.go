@@ -271,6 +271,7 @@ func (cn *conn) read(ctx context.Context) {
 	var (
 		seq   uint64
 		items []xomp.BatchItem
+		res   []xomp.BatchResult // the connection's one result slice, grown to the largest chunk
 	)
 	for {
 		ft, err := dec.Next()
@@ -308,8 +309,11 @@ func (cn *conn) read(ctx context.Context) {
 			if !cn.acquire(ctx, chunk) {
 				return
 			}
-			res, err := s.cfg.Pool.SubmitBatchCtx(ctx, items[at:at+chunk])
-			if err != nil {
+			if cap(res) < chunk {
+				res = make([]xomp.BatchResult, chunk)
+			}
+			res = res[:chunk]
+			if err := s.cfg.Pool.SubmitBatchCtx(ctx, items[at:at+chunk], res); err != nil {
 				// Batch-level failure (pool closed): report and end the conn.
 				out := make([]wire.ResultRecord, chunk)
 				for i := range out {

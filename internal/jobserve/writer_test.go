@@ -87,7 +87,8 @@ func newWriterRig(t *testing.T) *writerRig {
 // delivered.
 func (r *writerRig) finished(fn xomp.TaskFunc) *xomp.Job {
 	r.t.Helper()
-	res, err := r.pool.SubmitBatchCtx(context.Background(), []xomp.BatchItem{{Fn: fn}})
+	res := make([]xomp.BatchResult, 1)
+	err := r.pool.SubmitBatchCtx(context.Background(), []xomp.BatchItem{{Fn: fn}}, res)
 	if err != nil || res[0].Err != nil {
 		r.t.Fatal(err, res)
 	}

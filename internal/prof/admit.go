@@ -148,26 +148,38 @@ func (p *Profile) tenant(id int) *tenantSlot {
 	return t
 }
 
+// TenantRef is a tenant's ledger slot on one profile, resolved once by
+// Profile.Tenant so that the events of a job's path — Queued, Migrated,
+// JobDone — skip the slot lookup. It is one word; the zero
+// TenantRef is not a slot, and a ref is only valid on the profile that
+// resolved it.
+type TenantRef struct{ slot *tenantSlot }
+
+// Tenant resolves t's slot, allocating it on first sight, and records t's
+// weight as the one last seen at the edge. The task service resolves a
+// tenant where its jobs enter a team's queue: once per same-tenant run of
+// an admission batch, and on the destination of a migration.
+func (p *Profile) Tenant(t load.Tenant) TenantRef {
+	ts := p.tenant(t.ID)
+	ts.weight.set(t.EffectiveWeight())
+	return TenantRef{ts}
+}
+
 // Queued moves class c's and tenant t's queued gauges and the team-wide
 // NJOBS_QUEUED gauge by d together. The task service raises them when a
 // submission passes its admission decision — before the enqueue, so a
 // submitter blocked at the edge counts as demand — and lowers them on
-// adoption; a raise also refreshes the tenant's displayed weight. Safe
-// for any goroutine.
-func (p *Profile) Queued(c load.Class, t load.Tenant, d int64) {
-	ts := p.tenant(t.ID)
+// adoption. Safe for any goroutine.
+func (p *Profile) Queued(c load.Class, t TenantRef, d int64) {
 	p.queueDepth.add(d)
 	p.classes[c].queued.add(d)
-	ts.queued.add(d)
-	if d > 0 {
-		ts.weight.set(t.EffectiveWeight())
-	}
+	t.slot.queued.add(d)
 }
 
 // Migrated is Queued for a job a second-level balancer moves across the
 // team boundary: dir -1 on the team it leaves, +1 on the team it joins,
 // also counted in that team's NJOBS_MIGRATED out or in counter.
-func (p *Profile) Migrated(c load.Class, t load.Tenant, dir int64) {
+func (p *Profile) Migrated(c load.Class, t TenantRef, dir int64) {
 	p.Queued(c, t, dir)
 	if dir > 0 {
 		p.migratedIn.add(1)
@@ -179,6 +191,9 @@ func (p *Profile) Migrated(c load.Class, t load.Tenant, dir int64) {
 // Admitted counts n submissions of class c and tenant t entering the
 // class queue together after waiting latNS at the edge: n on both ADMIT
 // counters, one entry in both latency rings (a batch group waited once).
+// The submitter calls it once its jobs are published, when a job's
+// TenantRef may already belong to a migration's destination, so the
+// tenant is looked up by id — once per run, not per job.
 func (p *Profile) Admitted(c load.Class, t load.Tenant, n int, latNS int64) {
 	p.classes[c].admitted(n, latNS)
 	p.tenant(t.ID).admitted(n, latNS)
@@ -189,29 +204,31 @@ func (p *Profile) Admitted(c load.Class, t load.Tenant, n int, latNS int64) {
 // tenant and logs it, stamped Now, in the admission-event ring. rollback
 // says the submission had already been counted into the queued gauges
 // (it was refused while waiting for space); they are lowered again here.
+// Refusals are off the job's path, so the tenant is looked up by id.
 func (p *Profile) Refused(c load.Class, t load.Tenant, o AdmitOutcome, rollback bool) {
+	ts := p.tenant(t.ID)
 	if rollback {
-		p.Queued(c, t, -1)
+		p.Queued(c, TenantRef{ts}, -1)
 	}
 	p.classes[c].counts[o].add(1)
-	p.tenant(t.ID).counts[o].add(1)
+	ts.counts[o].add(1)
 	p.admitEvents.Add(AdmitEvent{At: p.Now(), Class: int(c), Outcome: o})
 }
 
-// JobDone logs one completed job: its record enters the bounded job log
-// (evicting the oldest past MaxJobRecords), its run time feeds the
-// job-time EWMA behind JobTimeNS, and its tenant's completed count rises.
-// It runs on whichever worker quiesced the job; jobs are coarse-grained,
-// so the log's lock (one acquisition per job, not per task) stays off the
-// paper's lock-less fast paths.
-func (p *Profile) JobDone(r JobRecord) {
+// JobDone logs one completed job of tenant t: its record enters the
+// bounded job log (evicting the oldest past MaxJobRecords), its run time
+// feeds the job-time EWMA behind JobTimeNS, and the tenant's completed
+// count rises. It runs on whichever worker quiesced the job; jobs are
+// coarse-grained, so the log's lock (one acquisition per job, not per
+// task) stays off the paper's lock-less fast paths.
+func (p *Profile) JobDone(r JobRecord, t TenantRef) {
 	p.jobs.mu.Lock()
 	p.jobs.addLocked(r)
 	if run := float64(r.End - r.Start); run > 0 {
 		p.sigJobNS.set(p.jobNS.Update(run)) // jobNS is guarded by the log's lock
 	}
 	p.jobs.mu.Unlock()
-	p.tenant(r.Tenant).completed.add(1)
+	t.slot.completed.add(1)
 }
 
 // QueueDepth returns the NJOBS_QUEUED gauge: jobs submitted but not yet

@@ -14,9 +14,10 @@ import (
 func TestAdmissionState(t *testing.T) {
 	p := New(2, false)
 	var tn load.Tenant
-	p.Queued(load.ClassBatch, tn, 2)
-	p.Queued(load.ClassBatch, tn, -1)
-	p.Queued(load.ClassBackground, tn, 5)
+	ref := p.Tenant(tn)
+	p.Queued(load.ClassBatch, ref, 2)
+	p.Queued(load.ClassBatch, ref, -1)
+	p.Queued(load.ClassBackground, ref, 5)
 	if got := p.ClassQueued(0); got != 1 {
 		t.Fatalf("class 0 gauge %d, want 1", got)
 	}
@@ -28,11 +29,11 @@ func TestAdmissionState(t *testing.T) {
 		t.Fatalf("ADMIT count %d, want 2", got)
 	}
 
-	p.JobDone(JobRecord{ID: 1, Start: 0, End: 1_000_000, Class: 1})
+	p.JobDone(JobRecord{ID: 1, Start: 0, End: 1_000_000, Class: 1}, ref)
 	if got := p.JobTimeNS(); got != 1_000_000 {
 		t.Fatalf("JobTimeNS after first job %v, want 1e6", got)
 	}
-	p.JobDone(JobRecord{ID: 2, Start: 0, End: 2_000_000, Class: 1})
+	p.JobDone(JobRecord{ID: 2, Start: 0, End: 2_000_000, Class: 1}, ref)
 	got := p.JobTimeNS()
 	if got <= 1_000_000 || got >= 2_000_000 {
 		t.Fatalf("JobTimeNS EWMA %v outside (1e6, 2e6)", got)

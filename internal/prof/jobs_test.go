@@ -1,13 +1,17 @@
 package prof
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/load"
+)
 
 func TestJobRecordBasics(t *testing.T) {
 	p := New(2, false)
 	if p.Now() < 0 {
 		t.Fatal("Now went backwards")
 	}
-	p.JobDone(JobRecord{ID: 1, Worker: 0, Submit: 10, Start: 30, End: 90})
+	p.JobDone(JobRecord{ID: 1, Worker: 0, Submit: 10, Start: 30, End: 90}, p.Tenant(load.Tenant{}))
 	jobs := p.Jobs()
 	if len(jobs) != 1 || p.JobsTotal() != 1 {
 		t.Fatalf("jobs=%d total=%d", len(jobs), p.JobsTotal())
@@ -30,7 +34,7 @@ func TestJobRecordRingEviction(t *testing.T) {
 	p := New(1, false)
 	const extra = 100
 	for i := 0; i < MaxJobRecords+extra; i++ {
-		p.JobDone(JobRecord{ID: int64(i)})
+		p.JobDone(JobRecord{ID: int64(i)}, p.Tenant(load.Tenant{}))
 	}
 	jobs := p.Jobs()
 	if len(jobs) != MaxJobRecords {

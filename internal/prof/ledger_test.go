@@ -49,10 +49,10 @@ func TestLedgerHammer(t *testing.T) {
 				switch rnd.Intn(6) {
 				case 0:
 					n := int64(1 + rnd.Intn(4))
-					p.Queued(c, tn, n)
+					p.Queued(c, p.Tenant(tn), n)
 					q += n
 				case 1:
-					p.Queued(c, tn, -1)
+					p.Queued(c, p.Tenant(tn), -1)
 					q--
 				case 2:
 					n := 1 + rnd.Intn(4)
@@ -67,11 +67,11 @@ func TestLedgerHammer(t *testing.T) {
 						q--
 					}
 				case 4:
-					p.JobDone(JobRecord{ID: int64(w)<<32 | int64(i), Class: int(c), Tenant: tn.ID, Start: 1, End: 2})
+					p.JobDone(JobRecord{ID: int64(w)<<32 | int64(i), Class: int(c), Tenant: tn.ID, Start: 1, End: 2}, p.Tenant(tn))
 					j++
 				case 5:
 					dir := int64(1 - 2*rnd.Intn(2))
-					p.Migrated(c, tn, dir)
+					p.Migrated(c, p.Tenant(tn), dir)
 					q += dir
 					if dir > 0 {
 						mi++
@@ -168,7 +168,7 @@ func checkRing[T any](t *testing.T, name string, r *Ring[T], bound int, stamps [
 func TestTenantOverflow(t *testing.T) {
 	p := New(1, false)
 	for id := 0; id < MaxTenants+3; id++ {
-		p.Queued(load.ClassBatch, load.Tenant{ID: id}, 1)
+		p.Queued(load.ClassBatch, p.Tenant(load.Tenant{ID: id}), 1)
 	}
 	if got := len(p.Snapshot().Tenants); got != MaxTenants {
 		t.Fatalf("%d tenant slots, want the bound %d", got, MaxTenants)
@@ -191,23 +191,23 @@ func goldenScript(p *Profile) {
 	p.Thread(0).Add(CntTasksExecuted, 4)
 	p.Thread(1).Add(CntTasksExecuted, 1)
 	p.Thread(1).Inc(CntJobsAdopted)
-	p.Queued(batch, t1, 3)
+	p.Queued(batch, p.Tenant(t1), 3)
 	p.Admitted(batch, t1, 3, 1500)
-	p.Queued(inter, t2, 1)
+	p.Queued(inter, p.Tenant(t2), 1)
 	p.Admitted(inter, t2, 1, 700)
 	p.Refused(bg, t3, AdmitShed, false)
 	p.Refused(batch, t1, AdmitExpired, false)
-	p.Queued(bg, t3, 1)
+	p.Queued(bg, p.Tenant(t3), 1)
 	p.Refused(bg, t3, AdmitRejected, true)
-	p.Queued(bg, t3, 2)
+	p.Queued(bg, p.Tenant(t3), 2)
 	p.Admitted(bg, t3, 2, 90)
-	p.Queued(batch, t1, -1)
-	p.Queued(inter, t2, -1)
-	p.Migrated(bg, t3, -1)
-	p.Migrated(bg, t4, 1)
-	p.JobDone(JobRecord{ID: 1, Worker: 0, Submit: 10, Start: 30, End: 1030, Class: 0, Tenant: 1})
-	p.JobDone(JobRecord{ID: 2, Worker: 1, Submit: 20, Start: 40, End: 2040, Class: 1, Tenant: 2, Panicked: true})
-	p.JobDone(JobRecord{ID: 3, Worker: 1, Submit: 50, Start: 60, End: 60, Class: 2, Tenant: 4, Migrated: true})
+	p.Queued(batch, p.Tenant(t1), -1)
+	p.Queued(inter, p.Tenant(t2), -1)
+	p.Migrated(bg, p.Tenant(t3), -1)
+	p.Migrated(bg, p.Tenant(t4), 1)
+	p.JobDone(JobRecord{ID: 1, Worker: 0, Submit: 10, Start: 30, End: 1030, Class: 0, Tenant: 1}, p.Tenant(t1))
+	p.JobDone(JobRecord{ID: 2, Worker: 1, Submit: 20, Start: 40, End: 2040, Class: 1, Tenant: 2, Panicked: true}, p.Tenant(t2))
+	p.JobDone(JobRecord{ID: 3, Worker: 1, Submit: 50, Start: 60, End: 60, Class: 2, Tenant: 4, Migrated: true}, p.Tenant(t4))
 }
 
 func TestGoldenSnapshot(t *testing.T) {

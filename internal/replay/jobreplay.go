@@ -281,11 +281,12 @@ func ReplayJobs(tr *JobTrace, opts Options) (JobReplayResult, error) {
 		go func() {
 			defer wg.Done()
 			items := make([]xomp.BatchItem, len(idx))
+			res := make([]xomp.BatchResult, len(idx))
 			for b, i := range idx {
 				items[b] = xomp.BatchItem{Fn: bodies[i], Opts: buildOpts(tr.Jobs[i])}
 			}
 			t0 := time.Now()
-			res, err := pool.SubmitBatchCtx(ctx, items)
+			err := pool.SubmitBatchCtx(ctx, items, res)
 			admitLat := time.Since(t0)
 			if err != nil {
 				for _, i := range idx {

@@ -58,12 +58,9 @@ func TestShardedPoolSubmitBatchAccounting(t *testing.T) {
 	for i := range items {
 		items[i] = xomp.BatchItem{Fn: func(*xomp.Worker) { ran.Add(1) }}
 	}
-	res, err := pool.SubmitBatchCtx(context.Background(), items)
-	if err != nil {
+	res := make([]xomp.BatchResult, n)
+	if err := pool.SubmitBatchCtx(context.Background(), items, res); err != nil {
 		t.Fatal(err)
-	}
-	if len(res) != n {
-		t.Fatalf("len(res) = %d, want %d", len(res), n)
 	}
 	for i, r := range res {
 		if r.Err != nil {
@@ -159,14 +156,12 @@ func TestShardedPoolOneShardBatchParity(t *testing.T) {
 					}
 					<-started
 				}
-				var res []xomp.BatchResult
+				res := make([]xomp.BatchResult, len(items))
 				if whole {
-					var err error
-					if res, err = pool.SubmitBatchCtx(context.Background(), items); err != nil {
+					if err := pool.SubmitBatchCtx(context.Background(), items, res); err != nil {
 						t.Fatal(err)
 					}
 				} else {
-					res = make([]xomp.BatchResult, len(items))
 					for off := 0; off < len(items); off += chunk {
 						if err := pool.Team(0).SubmitBatchInto(context.Background(), items[off:off+chunk], res[off:off+chunk]); err != nil {
 							t.Fatal(err)
@@ -198,5 +193,49 @@ func TestShardedPoolOneShardBatchParity(t *testing.T) {
 				t.Fatalf("%d items admitted, want %d", admitted, want)
 			}
 		})
+	}
+}
+
+// TestSubmitBatchCtxAllocationFree: a caller that keeps its item, result
+// and drain slices admits a batch, subscribes every job to an Outbox and
+// releases the drain without allocating — a 1-item batch (rpc-noop's
+// frame) and a 64-item batch (pipe-noop-b64's) alike.
+func TestSubmitBatchCtxAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own behalf")
+	}
+	cfg := xomp.Preset("xgomptb", 2)
+	cfg.Backlog = 256 // no overflow run: parking one allocates by design
+	pool := xomp.MustPool(cfg)
+	defer pool.Close()
+	ob := xomp.NewOutbox()
+	noop := func(*xomp.Worker) {}
+	for _, n := range []int{1, 64} {
+		items := make([]xomp.BatchItem, n)
+		for i := range items {
+			items[i] = xomp.BatchItem{Fn: noop}
+		}
+		res := make([]xomp.BatchResult, n)
+		drain := make([]*xomp.Job, 0, n)
+		round := func() {
+			if err := pool.SubmitBatchCtx(context.Background(), items, res); err != nil {
+				t.Fatal(err)
+			}
+			for i := range res {
+				if res[i].Err != nil {
+					t.Fatal(res[i].Err)
+				}
+				res[i].Job.SubscribeTo(ob)
+			}
+			for drain = drain[:0]; len(drain) < n; {
+				<-ob.Note()
+				drain = ob.Take(drain)
+			}
+			xomp.ReleaseJobs(drain)
+		}
+		round() // warm the frame pool
+		if got := testing.AllocsPerRun(50, round); got != 0 {
+			t.Errorf("%d-item batch: %v allocations per round, want 0", n, got)
+		}
 	}
 }

@@ -15,7 +15,10 @@ import "repro/internal/core"
 // or with Subscribe or SubscribeTo (one receiver, which then owns the
 // handle), never both, and Release the frame only once every Wait has
 // returned and every Done channel has been seen closed. See core.Job for
-// the full API (Err, QueueDelay, RunTime, ...).
+// the full API (Err, QueueDelay, RunTime, ...). The job's stamps —
+// QueueDelay, RunTime, Worker, Tag and Migrated — are valid after
+// completion: once Wait has returned or the job was delivered. Call
+// SetTag before the Wait or Subscribe that hands completion over.
 type Job = core.Job
 
 // Outbox is the receiver's end of Job.SubscribeTo: finished jobs chain

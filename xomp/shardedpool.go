@@ -275,28 +275,32 @@ func (p *ShardedPool) SubmitBatch(fns []TaskFunc) ([]BatchResult, error) {
 	for i, fn := range fns {
 		items[i] = BatchItem{Fn: fn, Opts: SubmitOpts{Priority: load.ClassBatch}}
 	}
-	return p.SubmitBatchCtx(context.Background(), items)
+	res := make([]BatchResult, len(items))
+	if err := p.SubmitBatchCtx(context.Background(), items, res); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
-// SubmitBatchCtx admits a batch of jobs across the pool: consecutive
-// runs of batchChunk items share one dispatch decision (keyed by the
-// class of the run's first item, so callers submitting per-class batches
-// get coherent placement) and enter the chosen shard through
-// Team.SubmitBatchInto, each chunk filling its own stretch of the one
-// result slice — per-shard admission accounting, gauges, and rollback
-// all happen on the team that actually received each chunk. A one-shard
-// pool has no placement to decide and passes the batch whole. Partial
-// admission under backpressure is the normal outcome and surfaces per
-// item: each BatchResult carries its Job or the typed error SubmitCtx
-// would have returned for it.
-func (p *ShardedPool) SubmitBatchCtx(ctx context.Context, items []BatchItem) ([]BatchResult, error) {
+// SubmitBatchCtx admits a batch of jobs across the pool and writes one
+// BatchResult per item into res, index-aligned with items (len(res) >=
+// len(items); previous contents are overwritten), so a caller that keeps
+// its result slice admits without allocating. Consecutive runs of
+// batchChunk items share one dispatch decision (keyed by the class of the
+// run's first item, so callers submitting per-class batches get coherent
+// placement) and enter the chosen shard through Team.SubmitBatchInto,
+// each chunk filling its own stretch of res — per-shard admission
+// accounting, gauges, and rollback all happen on the team that actually
+// received each chunk. A one-shard pool has no placement to decide and
+// passes the batch whole. Partial admission under backpressure is the
+// normal outcome and surfaces per item: each BatchResult carries its Job
+// or the typed error SubmitCtx would have returned for it. The error is
+// ErrClosed once Close has begun, and then res is left untouched.
+func (p *ShardedPool) SubmitBatchCtx(ctx context.Context, items []BatchItem, res []BatchResult) error {
 	if p.closed.Load() {
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	if len(items) == 0 {
-		return nil, nil
-	}
-	res := make([]BatchResult, len(items))
+	res = res[:len(items)]
 	chunk := batchChunk
 	if len(p.shards) == 1 {
 		chunk = len(items) // pick has one answer: one admission section, not one per chunk
@@ -312,7 +316,7 @@ func (p *ShardedPool) SubmitBatchCtx(ctx context.Context, items []BatchItem) ([]
 			}
 		}
 	}
-	return res, nil
+	return nil
 }
 
 // SubmitTo pins fn to one specific shard, bypassing the dispatcher. It is
