@@ -140,9 +140,10 @@ func watchProgress(t *testing.T, progress *atomic.Int64, done <-chan error) {
 
 // TestServeIdleBurnsNoPolls: an idle pool sleeps. Idle spells of the same
 // team — 50 ms, then 250 ms — each pay one idleSpin budget on the way
-// down; the extra 200 ms may only add the sweep's one poll per idleSweep
-// per worker (a small multiple of it, for timer slop), where a spinning
-// pool would add millions. What one idleSpin budget buys in polls depends
+// down (a service that has admitted nothing yet reads hot: its heat's
+// zero value); the extra 200 ms may only add the sweep's one poll per
+// idleSweep per worker (a small multiple of it, for timer slop), where a
+// spinning pool would add millions. What one idleSpin budget buys in polls depends
 // on who else is on the CPU (564 to 2711 were read for the same 50 ms
 // spell), so the baseline is the largest of three short spells. The
 // per-thread counters are owner-written, so each spell is read after its
@@ -181,4 +182,61 @@ func TestServeIdleBurnsNoPolls(t *testing.T) {
 	if sweeps > extra {
 		t.Fatalf("%d sweep wakes in 250ms; the sweep period is %v", sweeps, idleSweep)
 	}
+}
+
+// feedSingles serves a 2-worker xgomptb team, feeds it jobs no-op jobs one
+// at a time — submit, wait, then gap before the next — and returns the
+// idle polls and bell parks the workers made, read after Close.
+func feedSingles(t *testing.T, jobs int, gap time.Duration) (polls, parks uint64) {
+	t.Helper()
+	tm := serviceTeam(t, "xgomptb", 2)
+	for i := 0; i < jobs; i++ {
+		j, err := tm.Submit(func(*Worker) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		j.Release()
+		if gap > 0 {
+			time.Sleep(gap)
+		}
+	}
+	if err := tm.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p := tm.Profile()
+	return p.Sum(prof.CntIdlePolls), p.Sum(prof.CntIdleParks)
+}
+
+// TestServeIdleGate pins the heat rule both ways. Cold: jobs 2 ms apart
+// are neither in flight nor due while a worker idles, so it blocks at its
+// first yield point — at most one stall per job, where spinning idleSpin
+// after each would cost a thousand polls or more. Hot: back-to-back
+// submissions keep the team's admission heat under idleSpin, so the
+// worker still spins and finds most next jobs without parking on the bell.
+func TestServeIdleGate(t *testing.T) {
+	t.Run("cold", func(t *testing.T) {
+		const jobs = 100
+		polls, parks := feedSingles(t, jobs, 2*time.Millisecond)
+		t.Logf("%d jobs 2ms apart: %.1f idle polls, %.2f parks a job", jobs, float64(polls)/jobs, float64(parks)/jobs)
+		if polls > 2*stallSpins*jobs {
+			t.Fatalf("%d idle polls for %d cold jobs; want at most %d a job", polls, jobs, 2*stallSpins)
+		}
+	})
+	t.Run("hot", func(t *testing.T) {
+		if raceEnabled {
+			// A submit → Wait round trip under the detector takes about
+			// idleSpin itself at GOMAXPROCS 1, so one closed-loop
+			// submitter cannot make the team hot there.
+			t.Skip("the race detector slows the round trip to idleSpin")
+		}
+		const jobs = 2000
+		polls, parks := feedSingles(t, jobs, 0)
+		t.Logf("%d jobs back to back: %.1f idle polls, %.2f parks a job", jobs, float64(polls)/jobs, float64(parks)/jobs)
+		if parks > jobs/2 {
+			t.Fatalf("%d bell parks for %d back-to-back jobs: the hot team stopped spinning", parks, jobs)
+		}
+	})
 }

@@ -25,12 +25,16 @@ import (
 var ErrClosed = errors.New("core: task service closed")
 
 const (
-	// idleSpin is the whole idle policy of a serving worker: it polls for
-	// at most this much wall time after it last found work (the clock is
-	// read once per stallSpins polls, at the Gosched cadence), then
-	// registers on the service bell and blocks. ARCHITECTURE.md, "Idle
-	// policy", has why it must be short, why not zero, and the sizing
-	// sweep 50 µs is the optimum of.
+	// idleSpin is the whole idle policy of a serving worker: while work
+	// is due — a job of its team is in flight, or the team's admission
+	// heat (service.heat) is below idleSpin, so the next submission is
+	// likelier than not to land inside the spin — it polls for at most
+	// this much wall time after it last found work (the clock is read
+	// once per stallSpins polls, at the Gosched cadence); then, or at its
+	// first yield point when no work is due, it registers on the service
+	// bell and blocks. ARCHITECTURE.md, "Idle policy", has why the spin
+	// must be short, why not zero, and the sizing sweep 50 µs is the
+	// optimum of.
 	idleSpin = 50 * time.Microsecond
 )
 
@@ -69,6 +73,11 @@ type service struct {
 	_     [8]uint64
 	state atomic.Int64
 	_     [7]uint64
+	// heat is the arrival gap of admitted batches (fed once per batch by
+	// admitBatch, read by idle workers at their yield points): the
+	// serve loop's half of the heat rule the edge poller gates on.
+	heat prof.Heat
+	_    [6]uint64
 }
 
 // Phases of service.state, in the only order Close walks them.
@@ -249,7 +258,7 @@ func (tm *Team) Serving() bool {
 // serve is one worker's service loop — the persistent analogue of the
 // region barrier-wait loop: execute queued tasks, adopt newly submitted
 // jobs when idle, run the thief protocol, and block on the bell once the
-// idleSpin budget is spent.
+// idleSpin budget is spent, or at once when no work is due.
 func (tm *Team) serve(svc *service, w *Worker) {
 	defer svc.wg.Done()
 	w.beginRegion()
@@ -278,7 +287,8 @@ func (tm *Team) serve(svc *service, w *Worker) {
 			continue
 		}
 		free = 0
-		if svc.phase() >= svcStopping {
+		s := svc.state.Load()
+		if s&svcPhaseMask >= svcStopping {
 			w.found()
 			return
 		}
@@ -286,15 +296,18 @@ func (tm *Team) serve(svc *service, w *Worker) {
 		if !w.idle() {
 			continue
 		}
-		// One clock read per stallSpins polls: idleSince is the first
-		// reading of the current idle spell.
-		now := time.Now()
-		if w.idleSince.IsZero() {
-			w.idleSince = now
-		}
-		if now.Sub(w.idleSince) < idleSpin {
-			runtime.Gosched()
-			continue
+		// Spin on only while work is due (idleSpin): a job in flight or a
+		// hot team. One clock read per stallSpins polls: idleSince is the
+		// first reading of the current idle spell.
+		if s>>svcPhaseBits > 0 || svc.heat.NS() < int64(idleSpin) {
+			now := time.Now()
+			if w.idleSince.IsZero() {
+				w.idleSince = now
+			}
+			if now.Sub(w.idleSince) < idleSpin {
+				runtime.Gosched()
+				continue
+			}
 		}
 		if tm.idleWait(svc, w, timer, sweep) {
 			w.idleSince = time.Time{} // announced work: a fresh budget

@@ -24,7 +24,7 @@ import (
 
 // pollWindow is the edge poller's one constant: a reader polls for at
 // most this long after a frame, and only while the server-wide EWMA of
-// frame inter-arrival time (prof.Wire.FrameGap) is below it — a reader
+// frame inter-arrival time (prof.Wire.Heat) is below it — a reader
 // polls when the next frame is likelier than not to land inside the
 // window. Sized by sweep (CHANGES.md, PR 18).
 const pollWindow = 200 * time.Microsecond
@@ -54,7 +54,8 @@ type edgeConn struct {
 	// once). frame opens it; Read closes it when it runs out.
 	pollUntil time.Time
 	// idleDeadline is the connection's real read deadline. Nothing sets
-	// one yet (ROADMAP 3b); a cleared kick restores it.
+	// one yet (edge deadlines are ROADMAP item 5(a)); a cleared kick
+	// restores it.
 	idleDeadline time.Time
 
 	// readNonblock's hand-off to its RawConn.Read callback, kept here so
@@ -74,7 +75,7 @@ func (e *edgeConn) frame(now time.Time, nowNS int64) {
 		return
 	}
 	e.pollUntil = time.Time{}
-	if e.wire.FrameGap(nowNS) < int64(pollWindow) {
+	if e.wire.Heat.Arrive(nowNS) < int64(pollWindow) {
 		e.pollUntil = now.Add(pollWindow)
 	}
 }

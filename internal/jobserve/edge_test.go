@@ -297,16 +297,27 @@ func TestEdgeSlowLorisParks(t *testing.T) {
 	frame := submitFrame(t, 1, 2)
 
 	// A hot edge: two arrivals a nanosecond apart, the second this
-	// connection's, which opens its window as a decoded frame would.
-	w.FrameGap(1)
-	now := time.Now()
-	e.frame(now, 2)
-	if e.pollUntil.IsZero() {
+	// connection's, which opens its window as a decoded frame would — on
+	// the reader goroutine, just before it reads, so a reader that is
+	// scheduled late still starts inside its window.
+	w.Heat.Arrive(1)
+	type window struct {
+		opened time.Time
+		open   bool
+	}
+	opened := make(chan window, 1)
+	got := make(chan decoded, 1)
+	go func() {
+		now := time.Now()
+		e.frame(now, 2)
+		opened <- window{now, !e.pollUntil.IsZero()}
+		got <- decodeAll(e)
+	}()
+	win := <-opened
+	if !win.open {
 		t.Fatal("a hot edge did not open the poll window")
 	}
-
-	got := make(chan decoded, 1)
-	go func() { got <- decodeAll(e) }()
+	now := win.opened
 	client.Write(frame[:3])
 
 	waitUntil(t, func() bool { return e.parked.Load() }, "the reader to park")

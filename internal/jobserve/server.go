@@ -379,7 +379,7 @@ func (cn *conn) write(ctx context.Context) {
 		out  []wire.ResultRecord
 		jobs []*xomp.Job
 		// The hold rule's two sides, averaged over this connection's
-		// flushes (α = ¼, like prof.Wire.FrameGap; zero = not measured
+		// flushes (α = ¼, like prof.Heat; zero = not measured
 		// yet): what one socket write took, and how far apart the records
 		// a flush carried had landed — the time since the flush before it
 		// over their number.

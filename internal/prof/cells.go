@@ -6,11 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// The three cells every piece of shared (non-per-thread) profile state is
-// built from: a padded gauge (integer or float), a plain counter, and a
-// locked bounded ring. Anything a submitter, balancer or connection
-// goroutine writes is one of these, so "which words are hot, which are
-// locked, which are bounded" is answered here once.
+// The four cells every piece of shared (non-per-thread) profile state is
+// built from: a padded gauge (integer or float), a plain counter, an
+// arrival-gap average (Heat), and a locked bounded ring. Anything a
+// submitter, balancer or connection goroutine writes is one of these, so
+// "which words are hot, which are locked, which are bounded" is answered
+// here once.
 
 // paddedGauge is an atomic gauge alone on its cache line. The admission
 // gauges are the write-hottest words of the submit fast path, hit by
@@ -47,6 +48,35 @@ func (c *counter) add(n int) {
 	}
 }
 func (c *counter) load() uint64 { return c.v.Load() }
+
+// Heat is how busy an arrival stream is: an EWMA (α = ¼) of the gaps
+// between the clock readings fed to Arrive, the first gap measured from
+// the clock's base, so a stream that starts late starts cold. It is the
+// one signal both serving levels gate their spinning on — the edge's
+// readers on frame arrivals (Wire.Heat), a serving team's workers on
+// admitted batches — and each asks the same question of it: is the next
+// arrival likelier than not to land inside my window? Concurrent feeders
+// may lose each other's update; the signal is a rate estimate, not a
+// count. The zero value reads hot (0 ns) until its first arrival.
+type Heat struct {
+	last atomic.Int64 // the latest reading fed to Arrive
+	ns   atomic.Int64 // the EWMA of the gaps between those readings
+}
+
+// Arrive feeds one arrival at clock reading nowNS and returns the updated
+// average gap: one Swap, one Load and one Store. A reading older than the
+// latest (two feeders' clock reads landed out of order) counts as a zero
+// gap.
+func (h *Heat) Arrive(nowNS int64) int64 {
+	gap := max(0, nowNS-h.last.Swap(nowNS))
+	heat := h.ns.Load()
+	heat += (gap - heat) / 4
+	h.ns.Store(heat)
+	return heat
+}
+
+// NS returns the average gap between arrivals, in nanoseconds.
+func (h *Heat) NS() int64 { return h.ns.Load() }
 
 // Ring is the bounded log all event-like state shares (job records,
 // admission latencies and events): append until the bound, then

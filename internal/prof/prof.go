@@ -116,8 +116,8 @@ const (
 	// serve loop (task-service mode): a spinning pool runs this up by
 	// millions a second, a sleeping one by a few hundred.
 	CntIdlePolls
-	// CntIdleParks counts the times this thread spent its idle-spin
-	// budget and blocked on the service bell.
+	// CntIdleParks counts the times this thread blocked on the service
+	// bell: its idle-spin budget spent, or no work due.
 	CntIdleParks
 	// CntBellWakes counts blocked spells ended by a producer's
 	// announcement (Bell.Ring or Bell.Wake).

@@ -2,7 +2,6 @@ package prof
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/stats"
 )
@@ -31,15 +30,16 @@ type Wire struct {
 	resultsOut  counter
 	refused     counter
 
-	// The edge poller's counters (see jobserve's "the edge polls itself")
-	// and the one signal that gates it. Readers publish them per poll
-	// spell or per frame, never per poll.
+	// The edge poller's counters (see jobserve's "the edge polls itself").
+	// Readers publish them per poll spell, never per poll.
 	edgePolls    counter
 	edgePollHits counter
 	edgeKicks    counter
 	edgeParks    counter
-	lastFrameNS  atomic.Int64 // clock reading of the latest FrameGap call
-	edgeHeatNS   atomic.Int64 // EWMA of the gaps between those readings
+	// Heat is the one signal that gates the poller: every reader feeds it
+	// the arrival of each decoded submit frame, on the server's stage
+	// clock.
+	Heat Heat
 
 	// stageMu guards stages: stats.Histogram is single-writer and every
 	// connection's reader and writer record into the same three.
@@ -112,7 +112,7 @@ type WireSnapshot struct {
 	EdgeKicks    uint64
 	EdgeParks    uint64
 	// EdgeHeatNS is the server-wide EWMA of submit-frame inter-arrival
-	// time, the signal the poller is gated on.
+	// time (Heat), the signal the poller is gated on.
 	EdgeHeatNS int64
 }
 
@@ -140,22 +140,6 @@ func (w *Wire) FlushOut(bytes int) {
 func (w *Wire) ResultOut(n, refused int) {
 	w.resultsOut.add(n)
 	w.refused.add(refused)
-}
-
-// FrameGap feeds the edge's heat signal one frame arrival at clock
-// reading nowNS and returns the updated EWMA (α = ¼) of the gaps between
-// arrivals; the first gap is measured from the clock's base. Concurrent
-// readers may lose each other's update — the signal is a rate estimate,
-// not a count.
-func (w *Wire) FrameGap(nowNS int64) int64 {
-	gap := nowNS - w.lastFrameNS.Swap(nowNS)
-	if gap < 0 {
-		gap = 0 // two readers' clock reads landed out of order
-	}
-	heat := w.edgeHeatNS.Load()
-	heat += (gap - heat) / 4
-	w.edgeHeatNS.Store(heat)
-	return heat
 }
 
 // EdgeSpell records one finished poll spell: polls empty polls, ending
@@ -193,7 +177,7 @@ func (w *Wire) Snapshot() WireSnapshot {
 		EdgePollHits: w.edgePollHits.load(),
 		EdgeKicks:    w.edgeKicks.load(),
 		EdgeParks:    w.edgeParks.load(),
-		EdgeHeatNS:   w.edgeHeatNS.Load(),
+		EdgeHeatNS:   w.Heat.NS(),
 	}
 }
 

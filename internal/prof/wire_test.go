@@ -71,38 +71,44 @@ func TestWireStages(t *testing.T) {
 	}
 }
 
-// TestWireEdge: the edge poller's counters sum, and the heat signal is an
-// α = ¼ EWMA of the gaps between FrameGap's clock readings that tolerates
-// readings arriving out of order.
+// TestWireEdge: the edge poller's counters sum, and the snapshot reads
+// the heat signal the readers feed.
 func TestWireEdge(t *testing.T) {
 	var w Wire
 	w.EdgeSpell(7, true)
 	w.EdgeSpell(5, false)
 	w.EdgeKick(3)
 	w.EdgePark()
-	if s := w.Snapshot(); s.EdgePolls != 12 || s.EdgePollHits != 1 || s.EdgeKicks != 3 || s.EdgeParks != 1 {
+	w.Heat.Arrive(4_000_000)
+	if s := w.Snapshot(); s.EdgePolls != 12 || s.EdgePollHits != 1 || s.EdgeKicks != 3 || s.EdgeParks != 1 || s.EdgeHeatNS != 1_000_000 {
 		t.Fatalf("edge counters: %+v", s)
 	}
+}
+
+// TestHeat: the heat signal is an α = ¼ EWMA of the gaps between Arrive's
+// clock readings that tolerates readings arriving out of order.
+func TestHeat(t *testing.T) {
+	var h Heat
 	// The first gap is measured from the clock's base: a server that has
 	// been up a while starts cold.
-	if got := w.FrameGap(4_000_000); got != 1_000_000 {
+	if got := h.Arrive(4_000_000); got != 1_000_000 {
 		t.Fatalf("first gap: heat %d, want 1000000", got)
 	}
 	now, heat := int64(4_000_000), int64(1_000_000)
-	for i := 0; i < 60; i++ { // frames 100 µs apart pull it down to 100 µs
+	for i := 0; i < 60; i++ { // arrivals 100 µs apart pull it down to 100 µs
 		now += 100_000
 		heat += (100_000 - heat) / 4
-		if got := w.FrameGap(now); got != heat {
-			t.Fatalf("frame %d: heat %d, want %d", i, got, heat)
+		if got := h.Arrive(now); got != heat {
+			t.Fatalf("arrival %d: heat %d, want %d", i, got, heat)
 		}
 	}
 	if heat < 100_000 || heat > 100_010 {
 		t.Fatalf("heat settled at %d, want ~100000", heat)
 	}
-	if got := w.FrameGap(now - 50_000); got != heat-heat/4 {
+	if got := h.Arrive(now - 50_000); got != heat-heat/4 {
 		t.Fatalf("out-of-order reading: heat %d, want %d (a zero gap)", got, heat-heat/4)
 	}
-	if got := w.Snapshot().EdgeHeatNS; got != heat-heat/4 {
-		t.Fatalf("snapshot heat %d", got)
+	if got := h.NS(); got != heat-heat/4 {
+		t.Fatalf("NS reads %d", got)
 	}
 }
