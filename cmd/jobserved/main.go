@@ -15,8 +15,8 @@
 // SIGINT/SIGTERM, then prints a final traffic and per-shard report,
 // followed — once the pool has closed and the workers' own counters may
 // be read — by the stage clock, the edge poller's counters (polls, hits,
-// kicks, parks, heat) and the idle-policy counters (polls, parks, bell
-// and sweep wakes).
+// sweeps, kicks, parks, heat) and the idle-policy counters (polls, parks,
+// bell wakes).
 //
 // Usage:
 //
@@ -136,8 +136,8 @@ func printStages(srv *jobserve.Server) {
 // gates it (all zero where the server has no poller).
 func printEdge(srv *jobserve.Server) {
 	ws := srv.Wire()
-	fmt.Printf("edge: %d polls (%d hits), %d kicks, %d parks, heat %.1f us\n",
-		ws.EdgePolls, ws.EdgePollHits, ws.EdgeKicks, ws.EdgeParks, float64(ws.EdgeHeatNS)/1e3)
+	fmt.Printf("edge: %d polls (%d hits), %d sweeps, %d kicks, %d parks, heat %.1f us\n",
+		ws.EdgePolls, ws.EdgePollHits, ws.EdgeSweeps, ws.EdgeKicks, ws.EdgeParks, float64(ws.EdgeHeatNS)/1e3)
 }
 
 // printIdle renders the idle-policy counters summed over every shard's
@@ -149,9 +149,8 @@ func printIdle(pool *xomp.ShardedPool) {
 		}
 		return n
 	}
-	fmt.Printf("idle: %d polls, %d parks, %d bell wakes, %d sweep wakes (%d found work)\n",
-		sum(prof.CntIdlePolls), sum(prof.CntIdleParks), sum(prof.CntBellWakes),
-		sum(prof.CntSweepWakes), sum(prof.CntSweepFoundWork))
+	fmt.Printf("idle: %d polls, %d parks, %d bell wakes\n",
+		sum(prof.CntIdlePolls), sum(prof.CntIdleParks), sum(prof.CntBellWakes))
 }
 
 func fatal(err error) {

@@ -309,12 +309,8 @@ func (tm *Team) admitBatch(ctx context.Context, svc *service, items []BatchItem,
 	// same-tenant items (one for the whole batch when it is uniform). The
 	// gauges rise before the enqueue so a blocked submitter still counts as
 	// demand against this team (the signal a sharded dispatcher compares);
-	// adoption, migration, and rollbackSubmit decrement them. The batch's
-	// one clock reading also feeds the team's admission heat, before the
-	// enqueue, so a worker that runs these jobs reads a heat that counts
-	// them.
+	// adoption, migration, and rollbackSubmit decrement them.
 	admitStart := tm.profile.Now()
-	svc.heat.Arrive(admitStart)
 	var (
 		classTotal [load.NumClasses]int
 		prev       *Job

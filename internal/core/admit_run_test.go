@@ -394,7 +394,7 @@ func TestAdmitRunConcurrent(t *testing.T) {
 			done <- nil
 		}
 	}()
-	watchProgress(t, &progress, done)
+	watchProgress(t, tm, &progress, done)
 	for i := range ran {
 		if got := ran[i].Load(); got != rounds {
 			t.Fatalf("body %d ran %d times, want %d", i, got, rounds)
@@ -467,14 +467,67 @@ func TestParkedRunWaitsForRoom(t *testing.T) {
 	}
 }
 
+// TestParkedRunWakesASleeper: a parked run is announced like a ring
+// enqueue. Both workers are asleep (nothing in flight); a batch of two
+// jobs meets a ring of one: the first enters the ring, whose ring wakes
+// one worker, and the second is parked. Each job waits for the other to
+// start, so the pair meets only if the park woke the second worker.
+func TestParkedRunWakesASleeper(t *testing.T) {
+	cfg := Preset("xgomptb", 2)
+	cfg.Backlog = 1
+	tm := MustTeam(cfg)
+	if err := tm.Serve(); err != nil {
+		t.Fatal(err)
+	}
+	res := make([]BatchResult, 2)
+	for round := 0; round < 10; round++ {
+		time.Sleep(2 * time.Millisecond) // well past both first yield points
+		var (
+			started atomic.Int32
+			dump    atomic.Pointer[string]
+		)
+		both := make(chan struct{})
+		meet := func(*Worker) {
+			if started.Add(1) == 2 {
+				close(both)
+				return
+			}
+			select {
+			case <-both:
+			case <-time.After(5 * time.Second):
+				d := idleDump(tm)
+				dump.CompareAndSwap(nil, &d)
+			}
+		}
+		items := []BatchItem{{Fn: meet}, {Fn: meet}}
+		if err := tm.SubmitBatchInto(context.Background(), items, res); err != nil {
+			t.Fatal(err)
+		}
+		for i := range res {
+			if res[i].Err != nil {
+				t.Fatal(res[i].Err)
+			}
+			if err := res[i].Job.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			res[i].Job.Release()
+		}
+		if d := dump.Load(); d != nil {
+			t.Fatalf("round %d: the parked job did not start beside the ringed one: its park woke nobody\n%s", round, *d)
+		}
+	}
+	if err := tm.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestServeHandOff is the parked run's liveness and its cost on one
-// processor, with the safety-net sweep off: 64-job batches into the
+// processor: 64-job batches into the
 // default ring of 8 park their overflow once per batch — the submitter
 // blocks once, not once per ring refill — and the feed completes only if
 // the claim that brings each run within the ring's bound wakes its
 // submitter. The workers' idle polls stay a few per job.
 func TestServeHandOff(t *testing.T) {
-	stretchIdleSweep(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const rounds, n = 100, 64
 	tm := serviceTeam(t, "xgomptb", 2) // default backlog: 8, an eighth of a batch
@@ -506,7 +559,7 @@ func TestServeHandOff(t *testing.T) {
 		}
 		done <- tm.Close()
 	}()
-	watchProgress(t, &progress, done)
+	watchProgress(t, tm, &progress, done)
 	if got := ran.Load(); got != rounds*n {
 		t.Fatalf("ran %d jobs, want %d", got, rounds*n)
 	}
@@ -515,9 +568,6 @@ func TestServeHandOff(t *testing.T) {
 	parks := q.parks
 	q.mu.Unlock()
 	p := tm.Profile()
-	if got := p.Sum(prof.CntSweepWakes); got != 0 {
-		t.Fatalf("%d sweep wakes with the sweep switched off", got)
-	}
 	polls := p.Sum(prof.CntIdlePolls)
 	t.Logf("%d submitter parks over %d batches; %d idle polls over %d jobs (%.2f a job), %d worker parks",
 		parks, rounds, polls, rounds*n, float64(polls)/(rounds*n), p.Sum(prof.CntIdleParks))

@@ -62,10 +62,19 @@ func TestMigrateQueuedJob(t *testing.T) {
 	if moved != queued {
 		t.Fatalf("migrated %d jobs, want %d", moved, queued)
 	}
-	// src's workers are still parked, so only dst can complete the jobs.
+	// src's workers are still parked, so only dst can complete the jobs,
+	// and dst's workers, with nothing in flight before, were asleep: the
+	// migrations' announcements are all that wakes them.
 	for i, j := range jobs {
-		if err := j.Wait(); err != nil {
-			t.Fatalf("job %d: %v", i, err)
+		done := make(chan error, 1)
+		go func() { done <- j.Wait() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("job %d: %v", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("migrated job %d never ran: its destination slept through it\n%s", i, idleDump(dst))
 		}
 		if !j.Migrated() {
 			t.Fatalf("job %d not marked migrated", i)

@@ -25,26 +25,17 @@ import (
 var ErrClosed = errors.New("core: task service closed")
 
 const (
-	// idleSpin is the whole idle policy of a serving worker: while work
-	// is due — a job of its team is in flight, or the team's admission
-	// heat (service.heat) is below idleSpin, so the next submission is
-	// likelier than not to land inside the spin — it polls for at most
-	// this much wall time after it last found work (the clock is read
-	// once per stallSpins polls, at the Gosched cadence); then, or at its
-	// first yield point when no work is due, it registers on the service
-	// bell and blocks. ARCHITECTURE.md, "Idle policy", has why the spin
-	// must be short, why not zero, and the sizing sweep 50 µs is the
-	// optimum of.
+	// idleSpin is the whole idle policy of a serving worker, beside the
+	// bell: while a job of its team is in flight — its tasks may yet be
+	// pushed into this worker's rows — it polls for at most this much
+	// wall time after it last found work (the clock is read once per
+	// stallSpins polls, at the Gosched cadence); then, or at its first
+	// yield point when nothing is in flight, it registers on the service
+	// bell and blocks until a producer announces work. ARCHITECTURE.md,
+	// "Idle policy", has why the spin must be short, why not zero, and
+	// the sizing sweep 50 µs is the optimum of.
 	idleSpin = 50 * time.Microsecond
 )
-
-// idleSweep is the period of the safety-net timer behind a bell-blocked
-// serving worker, read once per serve loop. Every producer announces
-// what it publishes, so the sweep is not how work is found: one that
-// does find work is counted (prof.CntSweepFoundWork). It is a variable
-// only so the wake hammer can stretch it to an hour and turn a missing
-// announcement into a hang.
-var idleSweep = 2 * time.Millisecond
 
 // service is the per-Serve state of a team in task-service mode.
 type service struct {
@@ -57,8 +48,9 @@ type service struct {
 	submit [load.NumClasses]*intake.Ring[*Task]
 	runs   [load.NumClasses]runQueue
 	// bell is what idle workers block on once their idleSpin budget is
-	// spent; every producer announces on it after publishing (an intake
-	// enqueue, Worker.announce, Close).
+	// spent, or at once with nothing in flight; every producer announces
+	// on it after publishing (an intake enqueue, Worker.announce, Close),
+	// and nothing else wakes a blocked worker.
 	bell *intake.Bell
 	// gate wakes a Close draining a closing service (jobDone).
 	gate *intake.Gate
@@ -73,11 +65,6 @@ type service struct {
 	_     [8]uint64
 	state atomic.Int64
 	_     [7]uint64
-	// heat is the arrival gap of admitted batches (fed once per batch by
-	// admitBatch, read by idle workers at their yield points): the
-	// serve loop's half of the heat rule the edge poller gates on.
-	heat prof.Heat
-	_    [6]uint64
 }
 
 // Phases of service.state, in the only order Close walks them.
@@ -243,7 +230,7 @@ func (tm *Team) Close() error {
 		return nil // another Close finished the teardown
 	}
 	svc.state.Store(svcStopping)
-	svc.bell.RingAll() // idle sleepers must observe stopping, without waiting out their timers
+	svc.bell.RingAll() // idle sleepers must observe stopping
 	svc.wg.Wait()
 	svc.state.Store(svcStopped)
 	return nil
@@ -258,18 +245,12 @@ func (tm *Team) Serving() bool {
 // serve is one worker's service loop — the persistent analogue of the
 // region barrier-wait loop: execute queued tasks, adopt newly submitted
 // jobs when idle, run the thief protocol, and block on the bell once the
-// idleSpin budget is spent, or at once when no work is due.
+// idleSpin budget is spent, or at once when nothing is in flight.
 func (tm *Team) serve(svc *service, w *Worker) {
 	defer svc.wg.Done()
 	w.beginRegion()
 	w.bell = svc.bell
 	defer func() { w.bell = nil }()
-	sweep := idleSweep
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
 	// free is the clock reading of the last job this worker finished,
 	// while nothing has run since: the start of the next job it adopts.
 	// Every other execution replaces it and every idle poll drops it.
@@ -296,10 +277,10 @@ func (tm *Team) serve(svc *service, w *Worker) {
 		if !w.idle() {
 			continue
 		}
-		// Spin on only while work is due (idleSpin): a job in flight or a
-		// hot team. One clock read per stallSpins polls: idleSince is the
-		// first reading of the current idle spell.
-		if s>>svcPhaseBits > 0 || svc.heat.NS() < int64(idleSpin) {
+		// Spin on only while a job is in flight (idleSpin). One clock
+		// read per stallSpins polls: idleSince is the first reading of
+		// the current idle spell.
+		if s>>svcPhaseBits > 0 {
 			now := time.Now()
 			if w.idleSince.IsZero() {
 				w.idleSince = now
@@ -309,54 +290,28 @@ func (tm *Team) serve(svc *service, w *Worker) {
 				continue
 			}
 		}
-		if tm.idleWait(svc, w, timer, sweep) {
-			w.idleSince = time.Time{} // announced work: a fresh budget
-		} else {
-			w.polls = stallSpins // a sweep: one poll, then back to sleep
-		}
+		tm.idleWait(svc, w)
+		w.idleSince = time.Time{} // announced work: a fresh budget
 	}
 }
 
 // idleWait blocks worker w on the service bell until a producer announces
-// work or the safety-net sweep fires, and reports which: true for an
-// announcement (or a re-check that already saw the reason to stay up),
-// false for a sweep. It is the consumer half of the pairing ARCHITECTURE.md
+// work, or returns at once when the re-check already sees a reason to
+// stay up. It is the consumer half of the pairing ARCHITECTURE.md
 // tabulates under "Idle policy": producers publish, then announce; the
 // worker registers, then re-checks everything a producer could have
 // changed — the phase, the intake rings, its own queues.
-func (tm *Team) idleWait(svc *service, w *Worker, timer *time.Timer, sweep time.Duration) bool {
-	th := w.prof
+func (tm *Team) idleWait(svc *service, w *Worker) {
 	svc.bell.Sleep(w.id)
 	if svc.phase() >= svcStopping || svc.pending() || !tm.sched.empty(w.id) {
 		svc.bell.Cancel(w.id)
-		return true
+		return
 	}
-	th.Inc(prof.CntIdleParks)
-	rearm(timer, sweep)
-	select {
-	case <-svc.bell.Chan(w.id):
-		svc.bell.Cancel(w.id)
-		th.Inc(prof.CntBellWakes)
-		return true
-	case <-timer.C:
-	}
-	svc.bell.Cancel(w.id)
-	th.Inc(prof.CntSweepWakes)
-	if svc.pending() || !tm.sched.empty(w.id) {
-		th.Inc(prof.CntSweepFoundWork)
-	}
-	return false
-}
-
-// rearm resets t, whose channel may still hold a tick nobody took.
-func rearm(t *time.Timer, d time.Duration) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	t.Reset(d)
+	w.prof.Inc(prof.CntIdleParks)
+	// The announcer that sent the token has already deregistered w, and
+	// at most one token is ever pending: nothing is left to cancel.
+	<-svc.bell.Chan(w.id)
+	w.prof.Inc(prof.CntBellWakes)
 }
 
 // adopt makes worker w the entry point of a submitted job: the worker

@@ -223,9 +223,10 @@ func (w *Worker) pushTo(to int, t *Task) bool {
 // announce tells a possibly sleeping serve-loop worker that a task this
 // worker just pushed is waiting: target is the worker whose queues hold
 // it, or negative when any worker can take it. An idle worker sleeps on
-// the service bell once no work is due or its idleSpin budget is spent
-// (service.go), and only the owner polls an XQueue row, so a push the
-// owner never hears of would sit until the safety-net sweep. The order is publish, then announce — the producer
+// the service bell once nothing is in flight or its idleSpin budget is
+// spent (service.go), only the owner polls an XQueue row, and nothing
+// but an announcement wakes a sleeper, so a push the owner never hears
+// of would sit for good. The order is publish, then announce — the producer
 // half of the Dekker pairing whose consumer half (register, then re-check
 // rings and own queues) is in Team.idleWait. While nobody sleeps this is
 // an owner-only field read plus one atomic load of a read-mostly padded

@@ -306,8 +306,9 @@ func (b *Bell) Sleep(id int) {
 	b.mu.Unlock()
 }
 
-// Cancel deregisters consumer id (after a wake, a timeout, or a
-// re-check that found work) and drains a token that may have raced in.
+// Cancel deregisters consumer id after a re-check that found work, and
+// drains a token that may have raced in. A consumer woken through Chan
+// needs no Cancel: whoever sent its token deregistered it.
 func (b *Bell) Cancel(id int) {
 	b.mu.Lock()
 	b.removeLocked(id)

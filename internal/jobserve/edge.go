@@ -13,14 +13,16 @@ import (
 )
 
 // The edge polls itself. A reader that parks in Go's netpoller is woken
-// only when a P runs dry, so beside yield-spinning workers a frame that
-// is already in the socket waits out their whole spin. While the edge is
-// hot the reader therefore goes looking for its next frame: a
-// non-blocking read of its own socket, then one sweep of the server's
-// epoll set on behalf of every reader that did park, then a yield — for
-// at most pollWindow after its last frame, and then the blocking read it
-// always did. The poller only ever wakes earlier what netpoll would wake
-// later; nothing depends on it for correctness.
+// only when a P runs dry, so beside other runnable goroutines a frame
+// that is already in the socket waits until all of them block. While the
+// edge is hot the reader therefore goes looking for its next frame: one
+// yield first, so the worker its last frame rang runs the job, then a
+// non-blocking read of its own socket, one sweep of the server's epoll
+// set on behalf of every reader that did park (none is made while no
+// reader is parked), and a yield — for at most pollWindow after its last
+// frame, and then the blocking read it always did. The poller only ever
+// wakes earlier what netpoll would wake later; nothing depends on it for
+// correctness.
 
 // pollWindow is the edge poller's one constant: a reader polls for at
 // most this long after a frame, and only while the server-wide EWMA of
@@ -47,7 +49,7 @@ type edgeConn struct {
 
 	// parked is true while the reader is inside the blocking read: the
 	// only state in which a sweep that finds this connection ready has
-	// anybody to wake.
+	// anybody to wake. poller.park sets it, beside the poller's count.
 	parked atomic.Bool
 
 	// pollUntil is the end of the current poll window (zero: park at
@@ -83,14 +85,20 @@ func (e *edgeConn) frame(now time.Time, nowNS int64) {
 // Read is the reader's one loop: poll while the window is open, then
 // block exactly as a plain net.Conn read does.
 func (e *edgeConn) Read(b []byte) (int, error) {
-	polls := 0
+	polls, sweeps := 0, 0
+	if !e.pollUntil.IsZero() {
+		// The worker the last frame's admission rang is runnable on this
+		// P: let it run the job before the first read, rather than behind
+		// an EAGAIN and a sweep.
+		runtime.Gosched()
+	}
 	for !e.pollUntil.IsZero() {
 		n, err := e.readNonblock(b)
 		if err != errEdgeEmpty {
 			if e.clearKick(err) {
 				continue
 			}
-			e.wire.EdgeSpell(polls, n > 0)
+			e.wire.EdgeSpell(polls, sweeps, n > 0)
 			return n, err
 		}
 		if time.Now().After(e.pollUntil) {
@@ -98,15 +106,17 @@ func (e *edgeConn) Read(b []byte) (int, error) {
 			break
 		}
 		polls++
-		e.p.sweep(e)
+		if e.p.sweep(e) {
+			sweeps++
+		}
 		runtime.Gosched()
 	}
-	e.wire.EdgeSpell(polls, false)
+	e.wire.EdgeSpell(polls, sweeps, false)
 	for {
 		e.wire.EdgePark()
-		e.parked.Store(true)
+		e.p.park(e, true)
 		n, err := e.c.Read(b)
-		e.parked.Store(false)
+		e.p.park(e, false)
 		if e.clearKick(err) {
 			continue
 		}

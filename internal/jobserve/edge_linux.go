@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"syscall"
 
 	"repro/internal/prof"
@@ -14,9 +15,13 @@ import (
 
 // poller is the server's own edge-triggered epoll set over its accepted
 // connections, beside (not instead of) the runtime's netpoller. Nobody
-// blocks on it: polling readers sweep it with a zero timeout.
+// blocks on it: polling readers sweep it with a zero timeout, and only
+// while some reader is parked.
 type poller struct {
 	epfd int
+	// parked counts the readers inside their blocking read (park): a
+	// sweep with nobody to kick returns before its epoll_wait.
+	parked atomic.Int32
 
 	// mu guards everything below. Sweeps only ever TryLock it: one
 	// sweeper at a time is enough, and a reader that loses the race has
@@ -111,15 +116,30 @@ func (p *poller) close() {
 	}
 }
 
+// park marks e's reader as entering (on) or leaving its blocking read.
+// Entering, both marks land before the read's first read(2).
+func (p *poller) park(e *edgeConn, on bool) {
+	if on {
+		p.parked.Add(1)
+		e.parked.Store(true)
+		return
+	}
+	e.parked.Store(false)
+	p.parked.Add(-1)
+}
+
 // sweep collects what the kernel has to report without waiting and kicks
 // every ready connection whose reader is parked in netpoll; self needs
-// no kick, it is about to read. The events are edge-triggered and
-// consumed here, which loses nothing: a reader always reads before it
-// parks, and one that parked before its data arrived had parked set
-// before the event existed.
-func (p *poller) sweep(self *edgeConn) {
-	if !p.mu.TryLock() {
-		return
+// no kick, it is about to read. It reports whether it made the
+// epoll_wait: not while no reader is parked, nor while another sweep
+// holds the set. The events are edge-triggered and consumed here, which
+// loses nothing: a reader always reads before it parks, and one that
+// parked before its data arrived was counted and had parked set before
+// the event existed. An event nobody sweeps stays queued in the set for
+// the first sweep after a reader parks.
+func (p *poller) sweep(self *edgeConn) bool {
+	if p.parked.Load() == 0 || !p.mu.TryLock() {
+		return false
 	}
 	n, _ := syscall.EpollWait(p.epfd, p.events[:], 0) // an error is n <= 0
 	kicks := 0
@@ -136,6 +156,7 @@ func (p *poller) sweep(self *edgeConn) {
 	if kicks > 0 {
 		self.wire.EdgeKick(kicks)
 	}
+	return true
 }
 
 // rawRead is the RawConn.Read callback: one read(2), and never a request

@@ -16,7 +16,8 @@ type poller struct{}
 func newPoller() *poller                              { return nil }
 func (p *poller) open(net.Conn, *prof.Wire) *edgeConn { return nil }
 func (p *poller) close()                              {}
-func (p *poller) sweep(*edgeConn)                     {}
+func (p *poller) sweep(*edgeConn) bool                { return false }
+func (p *poller) park(*edgeConn, bool)                {}
 func (e *edgeConn) close()                            {}
 
 func (e *edgeConn) readNonblock([]byte) (int, error) { return 0, errEdgeEmpty }

@@ -403,11 +403,12 @@ func TestEdgeSweepKicksParkedReaders(t *testing.T) {
 	goneClient, goneSrv := tcpPair(t)
 	gone := p.open(goneSrv, w)
 
-	// Nobody reads these; parked is set by hand so the sweep's choice is
-	// the only thing under test.
-	ready.parked.Store(true)
-	quiet.parked.Store(true)
-	gone.parked.Store(true)
+	// Nobody reads these; they are marked parked the way a reader marks
+	// itself before its blocking read, so the sweep's choice is the only
+	// thing under test.
+	p.park(ready, true)
+	p.park(quiet, true)
+	p.park(gone, true)
 
 	// gone becomes ready, then leaves the way Server.Close makes it leave:
 	// the connection closed first, the registration dropped after.
@@ -430,9 +431,42 @@ func TestEdgeSweepKicksParkedReaders(t *testing.T) {
 	}
 
 	// The kicked connection's next read clears the kick and finds the data.
-	ready.parked.Store(false)
+	p.park(ready, false)
 	buf := make([]byte, 8)
 	if n, err := ready.Read(buf); n != 4 || err != nil {
 		t.Fatalf("kicked connection read %d, %v", n, err)
+	}
+}
+
+// TestEdgeSweepsOnlyForParkedReaders: a lone hot reader polls its own
+// socket and makes no epoll_wait — a sweep would have nobody to kick —
+// and once another reader parks, the hot reader's polls sweep for it.
+func TestEdgeSweepsOnlyForParkedReaders(t *testing.T) {
+	p, w := testPoller(t)
+	hotClient, hotSrv := tcpPair(t)
+	hot := openEdge(t, p, w, hotSrv, true)
+	pollFor := func() {
+		t.Helper()
+		r := startRead(hot, 1)
+		time.Sleep(300 * time.Microsecond) // the reader polls an empty socket meanwhile
+		hotClient.Write([]byte{1})
+		if res := within(t, r, 5*time.Second, "hot read"); res.n != 1 || res.err != nil {
+			t.Fatalf("hot read: %+v", res)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		pollFor()
+	}
+	if ws := w.Snapshot(); ws.EdgePolls == 0 || ws.EdgeSweeps != 0 {
+		t.Fatalf("a lone hot reader: want polls and no sweeps, got %+v", ws)
+	}
+
+	_, coldSrv := tcpPair(t)
+	cold := openEdge(t, p, w, coldSrv, false)
+	startRead(cold, 1) // parks until the connection's cleanup closes it
+	waitUntil(t, func() bool { return cold.parked.Load() }, "the cold reader to park")
+	pollFor()
+	if ws := w.Snapshot(); ws.EdgeSweeps == 0 {
+		t.Fatalf("a hot reader beside a parked one made no sweep: %+v", ws)
 	}
 }

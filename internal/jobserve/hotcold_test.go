@@ -37,8 +37,8 @@ func TestEdgeChildServer(t *testing.T) {
 	io.Copy(io.Discard, os.Stdin) // the parent closes it when done
 	srv.Close()
 	ws := srv.Wire()
-	fmt.Printf("edge %d polls, %d hits, %d kicks, %d parks, %d frames\n",
-		ws.EdgePolls, ws.EdgePollHits, ws.EdgeKicks, ws.EdgeParks, ws.FramesIn)
+	fmt.Printf("edge %d polls, %d hits, %d sweeps, %d kicks, %d parks, %d frames\n",
+		ws.EdgePolls, ws.EdgePollHits, ws.EdgeSweeps, ws.EdgeKicks, ws.EdgeParks, ws.FramesIn)
 }
 
 // raceEnabled reports whether this binary was built with -race.

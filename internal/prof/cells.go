@@ -52,10 +52,9 @@ func (c *counter) load() uint64 { return c.v.Load() }
 // Heat is how busy an arrival stream is: an EWMA (α = ¼) of the gaps
 // between the clock readings fed to Arrive, the first gap measured from
 // the clock's base, so a stream that starts late starts cold. It is the
-// one signal both serving levels gate their spinning on — the edge's
-// readers on frame arrivals (Wire.Heat), a serving team's workers on
-// admitted batches — and each asks the same question of it: is the next
-// arrival likelier than not to land inside my window? Concurrent feeders
+// signal the serving edge gates its readers' polling on (Wire.Heat, fed
+// on frame arrivals), and the question it answers is: is the next
+// arrival likelier than not to land inside the poll window? Concurrent feeders
 // may lose each other's update; the signal is a rate estimate, not a
 // count. The zero value reads hot (0 ns) until its first arrival.
 type Heat struct {

@@ -236,12 +236,22 @@ func TestGoldenSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Older dumps also carry the retired worker-signal gauges, policy
-	// switches and active-worker gauge; those fields are ignored, not
-	// refused.
+	// switches and active-worker gauge, and two retired trailing counters
+	// (the idle sweep's wakes and finds) on every worker's row; those are
+	// ignored, not refused.
 	older := bytes.Replace(want, []byte(`"sig_job_ns"`),
 		[]byte(`"sig_service_ns":1234.5,"sig_idle_ratio":0.25,"policy_switches":[{"at":77,"from":"a","to":"fine: b"}],"nworkers_active":1,"sig_job_ns"`), 1)
-	if _, err := Load(bytes.NewReader(older)); err != nil {
+	older = bytes.Replace(older, []byte(`"counters":[[0,0,0,0,0,0,0,0,0,0,0,0,0,5,4,0,0,0,0,0],[0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,1,0,0,0,0]]`),
+		[]byte(`"counters":[[0,0,0,0,0,0,0,0,0,0,0,0,0,5,4,0,0,0,0,0,9,1],[0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,1,0,0,0,0,3,0]]`), 1)
+	if bytes.Equal(older, want) {
+		t.Fatal("the retired fields were not spliced into the fixture")
+	}
+	old, err := Load(bytes.NewReader(older))
+	if err != nil {
 		t.Fatalf("dump with retired fields: %v", err)
+	}
+	if got := old.Counters; got[0][CntTasksCreated] != 5 || got[1][CntJobsAdopted] != 1 || got[1][NumCounters-1] != 0 {
+		t.Fatalf("an old dump's live counters were shifted by its retired ones: %v", got)
 	}
 	var out bytes.Buffer
 	if err := back.AdmissionSummary(&out); err != nil {

@@ -117,19 +117,11 @@ const (
 	// millions a second, a sleeping one by a few hundred.
 	CntIdlePolls
 	// CntIdleParks counts the times this thread blocked on the service
-	// bell: its idle-spin budget spent, or no work due.
+	// bell: its idle-spin budget spent, or nothing in flight.
 	CntIdleParks
 	// CntBellWakes counts blocked spells ended by a producer's
-	// announcement (Bell.Ring or Bell.Wake).
+	// announcement (Bell.Ring or Bell.Wake) — the only way one ends.
 	CntBellWakes
-	// CntSweepWakes counts blocked spells ended by the safety-net timer.
-	CntSweepWakes
-	// CntSweepFoundWork counts sweep wakes that found work in the intake
-	// rings or this thread's queues — work no announcement woke this
-	// thread for. A producer's publish and its announce are two steps, so
-	// a sweep that lands between them counts legitimately; a count that
-	// grows with load points at a push site that does not announce.
-	CntSweepFoundWork
 	// NumCounters is the number of counters.
 	NumCounters
 )
@@ -143,7 +135,6 @@ var counterNames = [NumCounters]string{
 	"NTASKS_CREATED", "NTASKS_EXECUTED",
 	"NJOBS_ADOPTED", "NTASKS_CANCELLED",
 	"NIDLE_POLLS", "NIDLE_PARKS", "NBELL_WAKES",
-	"NSWEEP_WAKES", "NSWEEP_FOUND_WORK",
 }
 
 // String returns the paper's name for the counter.

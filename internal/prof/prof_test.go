@@ -253,8 +253,8 @@ func TestNames(t *testing.T) {
 	}
 	// The name table is positional: a counter added without its name
 	// would shift or blank the ones after it.
-	if CntIdlePolls.String() != "NIDLE_POLLS" || CntSweepFoundWork.String() != "NSWEEP_FOUND_WORK" {
-		t.Errorf("idle counter names: %s … %s", CntIdlePolls, CntSweepFoundWork)
+	if CntIdlePolls.String() != "NIDLE_POLLS" || CntBellWakes.String() != "NBELL_WAKES" {
+		t.Errorf("idle counter names: %s … %s", CntIdlePolls, CntBellWakes)
 	}
 	for c := Counter(0); c < NumCounters; c++ {
 		if c.String() == "" {

@@ -34,6 +34,7 @@ type Wire struct {
 	// Readers publish them per poll spell, never per poll.
 	edgePolls    counter
 	edgePollHits counter
+	edgeSweeps   counter
 	edgeKicks    counter
 	edgeParks    counter
 	// Heat is the one signal that gates the poller: every reader feeds it
@@ -101,14 +102,16 @@ type WireSnapshot struct {
 	ResultsOut uint64
 	Refused    uint64
 	// EdgePolls counts the polling readers' empty polls (a non-blocking
-	// read of their own socket that found nothing, followed by one sweep
-	// of the server's epoll set); EdgePollHits the poll spells that ended
-	// with the reader's own bytes arriving — a netpoll park avoided;
-	// EdgeKicks the parked readers a sweep woke; EdgeParks the blocking
-	// reads issued (every read of a cold edge, and a hot one's fallback
-	// once its poll window closed). All zero on a server with no poller.
+	// read of their own socket that found nothing, then a sweep when
+	// some other reader is parked); EdgePollHits the poll spells that
+	// ended with the reader's own bytes arriving — a netpoll park
+	// avoided; EdgeSweeps the sweeps made, one epoll_wait each; EdgeKicks
+	// the parked readers a sweep woke; EdgeParks the blocking reads
+	// issued (every read of a cold edge, and a hot one's fallback once
+	// its poll window closed). All zero on a server with no poller.
 	EdgePolls    uint64
 	EdgePollHits uint64
+	EdgeSweeps   uint64
 	EdgeKicks    uint64
 	EdgeParks    uint64
 	// EdgeHeatNS is the server-wide EWMA of submit-frame inter-arrival
@@ -142,14 +145,16 @@ func (w *Wire) ResultOut(n, refused int) {
 	w.refused.add(refused)
 }
 
-// EdgeSpell records one finished poll spell: polls empty polls, ending
-// with the reader's own bytes (hit) or not. A read that found its bytes
-// at once polled nothing and records nothing.
-func (w *Wire) EdgeSpell(polls int, hit bool) {
+// EdgeSpell records one finished poll spell: polls empty polls, sweeps
+// of them followed by a sweep, ending with the reader's own bytes (hit)
+// or not. A read that found its bytes at once polled nothing and records
+// nothing.
+func (w *Wire) EdgeSpell(polls, sweeps int, hit bool) {
 	if polls == 0 {
 		return
 	}
 	w.edgePolls.add(polls)
+	w.edgeSweeps.add(sweeps)
 	if hit {
 		w.edgePollHits.add(1)
 	}
@@ -175,6 +180,7 @@ func (w *Wire) Snapshot() WireSnapshot {
 		Refused:      w.refused.load(),
 		EdgePolls:    w.edgePolls.load(),
 		EdgePollHits: w.edgePollHits.load(),
+		EdgeSweeps:   w.edgeSweeps.load(),
 		EdgeKicks:    w.edgeKicks.load(),
 		EdgeParks:    w.edgeParks.load(),
 		EdgeHeatNS:   w.Heat.NS(),

@@ -75,12 +75,12 @@ func TestWireStages(t *testing.T) {
 // the heat signal the readers feed.
 func TestWireEdge(t *testing.T) {
 	var w Wire
-	w.EdgeSpell(7, true)
-	w.EdgeSpell(5, false)
+	w.EdgeSpell(7, 2, true)
+	w.EdgeSpell(5, 0, false)
 	w.EdgeKick(3)
 	w.EdgePark()
 	w.Heat.Arrive(4_000_000)
-	if s := w.Snapshot(); s.EdgePolls != 12 || s.EdgePollHits != 1 || s.EdgeKicks != 3 || s.EdgeParks != 1 || s.EdgeHeatNS != 1_000_000 {
+	if s := w.Snapshot(); s.EdgePolls != 12 || s.EdgePollHits != 1 || s.EdgeSweeps != 2 || s.EdgeKicks != 3 || s.EdgeParks != 1 || s.EdgeHeatNS != 1_000_000 {
 		t.Fatalf("edge counters: %+v", s)
 	}
 }
