@@ -12,11 +12,11 @@
 // default, -shards 1, is the one-shard pool: a single shared team over
 // -zones synthetic NUMA zones. With -shards N > 1 the same total worker
 // count is split into N single-zone shards: jobs are placed by the
-// power-of-two-choices dispatcher and a second-level balancer migrates
-// queued jobs off overloaded shards. -skew pins a leading fraction of
-// every submitter's jobs to shard 0 — the hot-shard scenario that only
-// cross-shard migration can drain. The report lists every shard's
-// completion and NJOBS_MIGRATED counts.
+// power-of-two-choices dispatcher and a second-level balancer moves jobs
+// queued behind busy workers to a shard with an idle one. -skew pins a
+// leading fraction of every submitter's jobs to shard 0 — the hot-shard
+// scenario that only cross-shard migration can drain. The report lists
+// every shard's completion and NJOBS_MIGRATED counts.
 //
 // The admission edge is exercised with three flags. -priority-mix
 // "I:B:G" spreads each submitter's jobs over the interactive, batch, and

@@ -14,9 +14,9 @@
 // per-job profiling. Its one-shard case (xomp.NewPool) is a single serving
 // team; with more shards it runs one serving team per NUMA domain behind a
 // two-level dynamic load balancer (power-of-two-choices job placement by
-// shard queue depth, plus a balancer migrating whole queued jobs off
-// overloaded shards). cmd/loadgen drives both shapes with mixed BOTS
-// traffic, and BenchmarkPoolThroughput /
+// shard queue depth, plus a balancer moving whole queued jobs stuck
+// behind busy workers to shards with idle ones). cmd/loadgen drives both
+// shapes with mixed BOTS traffic, and BenchmarkPoolThroughput /
 // BenchmarkShardedPoolThroughput in bench_test.go measure jobs/sec by
 // preset, submitter count, and shard count.
 //

@@ -10,7 +10,7 @@
 //
 //   - one plan per balancing level, each reading Signals instead of
 //     probing other layers (policy.go: CondRandom, PowerOfTwo,
-//     GapHalving); admission alone chooses among
+//     FillIdle); admission alone chooses among
 //     policies behind one interface (AdmitPolicy, admit.go), and
 //     weighted-fair multi-tenant admission keeps its own state
 //     (tenant.go);

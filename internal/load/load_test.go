@@ -136,7 +136,6 @@ func TestPowerOfTwoPrefersShallow(t *testing.T) {
 func TestPlansNameTwoShardsInRange(t *testing.T) {
 	r := rng.New(17)
 	for _, n := range []int{1, 2, 3, 7} {
-		g := GapHalving{Threshold: 2}
 		moves := 0
 		for i := 0; i < 2000; i++ {
 			sigs := make([]Signals, n)
@@ -147,10 +146,10 @@ func TestPlansNameTwoShardsInRange(t *testing.T) {
 					Capacity:   float64(1 + r.Intn(4)),
 				}
 			}
-			if from, to, k := g.Plan(sigs); k > 0 {
+			if from, to, k := FillIdle(sigs); k > 0 {
 				moves++
 				if from == to || from < 0 || to < 0 || from >= n || to >= n {
-					t.Fatalf("n=%d: GapHalving plan (%d, %d, %d) on %+v", n, from, to, k, sigs)
+					t.Fatalf("n=%d: FillIdle plan (%d, %d, %d) on %+v", n, from, to, k, sigs)
 				}
 			}
 		}
@@ -160,45 +159,57 @@ func TestPlansNameTwoShardsInRange(t *testing.T) {
 	}
 }
 
-func TestGapHalvingBulkMove(t *testing.T) {
-	g := GapHalving{Threshold: 2}
-	from, to, n := g.Plan([]Signals{
-		{QueueDepth: 8, Running: 2, Capacity: 2},
-		{QueueDepth: 0, Running: 0, Capacity: 2},
-	})
-	if from != 0 || to != 1 || n != 4 {
-		t.Fatalf("plan = (%d,%d,%d), want (0,1,4) — half the gap", from, to, n)
-	}
-}
-
-func TestGapHalvingRescue(t *testing.T) {
-	g := GapHalving{Threshold: 2}
-	// One queued job behind a fully busy shard, cold shard empty and idle:
-	// must move despite the sub-threshold gap.
-	from, to, n := g.Plan([]Signals{
-		{QueueDepth: 1, Running: 2, Capacity: 2},
-		{QueueDepth: 0, Running: 0, Capacity: 2},
-	})
-	if from != 0 || to != 1 || n != 1 {
-		t.Fatalf("rescue plan = (%d,%d,%d), want (0,1,1)", from, to, n)
-	}
-	// Hot shard still has adoption capacity: no rescue.
-	if _, _, n := g.Plan([]Signals{
-		{QueueDepth: 1, Running: 1, Capacity: 2},
-		{QueueDepth: 0, Running: 0, Capacity: 2},
-	}); n != 0 {
-		t.Fatalf("rescue moved %d with idle hot workers", n)
-	}
-	// Cold shard saturated: no rescue.
-	if _, _, n := g.Plan([]Signals{
-		{QueueDepth: 1, Running: 2, Capacity: 2},
-		{QueueDepth: 0, Running: 2, Capacity: 2},
-	}); n != 0 {
-		t.Fatalf("rescue moved %d onto a saturated cold shard", n)
-	}
-	// Balanced: nothing to do.
-	if _, _, n := g.Plan([]Signals{{}, {}}); n != 0 {
-		t.Fatalf("balanced plan moved %d", n)
+// TestFillIdle pins the migration plan: only jobs stuck behind busy
+// workers move, only onto workers with nothing to adopt, and never more
+// than either side has.
+func TestFillIdle(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		shards      []Signals
+		from, to, n int
+	}{
+		{"stuck onto free", []Signals{
+			{QueueDepth: 3, Running: 2, Capacity: 2},
+			{Capacity: 2},
+		}, 0, 1, 2},
+		{"n is the stuck count", []Signals{
+			{Capacity: 4},
+			{QueueDepth: 1, Running: 2, Capacity: 2},
+		}, 1, 0, 1},
+		{"n is the free count", []Signals{
+			{QueueDepth: 8, Running: 2, Capacity: 2},
+			{Running: 1, Capacity: 2},
+		}, 0, 1, 1},
+		{"most stuck to most free", []Signals{
+			{QueueDepth: 1, Running: 2, Capacity: 2},
+			{Running: 1, Capacity: 2},
+			{QueueDepth: 4, Running: 2, Capacity: 2},
+			{Capacity: 2},
+		}, 2, 3, 2},
+		{"queued jobs with idle workers are not stuck", []Signals{
+			{QueueDepth: 2, Capacity: 2},
+			{Capacity: 2},
+		}, 0, 0, 0},
+		{"stuck beyond the idle workers only", []Signals{
+			{QueueDepth: 5, Running: 1, Capacity: 4},
+			{Capacity: 4},
+		}, 0, 1, 2},
+		{"two busy shards trade nothing", []Signals{
+			{QueueDepth: 9, Running: 2, Capacity: 2},
+			{QueueDepth: 1, Running: 2, Capacity: 2},
+		}, 0, 0, 0},
+		{"none onto a shard whose queue takes its idle workers", []Signals{
+			{QueueDepth: 6, Running: 2, Capacity: 2},
+			{QueueDepth: 1, Running: 1, Capacity: 2},
+		}, 0, 0, 0},
+		{"idle everywhere", []Signals{{Capacity: 2}, {Capacity: 2}}, 0, 0, 0},
+		{"one shard", []Signals{{QueueDepth: 3, Running: 2, Capacity: 2}}, 0, 0, 0},
+		{"no shards", nil, 0, 0, 0},
+	} {
+		from, to, n := FillIdle(tc.shards)
+		if n != tc.n || (n > 0 && (from != tc.from || to != tc.to)) {
+			t.Errorf("%s: plan = (%d,%d,%d), want (%d,%d,%d)", tc.name, from, to, n, tc.from, tc.to, tc.n)
+		}
 	}
 }
 

@@ -107,53 +107,25 @@ func (PowerOfTwo) Pick(r uint64, n int, c Class, sig func(int) Signals) int {
 	return a
 }
 
-// GapHalving is the second-level balancer's plan. Plan returns the donor,
-// the receiver, and how many queued jobs to move (n == 0: no move). It
-// finds the shards with the deepest and shallowest admission queues and,
-// when the gap reaches Threshold, moves half the gap (halving can never
-// invert the imbalance, so repeated application converges). Below the
-// threshold only a *rescue* moves: a queued job stuck behind a shard
-// whose active workers are all occupied, while the coldest shard sits
-// empty with idle capacity, must always drain — it would otherwise wait
-// out the hot shard's running work — whereas a forced move between two
-// live shards would just ping-pong the job back on the next scan.
-type GapHalving struct {
-	// Threshold is the minimum hot-cold queue-depth gap that triggers a
-	// bulk move. Values below 1 behave as 1.
-	Threshold int
-}
-
-func (g GapHalving) Plan(shards []Signals) (from, to, n int) {
-	if len(shards) < 2 {
-		return 0, 0, 0
-	}
-	hot, cold := -1, -1
-	var hi, lo, coldRunning float64
+// FillIdle is the second-level balancer's plan, the paper's thief-first
+// rule (§IV-B–D) one layer up: a queued job moves only to a shard that
+// has a worker with nothing to do. A shard's *stuck* jobs are its queued
+// jobs beyond its idle workers, min(Q, Q+R−C)⁺; its *free* workers are
+// those neither running a job nor about to adopt a queued one, (C−R−Q)⁺.
+// FillIdle names the shard with the most stuck jobs, the shard with the
+// most free workers, and n = min(stuck, free) jobs to move between them;
+// n == 0 when no shard has both. A shard with a stuck job has no free
+// worker, so the two are distinct whenever n > 0, and two busy shards
+// never trade jobs.
+func FillIdle(shards []Signals) (from, to, n int) {
+	var stuck, free float64
 	for i, s := range shards {
-		if hot < 0 || s.QueueDepth > hi {
-			hot, hi = i, s.QueueDepth
+		if k := min(s.QueueDepth, s.QueueDepth+s.Running-s.Capacity); k > stuck {
+			from, stuck = i, k
 		}
-		// Equal-depth ties prefer the shard with the fewest running jobs:
-		// depth alone cannot distinguish a shard that is busily draining
-		// from one whose workers are wedged on long-running jobs, so at
-		// least steer migrated jobs toward real adoption capacity.
-		if cold < 0 || s.QueueDepth < lo || (s.QueueDepth == lo && s.Running < coldRunning) {
-			cold, lo, coldRunning = i, s.QueueDepth, s.Running
+		if k := s.Capacity - s.Running - s.QueueDepth; k > free {
+			to, free = i, k
 		}
 	}
-	if hot == cold {
-		return 0, 0, 0
-	}
-	gap := hi - lo
-	moves := int(gap / 2)
-	if gap < float64(g.Threshold) || moves < 1 {
-		hotS, coldS := shards[hot], shards[cold]
-		if hi == 0 || lo != 0 ||
-			hotS.Running < hotS.Capacity ||
-			coldS.Running+coldS.QueueDepth >= coldS.Capacity {
-			return 0, 0, 0
-		}
-		moves = 1
-	}
-	return hot, cold, moves
+	return from, to, int(min(stuck, free))
 }

@@ -94,7 +94,7 @@ func TestPoolRejectWhenFull(t *testing.T) {
 
 // ShardedPool.SubmitCtx: mixed-class traffic across shards completes,
 // classes survive dispatch (core's TestMigratePreservesClass covers
-// migration), and a background
+// migration), and a batch
 // flood cannot stop interactive admission anywhere — the pool-level
 // priority-inversion guard.
 func TestShardedPoolSubmitCtxPriority(t *testing.T) {
@@ -105,26 +105,36 @@ func TestShardedPoolSubmitCtxPriority(t *testing.T) {
 			c.Backlog = 2
 			return c
 		}(),
-		// No background migration: a balancer that moved one of shard 0's
-		// gated floods onto the still-empty shard 1 would fill it before
-		// the flood pinned there, and that SubmitTo would wait on the gate
-		// forever.
-		BalanceInterval: -1,
 	})
 	defer pool.Close()
 
-	// Flood every shard's background queue to the brim with gated work.
+	// Flood every shard's batch queue to the brim with gated work. Every
+	// worker is busy before any queue forms: the balancer moves a queued
+	// job only to a shard with an idle worker, so once none is left it
+	// cannot fill a shard ahead of the flood pinned there, which would
+	// then wait on the gate forever.
 	gate := make(chan struct{})
 	var floods []*xomp.Job
 	var once sync.Once
 	defer func() { once.Do(func() { close(gate) }) }()
+	var busy sync.WaitGroup
+	busy.Add(2 * pool.Shards())
+	flood := func(s int, body func(*xomp.Worker)) {
+		j, err := pool.SubmitTo(s, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		floods = append(floods, j)
+	}
 	for s := 0; s < pool.Shards(); s++ {
-		for i := 0; i < 2+2; i++ { // workers + backlog per shard
-			j, err := pool.SubmitTo(s, func(*xomp.Worker) { <-gate })
-			if err != nil {
-				t.Fatal(err)
-			}
-			floods = append(floods, j)
+		for i := 0; i < 2; i++ { // one per worker
+			flood(s, func(*xomp.Worker) { busy.Done(); <-gate })
+		}
+	}
+	busy.Wait()
+	for s := 0; s < pool.Shards(); s++ {
+		for i := 0; i < 2; i++ { // the backlog
+			flood(s, func(*xomp.Worker) { <-gate })
 		}
 	}
 	// Interactive submissions must still be admitted promptly on every

@@ -5,8 +5,8 @@
 // domain and adds a second, coarser balancing level above the thread
 // scheduler: a dispatcher that places incoming jobs on the least-loaded
 // shard (power-of-two-choices over per-shard queue depth), and a balancer
-// that migrates whole queued jobs from overloaded shards to idle ones —
-// the paper's NA-WS semantics one layer up, with shards in place of
+// that migrates whole queued jobs only to shards with an idle worker —
+// the paper's thief-first stealing one layer up, with shards in place of
 // workers and jobs in place of tasks.
 package xomp
 
@@ -37,16 +37,6 @@ type ShardConfig struct {
 	// backlog, ...). Workers and Topology are interpreted per shard as
 	// described under Shards; Seed is decorrelated per shard.
 	Team Config
-
-	// BalanceInterval is the period of the second-level balancer that
-	// migrates queued jobs from the hottest shard to the coldest. 0 means
-	// 200µs; negative disables the background balancer (Rebalance can
-	// still be called manually).
-	BalanceInterval time.Duration
-
-	// MigrateThreshold is the minimum queue-depth gap (hottest minus
-	// coldest shard) that triggers migration. 0 means 2.
-	MigrateThreshold int
 }
 
 // ShardStats is one shard's load and migration picture at a point in time.
@@ -83,16 +73,17 @@ type ShardStats struct {
 // Level one: Submit places each job on the less loaded of two randomly
 // chosen shards (power-of-two-choices over admission queue depth), so
 // uncorrelated submitters spread load without any shared coordination
-// point. Level two: a background balancer watches per-shard queue depths
-// and migrates whole queued jobs off overloaded shards, so even adversarial
-// placement (every client pinning the same shard via SubmitTo) drains at
-// the speed of the whole machine. Jobs keep their handle, quiescence
+// point. Level two: a background balancer moves whole queued jobs that
+// wait behind busy workers to a shard whose workers have nothing to do,
+// so even adversarial placement (every client pinning the same shard via
+// SubmitTo) drains at the speed of the whole machine, while two busy
+// shards never trade jobs. Jobs keep their handle, quiescence
 // detection, and panic isolation across a migration; a job that has begun
 // executing is never moved, so every task of one job always runs inside
 // one team, preserving the intra-team locality the paper's DLB exploits.
 // Tasks move inside a team and jobs move between teams: two granularities
-// of the same hot→cold feedback loop. Each level runs one fixed plan over
-// the shards' load signals (power-of-two choices, gap halving); the
+// of the same idle-pulls-work rule. Each level runs one fixed plan over
+// the shards' load signals (power-of-two choices, fill the idle); the
 // admission policy (Config.Admit) is the pool's one selectable balancer.
 //
 // Jobs are isolated from each other: each has its own quiescence detection
@@ -108,9 +99,6 @@ type ShardStats struct {
 type ShardedPool struct {
 	shards []*core.Team
 
-	// migrate is the second-level balancer's plan.
-	migrate load.GapHalving
-
 	// seq and seed drive the dispatcher's placement randomness: a
 	// SplitMix64 stream indexed by an atomic counter, so concurrent
 	// submitters draw independent choices without a lock.
@@ -121,16 +109,6 @@ type ShardedPool struct {
 	stopBal chan struct{}
 	balOnce sync.Once
 	balWG   sync.WaitGroup
-}
-
-// signals snapshots every shard's current load signals — the one view the
-// migration plan decides from.
-func (p *ShardedPool) signals() []load.Signals {
-	out := make([]load.Signals, len(p.shards))
-	for i, tm := range p.shards {
-		out[i] = tm.Signals()
-	}
-	return out
 }
 
 // NewShardedPool validates cfg, builds and starts one serving team per
@@ -169,25 +147,12 @@ func NewShardedPool(cfg ShardConfig) (*ShardedPool, error) {
 		}
 	}
 
-	threshold := cfg.MigrateThreshold
-	if threshold == 0 {
-		threshold = 2
-	}
-	if threshold < 1 {
-		return nil, fmt.Errorf("xomp: MigrateThreshold must be >= 1, got %d", cfg.MigrateThreshold)
-	}
-	interval := cfg.BalanceInterval
-	if interval == 0 {
-		interval = 200 * time.Microsecond
-	}
-
 	baseSeed := base.Seed
 	if baseSeed == 0 {
 		baseSeed = 1
 	}
 	p := &ShardedPool{
 		shards:  make([]*core.Team, len(shardTops)),
-		migrate: load.GapHalving{Threshold: threshold},
 		seed:    uint64(baseSeed) * 0x9e3779b97f4a7c15,
 		stopBal: make(chan struct{}),
 	}
@@ -213,9 +178,9 @@ func NewShardedPool(cfg ShardConfig) (*ShardedPool, error) {
 		}
 		p.shards[s] = tm
 	}
-	if len(p.shards) > 1 && interval > 0 {
+	if len(p.shards) > 1 {
 		p.balWG.Add(1)
-		go p.balance(interval)
+		go p.balance()
 	}
 	return p, nil
 }
@@ -322,8 +287,8 @@ func (p *ShardedPool) SubmitBatchCtx(ctx context.Context, items []BatchItem, res
 // SubmitTo pins fn to one specific shard, bypassing the dispatcher. It is
 // the placement override for locality-affine clients (whose data is homed
 // in that shard's domain) and for load generators and tests that need a
-// deterministically hot shard; the second-level balancer will still move
-// the job if the shard stays overloaded.
+// deterministically hot shard; the second-level balancer still moves the
+// job while it waits behind busy workers and another shard has an idle one.
 func (p *ShardedPool) SubmitTo(shard int, fn TaskFunc) (*Job, error) {
 	if shard < 0 || shard >= len(p.shards) {
 		return nil, fmt.Errorf("xomp: SubmitTo shard %d of %d", shard, len(p.shards))
@@ -368,33 +333,43 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// balance is the second-level balancer loop: periodically migrate queued
-// jobs from the hottest shard to the coldest until Close.
-func (p *ShardedPool) balance(interval time.Duration) {
+// balanceTick is the second-level balancer's period. Ablations on
+// 2 vCPUs (alternated 24 s svcbench open-mix pairs) found that this wake,
+// not the moves, carries open-mix's latency: with the tick running and no
+// move made, p99 read 1.76–1.79 ms, as with gap-halving moves
+// (1.74–1.77); with no tick it read 3.74–4.23 ms against 1.66–2.03.
+const balanceTick = 200 * time.Microsecond
+
+// balance is the second-level balancer loop: every balanceTick, move
+// stuck jobs to idle shards, until Close. It owns the one signals slice
+// every tick snapshots into.
+func (p *ShardedPool) balance() {
 	defer p.balWG.Done()
-	tick := time.NewTicker(interval)
+	sig := make([]load.Signals, len(p.shards))
+	tick := time.NewTicker(balanceTick)
 	defer tick.Stop()
 	for {
 		select {
 		case <-p.stopBal:
 			return
 		case <-tick.C:
-			p.Rebalance()
+			p.rebalance(sig)
 		}
 	}
 }
 
-// Rebalance runs one second-level balancing scan synchronously: snapshot
-// every shard's load signals, let the migration plan (load.GapHalving)
-// pick a hot→cold move — it halves the deepest-shallowest queue gap once
-// it reaches the migration threshold, plus a rescue rule for a job stuck
-// behind a saturated shard — and migrate that many queued jobs. It
-// returns the number of jobs moved. The background balancer calls this on
-// every tick; tests and latency-sensitive callers may invoke it directly.
-func (p *ShardedPool) Rebalance() int {
-	hot, cold, n := p.migrate.Plan(p.signals())
+// rebalance runs one balancing scan: it snapshots every shard's load
+// signals into sig (one per shard), lets load.FillIdle pick the shard
+// with the most jobs stuck behind busy workers and the shard with the
+// most idle workers, and migrates that many queued jobs between them. It
+// returns the number of jobs moved.
+func (p *ShardedPool) rebalance(sig []load.Signals) int {
+	for i, tm := range p.shards {
+		sig[i] = tm.Signals()
+	}
+	from, to, n := load.FillIdle(sig)
 	for moved := 0; moved < n; moved++ {
-		if !core.MigrateQueuedJob(p.shards[hot], p.shards[cold]) {
+		if !core.MigrateQueuedJob(p.shards[from], p.shards[to]) {
 			return moved
 		}
 	}

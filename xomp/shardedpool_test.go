@@ -13,9 +13,8 @@ import (
 func shardedPool(t *testing.T, shards, workersPerShard int) *xomp.ShardedPool {
 	t.Helper()
 	cfg := xomp.ShardConfig{
-		Shards:          shards,
-		Team:            xomp.Preset("xgomptb+naws", workersPerShard),
-		BalanceInterval: -1, // tests drive Rebalance deterministically
+		Shards: shards,
+		Team:   xomp.Preset("xgomptb+naws", workersPerShard),
 	}
 	cfg.Team.Backlog = 64
 	return xomp.MustShardedPool(cfg)
@@ -116,33 +115,32 @@ func TestShardedPoolDispatchSpreads(t *testing.T) {
 }
 
 // TestShardedPoolSkewedMigration is the cross-shard migration scenario:
-// every submission pins the same shard while that shard's workers are
-// parked, so only second-level balancing can make progress. Queued jobs
-// must move off the hot shard, complete exactly once on other shards, and
-// a panicking job must stay isolated to its own handle across migration.
+// every submission pins shard 0 while its workers are parked, so only the
+// background balancer can make progress. While shard 1's workers are
+// parked too, both shards are busy and nothing moves; once they are
+// released, every queued job must move off the hot shard with no manual
+// call, complete exactly once on shard 1, and a panicking job must stay
+// isolated to its own handle across migration.
 func TestShardedPoolSkewedMigration(t *testing.T) {
-	cfg := xomp.ShardConfig{
-		Shards:           2,
-		Team:             xomp.Preset("xgomptb+naws", 2),
-		BalanceInterval:  -1, // driven manually below
-		MigrateThreshold: 1,  // the parked shard must drain completely
-	}
-	cfg.Team.Backlog = 64
-	p := xomp.MustShardedPool(cfg)
+	p := shardedPool(t, 2, 2)
 	defer p.Close()
 
-	// Park the hot shard's workers. The deferred release runs before the
+	// Park both shards' workers. The deferred releases run before the
 	// deferred Close, so a failing test still shuts down.
-	hold := make(chan struct{})
-	defer close(hold)
+	hold := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	defer close(hold[0])
+	release1 := sync.OnceFunc(func() { close(hold[1]) })
+	defer release1()
 	var parked sync.WaitGroup
-	parked.Add(2)
-	for i := 0; i < 2; i++ {
-		if _, err := p.SubmitTo(0, func(w *xomp.Worker) {
-			parked.Done()
-			<-hold
-		}); err != nil {
-			t.Fatal(err)
+	parked.Add(4)
+	for s := 0; s < 2; s++ {
+		for i := 0; i < 2; i++ {
+			if _, err := p.SubmitTo(s, func(w *xomp.Worker) {
+				parked.Done()
+				<-hold[s]
+			}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	parked.Wait()
@@ -164,26 +162,20 @@ func TestShardedPoolSkewedMigration(t *testing.T) {
 		}
 		handles[i] = j
 	}
-	if d := p.Stats()[0].QueueDepth; d != jobs {
-		t.Fatalf("hot shard queue depth = %d, want %d", d, jobs)
+	if st := p.Stats(); st[0].QueueDepth != jobs || st[0].MigratedOut != 0 {
+		t.Fatalf("hot shard queue depth %d, migrated out %d with both shards busy; want %d, 0",
+			st[0].QueueDepth, st[0].MigratedOut, jobs)
 	}
 
-	// Drive the balancer until the hot shard's queue has drained. The hot
-	// shard's workers stay parked throughout, so completions prove the
-	// jobs moved.
-	deadline := time.Now().Add(10 * time.Second)
-	for moved := 0; ; {
-		moved += p.Rebalance()
-		if p.Stats()[0].QueueDepth == 0 && moved >= jobs {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("hot shard did not drain: stats %+v", p.Stats())
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-
+	// Free shard 1. The hot shard's workers stay parked throughout, so
+	// completions prove the jobs moved.
+	release1()
 	for i, j := range handles {
+		select {
+		case <-j.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("job %d: the balancer never drained the hot shard: stats %+v", i, p.Stats())
+		}
 		err := j.Wait()
 		if i == badJob {
 			var pe *xomp.PanicError
@@ -206,55 +198,6 @@ func TestShardedPoolSkewedMigration(t *testing.T) {
 	if st[0].MigratedOut != jobs || st[1].MigratedIn != jobs {
 		t.Fatalf("migration counters out=%d in=%d, want %d/%d",
 			st[0].MigratedOut, st[1].MigratedIn, jobs, jobs)
-	}
-}
-
-// TestShardedPoolBackgroundBalancer runs the real timer-driven balancer
-// against a parked hot shard: the queued jobs must drain with no manual
-// Rebalance calls.
-func TestShardedPoolBackgroundBalancer(t *testing.T) {
-	cfg := xomp.ShardConfig{
-		Shards:           2,
-		Team:             xomp.Preset("xgomptb+naws", 2),
-		BalanceInterval:  100 * time.Microsecond,
-		MigrateThreshold: 1,
-	}
-	cfg.Team.Backlog = 64
-	p := xomp.MustShardedPool(cfg)
-	defer p.Close()
-
-	hold := make(chan struct{})
-	defer close(hold)
-	var parked sync.WaitGroup
-	parked.Add(2)
-	for i := 0; i < 2; i++ {
-		if _, err := p.SubmitTo(0, func(w *xomp.Worker) {
-			parked.Done()
-			<-hold
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	parked.Wait()
-
-	const jobs = 8
-	done := make(chan error, jobs)
-	for i := 0; i < jobs; i++ {
-		j, err := p.SubmitTo(0, func(w *xomp.Worker) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() { done <- j.Wait() }()
-	}
-	for i := 0; i < jobs; i++ {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("background balancer never drained the hot shard: stats %+v", p.Stats())
-		}
 	}
 }
 
@@ -320,9 +263,5 @@ func TestShardedPoolConfigErrors(t *testing.T) {
 	}
 	if _, err := xomp.NewShardedPool(xomp.ShardConfig{}); err == nil {
 		t.Fatal("unsized pool accepted")
-	}
-	if _, err := xomp.NewShardedPool(xomp.ShardConfig{Shards: 2, MigrateThreshold: -3,
-		Team: xomp.Preset("xgomptb", 2)}); err == nil {
-		t.Fatal("negative MigrateThreshold accepted")
 	}
 }

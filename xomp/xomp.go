@@ -103,8 +103,8 @@
 // To scale the job server across NUMA domains, a ShardedPool of several
 // shards runs one serving team per domain behind a two-level dynamic load
 // balancer: jobs are placed on the less loaded of two random shards and a
-// second-level balancer migrates queued jobs off overloaded shards. See
-// ShardedPool and ShardConfig.
+// second-level balancer moves queued jobs that wait behind busy workers
+// to a shard with an idle one. See ShardedPool and ShardConfig.
 package xomp
 
 import (
