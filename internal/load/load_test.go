@@ -159,6 +159,58 @@ func TestPlansNameTwoShardsInRange(t *testing.T) {
 	}
 }
 
+// TestGapHalvingBulkMove keeps the name it had under the gap-halving plan
+// FillIdle replaced: one plan still moves several jobs at once, now as
+// many as the cold shard has free workers rather than half the gap.
+func TestGapHalvingBulkMove(t *testing.T) {
+	from, to, n := FillIdle([]Signals{
+		{QueueDepth: 8, Running: 2, Capacity: 2},
+		{QueueDepth: 0, Running: 0, Capacity: 2},
+	})
+	if from != 0 || to != 1 || n != 2 {
+		t.Fatalf("plan = (%d,%d,%d), want (0,1,2) — one job per free worker", from, to, n)
+	}
+	from, to, n = FillIdle([]Signals{
+		{QueueDepth: 8, Running: 2, Capacity: 2},
+		{QueueDepth: 0, Running: 0, Capacity: 4},
+	})
+	if from != 0 || to != 1 || n != 4 {
+		t.Fatalf("plan = (%d,%d,%d), want (0,1,4) — one job per free worker", from, to, n)
+	}
+}
+
+// TestGapHalvingRescue keeps the name it had under the gap-halving plan,
+// whose rescue branch is now FillIdle's whole rule: a job stuck behind a
+// fully busy shard moves to an idle one, and nothing else moves.
+func TestGapHalvingRescue(t *testing.T) {
+	// One queued job behind a fully busy shard, cold shard empty and idle.
+	from, to, n := FillIdle([]Signals{
+		{QueueDepth: 1, Running: 2, Capacity: 2},
+		{QueueDepth: 0, Running: 0, Capacity: 2},
+	})
+	if from != 0 || to != 1 || n != 1 {
+		t.Fatalf("rescue plan = (%d,%d,%d), want (0,1,1)", from, to, n)
+	}
+	// Hot shard still has an idle worker to adopt the job: no rescue.
+	if _, _, n := FillIdle([]Signals{
+		{QueueDepth: 1, Running: 1, Capacity: 2},
+		{QueueDepth: 0, Running: 0, Capacity: 2},
+	}); n != 0 {
+		t.Fatalf("rescue moved %d with idle hot workers", n)
+	}
+	// Cold shard saturated: no rescue.
+	if _, _, n := FillIdle([]Signals{
+		{QueueDepth: 1, Running: 2, Capacity: 2},
+		{QueueDepth: 0, Running: 2, Capacity: 2},
+	}); n != 0 {
+		t.Fatalf("rescue moved %d onto a saturated cold shard", n)
+	}
+	// Balanced: nothing to do.
+	if _, _, n := FillIdle([]Signals{{}, {}}); n != 0 {
+		t.Fatalf("balanced plan moved %d", n)
+	}
+}
+
 // TestFillIdle pins the migration plan: only jobs stuck behind busy
 // workers move, only onto workers with nothing to adopt, and never more
 // than either side has.

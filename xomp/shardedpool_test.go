@@ -201,6 +201,48 @@ func TestShardedPoolSkewedMigration(t *testing.T) {
 	}
 }
 
+// TestShardedPoolBackgroundBalancer runs the timer-driven balancer against
+// a parked hot shard beside an idle one: the queued jobs must drain with
+// no manual call.
+func TestShardedPoolBackgroundBalancer(t *testing.T) {
+	p := shardedPool(t, 2, 2)
+	defer p.Close()
+
+	hold := make(chan struct{})
+	defer close(hold)
+	var parked sync.WaitGroup
+	parked.Add(2)
+	for i := 0; i < 2; i++ {
+		if _, err := p.SubmitTo(0, func(w *xomp.Worker) {
+			parked.Done()
+			<-hold
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parked.Wait()
+
+	const jobs = 8
+	done := make(chan error, jobs)
+	for i := 0; i < jobs; i++ {
+		j, err := p.SubmitTo(0, func(w *xomp.Worker) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { done <- j.Wait() }()
+	}
+	for i := 0; i < jobs; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("background balancer never drained the hot shard: stats %+v", p.Stats())
+		}
+	}
+}
+
 // TestShardedPoolAutoShards derives the shard layout from a topology: one
 // shard per zone, each sized to its zone.
 func TestShardedPoolAutoShards(t *testing.T) {
