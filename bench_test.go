@@ -904,7 +904,7 @@ func BenchmarkTenantFairness(b *testing.B) {
 	for _, mode := range []string{"block", "wfq"} {
 		b.Run(mode, func(b *testing.B) {
 			var (
-				engaged    uint64
+				shed       uint64
 				wall       time.Duration
 				completed  uint64
 				spreadSum  float64
@@ -914,12 +914,10 @@ func BenchmarkTenantFairness(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := xomp.Preset("xgomptb", 2)
 				cfg.Backlog = 16
-				var wfq *xomp.WFQAdmit
 				if mode == "wfq" {
 					// Fresh policy per iteration: the plane's state is
 					// part of what is being measured, not carried over.
-					wfq = &xomp.WFQAdmit{MaxShare: 0.75}
-					cfg.Admit = wfq
+					cfg.Admit = &xomp.WFQAdmit{MaxShare: 0.75}
 				}
 				res, err := replay.ReplayJobs(tr, replay.Options{Team: cfg})
 				if err != nil {
@@ -945,20 +943,20 @@ func BenchmarkTenantFairness(b *testing.B) {
 					}
 				}
 				spreadSum += max - min
-				if wfq != nil {
-					engaged += wfq.Engaged()
+				for c := range res.PerClass {
+					shed += res.PerClass[c].Shed
 				}
 			}
 			b.StopTimer()
-			if mode == "wfq" && engaged == 0 {
-				b.Fatal("WFQ fairness bounds never engaged on the tenant-storm trace")
+			if mode == "wfq" && shed == 0 {
+				b.Fatal("WFQ fairness bounds never shed on the tenant-storm trace")
 			}
 			if wall > 0 {
 				b.ReportMetric(float64(completed)/wall.Seconds(), "jobs/sec")
 			}
 			b.ReportMetric(spreadSum/float64(b.N), "victim-spread-frac")
 			b.ReportMetric(float64(worstAdmit.Nanoseconds())/1e6, "victim-p99-admit-ms")
-			b.ReportMetric(float64(engaged)/float64(b.N), "wfq-engaged/op")
+			b.ReportMetric(float64(shed)/float64(b.N), "wfq-shed/op")
 		})
 	}
 }

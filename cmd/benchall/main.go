@@ -3,12 +3,12 @@
 //
 // Usage:
 //
-//	benchall -list
 //	benchall -exp fig4 -workers 8 -scale small -reps 3
 //	benchall -exp all -scale test
 //
 // Experiment ids match the paper: fig1, fig3, fig4, fig5, fig6, fig7,
-// fig8, fig9, fig10, fig11, table1, table2, table3, table4.
+// fig8, fig9, fig10, fig11, table1, table2, table3, table4; -exp ext runs
+// the extensions. An unknown id is refused with the list of known ones.
 package main
 
 import (
@@ -24,25 +24,12 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment id (see -list) or 'all'")
-		list    = flag.Bool("list", false, "list experiments and exit")
+		exp     = flag.String("exp", "all", "comma-separated experiment ids, 'all' (the paper's) or 'ext' (the extensions)")
 		workers = flag.Int("workers", 0, "team size (0 = default)")
-		zones   = flag.Int("zones", 0, "synthetic NUMA zones (0 = default)")
 		scale   = flag.String("scale", "test", "input scale: test|small|medium|large")
 		reps    = flag.Int("reps", 0, "timed repetitions per cell (0 = default)")
-		verify  = flag.Bool("verify", false, "verify benchmark outputs during timing")
 	)
 	flag.Parse()
-
-	if *list {
-		for _, e := range bench.Experiments {
-			fmt.Printf("%-12s %s\n", e.ID, e.Title)
-		}
-		for _, e := range bench.Extensions {
-			fmt.Printf("%-12s %s\n", e.ID, e.Title)
-		}
-		return
-	}
 
 	sc, err := bots.ParseScale(*scale)
 	if err != nil {
@@ -50,10 +37,8 @@ func main() {
 	}
 	opts := bench.Options{
 		Workers: *workers,
-		Zones:   *zones,
 		Scale:   sc,
 		Reps:    *reps,
-		Verify:  *verify,
 	}
 
 	ids := strings.Split(*exp, ",")
@@ -72,7 +57,13 @@ func main() {
 	for _, id := range ids {
 		e, ok := bench.AnyByID(strings.TrimSpace(id))
 		if !ok {
-			fatal(fmt.Errorf("unknown experiment %q (try -list)", id))
+			var known []string
+			for _, es := range [][]bench.Experiment{bench.Experiments, bench.Extensions} {
+				for _, e := range es {
+					known = append(known, e.ID)
+				}
+			}
+			fatal(fmt.Errorf("unknown experiment %q; known: %s", id, strings.Join(known, " ")))
 		}
 		start := time.Now()
 		fmt.Printf("== %s: %s\n", e.ID, e.Title)

@@ -1,5 +1,6 @@
-// Command botsrun executes one BOTS benchmark on one runtime preset and
-// reports timing, verification, and the paper's runtime statistics.
+// Command botsrun executes one BOTS benchmark once on one runtime preset,
+// over two synthetic NUMA zones, and reports timing, verification, and
+// the paper's runtime statistics.
 //
 // Usage:
 //
@@ -22,16 +23,14 @@ import (
 
 func main() {
 	var (
-		app      = flag.String("app", "fib", "benchmark: "+strings.Join(bots.Names, "|"))
-		preset   = flag.String("runtime", "xgomptb", "runtime preset: "+strings.Join(core.PresetNames(), "|"))
-		workers  = flag.Int("workers", 4, "team size")
-		zones    = flag.Int("zones", 2, "synthetic NUMA zones")
-		scale    = flag.String("scale", "test", "input scale: test|small|medium|large")
-		reps     = flag.Int("reps", 1, "repetitions")
-		profile  = flag.Bool("profile", false, "record the event timeline")
-		profOut  = flag.String("profout", "", "write the profile dump (JSON) to this file")
-		noVerify = flag.Bool("noverify", false, "skip result verification")
+		app     = flag.String("app", "fib", "benchmark: "+strings.Join(bots.Names, "|"))
+		preset  = flag.String("runtime", "xgomptb", "runtime preset: "+strings.Join(core.PresetNames(), "|"))
+		workers = flag.Int("workers", 4, "team size")
+		scale   = flag.String("scale", "test", "input scale: test|small|medium|large")
+		profile = flag.Bool("profile", false, "record the event timeline")
+		profOut = flag.String("profout", "", "write the profile dump (JSON) to this file")
 	)
+	const zones = 2
 	flag.Parse()
 
 	sc, err := bots.ParseScale(*scale)
@@ -43,26 +42,21 @@ func main() {
 		fatal(err)
 	}
 	cfg := core.Preset(*preset, *workers)
-	cfg.Topology = numa.Synthetic(*workers, *zones)
+	cfg.Topology = numa.Synthetic(*workers, zones)
 	cfg.Profile = *profile
 	tm, err := core.NewTeam(cfg)
 	if err != nil {
 		fatal(err)
 	}
 
-	fmt.Printf("%s (%s) on %s, %d workers, %d zones\n", b.Name(), b.Params(), *preset, *workers, *zones)
-	for i := 0; i < *reps; i++ {
-		start := time.Now()
-		b.RunParallel(tm)
-		elapsed := time.Since(start)
-		fmt.Printf("run %d: %v\n", i+1, elapsed.Round(time.Microsecond))
+	fmt.Printf("%s (%s) on %s, %d workers, %d zones\n", b.Name(), b.Params(), *preset, *workers, zones)
+	start := time.Now()
+	b.RunParallel(tm)
+	fmt.Printf("run: %v\n", time.Since(start).Round(time.Microsecond))
+	if err := b.Verify(); err != nil {
+		fatal(err)
 	}
-	if !*noVerify {
-		if err := b.Verify(); err != nil {
-			fatal(err)
-		}
-		fmt.Println("verify: ok")
-	}
+	fmt.Println("verify: ok")
 
 	p := tm.Profile()
 	fmt.Printf("tasks: created=%d executed=%d (self=%d local=%d remote=%d)\n",

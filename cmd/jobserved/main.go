@@ -23,8 +23,7 @@
 //	jobserved -addr 127.0.0.1:7077 -workers 8 -shards 2
 //	jobserved -workers 4 -backlog 64 -admit shed
 //
-// Drive it with "loadgen -mode client" (or a whole fleet; see
-// cmd/README.md).
+// Drive it with "loadgen -mode client" (see cmd/README.md).
 package main
 
 import (

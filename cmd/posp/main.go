@@ -1,6 +1,8 @@
 // Command posp generates a Proof-of-Space plot on a chosen runtime and
 // reports throughput — the standalone version of the paper's §VII
-// application (Fig. 8 sweeps it over batch sizes via cmd/benchall).
+// application (Fig. 8 sweeps it over batch sizes via cmd/benchall). It
+// then checks the plot's integrity and proves and verifies four sample
+// challenges.
 //
 // Usage:
 //
@@ -27,20 +29,20 @@ func main() {
 		batch   = flag.Int("batch", 256, "puzzles per task")
 		preset  = flag.String("runtime", "xgomptb", "runtime preset: "+strings.Join(core.PresetNames(), "|"))
 		workers = flag.Int("workers", 4, "team size")
-		zones   = flag.Int("zones", 2, "synthetic NUMA zones")
-		seedStr = flag.String("seed", "repro posp plot seed", "plot seed string")
-		check   = flag.Bool("check", true, "validate plot integrity")
-		proofs  = flag.Int("proofs", 4, "sample challenges to prove and verify")
 	)
 	flag.Parse()
+	const (
+		zones  = 2 // synthetic NUMA zones
+		proofs = 4 // sample challenges to prove and verify
+	)
 
 	cfg := core.Preset(*preset, *workers)
-	cfg.Topology = numa.Synthetic(*workers, *zones)
+	cfg.Topology = numa.Synthetic(*workers, zones)
 	tm, err := core.NewTeam(cfg)
 	if err != nil {
 		fatal(err)
 	}
-	seed := blake3.Sum256([]byte(*seedStr))
+	seed := blake3.Sum256([]byte("repro posp plot seed"))
 
 	fmt.Printf("generating 2^%d puzzles, batch=%d, on %s with %d workers\n", *k, *batch, *preset, *workers)
 	plot, err := posp.Generate(tm, *k, *batch, seed)
@@ -50,13 +52,11 @@ func main() {
 	fmt.Printf("elapsed %v, %d hashes, %.2f MH/s, plot holds %d puzzles\n",
 		plot.Elapsed.Round(time.Millisecond), plot.Hashes, plot.ThroughputMHS(), plot.Size())
 
-	if *check {
-		if err := plot.Check(); err != nil {
-			fatal(err)
-		}
-		fmt.Println("plot integrity: ok")
+	if err := plot.Check(); err != nil {
+		fatal(err)
 	}
-	for i := 0; i < *proofs; i++ {
+	fmt.Println("plot integrity: ok")
+	for i := 0; i < proofs; i++ {
 		challenge := blake3.Sum256([]byte(fmt.Sprintf("challenge %d", i)))
 		proof, ok := plot.Prove(challenge)
 		if !ok {

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	botsrun -app fib -runtime xgomp -profile -profout fib.json
-//	profview -in fib.json -width 80
+//	profview -in fib.json -trace fib.trace.json
 package main
 
 import (
@@ -21,9 +21,9 @@ import (
 func main() {
 	var (
 		in    = flag.String("in", "", "profile dump file (required)")
-		width = flag.Int("width", 60, "bar width in columns")
 		trace = flag.String("trace", "", "also write a Chrome trace-event JSON file here")
 	)
+	const width = 60 // bar width in columns
 	flag.Parse()
 	if *in == "" {
 		fmt.Fprintln(os.Stderr, "profview: -in is required")
@@ -51,11 +51,11 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, "trace written to", *trace, "(open in chrome://tracing or Perfetto)")
 	}
-	if err := snap.TimelineSummary(os.Stdout, *width); err != nil {
+	if err := snap.TimelineSummary(os.Stdout, width); err != nil {
 		fatal(err)
 	}
 	fmt.Println()
-	if err := snap.TaskCountSummary(os.Stdout, *width); err != nil {
+	if err := snap.TaskCountSummary(os.Stdout, width); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("\nimbalance max/mean executed: %.2f\nutilization min/max: %.2f\n",

@@ -51,11 +51,9 @@ func run(args []string) int {
 		return driver.VetTool(args[n-1], analysis.Analyzers())
 	}
 
-	// Standalone mode.
+	// Standalone mode: every analyzer, over the package patterns.
 	fs := flag.NewFlagSet("repolint", flag.ContinueOnError)
 	fs.Usage = func() { usage(fs) }
-	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	quiet := fs.Bool("q", false, "suppress the summary line")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0
@@ -63,38 +61,16 @@ func run(args []string) int {
 		return 2
 	}
 
-	analyzers := analysis.Analyzers()
-	if *only != "" {
-		keep := map[string]bool{}
-		for _, name := range strings.Split(*only, ",") {
-			keep[strings.TrimSpace(name)] = true
-		}
-		var picked []*analysis.Analyzer
-		for _, a := range analyzers {
-			if keep[a.Name] {
-				picked = append(picked, a)
-				delete(keep, a.Name)
-			}
-		}
-		for name := range keep {
-			fmt.Fprintf(os.Stderr, "repolint: unknown analyzer %q (see -help)\n", name)
-			return 2
-		}
-		analyzers = picked
-	}
-
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	findings, suppressed, err := driver.LoadAndRun(patterns, analyzers, os.Stdout)
+	findings, suppressed, err := driver.LoadAndRun(patterns, analysis.Analyzers(), os.Stdout)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "repolint: %v\n", err)
 		return 2
 	}
-	if !*quiet {
-		fmt.Fprintf(os.Stderr, "repolint: %d finding(s), %d suppressed\n", findings, suppressed)
-	}
+	fmt.Fprintf(os.Stderr, "repolint: %d finding(s), %d suppressed\n", findings, suppressed)
 	if findings > 0 {
 		return 1
 	}
@@ -102,7 +78,7 @@ func run(args []string) int {
 }
 
 func usage(fs *flag.FlagSet) {
-	fmt.Fprintf(fs.Output(), "usage: repolint [flags] [packages]\n\nAnalyzers:\n")
+	fmt.Fprintf(fs.Output(), "usage: repolint [packages]\n\nAnalyzers:\n")
 	for _, a := range analysis.Analyzers() {
 		doc := a.Doc
 		if i := strings.IndexByte(doc, '\n'); i >= 0 {
@@ -110,6 +86,4 @@ func usage(fs *flag.FlagSet) {
 		}
 		fmt.Fprintf(fs.Output(), "  %-14s %s\n", a.Name, doc)
 	}
-	fmt.Fprintf(fs.Output(), "\nFlags:\n")
-	fs.PrintDefaults()
 }

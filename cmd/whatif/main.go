@@ -5,7 +5,7 @@
 // The input is a job trace (loadgen -record, or a generated scenario).
 // Its arrivals are replayed through xomp pools under alternative
 // admission candidates — block, reject, shed and wfq (weighted-fair
-// multi-tenant admission), sharded with -shards — and the candidates
+// multi-tenant admission) — and the candidates
 // are compared on completed jobs, jobs/sec,
 // interactive p99, and — when the trace carries more than one tenant —
 // Jain's fairness index over per-tenant completion fractions, over the
@@ -14,14 +14,15 @@
 // on odd reps, so drift on the host spreads over all candidates.
 // Any other file, a profile dump included, is refused.
 //
-// -scenario skips the file and generates a corpus preset directly.
+// -scenario skips the file and generates a corpus preset directly, from
+// the golden corpus's seed.
 //
 // Usage:
 //
 //	loadgen -jobs 20 -record day.jsonl
 //	whatif -in day.jsonl -workers 4 -reps 2
 //	whatif -scenario flash-crowd -workers 2
-//	whatif -scenario zipf -workers 6 -shards 2 -speed 2
+//	whatif -scenario zipf -workers 6 -speed 2
 package main
 
 import (
@@ -43,9 +44,7 @@ func main() {
 	var (
 		in       = flag.String("in", "", "job trace to replay (loadgen -record)")
 		scenName = flag.String("scenario", "", "generate a scenario preset instead of reading -in: "+joinNames())
-		seed     = flag.Uint64("seed", scenario.GoldenSeed, "scenario generation seed (with -scenario)")
 		workers  = flag.Int("workers", 4, "team size for replay")
-		shards   = flag.Int("shards", 0, "replay job traces through this many shards, -workers split evenly (0 = one pool)")
 		speed    = flag.Float64("speed", 1, "job-trace time compression: arrivals and deadlines run this times faster")
 		reps     = flag.Int("reps", 3, "replays per candidate")
 	)
@@ -60,16 +59,13 @@ func main() {
 	if *reps < 1 {
 		fatal(fmt.Errorf("-reps %d must be >= 1", *reps))
 	}
-	if *shards < 0 || (*shards > 0 && *workers%*shards != 0) {
-		fatal(fmt.Errorf("-shards %d must divide -workers %d", *shards, *workers))
-	}
 
 	if *scenName != "" {
-		tr, err := scenario.Generate(*scenName, *seed)
+		tr, err := scenario.Generate(*scenName, scenario.GoldenSeed)
 		if err != nil {
 			fatal(err)
 		}
-		jobWhatIf(tr, *workers, *shards, *speed, *reps)
+		jobWhatIf(tr, *workers, *speed, *reps)
 		return
 	}
 	data, err := os.ReadFile(*in)
@@ -83,7 +79,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	jobWhatIf(tr, *workers, *shards, *speed, *reps)
+	jobWhatIf(tr, *workers, *speed, *reps)
 }
 
 // jobCandidate is one admission configuration under comparison.
@@ -94,16 +90,11 @@ type jobCandidate struct {
 
 // jobCandidates builds the comparison set: the four admission policies,
 // weighted-fair multi-tenant admission included.
-func jobCandidates(workers, shards int) []jobCandidate {
+func jobCandidates(workers int) []jobCandidate {
 	build := func(name string, admit xomp.AdmitPolicy) jobCandidate {
 		cfg := xomp.Preset("xgomptb", workers)
 		cfg.Admit = admit
-		opts := replay.Options{Team: cfg}
-		if shards > 1 {
-			opts.Shards = shards
-			opts.Team.Workers = workers / shards
-		}
-		return jobCandidate{name: name, opts: opts}
+		return jobCandidate{name: name, opts: replay.Options{Team: cfg}}
 	}
 	return []jobCandidate{
 		build("block", nil),
@@ -180,9 +171,9 @@ func rank(results []jobResult) {
 
 // jobWhatIf replays tr through every candidate reps times, interleaved
 // (see the package comment), and prints the ranked comparison.
-func jobWhatIf(tr *replay.JobTrace, workers, shards int, speed float64, reps int) {
+func jobWhatIf(tr *replay.JobTrace, workers int, speed float64, reps int) {
 	fmt.Printf("trace: %s, %d jobs over %v\n", tr.Name, len(tr.Jobs), tr.Span().Round(time.Millisecond))
-	cands := jobCandidates(workers, shards)
+	cands := jobCandidates(workers)
 	runs := make([][]replay.JobReplayResult, len(cands))
 	for rep := 0; rep < reps; rep++ {
 		for k := range cands {

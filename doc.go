@@ -35,9 +35,8 @@
 // backlog means — wait (BlockWhenFull), fail fast (RejectWhenFull,
 // ErrBacklogFull), or deadline-aware load shedding under saturation
 // (DeadlineShed, ErrShed). A waiting submitter unblocks on context
-// cancellation or deadline expiry instead of hanging forever (loadgen
-// -priority-mix/-deadline/-admit drive it; BenchmarkAdmissionSaturation
-// compares block vs shed).
+// cancellation or deadline expiry instead of hanging forever
+// (BenchmarkAdmissionSaturation compares block vs shed).
 //
 // The public API lives in repro/xomp. ARCHITECTURE.md maps the paper's
 // sections onto the packages and traces a job end to end; cmd/README.md

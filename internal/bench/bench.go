@@ -44,8 +44,6 @@ type Options struct {
 	Reps int
 	// SweepReps is the repetitions used inside parameter sweeps. 0 → 1.
 	SweepReps int
-	// Verify re-checks benchmark results during timing runs (slower).
-	Verify bool
 }
 
 // withDefaults normalizes the options.
@@ -91,7 +89,7 @@ func timeOnce(tm *core.Team, b bots.Benchmark) time.Duration {
 }
 
 // timeApp runs b reps times on a fresh team for the preset and returns the
-// mean wall time. When opts.Verify is set each run is verified.
+// mean wall time.
 func (o Options) timeApp(preset string, b bots.Benchmark) (time.Duration, error) {
 	tm := o.team(preset)
 	return o.timeOn(tm, b)
@@ -112,11 +110,6 @@ func (o Options) sampleOn(tm *core.Team, b bots.Benchmark) (*stats.Sample, error
 	var s stats.Sample
 	for i := 0; i < o.Reps; i++ {
 		s.AddDuration(timeOnce(tm, b))
-		if o.Verify {
-			if err := b.Verify(); err != nil {
-				return nil, fmt.Errorf("%s on %v: %w", b.Name(), tm.Config().Sched, err)
-			}
-		}
 	}
 	return &s, nil
 }

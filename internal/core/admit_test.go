@@ -413,8 +413,8 @@ func TestMigratePreservesClass(t *testing.T) {
 	if !MigrateQueuedJob(src, dst) {
 		t.Fatal("migration of a queued background job failed")
 	}
-	if bg.Class() != load.ClassBackground {
-		t.Fatalf("migrated job class %v, want background", bg.Class())
+	if bg.class != load.ClassBackground {
+		t.Fatalf("migrated job class %v, want background", bg.class)
 	}
 	if got := dst.Profile().ClassQueued(int(load.ClassBackground)); got != 1 {
 		t.Fatalf("dst background queue gauge = %d, want 1", got)
@@ -427,7 +427,7 @@ func TestMigratePreservesClass(t *testing.T) {
 	if err := bg.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if !bg.Migrated() {
+	if !bg.migrated {
 		t.Fatal("job not marked migrated")
 	}
 }
@@ -457,8 +457,8 @@ func TestMixedClassConcurrentSubmitters(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if j.Class() != class {
-					t.Errorf("job class %v, want %v", j.Class(), class)
+				if j.class != class {
+					t.Errorf("job class %v, want %v", j.class, class)
 				}
 			}
 		}(s)

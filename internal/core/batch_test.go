@@ -90,7 +90,7 @@ func TestSubmitBatchMixedClasses(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("item %d: %v", i, r.Err)
 		}
-		if got := r.Job.Class(); got != classes[i%3] {
+		if got := r.Job.class; got != classes[i%3] {
 			t.Fatalf("item %d class %v, want %v", i, got, classes[i%3])
 		}
 		if err := r.Job.Wait(); err != nil {

@@ -357,19 +357,6 @@ func (j *Job) resetForSubmit(tm *Team, lane int, id int64, fn TaskFunc, class lo
 	j.word.Store(w + 1<<phaseBits + jobInFlight)
 }
 
-// Worker returns the worker that adopted the job's root task. After a
-// migration the id refers to a worker of the team the job migrated to.
-// Valid after completion: Wait returned, or the job was delivered.
-func (j *Job) Worker() int { return int(j.worker) }
-
-// Migrated reports whether a second-level balancer moved this job off the
-// team it was submitted to while it was still queued (see
-// MigrateQueuedJob). Valid after completion.
-func (j *Job) Migrated() bool { return j.migrated }
-
-// Class returns the job's admission priority class.
-func (j *Job) Class() load.Class { return j.class }
-
 // QueueDelay returns how long the job waited in the admission queue before
 // a worker adopted it. Valid after completion.
 func (j *Job) QueueDelay() time.Duration { return time.Duration(j.startNS - j.submitNS) }

@@ -76,10 +76,10 @@ func TestMigrateQueuedJob(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("migrated job %d never ran: its destination slept through it\n%s", i, idleDump(dst))
 		}
-		if !j.Migrated() {
+		if !j.migrated {
 			t.Fatalf("job %d not marked migrated", i)
 		}
-		if w := j.Worker(); w < 0 || w >= dst.Workers() {
+		if w := int(j.worker); w < 0 || w >= dst.Workers() {
 			t.Fatalf("job %d adopted by worker %d, want a dst worker", i, w)
 		}
 	}
@@ -148,7 +148,7 @@ func TestMigrateQueuedJobRefusals(t *testing.T) {
 	if err := j.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if j.Migrated() {
+	if j.migrated {
 		t.Fatal("unmigrated job marked migrated")
 	}
 	if n := ran.Load(); n != 1 {

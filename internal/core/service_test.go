@@ -53,8 +53,8 @@ func TestServiceSingleJob(t *testing.T) {
 	if got != 987 {
 		t.Fatalf("fib(16) = %d, want 987", got)
 	}
-	if j.Worker() < 0 || j.Worker() >= 4 {
-		t.Fatalf("adopting worker = %d", j.Worker())
+	if int(j.worker) < 0 || int(j.worker) >= 4 {
+		t.Fatalf("adopting worker = %d", int(j.worker))
 	}
 	if j.RunTime() < 0 || j.QueueDelay() < 0 {
 		t.Fatalf("negative job timings: queue=%v run=%v", j.QueueDelay(), j.RunTime())

@@ -99,8 +99,8 @@ func TestServiceWordTransitions(t *testing.T) {
 				t.Errorf("a refused migration moved ActiveJobs %d → %d", before, after)
 			}
 			release()
-			if err := j.Wait(); err != nil || j.Migrated() != moved {
-				t.Errorf("job: Wait = %v, Migrated = %v, moved = %v", err, j.Migrated(), moved)
+			if err := j.Wait(); err != nil || j.migrated != moved {
+				t.Errorf("job: Wait = %v, Migrated = %v, moved = %v", err, j.migrated, moved)
 			}
 			if err := src.Close(); err != nil {
 				t.Error(err)

@@ -109,8 +109,8 @@ func TestJobStampsBackToBack(t *testing.T) {
 		checkStamps(t, jobs)
 		for i := 1; i < len(jobs); i++ {
 			prev, j := jobs[i-1], jobs[i]
-			if j.Worker() != runner {
-				t.Fatalf("%d workers: job %d ran on worker %d, want %d", workers, i, j.Worker(), runner)
+			if int(j.worker) != runner {
+				t.Fatalf("%d workers: job %d ran on worker %d, want %d", workers, i, int(j.worker), runner)
 			}
 			if j.startNS != prev.endNS {
 				t.Errorf("%d workers: job %d starts at %d, %v after its predecessor's end %d",
@@ -207,9 +207,9 @@ func TestJobStampsNestedFinishLendsNothing(t *testing.T) {
 		}
 	}
 
-	if x == y || b.Worker() != y || c.Worker() != x {
+	if x == y || int(b.worker) != y || int(c.worker) != x {
 		t.Fatalf("placement: A and C on %d and %d, B and D on %d and %d; want A, C on one worker, B, D on the other",
-			x, c.Worker(), b.Worker(), y)
+			x, int(c.worker), int(b.worker), y)
 	}
 	if got := <-b2At; got != x {
 		t.Fatalf("B finished on worker %d, want %d (inside A's TaskWait)", got, x)

@@ -62,9 +62,6 @@ type Worker struct {
 // ID returns the worker's id in [0, Team.Workers()).
 func (w *Worker) ID() int { return w.id }
 
-// Zone returns the worker's NUMA zone.
-func (w *Worker) Zone() int { return w.zone }
-
 // beginRegion resets per-region worker state and installs a fresh implicit
 // root task. The implicit task's body never ends in the join count, so
 // its children leave refs at minus what the last region spawned.

@@ -101,11 +101,11 @@ func (e *edgeConn) Read(b []byte) (int, error) {
 			e.wire.EdgeSpell(polls, sweeps, n > 0)
 			return n, err
 		}
+		polls++
 		if time.Now().After(e.pollUntil) {
 			e.pollUntil = time.Time{}
 			break
 		}
-		polls++
 		if e.p.sweep(e) {
 			sweeps++
 		}

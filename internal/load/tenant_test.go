@@ -217,7 +217,7 @@ func TestWFQAdmitBoundsHotTenantShare(t *testing.T) {
 			p.ObserveComplete(Tenant{ID: id}, 1e6)
 		}
 	}
-	if p.Engaged() == 0 {
+	if hotShed+victimShed == 0 {
 		t.Fatalf("fairness bounds never engaged against a 10x hot tenant")
 	}
 	if hotShed == 0 {
@@ -247,8 +247,5 @@ func TestWFQAdmitSingleTenantPassthrough(t *testing.T) {
 			t.Fatalf("submission %d: decision %v, want AdmitWait", i, d)
 		}
 		p.ObserveComplete(Tenant{}, 1e6)
-	}
-	if p.Engaged() != 0 {
-		t.Errorf("fairness bounds engaged against a lone in-share tenant")
 	}
 }

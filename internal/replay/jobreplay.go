@@ -18,40 +18,20 @@ import (
 // driven through and how recorded time maps onto replay time. The zero
 // value replays at recorded pace through a single default-config pool.
 type Options struct {
-	// Shards is the xomp.ShardedPool's shard count (<= 1 means one), each
-	// shard a Team.Workers team as with explicit ShardConfig.Shards. One
-	// shard is a single serving team on Team.Topology (detected when
-	// unset); two or more run on a single zone each unless Team.Topology
-	// is set.
-	Shards int
 	// Team is the serving-team configuration under test: preset,
 	// workers, backlog, admission policy, balancing policy — the
-	// "candidate" of a what-if comparison.
+	// "candidate" of a what-if comparison. The replay drives one
+	// single-shard pool of it; BOTS app events run at ScaleTest.
 	Team xomp.Config
 	// Speed compresses recorded time: arrivals (and deadlines) happen
 	// Speed times faster than recorded. 1 (or 0) replays at recorded
 	// pace. Job sizes are not scaled, so Speed > 1 also raises the
 	// offered load.
 	Speed float64
-	// PinTenants pins each event's tenant to shard Tenant mod Shards via
-	// SubmitToCtx instead of letting the dispatcher place it —
-	// how a zipf-skewed tenant trace becomes a deterministically hot
-	// shard.
-	PinTenants bool
 	// TenantWeights assigns fair-share weights by tenant id, overriding
 	// any weights recorded in the trace header. Tenants absent from both
 	// maps replay at the default weight 1.
 	TenantWeights map[int]float64
-	// Scale is the BOTS input scale for events whose App names a BOTS
-	// application (default ScaleTest).
-	Scale bots.Scale
-	// Batch coalesces replay arrivals into SubmitBatchCtx calls of up to
-	// this many jobs: events are batched while they are already due and
-	// flushed whenever the batch fills or the arrival clock would sleep,
-	// so batching never delays an arrival past its recorded offset. <= 1
-	// submits every event individually (the default). Incompatible with
-	// PinTenants, whose per-event shard pinning has no batch equivalent.
-	Batch int
 }
 
 // ClassOutcome is one priority class's replay outcome: how its
@@ -99,9 +79,6 @@ type JobReplayResult struct {
 	// PerTenant indexes outcomes by tenant id (only tenants that
 	// submitted at least once appear).
 	PerTenant map[int]TenantOutcome
-	// MigratedIn is the pool's second-level balancing activity during
-	// the replay (0 with one shard).
-	MigratedIn uint64
 }
 
 // classAccum accumulates one class's outcome counters during a replay.
@@ -147,9 +124,6 @@ func admitOutcome(o *ClassOutcome, err error) bool {
 // admission queue delays that job's submitter, never the arrival clock —
 // the load the pool sees is the trace's, not the pool's own drain rate.
 // Admission rejections, sheds, and expiries are outcomes, not errors.
-// With Options.Batch > 1, due arrivals are coalesced into SubmitBatchCtx
-// calls of up to Batch jobs instead — the amortized-admission variant of
-// the same open-loop contract, with identical per-item accounting.
 // The same trace replayed twice through the same blocking configuration
 // yields identical per-class admission counts — the determinism contract
 // the scenario regression tests pin.
@@ -158,35 +132,21 @@ func ReplayJobs(tr *JobTrace, opts Options) (JobReplayResult, error) {
 	if len(tr.Jobs) == 0 {
 		return res, fmt.Errorf("replay: empty job trace")
 	}
-	if opts.Batch > 1 && opts.PinTenants {
-		return res, fmt.Errorf("replay: Batch and PinTenants are incompatible (pinning is per event)")
-	}
 	speed := opts.Speed
 	if speed <= 0 {
 		speed = 1
 	}
-	scale := opts.Scale
-	bodies, err := buildBodies(tr, scale)
+	bodies, err := buildBodies(tr)
 	if err != nil {
 		return res, err
 	}
 
 	// Assemble the pool under test.
-	pool, err := xomp.NewShardedPool(xomp.ShardConfig{
-		Shards: max(opts.Shards, 1),
-		Team:   opts.Team,
-	})
+	pool, err := xomp.NewPool(opts.Team)
 	if err != nil {
 		return res, fmt.Errorf("replay: build pool: %w", err)
 	}
 	ctx := context.Background()
-	submit := func(ev JobEvent, fn xomp.TaskFunc, so xomp.SubmitOpts) (*xomp.Job, error) {
-		if opts.PinTenants {
-			n := pool.Shards()
-			return pool.SubmitToCtx(ctx, (ev.Tenant%n+n)%n, fn, so)
-		}
-		return pool.SubmitCtx(ctx, fn, so)
-	}
 
 	// Weight lookup: Options override, then the trace header, then the
 	// default weight 1 (a zero Weight means "unspecified" to the policy
@@ -219,9 +179,7 @@ func ReplayJobs(tr *JobTrace, opts Options) (JobReplayResult, error) {
 		return so
 	}
 	// recordAdmit books one submission attempt's admission-edge outcome
-	// into the class and tenant accumulators; batched submissions go
-	// through it once per item, so per-class admission counts stay
-	// identical to an unbatched replay of the same trace.
+	// into the class and tenant accumulators.
 	recordAdmit := func(ev JobEvent, err error, admitLat time.Duration) (*classAccum, *tenantAccum) {
 		ca := &classes[ev.Class]
 		ca.mu.Lock()
@@ -262,73 +220,18 @@ func ReplayJobs(tr *JobTrace, opts Options) (JobReplayResult, error) {
 		}
 	}
 
-	batch := opts.Batch
-	if batch < 1 {
-		batch = 1
-	}
-	var pending []int
-	// flush submits every accumulated due event as one SubmitBatchCtx
-	// call from its own goroutine (so a saturated admission queue delays
-	// the batch's submitter, never the arrival clock), then fans out one
-	// waiter per admitted job.
-	flush := func() {
-		if len(pending) == 0 {
-			return
-		}
-		idx := append([]int(nil), pending...)
-		pending = pending[:0]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			items := make([]xomp.BatchItem, len(idx))
-			res := make([]xomp.BatchResult, len(idx))
-			for b, i := range idx {
-				items[b] = xomp.BatchItem{Fn: bodies[i], Opts: buildOpts(tr.Jobs[i])}
-			}
-			t0 := time.Now()
-			err := pool.SubmitBatchCtx(ctx, items, res)
-			admitLat := time.Since(t0)
-			if err != nil {
-				for _, i := range idx {
-					recordAdmit(tr.Jobs[i], err, admitLat)
-				}
-				return
-			}
-			for b, i := range idx {
-				ca, ta := recordAdmit(tr.Jobs[i], res[b].Err, admitLat)
-				if res[b].Err != nil {
-					continue
-				}
-				wg.Add(1)
-				go func(j *xomp.Job, ca *classAccum, ta *tenantAccum) {
-					defer wg.Done()
-					awaitJob(t0, j, ca, ta)
-				}(res[b].Job, ca, ta)
-			}
-		}()
-	}
 	start := time.Now()
 	for i := range tr.Jobs {
 		ev := tr.Jobs[i]
 		if d := time.Duration(float64(ev.At)/speed) - time.Since(start); d > 0 {
-			// The arrival clock is about to sleep: everything due so far
-			// must leave before the gap, or batching would delay arrivals.
-			flush()
 			time.Sleep(d)
-		}
-		if batch > 1 {
-			pending = append(pending, i)
-			if len(pending) >= batch {
-				flush()
-			}
-			continue
 		}
 		wg.Add(1)
 		go func(ev JobEvent, body xomp.TaskFunc) {
 			defer wg.Done()
 			so := buildOpts(ev)
 			t0 := time.Now()
-			j, err := submit(ev, body, so)
+			j, err := pool.SubmitCtx(ctx, body, so)
 			ca, ta := recordAdmit(ev, err, time.Since(t0))
 			if err != nil {
 				return
@@ -336,12 +239,8 @@ func ReplayJobs(tr *JobTrace, opts Options) (JobReplayResult, error) {
 			awaitJob(t0, j, ca, ta)
 		}(ev, bodies[i])
 	}
-	flush()
 	wg.Wait()
 	res.Wall = time.Since(start)
-	for _, st := range pool.Stats() {
-		res.MigratedIn += st.MigratedIn
-	}
 	if err := pool.Close(); err != nil {
 		return res, fmt.Errorf("replay: close pool: %w", err)
 	}
@@ -380,8 +279,8 @@ func ReplayJobs(tr *JobTrace, opts Options) (JobReplayResult, error) {
 // arrival clock starts: BOTS app events get a fresh benchmark instance
 // each (instances are not safe for concurrent jobs), synthetic events a
 // spin tree of Size units fanned out over a handful of subtasks so the
-// in-team balancer has something to move.
-func buildBodies(tr *JobTrace, scale bots.Scale) ([]xomp.TaskFunc, error) {
+// in-team balancer has something to move. BOTS apps run at ScaleTest.
+func buildBodies(tr *JobTrace) ([]xomp.TaskFunc, error) {
 	bodies := make([]xomp.TaskFunc, len(tr.Jobs))
 	for i := range tr.Jobs {
 		ev := tr.Jobs[i]
@@ -389,7 +288,7 @@ func buildBodies(tr *JobTrace, scale bots.Scale) ([]xomp.TaskFunc, error) {
 			return nil, fmt.Errorf("replay: job %d: class %d outside [0, %d)", i, ev.Class, load.NumClasses)
 		}
 		if ev.App != "" {
-			b, err := bots.New(ev.App, scale)
+			b, err := bots.New(ev.App, bots.ScaleTest)
 			if err != nil {
 				return nil, fmt.Errorf("replay: job %d: %w", i, err)
 			}

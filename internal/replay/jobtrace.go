@@ -45,9 +45,7 @@ type JobEvent struct {
 	// Size is the job's work in simnuma spin units (synthetic bodies;
 	// ignored when App names a BOTS application).
 	Size int `json:"size,omitempty"`
-	// Tenant identifies the submitting tenant, for skew scenarios: a
-	// replayer may pin tenants to shards (see Options.PinTenants) so a
-	// zipf-hot tenant becomes a deterministically hot shard.
+	// Tenant identifies the submitting tenant.
 	Tenant int `json:"tenant,omitempty"`
 }
 

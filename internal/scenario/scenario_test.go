@@ -92,8 +92,8 @@ func TestScenarioGoldenCorpus(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(render(t, regen), data) {
-			t.Errorf("%s: golden file does not match Generate(%q, %d); regenerate with loadgen -scenario %s -seed %d -emit %s",
-				path, tr.Name, tr.Seed, tr.Name, tr.Seed, path)
+			t.Errorf("%s: golden file does not match Generate(%q, %d); regenerate with loadgen -scenario %s -emit %s (the golden seed)",
+				path, tr.Name, tr.Seed, tr.Name, path)
 		}
 	}
 }

@@ -2,17 +2,16 @@ package stats
 
 import "math/bits"
 
-// HDR-style log-linear histogram for cross-process latency merging.
+// HDR-style log-linear histogram for latency merging.
 //
-// The fleet loadgen needs percentiles over samples recorded in many
-// client processes: raw samples cannot be shipped (millions of jobs) and
-// per-client percentiles cannot be averaged (a p99 of p99s is not the
-// fleet p99). The standard answer is a mergeable histogram with bounded
-// relative error — log2 major buckets, each split into histSub linear
-// sub-buckets, giving ≤ 1/histSub (~3%) relative error over the full
-// int64 range in a fixed 1920-bucket array. Two histograms merge by
-// adding counts bucket-wise, so a fleet of clients reports one exact
-// aggregate distribution.
+// loadgen's client mode needs percentiles over samples recorded by many
+// connections: per-connection percentiles cannot be averaged (a p99 of
+// p99s is not the overall p99). The standard answer is a mergeable
+// histogram with bounded relative error — log2 major buckets, each split
+// into histSub linear sub-buckets, giving ≤ 1/histSub (~3%) relative
+// error over the full int64 range in a fixed 1920-bucket array. Two
+// histograms merge by adding counts bucket-wise, so the connections
+// report one exact aggregate distribution.
 
 // histSubBits sets the sub-bucket resolution: 1<<histSubBits linear
 // sub-buckets per power of two.
@@ -127,33 +126,4 @@ func (h *Histogram) Percentile(p float64) int64 {
 		}
 	}
 	return h.max
-}
-
-// ForEachBucket calls fn for every non-empty bucket in ascending value
-// order — the sparse export the fleet report serializes.
-func (h *Histogram) ForEachBucket(fn func(idx int, count uint64)) {
-	for i, c := range h.counts {
-		if c != 0 {
-			fn(i, c)
-		}
-	}
-}
-
-// AddBucket adds count pre-bucketed samples to bucket idx — the sparse
-// import side of a fleet report. The bucket's lower bound stands in for
-// the original samples in min/max/mean, keeping merged summaries
-// consistent across processes. Out-of-range indexes are ignored.
-func (h *Histogram) AddBucket(idx int, count uint64) {
-	if idx < 0 || idx >= HistBuckets || count == 0 {
-		return
-	}
-	v := BucketValue(idx)
-	if h.total == 0 || v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-	h.total += count
-	h.counts[idx] += count
 }

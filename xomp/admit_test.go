@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/prof"
 	"repro/xomp"
 )
 
@@ -27,8 +28,14 @@ func TestPoolSubmitCtx(t *testing.T) {
 	if err := j.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if j.Class() != xomp.ClassInteractive {
-		t.Fatalf("job class %v, want interactive", j.Class())
+	var class xomp.Class = -1
+	for _, r := range pool.Team(0).Profile().Jobs() {
+		if r.ID == j.ID() {
+			class = xomp.Class(r.Class)
+		}
+	}
+	if class != xomp.ClassInteractive {
+		t.Fatalf("job class %v, want interactive", class)
 	}
 
 	// Wedge the pool, fill the batch backlog, and prove both unblocking
@@ -141,15 +148,19 @@ func TestShardedPoolSubmitCtxPriority(t *testing.T) {
 	// shard even though every batch queue is full and every worker busy.
 	for i := 0; i < 4; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		j, err := pool.SubmitCtx(ctx, func(*xomp.Worker) {},
+		_, err := pool.SubmitCtx(ctx, func(*xomp.Worker) {},
 			xomp.SubmitOpts{Priority: xomp.ClassInteractive})
 		cancel()
 		if err != nil {
 			t.Fatalf("interactive submission %d under batch flood: %v", i, err)
 		}
-		if j.Class() != xomp.ClassInteractive {
-			t.Fatalf("class %v, want interactive", j.Class())
-		}
+	}
+	var admitted uint64
+	for s := 0; s < pool.Shards(); s++ {
+		admitted += pool.Team(s).Profile().AdmitCount(int(xomp.ClassInteractive), prof.AdmitAdmitted)
+	}
+	if admitted != 4 {
+		t.Fatalf("%d submissions admitted as interactive, want 4", admitted)
 	}
 	once.Do(func() { close(gate) })
 	for _, j := range floods {

@@ -333,11 +333,20 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// balanceTick is the second-level balancer's period. Ablations on
-// 2 vCPUs (alternated 24 s svcbench open-mix pairs) found that this wake,
-// not the moves, carries open-mix's latency: with the tick running and no
-// move made, p99 read 1.76–1.79 ms, as with gap-halving moves
-// (1.74–1.77); with no tick it read 3.74–4.23 ms against 1.66–2.03.
+// balanceTick is the second-level balancer's period. On svcbench's
+// open-mix (a placed one-CPU server, 2 vCPUs) this wake, not the moves,
+// carries p99: a 200 µs ticker that read no signals and moved nothing
+// kept p99 at 1572–1589 µs against 1598–1743 with the balancer; with no
+// ticker at all p99 read 3258–3716 µs against 1605–1735; periods of
+// 50 µs and 1 ms read as 200 µs did. Per-thread context switches point
+// at the runtime's sysmon: with no timer pending it sleeps until a
+// syscall wakes it and then polls every 20 µs, and on one CPU each poll
+// preempts the working thread (in one 3 s run, 264 preemptions with the
+// tick and 3 528 without). The moves pay on more CPUs:
+// BenchmarkShardedPoolThroughput/skewed/shards2 at -cpu 2 read 1089–1300
+// jobs/s with them and 822–1072 without. A one-shard pool runs no
+// balancer and so has no tick; no svcbench workload is a one-shard pool
+// with idle gaps.
 const balanceTick = 200 * time.Microsecond
 
 // balance is the second-level balancer loop: every balanceTick, move

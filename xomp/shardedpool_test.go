@@ -187,9 +187,15 @@ func TestShardedPoolSkewedMigration(t *testing.T) {
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
-		if !j.Migrated() {
-			t.Fatalf("job %d completed without migrating off the parked shard", i)
+	}
+	migrated := 0
+	for _, r := range p.Team(1).Profile().Jobs() {
+		if r.Migrated {
+			migrated++
 		}
+	}
+	if migrated != jobs {
+		t.Fatalf("shard 1 recorded %d migrated jobs, want all %d of the parked shard's", migrated, jobs)
 	}
 	if n := ran.Load(); n != jobs {
 		t.Fatalf("job bodies ran %d times, want exactly %d", n, jobs)

@@ -57,7 +57,7 @@ func TestFacadeRejectsBadConfig(t *testing.T) {
 }
 
 // Worker identity is stable through the facade types: every task runs on
-// one of the team's workers, in that worker's zone.
+// one of the team's workers.
 func TestWorkerIdentity(t *testing.T) {
 	team := xomp.MustTeam(xomp.Preset("xgomptb", 3))
 	var ran atomic.Int32
@@ -67,9 +67,6 @@ func TestWorkerIdentity(t *testing.T) {
 				ran.Add(1)
 				if id := w.ID(); id < 0 || id >= 3 {
 					t.Errorf("task ran on worker %d of a 3-worker team", id)
-				}
-				if w.Zone() != team.Topology().ZoneOf(w.ID()) {
-					t.Error("zone mismatch")
 				}
 			})
 		}
